@@ -10,7 +10,7 @@
  * - "pre-pass": the default path — analysis/race.h classifies the
  *   program, and when it is fully ordered the SC enumeration
  *   (analysis/sc.h) is the answer, no explorer replay spent;
- * - "explore": GPULITMUS_MC_NO_PREPASS=1 — the full sharded
+ * - "explore": GPULITMUS_MC_NO_PREPASS=1 — the full
  *   exploration, exactly what every result looked like before the
  *   pre-pass existed.
  *
@@ -163,7 +163,6 @@ main()
         job.chip = sim::chip("Titan");
         job.test = w.test;
         job.inc = sim::Incantations::fromColumn(column);
-        job.shards = 1;
         eval::McBackend backend;
 
         ::unsetenv("GPULITMUS_MC_NO_PREPASS");

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 
 #include "common/strutil.h"
 #include "common/table.h"
@@ -29,10 +28,6 @@
 #include "bench_util.h"
 
 using namespace gpulitmus;
-
-namespace {
-
-} // namespace
 
 int
 main()
@@ -134,84 +129,6 @@ main()
         }
     }
     table.print(std::cout);
-
-    // Shard scaling: the same mp@Titan exploration at shards 1/2/4,
-    // reported as replays/sec. Results are bit-identical at every
-    // width (the differential battery pins that); the throughput is
-    // the point. The >=1.5x gate at shards=4 is hard on multi-core
-    // runners; a 1-CPU runner cannot scale wall clock, so it asserts
-    // the bit-identity half of the claim instead and skips the
-    // throughput half.
-    std::cout << "\nshard scaling: mp@Titan, replays/sec\n\n";
-    const unsigned hw = std::thread::hardware_concurrency();
-    litmus::Test mp = litmus::paperlib::mp();
-    Table scaling;
-    scaling.header({"shards", "replays", "ms", "replays/sec"});
-    double rate1 = 0.0, rate4 = 0.0;
-    std::string baseline;
-    for (int shards : {1, 2, 4}) {
-        mc::ExploreOptions opts;
-        opts.machine.inc = sim::Incantations::all();
-        opts.maxReplays = budget;
-        opts.shards = shards;
-        // Repeat until the timing is out of the noise floor.
-        uint64_t replays = 0;
-        int reps = 0;
-        double ms = 0.0;
-        std::string rendered;
-        auto start = std::chrono::steady_clock::now();
-        do {
-            mc::ExploreResult r =
-                mc::Explorer(chip, mp, opts).explore();
-            replays += r.stats.replays;
-            rendered = r.str();
-            ++reps;
-            ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-        } while (ms < 200.0 || reps < 3);
-        double rate = replays / (ms / 1000.0);
-        if (shards == 1) {
-            rate1 = rate;
-            baseline = rendered;
-        } else if (rendered != baseline) {
-            std::cerr << "INCONSISTENT: mp@Titan shards=" << shards
-                      << " diverged from the sequential result\n";
-            return 1;
-        }
-        if (shards == 4)
-            rate4 = rate;
-        char ms_buf[32], rate_buf[32];
-        std::snprintf(ms_buf, sizeof ms_buf, "%.2f", ms);
-        std::snprintf(rate_buf, sizeof rate_buf, "%.0f", rate);
-        scaling.row({std::to_string(shards),
-                     std::to_string(replays), ms_buf, rate_buf});
-        std::string e = "{";
-        e += "\"test\":\"mp\",";
-        e += "\"chip\":\"Titan\",";
-        e += "\"kind\":\"shard_scaling\",";
-        e += "\"shards\":" + std::to_string(shards) + ",";
-        e += "\"replays\":" + std::to_string(replays) + ",";
-        e += "\"ms\":" + std::string(ms_buf) + ",";
-        e += "\"replays_per_sec\":" + std::string(rate_buf);
-        e += "}";
-        entries.push_back(std::move(e));
-    }
-    scaling.print(std::cout);
-    if (hw >= 4) {
-        if (rate4 < 1.5 * rate1) {
-            std::cerr << "FAIL: shards=4 throughput " << rate4
-                      << " < 1.5x shards=1 " << rate1 << "\n";
-            return 1;
-        }
-        std::cout << "\nshard-scaling gate: shards=4 is "
-                  << (rate1 > 0 ? rate4 / rate1 : 0)
-                  << "x shards=1 (>= 1.5x required)\n";
-    } else {
-        std::cout << "\nshard-scaling gate skipped (" << hw
-                  << " CPUs); asserted shards 2/4 bit-identity"
-                     " instead\n";
-    }
 
     if (!writeJsonArrayFile("BENCH_mc.json", entries)) {
         // Exit nonzero so CI artifact upload cannot silently skip

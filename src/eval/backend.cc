@@ -45,12 +45,6 @@ McBackend::optionsFor(const EvalJob &job)
     opts.machine.inc = job.inc;
     opts.machine.maxMicroSteps = job.maxMicroSteps;
     opts.maxReplays = job.iterations;
-    // Parallel exploration: the shard width is a result-shaping axis
-    // (the budget pool is iterations × shards) and is part of the
-    // job's cache identity; the thread count is wall-clock only and
-    // comes from the engine's pool-sharing arbitration.
-    opts.shards = job.shards > 0 ? job.shards : 1;
-    opts.shardThreads = job.shardThreads;
     // Forensic knobs (mc/explorer.h): GPULITMUS_MC_DEBUG_KEYS=1
     // switches the state cache back to the PR-3 string keys (slow,
     // collision-free; diff against a digest-keyed run to implicate a
@@ -381,20 +375,9 @@ Engine::run(const std::vector<EvalJob> &jobs,
     // identity, the result's backend field and the conformance join
     // all agree — two aliases of one model dedup onto one evaluation
     // instead of computing it twice under two keys.
-    // Sharded mc jobs spawn their own worker threads; arbitrate that
-    // intra-job parallelism against the job-level pool so the two
-    // levels share one thread budget instead of multiplying
-    // (harness::intraJobThreads). Explicit job.shardThreads settings
-    // are respected.
-    const int intra = harness::intraJobThreads(jobs.size(), threads_);
-    bool shardedMc = false;
-    for (const auto &job : jobs)
-        shardedMc |= job.isMc() && job.shards > 1 &&
-                     job.shardThreads == 0;
-
     std::vector<EvalJob> normalised;
     const std::vector<EvalJob> *batch = &jobs;
-    if (aliased || shardedMc) {
+    if (aliased) {
         normalised = jobs;
         for (auto &job : normalised) {
             const std::string resolved =
@@ -405,9 +388,6 @@ Engine::run(const std::vector<EvalJob> &jobs,
                                      backends.at(job.backend));
                 job.backend = resolved;
             }
-            if (job.isMc() && job.shards > 1 &&
-                job.shardThreads == 0)
-                job.shardThreads = std::min(intra, job.shards);
         }
         batch = &normalised;
     }

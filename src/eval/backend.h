@@ -16,7 +16,7 @@
  *   AxiomBackend wraps model::Checker over any cat::Model (built-in
  *   or parsed from a .cat file), BaselineBackend wraps the Sec. 6
  *   operational-baseline model;
- * - eval::Engine shards a mixed-backend batch over the same
+ * - eval::Engine spreads a mixed-backend batch over the same
  *   deterministic pool/cache core as the simulation engine
  *   (harness/batch.h) — sim cells keep their PR-1 RNG streams
  *   bit-identically, model cells collapse onto one evaluation per
@@ -271,7 +271,7 @@ struct EngineOptions
 };
 
 /**
- * The multi-backend engine: shards a batch of jobs — any mix of
+ * The multi-backend engine: spreads a batch of jobs — any mix of
  * backends — across a worker pool via the shared deterministic batch
  * core. Sim jobs produce histograms bit-identical to harness::Engine
  * at any thread count; model jobs with the same (backend, test)

@@ -93,29 +93,6 @@ class BatchCache
     uint64_t hits_ = 0;
 };
 
-/**
- * Pool-sharing policy: how many threads a single job may spend on
- * *intra-job* parallelism (a sharded mc exploration) when the batch
- * is already fanning jobs out over `poolThreads` workers. The two
- * levels share one budget rather than multiplying: a saturated batch
- * (at least as many jobs as workers) pins every job to one thread,
- * a small batch splits the pool evenly, and a singleton job gets the
- * whole pool. Purely a wall-clock decision — job results are
- * invariant to thread counts at both levels — so the policy needs no
- * cache-key footprint.
- */
-inline int
-intraJobThreads(size_t batchJobs, int poolThreads)
-{
-    if (poolThreads < 1)
-        poolThreads = 1;
-    if (batchJobs <= 1)
-        return poolThreads;
-    if (batchJobs >= static_cast<size_t>(poolThreads))
-        return 1;
-    return poolThreads / static_cast<int>(batchJobs);
-}
-
 /** The pluggable pieces of a batch run. */
 template <typename Job, typename Result>
 struct BatchOps

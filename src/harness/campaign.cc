@@ -81,19 +81,6 @@ defaultJobs()
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int
-defaultShards()
-{
-    const char *env = std::getenv("GPULITMUS_MC_SHARDS");
-    if (env) {
-        auto v = parseInt(env);
-        if (v && *v > 0)
-            return static_cast<int>(*v);
-        warn("ignoring invalid GPULITMUS_MC_SHARDS='%s'", env);
-    }
-    return 1;
-}
-
 Job
 Job::fromConfig(const sim::ChipProfile &chip, const litmus::Test &test,
                 const RunConfig &config)
@@ -152,15 +139,7 @@ Job::cacheKey() const
     if (!isSim() && !isMc())
         return key();
     uint64_t h = splitmix64(key() ^ iterations);
-    h = splitmix64(h ^ static_cast<uint64_t>(maxMicroSteps));
-    // The shard width scales the mc budget pool (iterations ×
-    // shards), which can turn a bounded verdict into a complete one —
-    // a different result, hence a different identity. shards=1 mixes
-    // nothing so every pre-existing cache and store entry keeps its
-    // key.
-    if (isMc() && shards > 1)
-        h = splitmix64(h ^ static_cast<uint64_t>(shards));
-    return h;
+    return splitmix64(h ^ static_cast<uint64_t>(maxMicroSteps));
 }
 
 std::string

@@ -111,15 +111,6 @@ inline constexpr const char *kMcBackend = "mc";
 int defaultJobs();
 
 /**
- * Parallel-exploration width for mc jobs, from the
- * GPULITMUS_MC_SHARDS environment variable; 1 (the sequential
- * explorer) when unset. Committed results are shard-count invariant
- * (see ExploreOptions::shards), but the budget pool scales with the
- * width, so this is a result-shaping axis, not a tuning knob.
- */
-int defaultShards();
-
-/**
  * One cell of a sweep: evaluate `test` under the engine named by
  * `backend`. For the simulator backend that means running it on
  * `chip` under `inc` for `iterations` runs; axiomatic backends (see
@@ -143,17 +134,6 @@ struct Job
     /** Base seed; the RNG stream is derived from key(), not used raw. */
     uint64_t seed = 0x6c69746d7573ULL; // "litmus"
     int maxMicroSteps = 4000;
-    /** Parallel-exploration width (mc jobs only; sim/model jobs
-     * ignore it). Initialised from defaultShards(). Part of the
-     * cache identity when > 1, because the scaled budget pool can
-     * upgrade a bounded verdict to complete. */
-    int shards = defaultShards();
-    /** Worker threads for a sharded exploration; 0 = auto. Wall-clock
-     * only (results are thread-count invariant), so it is excluded
-     * from key()/cacheKey(). The engines set it from the
-     * pool-sharing policy (harness::intraJobThreads) so job-level and
-     * intra-job parallelism share one thread budget. */
-    int shardThreads = 0;
     /** Display label for sinks; defaults to "<test>@<chip>" when empty. */
     std::string label;
 

@@ -52,13 +52,6 @@
  * require identical results and statistics, which is how a digest
  * collision would surface. Digests are stable within a build but are
  * not a serialisation format (common/hash.h).
- *
- * Parallel exploration (ExploreOptions::shards > 1) work-steals
- * independent subtrees across a thread pool while keeping the
- * *committed* traversal — results and statistics — bit-identical to
- * the sequential search; see the "optimistic exploration,
- * deterministic commit" section in mc/explorer.cc and the
- * parallel-exploration chapter of docs/ARCHITECTURE.md.
  */
 
 #ifndef GPULITMUS_MC_EXPLORER_H
@@ -106,35 +99,6 @@ struct ExploreOptions
      * each mode: any divergence implicates a digest collision
      * (GPULITMUS_MC_DEBUG_KEYS=1 wires it through the mc backend). */
     bool debugStateKeys = false;
-    /**
-     * Parallel exploration width. 1 (the default) runs the classic
-     * single-threaded DFS. N > 1 splits the frontier into independent
-     * subtrees at the shallowest branchy spine node, explores them on
-     * a work-stealing worker pool sharing a sharded committed-state
-     * cache, and — crucially — *commits* subtree results on the
-     * driving thread in subtree-id order, redoing any subtree whose
-     * optimistic cache view turned out to differ from the sequential
-     * one. The committed merge is therefore bit-identical to the
-     * sequential traversal: same reachable set, same verdict, same
-     * stats (replays, cuts, resumes, peak depth), at any shard count
-     * and any worker interleaving.
-     *
-     * Budgets scale with the width: the effective caps are
-     * maxReplays × shards and maxStates × shards, drawn from one
-     * shared pool — which is what lets a shards=4 run complete a
-     * search that degrades to "bounded" at shards=1. A bounded
-     * shards=N result equals a sequential run with the same total
-     * budget, replay for replay.
-     */
-    int shards = 1;
-    /**
-     * Worker threads for the parallel phase. 0 = auto
-     * (min(shards, subtree count)). Wall-clock only: results are
-     * independent of the thread count and of scheduling, so a 1-CPU
-     * host still gets the shards=N *budget* semantics (and the tests
-     * still exercise the commit protocol).
-     */
-    int shardThreads = 0;
     /** Liveness hook: called from the search loop every
      * `heartbeatEvery` replays with the running statistics, so a
      * 128k-replay exploration is visibly alive (the serve daemon

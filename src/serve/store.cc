@@ -560,13 +560,6 @@ ResultStore::digestFor(const harness::Job &job)
         h.put64(static_cast<uint64_t>(job.maxMicroSteps));
         if (job.isSim())
             h.put64(job.seed);
-        // The mc shard width scales the budget pool, which can flip
-        // a bounded verdict to complete — a different result. Only
-        // appended when sharded, so every durable record written
-        // before (or without) parallel exploration keeps its digest:
-        // no ABI bump, no store migration.
-        if (job.isMc() && job.shards > 1)
-            h.put64(static_cast<uint64_t>(job.shards));
     }
     return h.digest();
 }

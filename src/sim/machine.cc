@@ -495,22 +495,6 @@ Machine::snapshot(Snapshot &out) const
 void
 Machine::restore(const Snapshot &snap)
 {
-    // A snapshot may be restored into a *sibling* machine — one
-    // compiled from the same (chip, test, options) — for cross-thread
-    // hand-off of subtree roots. A fresh sibling has never run
-    // resetRun(), so its per-run SM pool is unsized: bring it up to
-    // the snapshot's SM count and give every slot the post-reset
-    // empty state. Slots hosting no testing thread are unobservable
-    // (encodeTo skips them) and under the explorer never hold warm
-    // lines, so sibling and source states agree byte-for-byte.
-    if (sms_.size() < snap.sms.size()) {
-        int nlocs = static_cast<int>(locShared_.size());
-        sms_.resize(snap.sms.size());
-        for (auto &sm : sms_) {
-            sm.l1.assign(static_cast<size_t>(nlocs), std::nullopt);
-            sm.buffer.clear();
-        }
-    }
     uint64_t used = 0;
     for (const auto &ts : snap.threads)
         used |= 1ULL << (ts.smId & 63);

@@ -47,13 +47,10 @@
  * - Snapshot/restore lifetime: snapshot() captures the complete
  *   mutable run state at the top of a scheduling step; resume()
  *   restores it and continues the main loop from that step. A
- *   Snapshot is a plain copyable value, portable to any Machine
- *   constructed from the same (chip, test, options) triple — the
- *   compiled program and chip profile must match, but the consuming
- *   machine need not be the producer. This is what lets the parallel
- *   explorer hand subtree-root snapshots to worker threads that each
- *   own a sibling machine. Restoring into a machine compiled from a
- *   different test/chip — or after setOptions() changed the
+ *   Snapshot is a plain copyable value, restored into the machine
+ *   that took it: SMs hosting no thread are not captured, so
+ *   restore() relies on the machine's own copies of those. Restoring
+ *   into any other machine — or after setOptions() changed the
  *   incantations — is undefined. snapshot(Snapshot&) reuses the
  *   target's storage, so a pooled snapshot is allocation-free after
  *   first use.

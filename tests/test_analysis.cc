@@ -266,8 +266,8 @@ TEST(DifferentialGate, ScenarioVariants)
         ASSERT_TRUE(sc.has_value()) << spec;
         mc::ExploreOptions opts;
         opts.machine.maxMicroSteps = built->maxMicroSteps;
-        opts.maxReplays = 1u << 14;
-        opts.shards = 4;
+        opts.maxReplays = 1u << 16;
+        opts.maxStates = 1u << 24;
         mc::ExploreResult exact =
             exploreTest(built->test, "TesC", 16, opts);
         expectScEquivalent(exact, *sc, spec);
@@ -314,7 +314,6 @@ TEST(Prepass, BackendAnswersFullyOrderedFromScEnumeration)
     job.chip = sim::chip("Titan");
     job.test = loadCorpus("mp-deps.litmus");
     job.inc = sim::Incantations::fromColumn(16);
-    job.shards = 1;
 
     eval::McBackend backend;
     ::unsetenv("GPULITMUS_MC_NO_PREPASS");
@@ -348,7 +347,6 @@ TEST(Prepass, RacyProgramsStillExplore)
     job.chip = sim::chip("Titan");
     job.test = loadCorpus("mp.litmus");
     job.inc = sim::Incantations::fromColumn(16);
-    job.shards = 1;
     eval::McBackend backend;
     eval::EvalResult r = backend.evaluate(job);
     ASSERT_TRUE(r.hasExact());

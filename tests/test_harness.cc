@@ -239,7 +239,7 @@ TEST(Campaign, JobKeysDistinguishChipsAndColumns)
 TEST(Campaign, DeterministicAcrossThreadCounts)
 {
     // The full Tab. 6 grid (16 columns) on two chips: histograms must
-    // be bit-identical however the pool shards the jobs.
+    // be bit-identical however the pool spreads the jobs.
     auto sweep = [](int threads) {
         EngineOptions opts;
         opts.threads = threads;

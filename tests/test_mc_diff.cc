@@ -1,38 +1,11 @@
 /**
  * @file
- * Differential / metamorphic battery for parallel exact exploration
- * (mc/explorer.cc, "optimistic exploration, deterministic commit").
- *
- * The claims under test, in rising order of subtlety:
- *
- * - *Shard-count invariance.* For every corpus test and every
- *   registry-scenario variant, explorations at shards 1, 4 and 8
- *   produce byte-identical results: reachable sets, weights,
- *   verdicts, completeness flags, and the full statistics block
- *   (replays, cuts, sleep skips, resumes, replayed choices, peak
- *   depth). Completed searches compare at equal per-shard budgets;
- *   bounded searches compare at equal *total* budgets (the shards=N
- *   budget pool is maxReplays x N, so shards=4 with B/4 per shard
- *   must equal shards=1 with B — replay for replay).
- * - *Sampling oracle.* Sampled simulator outcomes (3 seeds) are a
- *   subset of the exact reachable set whenever the exploration
- *   settled (complete, or fair-complete for spin-loop scenarios).
- *   A traversal bug that loses or invents reachable states breaks
- *   this from either side.
- * - *Merged statistics.* The per-subtree stats fold in subtree-id
- *   order into one block; resumes/replayedChoices/peakDepth are the
- *   sequential values, not the last worker's (the ISSUE-9 satellite
- *   regression).
- * - *Concurrent cache semantics.* ShardMap collision behaviour
- *   (insert on a present key is a no-op returning false; lookup
- *   copies under the shard lock) and WorkStealDeque take-exactly-once
- *   under a steal storm.
- * - *Budget races.* Budget exhaustion racing subtree completion
- *   still yields the sequential bounded result, bit for bit.
- *
- * The whole battery also compiles under -fsanitize=thread in CI,
- * which is what turns "no data race we noticed" into "no data race
- * TSan can observe on these schedules".
+ * Differential oracle for exact exploration (mc/explorer.cc): sampled
+ * simulator outcomes (3 seeds) are a subset of the exact reachable
+ * set whenever the exploration settled (complete, or fair-complete
+ * for spin-loop scenarios). A traversal bug that loses or invents
+ * reachable states breaks this from either side. The inputs are the
+ * whole corpus and every registry-scenario variant.
  */
 
 #include <gtest/gtest.h>
@@ -41,14 +14,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/campaign.h"
 #include "litmus/parser.h"
 #include "mc/explorer.h"
-#include "mc/shardmap.h"
-#include "mc/worksteal.h"
 #include "scenario/registry.h"
 #include "sim/chip.h"
 
@@ -115,131 +85,11 @@ exploreTest(const litmus::Test &test, const char *chip, int column,
     return mc::Explorer(sim::chip(chip), test, opts).explore();
 }
 
-/** Full-result equality: str() covers the reachable set with weights,
- * the satisfying marks, the completeness claim and every statistic —
- * one comparison, byte for byte. The budget fields are compared
- * separately because they carry the (intended) x-shards scaling. */
-void
-expectIdentical(const mc::ExploreResult &a, const mc::ExploreResult &b,
-                const litmus::Test &test, const std::string &label)
-{
-    EXPECT_EQ(a.str(), b.str()) << label;
-    EXPECT_EQ(a.verdict(test), b.verdict(test)) << label;
-    EXPECT_EQ(a.complete, b.complete) << label;
-    EXPECT_EQ(a.fairComplete, b.fairComplete) << label;
-    EXPECT_EQ(a.finals, b.finals) << label;
-    EXPECT_EQ(a.satisfying, b.satisfying) << label;
-    EXPECT_EQ(a.paths, b.paths) << label;
-    EXPECT_EQ(a.stats.replays, b.stats.replays) << label;
-    EXPECT_EQ(a.stats.choicePoints, b.stats.choicePoints) << label;
-    EXPECT_EQ(a.stats.stateCuts, b.stats.stateCuts) << label;
-    EXPECT_EQ(a.stats.sleepSkips, b.stats.sleepSkips) << label;
-    EXPECT_EQ(a.stats.distinctStates, b.stats.distinctStates)
-        << label;
-    EXPECT_EQ(a.stats.peakDepth, b.stats.peakDepth) << label;
-    EXPECT_EQ(a.stats.resumes, b.stats.resumes) << label;
-    EXPECT_EQ(a.stats.replayedChoices, b.stats.replayedChoices)
-        << label;
-}
-
-// ---------------------------------------------------------------------
-// Shard-count invariance.
-// ---------------------------------------------------------------------
-
-TEST(ShardDiff, CorpusShardCountInvariance)
-{
-    // Every corpus test completes within the default budget at
-    // column 16, so shards 1/4/8 must agree on *everything* — the
-    // scaled budget pool is simply never drawn past the sequential
-    // spend.
-    for (const std::string &file : corpusFiles()) {
-        litmus::Test test = loadCorpus(file);
-        mc::ExploreOptions opts;
-        mc::ExploreResult base =
-            exploreTest(test, "Titan", 16, opts);
-        ASSERT_TRUE(base.complete) << file;
-        for (int shards : {4, 8}) {
-            mc::ExploreOptions sopts;
-            sopts.shards = shards;
-            mc::ExploreResult r =
-                exploreTest(test, "Titan", 16, sopts);
-            expectIdentical(base, r, test,
-                            file + " shards=" +
-                                std::to_string(shards));
-        }
-    }
-}
-
-TEST(ShardDiff, ScenarioShardCountInvariance)
-{
-    // Scenario trees range from trivially drained to far beyond any
-    // CI budget, so compare at an equal *total* budget: shards=N with
-    // B/N per shard owns the same global pool as shards=1 with B.
-    // Light variants complete identically; heavy variants go bounded
-    // identically — same reachable lower bound, same burned budget,
-    // same verdict. (Full completion of the heavy variants at
-    // shards>=4 is the acceptance run / bench gate, not a unit
-    // test.)
-    const uint64_t kTotalReplays = 1u << 14;
-    const uint64_t kTotalStates = 1u << 20;
-    for (const std::string &spec : variantSpecs()) {
-        std::string error;
-        auto built = scenario::buildSpec(spec, &error);
-        ASSERT_TRUE(built.has_value()) << error;
-        mc::ExploreOptions opts;
-        opts.machine.maxMicroSteps = built->maxMicroSteps;
-        opts.maxReplays = kTotalReplays;
-        opts.maxStates = kTotalStates;
-        mc::ExploreResult base =
-            exploreTest(built->test, "TesC", 16, opts);
-        for (int shards : {4, 8}) {
-            mc::ExploreOptions sopts;
-            sopts.machine.maxMicroSteps = built->maxMicroSteps;
-            sopts.shards = shards;
-            sopts.maxReplays =
-                kTotalReplays / static_cast<uint64_t>(shards);
-            sopts.maxStates =
-                kTotalStates / static_cast<uint64_t>(shards);
-            mc::ExploreResult r =
-                exploreTest(built->test, "TesC", 16, sopts);
-            expectIdentical(base, r, built->test,
-                            spec + " shards=" +
-                                std::to_string(shards));
-        }
-    }
-}
-
-TEST(ShardDiff, DebugKeyModeShardInvariance)
-{
-    // The string-keyed debug memo exercises the parallel cache's
-    // other half (committedStr / seedsStr): same invariance claim,
-    // and cross-checked against the digest mode.
-    litmus::Test test = loadCorpus("mp.litmus");
-    mc::ExploreOptions fast;
-    mc::ExploreResult digest = exploreTest(test, "Titan", 16, fast);
-    for (int shards : {1, 4}) {
-        mc::ExploreOptions opts;
-        opts.debugStateKeys = true;
-        opts.shards = shards;
-        mc::ExploreResult r = exploreTest(test, "Titan", 16, opts);
-        expectIdentical(digest, r, test,
-                        "debug-keys shards=" +
-                            std::to_string(shards));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sampling oracle: sim ⊆ mc.
-// ---------------------------------------------------------------------
-
-TEST(ShardDiff, CorpusSampledOutcomesSubsetOfExact)
+TEST(McDiff, CorpusSampledOutcomesSubsetOfExact)
 {
     for (const std::string &file : corpusFiles()) {
         litmus::Test test = loadCorpus(file);
-        mc::ExploreOptions opts;
-        opts.shards = 4;
-        mc::ExploreResult exact =
-            exploreTest(test, "Titan", 16, opts);
+        mc::ExploreResult exact = exploreTest(test, "Titan", 16, {});
         ASSERT_TRUE(exact.complete) << file;
         for (uint64_t seed : {1u, 2u, 3u}) {
             harness::RunConfig cfg;
@@ -259,7 +109,7 @@ TEST(ShardDiff, CorpusSampledOutcomesSubsetOfExact)
     }
 }
 
-TEST(ShardDiff, ScenarioSampledOutcomesSubsetOfExact)
+TEST(McDiff, ScenarioSampledOutcomesSubsetOfExact)
 {
     // The oracle holds wherever the exploration settled: `complete`
     // is airtight; `fairComplete` covers every terminating execution
@@ -268,15 +118,14 @@ TEST(ShardDiff, ScenarioSampledOutcomesSubsetOfExact)
     // budget (the heavy lock scenarios) are skipped here — their
     // reachable set is only a lower bound, so subset is not a
     // theorem.
-    const uint64_t kPerShard = 1u << 15;
     for (const std::string &spec : variantSpecs()) {
         std::string error;
         auto built = scenario::buildSpec(spec, &error);
         ASSERT_TRUE(built.has_value()) << error;
         mc::ExploreOptions opts;
         opts.machine.maxMicroSteps = built->maxMicroSteps;
-        opts.maxReplays = kPerShard;
-        opts.shards = 4;
+        opts.maxReplays = 1u << 17;
+        opts.maxStates = 1u << 24;
         mc::ExploreResult exact =
             exploreTest(built->test, "TesC", 16, opts);
         if (!exact.complete && !exact.fairComplete)
@@ -298,201 +147,6 @@ TEST(ShardDiff, ScenarioSampledOutcomesSubsetOfExact)
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Merged statistics (the report()-prints-last-worker regression).
-// ---------------------------------------------------------------------
-
-TEST(ShardDiff, MergedStatsAreSequentialNotLastWorker)
-{
-    // mp@Titan col16 is pinned at 4400 replays by test_mc; the
-    // sharded merge must reproduce the same 4400 — plus identical
-    // resumes, replayed choices and peak depth — because per-subtree
-    // stats fold in subtree-id order, never "whatever finished
-    // last".
-    litmus::Test test = loadCorpus("mp.litmus");
-    mc::ExploreOptions seq;
-    mc::ExploreResult r1 = exploreTest(test, "Titan", 16, seq);
-    EXPECT_EQ(r1.stats.replays, 4400u);
-    for (int shards : {2, 4, 8}) {
-        mc::ExploreOptions opts;
-        opts.shards = shards;
-        mc::ExploreResult rN = exploreTest(test, "Titan", 16, opts);
-        EXPECT_EQ(rN.stats.replays, 4400u) << shards;
-        EXPECT_EQ(rN.stats.resumes, r1.stats.resumes) << shards;
-        EXPECT_EQ(rN.stats.replayedChoices,
-                  r1.stats.replayedChoices)
-            << shards;
-        EXPECT_EQ(rN.stats.peakDepth, r1.stats.peakDepth) << shards;
-        // report() renders from the merged block: identical modulo
-        // the (intended) budget-pool scaling lines.
-        EXPECT_EQ(rN.str(), r1.str()) << shards;
-        EXPECT_NE(rN.report().find("4400"), std::string::npos)
-            << shards;
-    }
-}
-
-TEST(ShardDiff, BudgetFieldsScaleWithShards)
-{
-    litmus::Test test = loadCorpus("mp.litmus");
-    mc::ExploreOptions opts;
-    opts.maxReplays = 1000;
-    opts.maxStates = 2000;
-    opts.shards = 4;
-    mc::ExploreResult r = exploreTest(test, "Titan", 16, opts);
-    EXPECT_EQ(r.budgetReplays, 4000u);
-    EXPECT_EQ(r.budgetStates, 8000u);
-}
-
-// ---------------------------------------------------------------------
-// Budget exhaustion racing completion.
-// ---------------------------------------------------------------------
-
-TEST(ShardDiff, BoundedVerdictStableUnderBudgetRace)
-{
-    // A total budget below the 4400-replay drain forces workers to
-    // race the shared pool to exhaustion; the committed result must
-    // still be the sequential bounded result for the same total.
-    // Several repeats shake the thread interleaving.
-    litmus::Test test = loadCorpus("mp.litmus");
-    mc::ExploreOptions seq;
-    seq.maxReplays = 1200;
-    mc::ExploreResult base = exploreTest(test, "Titan", 16, seq);
-    EXPECT_FALSE(base.complete);
-    EXPECT_EQ(base.stats.replays, 1200u);
-    for (int round = 0; round < 3; ++round) {
-        mc::ExploreOptions opts;
-        opts.maxReplays = 300;
-        opts.shards = 4;
-        mc::ExploreResult r = exploreTest(test, "Titan", 16, opts);
-        EXPECT_FALSE(r.complete) << round;
-        expectIdentical(base, r, test,
-                        "race round " + std::to_string(round));
-    }
-}
-
-TEST(ShardDiff, ShardThreadsIsWallClockOnly)
-{
-    // Worker-thread count changes scheduling only: 1 thread and 3
-    // threads commit the same traversal.
-    litmus::Test test = loadCorpus("sb.litmus");
-    mc::ExploreOptions one;
-    one.shards = 4;
-    one.shardThreads = 1;
-    mc::ExploreResult r1 = exploreTest(test, "Titan", 16, one);
-    mc::ExploreOptions three;
-    three.shards = 4;
-    three.shardThreads = 3;
-    mc::ExploreResult r3 = exploreTest(test, "Titan", 16, three);
-    expectIdentical(r1, r3, test, "shardThreads 1 vs 3");
-}
-
-// ---------------------------------------------------------------------
-// Concurrent cache semantics.
-// ---------------------------------------------------------------------
-
-TEST(ShardMapSemantics, InsertCollisionIsANoOpReturningFalse)
-{
-    mc::DigestShardMap map;
-    Digest128 k{0x1234, 0xabcd};
-    EXPECT_TRUE(map.insert(k, 7, {1, 2, 3}));
-    EXPECT_FALSE(map.insert(k, 9, {9, 9}));
-    EXPECT_EQ(map.size(), 1u);
-    mc::DigestShardMap::Entry e;
-    ASSERT_TRUE(map.lookup(k, e));
-    // First writer wins: the colliding insert changed nothing, so
-    // the sleep-set-keyed digest and its memoised finals are the
-    // original subtree's — the explorer's loop-dedup cross-check
-    // (executedSig comparison at every hit) is what demotes the
-    // exactness claim when the collision was a spin-loop revisit.
-    EXPECT_EQ(e.executedSig, 7u);
-    EXPECT_EQ(e.finals, (std::vector<uint64_t>{1, 2, 3}));
-    EXPECT_TRUE(map.contains(k));
-    EXPECT_FALSE(map.contains(Digest128{0x1234, 0xabce}));
-}
-
-TEST(ShardMapSemantics, LookupCopiesOutUnderRehash)
-{
-    // lookup() returns a copy, so entries stay valid across an
-    // arbitrary number of later inserts (which may rehash shards).
-    mc::DigestShardMap map;
-    Digest128 k{42, 0};
-    map.insert(k, 1, {5});
-    mc::DigestShardMap::Entry e;
-    ASSERT_TRUE(map.lookup(k, e));
-    for (uint64_t i = 0; i < 5000; ++i)
-        map.insert(Digest128{i, i << 32}, i, {i});
-    EXPECT_EQ(e.finals, (std::vector<uint64_t>{5}));
-    EXPECT_EQ(map.size(), 5001u);
-}
-
-TEST(ShardMapSemantics, ConcurrentReadersSeeCommittedEntries)
-{
-    // One writer (the commit role), many readers (the worker role):
-    // every key a reader observes must carry its full entry. Run
-    // under TSan in CI to certify the locking.
-    mc::DigestShardMap map;
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> seen{0};
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; ++r) {
-        readers.emplace_back([&] {
-            mc::DigestShardMap::Entry e;
-            while (!stop.load(std::memory_order_acquire)) {
-                for (uint64_t i = 0; i < 512; ++i) {
-                    if (map.lookup(Digest128{i, i * 3}, e)) {
-                        EXPECT_EQ(e.executedSig, i);
-                        EXPECT_EQ(e.finals,
-                                  (std::vector<uint64_t>{i, i + 1}));
-                        seen.fetch_add(1,
-                                       std::memory_order_relaxed);
-                    }
-                }
-            }
-        });
-    }
-    for (uint64_t i = 0; i < 512; ++i)
-        map.insert(Digest128{i, i * 3}, i, {i, i + 1});
-    stop.store(true, std::memory_order_release);
-    for (auto &t : readers)
-        t.join();
-    EXPECT_EQ(map.size(), 512u);
-}
-
-TEST(WorkStealSemantics, EveryTaskTakenExactlyOnce)
-{
-    // A steal storm against one owner deque: each task id must be
-    // handed out exactly once across pop() and steal().
-    constexpr uint32_t kTasks = 64;
-    mc::WorkStealDeque dq(kTasks);
-    for (uint32_t i = 0; i < kTasks; ++i)
-        dq.push(i);
-    std::vector<std::atomic<int>> taken(kTasks);
-    std::vector<std::thread> thieves;
-    for (int t = 0; t < 3; ++t) {
-        thieves.emplace_back([&] {
-            uint32_t id;
-            for (;;) {
-                switch (dq.steal(id)) {
-                  case mc::WorkStealDeque::Steal::kOk:
-                    taken[id].fetch_add(1);
-                    break;
-                  case mc::WorkStealDeque::Steal::kLost:
-                    break;
-                  case mc::WorkStealDeque::Steal::kEmpty:
-                    return;
-                }
-            }
-        });
-    }
-    uint32_t id;
-    while (dq.pop(id))
-        taken[id].fetch_add(1);
-    for (auto &t : thieves)
-        t.join();
-    for (uint32_t i = 0; i < kTasks; ++i)
-        EXPECT_EQ(taken[i].load(), 1) << "task " << i;
 }
 
 } // namespace

@@ -91,7 +91,8 @@
  * for https://ui.perfetto.dev (docs/OBSERVABILITY.md). GPULITMUS_OBS=0
  * disables all telemetry; results are bit-identical either way.
  *
- * Exit status: 0 on success, 1 on usage/parse errors, 2 when a check
+ * Exit status: 0 on success, 1 on usage/parse errors (including a
+ * malformed integer flag or a negative count), 2 when a check
  * fails (optcheck violation, ~exists condition observed or
  * mc-reachable, or an unsound validate/explore cell).
  */
@@ -101,6 +102,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -153,6 +155,9 @@ struct Args
         return it == flags.end() ? fallback : it->second;
     }
 
+    /** Integer flag value, or `fallback` when the flag is absent. A
+     * malformed value is a usage error (exit 1), never a silent
+     * fallback. */
     int64_t
     getInt(const std::string &name, int64_t fallback) const
     {
@@ -160,7 +165,32 @@ struct Args
         if (it == flags.end())
             return fallback;
         auto v = parseInt(it->second);
-        return v ? *v : fallback;
+        if (!v)
+            usageError("--" + name + " expects an integer" +
+                       (it->second == "true"
+                            ? std::string()
+                            : ", got '" + it->second + "'"));
+        return *v;
+    }
+
+    /** getInt for counts (budget, iterations, jobs, ...): a negative
+     * value is a usage error too, rather than wrapping to a huge
+     * unsigned count. */
+    uint64_t
+    getCount(const std::string &name, uint64_t fallback) const
+    {
+        int64_t v = getInt(name, static_cast<int64_t>(fallback));
+        if (v < 0)
+            usageError("--" + name + " must be >= 0, got " +
+                       std::to_string(v));
+        return static_cast<uint64_t>(v);
+    }
+
+    [[noreturn]] static void
+    usageError(const std::string &message)
+    {
+        std::cerr << "error: " << message << "\n";
+        std::exit(1);
     }
 };
 
@@ -182,7 +212,9 @@ parseArgs(int argc, char **argv, int start)
             }
             args.flags[name] = value;
         } else if (startsWith(a, "-O")) {
-            args.flags["opt-level"] = a.substr(2);
+            // Both `-O3` and `-O 3`.
+            args.flags["opt-level"] =
+                a.size() == 2 && i + 1 < argc ? argv[++i] : a.substr(2);
         } else {
             args.positional.push_back(a);
         }
@@ -265,8 +297,7 @@ openStoreFlag(const Args &args, bool *failed)
     if (!args.has("store"))
         return nullptr;
     serve::StoreOptions opts;
-    opts.maxBytes =
-        static_cast<uint64_t>(args.getInt("max-store-bytes", 0));
+    opts.maxBytes = args.getCount("max-store-bytes", 0);
     // Offline CLI use: skip the per-flush fsync; torn-tail recovery
     // covers a crash, and the OS flushes on exit anyway.
     opts.syncOnFlush = false;
@@ -305,13 +336,12 @@ cmdRun(const Args &args)
         return 1;
 
     harness::RunConfig cfg;
-    cfg.iterations = static_cast<uint64_t>(args.getInt(
-        "iterations",
-        static_cast<int64_t>(harness::defaultIterations())));
+    cfg.iterations =
+        args.getCount("iterations", harness::defaultIterations());
     cfg.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
     cfg.maxMicroSteps =
         std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
-    int column = static_cast<int>(args.getInt("column", 16));
+    int column = static_cast<int>(args.getCount("column", 16));
     cfg.inc = sim::Incantations::fromColumn(column);
     const sim::ChipProfile &chip =
         sim::chip(args.get("chip", "Titan"));
@@ -391,9 +421,8 @@ cmdSweep(const Args &args)
     }
 
     harness::RunConfig cfg;
-    cfg.iterations = static_cast<uint64_t>(args.getInt(
-        "iterations",
-        static_cast<int64_t>(harness::defaultIterations())));
+    cfg.iterations =
+        args.getCount("iterations", harness::defaultIterations());
     cfg.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
     cfg.maxMicroSteps =
         std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
@@ -431,7 +460,7 @@ cmdSweep(const Args &args)
         return 1;
 
     harness::EngineOptions eopts;
-    eopts.threads = static_cast<int>(args.getInt("jobs", 0));
+    eopts.threads = static_cast<int>(args.getCount("jobs", 0));
     eopts.store = store.get();
     harness::Engine engine(eopts);
 
@@ -560,11 +589,10 @@ cmdValidate(const Args &args)
         models.push_back(id);
     }
 
-    int column = static_cast<int>(args.getInt("column", 16));
+    int column = static_cast<int>(args.getCount("column", 16));
     harness::RunConfig cfg;
-    cfg.iterations = static_cast<uint64_t>(args.getInt(
-        "iterations",
-        static_cast<int64_t>(harness::defaultIterations())));
+    cfg.iterations =
+        args.getCount("iterations", harness::defaultIterations());
     cfg.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
     cfg.inc = sim::Incantations::fromColumn(column);
 
@@ -636,8 +664,7 @@ cmdValidate(const Args &args)
                 // verdicts to rare/unreachable.
                 harness::Job mc_job = sim_job;
                 mc_job.backend = harness::kMcBackend;
-                mc_job.iterations = static_cast<uint64_t>(
-                    args.getInt("budget", 1 << 20));
+                mc_job.iterations = args.getCount("budget", 1 << 20);
                 campaign.add(std::move(mc_job));
             }
             for (const auto &model : models) {
@@ -666,7 +693,7 @@ cmdValidate(const Args &args)
         return 1;
 
     eval::EngineOptions eopts;
-    eopts.threads = static_cast<int>(args.getInt("jobs", 0));
+    eopts.threads = static_cast<int>(args.getCount("jobs", 0));
     eopts.store = store.get();
     eval::Engine engine(eopts);
 
@@ -763,7 +790,7 @@ cmdExplore(const Args &args)
     if (args.positional.empty()) {
         std::cerr << "usage: gpulitmus explore <test...>"
                      " [--chips A,B|all] [--column 1..16]"
-                     " [--budget N] [--shards N] [--jobs N]"
+                     " [--budget N] [--jobs N]"
                      " [--models A,B|none]"
                      " [--json FILE] [--store DIR]\n";
         return 1;
@@ -789,21 +816,10 @@ cmdExplore(const Args &args)
         }
     }
 
-    int column = static_cast<int>(args.getInt("column", 16));
+    int column = static_cast<int>(args.getCount("column", 16));
     harness::RunConfig cfg;
     cfg.inc = sim::Incantations::fromColumn(column);
-    cfg.iterations =
-        static_cast<uint64_t>(args.getInt("budget", 1 << 20));
-    // Parallel exploration width: --budget stays the *per-shard*
-    // replay budget, so `--shards 4` owns a 4x pool — the knob that
-    // upgrades "bounded" lock scenarios to proofs. --shards 1 (or
-    // GPULITMUS_MC_SHARDS unset) is the sequential explorer.
-    int shards = static_cast<int>(
-        args.getInt("shards", harness::defaultShards()));
-    if (shards < 1) {
-        std::cerr << "error: --shards must be >= 1\n";
-        return 1;
-    }
+    cfg.iterations = args.getCount("budget", 1 << 20);
 
     harness::Campaign campaign;
     std::vector<std::string> skipped;
@@ -837,7 +853,6 @@ cmdExplore(const Args &args)
             harness::Job mc_job =
                 harness::Job::fromConfig(chip, *to_run, test_cfg);
             mc_job.backend = harness::kMcBackend;
-            mc_job.shards = shards;
             mc_job.label = test.name;
             campaign.add(mc_job);
             if (in_scope) {
@@ -865,7 +880,7 @@ cmdExplore(const Args &args)
         return 1;
 
     eval::EngineOptions eopts;
-    eopts.threads = static_cast<int>(args.getInt("jobs", 0));
+    eopts.threads = static_cast<int>(args.getCount("jobs", 0));
     eopts.store = store.get();
     eval::Engine engine(eopts);
 
@@ -875,9 +890,6 @@ cmdExplore(const Args &args)
                   << " outside the model scope)";
     std::cout << ", " << chips.size() << " chips, budget "
               << cfg.iterations << " replays/cell"
-              << (shards > 1 ? " x " + std::to_string(shards) +
-                                   " shards"
-                             : std::string())
               << ", column " << column
               << ", models "
               << (models.empty() ? std::string("none")
@@ -1361,9 +1373,8 @@ cmdServe(const Args &args)
     opts.socketPath = args.get("socket", "");
     opts.tcpPort = static_cast<int>(args.getInt("port", 0));
     opts.storeDir = args.get("store", "");
-    opts.threads = static_cast<int>(args.getInt("jobs", 0));
-    opts.maxStoreBytes =
-        static_cast<uint64_t>(args.getInt("max-store-bytes", 0));
+    opts.threads = static_cast<int>(args.getCount("jobs", 0));
+    opts.maxStoreBytes = args.getCount("max-store-bytes", 0);
     if (opts.socketPath.empty() && opts.tcpPort == 0) {
         std::cerr << "usage: gpulitmus serve --socket PATH |"
                      " --port N [--store DIR] [--jobs N]"
@@ -1481,12 +1492,10 @@ cmdSubmit(const Args &args)
             return 1;
         }
     }
-    req.column = static_cast<int>(args.getInt("column", 16));
-    req.iterations =
-        static_cast<uint64_t>(args.getInt("iterations", 0));
+    req.column = static_cast<int>(args.getCount("column", 16));
+    req.iterations = args.getCount("iterations", 0);
     req.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
-    req.budget =
-        static_cast<uint64_t>(args.getInt("budget", 1 << 20));
+    req.budget = args.getCount("budget", 1 << 20);
     req.exact = args.has("exact");
 
     auto client = connectFlag(args);
@@ -1638,9 +1647,12 @@ cmdStatus(const Args &args)
     if (!client)
         return 1;
     bool raw = args.has("json");
-    int watch = args.has("watch")
-                    ? static_cast<int>(args.getInt("watch", 2))
-                    : 0;
+    // A bare --watch polls every 2 s.
+    int watch = 0;
+    if (args.has("watch"))
+        watch = args.get("watch", "") == "true"
+                    ? 2
+                    : static_cast<int>(args.getInt("watch", 2));
     if (watch < 0)
         watch = 0;
 
