@@ -54,7 +54,7 @@ main()
                 harness::Job::fromConfig(chip, to_run, cfg));
         }
     }
-    auto results = campaign.run(benchutil::engine());
+    auto results = benchutil::engine().run(campaign);
 
     size_t next = 0;
     for (bool fences : {false, true}) {

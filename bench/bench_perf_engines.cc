@@ -13,6 +13,7 @@
 #include "axiom/enumerate.h"
 #include "cat/models.h"
 #include "common/rng.h"
+#include "eval/backend.h"
 #include "gen/generator.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
@@ -117,11 +118,11 @@ BM_CampaignTab6Grid(benchmark::State &state)
         .overTests({litmus::paperlib::coRR(), litmus::paperlib::lb(),
                     litmus::paperlib::mp(), litmus::paperlib::sb()});
     for (auto _ : state) {
-        harness::EngineOptions opts;
+        eval::EngineOptions opts;
         opts.threads = static_cast<int>(state.range(0));
         opts.cache = false; // measure simulation, not memoisation
-        harness::Engine engine(opts);
-        benchmark::DoNotOptimize(campaign.run(engine));
+        eval::Engine engine(opts);
+        benchmark::DoNotOptimize(engine.run(campaign));
     }
 }
 BENCHMARK(BM_CampaignTab6Grid)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
@@ -140,9 +141,9 @@ emitCampaignJson()
         .overColumns(1, 16)
         .overTests({litmus::paperlib::coRR(), litmus::paperlib::lb(),
                     litmus::paperlib::mp(), litmus::paperlib::sb()});
-    harness::JsonSink json;
-    harness::Engine engine;
-    campaign.run(engine, {&json});
+    eval::JsonSink json;
+    eval::Engine engine;
+    engine.run(campaign, {&json});
     if (!json.writeFile("BENCH_campaign.json")) {
         // Propagate failure so CI artifact upload cannot silently
         // skip the file.

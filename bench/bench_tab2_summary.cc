@@ -46,7 +46,7 @@ class ObsBatch
 
   private:
     std::vector<harness::Job> jobs_;
-    std::vector<harness::JobResult> results_;
+    std::vector<eval::EvalResult> results_;
 };
 
 } // namespace

@@ -57,7 +57,7 @@ runChip(const sim::ChipProfile &chip, const std::vector<TestRow> &rows)
         .overColumns(1, 16);
     for (const auto &row : rows)
         campaign.test(row.test, row.label);
-    auto results = campaign.run(benchutil::engine());
+    auto results = benchutil::engine().run(campaign);
 
     for (size_t t = 0; t < rows.size(); ++t) {
         std::vector<std::string> measured{rows[t].label + " (sim)"};

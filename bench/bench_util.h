@@ -21,6 +21,7 @@
 
 #include "common/strutil.h"
 #include "common/table.h"
+#include "eval/backend.h"
 #include "harness/campaign.h"
 #include "litmus/test.h"
 #include "sim/chip.h"
@@ -54,10 +55,10 @@ config()
  * GPULITMUS_JOBS (default: hardware concurrency), results cached
  * across sweeps so a cell queried by two tables is simulated once.
  */
-inline harness::Engine &
+inline eval::Engine &
 engine()
 {
-    static harness::Engine e;
+    static eval::Engine e;
     return e;
 }
 
@@ -101,7 +102,7 @@ campaignRows(Table &table, const std::string &label,
              const std::vector<sim::ChipProfile> &chips,
              const std::vector<std::string> &paper)
 {
-    auto results = campaign.overChips(chips).run(engine());
+    auto results = engine().run(campaign.overChips(chips));
     std::vector<std::string> measured{label + " (sim)"};
     for (const auto &r : results)
         measured.push_back(std::to_string(r.observedPer100k));

@@ -7,13 +7,14 @@
  *    effective incantations and print the outcome histogram.
  * 3. Ask the paper's PTX memory model whether the relaxed outcome is
  *    allowed, and show a witness execution.
- * 4. Sweep the test across an incantation-column grid with the
- *    batched Campaign engine.
+ * 4. Sweep the test across an incantation-column grid: a Campaign
+ *    run on the batched evaluation engine.
  */
 
 #include <iostream>
 
 #include "cat/models.h"
+#include "eval/backend.h"
 #include "harness/campaign.h"
 #include "litmus/parser.h"
 #include "model/checker.h"
@@ -93,16 +94,15 @@ exists (0:r2=0 /\ 1:r2=0)
     // Sweeps are first-class: the same test across all 16 incantation
     // columns (Tab. 6), sharded over a worker pool, rendered by a
     // table sink. Bit-identical results at any thread count.
-    harness::TableSink table("test",
-                             harness::TableSink::byLabel(),
-                             harness::TableSink::byColumn());
-    harness::Engine engine;
-    harness::Campaign()
-        .iterations(config.iterations)
-        .test(*test, "sb")
-        .test(*fenced, "sb+membar.gls")
-        .overColumns(1, 16)
-        .run(engine, {&table});
+    eval::TableSink table("test", eval::TableSink::byLabel(),
+                          eval::TableSink::byColumn());
+    eval::Engine engine;
+    engine.run(harness::Campaign()
+                   .iterations(config.iterations)
+                   .test(*test, "sb")
+                   .test(*fenced, "sb+membar.gls")
+                   .overColumns(1, 16),
+               {&table});
     std::cout << "\nIncantation sweep (obs/100k, "
               << engine.threads() << " worker threads):\n";
     table.render().print(std::cout);

@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "cuda/snippets.h"
+#include "eval/backend.h"
 #include "harness/campaign.h"
 #include "mc/explorer.h"
 #include "scenario/catalog.h"
@@ -34,8 +35,8 @@ main()
         .overChips(std::vector<std::string>{"TesC", "Titan", "HD7970"})
         .scenario("scenario:cas_spinlock")
         .scenario("scenario:cas_spinlock,fenced=1");
-    harness::Engine engine;
-    auto results = campaign.run(engine);
+    eval::Engine engine;
+    auto results = engine.run(campaign);
 
     size_t next = 0;
     for (bool fences : {false, true}) {

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "cuda/snippets.h"
+#include "eval/backend.h"
 #include "harness/campaign.h"
 #include "mc/explorer.h"
 #include "opt/amd.h"
@@ -34,8 +35,8 @@ main()
                                             chips.end()))
         .scenario("scenario:work_stealing_deque")
         .scenario("scenario:work_stealing_deque,fenced=1");
-    harness::Engine engine;
-    auto results = campaign.run(engine);
+    eval::Engine engine;
+    auto results = engine.run(campaign);
 
     size_t next = 0;
     for (bool fences : {false, true}) {

@@ -1,12 +1,14 @@
 #include "eval/backend.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 
 #include "analysis/race.h"
@@ -16,6 +18,7 @@
 #include "common/strutil.h"
 #include "model/baseline.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "opt/amd.h"
 #include "serve/store.h"
 
@@ -38,6 +41,18 @@ SimBackend::evaluate(const EvalJob &job) const
 
 // ---- McBackend ------------------------------------------------------
 
+namespace {
+
+/** A forensic environment knob is set (non-empty, not "0"). */
+bool
+envSet(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v && *v && *v != '0';
+}
+
+} // namespace
+
 mc::ExploreOptions
 McBackend::optionsFor(const EvalJob &job)
 {
@@ -52,10 +67,6 @@ McBackend::optionsFor(const EvalJob &job)
     // disables snapshot resume (replays run from the root). Neither
     // changes any result — determinism tests pin that — so they are
     // deliberately excluded from job cache keys.
-    auto envSet = [](const char *name) {
-        const char *v = std::getenv(name);
-        return v && *v && *v != '0';
-    };
     if (envSet("GPULITMUS_MC_DEBUG_KEYS"))
         opts.debugStateKeys = true;
     if (envSet("GPULITMUS_MC_NO_CHECKPOINTS"))
@@ -81,10 +92,6 @@ McBackend::evaluate(const EvalJob &job) const
     // the forensic knobs above, is excluded from job cache keys
     // because the reachable set and verdict are identical — only
     // search statistics and path weights differ).
-    auto envSet = [](const char *name) {
-        const char *v = std::getenv(name);
-        return v && *v && *v != '0';
-    };
     if (!envSet("GPULITMUS_MC_NO_PREPASS")) {
         analysis::Report rep = analysis::analyze(owned->test);
         if (rep.fullyOrdered) {
@@ -341,6 +348,55 @@ compileForChip(const litmus::Test &test, const sim::ChipProfile &chip,
 
 // ---- Engine ---------------------------------------------------------
 
+namespace {
+
+/** Evaluate one job: the persistent store is the L2 behind the
+ * in-process cache — a cache miss consults it before evaluating, and
+ * every computed result feeds it. */
+std::shared_ptr<const EvalResult>
+evaluateJob(const Backend &backend, serve::ResultStore *store,
+            const EvalJob &job)
+{
+    if (store) {
+        if (auto hit = store->fetchEval(job)) {
+            obs::counter("engine_jobs_from_store_total").add();
+            return std::make_shared<EvalResult>(std::move(*hit));
+        }
+    }
+    auto result = std::make_shared<EvalResult>(backend.evaluate(job));
+    if (store)
+        store->putEval(job, *result);
+    return result;
+}
+
+/** Re-label a shared result for the job that requested it: the cache
+ * key ignores labels (and, for model cells, the whole chip/incantation
+ * axis), so the served copy re-points at the submitted job and
+ * rebinds its histogram to stay self-contained. */
+std::shared_ptr<const EvalResult>
+servedFrom(const EvalResult &src, const EvalJob &requested)
+{
+    auto hit = std::make_shared<EvalResult>(src);
+    auto owned = std::make_shared<EvalJob>(requested);
+    if (hit->hist)
+        hit->hist->rebind(owned->test);
+    hit->job = std::move(owned);
+    hit->fromCache = true;
+    hit->millis = 0.0;
+    return hit;
+}
+
+uint64_t
+microsSince(std::chrono::steady_clock::time_point t0)
+{
+    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    return static_cast<uint64_t>(us < 0 ? 0 : us);
+}
+
+} // namespace
+
 Engine::Engine(EngineOptions opts)
     : threads_(opts.threads > 0 ? opts.threads
                                 : harness::defaultJobs()),
@@ -348,95 +404,184 @@ Engine::Engine(EngineOptions opts)
 {
 }
 
+uint64_t
+Engine::cacheHits() const
+{
+    std::lock_guard<std::mutex> lock(cacheMutex_);
+    return cacheHits_;
+}
+
+size_t
+Engine::cacheSize() const
+{
+    std::lock_guard<std::mutex> lock(cacheMutex_);
+    return cache_.size();
+}
+
 std::vector<EvalResult>
 Engine::run(const std::vector<EvalJob> &jobs,
             const std::vector<EvalSink *> &sinks, ProgressFn progress)
 {
     // Resolve every backend up front so a typo'd id fails before any
-    // work is done, and workers never touch the registry lock.
+    // work is done, and workers never touch the registry lock. Jobs
+    // naming a backend by an alias ("operational" for "baseline") are
+    // normalised to the resolved name, so the cache identity, the
+    // result's backend field and the conformance join all agree — two
+    // aliases of one model dedup onto one evaluation instead of
+    // computing it twice under two keys.
     std::unordered_map<std::string, std::shared_ptr<const Backend>>
         backends;
-    bool aliased = false;
-    for (const auto &job : jobs) {
-        auto it = backends.find(job.backend);
+    std::vector<EvalJob> normalised; // a copy, made only when needed
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        auto it = backends.find(jobs[i].backend);
         if (it == backends.end()) {
             std::string error;
-            auto backend = backendByName(job.backend, &error);
+            auto backend = backendByName(jobs[i].backend, &error);
             if (!backend)
                 fatal("%s", error.c_str());
-            it = backends.emplace(job.backend, std::move(backend))
+            it = backends.emplace(jobs[i].backend, std::move(backend))
                      .first;
         }
-        aliased |= it->second->name() != job.backend;
+        const std::string resolved = it->second->name();
+        if (resolved != jobs[i].backend) {
+            backends.emplace(resolved, it->second);
+            if (normalised.empty())
+                normalised = jobs;
+            normalised[i].backend = resolved;
+        }
     }
+    const std::vector<EvalJob> &batch =
+        normalised.empty() ? jobs : normalised;
+    const size_t n = batch.size();
+    std::vector<std::shared_ptr<const EvalResult>> slots(n);
 
-    // Jobs naming a backend by an alias ("operational" for
-    // "baseline") are normalised to the resolved name, so the cache
-    // identity, the result's backend field and the conformance join
-    // all agree — two aliases of one model dedup onto one evaluation
-    // instead of computing it twice under two keys.
-    std::vector<EvalJob> normalised;
-    const std::vector<EvalJob> *batch = &jobs;
-    if (aliased) {
-        normalised = jobs;
-        for (auto &job : normalised) {
-            const std::string resolved =
-                backends.at(job.backend)->name();
-            if (resolved != job.backend) {
-                if (!backends.count(resolved))
-                    backends.emplace(resolved,
-                                     backends.at(job.backend));
-                job.backend = resolved;
+    // Partition into compute jobs, cache hits and in-batch aliases.
+    // An alias is a job whose cache key is owned by an earlier job in
+    // this batch; it reuses that job's result instead of recomputing.
+    // Without the cache every job computes, even duplicates. The
+    // cache lock covers only the lookups: concurrent callers (the
+    // daemon's clients) share this engine.
+    std::vector<size_t> compute;
+    std::vector<std::pair<size_t, size_t>> aliases; // (index, owner)
+    std::vector<uint64_t> keys(cacheEnabled_ ? n : 0);
+    uint64_t batch_hits = 0;
+    if (!cacheEnabled_) {
+        for (size_t i = 0; i < n; ++i)
+            compute.push_back(i);
+    } else {
+        for (size_t i = 0; i < n; ++i)
+            keys[i] = batch[i].cacheKey();
+        {
+            std::lock_guard<std::mutex> lock(cacheMutex_);
+            for (size_t i = 0; i < n; ++i) {
+                if (auto hit = cache_.find(keys[i]); hit != cache_.end())
+                    slots[i] = hit->second;
             }
         }
-        batch = &normalised;
-    }
-
-    harness::BatchOps<EvalJob, EvalResult> ops;
-    ops.cacheKey = [](const EvalJob &job) { return job.cacheKey(); };
-    // The persistent store is the L2 behind the in-process cache: a
-    // cache miss consults it before evaluating, and every computed
-    // result feeds it.
-    ops.execute = [&backends, store = store_](const EvalJob &job) {
-        if (store) {
-            if (auto hit = store->fetchEval(job)) {
-                obs::counter("engine_jobs_from_store_total").add();
-                return std::make_shared<EvalResult>(std::move(*hit));
+        std::unordered_map<uint64_t, size_t> owner;
+        for (size_t i = 0; i < n; ++i) {
+            if (slots[i]) {
+                slots[i] = servedFrom(*slots[i], batch[i]);
+                ++batch_hits;
+            } else if (auto claimed = owner.find(keys[i]);
+                       claimed != owner.end()) {
+                aliases.push_back({i, claimed->second});
+                ++batch_hits;
+            } else {
+                owner[keys[i]] = i;
+                compute.push_back(i);
             }
         }
-        const Backend &backend = *backends.at(job.backend);
-        auto result =
-            std::make_shared<EvalResult>(backend.evaluate(job));
-        if (store)
-            store->putEval(job, *result);
-        return result;
-    };
-    // Re-label a shared result for the job that requested it: the
-    // cache key ignores labels (and, for model cells, the whole
-    // chip/incantation axis), so the served copy re-points at the
-    // submitted job and rebinds its histogram to stay self-contained.
-    // harness::Engine::run has the JobResult twin of this closure —
-    // keep the rebind invariant in sync there.
-    ops.servedFrom = [](const EvalResult &src, const EvalJob &requested) {
-        auto hit = std::make_shared<EvalResult>(src);
-        auto owned = std::make_shared<EvalJob>(requested);
-        if (hit->hist)
-            hit->hist->rebind(owned->test);
-        hit->job = std::move(owned);
-        hit->fromCache = true;
-        hit->millis = 0.0;
-        return hit;
-    };
-    ops.describe = [](const EvalJob &job) {
-        return job.backend + ":" + job.displayLabel();
+        std::lock_guard<std::mutex> lock(cacheMutex_);
+        cacheHits_ += batch_hits;
+    }
+
+    // Telemetry observes the batch — counters and wall clocks only,
+    // never job identity or sharding, so results stay bit-identical
+    // with GPULITMUS_OBS on or off (tests/test_obs.cc pins this).
+    const bool obs_on = obs::enabled();
+    if (obs_on) {
+        obs::counter("engine_batches_total").add();
+        obs::counter("engine_jobs_total").add(n);
+        obs::counter("engine_jobs_cached_total").add(batch_hits);
+    }
+    const auto batch_start = std::chrono::steady_clock::now();
+
+    // Shard the compute jobs over the pool. Results are pure
+    // functions of their jobs, so any sharding is bit-identical.
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};
+    std::mutex progress_mutex;
+    auto worker = [&]() {
+        const auto worker_start = std::chrono::steady_clock::now();
+        uint64_t busy_us = 0;
+        for (;;) {
+            size_t c = next.fetch_add(1);
+            if (c >= compute.size())
+                break;
+            const EvalJob &job = batch[compute[c]];
+            // Queue wait: how long the job sat behind its batch-mates
+            // before a worker picked it up.
+            if (obs_on)
+                obs::timer("engine_queue_wait_us")
+                    .record(microsSince(batch_start));
+            std::shared_ptr<const EvalResult> result;
+            {
+                obs::Span span(obs::Trace::active()
+                                   ? "job " + job.backend + ":" +
+                                         job.displayLabel()
+                                   : std::string("job"),
+                               "engine");
+                const auto job_start = std::chrono::steady_clock::now();
+                result = evaluateJob(*backends.at(job.backend), store_,
+                                     job);
+                if (obs_on) {
+                    uint64_t us = microsSince(job_start);
+                    obs::timer("engine_job_latency_us").record(us);
+                    busy_us += us;
+                }
+            }
+            slots[compute[c]] = result;
+            size_t finished = done.fetch_add(1) + 1;
+            if (progress) {
+                std::lock_guard<std::mutex> lock(progress_mutex);
+                progress(finished, compute.size(), *result);
+            }
+        }
+        // Utilisation: busy µs over wall µs, summed across workers.
+        if (obs_on) {
+            obs::counter("engine_worker_busy_us_total").add(busy_us);
+            obs::counter("engine_worker_wall_us_total")
+                .add(microsSince(worker_start));
+        }
     };
 
-    auto slots = harness::runBatch<EvalJob, EvalResult>(
-        *batch, threads_, cacheEnabled_ ? &cache_ : nullptr, ops,
-        std::move(progress));
+    int pool = static_cast<int>(
+        std::min<size_t>(static_cast<size_t>(threads_), compute.size()));
+    if (pool <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> workers;
+        workers.reserve(static_cast<size_t>(pool));
+        for (int t = 0; t < pool; ++t)
+            workers.emplace_back(worker);
+        for (auto &t : workers)
+            t.join();
+    }
 
+    // Resolve in-batch aliases now that their owners have run, then
+    // install the computed results into the cache.
+    for (auto [idx, owner_idx] : aliases)
+        slots[idx] = servedFrom(*slots[owner_idx], batch[idx]);
+    if (cacheEnabled_) {
+        std::lock_guard<std::mutex> lock(cacheMutex_);
+        for (size_t idx : compute)
+            cache_.emplace(keys[idx], slots[idx]);
+    }
+
+    // Deliver to sinks in job order: deterministic at any thread count.
     std::vector<EvalResult> results;
-    results.reserve(slots.size());
+    results.reserve(n);
     for (const auto &slot : slots) {
         for (EvalSink *sink : sinks) {
             if (sink)
@@ -452,6 +597,65 @@ Engine::run(const harness::Campaign &campaign,
             const std::vector<EvalSink *> &sinks, ProgressFn progress)
 {
     return run(campaign.jobs(), sinks, std::move(progress));
+}
+
+// ---- TableSink ------------------------------------------------------
+
+TableSink::TableSink(std::string corner, KeyFn row_of, KeyFn col_of)
+    : corner_(std::move(corner)), rowOf_(std::move(row_of)),
+      colOf_(std::move(col_of))
+{
+}
+
+void
+TableSink::add(const EvalResult &result)
+{
+    std::string row = rowOf_(result);
+    std::string col = colOf_(result);
+    if (cells_.find(row) == cells_.end())
+        rowOrder_.push_back(row);
+    if (std::find(colOrder_.begin(), colOrder_.end(), col) ==
+        colOrder_.end())
+        colOrder_.push_back(col);
+    cells_[row][col] = std::to_string(result.observedPer100k);
+}
+
+Table
+TableSink::render() const
+{
+    Table table;
+    std::vector<std::string> header{corner_};
+    for (const auto &c : colOrder_)
+        header.push_back(c);
+    table.header(header);
+    for (const auto &r : rowOrder_) {
+        std::vector<std::string> cells{r};
+        const auto &row = cells_.at(r);
+        for (const auto &c : colOrder_) {
+            auto it = row.find(c);
+            cells.push_back(it == row.end() ? "-" : it->second);
+        }
+        table.row(cells);
+    }
+    return table;
+}
+
+TableSink::KeyFn
+TableSink::byChip()
+{
+    return [](const EvalResult &r) { return r.chip().shortName; };
+}
+
+TableSink::KeyFn
+TableSink::byColumn()
+{
+    return [](const EvalResult &r) { return std::to_string(r.column()); };
+}
+
+TableSink::KeyFn
+TableSink::byLabel()
+{
+    return [](const EvalResult &r) { return r.label(); };
 }
 
 // ---- ConformanceSink ------------------------------------------------
@@ -654,56 +858,11 @@ ConformanceSink::cells() const
 }
 
 size_t
-ConformanceSink::soundCells() const
+ConformanceSink::count(Conformance kind) const
 {
     size_t n = 0;
     for (const auto &cell : cells())
-        n += cell.kind == Conformance::Sound;
-    return n;
-}
-
-size_t
-ConformanceSink::unsoundCells() const
-{
-    size_t n = 0;
-    for (const auto &cell : cells())
-        n += cell.kind == Conformance::Unsound;
-    return n;
-}
-
-size_t
-ConformanceSink::impreciseCells() const
-{
-    size_t n = 0;
-    for (const auto &cell : cells())
-        n += cell.kind == Conformance::Imprecise;
-    return n;
-}
-
-size_t
-ConformanceSink::rareCells() const
-{
-    size_t n = 0;
-    for (const auto &cell : cells())
-        n += cell.kind == Conformance::Rare;
-    return n;
-}
-
-size_t
-ConformanceSink::unreachableCells() const
-{
-    size_t n = 0;
-    for (const auto &cell : cells())
-        n += cell.kind == Conformance::Unreachable;
-    return n;
-}
-
-size_t
-ConformanceSink::boundedCells() const
-{
-    size_t n = 0;
-    for (const auto &cell : cells())
-        n += cell.kind == Conformance::Bounded;
+        n += cell.kind == kind;
     return n;
 }
 
@@ -889,15 +1048,39 @@ evalCellJson(const EvalResult &result)
 
     std::string e;
     if (result.hasHist()) {
-        // Sim cells use the one schema shared with harness::JsonSink;
-        // a both-sided result appends the verdict fields to it.
-        e = harness::simCellJson(job, *result.hist,
-                                 result.observedPer100k,
-                                 result.fromCache, result.millis);
-        if (result.hasVerdict()) {
-            e.pop_back(); // reopen the object
-            e += verdictFields(*result.verdict) + "}";
+        // The sim schema: job identity, histogram and provenance (a
+        // both-sided result appends the verdict fields).
+        const litmus::Histogram &hist = *result.hist;
+        e = "{";
+        e += "\"label\":\"" + jsonEscape(job.displayLabel()) + "\",";
+        e += "\"backend\":\"" + jsonEscape(job.backend) + "\",";
+        e += "\"test\":\"" + jsonEscape(job.test.name) + "\",";
+        e += "\"chip\":\"" + jsonEscape(job.chip.shortName) + "\",";
+        e += "\"vendor\":\"" + jsonEscape(job.chip.vendor) + "\",";
+        e += "\"column\":" + std::to_string(job.inc.column()) + ",";
+        e += "\"incantations\":\"" + jsonEscape(job.inc.str()) + "\",";
+        e += "\"iterations\":" + std::to_string(job.iterations) + ",";
+        e += "\"seed\":" + std::to_string(job.seed) + ",";
+        e += "\"observed\":" + std::to_string(hist.observed()) + ",";
+        e += "\"total\":" + std::to_string(hist.total()) + ",";
+        e += "\"obs_per_100k\":" +
+             std::to_string(result.observedPer100k) + ",";
+        e += "\"verdict\":\"" + jsonEscape(hist.verdict()) + "\",";
+        e += "\"cached\":" +
+             std::string(result.fromCache ? "true" : "false") + ",";
+        e += "\"millis\":" + std::to_string(result.millis) + ",";
+        e += "\"counts\":{";
+        bool first = true;
+        for (const auto &[key, count] : hist.counts()) {
+            if (!first)
+                e += ",";
+            e += "\"" + jsonEscape(key) + "\":" + std::to_string(count);
+            first = false;
         }
+        e += "}";
+        if (result.hasVerdict())
+            e += verdictFields(*result.verdict);
+        e += "}";
     } else {
         e = "{";
         e += "\"label\":\"" + jsonEscape(result.label()) + "\",";

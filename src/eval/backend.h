@@ -16,11 +16,11 @@
  *   AxiomBackend wraps model::Checker over any cat::Model (built-in
  *   or parsed from a .cat file), BaselineBackend wraps the Sec. 6
  *   operational-baseline model;
- * - eval::Engine spreads a mixed-backend batch over the same
- *   deterministic pool/cache core as the simulation engine
- *   (harness/batch.h) — sim cells keep their PR-1 RNG streams
- *   bit-identically, model cells collapse onto one evaluation per
- *   (backend, test);
+ * - eval::Engine spreads a mixed-backend batch over a deterministic
+ *   worker pool with an in-process result cache — sim cells keep
+ *   their harness::runJob RNG streams bit-identically at any thread
+ *   count, model cells collapse onto one evaluation per (backend,
+ *   test);
  * - ConformanceSink joins the sim histograms against the model
  *   verdicts per (chip, test, incantation) cell and classifies each
  *   as sound, unsound (observed-but-forbidden) or imprecise
@@ -47,9 +47,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cat/cat.h"
@@ -128,8 +130,8 @@ class Backend
     virtual EvalResult evaluate(const EvalJob &job) const = 0;
 };
 
-/** The operational simulator: wraps harness::runJob. Sim cells are
- * bit-identical to the PR-1 campaign engine (same derived seeds). */
+/** The operational simulator: wraps harness::runJob, so sim cells are
+ * bit-identical to harness::run (same derived seeds). */
 class SimBackend : public Backend
 {
   public:
@@ -252,8 +254,12 @@ class EvalSink
     virtual void add(const EvalResult &result) = 0;
 };
 
-/** Progress callback: computed jobs finished / total to compute (cache
- * hits are not reported). Invoked from worker threads. */
+/** Progress callback: (computed jobs finished so far, total jobs to
+ * compute, the result that just finished). Cells served from the
+ * cache or aliased onto a batch-mate are not reported — the callback
+ * tracks evaluation work, not deliveries. Invoked from worker threads
+ * as jobs complete; completion order is nondeterministic, use sinks
+ * for ordered output. */
 using ProgressFn =
     std::function<void(size_t done, size_t total, const EvalResult &)>;
 
@@ -271,17 +277,23 @@ struct EngineOptions
 };
 
 /**
- * The multi-backend engine: spreads a batch of jobs — any mix of
- * backends — across a worker pool via the shared deterministic batch
- * core. Sim jobs produce histograms bit-identical to harness::Engine
- * at any thread count; model jobs with the same (backend, test)
- * collapse onto one evaluation. Unknown backend ids are fatal.
+ * The evaluation engine: spreads a batch of jobs — any mix of
+ * backends — across a worker pool. Results come back in job order
+ * regardless of scheduling, because a job's result is a pure function
+ * of the job (seeds derive from job keys, never from scheduling): sim
+ * histograms are bit-identical at any thread count. Repeated cells
+ * within and across run() calls are computed once per Engine when
+ * caching is on — model jobs with the same (backend, test) collapse
+ * onto one evaluation. Unknown backend ids are fatal. Safe to call
+ * from several threads at once (the daemon's client handlers do).
  */
 class Engine
 {
   public:
     explicit Engine(EngineOptions opts = {});
 
+    /** Execute all jobs; blocks until done. Results are delivered to
+     * the sinks in job order, then returned. */
     std::vector<EvalResult>
     run(const std::vector<EvalJob> &jobs,
         const std::vector<EvalSink *> &sinks = {},
@@ -294,15 +306,50 @@ class Engine
         ProgressFn progress = nullptr);
 
     int threads() const { return threads_; }
-    uint64_t cacheHits() const { return cache_.hits(); }
-    size_t cacheSize() const { return cache_.size(); }
-    void clearCache() { cache_.clear(); }
+    /** Cells served from the cache (including in-batch aliases) over
+     * this Engine's lifetime. */
+    uint64_t cacheHits() const;
+    size_t cacheSize() const;
 
   private:
     int threads_ = 1;
     bool cacheEnabled_ = true;
     serve::ResultStore *store_ = nullptr;
-    harness::BatchCache<EvalResult> cache_;
+
+    /** Result memo keyed by Job::cacheKey. */
+    mutable std::mutex cacheMutex_;
+    std::unordered_map<uint64_t, std::shared_ptr<const EvalResult>>
+        cache_;
+    uint64_t cacheHits_ = 0;
+};
+
+/**
+ * Renders results as a fixed-width table (common/table). Rows and
+ * columns are chosen by caller-supplied key functions; cells are
+ * obs/100k. First-seen order is preserved for both axes.
+ */
+class TableSink : public EvalSink
+{
+  public:
+    using KeyFn = std::function<std::string(const EvalResult &)>;
+
+    TableSink(std::string corner, KeyFn row_of, KeyFn col_of);
+
+    void add(const EvalResult &result) override;
+
+    /** Assemble the table from everything added so far. */
+    Table render() const;
+
+    // Common axis key functions.
+    static KeyFn byChip();   ///< chip short name
+    static KeyFn byColumn(); ///< Tab. 6 incantation column
+    static KeyFn byLabel();  ///< job display label
+
+  private:
+    std::string corner_;
+    KeyFn rowOf_, colOf_;
+    std::vector<std::string> rowOrder_, colOrder_;
+    std::map<std::string, std::map<std::string, std::string>> cells_;
 };
 
 // ---- conformance ----------------------------------------------------
@@ -388,13 +435,8 @@ class ConformanceSink : public EvalSink
      * pairing. */
     const std::vector<ConformanceCell> &cells() const;
 
-    /** Cell counts by classification (over cells()). */
-    size_t soundCells() const;
-    size_t unsoundCells() const;
-    size_t impreciseCells() const;
-    size_t rareCells() const;
-    size_t unreachableCells() const;
-    size_t boundedCells() const;
+    /** Cells classified as `kind` (over cells()). */
+    size_t count(Conformance kind) const;
     /** Cells whose sim observations escaped the exploration — must
      * stay 0; anything else is an explorer/simulator divergence. */
     size_t inconsistentCells() const;
@@ -446,18 +488,17 @@ class ConformanceSink : public EvalSink
 /**
  * One evaluation result rendered as a JSON object — the schema of
  * JsonSink entries, shared with the serve layer's `result` events so
- * daemon output cannot drift from `--json` output. Sim entries mirror
- * harness::simCellJson plus the verdict fields; verdict/exact-only
- * entries carry the model and exploration statistics. Every entry
- * carries "from_store".
+ * daemon output cannot drift from `--json` output. Sim entries carry
+ * the histogram (plus the verdict fields of a both-sided result);
+ * verdict/exact-only entries carry the model and exploration
+ * statistics. Every entry carries "from_store".
  */
 std::string evalCellJson(const EvalResult &result);
 
 /**
- * Writes evaluation results as a JSON array for machine consumption
- * (BENCH_backends.json, `gpulitmus validate --json`). Sim entries
- * mirror harness::JsonSink's schema plus the backend id; verdict
- * entries carry the model statistics.
+ * Writes evaluation results as a JSON array (evalCellJson entries) for
+ * machine consumption: BENCH artifacts, `gpulitmus sweep/explore
+ * --json`.
  */
 class JsonSink : public EvalSink
 {

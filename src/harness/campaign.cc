@@ -1,40 +1,45 @@
 #include "harness/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
-#include <ostream>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 
 #include "common/log.h"
 #include "common/strutil.h"
-#include "common/table.h"
 #include "obs/metrics.h"
 #include "scenario/registry.h"
-#include "serve/store.h"
 
 namespace gpulitmus::harness {
 
 // ---- single-shot wrappers (formerly harness/runner.cc) --------------
 
+namespace {
+
+/** A positive integer from environment variable `name`; nullopt when
+ * unset, or (with a warning) when malformed. */
+std::optional<int64_t>
+positiveEnv(const char *name)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return std::nullopt;
+    auto v = parseInt(env);
+    if (v && *v > 0)
+        return v;
+    warn("ignoring invalid %s='%s'", name, env);
+    return std::nullopt;
+}
+
+} // namespace
+
 uint64_t
 defaultIterations()
 {
-    const char *env = std::getenv("GPULITMUS_ITERS");
-    if (!env)
-        return 100000;
-    auto v = parseInt(env);
-    if (!v || *v <= 0) {
-        warn("ignoring invalid GPULITMUS_ITERS='%s'", env);
-        return 100000;
-    }
-    return static_cast<uint64_t>(*v);
+    return static_cast<uint64_t>(
+        positiveEnv("GPULITMUS_ITERS").value_or(100000));
 }
 
 litmus::Histogram
@@ -70,13 +75,8 @@ splitmix64(uint64_t x)
 int
 defaultJobs()
 {
-    const char *env = std::getenv("GPULITMUS_JOBS");
-    if (env) {
-        auto v = parseInt(env);
-        if (v && *v > 0)
-            return static_cast<int>(*v);
-        warn("ignoring invalid GPULITMUS_JOBS='%s'", env);
-    }
+    if (auto v = positiveEnv("GPULITMUS_JOBS"))
+        return static_cast<int>(*v);
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
@@ -255,214 +255,12 @@ runJob(Job job)
     return result;
 }
 
-// ---- TableSink ------------------------------------------------------
-
-TableSink::TableSink(std::string corner, KeyFn row_of, KeyFn col_of)
-    : corner_(std::move(corner)), rowOf_(std::move(row_of)),
-      colOf_(std::move(col_of))
-{
-}
-
-void
-TableSink::add(const JobResult &result)
-{
-    std::string row = rowOf_(result);
-    std::string col = colOf_(result);
-    if (cells_.find(row) == cells_.end())
-        rowOrder_.push_back(row);
-    bool col_seen = false;
-    for (const auto &c : colOrder_)
-        col_seen = col_seen || c == col;
-    if (!col_seen)
-        colOrder_.push_back(col);
-    cells_[row][col] = std::to_string(result.observedPer100k);
-}
-
-Table
-TableSink::render() const
-{
-    Table table;
-    std::vector<std::string> header{corner_};
-    for (const auto &c : colOrder_)
-        header.push_back(c);
-    table.header(header);
-    for (const auto &r : rowOrder_) {
-        std::vector<std::string> cells{r};
-        const auto &row = cells_.at(r);
-        for (const auto &c : colOrder_) {
-            auto it = row.find(c);
-            cells.push_back(it == row.end() ? "-" : it->second);
-        }
-        table.row(cells);
-    }
-    return table;
-}
-
-TableSink::KeyFn
-TableSink::byChip()
-{
-    return [](const JobResult &r) { return r.chip().shortName; };
-}
-
-TableSink::KeyFn
-TableSink::byColumn()
-{
-    return [](const JobResult &r) { return std::to_string(r.column()); };
-}
-
-TableSink::KeyFn
-TableSink::byLabel()
-{
-    return [](const JobResult &r) { return r.label(); };
-}
-
-// ---- JsonSink -------------------------------------------------------
-
-std::string
-simCellJson(const Job &job, const litmus::Histogram &hist,
-            uint64_t observed_per_100k, bool from_cache, double millis)
-{
-    std::string e = "{";
-    e += "\"label\":\"" + jsonEscape(job.displayLabel()) + "\",";
-    e += "\"backend\":\"" + jsonEscape(job.backend) + "\",";
-    e += "\"test\":\"" + jsonEscape(job.test.name) + "\",";
-    e += "\"chip\":\"" + jsonEscape(job.chip.shortName) + "\",";
-    e += "\"vendor\":\"" + jsonEscape(job.chip.vendor) + "\",";
-    e += "\"column\":" + std::to_string(job.inc.column()) + ",";
-    e += "\"incantations\":\"" + jsonEscape(job.inc.str()) + "\",";
-    e += "\"iterations\":" + std::to_string(job.iterations) + ",";
-    e += "\"seed\":" + std::to_string(job.seed) + ",";
-    e += "\"observed\":" + std::to_string(hist.observed()) + ",";
-    e += "\"total\":" + std::to_string(hist.total()) + ",";
-    e += "\"obs_per_100k\":" + std::to_string(observed_per_100k) +
-         ",";
-    e += "\"verdict\":\"" + jsonEscape(hist.verdict()) + "\",";
-    e += "\"cached\":" + std::string(from_cache ? "true" : "false") +
-         ",";
-    e += "\"millis\":" + std::to_string(millis) + ",";
-    e += "\"counts\":{";
-    bool first = true;
-    for (const auto &[key, count] : hist.counts()) {
-        if (!first)
-            e += ",";
-        e += "\"" + jsonEscape(key) + "\":" + std::to_string(count);
-        first = false;
-    }
-    e += "}}";
-    return e;
-}
-
-void
-JsonSink::add(const JobResult &result)
-{
-    entries_.push_back(simCellJson(*result.job, result.hist,
-                                   result.observedPer100k,
-                                   result.fromCache, result.millis));
-}
-
-void
-JsonSink::writeTo(std::ostream &os) const
-{
-    writeJsonArray(os, entries_);
-}
-
-bool
-JsonSink::writeFile(const std::string &path) const
-{
-    return writeJsonArrayFile(path, entries_);
-}
-
-// ---- Engine ---------------------------------------------------------
-
-Engine::Engine(EngineOptions opts)
-    : threads_(opts.threads > 0 ? opts.threads : defaultJobs()),
-      cacheEnabled_(opts.cache), store_(opts.store)
-{
-}
-
-std::vector<JobResult>
-Engine::run(const std::vector<Job> &jobs,
-            const std::vector<ResultSink *> &sinks, ProgressFn progress)
-{
-    for (const auto &job : jobs) {
-        if (!job.isSim()) {
-            fatal("job '%s' names backend '%s'; harness::Engine runs"
-                  " the simulator only — use eval::Engine for"
-                  " mixed-backend batches",
-                  job.displayLabel().c_str(), job.backend.c_str());
-        }
-    }
-
-    BatchOps<Job, JobResult> ops;
-    ops.cacheKey = [](const Job &job) { return job.cacheKey(); };
-    // The persistent store is the L2 behind the in-process cache: a
-    // cache miss consults it before simulating, and every simulated
-    // cell feeds it.
-    ops.execute = [store = store_](const Job &job) {
-        if (store) {
-            if (auto hit = store->fetchSim(job))
-                return std::make_shared<JobResult>(std::move(*hit));
-        }
-        auto result = std::make_shared<JobResult>(runJob(job));
-        if (store)
-            store->putSim(job, *result);
-        return result;
-    };
-    // A cache or alias hit keeps the computed histogram but must
-    // carry the *submitted* job's identity (label, etc.), which the
-    // cache key deliberately ignores. Copy the result, then repoint
-    // it (and its histogram's internal Test reference) at a copy of
-    // the submitted job so the result is correctly labelled and
-    // self-contained. eval::Engine::run has the EvalResult twin of
-    // this closure — keep the rebind invariant in sync there.
-    ops.servedFrom = [](const JobResult &src, const Job &requested) {
-        auto hit = std::make_shared<JobResult>(src);
-        auto owned = std::make_shared<Job>(requested);
-        hit->hist.rebind(owned->test);
-        hit->job = std::move(owned);
-        hit->fromCache = true;
-        hit->millis = 0.0;
-        return hit;
-    };
-    ops.describe = [](const Job &job) { return job.displayLabel(); };
-
-    auto slots = runBatch<Job, JobResult>(
-        jobs, threads_, cacheEnabled_ ? &cache_ : nullptr, ops,
-        std::move(progress));
-
-    // Deliver to sinks in job order: deterministic at any thread count.
-    std::vector<JobResult> results;
-    results.reserve(slots.size());
-    for (const auto &slot : slots) {
-        for (ResultSink *sink : sinks) {
-            if (sink)
-                sink->add(*slot);
-        }
-        results.push_back(*slot);
-    }
-    return results;
-}
-
 // ---- Campaign -------------------------------------------------------
 
 Campaign &
 Campaign::iterations(uint64_t n)
 {
     iterations_ = n;
-    return *this;
-}
-
-Campaign &
-Campaign::seed(uint64_t s)
-{
-    seed_ = s;
-    return *this;
-}
-
-Campaign &
-Campaign::maxMicroSteps(int n)
-{
-    maxMicroSteps_ = n;
     return *this;
 }
 
@@ -501,13 +299,6 @@ Campaign::overColumns(int lo, int hi)
 }
 
 Campaign &
-Campaign::overIncantations(const std::vector<sim::Incantations> &incs)
-{
-    incs_.insert(incs_.end(), incs.begin(), incs.end());
-    return *this;
-}
-
-Campaign &
 Campaign::overBackends(const std::vector<std::string> &backends)
 {
     backends_.insert(backends_.end(), backends.begin(), backends.end());
@@ -540,14 +331,6 @@ Campaign::scenario(const std::string &spec)
     // scenario id and its parameters ("spinlock_dot_product+t3").
     tests_.push_back({std::move(built->test), "",
                       built->maxMicroSteps});
-    return *this;
-}
-
-Campaign &
-Campaign::overScenarios(const std::vector<std::string> &specs)
-{
-    for (const auto &spec : specs)
-        scenario(spec);
     return *this;
 }
 
@@ -596,21 +379,6 @@ Campaign::jobs() const
     }
     out.insert(out.end(), extra_.begin(), extra_.end());
     return out;
-}
-
-std::vector<JobResult>
-Campaign::run(Engine &engine, const std::vector<ResultSink *> &sinks,
-              ProgressFn progress) const
-{
-    return engine.run(jobs(), sinks, std::move(progress));
-}
-
-std::vector<JobResult>
-Campaign::run(const std::vector<ResultSink *> &sinks,
-              ProgressFn progress) const
-{
-    Engine engine;
-    return engine.run(jobs(), sinks, std::move(progress));
 }
 
 } // namespace gpulitmus::harness

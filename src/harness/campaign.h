@@ -1,13 +1,13 @@
 /**
  * @file
- * The batched campaign engine: the paper's methodology as a first-class
- * API.
+ * The simulated cell and the campaign grid: the paper's methodology
+ * as a first-class API.
  *
  * Every figure and table of the paper is a *sweep* — the same litmus
  * test re-run across a (chip × incantation-column × iterations) grid.
- * A Campaign describes such a grid declaratively; an Engine executes
- * its jobs on a worker pool and feeds the results, in job order, to
- * pluggable sinks.
+ * A Campaign describes such a grid declaratively as a list of Jobs;
+ * eval::Engine (eval/backend.h) executes them on a worker pool and
+ * feeds the results, in job order, to pluggable sinks.
  *
  * Determinism is the design center: each Job derives its RNG seed
  * purely from its own key (a splitmix64-mixed hash of base seed, chip,
@@ -16,15 +16,11 @@
  * what the single-shot `harness::run` wrapper produces for the same
  * cell.
  *
- * The Engine memoises results in an in-process cache keyed by job
- * hash, so a sweep that revisits a cell (as the Tab. 2 summary does)
- * computes it once.
- *
- * runJob additionally keeps one *compiled machine* per (chip, test)
- * pair per worker thread: the compiled program depends on neither
- * the incantation column nor the iteration count, so a grid that
- * sweeps 16 columns re-parameterises one machine (Machine::
- * setOptions) instead of recompiling sixteen times. Bit-identical to
+ * runJob keeps one *compiled machine* per (chip, test) pair per
+ * worker thread: the compiled program depends on neither the
+ * incantation column nor the iteration count, so a grid that sweeps
+ * 16 columns re-parameterises one machine (Machine::setOptions)
+ * instead of recompiling sixteen times. Bit-identical to
  * recomputation — the RNG stream is derived from the job key, never
  * from machine identity.
  */
@@ -33,24 +29,13 @@
 #define GPULITMUS_HARNESS_CAMPAIGN_H
 
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/table.h"
-#include "harness/batch.h"
 #include "litmus/outcome.h"
 #include "sim/chip.h"
 #include "sim/machine.h"
-
-namespace gpulitmus::serve {
-class ResultStore; // serve/store.h — only campaign.cc needs the type
-}
 
 namespace gpulitmus::harness {
 
@@ -123,8 +108,7 @@ struct Job
 {
     /** Which engine evaluates this cell: kSimBackend (the default),
      * or any id eval::backendByName resolves ("ptx", "baseline",
-     * a .cat file path, ...). harness::Engine executes sim jobs only;
-     * mixed batches go through eval::Engine. */
+     * a .cat file path, ...); eval::Engine dispatches on it. */
     std::string backend = kSimBackend;
 
     sim::ChipProfile chip;
@@ -173,7 +157,8 @@ struct Job
     std::string displayLabel() const;
 };
 
-/** Result of one job: the full histogram plus provenance. */
+/** Result of one simulated job: the full histogram plus its job.
+ * eval::SimBackend wraps it into an eval::EvalResult. */
 struct JobResult
 {
     /** The job as submitted (shared so histograms, which reference
@@ -182,151 +167,21 @@ struct JobResult
     litmus::Histogram hist;
     /** Observations normalised to per-100k, as the paper reports. */
     uint64_t observedPer100k = 0;
-    /** True when the engine served this cell from its cache. */
-    bool fromCache = false;
-    /** True when the persistent result store answered this cell
-     * (EngineOptions::store) without simulating. */
-    bool fromStore = false;
-    /** Wall-clock of the simulation (0 for cache hits). */
+    /** Wall-clock of the simulation. */
     double millis = 0.0;
-
-    const sim::ChipProfile &chip() const { return job->chip; }
-    std::string label() const { return job->displayLabel(); }
-    int column() const { return job->inc.column(); }
 };
 
-/** Execute one job synchronously on the calling thread. This is the
- * single source of truth for how a cell is simulated; `harness::run`
- * and the Engine's workers both call it. */
+/** Execute one sim job synchronously on the calling thread. This is
+ * the single source of truth for how a cell is simulated;
+ * `harness::run` and eval::SimBackend both call it. */
 JobResult runJob(Job job);
-
-/**
- * Streaming sink interface. The Engine delivers results *in job
- * order* after the pool drains, so sink output is deterministic at any
- * thread count.
- */
-class ResultSink
-{
-  public:
-    virtual ~ResultSink() = default;
-    virtual void add(const JobResult &result) = 0;
-};
-
-/**
- * Renders sweep results as a fixed-width table (common/table). Rows
- * and columns are chosen by caller-supplied key functions; cells are
- * obs/100k. First-seen order is preserved for both axes.
- */
-class TableSink : public ResultSink
-{
-  public:
-    using KeyFn = std::function<std::string(const JobResult &)>;
-
-    TableSink(std::string corner, KeyFn row_of, KeyFn col_of);
-
-    void add(const JobResult &result) override;
-
-    /** Assemble the table from everything added so far. */
-    Table render() const;
-
-    // Common axis key functions.
-    static KeyFn byChip();   ///< chip short name
-    static KeyFn byColumn(); ///< Tab. 6 incantation column
-    static KeyFn byLabel();  ///< job display label
-
-  private:
-    std::string corner_;
-    KeyFn rowOf_, colOf_;
-    std::vector<std::string> rowOrder_, colOrder_;
-    std::map<std::string, std::map<std::string, std::string>> cells_;
-};
-
-/**
- * Render one simulated cell as a JSON object — the one schema shared
- * by harness::JsonSink and the eval layer's sinks, so BENCH artifacts
- * and `--json` outputs cannot drift apart.
- */
-std::string simCellJson(const Job &job, const litmus::Histogram &hist,
-                        uint64_t observed_per_100k, bool from_cache,
-                        double millis);
-
-/**
- * Writes results as a JSON array, one object per job, for machine
- * consumption (bench trajectory tracking, dashboards). Accumulates on
- * add(); writeTo()/writeFile() emit the document.
- */
-class JsonSink : public ResultSink
-{
-  public:
-    void add(const JobResult &result) override;
-
-    void writeTo(std::ostream &os) const;
-    bool writeFile(const std::string &path) const;
-    size_t size() const { return entries_.size(); }
-
-  private:
-    std::vector<std::string> entries_; ///< pre-rendered JSON objects
-};
-
-/** Progress callback: (computed jobs finished so far, total jobs to
- * compute, the result that just finished). Cells served from the
- * cache are not reported — the callback tracks simulation work, not
- * deliveries. Invoked from worker threads as jobs complete;
- * completion order is nondeterministic, use sinks for ordered
- * output. */
-using ProgressFn =
-    std::function<void(size_t done, size_t total, const JobResult &)>;
-
-struct EngineOptions
-{
-    /** Worker threads; 0 means defaultJobs() (GPULITMUS_JOBS). */
-    int threads = 0;
-    /** Serve repeated cells from the in-process cache. */
-    bool cache = true;
-    /** Optional persistent result store (serve/store.h): consulted on
-     * every cache miss before simulating, and fed every computed
-     * result. Not owned; must outlive the engine. */
-    serve::ResultStore *store = nullptr;
-};
-
-/**
- * Shards a batch of simulation jobs across a worker pool (built on
- * the generic batch core in batch.h). Results come back in job order
- * regardless of scheduling; repeated cells within and across run()
- * calls are computed once (per Engine) when caching is on. Jobs
- * naming a non-sim backend are a fatal error here — mixed-backend
- * batches go through eval::Engine.
- */
-class Engine
-{
-  public:
-    explicit Engine(EngineOptions opts = {});
-
-    /** Execute all jobs; blocks until done. Results are delivered to
-     * the sinks in job order, then returned. */
-    std::vector<JobResult> run(const std::vector<Job> &jobs,
-                               const std::vector<ResultSink *> &sinks = {},
-                               ProgressFn progress = nullptr);
-
-    int threads() const { return threads_; }
-    /** Cells served from cache over this Engine's lifetime. */
-    uint64_t cacheHits() const { return cache_.hits(); }
-    size_t cacheSize() const { return cache_.size(); }
-    void clearCache() { cache_.clear(); }
-
-  private:
-    int threads_ = 1;
-    bool cacheEnabled_ = true;
-    serve::ResultStore *store_ = nullptr;
-    BatchCache<JobResult> cache_;
-};
 
 /**
  * Declarative sweep builder. The job list is the cross product
  * tests × chips × incantations × backends (each axis defaulting to a
  * singleton: the Titan, Incantations::all(), the simulator), plus any
  * explicitly add()ed jobs, in row-major order (test outermost,
- * backend innermost).
+ * backend innermost). Run the grid with eval::Engine::run(campaign).
  */
 class Campaign
 {
@@ -335,8 +190,6 @@ class Campaign
 
     // ---- base parameters (apply to every grid job) -----------------
     Campaign &iterations(uint64_t n);
-    Campaign &seed(uint64_t s);
-    Campaign &maxMicroSteps(int n);
     /** Adopt iterations/seed/incantation/limits from a RunConfig. */
     Campaign &base(const RunConfig &config);
 
@@ -346,11 +199,10 @@ class Campaign
     Campaign &overChips(const std::vector<std::string> &short_names);
     /** Tab. 6 incantation columns lo..hi inclusive (1..16). */
     Campaign &overColumns(int lo, int hi);
-    Campaign &overIncantations(const std::vector<sim::Incantations> &incs);
     /** Backend ids for the innermost grid axis — kSimBackend and/or
      * anything eval::backendByName resolves. A grid that mixes "sim"
      * with model backends pairs every simulated cell with its model
-     * evaluations (run it through eval::Engine). */
+     * evaluations. */
     Campaign &overBackends(const std::vector<std::string> &backends);
     Campaign &overTests(const std::vector<litmus::Test> &tests);
     /** Add one test to the test axis, with an explicit label. */
@@ -364,22 +216,12 @@ class Campaign
      * directly for recoverable validation.
      */
     Campaign &scenario(const std::string &spec);
-    /** scenario() over a list of specs. */
-    Campaign &overScenarios(const std::vector<std::string> &specs);
 
     /** Append a fully-specified job outside the grid. */
     Campaign &add(Job job);
 
     /** Materialise the job list. */
     std::vector<Job> jobs() const;
-
-    /** Build the jobs and run them on an engine. */
-    std::vector<JobResult> run(Engine &engine,
-                               const std::vector<ResultSink *> &sinks = {},
-                               ProgressFn progress = nullptr) const;
-    /** Convenience: run on a throwaway default engine. */
-    std::vector<JobResult> run(const std::vector<ResultSink *> &sinks = {},
-                               ProgressFn progress = nullptr) const;
 
   private:
     struct LabelledTest

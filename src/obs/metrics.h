@@ -2,7 +2,7 @@
  * @file
  * The telemetry registry: zero-overhead-when-off process metrics.
  *
- * Every layer of the pipeline is instrumented — the batch engines
+ * Every layer of the pipeline is instrumented — the evaluation engine
  * (queue wait, job latency, worker utilisation, cache traffic), the
  * explorer (replays, prunes, resumes), the result store (L2
  * hits/misses/appends) and the serve daemon (requests, latency,
@@ -10,12 +10,12 @@
  * invariants that rule out the obvious designs:
  *
  * - *Determinism*: every result is a pure function of its job
- *   (harness/batch.h). Telemetry therefore never touches RNG streams,
+ *   (eval/backend.h). Telemetry therefore never touches RNG streams,
  *   job keys or scheduling — counters observe, they do not steer —
  *   and a run with GPULITMUS_OBS=0 is bit-identical to an
  *   instrumented run (tests/test_obs.cc pins this).
  * - *Hot-loop neutrality*: the explorer ticks a counter per replay
- *   and the engines per job. An increment is one relaxed atomic add
+ *   and the engine per job. An increment is one relaxed atomic add
  *   on a striped slot — no locks, no allocation, no syscalls — and
  *   with telemetry disabled it collapses to one relaxed load and a
  *   predictable branch.

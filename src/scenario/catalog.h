@@ -6,8 +6,7 @@
  * test whose bug is the forbidden final condition.
  *
  * These constructors back the registry entries in registry.cc; they
- * are exposed directly for the CUDA layer (cuda/apps.h), the benches
- * and the tests.
+ * are exposed directly for the examples, the benches and the tests.
  */
 
 #ifndef GPULITMUS_SCENARIO_CATALOG_H

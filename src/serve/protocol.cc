@@ -1,9 +1,13 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <unordered_set>
 
 #include "common/json.h"
 #include "common/strutil.h"
+#include "common/version.h"
 #include "eval/backend.h"
 #include "litmus/library.h"
 #include "litmus/parser.h"
@@ -20,47 +24,89 @@ jsonField(const std::string &key, const std::string &value)
            "\"";
 }
 
-namespace {
+std::string
+jsonStringArray(const std::vector<std::string> &values)
+{
+    std::string out = "[";
+    for (size_t i = 0; i < values.size(); ++i)
+        out += (i ? ",\"" : "\"") + jsonEscape(values[i]) + "\"";
+    return out + "]";
+}
+
+std::string
+registryJson(const std::vector<std::string> &corpus)
+{
+    std::string out = jsonField("abi", kAbiVersionString);
+    out += ",\"abi_version\":" + std::to_string(kAbiVersion);
+    out += ",\"scenarios\":[";
+    bool first = true;
+    for (const auto &s : scenario::all()) {
+        out += first ? "{" : ",{";
+        first = false;
+        out += jsonField("name", s.name) + "," +
+               jsonField("spec", "scenario:" + s.name) + "," +
+               jsonField("summary", s.summary) + "," +
+               jsonField("paper", s.paperRef) + ",\"max_micro_steps\":" +
+               std::to_string(s.maxMicroSteps) + ",\"params\":[";
+        bool pfirst = true;
+        for (const auto &p : s.params) {
+            out += pfirst ? "{" : ",{";
+            pfirst = false;
+            out += jsonField("name", p.name) + ",\"default\":" +
+                   std::to_string(p.defaultValue) + "," +
+                   jsonField("help", p.help) + "}";
+        }
+        out += "]}";
+    }
+    out += "],\"library\":[";
+    first = true;
+    for (const auto &t : litmus::paperlib::allTests()) {
+        out += (first ? "{" : ",{") + jsonField("id", t.id) + "," +
+               jsonField("section", t.section) + "}";
+        first = false;
+    }
+    out += "],\"corpus\":" + jsonStringArray(corpus);
+    out += ",\"chips\":[";
+    first = true;
+    for (const auto &c : sim::allChips()) {
+        out += (first ? "{" : ",{") + jsonField("name", c.shortName) +
+               "," + jsonField("vendor", c.vendor) + "," +
+               jsonField("chip", c.chipName) + "}";
+        first = false;
+    }
+    out += "],\"models\":" + jsonStringArray(eval::builtinModelNames());
+    out += ",\"backends\":" +
+           jsonStringArray(eval::builtinBackendNames());
+    return out;
+}
 
 const std::vector<std::string> kCommands = {
     "hello",    "list",    "stats",    "metrics",  "sweep",
     "validate", "explore", "scenario", "shutdown",
 };
 
-bool
-knownCommand(const std::string &cmd)
-{
-    return std::find(kCommands.begin(), kCommands.end(), cmd) !=
-           kCommands.end();
-}
-
-} // namespace
-
 std::optional<Request>
 parseRequest(const std::string &line, std::string *error)
 {
+    auto fail = [error](const std::string &message) {
+        if (error)
+            *error = message;
+        return std::nullopt;
+    };
     auto doc = json::parse(line, error);
     if (!doc)
         return std::nullopt;
-    if (!doc->isObject()) {
-        if (error)
-            *error = "request must be a JSON object";
-        return std::nullopt;
-    }
+    if (!doc->isObject())
+        return fail("request must be a JSON object");
 
     Request req;
     req.cmd = doc->getString("cmd", "");
-    if (req.cmd.empty()) {
-        if (error)
-            *error = "missing \"cmd\"";
-        return std::nullopt;
-    }
-    if (!knownCommand(req.cmd)) {
-        if (error)
-            *error = "unknown cmd '" + req.cmd +
-                     "' (valid: " + join(kCommands, ", ") + ")";
-        return std::nullopt;
-    }
+    if (req.cmd.empty())
+        return fail("missing \"cmd\"");
+    if (std::find(kCommands.begin(), kCommands.end(), req.cmd) ==
+        kCommands.end())
+        return fail("unknown cmd '" + req.cmd +
+                    "' (valid: " + join(kCommands, ", ") + ")");
     req.id = doc->getString("id", "");
 
     for (const auto &t : doc->getArray("tests")) {
@@ -78,59 +124,179 @@ parseRequest(const std::string &line, std::string *error)
             spec.source = t.getString("source", "");
             spec.spec = t.getString("spec", "");
         } else {
-            if (error)
-                *error = "each tests[] entry must be a string or an"
-                         " object";
-            return std::nullopt;
+            return fail("each tests[] entry must be a string or an"
+                        " object");
         }
         if (spec.name.empty() && spec.source.empty() &&
-            spec.spec.empty()) {
-            if (error)
-                *error = "tests[] entry names no test (want name,"
-                         " source or spec)";
-            return std::nullopt;
-        }
+            spec.spec.empty())
+            return fail("tests[] entry names no test (want name,"
+                        " source or spec)");
         req.tests.push_back(std::move(spec));
     }
 
-    for (const auto &c : doc->getArray("chips")) {
-        if (!c.isString()) {
-            if (error)
-                *error = "chips[] entries must be strings";
-            return std::nullopt;
+    for (auto [key, out] : {std::pair{"chips", &req.chips},
+                            std::pair{"models", &req.models}}) {
+        for (const auto &v : doc->getArray(key)) {
+            if (!v.isString())
+                return fail(std::string(key) +
+                            "[] entries must be strings");
+            out->push_back(v.string());
         }
-        req.chips.push_back(c.string());
-    }
-    for (const auto &m : doc->getArray("models")) {
-        if (!m.isString()) {
-            if (error)
-                *error = "models[] entries must be strings";
-            return std::nullopt;
-        }
-        req.models.push_back(m.string());
     }
     for (const auto &col : doc->getArray("columns")) {
         if (!col.isNumber() || col.integer() < 1 ||
-            col.integer() > 16) {
-            if (error)
-                *error = "columns[] entries must be integers 1..16";
-            return std::nullopt;
-        }
+            col.integer() > 16)
+            return fail("columns[] entries must be integers 1..16");
         req.columns.push_back(static_cast<int>(col.integer()));
     }
     int64_t column = doc->getInt("column", 16);
-    if (column < 1 || column > 16) {
-        if (error)
-            *error = "column must be 1..16";
-        return std::nullopt;
-    }
+    if (column < 1 || column > 16)
+        return fail("column must be 1..16");
     req.column = static_cast<int>(column);
-    req.iterations =
-        static_cast<uint64_t>(doc->getInt("iterations", 0));
+    // Counts are unsigned: a negative one would wrap to ~2^64
+    // iterations or replays.
+    int64_t iterations = doc->getInt("iterations", 0);
+    int64_t budget = doc->getInt("budget", 1 << 20);
+    if (iterations < 0)
+        return fail("iterations must be >= 0");
+    if (budget < 0)
+        return fail("budget must be >= 0");
+    req.iterations = iterations > 0 ? static_cast<uint64_t>(iterations)
+                                    : harness::defaultIterations();
     req.seed = static_cast<uint64_t>(doc->getInt("seed", 0x6c69));
-    req.budget =
-        static_cast<uint64_t>(doc->getInt("budget", 1 << 20));
+    req.budget = static_cast<uint64_t>(budget);
     req.exact = doc->getBool("exact", false);
+    return req;
+}
+
+std::vector<int>
+parseColumns(const std::string &spec)
+{
+    std::vector<int> out;
+    for (const auto &part : split(spec, ',')) {
+        auto dash = part.find('-');
+        if (dash != std::string::npos) {
+            auto lo = parseInt(part.substr(0, dash));
+            auto hi = parseInt(part.substr(dash + 1));
+            // Bounds-check before expanding so a typo'd range cannot
+            // balloon the list.
+            if (!lo || !hi || *lo > *hi || *lo < 1 || *hi > 16)
+                return {};
+            for (int64_t c = *lo; c <= *hi; ++c)
+                out.push_back(static_cast<int>(c));
+        } else {
+            auto c = parseInt(part);
+            if (!c || *c < 1 || *c > 16)
+                return {};
+            out.push_back(static_cast<int>(*c));
+        }
+    }
+    return out;
+}
+
+std::optional<TestSpec>
+testSpecFor(const std::string &arg, std::string *error)
+{
+    TestSpec spec;
+    if (scenario::isSpec(arg)) {
+        spec.spec = arg;
+    } else if (std::ifstream in{arg}) {
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        spec.source = buffer.str();
+    } else if (arg.find('/') != std::string::npos ||
+               endsWith(arg, ".litmus")) {
+        if (error)
+            *error = "cannot open '" + arg + "'";
+        return std::nullopt;
+    } else {
+        spec.name = arg; // a paper-library id
+    }
+    return spec;
+}
+
+std::optional<int64_t>
+intFlag(const std::map<std::string, std::string> &flags,
+        const std::string &name, int64_t fallback, bool count,
+        std::string *error)
+{
+    auto it = flags.find(name);
+    if (it == flags.end())
+        return fallback;
+    const std::string &v = it->second;
+    auto parsed = parseInt(v);
+    if (parsed && (!count || *parsed >= 0))
+        return parsed;
+    if (error) {
+        *error = !parsed ? "--" + name + " expects an integer" +
+                               (v == "true" ? std::string()
+                                            : ", got '" + v + "'")
+                         : "--" + name + " must be >= 0, got " + v;
+    }
+    return std::nullopt;
+}
+
+std::optional<Request>
+requestFromFlags(const std::string &cmd,
+                 const std::vector<std::string> &tests,
+                 const std::map<std::string, std::string> &flags,
+                 std::string *error)
+{
+    auto fail = [error](const std::string &message) {
+        if (error)
+            *error = message;
+        return std::nullopt;
+    };
+    auto flag = [&flags](const std::string &name) -> const std::string * {
+        auto it = flags.find(name);
+        return it == flags.end() ? nullptr : &it->second;
+    };
+    std::string bad;
+    auto integer = [&](const std::string &name, int64_t fallback,
+                       bool count) {
+        auto v = intFlag(flags, name, fallback, count,
+                         bad.empty() ? &bad : nullptr);
+        return v.value_or(fallback);
+    };
+    auto list = [&flag](const std::string &name) {
+        std::vector<std::string> out;
+        if (const std::string *v = flag(name)) {
+            for (const auto &item : split(*v, ','))
+                out.push_back(trim(item));
+        }
+        return out;
+    };
+
+    Request req;
+    req.cmd = cmd;
+    req.id = flag("id") ? *flag("id") : "cli";
+    for (const auto &arg : tests) {
+        std::string bad_test;
+        auto spec = testSpecFor(arg, &bad_test);
+        if (!spec)
+            return fail(bad_test);
+        req.tests.push_back(std::move(*spec));
+    }
+    req.chips = list("chips");
+    req.models = list("models");
+    if (const std::string *v = flag("columns")) {
+        req.columns = parseColumns(*v);
+        if (req.columns.empty())
+            return fail("invalid --columns '" + *v +
+                        "' (want e.g. 1-16, 9 or 1,5,9)");
+    }
+    int64_t column = integer("column", 16, true);
+    req.iterations = static_cast<uint64_t>(integer(
+        "iterations",
+        static_cast<int64_t>(harness::defaultIterations()), true));
+    req.seed = static_cast<uint64_t>(integer("seed", 0x6c69, false));
+    req.budget = static_cast<uint64_t>(integer("budget", 1 << 20, true));
+    req.exact = flag("exact") != nullptr;
+    if (!bad.empty())
+        return fail(bad);
+    if (column < 1 || column > 16)
+        return fail("--column must be 1..16");
+    req.column = static_cast<int>(column);
     return req;
 }
 
@@ -142,59 +308,29 @@ renderRequest(const Request &req)
         out += "," + jsonField("id", req.id);
     if (!req.tests.empty()) {
         out += ",\"tests\":[";
-        bool first = true;
-        for (const auto &t : req.tests) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "{";
-            bool f2 = true;
-            auto field = [&](const char *key,
-                             const std::string &value) {
-                if (value.empty())
-                    return;
-                if (!f2)
-                    out += ",";
-                f2 = false;
-                out += jsonField(key, value);
-            };
-            field("name", t.name);
-            field("source", t.source);
-            field("spec", t.spec);
-            out += "}";
+        for (size_t i = 0; i < req.tests.size(); ++i) {
+            // Exactly one field of a TestSpec is set.
+            const TestSpec &t = req.tests[i];
+            out += (i ? ",{" : "{") +
+                   (!t.spec.empty()     ? jsonField("spec", t.spec)
+                    : !t.source.empty() ? jsonField("source", t.source)
+                                        : jsonField("name", t.name)) +
+                   "}";
         }
         out += "]";
     }
-    auto strArray = [&out](const char *key,
-                           const std::vector<std::string> &values) {
-        if (values.empty())
-            return;
-        out += std::string(",\"") + key + "\":[";
-        bool first = true;
-        for (const auto &v : values) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "\"" + jsonEscape(v) + "\"";
-        }
-        out += "]";
-    };
-    strArray("chips", req.chips);
-    strArray("models", req.models);
+    if (!req.chips.empty())
+        out += ",\"chips\":" + jsonStringArray(req.chips);
+    if (!req.models.empty())
+        out += ",\"models\":" + jsonStringArray(req.models);
     if (!req.columns.empty()) {
         out += ",\"columns\":[";
-        bool first = true;
-        for (int c : req.columns) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += std::to_string(c);
-        }
+        for (size_t i = 0; i < req.columns.size(); ++i)
+            out += (i ? "," : "") + std::to_string(req.columns[i]);
         out += "]";
     }
     out += ",\"column\":" + std::to_string(req.column);
-    if (req.iterations)
-        out += ",\"iterations\":" + std::to_string(req.iterations);
+    out += ",\"iterations\":" + std::to_string(req.iterations);
     out += ",\"seed\":" + std::to_string(req.seed);
     out += ",\"budget\":" + std::to_string(req.budget);
     if (req.exact)
@@ -202,18 +338,6 @@ renderRequest(const Request &req)
     return out + "}";
 }
 
-// ---- planning -------------------------------------------------------
-
-namespace {
-
-struct LoadedTest
-{
-    litmus::Test test;
-    int minMicroSteps = 0;
-};
-
-/** Resolve one TestSpec — library id, inline source or scenario spec
- * — without ever being fatal (the daemon survives bad requests). */
 std::optional<LoadedTest>
 resolveTest(const TestSpec &spec, std::string *error)
 {
@@ -228,8 +352,14 @@ resolveTest(const TestSpec &spec, std::string *error)
         litmus::ParseError err;
         auto test = litmus::parseTest(spec.source, &err);
         if (!test) {
-            if (error)
-                *error = "cannot parse inline test: " + err.message;
+            if (error) {
+                *error = "cannot parse inline test" +
+                         (err.line > 0 ? " (line " +
+                                             std::to_string(err.line) +
+                                             ")"
+                                       : std::string()) +
+                         ": " + err.message;
+            }
             return std::nullopt;
         }
         return LoadedTest{std::move(*test), 0};
@@ -248,24 +378,9 @@ resolveTest(const TestSpec &spec, std::string *error)
     return std::nullopt;
 }
 
-/** sim::chip() is fatal on unknown names; the daemon looks names up
- * itself so a typo'd request errors instead of killing the server. */
-const sim::ChipProfile *
-resolveChip(const std::string &name, std::string *error)
-{
-    for (const auto &c : sim::allChips()) {
-        if (c.shortName == name)
-            return &c;
-    }
-    if (error) {
-        std::vector<std::string> names;
-        for (const auto &c : sim::allChips())
-            names.push_back(c.shortName);
-        *error = "unknown chip '" + name +
-                 "' (valid: " + join(names, ", ") + ")";
-    }
-    return nullptr;
-}
+// ---- planning -------------------------------------------------------
+
+namespace {
 
 bool
 resolveChips(const Request &req,
@@ -281,9 +396,19 @@ resolveChips(const Request &req,
         return true;
     }
     for (const auto &name : req.chips) {
-        const sim::ChipProfile *chip = resolveChip(name, error);
-        if (!chip)
+        // sim::chip() is fatal on unknown names; a typo'd request
+        // must error instead of killing the daemon.
+        const sim::ChipProfile *chip = sim::findChip(name);
+        if (!chip) {
+            if (error) {
+                std::vector<std::string> names;
+                for (const auto &c : sim::allChips())
+                    names.push_back(c.shortName);
+                *error = "unknown chip '" + name +
+                         "' (valid: " + join(names, ", ") + ")";
+            }
             return false;
+        }
         out->push_back(*chip);
     }
     return true;
@@ -308,125 +433,110 @@ resolveModels(const Request &req, std::vector<std::string> *out,
     return true;
 }
 
-bool
-planSweep(const Request &req, Plan *plan, std::string *error)
+/**
+ * The loop every planner shares: compile `loaded` for each chip —
+ * recording compile notes and miscompiled (test, chip) cells in
+ * `plan` — and hand `expand` the base job of every cell that runs:
+ * the test as that chip runs it, labelled with the test's name, on the
+ * `cfg` axes raised to the test's micro-step floor.
+ */
+template <typename Expand>
+void
+planOnChips(const LoadedTest &loaded,
+            const std::vector<sim::ChipProfile> &chips,
+            const harness::RunConfig &cfg, Plan *plan, Expand expand)
 {
-    std::vector<sim::ChipProfile> chips;
-    if (!resolveChips(req, {sim::chip("Titan")}, &chips, error))
-        return false;
+    harness::RunConfig test_cfg = cfg;
+    test_cfg.maxMicroSteps =
+        std::max(cfg.maxMicroSteps, loaded.minMicroSteps);
+    for (const auto &chip : chips) {
+        std::vector<std::string> quirks;
+        auto to_run =
+            eval::compileForChip(loaded.test, chip, &quirks);
+        for (const auto &q : quirks)
+            plan->notes.push_back("compile note (" + chip.shortName +
+                                  "): " + q);
+        if (!to_run) {
+            plan->skipped.push_back(loaded.test.name + " on " +
+                                    chip.shortName);
+            continue;
+        }
+        harness::Job base =
+            harness::Job::fromConfig(chip, *to_run, test_cfg);
+        base.label = loaded.test.name;
+        expand(base);
+    }
+}
+
+void
+planSweep(const Request &req, const std::vector<LoadedTest> &tests,
+          const std::vector<sim::ChipProfile> &chips, Plan *plan)
+{
     std::vector<int> columns = req.columns;
     if (columns.empty()) {
         for (int c = 1; c <= 16; ++c)
             columns.push_back(c);
     }
-
     harness::RunConfig cfg;
-    cfg.iterations = req.iterations ? req.iterations
-                                    : harness::defaultIterations();
+    cfg.iterations = req.iterations;
     cfg.seed = req.seed;
 
-    for (const auto &spec : req.tests) {
-        auto loaded = resolveTest(spec, error);
-        if (!loaded)
-            return false;
-        harness::RunConfig test_cfg = cfg;
-        test_cfg.maxMicroSteps =
-            std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
-        for (const auto &chip : chips) {
-            std::vector<std::string> quirks;
-            auto to_run =
-                eval::compileForChip(loaded->test, chip, &quirks);
-            for (const auto &q : quirks)
-                plan->notes.push_back("compile note (" +
-                                      chip.shortName + "): " + q);
-            if (!to_run) {
-                plan->skipped.push_back(loaded->test.name + " on " +
-                                        chip.shortName);
-                continue;
-            }
-            for (int col : columns) {
-                harness::Job job = harness::Job::fromConfig(
-                    chip, *to_run, test_cfg);
-                job.inc = sim::Incantations::fromColumn(col);
-                job.label = loaded->test.name;
-                plan->jobs.push_back(std::move(job));
-            }
+    auto expand = [&](const harness::Job &base) {
+        for (int col : columns) {
+            harness::Job job = base;
+            job.inc = sim::Incantations::fromColumn(col);
+            plan->jobs.push_back(std::move(job));
         }
-    }
-    return true;
+    };
+    for (const auto &loaded : tests)
+        planOnChips(loaded, chips, cfg, plan, expand);
 }
 
 bool
-planValidate(const Request &req, Plan *plan, std::string *error)
+planValidate(const Request &req, const std::vector<LoadedTest> &tests,
+             const std::vector<sim::ChipProfile> &chips, Plan *plan,
+             std::string *error)
 {
-    std::vector<std::string> models;
-    if (!resolveModels(req, &models, error))
-        return false;
-    if (models.empty()) {
+    if (plan->models.empty()) {
         if (error)
             *error = "validate needs at least one model";
         return false;
     }
-    // Default chip set as in the CLI: the Nvidia chips of the paper's
-    // result rows (the models target PTX).
-    std::vector<sim::ChipProfile> nvidia;
-    for (const auto &c : sim::resultChips()) {
-        if (c.isNvidia())
-            nvidia.push_back(c);
-    }
-    std::vector<sim::ChipProfile> chips;
-    if (!resolveChips(req, nvidia, &chips, error))
-        return false;
-
     harness::RunConfig cfg;
-    cfg.iterations = req.iterations ? req.iterations
-                                    : harness::defaultIterations();
+    cfg.iterations = req.iterations;
     cfg.seed = req.seed;
     cfg.inc = sim::Incantations::fromColumn(req.column);
 
-    for (const auto &spec : req.tests) {
-        auto loaded = resolveTest(spec, error);
-        if (!loaded)
-            return false;
-        if (!model::inModelScope(loaded->test)) {
+    // The model jobs carry the compiled text of their sim cell so the
+    // conformance join compares like with like.
+    auto expand = [&](const harness::Job &sim_job) {
+        plan->jobs.push_back(sim_job);
+        if (req.exact) {
+            // One exhaustive exploration per sim cell, so the join
+            // can upgrade imprecise verdicts to rare/unreachable.
+            harness::Job mc_job = sim_job;
+            mc_job.backend = harness::kMcBackend;
+            mc_job.iterations = req.budget;
+            plan->jobs.push_back(std::move(mc_job));
+        }
+        for (const auto &model : plan->models) {
+            harness::Job model_job = sim_job;
+            model_job.backend = model;
+            plan->jobs.push_back(std::move(model_job));
+        }
+    };
+    for (const auto &loaded : tests) {
+        // Tests outside the model's scope (.ca / volatile accesses,
+        // Sec. 5.5) are excluded exactly as in the paper.
+        if (!model::inModelScope(loaded.test)) {
             plan->notes.push_back(
-                loaded->test.name +
+                loaded.test.name +
                 " is outside the model scope (.ca/volatile/loops,"
                 " Sec. 5.5); skipped");
             ++plan->outOfScope;
             continue;
         }
-        harness::RunConfig test_cfg = cfg;
-        test_cfg.maxMicroSteps =
-            std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
-        for (const auto &chip : chips) {
-            std::vector<std::string> quirks;
-            auto to_run =
-                eval::compileForChip(loaded->test, chip, &quirks);
-            for (const auto &q : quirks)
-                plan->notes.push_back("compile note (" +
-                                      chip.shortName + "): " + q);
-            if (!to_run) {
-                plan->skipped.push_back(loaded->test.name + " on " +
-                                        chip.shortName);
-                continue;
-            }
-            harness::Job sim_job = harness::Job::fromConfig(
-                chip, *to_run, test_cfg);
-            sim_job.label = loaded->test.name;
-            plan->jobs.push_back(sim_job);
-            if (req.exact) {
-                harness::Job mc_job = sim_job;
-                mc_job.backend = harness::kMcBackend;
-                mc_job.iterations = req.budget;
-                plan->jobs.push_back(std::move(mc_job));
-            }
-            for (const auto &model : models) {
-                harness::Job model_job = sim_job;
-                model_job.backend = model;
-                plan->jobs.push_back(std::move(model_job));
-            }
-        }
+        planOnChips(loaded, chips, cfg, plan, expand);
     }
     if (plan->jobs.empty()) {
         if (error) {
@@ -441,57 +551,35 @@ planValidate(const Request &req, Plan *plan, std::string *error)
 }
 
 bool
-planExplore(const Request &req, Plan *plan, std::string *error)
+planExplore(const Request &req, const std::vector<LoadedTest> &tests,
+            const std::vector<sim::ChipProfile> &chips, Plan *plan,
+            std::string *error)
 {
-    std::vector<sim::ChipProfile> chips;
-    if (!resolveChips(req, {sim::chip("Titan")}, &chips, error))
-        return false;
-    std::vector<std::string> models;
-    if (!resolveModels(req, &models, error))
-        return false;
-
     harness::RunConfig cfg;
     cfg.inc = sim::Incantations::fromColumn(req.column);
     cfg.iterations = req.budget;
 
-    for (const auto &spec : req.tests) {
-        auto loaded = resolveTest(spec, error);
-        if (!loaded)
-            return false;
-        harness::RunConfig test_cfg = cfg;
-        test_cfg.maxMicroSteps =
-            std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
-        // Out-of-scope tests still explore — the reachable set is a
-        // property of the machine — but skip the model join, exactly
-        // as the batch CLI does.
-        bool in_scope = model::inModelScope(loaded->test);
+    // Out-of-scope tests still explore — the reachable set is a
+    // property of the machine — but skip the model join, exactly as
+    // validate skips them.
+    bool in_scope = true;
+    auto expand = [&](const harness::Job &base) {
+        harness::Job mc_job = base;
+        mc_job.backend = harness::kMcBackend;
+        plan->jobs.push_back(mc_job);
+        if (!in_scope)
+            return;
+        for (const auto &model : plan->models) {
+            harness::Job model_job = mc_job;
+            model_job.backend = model;
+            plan->jobs.push_back(std::move(model_job));
+        }
+    };
+    for (const auto &loaded : tests) {
+        in_scope = model::inModelScope(loaded.test);
         if (!in_scope)
             ++plan->outOfScope;
-        for (const auto &chip : chips) {
-            std::vector<std::string> quirks;
-            auto to_run =
-                eval::compileForChip(loaded->test, chip, &quirks);
-            for (const auto &q : quirks)
-                plan->notes.push_back("compile note (" +
-                                      chip.shortName + "): " + q);
-            if (!to_run) {
-                plan->skipped.push_back(loaded->test.name + " on " +
-                                        chip.shortName);
-                continue;
-            }
-            harness::Job mc_job = harness::Job::fromConfig(
-                chip, *to_run, test_cfg);
-            mc_job.backend = harness::kMcBackend;
-            mc_job.label = loaded->test.name;
-            plan->jobs.push_back(mc_job);
-            if (in_scope) {
-                for (const auto &model : models) {
-                    harness::Job model_job = mc_job;
-                    model_job.backend = model;
-                    plan->jobs.push_back(std::move(model_job));
-                }
-            }
-        }
+        planOnChips(loaded, chips, cfg, plan, expand);
     }
     if (plan->jobs.empty()) {
         if (error)
@@ -512,17 +600,104 @@ planJobs(const Request &req, Plan *plan, std::string *error)
             *error = "'" + req.cmd + "' needs a tests[] list";
         return false;
     }
-    if (req.cmd == "sweep")
-        return planSweep(req, plan, error);
-    if (req.cmd == "validate")
-        return planValidate(req, plan, error);
     // "scenario" is explore over scenario specs: the planner is the
     // same; the name documents the intent (and the CI smoke uses it).
-    if (req.cmd == "explore" || req.cmd == "scenario")
-        return planExplore(req, plan, error);
-    if (error)
-        *error = "cmd '" + req.cmd + "' carries no jobs";
-    return false;
+    const bool sweep = req.cmd == "sweep";
+    const bool validate = req.cmd == "validate";
+    if (!sweep && !validate && req.cmd != "explore" &&
+        req.cmd != "scenario") {
+        if (error)
+            *error = "cmd '" + req.cmd + "' carries no jobs";
+        return false;
+    }
+
+    // Default chips: the Nvidia chips of the paper's result rows for
+    // validate (the models target PTX), the Titan otherwise.
+    std::vector<sim::ChipProfile> fallback;
+    if (validate) {
+        for (const auto &c : sim::resultChips()) {
+            if (c.isNvidia())
+                fallback.push_back(c);
+        }
+    } else {
+        fallback.push_back(sim::chip("Titan"));
+    }
+    std::vector<sim::ChipProfile> chips;
+    if (!resolveChips(req, fallback, &chips, error))
+        return false;
+    for (const auto &chip : chips)
+        plan->chips.push_back(chip.shortName);
+    if (!sweep && !resolveModels(req, &plan->models, error))
+        return false;
+    // A parse failure names the tests[] entry: inline source carries
+    // no name yet.
+    std::vector<LoadedTest> tests;
+    for (size_t i = 0; i < req.tests.size(); ++i) {
+        auto loaded = resolveTest(req.tests[i], error);
+        if (!loaded) {
+            if (error && !req.tests[i].source.empty())
+                *error = "tests[" + std::to_string(i) + "]: " + *error;
+            return false;
+        }
+        tests.push_back(std::move(*loaded));
+    }
+
+    if (validate)
+        return planValidate(req, tests, chips, plan, error);
+    if (!sweep)
+        return planExplore(req, tests, chips, plan, error);
+    planSweep(req, tests, chips, plan);
+    if (plan->jobs.empty()) {
+        if (error)
+            *error = "nothing to sweep — every cell was miscompiled";
+        return false;
+    }
+    return true;
+}
+
+Outcome
+summarize(const Request &req, const std::vector<eval::EvalResult> &results,
+          const eval::ConformanceSink &conformance)
+{
+    Outcome out;
+    out.results = results.size();
+    std::unordered_set<uint64_t> seen;
+    bool observed_forbidden = false;
+    for (const auto &r : results) {
+        out.fromStore += r.fromStore ? 1 : 0;
+        const bool not_exists =
+            r.job->test.quantifier == litmus::Quantifier::NotExists;
+        if (r.hasHist() && not_exists && r.hist->observed() > 0)
+            observed_forbidden = true;
+        if (!r.hasExact() || !seen.insert(r.job->cacheKey()).second)
+            continue;
+        const mc::ExploreResult &x = *r.exact;
+        if (!x.complete && !x.fairComplete)
+            ++out.bounded;
+        if (not_exists && !x.satisfying.empty())
+            ++out.forbiddenReachable;
+    }
+    using eval::Conformance;
+    out.cells = conformance.cells().size();
+    out.sound = conformance.count(Conformance::Sound);
+    out.unsound = conformance.count(Conformance::Unsound);
+    out.imprecise = conformance.count(Conformance::Imprecise);
+    out.rare = conformance.count(Conformance::Rare);
+    out.unreachable = conformance.count(Conformance::Unreachable);
+    out.inconsistent = conformance.inconsistentCells();
+
+    // 2 for a failed check, per command: a sampled ~exists condition
+    // (sweep), an unsound or inconsistent cell (validate), an unsound
+    // cell or a reachable ~exists condition (explore).
+    bool failed = false;
+    if (req.cmd == "sweep")
+        failed = observed_forbidden;
+    else if (req.cmd == "validate")
+        failed = out.unsound > 0 || out.inconsistent > 0;
+    else
+        failed = out.unsound > 0 || out.forbiddenReachable > 0;
+    out.exit = failed ? 2 : 0;
+    return out;
 }
 
 } // namespace gpulitmus::serve

@@ -42,59 +42,12 @@ eventHead(const char *event, const std::string &id)
     return e;
 }
 
+/** A complete `error` event line. */
 std::string
-strArrayJson(const std::vector<std::string> &values)
+errorEvent(const std::string &id, const std::string &message)
 {
-    std::string out = "[";
-    bool first = true;
-    for (const auto &v : values) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "\"" + jsonEscape(v) + "\"";
-    }
-    return out + "]";
-}
-
-/** The registry as one JSON object — the daemon's answer to `list`,
- * ABI stamp included so clients can check compatibility. */
-std::string
-registryJson()
-{
-    std::string out = "\"abi\":\"";
-    out += kAbiVersionString;
-    out += "\",\"abi_version\":" + std::to_string(kAbiVersion);
-    out += ",\"scenarios\":[";
-    bool first = true;
-    for (const auto &s : scenario::all()) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{" + jsonField("name", s.name) + "," +
-               jsonField("spec", "scenario:" + s.name) + "," +
-               jsonField("summary", s.summary) + "}";
-    }
-    out += "],\"library\":[";
-    first = true;
-    for (const auto &t : litmus::paperlib::allTests()) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "\"" + jsonEscape(t.id) + "\"";
-    }
-    out += "],\"chips\":[";
-    first = true;
-    for (const auto &c : sim::allChips()) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "\"" + jsonEscape(c.shortName) + "\"";
-    }
-    out += "],\"models\":" +
-           strArrayJson(eval::builtinModelNames());
-    out += ",\"backends\":" +
-           strArrayJson(eval::builtinBackendNames());
-    return out;
+    return eventHead("error", id) + "," + jsonField("message", message) +
+           "}";
 }
 
 bool
@@ -124,6 +77,9 @@ struct Server::Client
     int fd = -1;
     std::string inbuf = {};
     std::mutex writeMutex = {};
+    /** The peer sent more than kMaxRequestLineBytes without a
+     * newline; readLine gave up on the connection. */
+    bool overflowed = false;
 
     /** Write one event line; serialised because progress events come
      * from engine worker threads while the handler owns the socket. */
@@ -137,19 +93,27 @@ struct Server::Client
     /**
      * Next request line; polls so the handler can notice daemon
      * shutdown instead of blocking in read() forever. Returns false
-     * on EOF/error or when `running` drops.
+     * on EOF/error, when `running` drops, or when the pending line
+     * outgrows kMaxRequestLineBytes (`overflowed` set) — a peer that
+     * never sends a newline must not grow the daemon without bound.
      */
     bool
     readLine(std::string *line, const std::atomic<bool> &running)
     {
+        size_t scanned = 0; // inbuf bytes already searched for '\n'
         for (;;) {
-            auto nl = inbuf.find('\n');
+            auto nl = inbuf.find('\n', scanned);
             if (nl != std::string::npos) {
                 *line = inbuf.substr(0, nl);
                 inbuf.erase(0, nl + 1);
                 if (!line->empty() && line->back() == '\r')
                     line->pop_back();
                 return true;
+            }
+            scanned = inbuf.size();
+            if (inbuf.size() > kMaxRequestLineBytes) {
+                overflowed = true;
+                return false;
             }
             if (!running.load())
                 return false;
@@ -466,15 +430,7 @@ Server::handleClient(int fd)
     obs::gauge("serve_clients_connected").add(1);
     // Handshake first: the client learns the ABI generation before
     // submitting anything, so a stale client can bail out early.
-    client.writeLine(eventHead("hello", "") +
-                     ",\"abi\":\"" + kAbiVersionString +
-                     "\",\"abi_version\":" +
-                     std::to_string(kAbiVersion) +
-                     ",\"threads\":" +
-                     std::to_string(engine_->threads()) +
-                     ",\"store_records\":" +
-                     std::to_string(store_ ? store_->size() : 0) +
-                     "}");
+    client.writeLine(helloEvent(""));
 
     std::string line;
     while (client.readLine(&line, running_)) {
@@ -482,11 +438,28 @@ Server::handleClient(int fd)
             continue;
         handleRequest(client, line);
     }
+    if (client.overflowed) {
+        client.writeLine(errorEvent(
+            "", "request line exceeds " +
+                    std::to_string(kMaxRequestLineBytes) +
+                    " bytes; closing"));
+    }
     ::close(fd);
     obs::gauge("serve_clients_connected").add(-1);
 }
 
 // ---- request handling -----------------------------------------------
+
+std::string
+Server::helloEvent(const std::string &id) const
+{
+    return eventHead("hello", id) + "," +
+           jsonField("abi", kAbiVersionString) +
+           ",\"abi_version\":" + std::to_string(kAbiVersion) +
+           ",\"threads\":" + std::to_string(engine_->threads()) +
+           ",\"store_records\":" +
+           std::to_string(store_ ? store_->size() : 0) + "}";
+}
 
 void
 Server::handleRequest(Client &client, const std::string &line)
@@ -494,8 +467,7 @@ Server::handleRequest(Client &client, const std::string &line)
     std::string error;
     auto req = parseRequest(line, &error);
     if (!req) {
-        client.writeLine(eventHead("error", "") + "," +
-                         jsonField("message", error) + "}");
+        client.writeLine(errorEvent("", error));
         return;
     }
     {
@@ -508,15 +480,12 @@ Server::handleRequest(Client &client, const std::string &line)
     obs::Span span("request " + req->cmd, "serve");
 
     if (req->cmd == "hello") {
-        client.writeLine(eventHead("hello", req->id) +
-                         ",\"abi\":\"" + kAbiVersionString +
-                         "\",\"abi_version\":" +
-                         std::to_string(kAbiVersion) + "}");
+        client.writeLine(helloEvent(req->id));
         return;
     }
     if (req->cmd == "list") {
         client.writeLine(eventHead("list", req->id) + "," +
-                         registryJson() + "}");
+                         registryJson({}) + "}");
         client.writeLine(eventHead("done", req->id) + "}");
         return;
     }
@@ -567,8 +536,7 @@ Server::runJobsRequest(Client &client, const Request &req)
     Plan plan;
     std::string error;
     if (!planJobs(req, &plan, &error)) {
-        client.writeLine(eventHead("error", req.id) + "," +
-                         jsonField("message", error) + "}");
+        client.writeLine(errorEvent(req.id, error));
         return;
     }
     {
@@ -591,8 +559,8 @@ Server::runJobsRequest(Client &client, const Request &req)
     client.writeLine(eventHead("accepted", req.id) +
                      ",\"jobs\":" +
                      std::to_string(plan.jobs.size()) +
-                     ",\"skipped\":" + strArrayJson(plan.skipped) +
-                     ",\"notes\":" + strArrayJson(plan.notes) + "}");
+                     ",\"skipped\":" + jsonStringArray(plan.skipped) +
+                     ",\"notes\":" + jsonStringArray(plan.notes) + "}");
 
     eval::ConformanceSink conformance;
 
@@ -667,60 +635,24 @@ Server::runJobsRequest(Client &client, const Request &req)
     hb_cv.notify_all();
     monitor.join();
 
-    uint64_t served = 0;
-    for (const auto &r : results) {
-        served += r.fromStore ? 1 : 0;
+    for (const auto &r : results)
         client.writeLine(eventHead("result", req.id) +
                          ",\"cell\":" + eval::evalCellJson(r) + "}");
-    }
 
-    // Exit semantics mirror the batch CLI: 2 for a failed check
-    // (observed/reachable ~exists condition, unsound or inconsistent
-    // cell), 0 otherwise.
-    int exit_code = 0;
-    size_t forbidden_reachable = 0, bounded = 0;
-    for (const auto &r : results) {
-        if (r.hasHist() &&
-            r.job->test.quantifier ==
-                litmus::Quantifier::NotExists &&
-            r.hist->observed() > 0 && req.cmd == "sweep")
-            exit_code = 2;
-        if (r.hasExact()) {
-            const mc::ExploreResult &x = *r.exact;
-            if (!x.complete && !x.fairComplete)
-                ++bounded;
-            if (r.job->test.quantifier ==
-                    litmus::Quantifier::NotExists &&
-                !x.satisfying.empty())
-                ++forbidden_reachable;
-        }
-    }
-    size_t unsound = conformance.unsoundCells();
-    size_t inconsistent = conformance.inconsistentCells();
-    if (req.cmd == "validate" && (unsound || inconsistent))
-        exit_code = 2;
-    if ((req.cmd == "explore" || req.cmd == "scenario") &&
-        (unsound || forbidden_reachable))
-        exit_code = 2;
-
+    // The batch command's exit status and tallies, by the same
+    // function the batch CLI uses.
+    Outcome o = summarize(req, results, conformance);
     std::string summary = eventHead("summary", req.id);
-    summary += ",\"exit\":" + std::to_string(exit_code);
-    summary += ",\"results\":" + std::to_string(results.size());
-    summary += ",\"store_results\":" + std::to_string(served);
-    summary += ",\"cells\":" +
-               std::to_string(conformance.cells().size());
-    summary += ",\"sound\":" +
-               std::to_string(conformance.soundCells());
-    summary += ",\"unsound\":" + std::to_string(unsound);
-    summary += ",\"imprecise\":" +
-               std::to_string(conformance.impreciseCells());
-    summary += ",\"rare\":" + std::to_string(conformance.rareCells());
-    summary += ",\"unreachable\":" +
-               std::to_string(conformance.unreachableCells());
-    summary += ",\"bounded\":" + std::to_string(bounded);
-    summary += ",\"forbidden_reachable\":" +
-               std::to_string(forbidden_reachable);
-    summary += ",\"inconsistent\":" + std::to_string(inconsistent);
+    const std::pair<const char *, size_t> fields[] = {
+        {"exit", static_cast<size_t>(o.exit)},
+        {"results", o.results}, {"store_results", o.fromStore},
+        {"cells", o.cells}, {"sound", o.sound}, {"unsound", o.unsound},
+        {"imprecise", o.imprecise}, {"rare", o.rare},
+        {"unreachable", o.unreachable}, {"bounded", o.bounded},
+        {"forbidden_reachable", o.forbiddenReachable},
+        {"inconsistent", o.inconsistent}};
+    for (const auto &[key, value] : fields)
+        summary += std::string(",\"") + key + "\":" + std::to_string(value);
     client.writeLine(summary + "}");
 
     if (store_) {

@@ -3,13 +3,14 @@
  * The `gpulitmus serve` daemon: a persistent validation service over
  * the evaluation engine and the durable result store.
  *
- * One Server owns one eval::Engine (whose in-process BatchCache is the
- * L1) layered over one ResultStore (the durable L2), and listens on a
- * Unix-domain socket and/or a loopback TCP port. Each accepted
+ * One Server owns one eval::Engine (whose in-process result cache is
+ * the L1) layered over one ResultStore (the durable L2), and listens
+ * on a Unix-domain socket and/or a loopback TCP port. Each accepted
  * connection gets a handler thread speaking the line-delimited JSON
  * protocol (serve/protocol.h, docs/SERVE.md): requests plan to job
- * batches through the same planner the batch CLI mirrors, run on the
- * shared engine, and stream back progress/result/summary events.
+ * batches through the planner the batch CLI also runs in-process, run
+ * on the shared engine, and stream back progress/result/summary
+ * events.
  * Results already in the store are answered without touching a
  * backend — the second submission of a corpus validation is pure
  * store reads.
@@ -42,6 +43,12 @@
 #include "serve/store.h"
 
 namespace gpulitmus::serve {
+
+/** Longest request line the daemon buffers (1 MiB). A connection
+ * that sends more without a newline gets an `error` event and is
+ * closed. The largest real request — a corpus inlined as source — is
+ * a few KB. */
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 struct ServerOptions
 {
@@ -110,6 +117,8 @@ class Server
     void handleRequest(Client &client, const std::string &line);
     void runJobsRequest(Client &client, const Request &req);
     std::string journalPath(uint64_t seq) const;
+    /** The `hello` event: ABI stamp, worker count, stored records. */
+    std::string helloEvent(const std::string &id) const;
 
     ServerOptions opts_;
     std::unique_ptr<ResultStore> store_;

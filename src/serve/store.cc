@@ -605,24 +605,6 @@ ResultStore::fetchEval(const harness::Job &job)
     return result;
 }
 
-std::optional<harness::JobResult>
-ResultStore::fetchSim(const harness::Job &job)
-{
-    if (!job.isSim())
-        return std::nullopt;
-    auto rec = lookup(digestFor(job));
-    if (!rec || !rec->hasHist)
-        return std::nullopt;
-
-    auto owned = std::make_shared<harness::Job>(job);
-    harness::JobResult result{owned, litmus::Histogram(owned->test)};
-    result.hist.restore(rec->counts, rec->observed, rec->total);
-    result.observedPer100k = rec->observedPer100k;
-    result.fromStore = true;
-    result.millis = 0.0;
-    return result;
-}
-
 void
 ResultStore::putEval(const harness::Job &job,
                      const eval::EvalResult &result)
@@ -646,20 +628,6 @@ ResultStore::putEval(const harness::Job &job,
     }
     if (result.hasExact())
         rec->exact = *result.exact;
-    putRecord(digestFor(job), std::move(rec));
-}
-
-void
-ResultStore::putSim(const harness::Job &job,
-                    const harness::JobResult &result)
-{
-    auto rec = std::make_shared<Record>();
-    rec->backend = job.backend;
-    rec->hasHist = true;
-    rec->counts = result.hist.counts();
-    rec->observed = result.hist.observed();
-    rec->total = result.hist.total();
-    rec->observedPer100k = result.observedPer100k;
     putRecord(digestFor(job), std::move(rec));
 }
 

@@ -4,9 +4,9 @@
  * job never needs recomputing.
  *
  * Every engine result — a sampled histogram, a model verdict, an
- * exact exploration — is a pure function of its job (harness/batch.h
- * establishes that contract for the in-process cache; this layer
- * extends it across process lifetimes). The store persists results on
+ * exact exploration — is a pure function of its job (eval::Engine's
+ * in-process cache relies on that contract; this layer extends it
+ * across process lifetimes). The store persists results on
  * disk keyed by a 128-bit content digest of the job (Digest128,
  * common/hash.h) folded with the compiled-in ABI stamp
  * (common/version.h), so:
@@ -36,7 +36,7 @@
  *
  * Payloads deliberately exclude the job's test/chip (the requester
  * supplies those — a hit re-points the stored result at the submitted
- * job, exactly like BatchCache::servedFrom) and the model witnesses
+ * job, exactly like an eval::Engine cache hit) and the model witnesses
  * (display-only; the conformance join never reads them — documented
  * in docs/SERVE.md).
  *
@@ -127,18 +127,11 @@ class ResultStore
      * `millis` zeroed. */
     std::optional<eval::EvalResult> fetchEval(const harness::Job &job);
 
-    /** fetchEval restricted to the simulator shape, for
-     * harness::Engine (sweep --store). */
-    std::optional<harness::JobResult>
-    fetchSim(const harness::Job &job);
-
     /** Persist a computed result (idempotent: an existing digest is
      * left alone — results are pure functions of jobs, so the first
      * write is as good as any). */
     void putEval(const harness::Job &job,
                  const eval::EvalResult &result);
-    void putSim(const harness::Job &job,
-                const harness::JobResult &result);
 
     /** Push appended records to disk (and fsync when syncOnFlush).
      * False + `error` when the write-back fails. */

@@ -245,13 +245,21 @@ resultChips()
     return out;
 }
 
+const ChipProfile *
+findChip(const std::string &name)
+{
+    for (const auto &c : allChips()) {
+        if (c.shortName == name || c.chipName == name)
+            return &c;
+    }
+    return nullptr;
+}
+
 const ChipProfile &
 chip(const std::string &short_name)
 {
-    for (const auto &c : allChips()) {
-        if (c.shortName == short_name || c.chipName == short_name)
-            return c;
-    }
+    if (const ChipProfile *c = findChip(short_name))
+        return *c;
     fatal("unknown chip '%s'", short_name.c_str());
 }
 

@@ -151,8 +151,11 @@ const std::vector<ChipProfile> &allChips();
 /** The chips that appear in the paper's per-test result rows. */
 std::vector<ChipProfile> resultChips();
 
-/** Look up by short name ("GTX5", "TesC", ..., "HD7970"); fatal if
- * unknown. */
+/** Look up by short name ("GTX5", "TesC", ..., "HD7970") or chip
+ * name; null if unknown. */
+const ChipProfile *findChip(const std::string &name);
+
+/** findChip, fatal if unknown. */
 const ChipProfile &chip(const std::string &short_name);
 
 } // namespace gpulitmus::sim

@@ -2,12 +2,11 @@
  * @file
  * Tests for the CUDA layer: the Tab. 5 mapping, the distilled
  * case-study tests (which must agree with the hand-written library
- * versions), and the application clients.
+ * versions), and the application clients (registry scenarios).
  */
 
 #include <gtest/gtest.h>
 
-#include "cuda/apps.h"
 #include "cuda/mapping.h"
 #include "cuda/snippets.h"
 #include "harness/campaign.h"
@@ -134,48 +133,44 @@ appConfig(uint64_t iterations)
     return cfg;
 }
 
-TEST(Apps, WrappersEqualRegistryScenarios)
-{
-    EXPECT_EQ(dotProductTest(3, true).str(),
-              scenario::spinlockDotProduct(3, true).str());
-    EXPECT_EQ(dotProductTest(4, false).str(),
-              scenario::spinlockDotProduct(4, false).str());
-    EXPECT_EQ(workStealingTest(false).str(),
-              scenario::workStealingDeque(false).str());
-    EXPECT_EQ(workStealingTest(true).str(),
-              scenario::workStealingDeque(true).str());
-}
-
 TEST(Apps, DotProductWrongWithoutFences)
 {
-    litmus::Histogram buggy = harness::run(
-        sim::chip("TesC"), dotProductTest(3, false), appConfig(4000));
+    litmus::Histogram buggy =
+        harness::run(sim::chip("TesC"),
+                     scenario::spinlockDotProduct(3, false),
+                     appConfig(4000));
     EXPECT_GT(buggy.observed(), 0u);
     EXPECT_LT(buggy.observed(), buggy.total()); // mostly right
 }
 
 TEST(Apps, DotProductCorrectWithFences)
 {
-    litmus::Histogram fixed = harness::run(
-        sim::chip("TesC"), dotProductTest(3, true), appConfig(4000));
+    litmus::Histogram fixed =
+        harness::run(sim::chip("TesC"),
+                     scenario::spinlockDotProduct(3, true),
+                     appConfig(4000));
     EXPECT_EQ(fixed.observed(), 0u);
 }
 
 TEST(Apps, DotProductCorrectOnMaxwellEitherWay)
 {
-    litmus::Histogram hist = harness::run(
-        sim::chip("GTX7"), dotProductTest(3, false), appConfig(3000));
+    litmus::Histogram hist =
+        harness::run(sim::chip("GTX7"),
+                     scenario::spinlockDotProduct(3, false),
+                     appConfig(3000));
     EXPECT_EQ(hist.observed(), 0u);
 }
 
 TEST(Apps, WorkStealingLosesTasksWithoutFences)
 {
     litmus::Histogram buggy =
-        harness::run(sim::chip("Titan"), workStealingTest(false),
+        harness::run(sim::chip("Titan"),
+                     scenario::workStealingDeque(false),
                      appConfig(30000));
     EXPECT_GT(buggy.observed(), 0u);
     litmus::Histogram fixed =
-        harness::run(sim::chip("Titan"), workStealingTest(true),
+        harness::run(sim::chip("Titan"),
+                     scenario::workStealingDeque(true),
                      appConfig(10000));
     EXPECT_EQ(fixed.observed(), 0u);
 }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the unified eval backend API: backend resolution, the
  * tagged EvalResult of each engine, key/cache semantics of
- * backend-named jobs, the conformance join over the on-disk corpus,
- * and bit-identity of sim-backend campaigns with the PR-1 engine.
+ * backend-named jobs, the engine's cache/alias/progress semantics,
+ * the conformance join over the on-disk corpus, and bit-identity of
+ * engine-run sim campaigns with harness::runJob at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -310,7 +311,7 @@ TEST(Conformance, PtxSoundOnCorpusForEveryChipProfile)
                                         : cell.violations.front())
             << "'";
     }
-    EXPECT_EQ(conformance.unsoundCells(), 0u);
+    EXPECT_EQ(conformance.count(Conformance::Unsound), 0u);
 }
 
 TEST(Conformance, FlagsTheSec6BaselineAsUnsound)
@@ -337,7 +338,7 @@ TEST(Conformance, FlagsTheSec6BaselineAsUnsound)
         }
     }
     EXPECT_TRUE(baseline_unsound);
-    EXPECT_GE(conformance.unsoundCells(), 1u);
+    EXPECT_GE(conformance.count(Conformance::Unsound), 1u);
 }
 
 TEST(Conformance, SinkSummaryAndJsonShape)
@@ -382,51 +383,146 @@ TEST(EvalEngine, JsonSinkTagsBothSides)
     std::string doc = os.str();
     for (const char *field :
          {"\"backend\":\"sim\"", "\"backend\":\"ptx\"",
-          "\"counts\":{", "\"candidates\":", "\"allowed_outcomes\":"})
+          "\"label\":\"sb\"", "\"chip\":\"Titan\"", "\"column\":16",
+          "\"iterations\":300", "\"obs_per_100k\":", "\"counts\":{",
+          "\"cached\":false", "\"from_store\":false",
+          "\"candidates\":", "\"allowed_outcomes\":"})
         EXPECT_NE(doc.find(field), std::string::npos) << field;
 }
 
-TEST(EvalEngine, SimCampaignBitIdenticalToPr1ApiAt1And8Threads)
+TEST(EvalEngine, SimCampaignBitIdenticalToRunJobAt1And8Threads)
 {
-    // The acceptance bar of the redesign: a sim-only sweep through
-    // the eval engine is bit-identical to the PR-1 harness::Engine,
-    // at any thread count, over the whole on-disk corpus.
+    // A sim-only sweep through the engine is bit-identical to
+    // harness::runJob — the single-cell reference — at any thread
+    // count, over the whole on-disk corpus.
     std::vector<litmus::Test> tests;
     for (const auto &name : kCorpus)
         tests.push_back(corpusTest(name));
-
-    auto build = [&]() {
-        harness::Campaign campaign;
-        campaign.iterations(400)
-            .overChips(std::vector<std::string>{"Titan", "HD7970"})
-            .overColumns(9, 12)
-            .overTests(tests);
-        return campaign;
-    };
+    harness::Campaign campaign;
+    campaign.iterations(400)
+        .overChips(std::vector<std::string>{"Titan", "HD7970"})
+        .overColumns(9, 12)
+        .overTests(tests);
+    auto jobs = campaign.jobs();
 
     for (int threads : {1, 8}) {
-        harness::EngineOptions hopts;
-        hopts.threads = threads;
-        hopts.cache = false;
-        harness::Engine pr1(hopts);
-        auto expected = build().run(pr1);
+        EngineOptions opts;
+        opts.threads = threads;
+        opts.cache = false;
+        Engine engine(opts);
+        auto actual = engine.run(campaign);
 
-        EngineOptions eopts;
-        eopts.threads = threads;
-        eopts.cache = false;
-        Engine unified(eopts);
-        auto actual = unified.run(build());
-
-        ASSERT_EQ(expected.size(), actual.size());
-        for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(actual.size(), jobs.size());
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            harness::JobResult expected = harness::runJob(jobs[i]);
             ASSERT_TRUE(actual[i].hasHist());
-            EXPECT_EQ(expected[i].hist.counts(),
-                      actual[i].hist->counts())
+            EXPECT_EQ(expected.hist.counts(), actual[i].hist->counts())
                 << "cell " << i << " at " << threads << " threads";
-            EXPECT_EQ(expected[i].observedPer100k,
+            EXPECT_EQ(expected.observedPer100k,
                       actual[i].observedPer100k);
         }
     }
+}
+
+TEST(EvalEngine, CacheServesRepeatedCells)
+{
+    harness::RunConfig cfg;
+    cfg.iterations = 300;
+    harness::Job job =
+        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+
+    Engine engine;
+    // Duplicate cell within one batch: computed once, aliased once.
+    // The alias keeps its own identity (label is not part of the
+    // cache key) while reusing the computed histogram.
+    harness::Job renamed = job;
+    renamed.label = "renamed";
+    auto batch = engine.run({job, renamed});
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_FALSE(batch[0].fromCache);
+    EXPECT_TRUE(batch[1].fromCache);
+    EXPECT_EQ(batch[1].label(), "renamed");
+    EXPECT_EQ(batch[0].hist->counts(), batch[1].hist->counts());
+    EXPECT_EQ(engine.cacheHits(), 1u);
+    EXPECT_EQ(engine.cacheSize(), 1u);
+
+    // Same cell in a later run: served from the cache.
+    auto again = engine.run({job});
+    EXPECT_TRUE(again[0].fromCache);
+    EXPECT_EQ(again[0].hist->counts(), batch[0].hist->counts());
+    EXPECT_EQ(engine.cacheHits(), 2u);
+
+    // A different cell misses.
+    harness::Job other = job;
+    other.inc = sim::Incantations::fromColumn(9);
+    auto miss = engine.run({other});
+    EXPECT_FALSE(miss[0].fromCache);
+    EXPECT_EQ(engine.cacheSize(), 2u);
+}
+
+TEST(EvalEngine, CacheCanBeDisabled)
+{
+    harness::RunConfig cfg;
+    cfg.iterations = 200;
+    harness::Job job =
+        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    EngineOptions opts;
+    opts.cache = false;
+    Engine engine(opts);
+    auto batch = engine.run({job, job});
+    EXPECT_FALSE(batch[0].fromCache);
+    EXPECT_FALSE(batch[1].fromCache);
+    EXPECT_EQ(engine.cacheHits(), 0u);
+    EXPECT_EQ(engine.cacheSize(), 0u);
+    // Still deterministic: both computed the same stream.
+    EXPECT_EQ(batch[0].hist->counts(), batch[1].hist->counts());
+}
+
+TEST(EvalEngine, ProgressCallbackCountsComputedJobs)
+{
+    size_t calls = 0;
+    size_t last_total = 0;
+    Engine engine;
+    // Four distinct cells plus an in-batch duplicate: the duplicate
+    // is an alias, not work, so it is never reported.
+    auto jobs = harness::Campaign()
+                    .iterations(100)
+                    .test(pl::mp(), "mp")
+                    .overColumns(1, 4)
+                    .jobs();
+    jobs.push_back(jobs.front());
+    engine.run(jobs, {},
+               [&](size_t done, size_t total, const EvalResult &) {
+                   ++calls;
+                   last_total = total;
+                   EXPECT_LE(done, total);
+               });
+    EXPECT_EQ(calls, 4u);
+    EXPECT_EQ(last_total, 4u);
+}
+
+TEST(EvalEngine, TableSinkShape)
+{
+    TableSink table("test", TableSink::byLabel(), TableSink::byColumn());
+    Engine engine;
+    engine.run(harness::Campaign()
+                   .iterations(200)
+                   .test(pl::mp(), "mp")
+                   .test(pl::sb(), "sb")
+                   .overColumns(9, 12),
+               {&table});
+    std::string rendered = table.render().str();
+    // Header: corner + the four columns; body: one row per test.
+    EXPECT_NE(rendered.find("test"), std::string::npos);
+    for (const char *col : {"9", "10", "11", "12"})
+        EXPECT_NE(rendered.find(col), std::string::npos);
+    EXPECT_NE(rendered.find("mp"), std::string::npos);
+    EXPECT_NE(rendered.find("sb"), std::string::npos);
+    // 1 header + 1 rule + 2 body rows.
+    size_t lines = 0;
+    for (char ch : rendered)
+        lines += ch == '\n';
+    EXPECT_EQ(lines, 4u);
 }
 
 } // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <sstream>
 
 #include "harness/campaign.h"
 #include "litmus/library.h"
@@ -169,7 +168,8 @@ TEST(Incantations, BankConflictsDampenInterCtaOnNvidia)
     EXPECT_GT(without_bank, with_bank);
 }
 
-// ---- campaign engine ------------------------------------------------
+// ---- campaign grid --------------------------------------------------
+// (The engine that runs the grid is tested in test_eval.cc.)
 
 TEST(Campaign, GridIsRowMajorTestChipColumn)
 {
@@ -234,175 +234,6 @@ TEST(Campaign, JobKeysDistinguishChipsAndColumns)
     EXPECT_EQ(a.key(), e.key());
     EXPECT_EQ(a.derivedSeed(), e.derivedSeed());
     EXPECT_NE(a.cacheKey(), e.cacheKey());
-}
-
-TEST(Campaign, DeterministicAcrossThreadCounts)
-{
-    // The full Tab. 6 grid (16 columns) on two chips: histograms must
-    // be bit-identical however the pool spreads the jobs.
-    auto sweep = [](int threads) {
-        EngineOptions opts;
-        opts.threads = threads;
-        opts.cache = false;
-        Engine engine(opts);
-        return Campaign()
-            .iterations(400)
-            .test(pl::mp(), "mp")
-            .overChips(std::vector<std::string>{"Titan", "HD7970"})
-            .overColumns(1, 16)
-            .run(engine);
-    };
-    auto serial = sweep(1);
-    auto parallel = sweep(8);
-    ASSERT_EQ(serial.size(), 32u);
-    ASSERT_EQ(parallel.size(), 32u);
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].hist.counts(), parallel[i].hist.counts())
-            << "cell " << i;
-        EXPECT_EQ(serial[i].hist.observed(),
-                  parallel[i].hist.observed());
-    }
-}
-
-TEST(Campaign, WrapperReproducesCampaignHistograms)
-{
-    // harness::run must be seed-identical to the same cell inside a
-    // batched campaign.
-    RunConfig cfg;
-    cfg.iterations = 1500;
-    cfg.inc = sim::Incantations::fromColumn(12);
-    litmus::Histogram direct = run(sim::chip("TesC"), pl::sb(), cfg);
-
-    Engine engine;
-    auto results =
-        engine.run({Job::fromConfig(sim::chip("TesC"), pl::sb(), cfg)});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(direct.counts(), results[0].hist.counts());
-    EXPECT_EQ(direct.observed(), results[0].hist.observed());
-}
-
-TEST(Campaign, CacheServesRepeatedCells)
-{
-    RunConfig cfg;
-    cfg.iterations = 300;
-    Job job = Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
-
-    Engine engine;
-    // Duplicate cell within one batch: computed once, aliased once.
-    // The alias keeps its own identity (label is not part of the
-    // cache key) while reusing the computed histogram.
-    Job renamed = job;
-    renamed.label = "renamed";
-    auto batch = engine.run({job, renamed});
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_FALSE(batch[0].fromCache);
-    EXPECT_TRUE(batch[1].fromCache);
-    EXPECT_EQ(batch[1].label(), "renamed");
-    EXPECT_EQ(batch[0].hist.counts(), batch[1].hist.counts());
-    EXPECT_EQ(engine.cacheHits(), 1u);
-    EXPECT_EQ(engine.cacheSize(), 1u);
-
-    // Same cell in a later run: served from the cache.
-    auto again = engine.run({job});
-    EXPECT_TRUE(again[0].fromCache);
-    EXPECT_EQ(again[0].hist.counts(), batch[0].hist.counts());
-    EXPECT_EQ(engine.cacheHits(), 2u);
-
-    // A different cell misses.
-    Job other = job;
-    other.inc = sim::Incantations::fromColumn(9);
-    auto miss = engine.run({other});
-    EXPECT_FALSE(miss[0].fromCache);
-    EXPECT_EQ(engine.cacheSize(), 2u);
-
-    engine.clearCache();
-    EXPECT_EQ(engine.cacheSize(), 0u);
-}
-
-TEST(Campaign, CacheCanBeDisabled)
-{
-    RunConfig cfg;
-    cfg.iterations = 200;
-    Job job = Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
-    EngineOptions opts;
-    opts.cache = false;
-    Engine engine(opts);
-    auto batch = engine.run({job, job});
-    EXPECT_FALSE(batch[0].fromCache);
-    EXPECT_FALSE(batch[1].fromCache);
-    EXPECT_EQ(engine.cacheHits(), 0u);
-    EXPECT_EQ(engine.cacheSize(), 0u);
-    // Still deterministic: both computed the same stream.
-    EXPECT_EQ(batch[0].hist.counts(), batch[1].hist.counts());
-}
-
-TEST(Campaign, TableSinkShape)
-{
-    TableSink table("test", TableSink::byLabel(),
-                    TableSink::byColumn());
-    Engine engine;
-    Campaign()
-        .iterations(200)
-        .test(pl::mp(), "mp")
-        .test(pl::sb(), "sb")
-        .overColumns(9, 12)
-        .run(engine, {&table});
-    std::string rendered = table.render().str();
-    // Header: corner + the four columns; body: one row per test.
-    EXPECT_NE(rendered.find("test"), std::string::npos);
-    for (const char *col : {"9", "10", "11", "12"})
-        EXPECT_NE(rendered.find(col), std::string::npos);
-    EXPECT_NE(rendered.find("mp"), std::string::npos);
-    EXPECT_NE(rendered.find("sb"), std::string::npos);
-    // 1 header + 1 rule + 2 body rows.
-    size_t lines = 0;
-    for (char ch : rendered)
-        lines += ch == '\n';
-    EXPECT_EQ(lines, 4u);
-}
-
-TEST(Campaign, JsonSinkShape)
-{
-    JsonSink json;
-    Engine engine;
-    auto results = Campaign()
-                       .iterations(200)
-                       .test(pl::mp(), "mp")
-                       .overColumns(15, 16)
-                       .run(engine, {&json});
-    ASSERT_EQ(json.size(), 2u);
-    std::ostringstream os;
-    json.writeTo(os);
-    std::string doc = os.str();
-    EXPECT_EQ(doc.front(), '[');
-    for (const char *field :
-         {"\"label\":\"mp\"", "\"chip\":\"Titan\"", "\"column\":15",
-          "\"column\":16", "\"iterations\":200", "\"obs_per_100k\":",
-          "\"counts\":{", "\"cached\":false"})
-        EXPECT_NE(doc.find(field), std::string::npos) << field;
-    // The JSON mirrors the returned results.
-    EXPECT_NE(doc.find("\"observed\":" + std::to_string(
-                           results[0].hist.observed())),
-              std::string::npos);
-}
-
-TEST(Campaign, ProgressCallbackCountsComputedJobs)
-{
-    size_t calls = 0;
-    size_t last_total = 0;
-    Engine engine;
-    Campaign()
-        .iterations(100)
-        .test(pl::mp(), "mp")
-        .overColumns(1, 4)
-        .run(engine, {},
-             [&](size_t done, size_t total, const JobResult &) {
-                 ++calls;
-                 last_total = total;
-                 EXPECT_LE(done, total);
-             });
-    EXPECT_EQ(calls, 4u);
-    EXPECT_EQ(last_total, 4u);
 }
 
 TEST(Campaign, DefaultJobsFromEnv)

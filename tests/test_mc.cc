@@ -487,7 +487,7 @@ TEST(McBackend, CampaignOverBackendsMixesSimMcAndModels)
     // 2 chips x 1 model verdict per chip cell (sim+exact collapse
     // into one upgraded cell per chip).
     ASSERT_EQ(conformance.cells().size(), 2u);
-    EXPECT_EQ(conformance.unsoundCells(), 0u);
+    EXPECT_EQ(conformance.count(eval::Conformance::Unsound), 0u);
     EXPECT_EQ(conformance.inconsistentCells(), 0u);
     for (const auto &cell : conformance.cells())
         EXPECT_TRUE(cell.hasExact) << cell.chip;
@@ -535,7 +535,7 @@ TEST(Conformance, ImpreciseUpgradesToRareWithWeight)
     EXPECT_TRUE(weak_rare);
     EXPECT_TRUE(cell.unobserved.empty());
     EXPECT_TRUE(cell.violations.empty());
-    EXPECT_EQ(sink.rareCells(), 1u);
+    EXPECT_EQ(sink.count(eval::Conformance::Rare), 1u);
 }
 
 TEST(Conformance, ImpreciseUpgradesToUnreachableOnStrongChip)
@@ -566,7 +566,7 @@ TEST(Conformance, ImpreciseUpgradesToUnreachableOnStrongChip)
     ASSERT_FALSE(cell.unreachable.empty());
     EXPECT_EQ(cell.unreachable[0], "1:r1=1; 1:r2=0;");
     EXPECT_TRUE(cell.violations.empty());
-    EXPECT_EQ(sink.unreachableCells(), 1u);
+    EXPECT_EQ(sink.count(eval::Conformance::Unreachable), 1u);
 }
 
 TEST(Conformance, BudgetExhaustionYieldsBoundedCell)
@@ -656,7 +656,7 @@ TEST(Conformance, ExactSetAgreesWithPtxOnCorpusSample)
         }
     }
     EXPECT_EQ(sink.cells().size(), 10u);
-    EXPECT_EQ(sink.unsoundCells(), 0u);
+    EXPECT_EQ(sink.count(eval::Conformance::Unsound), 0u);
     EXPECT_EQ(sink.inconsistentCells(), 0u);
 }
 

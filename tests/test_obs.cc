@@ -293,7 +293,7 @@ TEST_F(ObsTest, EngineTicksJobAndCacheCounters)
     std::vector<harness::Job> jobs = {simJob(pl::mp()),
                                       simJob(pl::sb()),
                                       simJob(pl::mp())}; // cache hit
-    harness::Engine engine;
+    eval::Engine engine;
     auto results = engine.run(jobs);
     ASSERT_EQ(results.size(), 3u);
 
@@ -361,7 +361,7 @@ TEST_F(ObsTest, BoundedExplorationReportsItsBudget)
 TEST_F(ObsTest, SweepBitIdenticalWithTelemetryOnAndOff)
 {
     auto sweep = []() {
-        harness::Engine engine;
+        eval::Engine engine;
         return engine.run({simJob(pl::mp(), 4000),
                            simJob(pl::sb(), 4000),
                            simJob(pl::lb(), 4000)});
@@ -378,7 +378,7 @@ TEST_F(ObsTest, SweepBitIdenticalWithTelemetryOnAndOff)
 
     ASSERT_EQ(on.size(), off.size());
     for (size_t i = 0; i < on.size(); ++i) {
-        EXPECT_EQ(on[i].hist.counts(), off[i].hist.counts());
+        EXPECT_EQ(on[i].hist->counts(), off[i].hist->counts());
         EXPECT_EQ(on[i].observedPer100k, off[i].observedPer100k);
     }
 }
@@ -531,7 +531,7 @@ TEST_F(ObsTest, MetricsCommandReportsEngineAndStoreTraffic)
     // The daemon runs the same engine as the batch path, so the same
     // grid ticks the same job counters: submit-vs-batch parity.
     obs::Registry::instance().reset();
-    harness::Engine batch;
+    eval::Engine batch;
     batch.run({simJob(pl::mp(), 1000)});
     EXPECT_EQ(obs::counter("engine_jobs_total").value(), 1u);
 

@@ -373,7 +373,9 @@ TEST(CampaignScenarios, AllScenariosUnderAllFourBackends)
         specs.push_back("scenario:" + s.name);
 
     harness::Campaign campaign;
-    campaign.iterations(200).overScenarios(specs);
+    campaign.iterations(200);
+    for (const auto &spec : specs)
+        campaign.scenario(spec);
     campaign.overBackends({harness::kSimBackend, harness::kMcBackend,
                            "ptx", "baseline"});
     auto jobs = campaign.jobs();

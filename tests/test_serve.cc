@@ -11,8 +11,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <cctype>
 #include <cstring>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "common/version.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -59,6 +62,13 @@ simJob(const litmus::Test &test, uint64_t iterations = 500,
         harness::Job::fromConfig(sim::chip("Titan"), test, cfg);
     job.label = test.name;
     return job;
+}
+
+/** A computed sim result, as the engine would store it. */
+eval::EvalResult
+simulate(const harness::Job &job)
+{
+    return eval::SimBackend().evaluate(job);
 }
 
 /** evalCellJson minus the provenance and timing fields (from_store,
@@ -129,17 +139,17 @@ TEST(Store, SimResultRoundTripsAcrossReopen)
 {
     TempDir dir("roundtrip");
     harness::Job job = simJob(pl::mp());
-    harness::JobResult computed = harness::runJob(job);
+    eval::EvalResult computed = simulate(job);
 
     {
         auto store = ResultStore::open(dir.str());
         ASSERT_NE(store, nullptr);
-        EXPECT_FALSE(store->fetchSim(job).has_value());
-        store->putSim(job, computed);
-        auto hit = store->fetchSim(job);
+        EXPECT_FALSE(store->fetchEval(job).has_value());
+        store->putEval(job, computed);
+        auto hit = store->fetchEval(job);
         ASSERT_TRUE(hit.has_value());
         EXPECT_TRUE(hit->fromStore);
-        EXPECT_EQ(hit->hist.counts(), computed.hist.counts());
+        EXPECT_EQ(hit->hist->counts(), computed.hist->counts());
         ASSERT_TRUE(store->flush());
     }
 
@@ -148,11 +158,11 @@ TEST(Store, SimResultRoundTripsAcrossReopen)
     auto store = ResultStore::open(dir.str());
     ASSERT_NE(store, nullptr);
     EXPECT_EQ(store->stats().loaded, 1u);
-    auto hit = store->fetchSim(job);
+    auto hit = store->fetchEval(job);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->hist.counts(), computed.hist.counts());
-    EXPECT_EQ(hit->hist.observed(), computed.hist.observed());
-    EXPECT_EQ(hit->hist.total(), computed.hist.total());
+    EXPECT_EQ(hit->hist->counts(), computed.hist->counts());
+    EXPECT_EQ(hit->hist->observed(), computed.hist->observed());
+    EXPECT_EQ(hit->hist->total(), computed.hist->total());
     EXPECT_EQ(hit->observedPer100k, computed.observedPer100k);
 }
 
@@ -214,7 +224,7 @@ TEST(Store, AbiMismatchResetsTheLog)
     {
         auto store = ResultStore::open(dir.str());
         ASSERT_NE(store, nullptr);
-        store->putSim(job, harness::runJob(job));
+        store->putEval(job, simulate(job));
         ASSERT_TRUE(store->flush());
     }
 
@@ -231,7 +241,7 @@ TEST(Store, AbiMismatchResetsTheLog)
     ASSERT_NE(store, nullptr);
     EXPECT_TRUE(store->stats().resetStale);
     EXPECT_EQ(store->size(), 0u);
-    EXPECT_FALSE(store->fetchSim(job).has_value());
+    EXPECT_FALSE(store->fetchEval(job).has_value());
 }
 
 TEST(Store, TornTailTruncatesToLastIntactRecord)
@@ -242,8 +252,8 @@ TEST(Store, TornTailTruncatesToLastIntactRecord)
     {
         auto store = ResultStore::open(dir.str());
         ASSERT_NE(store, nullptr);
-        store->putSim(a, harness::runJob(a));
-        store->putSim(b, harness::runJob(b));
+        store->putEval(a, simulate(a));
+        store->putEval(b, simulate(b));
         ASSERT_TRUE(store->flush());
     }
 
@@ -257,12 +267,12 @@ TEST(Store, TornTailTruncatesToLastIntactRecord)
     ASSERT_NE(store, nullptr);
     EXPECT_EQ(store->stats().loaded, 1u);
     EXPECT_GT(store->stats().truncatedBytes, 0u);
-    EXPECT_TRUE(store->fetchSim(a).has_value());
-    EXPECT_FALSE(store->fetchSim(b).has_value());
+    EXPECT_TRUE(store->fetchEval(a).has_value());
+    EXPECT_FALSE(store->fetchEval(b).has_value());
 
     // The truncation repaired the log: appends keep working and the
     // next open sees a clean file.
-    store->putSim(b, harness::runJob(b));
+    store->putEval(b, simulate(b));
     ASSERT_TRUE(store->flush());
     store.reset();
     auto reopened = ResultStore::open(dir.str());
@@ -280,10 +290,10 @@ TEST(Store, BitFlipInvalidatesFromTheFlippedRecordOn)
     {
         auto store = ResultStore::open(dir.str());
         ASSERT_NE(store, nullptr);
-        store->putSim(a, harness::runJob(a));
+        store->putEval(a, simulate(a));
         ASSERT_TRUE(store->flush());
         first_record_end = fs::file_size(dir.str() + "/results.log");
-        store->putSim(b, harness::runJob(b));
+        store->putEval(b, simulate(b));
         ASSERT_TRUE(store->flush());
     }
 
@@ -304,8 +314,8 @@ TEST(Store, BitFlipInvalidatesFromTheFlippedRecordOn)
     ASSERT_NE(store, nullptr);
     EXPECT_EQ(store->stats().loaded, 1u);
     EXPECT_GT(store->stats().truncatedBytes, 0u);
-    EXPECT_TRUE(store->fetchSim(a).has_value());
-    EXPECT_FALSE(store->fetchSim(b).has_value());
+    EXPECT_TRUE(store->fetchEval(a).has_value());
+    EXPECT_FALSE(store->fetchEval(b).has_value());
 }
 
 TEST(Store, CompactionEvictsOldestWhenOverCap)
@@ -319,16 +329,16 @@ TEST(Store, CompactionEvictsOldestWhenOverCap)
 
     // Distinct digests via the seed axis; enough records to overflow
     // the cap several times.
-    harness::JobResult computed = harness::runJob(simJob(pl::mp()));
+    eval::EvalResult computed = simulate(simJob(pl::mp()));
     for (uint64_t seed = 1; seed <= 40; ++seed) {
         harness::Job job = simJob(pl::mp(), 500, seed);
-        store->putSim(job, computed);
+        store->putEval(job, computed);
     }
     EXPECT_GT(store->stats().evicted, 0u);
     EXPECT_LT(store->size(), 40u);
     // Newest record survives; the oldest was evicted.
-    EXPECT_TRUE(store->fetchSim(simJob(pl::mp(), 500, 40)));
-    EXPECT_FALSE(store->fetchSim(simJob(pl::mp(), 500, 1)));
+    EXPECT_TRUE(store->fetchEval(simJob(pl::mp(), 500, 40)));
+    EXPECT_FALSE(store->fetchEval(simJob(pl::mp(), 500, 1)));
 
     // The compacted log is valid on reopen.
     size_t live = store->size();
@@ -391,8 +401,11 @@ TEST(Store, WarmEngineRunIsBitIdenticalToCold)
     EXPECT_EQ(store->stats().misses, 0u);
 }
 
-TEST(Store, HarnessEngineUsesTheStore)
+TEST(Store, EngineStoreHitsTickTheFromStoreCounter)
 {
+    // A sweep-shaped (sim-only) batch reads through the store like
+    // any other: a fresh engine (empty L1) is answered from the L2,
+    // and every such answer is counted.
     TempDir dir("simstore");
     harness::Job job = simJob(pl::mp());
     litmus::Histogram direct = harness::runJob(job).hist;
@@ -402,21 +415,26 @@ TEST(Store, HarnessEngineUsesTheStore)
     auto store = ResultStore::open(dir.str(), sopts);
     ASSERT_NE(store, nullptr);
 
-    harness::EngineOptions eopts;
+    eval::EngineOptions eopts;
     eopts.store = store.get();
     {
-        harness::Engine engine(eopts);
+        eval::Engine engine(eopts);
         auto cold = engine.run({job});
         ASSERT_EQ(cold.size(), 1u);
         EXPECT_FALSE(cold[0].fromStore);
     }
+    uint64_t before =
+        obs::counter("engine_jobs_from_store_total").value();
     {
-        // A fresh harness engine (empty L1) hits the L2 store.
-        harness::Engine engine(eopts);
+        eval::Engine engine(eopts);
         auto warm = engine.run({job});
         ASSERT_EQ(warm.size(), 1u);
         EXPECT_TRUE(warm[0].fromStore);
-        EXPECT_EQ(warm[0].hist.counts(), direct.counts());
+        EXPECT_EQ(warm[0].hist->counts(), direct.counts());
+    }
+    if (obs::enabled()) {
+        EXPECT_EQ(obs::counter("engine_jobs_from_store_total").value(),
+                  before + 1);
     }
 }
 
@@ -437,6 +455,115 @@ TEST(Protocol, ParseRejectsMalformedRequests)
     EXPECT_FALSE(
         parseRequest("{\"cmd\":\"sweep\",\"tests\":[42]}", &error)
             .has_value());
+    // Negative counts are errors, not ~2^64 iterations or replays.
+    EXPECT_FALSE(parseRequest("{\"cmd\":\"explore\",\"budget\":-5}",
+                              &error)
+                     .has_value());
+    EXPECT_NE(error.find("budget"), std::string::npos);
+    EXPECT_FALSE(
+        parseRequest("{\"cmd\":\"validate\",\"iterations\":-1}", &error)
+            .has_value());
+    EXPECT_NE(error.find("iterations"), std::string::npos);
+}
+
+TEST(Protocol, AbsentOrZeroIterationsMeanTheDefault)
+{
+    std::string error;
+    for (const char *line :
+         {"{\"cmd\":\"validate\"}",
+          "{\"cmd\":\"validate\",\"iterations\":0}"}) {
+        auto req = parseRequest(line, &error);
+        ASSERT_TRUE(req.has_value()) << error;
+        EXPECT_EQ(req->iterations, harness::defaultIterations());
+    }
+    auto req = parseRequest("{\"cmd\":\"validate\",\"iterations\":7}",
+                            &error);
+    ASSERT_TRUE(req.has_value()) << error;
+    EXPECT_EQ(req->iterations, 7u);
+}
+
+/** The cache identities and labels of a plan, in job order. */
+std::vector<std::pair<uint64_t, std::string>>
+planCells(const Request &req)
+{
+    Plan plan;
+    std::string error;
+    EXPECT_TRUE(planJobs(req, &plan, &error)) << error;
+    std::vector<std::pair<uint64_t, std::string>> out;
+    for (const auto &job : plan.jobs)
+        out.push_back({job.cacheKey(), job.backend + ":" + job.label});
+    return out;
+}
+
+TEST(Protocol, FlagsPlanLikeTheEquivalentWireLine)
+{
+    // The batch commands plan requestFromFlags(...); the daemon plans
+    // parseRequest(line). Same flags, same wire fields: same plan.
+    struct Case
+    {
+        std::string cmd;
+        std::vector<std::string> tests;
+        std::map<std::string, std::string> flags;
+        std::string line;
+    };
+    const std::vector<Case> cases = {
+        {"sweep",
+         {"mp"},
+         {{"chips", "Titan, HD6570"}, {"columns", "9-12"},
+          {"iterations", "300"}},
+         "{\"cmd\":\"sweep\",\"tests\":[\"mp\"],"
+         "\"chips\":[\"Titan\",\"HD6570\"],\"columns\":[9,10,11,12],"
+         "\"iterations\":300}"},
+        {"validate",
+         {"mp", "scenario:cas_spinlock", "sb"},
+         {{"exact", "true"}, {"budget", "4096"}, {"iterations", "200"},
+          {"models", "ptx,sc"}, {"seed", "9"}, {"column", "12"}},
+         "{\"cmd\":\"validate\",\"tests\":[\"mp\","
+         "\"scenario:cas_spinlock\",\"sb\"],\"exact\":true,"
+         "\"budget\":4096,\"iterations\":200,"
+         "\"models\":[\"ptx\",\"sc\"],\"seed\":9,\"column\":12}"},
+        {"explore",
+         {"mp", "scenario:seqlock,fenced=1"},
+         {{"chips", "all"}, {"models", "none"}, {"budget", "1000"}},
+         "{\"cmd\":\"explore\",\"tests\":[\"mp\","
+         "\"scenario:seqlock,fenced=1\"],\"chips\":[\"all\"],"
+         "\"models\":[\"none\"],\"budget\":1000}"},
+    };
+    for (const auto &c : cases) {
+        std::string error;
+        auto from_flags =
+            requestFromFlags(c.cmd, c.tests, c.flags, &error);
+        ASSERT_TRUE(from_flags.has_value()) << c.cmd << ": " << error;
+        auto from_wire = parseRequest(c.line, &error);
+        ASSERT_TRUE(from_wire.has_value()) << c.cmd << ": " << error;
+        auto cells = planCells(*from_flags);
+        EXPECT_FALSE(cells.empty()) << c.cmd;
+        EXPECT_EQ(cells, planCells(*from_wire)) << c.cmd;
+    }
+}
+
+TEST(Protocol, FlagsRejectBadValues)
+{
+    std::string error;
+    EXPECT_FALSE(requestFromFlags("explore", {"mp"},
+                                  {{"budget", "-5"}}, &error));
+    EXPECT_NE(error.find("--budget must be >= 0"), std::string::npos);
+    EXPECT_FALSE(requestFromFlags("validate", {"mp"},
+                                  {{"iterations", "lots"}}, &error));
+    EXPECT_NE(error.find("--iterations expects an integer"),
+              std::string::npos);
+    EXPECT_FALSE(
+        requestFromFlags("sweep", {"mp"}, {{"columns", "0-3"}}, &error));
+    EXPECT_FALSE(
+        requestFromFlags("validate", {"mp"}, {{"column", "17"}}, &error));
+    EXPECT_FALSE(requestFromFlags("validate", {"no/such.litmus"}, {},
+                                  &error));
+    EXPECT_NE(error.find("cannot open"), std::string::npos);
+    // --iterations 0 is passed through: zero work, not the default.
+    auto zero = requestFromFlags("validate", {"mp"},
+                                 {{"iterations", "0"}}, &error);
+    ASSERT_TRUE(zero.has_value()) << error;
+    EXPECT_EQ(zero->iterations, 0u);
 }
 
 TEST(Protocol, RenderParseRoundTrip)
@@ -600,6 +727,41 @@ TEST(Serve, HandshakeCarriesTheAbiStamp)
     EXPECT_EQ(hello->getString("abi"), gpulitmus::kAbiVersionString);
 }
 
+TEST(Serve, OversizedRequestLineIsRefusedAndTheDaemonLivesOn)
+{
+    TestServer ts("bigline");
+    ASSERT_NE(ts.server, nullptr);
+    std::string error;
+    {
+        auto client = Client::connectUnix(ts.socket, &error);
+        ASSERT_NE(client, nullptr) << error;
+        std::string line;
+        ASSERT_TRUE(client->readLine(&line)); // hello
+        // Twice the cap before any newline: the daemon stops reading,
+        // so the tail of this write may fail — only the answer counts.
+        (void)client->sendLine(
+            std::string(2 * kMaxRequestLineBytes, 'x'));
+        ASSERT_TRUE(client->readLine(&line, &error)) << error;
+        auto event = json::parse(line);
+        ASSERT_TRUE(event.has_value());
+        EXPECT_EQ(event->getString("event"), "error");
+        // ASSERT: without the cap the connection stays open and the
+        // readLine below would block.
+        ASSERT_NE(event->getString("message").find("exceeds"),
+                  std::string::npos);
+        // ... and the connection is closed.
+        EXPECT_FALSE(client->readLine(&line));
+    }
+    // A second client is still served.
+    Request req;
+    req.cmd = "list";
+    req.id = "after-flood";
+    Collected got = submitAndCollect(ts.socket, req);
+    EXPECT_EQ(got.exit, 0) << got.error;
+    EXPECT_NE(std::find(got.kinds.begin(), got.kinds.end(), "list"),
+              got.kinds.end());
+}
+
 TEST(Serve, UnknownCommandYieldsErrorEventNotDisconnect)
 {
     TestServer ts("badcmd");
@@ -754,7 +916,7 @@ TEST(Serve, JournalReplayCompletesInterruptedRequests)
     EXPECT_TRUE(
         fs::is_empty(store_dir.path / "pending"));
     harness::Job job = simJob(pl::mp(), 500);
-    EXPECT_TRUE(server->store()->fetchSim(job).has_value());
+    EXPECT_TRUE(server->store()->fetchEval(job).has_value());
 }
 
 } // namespace

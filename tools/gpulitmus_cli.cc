@@ -3,14 +3,15 @@
  * The gpulitmus command-line tool — the workflow of the paper's
  * litmus/herd/diy tools behind one binary.
  *
- * Everywhere a test is named, either a .litmus file path or a
- * registry-scenario spec `scenario:<name>[,k=v...]` (e.g.
- * `scenario:spinlock_dot_product,threads=3,fenced=1`) is accepted;
- * `gpulitmus list` enumerates the registry.
+ * Everywhere a test is named, a .litmus file path, a registry-scenario
+ * spec `scenario:<name>[,k=v...]` (e.g.
+ * `scenario:spinlock_dot_product,threads=3,fenced=1`) or a built-in
+ * paper-library id (e.g. `mp`) is accepted; `gpulitmus list`
+ * enumerates the registry and the library.
  *
  *   gpulitmus run <test> [--chip NAME] [--iterations N]
  *            [--column 1..16]            run a test on a simulated chip
- *   gpulitmus sweep <test> [--chips A,B] [--columns 1-16]
+ *   gpulitmus sweep <test...> [--chips A,B] [--columns 1-16]
  *            [--jobs N] [--iterations N] [--json FILE]
  *                                        batched campaign over a
  *                                        (chip x column) grid
@@ -82,9 +83,13 @@
  *                                        --json emits the raw event
  *                                        lines for scripting
  *
- * `sweep`, `validate` and `explore` also accept --store DIR to reuse
- * the daemon's durable result store without a daemon: the second run
- * of the same campaign answers from disk.
+ * `sweep`, `validate` and `explore` are in-process clients of the
+ * daemon's planner: their flags become the serve::Request `submit`
+ * would send, planned by serve::planJobs and run on eval::Engine, so a
+ * batch run and a served one evaluate the same cells. They also
+ * accept --store DIR to reuse the daemon's durable result store
+ * without a daemon: the second run of the same campaign answers from
+ * disk.
  *
  * Every command accepts `--trace FILE`: spans for the run (requests,
  * jobs, explorations) are written as Chrome trace-event JSON, ready
@@ -106,8 +111,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
-#include <sstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,7 +124,6 @@
 #include "gen/generator.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
-#include "litmus/parser.h"
 #include "model/baseline.h"
 #include "model/checker.h"
 #include "obs/metrics.h"
@@ -129,7 +132,6 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/store.h"
-#include "opt/amd.h"
 #include "opt/optcheck.h"
 #include "opt/ptxas.h"
 
@@ -155,35 +157,27 @@ struct Args
         return it == flags.end() ? fallback : it->second;
     }
 
-    /** Integer flag value, or `fallback` when the flag is absent. A
-     * malformed value is a usage error (exit 1), never a silent
-     * fallback. */
+    /** Integer flag value (serve::intFlag), or `fallback` when the
+     * flag is absent. A malformed value is a usage error (exit 1),
+     * never a silent fallback. */
     int64_t
-    getInt(const std::string &name, int64_t fallback) const
+    getInt(const std::string &name, int64_t fallback,
+           bool count = false) const
     {
-        auto it = flags.find(name);
-        if (it == flags.end())
-            return fallback;
-        auto v = parseInt(it->second);
+        std::string error;
+        auto v = serve::intFlag(flags, name, fallback, count, &error);
         if (!v)
-            usageError("--" + name + " expects an integer" +
-                       (it->second == "true"
-                            ? std::string()
-                            : ", got '" + it->second + "'"));
+            usageError(error);
         return *v;
     }
 
     /** getInt for counts (budget, iterations, jobs, ...): a negative
-     * value is a usage error too, rather than wrapping to a huge
-     * unsigned count. */
+     * value is a usage error too. */
     uint64_t
     getCount(const std::string &name, uint64_t fallback) const
     {
-        int64_t v = getInt(name, static_cast<int64_t>(fallback));
-        if (v < 0)
-            usageError("--" + name + " must be >= 0, got " +
-                       std::to_string(v));
-        return static_cast<uint64_t>(v);
+        return static_cast<uint64_t>(
+            getInt(name, static_cast<int64_t>(fallback), true));
     }
 
     [[noreturn]] static void
@@ -222,105 +216,25 @@ parseArgs(int argc, char **argv, int start)
     return args;
 }
 
-/** A test plus the micro-step floor its source recommends (registry
- * scenarios with spin loops need more headroom than the default). */
-struct LoadedTest
-{
-    litmus::Test test;
-    int minMicroSteps = 0;
-};
-
 /**
- * Resolve one positional test argument: a registry-scenario spec
- * ("scenario:<name>[,k=v...]") or a .litmus file path. Prints the
- * diagnostic and returns nullopt on failure.
+ * Resolve one test argument — a .litmus path, a registry-scenario spec
+ * ("scenario:<name>[,k=v...]") or a paper-library id — exactly as the
+ * planner resolves a request's tests. Prints the diagnostic and
+ * returns nullopt on failure.
  */
-std::optional<LoadedTest>
+std::optional<serve::LoadedTest>
 loadTest(const std::string &arg)
 {
-    if (scenario::isSpec(arg)) {
-        std::string error;
-        auto built = scenario::buildSpec(arg, &error);
-        if (!built) {
-            std::cerr << "error: " << error << "\n";
-            return std::nullopt;
-        }
-        return LoadedTest{std::move(built->test),
-                          built->maxMicroSteps};
-    }
-    std::ifstream in(arg);
-    if (!in) {
-        std::cerr << "error: cannot open '" << arg << "'\n";
+    std::string error;
+    auto spec = serve::testSpecFor(arg, &error);
+    if (!spec) {
+        std::cerr << "error: " << error << "\n";
         return std::nullopt;
     }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    litmus::ParseError err;
-    auto test = litmus::parseTest(buffer.str(), &err);
-    if (!test) {
-        std::cerr << "error: " << arg;
-        if (err.line > 0)
-            std::cerr << ":" << err.line;
-        std::cerr << ": " << err.message << "\n";
-        return std::nullopt;
-    }
-    return LoadedTest{std::move(*test), 0};
-}
-
-/**
- * Resolve a model backend id, or fail hard: an unknown --model name
- * is a usage error (exit 1) with the valid names listed, never a
- * silent fallback. Returns null after printing the error.
- */
-std::shared_ptr<const eval::AxiomBackend>
-modelBackendByName(const std::string &name)
-{
-    std::string error;
-    auto backend = eval::modelBackendByName(name, &error);
-    if (!backend)
-        std::cerr << "error: " << error << "\n";
-    return backend;
-}
-
-/**
- * Open the --store directory when the flag is present: the durable
- * result store (serve/store.h) slots in behind the engine cache, so a
- * repeated campaign answers from disk. nullptr without the flag;
- * prints the error and sets `failed` when the flag is present but the
- * store cannot open (a requested store that silently vanishes would
- * turn "instant warm run" into a full recompute).
- */
-std::unique_ptr<serve::ResultStore>
-openStoreFlag(const Args &args, bool *failed)
-{
-    *failed = false;
-    if (!args.has("store"))
-        return nullptr;
-    serve::StoreOptions opts;
-    opts.maxBytes = args.getCount("max-store-bytes", 0);
-    // Offline CLI use: skip the per-flush fsync; torn-tail recovery
-    // covers a crash, and the OS flushes on exit anyway.
-    opts.syncOnFlush = false;
-    std::string error;
-    auto store = serve::ResultStore::open(args.get("store", ""),
-                                          opts, &error);
-    if (!store) {
-        std::cerr << "error: " << error << "\n";
-        *failed = true;
-        return nullptr;
-    }
-    return store;
-}
-
-/** One-line store epilogue: how much of the campaign came from disk
- * and what was added (the cold/warm signal BENCH_serve.json gates). */
-void
-printStoreStats(const serve::ResultStore &store)
-{
-    serve::StoreStats s = store.stats();
-    std::cout << "store " << store.dir() << ": " << s.hits
-              << " hits, " << s.misses << " misses, " << s.appends
-              << " new records (" << store.size() << " total)\n";
+    auto loaded = serve::resolveTest(*spec, &error);
+    if (!loaded)
+        std::cerr << "error: " << arg << ": " << error << "\n";
+    return loaded;
 }
 
 int
@@ -346,18 +260,16 @@ cmdRun(const Args &args)
     const sim::ChipProfile &chip =
         sim::chip(args.get("chip", "Titan"));
 
-    litmus::Test to_run = loaded->test;
-    if (chip.isAmd()) {
-        auto compiled = opt::amdCompile(to_run, chip);
-        for (const auto &q : compiled.quirks)
-            std::cout << "compile note: " << q << "\n";
-        if (compiled.miscompiled) {
-            std::cout << "test miscompiled for " << chip.shortName
-                      << ": result is n/a\n";
-            return 2;
-        }
-        to_run = compiled.compiled;
+    std::vector<std::string> quirks;
+    auto compiled = eval::compileForChip(loaded->test, chip, &quirks);
+    for (const auto &q : quirks)
+        std::cout << "compile note: " << q << "\n";
+    if (!compiled) {
+        std::cout << "test miscompiled for " << chip.shortName
+                  << ": result is n/a\n";
+        return 2;
     }
+    const litmus::Test &to_run = *compiled;
 
     std::cout << "chip: " << chip.vendor << " " << chip.chipName
               << "; incantations: " << cfg.inc.str() << "; "
@@ -370,140 +282,177 @@ cmdRun(const Args &args)
     return 0;
 }
 
-/** Parse a --columns spec: "1-16", "9", or "1,5,9". */
-std::vector<int>
-parseColumns(const std::string &spec)
+/** A batch command, planned: its request, the plan, the --store the
+ * engine reads through (may be null) and the engine itself. */
+struct Batch
 {
-    std::vector<int> out;
-    for (const auto &part : split(spec, ',')) {
-        auto dash = part.find('-');
-        if (dash != std::string::npos) {
-            auto lo = parseInt(part.substr(0, dash));
-            auto hi = parseInt(part.substr(dash + 1));
-            // Bounds-check before expanding so a typo'd range cannot
-            // balloon the list.
-            if (!lo || !hi || *lo > *hi || *lo < 1 || *hi > 16)
-                return {};
-            for (int64_t c = *lo; c <= *hi; ++c)
-                out.push_back(static_cast<int>(c));
-        } else {
-            auto c = parseInt(part);
-            if (!c || *c < 1 || *c > 16)
-                return {};
-            out.push_back(static_cast<int>(*c));
+    serve::Request req;
+    serve::Plan plan;
+    std::unique_ptr<serve::ResultStore> store;
+    std::unique_ptr<eval::Engine> engine;
+};
+
+/**
+ * The batch commands' front half: the command line as a serve::Request
+ * (the same one `submit` would send), planned in-process by the
+ * daemon's own planner, and an engine with --jobs workers over the
+ * --store. Planner notes go to stderr. nullopt after printing the
+ * error.
+ */
+std::optional<Batch>
+planBatch(const std::string &cmd, const Args &args)
+{
+    std::string error;
+    auto req = serve::requestFromFlags(cmd, args.positional, args.flags,
+                                       &error);
+    if (!req) {
+        std::cerr << "error: " << error << "\n";
+        return std::nullopt;
+    }
+    Batch batch;
+    batch.req = std::move(*req);
+    bool planned = serve::planJobs(batch.req, &batch.plan, &error);
+    for (const auto &note : batch.plan.notes)
+        std::cerr << note << "\n";
+    if (!planned) {
+        std::cerr << "error: " << error << "\n";
+        for (const auto &cell : batch.plan.skipped)
+            std::cerr << "  " << cell << "\n";
+        return std::nullopt;
+    }
+    // --store DIR: the durable result store (serve/store.h) slots in
+    // behind the engine cache, so a repeated campaign answers from
+    // disk. A requested store that cannot open is an error — silently
+    // dropping it would turn "instant warm run" into a full recompute.
+    if (args.has("store")) {
+        serve::StoreOptions sopts;
+        sopts.maxBytes = args.getCount("max-store-bytes", 0);
+        // Offline CLI use: skip the per-flush fsync; torn-tail
+        // recovery covers a crash, and the OS flushes on exit anyway.
+        sopts.syncOnFlush = false;
+        batch.store = serve::ResultStore::open(args.get("store", ""),
+                                               sopts, &error);
+        if (!batch.store) {
+            std::cerr << "error: " << error << "\n";
+            return std::nullopt;
         }
     }
-    return out;
+    eval::EngineOptions opts;
+    opts.threads = static_cast<int>(args.getCount("jobs", 0));
+    opts.store = batch.store.get();
+    batch.engine = std::make_unique<eval::Engine>(opts);
+    return batch;
+}
+
+/** A stderr progress line every `n` computed jobs. The denominator is
+ * computed jobs: cells served from the cache or deduped onto a
+ * batch-mate (model cells across chips) are never reported, so it is
+ * below the result count by design. */
+eval::ProgressFn
+progressEvery(size_t n)
+{
+    return [n](size_t done, size_t total, const eval::EvalResult &) {
+        if (done % n == 0 || done == total)
+            std::cerr << "  computed " << done << "/" << total
+                      << " jobs\r";
+    };
+}
+
+/**
+ * Honour --json FILE (bare --json: `fallback`): `write(path)` the
+ * document, then print `lead` + "wrote <path>" + `tail`. Returns
+ * `exit_code`, or on a write failure 1 — unless the run already
+ * failed a check: exit 2 is the documented signal CI keys on and
+ * outranks the IO error.
+ */
+template <typename Write>
+int
+writeJsonFlag(const Args &args, const std::string &fallback,
+              int exit_code, Write write, const std::string &lead = "",
+              const std::string &tail = "")
+{
+    if (!args.has("json"))
+        return exit_code;
+    std::string path = args.get("json", fallback);
+    if (path == "true")
+        path = fallback;
+    if (!write(path)) {
+        std::cerr << "error: cannot write '" << path << "'\n";
+        return exit_code == 2 ? 2 : 1;
+    }
+    std::cout << lead << "wrote " << path << tail << "\n";
+    return exit_code;
+}
+
+/** Flush the --store and print the one-line epilogue: how much of
+ * the campaign came from disk and what was added (the cold/warm
+ * signal BENCH_serve.json gates). */
+void
+finishStore(serve::ResultStore *store)
+{
+    if (!store)
+        return;
+    store->flush();
+    serve::StoreStats s = store->stats();
+    std::cout << "store " << store->dir() << ": " << s.hits
+              << " hits, " << s.misses << " misses, " << s.appends
+              << " new records (" << store->size() << " total)\n";
 }
 
 int
 cmdSweep(const Args &args)
 {
     if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus sweep <test> [--chips"
+        std::cerr << "usage: gpulitmus sweep <test...> [--chips"
                      " A,B] [--columns 1-16] [--jobs N]"
                      " [--iterations N] [--seed S] [--json FILE]"
                      " [--store DIR]\n";
         return 1;
     }
-    auto loaded = loadTest(args.positional[0]);
-    if (!loaded)
+    auto batch = planBatch("sweep", args);
+    if (!batch)
         return 1;
-    const litmus::Test &test = loaded->test;
+    const serve::Request &req = batch->req;
+    const serve::Plan &plan = batch->plan;
+    eval::Engine &engine = *batch->engine;
 
-    std::vector<int> columns =
-        parseColumns(args.get("columns", "1-16"));
-    if (columns.empty()) {
-        std::cerr << "error: invalid --columns '"
-                  << args.get("columns", "1-16")
-                  << "' (want e.g. 1-16, 9 or 1,5,9)\n";
-        return 1;
+    std::vector<std::string> tests;
+    for (const auto &job : plan.jobs) {
+        if (std::find(tests.begin(), tests.end(), job.label) ==
+            tests.end())
+            tests.push_back(job.label);
     }
-
-    harness::RunConfig cfg;
-    cfg.iterations =
-        args.getCount("iterations", harness::defaultIterations());
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
-    cfg.maxMicroSteps =
-        std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
-
-    // Per-chip test compilation (AMD chips run what their OpenCL
-    // compiler produces); miscompiled chips drop out of the grid.
-    harness::Campaign campaign;
-    campaign.base(cfg);
-    std::vector<std::string> skipped;
-    for (const auto &name : split(args.get("chips", "Titan"), ',')) {
-        const sim::ChipProfile &chip = sim::chip(trim(name));
-        litmus::Test to_run = test;
-        if (chip.isAmd()) {
-            auto compiled = opt::amdCompile(to_run, chip);
-            for (const auto &q : compiled.quirks)
-                std::cerr << "compile note (" << chip.shortName
-                          << "): " << q << "\n";
-            if (compiled.miscompiled) {
-                skipped.push_back(chip.shortName);
-                continue;
-            }
-            to_run = compiled.compiled;
-        }
-        for (int col : columns) {
-            harness::Job job =
-                harness::Job::fromConfig(chip, to_run, cfg);
-            job.inc = sim::Incantations::fromColumn(col);
-            campaign.add(std::move(job));
-        }
-    }
-
-    bool store_failed = false;
-    auto store = openStoreFlag(args, &store_failed);
-    if (store_failed)
-        return 1;
-
-    harness::EngineOptions eopts;
-    eopts.threads = static_cast<int>(args.getCount("jobs", 0));
-    eopts.store = store.get();
-    harness::Engine engine(eopts);
-
-    harness::TableSink table("chip", harness::TableSink::byChip(),
-                             harness::TableSink::byColumn());
-    harness::JsonSink json;
-    std::vector<harness::ResultSink *> sinks{&table};
+    // One row per chip; a multi-test sweep keys rows by test too.
+    eval::TableSink table(
+        "chip",
+        tests.size() == 1
+            ? eval::TableSink::byChip()
+            : [](const eval::EvalResult &r) {
+                  return r.label() + "@" + r.chip().shortName;
+              },
+        eval::TableSink::byColumn());
+    eval::JsonSink json;
+    std::vector<eval::EvalSink *> sinks{&table};
     if (args.has("json"))
         sinks.push_back(&json);
 
-    std::cout << "sweep: " << test.name << ", " << cfg.iterations
-              << " iterations/cell, " << engine.threads()
-              << " worker threads\n\n";
-    auto results = campaign.run(engine, sinks);
+    std::cout << "sweep: " << join(tests, ", ") << ", "
+              << req.iterations << " iterations/cell, "
+              << engine.threads() << " worker threads\n\n";
+    auto results = engine.run(plan.jobs, sinks);
     table.render().print(std::cout);
-    for (const auto &name : skipped)
-        std::cout << name << ": miscompiled (n/a)\n";
-    if (store) {
-        store->flush();
-        printStoreStats(*store);
-    }
-
-    if (args.has("json")) {
-        std::string path = args.get("json", "sweep.json");
-        if (path == "true") // bare --json
-            path = "sweep.json";
-        if (!json.writeFile(path)) {
-            std::cerr << "error: cannot write '" << path << "'\n";
-            return 1;
-        }
-        std::cout << "\nwrote " << path << " (" << json.size()
-                  << " cells)\n";
-    }
+    for (const auto &cell : plan.skipped)
+        std::cout << cell << ": miscompiled (n/a)\n";
+    finishStore(batch->store.get());
 
     // Exit 2 when a ~exists condition was observed anywhere in the
     // grid, mirroring `run`.
-    if (test.quantifier == litmus::Quantifier::NotExists) {
-        for (const auto &r : results) {
-            if (r.hist.observed() > 0)
-                return 2;
-        }
-    }
-    return 0;
+    int exit_code =
+        serve::summarize(req, results, eval::ConformanceSink{}).exit;
+    return writeJsonFlag(
+        args, "sweep.json", exit_code,
+        [&](const std::string &path) { return json.writeFile(path); },
+        "\n", " (" + std::to_string(json.size()) + " cells)");
 }
 
 int
@@ -527,9 +476,13 @@ cmdCheck(const Args &args)
                      "loops, Sec. 5.5); use the sim or mc backends\n";
         return 1;
     }
-    auto backend = modelBackendByName(args.get("model", "ptx"));
-    if (!backend)
+    std::string error;
+    auto backend =
+        eval::modelBackendByName(args.get("model", "ptx"), &error);
+    if (!backend) {
+        std::cerr << "error: " << error << "\n";
         return 1;
+    }
     const cat::Model &m = backend->model();
     model::Checker checker(m);
     model::Verdict v = checker.check(test);
@@ -566,165 +519,37 @@ int
 cmdValidate(const Args &args)
 {
     if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus validate <file.litmus...>"
-                     " [--models A,B] [--chips A,B] [--column 1..16]"
-                     " [--jobs N] [--iterations N] [--seed S]"
-                     " [--exact] [--budget N] [--json FILE]"
+        std::cerr << "usage: gpulitmus validate <test...>"
+                     " [--models A,B] [--chips A,B|all]"
+                     " [--column 1..16] [--jobs N] [--iterations N]"
+                     " [--seed S] [--exact] [--budget N] [--json FILE]"
                      " [--store DIR]\n";
         return 1;
     }
-
-    // Resolve the model backends up front: a typo'd --models entry is
-    // a usage error before any simulation runs.
-    std::vector<std::string> models;
-    for (const auto &name : split(args.get("models", "ptx"), ',')) {
-        std::string id = trim(name);
-        if (id == harness::kSimBackend) {
-            std::cerr << "error: --models lists model backends; the"
-                         " simulator side is implicit\n";
-            return 1;
-        }
-        if (!modelBackendByName(id))
-            return 1;
-        models.push_back(id);
-    }
-
-    int column = static_cast<int>(args.getCount("column", 16));
-    harness::RunConfig cfg;
-    cfg.iterations =
-        args.getCount("iterations", harness::defaultIterations());
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
-    cfg.inc = sim::Incantations::fromColumn(column);
-
-    // Default chip set: the Nvidia chips of the paper's result rows
-    // (the models target PTX; AMD chips can be named explicitly and
-    // run what their OpenCL compiler produces).
-    std::vector<sim::ChipProfile> chips;
-    if (args.has("chips")) {
-        for (const auto &name : split(args.get("chips", ""), ','))
-            chips.push_back(sim::chip(trim(name)));
-    } else {
-        for (const auto &c : sim::resultChips()) {
-            if (c.isNvidia())
-                chips.push_back(c);
-        }
-    }
-
-    // Load the corpus; tests outside the model's scope (.ca /
-    // volatile accesses, Sec. 5.5) are excluded exactly as in the
-    // paper.
-    size_t out_of_scope = 0;
-    std::vector<LoadedTest> tests;
-    for (const auto &path : args.positional) {
-        auto loaded = loadTest(path);
-        if (!loaded)
-            return 1;
-        if (!model::inModelScope(loaded->test)) {
-            std::cerr << "note: " << path
-                      << " is outside the model scope (.ca/volatile/"
-                         "loops, Sec. 5.5); skipped\n";
-            ++out_of_scope;
-            continue;
-        }
-        tests.push_back(std::move(*loaded));
-    }
-    if (tests.empty()) {
-        std::cerr << "error: no in-scope tests to validate\n";
+    auto batch = planBatch("validate", args);
+    if (!batch)
         return 1;
-    }
+    const serve::Request &req = batch->req;
+    const serve::Plan &plan = batch->plan;
+    eval::Engine &engine = *batch->engine;
 
-    // Build the mixed-backend job list. Each chip runs the test as it
-    // would actually execute it (AMD chips compile through the
-    // simulated OpenCL compiler), and the model jobs carry the same
-    // compiled text so the conformance join compares like with like.
-    harness::Campaign campaign;
-    std::vector<std::string> skipped;
-    for (const auto &lt : tests) {
-        const litmus::Test &test = lt.test;
-        harness::RunConfig test_cfg = cfg;
-        test_cfg.maxMicroSteps =
-            std::max(cfg.maxMicroSteps, lt.minMicroSteps);
-        for (const auto &chip : chips) {
-            std::vector<std::string> quirks;
-            auto to_run = eval::compileForChip(test, chip, &quirks);
-            for (const auto &q : quirks)
-                std::cerr << "compile note (" << chip.shortName
-                          << "): " << q << "\n";
-            if (!to_run) {
-                skipped.push_back(test.name + " on " + chip.shortName);
-                continue;
-            }
-            harness::Job sim_job =
-                harness::Job::fromConfig(chip, *to_run, test_cfg);
-            sim_job.label = test.name;
-            campaign.add(sim_job);
-            if (args.has("exact")) {
-                // One exhaustive exploration per simulated cell, so
-                // the conformance join can upgrade imprecise
-                // verdicts to rare/unreachable.
-                harness::Job mc_job = sim_job;
-                mc_job.backend = harness::kMcBackend;
-                mc_job.iterations = args.getCount("budget", 1 << 20);
-                campaign.add(std::move(mc_job));
-            }
-            for (const auto &model : models) {
-                harness::Job model_job = sim_job;
-                model_job.backend = model;
-                model_job.label = test.name;
-                campaign.add(std::move(model_job));
-            }
-        }
-    }
-
-    auto jobs = campaign.jobs();
-    if (jobs.empty()) {
-        // Every (test, chip) cell dropped out as miscompiled: there
-        // is nothing to validate, which must not read as success.
-        std::cerr << "error: nothing to validate — every cell was"
-                     " miscompiled:\n";
-        for (const auto &cell : skipped)
-            std::cerr << "  " << cell << "\n";
-        return 1;
-    }
-
-    bool store_failed = false;
-    auto store = openStoreFlag(args, &store_failed);
-    if (store_failed)
-        return 1;
-
-    eval::EngineOptions eopts;
-    eopts.threads = static_cast<int>(args.getCount("jobs", 0));
-    eopts.store = store.get();
-    eval::Engine engine(eopts);
-
-    std::cout << "validate: " << tests.size() << " tests";
-    if (out_of_scope > 0)
-        std::cout << " (+" << out_of_scope << " out of scope)";
-    std::cout << ", " << chips.size() << " chips, models "
-              << join(models, ",") << ", " << cfg.iterations
-              << " iterations/cell, column " << column << ", "
+    std::cout << "validate: " << req.tests.size() - plan.outOfScope
+              << " tests";
+    if (plan.outOfScope > 0)
+        std::cout << " (+" << plan.outOfScope << " out of scope)";
+    std::cout << ", " << plan.chips.size() << " chips, models "
+              << join(plan.models, ",") << ", " << req.iterations
+              << " iterations/cell, column " << req.column << ", "
               << engine.threads() << " worker threads\n\n";
 
     eval::ConformanceSink conformance;
-    // The denominator is computed jobs: cells served from the cache
-    // or deduped onto a batch-mate (model cells across chips) are
-    // never reported, so this count is below the summary's cell
-    // count by design.
-    auto progress = [](size_t done, size_t total,
-                       const eval::EvalResult &) {
-        if (done % 50 == 0 || done == total)
-            std::cerr << "  computed " << done << "/" << total
-                      << " jobs\r";
-    };
-    engine.run(jobs, {&conformance}, progress);
+    auto results =
+        engine.run(plan.jobs, {&conformance}, progressEvery(50));
     std::cerr << "\n";
 
     conformance.summary().print(std::cout);
-    const auto &cells = conformance.cells();
-    size_t unsound = 0;
-    for (const auto &cell : cells) {
+    for (const auto &cell : conformance.cells()) {
         if (cell.kind == eval::Conformance::Unsound) {
-            ++unsound;
             std::cout << "UNSOUND: " << cell.test << " on "
                       << cell.chip << " (column " << cell.column
                       << ", model " << cell.model
@@ -738,43 +563,29 @@ cmdValidate(const Args &args)
                       << cell.chip << ": sampled '" << key
                       << "' escaped the exhaustive exploration\n";
     }
-    for (const auto &cell : skipped)
+    for (const auto &cell : plan.skipped)
         std::cout << cell << ": miscompiled (n/a)\n";
-
-    std::cout << "\n" << cells.size() << " cells: "
-              << conformance.soundCells() << " sound, " << unsound
-              << " unsound, " << conformance.impreciseCells()
-              << " imprecise";
-    if (args.has("exact")) {
-        std::cout << ", " << conformance.rareCells() << " rare, "
-                  << conformance.unreachableCells()
-                  << " unreachable, " << conformance.boundedCells()
-                  << " bounded";
-    }
-    std::cout << "\n";
-
-    if (store) {
-        store->flush();
-        printStoreStats(*store);
-    }
 
     // An explorer/simulator divergence is as fatal as unsoundness:
     // the tool's own invariant (sampled outcomes stay inside the
     // exact set) failed, so nothing it printed can be trusted.
-    bool failed = unsound > 0 || conformance.inconsistentCells() > 0;
-    if (args.has("json")) {
-        std::string path = args.get("json", "validate.json");
-        if (path == "true") // bare --json
-            path = "validate.json";
-        if (!conformance.writeFile(path)) {
-            std::cerr << "error: cannot write '" << path << "'\n";
-            // An unsound model still outranks the IO error: exit 2
-            // is the documented signal CI keys on.
-            return failed ? 2 : 1;
-        }
-        std::cout << "wrote " << path << "\n";
+    serve::Outcome outcome = serve::summarize(req, results, conformance);
+    std::cout << "\n" << outcome.cells << " cells: " << outcome.sound
+              << " sound, " << outcome.unsound << " unsound, "
+              << outcome.imprecise << " imprecise";
+    if (req.exact) {
+        std::cout << ", " << outcome.rare << " rare, "
+                  << outcome.unreachable << " unreachable, "
+                  << conformance.count(eval::Conformance::Bounded)
+                  << " bounded";
     }
-    return failed ? 2 : 0;
+    std::cout << "\n";
+    finishStore(batch->store.get());
+
+    return writeJsonFlag(args, "validate.json", outcome.exit,
+                         [&](const std::string &path) {
+                             return conformance.writeFile(path);
+                         });
 }
 
 /**
@@ -795,105 +606,22 @@ cmdExplore(const Args &args)
                      " [--json FILE] [--store DIR]\n";
         return 1;
     }
-
-    std::vector<sim::ChipProfile> chips;
-    std::string chips_arg = args.get("chips", "Titan");
-    if (chips_arg == "all") {
-        chips = sim::allChips();
-    } else {
-        for (const auto &name : split(chips_arg, ','))
-            chips.push_back(sim::chip(trim(name)));
-    }
-
-    std::vector<std::string> models;
-    std::string models_arg = args.get("models", "ptx");
-    if (models_arg != "none") {
-        for (const auto &name : split(models_arg, ',')) {
-            std::string id = trim(name);
-            if (!modelBackendByName(id))
-                return 1;
-            models.push_back(id);
-        }
-    }
-
-    int column = static_cast<int>(args.getCount("column", 16));
-    harness::RunConfig cfg;
-    cfg.inc = sim::Incantations::fromColumn(column);
-    cfg.iterations = args.getCount("budget", 1 << 20);
-
-    harness::Campaign campaign;
-    std::vector<std::string> skipped;
-    size_t out_of_scope = 0;
-    for (const auto &path : args.positional) {
-        auto loaded = loadTest(path);
-        if (!loaded)
-            return 1;
-        const litmus::Test &test = loaded->test;
-        harness::RunConfig test_cfg = cfg;
-        test_cfg.maxMicroSteps =
-            std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
-        // Out-of-scope tests (.ca/volatile/loops, Sec. 5.5) still
-        // explore —
-        // the reachable set is a property of the machine — but skip
-        // the model join, exactly as `validate` skips them.
-        bool in_scope = model::inModelScope(test);
-        if (!in_scope)
-            ++out_of_scope;
-        for (const auto &chip : chips) {
-            std::vector<std::string> quirks;
-            auto to_run = eval::compileForChip(test, chip, &quirks);
-            for (const auto &q : quirks)
-                std::cerr << "compile note (" << chip.shortName
-                          << "): " << q << "\n";
-            if (!to_run) {
-                skipped.push_back(test.name + " on " +
-                                  chip.shortName);
-                continue;
-            }
-            harness::Job mc_job =
-                harness::Job::fromConfig(chip, *to_run, test_cfg);
-            mc_job.backend = harness::kMcBackend;
-            mc_job.label = test.name;
-            campaign.add(mc_job);
-            if (in_scope) {
-                for (const auto &model : models) {
-                    harness::Job model_job = mc_job;
-                    model_job.backend = model;
-                    campaign.add(std::move(model_job));
-                }
-            }
-        }
-    }
-
-    auto jobs = campaign.jobs();
-    if (jobs.empty()) {
-        std::cerr << "error: nothing to explore — every cell was"
-                     " miscompiled:\n";
-        for (const auto &cell : skipped)
-            std::cerr << "  " << cell << "\n";
+    auto batch = planBatch("explore", args);
+    if (!batch)
         return 1;
-    }
+    const serve::Request &req = batch->req;
+    const serve::Plan &plan = batch->plan;
+    eval::Engine &engine = *batch->engine;
 
-    bool store_failed = false;
-    auto store = openStoreFlag(args, &store_failed);
-    if (store_failed)
-        return 1;
-
-    eval::EngineOptions eopts;
-    eopts.threads = static_cast<int>(args.getCount("jobs", 0));
-    eopts.store = store.get();
-    eval::Engine engine(eopts);
-
-    std::cout << "explore: " << args.positional.size() << " tests";
-    if (out_of_scope > 0)
-        std::cout << " (" << out_of_scope
+    std::cout << "explore: " << req.tests.size() << " tests";
+    if (plan.outOfScope > 0)
+        std::cout << " (" << plan.outOfScope
                   << " outside the model scope)";
-    std::cout << ", " << chips.size() << " chips, budget "
-              << cfg.iterations << " replays/cell"
-              << ", column " << column
-              << ", models "
-              << (models.empty() ? std::string("none")
-                                 : join(models, ","))
+    std::cout << ", " << plan.chips.size() << " chips, budget "
+              << req.budget << " replays/cell"
+              << ", column " << req.column << ", models "
+              << (plan.models.empty() ? std::string("none")
+                                      : join(plan.models, ","))
               << ", " << engine.threads() << " worker threads\n\n";
 
     eval::ConformanceSink conformance;
@@ -901,13 +629,7 @@ cmdExplore(const Args &args)
     std::vector<eval::EvalSink *> sinks{&conformance};
     if (args.has("json"))
         sinks.push_back(&json);
-    auto progress = [](size_t done, size_t total,
-                       const eval::EvalResult &) {
-        if (done % 10 == 0 || done == total)
-            std::cerr << "  computed " << done << "/" << total
-                      << " jobs\r";
-    };
-    auto results = engine.run(jobs, sinks, progress);
+    auto results = engine.run(plan.jobs, sinks, progressEvery(10));
     std::cerr << "\n";
 
     // A reachable satisfying state of a ~exists test (an application
@@ -917,14 +639,10 @@ cmdExplore(const Args &args)
     // proven (complete), proven for all terminating executions
     // (fairComplete — spin-loop scenarios), or merely unobserved
     // within the budget.
-    size_t bounded = 0;
-    size_t forbidden_reachable = 0;
     for (const auto &r : results) {
         if (!r.hasExact() || r.fromCache)
             continue;
         const mc::ExploreResult &x = *r.exact;
-        if (!x.complete && !x.fairComplete)
-            ++bounded;
         std::cout << r.label() << "@" << x.chipName << " (column "
                   << x.column << "): " << x.finals.size()
                   << " reachable states, "
@@ -956,7 +674,6 @@ cmdExplore(const Args &args)
         if (r.job->test.quantifier != litmus::Quantifier::NotExists)
             continue;
         if (!x.satisfying.empty()) {
-            ++forbidden_reachable;
             std::cout << "  FORBIDDEN-REACHABLE (definitive):";
             for (const auto &key : x.satisfying)
                 std::cout << " '" << key << "'";
@@ -975,14 +692,12 @@ cmdExplore(const Args &args)
         }
     }
 
-    size_t unsound = 0;
-    if (!models.empty()) {
+    if (!plan.models.empty()) {
         std::cout << "\n";
         conformance.summary().print(std::cout);
         for (const auto &cell : conformance.cells()) {
             if (cell.kind != eval::Conformance::Unsound)
                 continue;
-            ++unsound;
             std::cout << "UNSOUND: " << cell.test << " on "
                       << cell.chip << " (model " << cell.model
                       << "): reachable-but-forbidden";
@@ -991,32 +706,21 @@ cmdExplore(const Args &args)
             std::cout << "\n";
         }
     }
-    for (const auto &cell : skipped)
+    serve::Outcome outcome = serve::summarize(req, results, conformance);
+    for (const auto &cell : plan.skipped)
         std::cout << cell << ": miscompiled (n/a)\n";
-    if (bounded > 0)
-        std::cout << bounded << " cells hit the budget (bounded"
+    if (outcome.bounded > 0)
+        std::cout << outcome.bounded << " cells hit the budget (bounded"
                      " verdicts); raise --budget for exact sets\n";
-    if (forbidden_reachable > 0)
-        std::cout << forbidden_reachable
+    if (outcome.forbiddenReachable > 0)
+        std::cout << outcome.forbiddenReachable
                   << " cells reach their forbidden condition\n";
-    if (store) {
-        store->flush();
-        printStoreStats(*store);
-    }
+    finishStore(batch->store.get());
 
-    bool failed = unsound > 0 || forbidden_reachable > 0;
-    if (args.has("json")) {
-        std::string path = args.get("json", "explore.json");
-        if (path == "true") // bare --json
-            path = "explore.json";
-        if (!json.writeFile(path)) {
-            std::cerr << "error: cannot write '" << path << "'\n";
-            return failed ? 2 : 1;
-        }
-        std::cout << "wrote " << path << " (" << json.size()
-                  << " cells)\n";
-    }
-    return failed ? 2 : 0;
+    return writeJsonFlag(
+        args, "explore.json", outcome.exit,
+        [&](const std::string &path) { return json.writeFile(path); },
+        "", " (" + std::to_string(json.size()) + " cells)");
 }
 
 int
@@ -1204,84 +908,7 @@ cmdList(const Args &args)
     }
 
     if (args.has("json")) {
-        // The ABI generation leads: it is what decides whether a
-        // result store (or a serve daemon) built by another binary is
-        // compatible with this one.
-        std::string out = "{\"abi\":\"";
-        out += kAbiVersionString;
-        out += "\",\"abi_version\":" + std::to_string(kAbiVersion);
-        out += ",\"scenarios\":[";
-        bool first = true;
-        for (const auto &s : scenario::all()) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "{\"name\":\"" + jsonEscape(s.name) + "\",";
-            out += "\"spec\":\"scenario:" + jsonEscape(s.name) +
-                   "\",";
-            out += "\"summary\":\"" + jsonEscape(s.summary) + "\",";
-            out += "\"paper\":\"" + jsonEscape(s.paperRef) + "\",";
-            out += "\"max_micro_steps\":" +
-                   std::to_string(s.maxMicroSteps) + ",";
-            out += "\"params\":[";
-            bool pfirst = true;
-            for (const auto &p : s.params) {
-                if (!pfirst)
-                    out += ",";
-                pfirst = false;
-                out += "{\"name\":\"" + jsonEscape(p.name) +
-                       "\",\"default\":" +
-                       std::to_string(p.defaultValue) +
-                       ",\"help\":\"" + jsonEscape(p.help) + "\"}";
-            }
-            out += "]}";
-        }
-        out += "],\"library\":[";
-        first = true;
-        for (const auto &t : litmus::paperlib::allTests()) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "{\"id\":\"" + jsonEscape(t.id) +
-                   "\",\"section\":\"" + jsonEscape(t.section) +
-                   "\"}";
-        }
-        out += "],\"corpus\":[";
-        first = true;
-        for (const auto &f : corpus_files) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "\"" + jsonEscape(f) + "\"";
-        }
-        out += "],\"chips\":[";
-        first = true;
-        for (const auto &c : sim::allChips()) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "{\"name\":\"" + jsonEscape(c.shortName) +
-                   "\",\"vendor\":\"" + jsonEscape(c.vendor) +
-                   "\",\"chip\":\"" + jsonEscape(c.chipName) + "\"}";
-        }
-        out += "],\"models\":[";
-        first = true;
-        for (const auto &m : eval::builtinModelNames()) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "\"" + jsonEscape(m) + "\"";
-        }
-        out += "],\"backends\":[";
-        first = true;
-        for (const auto &b : eval::builtinBackendNames()) {
-            if (!first)
-                out += ",";
-            first = false;
-            out += "\"" + jsonEscape(b) + "\"";
-        }
-        out += "]}";
-        std::cout << out << "\n";
+        std::cout << "{" << serve::registryJson(corpus_files) << "}\n";
         return 0;
     }
 
@@ -1362,8 +989,8 @@ cmdModels()
 /**
  * The persistent validation daemon (docs/SERVE.md): listen on a Unix
  * socket and/or loopback TCP, plan requests through the same planner
- * the batch commands mirror, answer repeats from the durable result
- * store. SIGINT/SIGTERM drain in-flight requests, flush the store and
+ * the batch commands run in-process, answer repeats from the durable
+ * result store. SIGINT/SIGTERM drain in-flight requests, flush the store and
  * exit 0 — the clean shutdown CI asserts.
  */
 int
@@ -1455,48 +1082,17 @@ cmdSubmit(const Args &args)
         return 1;
     }
 
-    serve::Request req;
-    req.cmd = args.positional[0];
-    req.id = args.get("id", "cli");
-    for (size_t i = 1; i < args.positional.size(); ++i) {
-        const std::string &arg = args.positional[i];
-        serve::TestSpec spec;
-        if (scenario::isSpec(arg)) {
-            spec.spec = arg;
-        } else if (std::filesystem::exists(arg)) {
-            // Ship the file's text, not its path: the daemon may not
-            // share this filesystem.
-            std::ifstream in(arg);
-            std::stringstream buffer;
-            buffer << in.rdbuf();
-            spec.source = buffer.str();
-        } else {
-            spec.name = arg; // a paper-library id
-        }
-        req.tests.push_back(std::move(spec));
+    // The same flags->request translation the batch commands plan
+    // in-process; only the transport differs.
+    std::string error;
+    std::vector<std::string> tests(args.positional.begin() + 1,
+                                   args.positional.end());
+    auto req = serve::requestFromFlags(args.positional[0], tests,
+                                       args.flags, &error);
+    if (!req) {
+        std::cerr << "error: " << error << "\n";
+        return 1;
     }
-    if (args.has("chips")) {
-        for (const auto &c : split(args.get("chips", ""), ','))
-            req.chips.push_back(trim(c));
-    }
-    if (args.has("models")) {
-        for (const auto &m : split(args.get("models", ""), ','))
-            req.models.push_back(trim(m));
-    }
-    if (args.has("columns")) {
-        req.columns = parseColumns(args.get("columns", ""));
-        if (req.columns.empty()) {
-            std::cerr << "error: invalid --columns '"
-                      << args.get("columns", "")
-                      << "' (want e.g. 1-16, 9 or 1,5,9)\n";
-            return 1;
-        }
-    }
-    req.column = static_cast<int>(args.getCount("column", 16));
-    req.iterations = args.getCount("iterations", 0);
-    req.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
-    req.budget = args.getCount("budget", 1 << 20);
-    req.exact = args.has("exact");
 
     auto client = connectFlag(args);
     if (!client)
@@ -1542,8 +1138,7 @@ cmdSubmit(const Args &args)
         }
     };
 
-    std::string error;
-    int exit_code = client->submit(req, onEvent, &error);
+    int exit_code = client->submit(*req, onEvent, &error);
     if (exit_code < 0) {
         std::cerr << "error: " << error << "\n";
         return 1;
