@@ -18,31 +18,39 @@
 #include "harness/campaign.h"
 #include "litmus/library.h"
 #include "model/checker.h"
-#include "sim/machine.h"
 
 using namespace gpulitmus;
 
 namespace {
 
+/** Sampling iterations through harness::runJob, the path every sim
+ * cell takes (outcomes recorded by digest); items/s is iterations/s.
+ * Each benchmark iteration is one 1,000-iteration job. */
+void
+simulateJobs(benchmark::State &state, const char *chip,
+             const litmus::Test &test)
+{
+    harness::RunConfig cfg;
+    cfg.iterations = 1000;
+    const harness::Job job =
+        harness::Job::fromConfig(sim::chip(chip), test, cfg);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(harness::runJob(job));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(cfg.iterations));
+}
+
 void
 BM_SimulatorIteration(benchmark::State &state)
 {
-    litmus::Test test = litmus::paperlib::mp();
-    sim::Machine machine(sim::chip("Titan"), test, {});
-    Rng rng(1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(machine.run(rng));
+    simulateJobs(state, "Titan", litmus::paperlib::mp());
 }
 BENCHMARK(BM_SimulatorIteration);
 
 void
 BM_SimulatorIterationSpinLock(benchmark::State &state)
 {
-    litmus::Test test = litmus::paperlib::casSl(false);
-    sim::Machine machine(sim::chip("TesC"), test, {});
-    Rng rng(2);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(machine.run(rng));
+    simulateJobs(state, "TesC", litmus::paperlib::casSl(false));
 }
 BENCHMARK(BM_SimulatorIterationSpinLock);
 

@@ -16,12 +16,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 void
@@ -32,34 +26,6 @@ Rng::reseed(uint64_t seed)
         s = splitmix64(x);
 }
 
-uint64_t
-Rng::next()
-{
-    uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-uint64_t
-Rng::below(uint64_t bound)
-{
-    if (bound == 0)
-        panic("Rng::below called with bound 0");
-    // Rejection sampling to avoid modulo bias.
-    uint64_t threshold = -bound % bound;
-    for (;;) {
-        uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
 int64_t
 Rng::range(int64_t lo, int64_t hi)
 {
@@ -67,22 +33,6 @@ Rng::range(int64_t lo, int64_t hi)
         panic("Rng::range called with lo > hi");
     uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
     return lo + static_cast<int64_t>(below(span));
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 Rng

@@ -15,11 +15,18 @@
 #include <cstdint>
 #include <utility>
 
+#include "common/log.h"
+
 namespace gpulitmus {
 
 /**
  * xoshiro256** PRNG (Blackman & Vigna). Deterministic, seedable, fast,
  * and with far better statistical properties than rand().
+ *
+ * The per-draw members (next/below/uniform/chance) are defined inline
+ * here: the sampler draws tens of times per simulated iteration, and
+ * inlining them into sim::RngChoice removes a call per draw. The
+ * arithmetic — and therefore every seeded stream — is unchanged.
  */
 class Rng
 {
@@ -31,19 +38,55 @@ class Rng
     void reseed(uint64_t seed);
 
     /** Next raw 64-bit output. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound). bound must be > 0. */
-    uint64_t below(uint64_t bound);
+    uint64_t
+    below(uint64_t bound)
+    {
+        if (bound == 0)
+            panic("Rng::below called with bound 0");
+        // Rejection sampling to avoid modulo bias.
+        uint64_t threshold = -bound % bound;
+        for (;;) {
+            uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t range(int64_t lo, int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability p of true. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Fisher-Yates shuffle of a random-access container. */
     template <typename Vec>
@@ -62,6 +105,12 @@ class Rng
     Rng split();
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
 };
 

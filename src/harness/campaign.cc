@@ -11,6 +11,7 @@
 #include "common/strutil.h"
 #include "obs/metrics.h"
 #include "scenario/registry.h"
+#include "sim/outcomes.h"
 
 namespace gpulitmus::harness {
 
@@ -235,10 +236,24 @@ runJob(Job job)
     // the test, and every run draws only from the job-derived RNG.
     sim::Machine &machine = machineFor(*owned);
     Rng rng(owned->derivedSeed());
+    sim::RngChoice choices(rng);
 
+    // Record by outcome digest: only a run whose digest is new
+    // materialises its final state and renders its key (see
+    // sim/outcomes.h); the histogram is filled once at the end. The
+    // draws are exactly those of Machine::run(Rng&), so the result is
+    // bit-identical to recording each run's final state.
+    sim::OutcomeTable outcomes(owned->test);
+    std::vector<uint64_t> counts;
     auto start = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < owned->iterations; ++i)
-        result.hist.record(machine.run(rng));
+    for (uint64_t i = 0; i < owned->iterations; ++i) {
+        machine.runLight(choices);
+        uint32_t id = outcomes.idOf(machine);
+        if (id >= counts.size())
+            counts.resize(id + 1, 0);
+        ++counts[id];
+    }
+    outcomes.fill(result.hist, counts);
     auto end = std::chrono::steady_clock::now();
     result.millis =
         std::chrono::duration<double, std::milli>(end - start).count();
@@ -246,6 +261,8 @@ runJob(Job job)
     if (obs::enabled()) {
         obs::counter("sim_jobs_total").add();
         obs::counter("sim_iterations_total").add(owned->iterations);
+        obs::counter("sim_outcomes_materialised_total")
+            .add(outcomes.materialised());
     }
 
     if (result.hist.total() > 0) {

@@ -380,6 +380,12 @@ parseTest(const std::string &text, ParseError *error)
         return std::nullopt;
     }
 
+    std::string limit = test.limitError();
+    if (!limit.empty()) {
+        if (error)
+            error->message = limit;
+        return std::nullopt;
+    }
     test.validate();
     return test;
 }

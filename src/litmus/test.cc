@@ -99,6 +99,35 @@ Test::observedLocs() const
     return locs;
 }
 
+std::string
+Test::limitError() const
+{
+    if (locations.size() > static_cast<size_t>(maxLocations))
+        return strprintf("test uses %zu locations; at most %d are"
+                         " supported",
+                         locations.size(), maxLocations);
+    for (int t = 0; t < program.numThreads(); ++t) {
+        // The registers the machine allocates for the thread: every
+        // register an instruction reads or writes, plus its inits.
+        std::set<std::string> regs;
+        for (const auto &i : program.threads[t].instrs) {
+            for (auto &r : i.regsRead())
+                regs.insert(std::move(r));
+            if (!i.dst.empty())
+                regs.insert(i.dst);
+        }
+        for (const auto &r : regInits) {
+            if (r.tid == t)
+                regs.insert(r.reg);
+        }
+        if (regs.size() > static_cast<size_t>(maxRegisters))
+            return strprintf("T%d uses %zu registers; at most %d are"
+                             " supported",
+                             t, regs.size(), maxRegisters);
+    }
+    return "";
+}
+
 void
 Test::validate() const
 {

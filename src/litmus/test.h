@@ -93,6 +93,19 @@ struct Test
 
     /** Validate internal consistency (thread counts, labels, locs). */
     void validate() const;
+
+    /**
+     * Simulator limits: the machine tracks a thread's pending
+     * registers and the written/touched locations as 64-bit masks.
+     * The parsers reject tests beyond them (limitError), so a hostile
+     * input gets a parse error instead of reaching the machine.
+     */
+    static constexpr int maxRegisters = 64; ///< per thread
+    static constexpr int maxLocations = 64;
+
+    /** Empty when the test is within the limits above; otherwise a
+     * message naming the first limit exceeded. */
+    std::string limitError() const;
 };
 
 /**

@@ -8,18 +8,18 @@
 
 #include "common/hash.h"
 #include "common/log.h"
-#include "litmus/outcome.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/outcomes.h"
 
 namespace gpulitmus::mc {
 
 namespace {
 
 /**
- * Outcome-key weights, indexed by interned outcome id. The search
- * folds reachability counts up the spine on every cut and pop;
- * keeping them as flat integer vectors (the interner owns the one
+ * Outcome-key weights, indexed by outcome-table id (sim/outcomes.h).
+ * The search folds reachability counts up the spine on every cut and
+ * pop; keeping them as flat integer vectors (the table owns the one
  * copy of each outcome string) makes that folding allocation-free
  * arithmetic instead of string-keyed map merges. Ids are dense and
  * few (a litmus test has a handful of distinct outcomes), so the
@@ -43,24 +43,6 @@ bumpWeight(Weights &dst, uint32_t id)
         dst.resize(id + 1, 0);
     ++dst[id];
 }
-
-/** Outcome-string interner: one stored string per distinct outcome,
- * dense ids for the hot-path accounting. */
-struct KeyInterner
-{
-    std::unordered_map<std::string, uint32_t> ids;
-    std::vector<const std::string *> names; ///< id -> stored key
-
-    uint32_t
-    intern(std::string &&key)
-    {
-        auto [it, fresh] = ids.emplace(
-            std::move(key), static_cast<uint32_t>(names.size()));
-        if (fresh)
-            names.push_back(&it->first);
-        return it->second;
-    }
-};
 
 /** One materialised node of the choice tree (a position in the
  * current DFS trace). Node slots are pooled: the trace vector never
@@ -138,23 +120,17 @@ struct VisitEntry
 struct Walker final : sim::ChoiceProvider
 {
     const ExploreOptions *opts;
-    const litmus::Test *test;
     sim::Machine machine;
-    litmus::Histogram keyer; ///< outcome-key renderer only
-    KeyInterner interner;    ///< outcome key <-> dense id
-    std::vector<uint8_t> satFlags; ///< by outcome id
+    /** Leaf outcomes -> dense ids, memoised by final-state digest:
+     * repeat outcomes (the overwhelming majority of leaves) skip the
+     * final-state materialisation, key rendering and condition
+     * evaluation entirely. */
+    sim::OutcomeTable outcomes;
 
     /** Pooled node slots; the live DFS spine is trace[0..traceLen). */
     std::vector<Node> trace;
     size_t traceLen = 0;
     Weights rootFinals;
-    /** Leaf memo: final-state digest -> interned outcome id. Repeat
-     * outcomes (the overwhelming majority of leaves) skip the
-     * final-state materialisation, key rendering and condition
-     * evaluation entirely. Unused in debug mode, which collects
-     * every leaf the PR-3 way. */
-    std::unordered_map<Digest128, uint32_t, Digest128::Hasher>
-        outcomeIds;
     /** The state memo. Digest-keyed on the fast path; string-keyed
      * (the PR-3 scheme, kept for cross-checking) in debug mode. Only
      * the map matching opts->debugStateKeys is ever populated. */
@@ -190,7 +166,7 @@ struct Walker final : sim::ChoiceProvider
 
     Walker(const sim::ChipProfile &chip, const litmus::Test &t,
            const ExploreOptions *o)
-        : opts(o), test(&t), machine(chip, t, o->machine), keyer(t)
+        : opts(o), machine(chip, t, o->machine), outcomes(t)
     {
         nIds = static_cast<size_t>(t.program.numThreads()) +
                static_cast<size_t>(chip.numSMs);
@@ -542,32 +518,16 @@ struct Walker final : sim::ChoiceProvider
 
     // ---- the search -------------------------------------------------
 
-    /** Interned outcome id of the machine's just-finished leaf,
-     * memoised by final-state digest on the fast path. Debug mode
-     * materialises every leaf (the PR-3 behaviour), so the two modes
-     * cross-check the digest memo as well as the state keys. */
+    /** Outcome id of the machine's just-finished leaf, memoised by
+     * final-state digest on the fast path. Debug mode materialises
+     * every leaf (the PR-3 behaviour), so the two modes cross-check
+     * the digest memo as well as the state keys. */
     uint32_t
     leafOutcomeId()
     {
-        auto record = [&]() {
-            litmus::FinalState st = machine.finalState();
-            std::string k = keyer.keyFor(st);
-            bool sat = test->condition.eval(st);
-            uint32_t id = interner.intern(std::move(k));
-            if (sat) {
-                if (satFlags.size() <= id)
-                    satFlags.resize(id + 1, 0);
-                satFlags[id] = 1;
-            }
-            return id;
-        };
         if (opts->debugStateKeys)
-            return record();
-        auto [it, fresh] =
-            outcomeIds.try_emplace(machine.outcomeDigest(), 0);
-        if (fresh)
-            it->second = record();
-        return it->second;
+            return outcomes.intern(machine.finalState());
+        return outcomes.idOf(machine);
     }
 
     // ---- the search loop --------------------------------------------
@@ -712,9 +672,9 @@ struct Explorer::Impl
         for (uint32_t id = 0; id < walker.rootFinals.size(); ++id) {
             if (walker.rootFinals[id] == 0)
                 continue;
-            const std::string &name = *walker.interner.names[id];
+            const std::string &name = walker.outcomes.key(id);
             result.finals[name] = walker.rootFinals[id];
-            if (id < walker.satFlags.size() && walker.satFlags[id])
+            if (walker.outcomes.satisfies(id))
                 result.satisfying.insert(name);
             result.paths += walker.rootFinals[id];
         }

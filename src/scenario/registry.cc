@@ -221,7 +221,14 @@ buildSpec(const std::string &spec, std::string *error)
     auto args = parseArgs(s->params, argtext, error);
     if (!args)
         return std::nullopt;
-    return SpecTest{s->build(*args), s, s->maxMicroSteps};
+    litmus::Test test = s->build(*args);
+    std::string limit = test.limitError();
+    if (!limit.empty()) {
+        if (error)
+            *error = "scenario '" + name + "': " + limit;
+        return std::nullopt;
+    }
+    return SpecTest{std::move(test), s, s->maxMicroSteps};
 }
 
 } // namespace gpulitmus::scenario

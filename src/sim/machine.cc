@@ -1,6 +1,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.h"
 
@@ -68,8 +69,11 @@ Machine::regIndex(int tid, const std::string &name)
         if (names[i] == name)
             return static_cast<int>(i);
     }
-    if (names.size() >= 64)
-        fatal("thread %d uses more than 64 registers", tid);
+    // The parsers reject tests over the limit (Test::limitError), so
+    // reaching it here is a bug: the scoreboard is a 64-bit mask.
+    if (names.size() >= static_cast<size_t>(litmus::Test::maxRegisters))
+        panic("thread %d uses more than %d registers", tid,
+              litmus::Test::maxRegisters);
     names.push_back(name);
     return static_cast<int>(names.size()) - 1;
 }
@@ -127,6 +131,16 @@ Machine::compile()
     regNames_.resize(nthreads);
     compiled_.resize(nthreads);
 
+    // Written-location sets, footprints and the used-SM set are
+    // 64-bit masks; the parsers reject tests over the location limit.
+    if (test_->locations.size() >
+        static_cast<size_t>(litmus::Test::maxLocations))
+        panic("test '%s' has more than %d locations",
+              test_->name.c_str(), litmus::Test::maxLocations);
+    if (chip_->numSMs > 64)
+        panic("chip '%s' has more than 64 SMs",
+              chip_->shortName.c_str());
+
     for (const auto &l : test_->locations) {
         locShared_.push_back(l.space == litmus::MemSpace::Shared);
         locInit_.push_back(l.init);
@@ -172,6 +186,11 @@ Machine::compile()
         ct.regInit.resize(regNames_[t].size(), 0);
     }
 
+    numCtas_ = test_->scopeTree.numCtas();
+    threadCta_.resize(nthreads);
+    for (int t = 0; t < nthreads; ++t)
+        threadCta_[t] = test_->scopeTree.placement(t).cta;
+
     hasSameCtaPeer_.assign(nthreads, false);
     for (int a = 0; a < nthreads; ++a) {
         for (int b = 0; b < nthreads; ++b) {
@@ -194,12 +213,12 @@ Machine::resetRun(ChoiceProvider &cp)
     // draw order is identical to the pre-pooling reset (placement,
     // then L1 warmth, then start skew) — bit-compatibility with the
     // golden histograms depends on it.
-    int nthreads = test_->program.numThreads();
+    int nthreads = static_cast<int>(compiled_.size());
     int nlocs = static_cast<int>(locShared_.size());
 
     l2_.assign(locInit_.begin(), locInit_.end());
 
-    int nctas = test_->scopeTree.numCtas();
+    int nctas = numCtas_;
     sharedMem_.resize(nctas);
     for (auto &mem : sharedMem_)
         mem.assign(locInit_.begin(), locInit_.end());
@@ -229,27 +248,29 @@ Machine::resetRun(ChoiceProvider &cp)
             ctaSm_[c] = c % chip_->numSMs;
     }
 
-    sms_.resize(chip_->numSMs);
-    for (auto &sm : sms_) {
-        sm.l1.assign(nlocs, std::nullopt);
-        sm.buffer.clear();
-    }
-
-    uint64_t used_sms = 0;
+    usedSms_ = 0;
     for (int c = 0; c < nctas; ++c)
-        used_sms |= 1ULL << (ctaSm_[c] & 63);
+        usedSms_ |= 1ULL << (ctaSm_[c] & 63);
 
     // Warm L1 lines: residue of previous iterations holding the
-    // (re-)initialised values. Lines of SMs hosting no testing
-    // thread are never read, so those choices cannot affect the
-    // reachable final states.
+    // (re-)initialised values. Only used SMs are reset and warmed:
+    // the rest are never read (see usedSms_), so their L1Warm draws
+    // are made — the sampler's stream depends on them — but marked
+    // irrelevant and their answers dropped.
+    sms_.resize(chip_->numSMs);
     for (size_t s = 0; s < sms_.size(); ++s) {
         SmState &sm = sms_[s];
-        bool relevant = (used_sms >> (s & 63)) & 1;
+        bool relevant = (usedSms_ >> (s & 63)) & 1;
+        if (relevant) {
+            sm.l1.assign(nlocs, std::nullopt);
+            sm.buffer.clear();
+        }
         for (int i = 0; i < nlocs; ++i) {
-            if (!locShared_[i] &&
-                cp.chance(ChoiceKind::L1Warm, chip_->l1WarmProb,
-                          relevant))
+            if (locShared_[i])
+                continue;
+            bool warm = cp.chance(ChoiceKind::L1Warm,
+                                  chip_->l1WarmProb, relevant);
+            if (warm && relevant)
                 sm.l1[i] = L1Line{locInit_[i], false, false};
         }
     }
@@ -257,7 +278,7 @@ Machine::resetRun(ChoiceProvider &cp)
     threads_.resize(nthreads);
     for (int t = 0; t < nthreads; ++t) {
         ThreadState &ts = threads_[t];
-        ts.ctaId = test_->scopeTree.placement(t).cta;
+        ts.ctaId = threadCta_[t];
         ts.smId = ctaSm_[ts.ctaId];
         ts.pc = 0;
         ts.executed = 0;
@@ -404,14 +425,13 @@ Machine::mainLoop(int start_step, ChoiceProvider &cp)
          step < opts_.maxMicroSteps && !allDone(); ++step) {
         curStep_ = step;
         // Actors: threads plus (under stress) one drain actor per SM
-        // with a non-empty buffer.
+        // with a non-empty buffer. Buffers fill only from their own
+        // SM's threads, so the used SMs, ascending, are the full list.
         int ndrains = 0;
         int drain_sms[64];
         if (stress() && chip_->storeBuffer) {
-            for (int s = 0; s < chip_->numSMs &&
-                            s < static_cast<int>(sizeof(drain_sms) /
-                                                 sizeof(int));
-                 ++s) {
+            for (uint64_t m = usedSms_; m; m &= m - 1) {
+                int s = std::countr_zero(m);
                 if (!sms_[s].buffer.empty())
                     drain_sms[ndrains++] = s;
             }
@@ -459,8 +479,8 @@ Machine::mainLoop(int start_step, ChoiceProvider &cp)
         }
     }
 
-    for (int s = 0; s < chip_->numSMs; ++s)
-        drainAll(s, cp);
+    for (uint64_t m = usedSms_; m; m &= m - 1)
+        drainAll(std::countr_zero(m), cp);
 
     return true;
 }
@@ -475,8 +495,8 @@ Machine::snapshot(Snapshot &out) const
     // Vector copy-assignment reuses the target's capacity (and its
     // elements' nested capacity), so a pooled snapshot costs only the
     // element copies after first use. SMs hosting no thread are
-    // invariant mid-run (see encodeTo) and skipped: restore() leaves
-    // the machine's — already correct — copies in place.
+    // never read (see Machine::usedSms_) and skipped: restore() leaves
+    // the machine's own copies in place.
     out.threads = threads_;
     uint64_t used = 0;
     for (const auto &ts : threads_)
@@ -495,12 +515,12 @@ Machine::snapshot(Snapshot &out) const
 void
 Machine::restore(const Snapshot &snap)
 {
-    uint64_t used = 0;
+    usedSms_ = 0;
     for (const auto &ts : snap.threads)
-        used |= 1ULL << (ts.smId & 63);
+        usedSms_ |= 1ULL << (ts.smId & 63);
     threads_ = snap.threads;
     for (size_t s = 0; s < sms_.size(); ++s) {
-        if ((used >> (s & 63)) & 1)
+        if ((usedSms_ >> (s & 63)) & 1)
             sms_[s] = snap.sms[s];
     }
     l2_ = snap.l2;
@@ -879,7 +899,8 @@ Machine::writeToL2(int loc, int64_t value, int writer_sm,
                    ChoiceProvider &cp)
 {
     l2_[loc] = value;
-    for (int s = 0; s < chip_->numSMs; ++s) {
+    for (uint64_t m = usedSms_; m; m &= m - 1) {
+        int s = std::countr_zero(m);
         auto &line = sms_[s].l1[loc];
         if (!line)
             continue;

@@ -44,6 +44,21 @@
  *   test — which is what lets one compiled machine serve a whole
  *   (chip, test) batch of jobs.
  *
+ * - Outcomes by digest: the sampler (harness::runJob) and the
+ *   explorer run the light shapes (runLight/resumeLight) and record
+ *   each run by its outcomeDigest() through one sim::OutcomeTable
+ *   (sim/outcomes.h). Only a digest not seen before materialises
+ *   finalState(), so the steady-state iteration builds no string and
+ *   no map.
+ *
+ * - Used SMs only: an SM hosting no testing thread is never read — its
+ *   buffer fills only from its own threads and its L1 lines are served
+ *   to no one. resetRun() therefore resets and warms only the used
+ *   SMs (the L1Warm draws of the others are still made, marked
+ *   irrelevant, so the sampler's stream is unchanged), and writeToL2
+ *   and the drain scans walk only the used-SM bits. Unused SMs keep
+ *   whatever an earlier run left behind.
+ *
  * - Snapshot/restore lifetime: snapshot() captures the complete
  *   mutable run state at the top of a scheduling step; resume()
  *   restores it and continues the main loop from that step. A
@@ -379,6 +394,8 @@ class Machine
     std::vector<bool> locShared_;
     std::vector<int64_t> locInit_;
     std::vector<bool> hasSameCtaPeer_;
+    std::vector<int> threadCta_; ///< per thread, from the scope tree
+    int numCtas_ = 0;
 
     // Reset per run (storage pooled across runs: reset happens in
     // place, so the steady state allocates nothing).
@@ -391,6 +408,10 @@ class Machine
     std::vector<ActorOption> actors_;
     /** Scratch for resetRun's CTA->SM placement draw. */
     std::vector<int> ctaSm_, smIds_;
+    /** Bitmask of the SMs hosting a CTA this run (set by resetRun,
+     * recomputed by restore): the only SMs reset, written back and
+     * scanned for drains. */
+    uint64_t usedSms_ = 0;
     /** Set when a run hits the outer step bound or a fetch guard. */
     bool truncated_ = false;
     /** Main-loop position, maintained so snapshot() can record where

@@ -8,14 +8,80 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "harness/campaign.h"
 #include "litmus/library.h"
+#include "litmus/parser.h"
+
+#ifndef GPULITMUS_SOURCE_DIR
+#define GPULITMUS_SOURCE_DIR "."
+#endif
 
 namespace gpulitmus::harness {
 namespace {
 
 namespace pl = litmus::paperlib;
+
+TEST(Runner, RunJobMatchesPerIterationRecordingOverTheCorpus)
+{
+    // Differential oracle for runJob's fast path (outcomes recorded by
+    // digest, unused SMs left alone, one cached machine reused across
+    // jobs): the reference is the plain loop — a freshly compiled
+    // machine, one materialised final state recorded per iteration —
+    // at the job's own RNG stream.
+    std::vector<litmus::Test> corpus;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests")) {
+        std::ifstream in(entry.path());
+        std::stringstream ss;
+        ss << in.rdbuf();
+        litmus::ParseError err;
+        auto test = litmus::parseTest(ss.str(), &err);
+        ASSERT_TRUE(test.has_value())
+            << entry.path() << ": " << err.message;
+        corpus.push_back(std::move(*test));
+    }
+    ASSERT_GE(corpus.size(), 20u);
+    // Plus Fig. 3's inter-CTA mp with .ca loads: the corpus has no
+    // test that reads an L1 on another SM than the writer's.
+    for (pl::FenceOpt fence :
+         {pl::FenceOpt{}, pl::FenceOpt{ptx::Scope::Cta},
+          pl::FenceOpt{ptx::Scope::Gl}, pl::FenceOpt{ptx::Scope::Sys}})
+        corpus.push_back(pl::mpL1(fence));
+
+    size_t cells = 0;
+    for (const auto &test : corpus) {
+        for (const auto &chip : sim::allChips()) {
+            for (int column : {1, 6, 8, 12, 16}) {
+                RunConfig cfg;
+                cfg.iterations = 2000;
+                cfg.inc = sim::Incantations::fromColumn(column);
+                Job job = Job::fromConfig(chip, test, cfg);
+
+                litmus::Histogram ref(test);
+                sim::MachineOptions opts;
+                opts.inc = job.inc;
+                opts.maxMicroSteps = job.maxMicroSteps;
+                sim::Machine machine(chip, test, opts);
+                Rng rng(job.derivedSeed());
+                for (uint64_t i = 0; i < job.iterations; ++i)
+                    ref.record(machine.run(rng));
+
+                JobResult got = runJob(job);
+                std::string cell = test.name + "@" + chip.shortName +
+                                   " column " + std::to_string(column);
+                EXPECT_EQ(got.hist.counts(), ref.counts()) << cell;
+                EXPECT_EQ(got.hist.observed(), ref.observed()) << cell;
+                EXPECT_EQ(got.hist.total(), ref.total()) << cell;
+                ++cells;
+            }
+        }
+    }
+    EXPECT_EQ(cells, corpus.size() * sim::allChips().size() * 5);
+}
 
 TEST(Runner, HistogramTotalsMatchIterations)
 {

@@ -336,6 +336,41 @@ TEST(LitmusParser, MissingConditionIsError)
     EXPECT_FALSE(parseTest("GPU_PTX bad\nT0 ;\nst.cg [x],1 ;\n", &err));
 }
 
+/** A one-thread test with `nregs` distinct registers (one mov each)
+ * and `nlocs` initialised locations. */
+std::string
+limitSource(int nregs, int nlocs)
+{
+    std::string src = "GPU_PTX limits\n{";
+    for (int i = 0; i < nlocs; ++i)
+        src += "x" + std::to_string(i) + "=0; ";
+    src += "}\nT0 ;\n";
+    for (int i = 0; i < nregs; ++i)
+        src += "mov.s32 r" + std::to_string(i) + ",1 ;\n";
+    return src + "exists (0:r0=1)\n";
+}
+
+TEST(LitmusParser, RejectsMoreRegistersThanTheMachineTracks)
+{
+    constexpr int kMax = litmus::Test::maxRegisters;
+    ParseError err;
+    ASSERT_TRUE(parseTest(limitSource(kMax, 1), &err)) << err.message;
+    EXPECT_FALSE(parseTest(limitSource(kMax + 1, 1), &err));
+    EXPECT_NE(err.message.find("T0 uses 65 registers"),
+              std::string::npos)
+        << err.message;
+}
+
+TEST(LitmusParser, RejectsMoreLocationsThanTheMachineTracks)
+{
+    constexpr int kMax = litmus::Test::maxLocations;
+    ParseError err;
+    ASSERT_TRUE(parseTest(limitSource(1, kMax), &err)) << err.message;
+    EXPECT_FALSE(parseTest(limitSource(1, kMax + 1), &err));
+    EXPECT_NE(err.message.find("65 locations"), std::string::npos)
+        << err.message;
+}
+
 TEST(LitmusParser, RoundTripThroughPrinter)
 {
     litmus::Test orig = paperlib::mp();

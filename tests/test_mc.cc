@@ -23,6 +23,7 @@
 #include "cat/models.h"
 #include "eval/backend.h"
 #include "harness/campaign.h"
+#include "litmus/library.h"
 #include "litmus/parser.h"
 #include "mc/explorer.h"
 #include "model/checker.h"
@@ -126,6 +127,35 @@ TEST(ChoiceRefactor, SamplerBitIdenticalToGoldenOtherTests)
         litmus::Histogram hist =
             harness::run(sim::chip("Titan"), test, cfg);
         EXPECT_EQ(hist.observed(), g.observed) << g.file;
+    }
+}
+
+TEST(ChoiceRefactor, SamplerBitIdenticalToGoldenInterCtaL1)
+{
+    // Fig. 3's mp with .ca loads, across CTAs: the reader's L1 sits on
+    // another SM than the writer's, and with thread randomisation on
+    // either SM may be the lower one — the shape that observes which
+    // SMs a store writes back to. Captured at seed 12345 from the
+    // build that still reset and wrote back every SM.
+    const struct
+    {
+        const char *chip;
+        int column;
+        uint64_t observed;
+    } golden[] = {{"GTX5", 6, 9},    {"GTX5", 16, 251},
+                  {"TesC", 6, 41},   {"TesC", 16, 398},
+                  {"GTX6", 6, 13},   {"GTX6", 16, 253},
+                  {"Titan", 6, 36},  {"Titan", 16, 384}};
+    litmus::Test test = litmus::paperlib::mpL1(std::nullopt);
+    for (const auto &g : golden) {
+        harness::RunConfig cfg;
+        cfg.iterations = 5000;
+        cfg.seed = 12345;
+        cfg.inc = sim::Incantations::fromColumn(g.column);
+        litmus::Histogram hist =
+            harness::run(sim::chip(g.chip), test, cfg);
+        EXPECT_EQ(hist.observed(), g.observed)
+            << g.chip << " column " << g.column;
     }
 }
 

@@ -303,6 +303,11 @@ TEST_F(ObsTest, EngineTicksJobAndCacheCounters)
     EXPECT_EQ(reg.counter("engine_jobs_cached_total").value(), 1u);
     EXPECT_EQ(reg.counter("sim_jobs_total").value(), 2u);
     EXPECT_EQ(reg.counter("sim_iterations_total").value(), 4000u);
+    // One materialisation per distinct outcome digest, not per run.
+    uint64_t materialised =
+        reg.counter("sim_outcomes_materialised_total").value();
+    EXPECT_GT(materialised, 0u);
+    EXPECT_LT(materialised, 4000u);
     EXPECT_EQ(reg.timer("engine_job_latency_us").count(), 2u);
     EXPECT_EQ(reg.timer("engine_queue_wait_us").count(), 2u);
     EXPECT_GT(reg.counter("engine_worker_wall_us_total").value(), 0u);

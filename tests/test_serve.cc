@@ -762,6 +762,48 @@ TEST(Serve, OversizedRequestLineIsRefusedAndTheDaemonLivesOn)
               got.kinds.end());
 }
 
+TEST(Serve, TestOverTheRegisterLimitIsAnErrorNotADeadDaemon)
+{
+    // 70 registers in one thread used to reach the machine's compile
+    // step and exit the daemon; the parser now refuses the test.
+    std::string source = "GPU_PTX many_regs\nT0 ;\n";
+    for (int i = 0; i < 70; ++i)
+        source += "mov.s32 r" + std::to_string(i) + ",1 ;\n";
+    source += "exists (0:r0=1)\n";
+
+    TestServer ts("regs");
+    ASSERT_NE(ts.server, nullptr);
+    std::string error;
+    {
+        auto client = Client::connectUnix(ts.socket, &error);
+        ASSERT_NE(client, nullptr) << error;
+        std::string line;
+        ASSERT_TRUE(client->readLine(&line)); // hello
+        Request req;
+        req.cmd = "sweep";
+        req.id = "many-regs";
+        req.tests.push_back({"", source, ""});
+        req.chips = {"Titan"};
+        req.iterations = 10;
+        ASSERT_TRUE(client->sendLine(renderRequest(req)));
+        ASSERT_TRUE(client->readLine(&line, &error)) << error;
+        auto event = json::parse(line);
+        ASSERT_TRUE(event.has_value());
+        EXPECT_EQ(event->getString("event"), "error");
+        EXPECT_NE(event->getString("message").find("70 registers"),
+                  std::string::npos)
+            << line;
+    }
+    // A second client is still served.
+    Request req;
+    req.cmd = "list";
+    req.id = "after-many-regs";
+    Collected got = submitAndCollect(ts.socket, req);
+    EXPECT_EQ(got.exit, 0) << got.error;
+    EXPECT_NE(std::find(got.kinds.begin(), got.kinds.end(), "list"),
+              got.kinds.end());
+}
+
 TEST(Serve, UnknownCommandYieldsErrorEventNotDisconnect)
 {
     TestServer ts("badcmd");
