@@ -1,13 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the engines themselves: the
- * simulator's iteration rate, the candidate-execution enumerator, the
- * .cat evaluator, the generator and the relation algebra. These are
+ * simulator's iteration rate, the explorer's replay rate, the
+ * candidate-execution enumerator, the .cat evaluator, the generator
+ * and the relation algebra. These are
  * the knobs that determine how far the Sec. 5.4 validation scales.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 
 #include "axiom/enumerate.h"
@@ -17,7 +19,9 @@
 #include "gen/generator.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
+#include "mc/explorer.h"
 #include "model/checker.h"
+#include "scenario/registry.h"
 
 using namespace gpulitmus;
 
@@ -53,6 +57,37 @@ BM_SimulatorIterationSpinLock(benchmark::State &state)
     simulateJobs(state, "TesC", litmus::paperlib::casSl(false));
 }
 BENCHMARK(BM_SimulatorIterationSpinLock);
+
+/** The sequential explorer on its heaviest scenario shape: the
+ * unfenced flag barrier on the GTX Titan, capped at a fixed 65,536
+ * replays per benchmark iteration (restore, step, state hashing and
+ * memo probe — the explorer's per-layer row); items/s is replays/s. */
+void
+BM_ExploreFlagBarrierTitan(benchmark::State &state)
+{
+    std::string error;
+    auto built =
+        scenario::buildSpec("scenario:flag_barrier,fenced=0", &error);
+    if (!built) {
+        state.SkipWithError(error.c_str());
+        return;
+    }
+    mc::ExploreOptions opts;
+    opts.machine.inc = sim::Incantations::fromColumn(16);
+    opts.machine.maxMicroSteps =
+        std::max(opts.machine.maxMicroSteps, built->maxMicroSteps);
+    opts.maxReplays = 65536;
+    int64_t replays = 0;
+    for (auto _ : state) {
+        mc::ExploreResult r =
+            mc::Explorer(sim::chip("Titan"), built->test, opts)
+                .explore();
+        replays += static_cast<int64_t>(r.stats.replays);
+        benchmark::DoNotOptimize(r);
+    }
+    state.SetItemsProcessed(replays);
+}
+BENCHMARK(BM_ExploreFlagBarrierTitan)->Unit(benchmark::kMillisecond);
 
 void
 BM_EnumerateExecutions(benchmark::State &state)

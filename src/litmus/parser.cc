@@ -380,13 +380,14 @@ parseTest(const std::string &text, ParseError *error)
         return std::nullopt;
     }
 
-    std::string limit = test.limitError();
-    if (!limit.empty()) {
-        if (error)
-            error->message = limit;
-        return std::nullopt;
+    for (const std::string &bad :
+         {test.limitError(), test.validationError()}) {
+        if (!bad.empty()) {
+            if (error)
+                error->message = bad;
+            return std::nullopt;
+        }
     }
-    test.validate();
     return test;
 }
 

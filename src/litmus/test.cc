@@ -128,45 +128,52 @@ Test::limitError() const
     return "";
 }
 
-void
-Test::validate() const
+std::string
+Test::validationError() const
 {
     if (program.numThreads() == 0)
-        fatal("test '%s' has no threads", name.c_str());
+        return "test has no threads";
     if (scopeTree.numThreads() != program.numThreads())
-        fatal("test '%s': scope tree covers %d threads but program has "
-              "%d",
-              name.c_str(), scopeTree.numThreads(),
-              program.numThreads());
+        return strprintf("scope tree covers %d threads but program has"
+                         " %d",
+                         scopeTree.numThreads(), program.numThreads());
 
     std::set<std::string> loc_names;
     for (const auto &l : locations) {
         if (!loc_names.insert(l.name).second)
-            fatal("test '%s': duplicate location '%s'", name.c_str(),
-                  l.name.c_str());
+            return strprintf("duplicate location '%s'", l.name.c_str());
     }
 
     for (const auto &r : regInits) {
         if (r.tid < 0 || r.tid >= program.numThreads())
-            fatal("test '%s': register init for bad thread %d",
-                  name.c_str(), r.tid);
+            return strprintf("register init for bad thread %d", r.tid);
         if (r.isLocAddress && !loc_names.count(r.loc))
-            fatal("test '%s': register %s bound to unknown location "
-                  "'%s'",
-                  name.c_str(), r.reg.c_str(), r.loc.c_str());
+            return strprintf("register %s bound to unknown location"
+                             " '%s'",
+                             r.reg.c_str(), r.loc.c_str());
     }
 
     for (int t = 0; t < program.numThreads(); ++t) {
-        for (const auto &i : program.threads[t].instrs) {
+        const auto &thread = program.threads[t];
+        for (const auto &i : thread.instrs) {
             if (i.isMemAccess() && i.addr.isSym() &&
-                !loc_names.count(i.addr.sym)) {
-                fatal("test '%s': T%d accesses unknown location '%s'",
-                      name.c_str(), t, i.addr.sym.c_str());
-            }
-            if (i.op == ptx::Opcode::Bra)
-                program.threads[t].labelTarget(i.target);
+                !loc_names.count(i.addr.sym))
+                return strprintf("T%d accesses unknown location '%s'",
+                                 t, i.addr.sym.c_str());
+            if (i.op == ptx::Opcode::Bra && !thread.labels.count(i.target))
+                return strprintf("T%d branches to undefined label '%s'",
+                                 t, i.target.c_str());
         }
     }
+    return "";
+}
+
+void
+Test::validate() const
+{
+    std::string error = validationError();
+    if (!error.empty())
+        fatal("test '%s': %s", name.c_str(), error.c_str());
 }
 
 TestBuilder::TestBuilder(std::string name)

@@ -91,7 +91,13 @@ struct Test
     std::vector<RegKey> observedRegs() const;
     std::vector<std::string> observedLocs() const;
 
-    /** Validate internal consistency (thread counts, labels, locs). */
+    /** Empty when the test is internally consistent (thread counts,
+     * branch labels, locations); otherwise a message naming the first
+     * inconsistency. The parsers return it as a parse error. */
+    std::string validationError() const;
+
+    /** validationError() as a fatal error: for builder-made tests,
+     * where an inconsistency is a bug in the code that built them. */
     void validate() const;
 
     /**

@@ -8,6 +8,7 @@
 
 #include "common/hash.h"
 #include "common/log.h"
+#include "mc/memo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/outcomes.h"
@@ -99,19 +100,6 @@ struct Node
     }
 };
 
-struct VisitEntry
-{
-    bool black = false; ///< subtree fully explored; finals memoised
-    size_t greyDepth = 0;
-    /** Fetch-counter digest at the visit. The state encoding excludes
-     * the counters (they only feed the runaway-loop guard), so a
-     * revisit whose digest differs is equal in behaviour *except* for
-     * its distance to that guard: the cut still terminates the
-     * search, but the result demotes from exact to bounded. */
-    uint64_t executedSig = 0;
-    Weights finals;
-};
-
 // ---------------------------------------------------------------------
 // Walker: the DFS traversal context, doubling as the machine's choice
 // provider.
@@ -133,19 +121,22 @@ struct Walker final : sim::ChoiceProvider
     Weights rootFinals;
     /** The state memo. Digest-keyed on the fast path; string-keyed
      * (the PR-3 scheme, kept for cross-checking) in debug mode. Only
-     * the map matching opts->debugStateKeys is ever populated. */
-    std::unordered_map<Digest128, VisitEntry, Digest128::Hasher>
-        visited;
+     * the table matching opts->debugStateKeys is ever populated. */
+    StateMemo memo;
     std::unordered_map<std::string, VisitEntry> visitedStr;
+    /** Finals of black states, one appendFinals() span per entry at
+     * the entry's finalsAt(). Black entries are never erased, so the
+     * arena only grows. */
+    std::vector<uint64_t> finalsArena;
     ExploreStats stats;
 
     /** Pending cut, set by pickActor when it aborts a replay whose
      * continuation is memoised (exception-free: the machine returns
-     * out of the run on the kAbortRun sentinel). `cutMemo` points at
-     * the visited entry's finals — stable until the next map
-     * mutation, consumed immediately after the run returns. */
+     * out of the run on the kAbortRun sentinel). `cutFinals` is the
+     * black entry's arena offset (SIZE_MAX: none), consumed
+     * immediately after the run returns. */
     bool cutPending = false;
-    const Weights *cutMemo = nullptr;
+    size_t cutFinals = SIZE_MAX;
     size_t cutTaint = SIZE_MAX;
 
     size_t depth = 0; ///< next choice index within the current replay
@@ -171,7 +162,6 @@ struct Walker final : sim::ChoiceProvider
         nIds = static_cast<size_t>(t.program.numThreads()) +
                static_cast<size_t>(chip.numSMs);
         curSleep.assign(nIds, 0);
-        visited.reserve(1u << 12);
     }
 
     Node &
@@ -247,10 +237,10 @@ struct Walker final : sim::ChoiceProvider
     /** Abandon the current replay: record the cut for explore() and
      * hand the machine the abort sentinel. */
     size_t
-    cutRun(const Weights *memo, size_t taint_depth)
+    cutRun(size_t finals_at, size_t taint_depth)
     {
         cutPending = true;
-        cutMemo = memo;
+        cutFinals = finals_at;
         cutTaint = taint_depth;
         return sim::ChoiceProvider::kAbortRun;
     }
@@ -278,27 +268,27 @@ struct Walker final : sim::ChoiceProvider
             // cache hits are only sound between points with the same
             // sleep discipline: the key covers the (state, sleep)
             // pair. Fast path: stream the state into a 128-bit
-            // digest, no string materialised. Debug path: the PR-3
-            // string key, byte for byte.
-            uint64_t sig = machine.executedSignature();
-            VisitEntry *hit = nullptr;
+            // digest, no string materialised. Debug path: the full
+            // string encoding, collision-free by construction. One
+            // probe either finds the state or enters it grey.
+            VisitEntry grey =
+                VisitEntry::grey(d, machine.executedSignature());
+            const VisitEntry *hit;
             if (opts->debugStateKeys) {
                 scratch.clear();
                 machine.encodeState(scratch);
                 if (opts->sleepSets)
                     scratch.append(curSleep.begin(), curSleep.end());
-                auto it = visitedStr.find(scratch);
-                if (it != visitedStr.end())
-                    hit = &it->second;
+                auto [it, fresh] = visitedStr.try_emplace(scratch, grey);
+                hit = fresh ? nullptr : &it->second;
             } else {
                 Hash128 h;
                 machine.hashState(h);
                 if (opts->sleepSets)
-                    h.putBytes(curSleep.data(), curSleep.size());
+                    hashSleep(h);
                 key = h.digest();
-                auto it = visited.find(key);
-                if (it != visited.end())
-                    hit = &it->second;
+                auto [entry, fresh] = memo.emplace(key, grey);
+                hit = fresh ? nullptr : entry;
             }
             if (hit) {
                 ++stats.stateCuts;
@@ -306,17 +296,12 @@ struct Walker final : sim::ChoiceProvider
                 // the continuations differ only in the runaway
                 // guard's distance, so cut — the search terminates —
                 // but the exactness claim is gone.
-                if (hit->executedSig != sig)
+                if (hit->executedSig != grey.executedSig)
                     loopDedup = true;
-                if (hit->black)
-                    return cutRun(&hit->finals, SIZE_MAX);
-                return cutRun(nullptr, hit->greyDepth);
+                if (hit->black())
+                    return cutRun(hit->finalsAt(), SIZE_MAX);
+                return cutRun(SIZE_MAX, hit->greyDepth());
             }
-            if (opts->debugStateKeys)
-                visitedStr.emplace(scratch,
-                                   VisitEntry{false, d, sig, {}});
-            else
-                visited.emplace(key, VisitEntry{false, d, sig, {}});
             has_key = true;
         }
 
@@ -339,9 +324,9 @@ struct Walker final : sim::ChoiceProvider
                 if (opts->debugStateKeys)
                     visitedStr.erase(scratch);
                 else
-                    visited.erase(key);
+                    memo.erase(key);
             }
-            return cutRun(nullptr, SIZE_MAX);
+            return cutRun(SIZE_MAX, SIZE_MAX);
         }
 
         Node &node = pushNode(sim::ChoiceKind::Schedule,
@@ -372,6 +357,22 @@ struct Walker final : sim::ChoiceProvider
     }
 
     // ---- sleep-set plumbing -----------------------------------------
+
+    /** Absorb curSleep as 64-bit masks (bit i = actor i asleep): the
+     * actor-id space is fixed per exploration, so the masks are an
+     * injective encoding of the set. */
+    void
+    hashSleep(Hash128 &h) const
+    {
+        for (size_t base = 0; base < nIds; base += 64) {
+            uint64_t mask = 0;
+            size_t end = std::min(nIds, base + 64);
+            for (size_t id = base; id < end; ++id)
+                mask |= static_cast<uint64_t>(curSleep[id] != 0)
+                        << (id - base);
+            h.put64(mask);
+        }
+    }
 
     const sim::ActorOption *
     findActor(const Node &node, int id) const
@@ -424,12 +425,20 @@ struct Walker final : sim::ChoiceProvider
 
     // ---- subtree accounting -----------------------------------------
 
+    /** Fold the arena finals at `at` (appendFinals) into the
+     * deepest node. */
     void
-    contribute(const Weights &w)
+    contributeFinals(size_t at)
     {
-        foldWeights(traceLen == 0 ? rootFinals
-                                  : trace[traceLen - 1].finals,
-                    w);
+        Weights &dst =
+            traceLen == 0 ? rootFinals : trace[traceLen - 1].finals;
+        uint64_t head = finalsArena[at];
+        size_t first = head >> 32, len = head & 0xffffffffu;
+        if (dst.size() < first + len)
+            dst.resize(first + len, 0);
+        const uint64_t *src = finalsArena.data() + at + 1;
+        for (size_t i = 0; i < len; ++i)
+            dst[first + i] += src[i];
     }
 
     void
@@ -440,12 +449,41 @@ struct Walker final : sim::ChoiceProvider
                    id);
     }
 
+    /** Append the nonzero range of `w` to the finals arena as a
+     * header word `first << 32 | len` followed by `len` weights;
+     * returns the header's offset. Trimming the zero ends drops about
+     * half the words on the looped scenarios, whose subtrees reach
+     * few of the test's outcomes. */
+    size_t
+    appendFinals(const Weights &w)
+    {
+        size_t first = 0, end = w.size();
+        while (end > 0 && w[end - 1] == 0)
+            --end;
+        while (first < end && w[first] == 0)
+            ++first;
+        size_t at = finalsArena.size();
+        finalsArena.push_back((static_cast<uint64_t>(first) << 32) |
+                              (end - first));
+        finalsArena.insert(finalsArena.end(), w.begin() + first,
+                           w.begin() + end);
+        return at;
+    }
+
     void
     taintDeepest(size_t greyDepth)
     {
         if (traceLen > 0)
             trace[traceLen - 1].taint =
                 std::min(trace[traceLen - 1].taint, greyDepth);
+    }
+
+    /** Memo table plus finals arena, in allocated bytes. */
+    size_t
+    memoBytes() const
+    {
+        return memo.bytes() +
+               finalsArena.capacity() * sizeof(uint64_t);
     }
 
     /** Pop the deepest node, folding its finals (and, when it cannot
@@ -459,22 +497,17 @@ struct Walker final : sim::ChoiceProvider
         size_t my_depth = traceLen;
 
         if (top.isSchedule && top.hasKey) {
-            bool closed = blacken && top.taint >= my_depth;
-            VisitEntry *entry = nullptr;
-            if (opts->debugStateKeys) {
-                auto it = visitedStr.find(top.stringKey);
-                if (it != visitedStr.end())
-                    entry = &it->second;
-            } else {
-                auto it = visited.find(top.key);
-                if (it != visited.end())
-                    entry = &it->second;
-            }
-            if (closed) {
-                if (entry) {
-                    entry->black = true;
-                    entry->finals = top.finals;
+            if (blacken && top.taint >= my_depth) {
+                VisitEntry *entry = nullptr;
+                if (opts->debugStateKeys) {
+                    auto it = visitedStr.find(top.stringKey);
+                    if (it != visitedStr.end())
+                        entry = &it->second;
+                } else {
+                    entry = memo.find(top.key);
                 }
+                if (entry)
+                    entry->blacken(appendFinals(top.finals));
                 ++stats.distinctStates;
             } else {
                 // Part of a cycle to a live ancestor (or aborted):
@@ -483,7 +516,7 @@ struct Walker final : sim::ChoiceProvider
                 if (opts->debugStateKeys)
                     visitedStr.erase(top.stringKey);
                 else
-                    visited.erase(top.key);
+                    memo.erase(top.key);
             }
         }
 
@@ -539,7 +572,7 @@ struct Walker final : sim::ChoiceProvider
         if (stats.replays >= opts->maxReplays)
             return false;
         size_t states = opts->debugStateKeys ? visitedStr.size()
-                                             : visited.size();
+                                             : memo.size();
         return !opts->stateCache || states < opts->maxStates;
     }
 
@@ -600,8 +633,8 @@ struct Walker final : sim::ChoiceProvider
                 // The replay was abandoned at a memoised state
                 // (cutPending is set; the machine has no final
                 // state).
-                if (cutMemo)
-                    contribute(*cutMemo);
+                if (cutFinals != SIZE_MAX)
+                    contributeFinals(cutFinals);
                 if (cutTaint != SIZE_MAX)
                     taintDeepest(cutTaint);
             } else {
@@ -704,6 +737,8 @@ struct Explorer::Impl
                 .add(walker.stats.replayedChoices);
             obs::gauge("mc_last_peak_depth")
                 .set(static_cast<int64_t>(walker.stats.peakDepth));
+            obs::gauge("mc_last_memo_bytes")
+                .set(static_cast<int64_t>(walker.memoBytes()));
         }
         return result;
     }

@@ -45,13 +45,20 @@
  * checkpointing on or off (only wall clock and the per-replay work
  * shrink), which the determinism tests pin. State-cache keys are
  * 128-bit digests streamed incrementally from the machine state
- * (Machine::hashState) rather than materialised strings; the PR-3
- * string keying survives behind ExploreOptions::debugStateKeys,
- * which switches the memo back to full (collision-free) encodings —
- * the key-agreement tests explore the whole corpus in both modes and
- * require identical results and statistics, which is how a digest
- * collision would surface. Digests are stable within a build but are
- * not a serialisation format (common/hash.h).
+ * (Machine::hashState) rather than materialised strings. They key a
+ * flat memo (mc/memo.h): 64 open-addressing segments of 32-byte
+ * slots, each growing on its own, with no per-state heap node. A
+ * slot holds the fetch-counter signature and one word: the grey
+ * depth, or the offset of the black state's reachable finals in an
+ * append-only arena the walker owns; a cut folds straight from that
+ * span. The original string keying survives behind
+ * ExploreOptions::debugStateKeys, which switches the memo to full
+ * (collision-free) encodings sharing the same entries and arena —
+ * the key-agreement tests explore the whole corpus and the 14
+ * scenario variants in both modes and require identical results and
+ * statistics, which is how a digest collision would surface. Digests
+ * are stable within a build but are not a serialisation format
+ * (common/hash.h).
  */
 
 #ifndef GPULITMUS_MC_EXPLORER_H

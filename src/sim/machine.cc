@@ -1166,6 +1166,14 @@ struct HashSink
     void put8(uint8_t v) { h.put8(v); }
 };
 
+/** Two ints side by side in one word, each at its full width. */
+uint64_t
+pack32(int lo, int hi)
+{
+    return static_cast<uint64_t>(static_cast<uint32_t>(lo)) |
+           (static_cast<uint64_t>(static_cast<uint32_t>(hi)) << 32);
+}
+
 } // anonymous namespace
 
 uint64_t
@@ -1193,27 +1201,39 @@ Machine::encodeTo(Sink &sink) const
     for (const auto &ts : threads_)
         used |= 1ULL << (ts.smId & 63);
 
+    // Fields are packed into whole words, each at its full width (or
+    // its full enumerator range), so the packing stays injective:
+    // the header is (pc, startDelay) and (frontDone, #regs, #window);
+    // a window entry is (kind, op, cacheOp, scope, shared, delay) and
+    // (loc, dst), then its two operands. kind, op and cacheOp get a
+    // byte each and scope seven bits; #regs gets 31 bits and #window
+    // (at most 8 entries, threadAction) 32.
+    static_assert(static_cast<int>(WindowEntry::Kind::Fence) < 256);
+    static_assert(static_cast<int>(ptx::Opcode::Bra) < 256);
+    static_assert(static_cast<int>(ptx::CacheOp::Cv) < 256);
+    static_assert(static_cast<int>(ptx::Scope::Sys) < 128);
+    static_assert(litmus::Test::maxRegisters < (1 << 30));
     for (const auto &ts : threads_) {
-        sink.put64(static_cast<uint64_t>(ts.pc));
-        sink.put8(static_cast<uint8_t>(ts.frontDone));
-        sink.put8(static_cast<uint8_t>(ts.startDelay));
+        sink.put64(pack32(ts.pc, ts.startDelay));
+        sink.put64(static_cast<uint64_t>(ts.frontDone) |
+                   (static_cast<uint64_t>(ts.regs.size()) << 1) |
+                   (static_cast<uint64_t>(ts.window.size()) << 32));
         sink.put64(ts.pendingRegs);
         sink.put64(ts.wroteLocs);
-        sink.put64(ts.regs.size());
         for (int64_t r : ts.regs)
             sink.put64(static_cast<uint64_t>(r));
-        sink.put64(ts.window.size());
         for (const auto &e : ts.window) {
-            sink.put8(static_cast<uint8_t>(e.kind));
-            sink.put8(static_cast<uint8_t>(e.op));
-            sink.put8(static_cast<uint8_t>(e.cacheOp));
-            sink.put8(static_cast<uint8_t>(e.scope));
-            sink.put64(static_cast<uint64_t>(e.loc));
-            sink.put8(static_cast<uint8_t>(e.shared));
-            sink.put64(static_cast<uint64_t>(e.dst));
+            sink.put64(static_cast<uint64_t>(e.kind) |
+                       (static_cast<uint64_t>(e.op) << 8) |
+                       (static_cast<uint64_t>(e.cacheOp) << 16) |
+                       (static_cast<uint64_t>(e.scope) << 24) |
+                       (static_cast<uint64_t>(e.shared) << 31) |
+                       (static_cast<uint64_t>(
+                            static_cast<uint32_t>(e.delay))
+                        << 32));
+            sink.put64(pack32(e.loc, e.dst));
             sink.put64(static_cast<uint64_t>(e.src0));
             sink.put64(static_cast<uint64_t>(e.src1));
-            sink.put8(static_cast<uint8_t>(e.delay));
         }
     }
     sink.put64(used);

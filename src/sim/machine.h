@@ -71,9 +71,12 @@
  *   first use.
  *
  * - State-key stability: encodeState() and hashState() emit the same
- *   canonical byte stream (hashState folds it into a 128-bit digest
- *   without materialising it). Two states with equal encodings behave
- *   identically under identical future choices. The encoding — and
+ *   canonical stream (hashState folds it into a 128-bit digest
+ *   without materialising it). Small fields are packed into whole
+ *   words, and every field is injective at its full width (an enum
+ *   over its whole enumerator range), so packing merges no states.
+ *   Two states with equal encodings behave identically under
+ *   identical future choices. The encoding — and
  *   therefore the digest — is stable within a process and across
  *   processes of one build, but is NOT a serialisation format: field
  *   layout may change between versions, so never persist keys or

@@ -371,6 +371,59 @@ TEST(LitmusParser, RejectsMoreLocationsThanTheMachineTracks)
         << err.message;
 }
 
+// Internal inconsistencies are parse errors, not process exits: the
+// daemon parses untrusted inline tests, and a fatal in
+// Test::validate would take it down with every client.
+
+TEST(LitmusParser, RegisterInitForAMissingThreadIsAParseError)
+{
+    ParseError err;
+    EXPECT_FALSE(parseTest("GPU_PTX bad\n{5:r0=1;}\nT0 ;\n"
+                           "ld.cg r1,[x] ;\nexists (0:r1=0)\n",
+                           &err));
+    EXPECT_NE(err.message.find("register init for bad thread 5"),
+              std::string::npos)
+        << err.message;
+}
+
+TEST(LitmusParser, UndefinedBranchLabelIsAParseError)
+{
+    ParseError err;
+    EXPECT_FALSE(parseTest("GPU_PTX bad\nT0 ;\nld.cg r1,[x] ;\n"
+                           "bra NOWHERE ;\nexists (0:r1=0)\n",
+                           &err));
+    EXPECT_NE(err.message.find("undefined label 'NOWHERE'"),
+              std::string::npos)
+        << err.message;
+}
+
+TEST(LitmusParser, LocationInconsistenciesAreValidationErrors)
+{
+    // The parser creates every location a test names, so these three
+    // cannot come out of parseTest; check validationError() directly
+    // on a parsed test edited into each inconsistent shape.
+    ParseError err;
+    auto base = parseTest("GPU_PTX ok\n{x=0;}\nT0 ;\nld.cg r1,[x] ;\n"
+                          "exists (0:r1=0)\n",
+                          &err);
+    ASSERT_TRUE(base) << err.message;
+    EXPECT_EQ(base->validationError(), "");
+
+    litmus::Test dup = *base;
+    dup.locations.push_back(dup.locations[0]);
+    EXPECT_EQ(dup.validationError(), "duplicate location 'x'");
+
+    litmus::Test bound = *base;
+    bound.regInits.push_back({0, "r2", true, "z", 0});
+    EXPECT_EQ(bound.validationError(),
+              "register r2 bound to unknown location 'z'");
+
+    litmus::Test access = *base;
+    access.locations.clear();
+    EXPECT_EQ(access.validationError(),
+              "T0 accesses unknown location 'x'");
+}
+
 TEST(LitmusParser, RoundTripThroughPrinter)
 {
     litmus::Test orig = paperlib::mp();

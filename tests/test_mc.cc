@@ -18,7 +18,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <unordered_map>
 
 #include "cat/models.h"
 #include "eval/backend.h"
@@ -26,7 +28,9 @@
 #include "litmus/library.h"
 #include "litmus/parser.h"
 #include "mc/explorer.h"
+#include "mc/memo.h"
 #include "model/checker.h"
+#include "scenario/registry.h"
 
 #ifndef GPULITMUS_SOURCE_DIR
 #define GPULITMUS_SOURCE_DIR "."
@@ -379,6 +383,155 @@ TEST(Explorer, HashKeysAgreeWithStringKeysOverTheFullCorpus)
     }
     // The corpus ships 20 tests; make sure the sweep saw them.
     EXPECT_GE(checked, 20u);
+}
+
+TEST(Explorer, HashKeysAgreeWithStringKeysOverTheScenarioVariants)
+{
+    // The corpus is loop-free; the spin-loop scenarios are what
+    // exercise grey erases, sleep-empty erases and loop-dedup cuts.
+    // Same digest-vs-string agreement, at a capped budget so the
+    // heavy variants stay CI-sized (bounded results must agree too).
+    size_t checked = 0;
+    for (const auto &s : scenario::all()) {
+        for (int fenced = 0; fenced <= 1; ++fenced) {
+            std::string spec = "scenario:" + s.name +
+                               ",fenced=" + std::to_string(fenced);
+            std::string error;
+            auto built = scenario::buildSpec(spec, &error);
+            ASSERT_TRUE(built) << error;
+            mc::ExploreOptions fast;
+            fast.machine.inc = sim::Incantations::fromColumn(16);
+            fast.machine.maxMicroSteps = std::max(
+                fast.machine.maxMicroSteps, built->maxMicroSteps);
+            fast.maxReplays = 20000;
+            mc::ExploreOptions debug = fast;
+            debug.debugStateKeys = true;
+            mc::ExploreResult a =
+                mc::Explorer(sim::chip("TesC"), built->test, fast)
+                    .explore();
+            mc::ExploreResult b =
+                mc::Explorer(sim::chip("TesC"), built->test, debug)
+                    .explore();
+            EXPECT_EQ(a.finals, b.finals) << spec;
+            EXPECT_EQ(a.satisfying, b.satisfying) << spec;
+            EXPECT_EQ(a.complete, b.complete) << spec;
+            EXPECT_EQ(a.fairComplete, b.fairComplete) << spec;
+            EXPECT_EQ(a.stats.replays, b.stats.replays) << spec;
+            EXPECT_EQ(a.stats.stateCuts, b.stats.stateCuts) << spec;
+            EXPECT_EQ(a.stats.distinctStates, b.stats.distinctStates)
+                << spec;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 14u);
+}
+
+// ---------------------------------------------------------------------
+// StateMemo: the flat segmented table against a node-based reference.
+// ---------------------------------------------------------------------
+
+/** Keys crafted to stress the table's layout: `seg` picks the segment
+ * (top bits of hi), `home` the low bits of lo, which are the probe
+ * start at every segment size up to 2^20 slots; `j` keeps keys
+ * distinct without moving either. */
+Digest128
+memoKey(uint64_t seg, uint64_t home, uint64_t j)
+{
+    return {(j << 20) | (home & 0xfffff),
+            (seg << (64 - mc::StateMemo::kSegmentBits)) | j};
+}
+
+void
+expectSameEntry(const mc::VisitEntry *got, const mc::VisitEntry &want)
+{
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->executedSig, want.executedSig);
+    EXPECT_EQ(got->word, want.word);
+}
+
+TEST(StateMemo, BackwardShiftAcrossTheSegmentEnd)
+{
+    // A fresh segment has kMinSlots slots. Three keys homed at the
+    // last slot fill it and wrap to slots 0 and 1; a key homed at
+    // slot 0 lands in slot 2. Erasing the first key must pull the
+    // wrapped run back across the end without losing anyone.
+    const uint64_t last = mc::StateMemo::kMinSlots - 1;
+    mc::StateMemo memo;
+    std::vector<Digest128> keys = {memoKey(9, last, 1),
+                                   memoKey(9, last, 2),
+                                   memoKey(9, last, 3),
+                                   memoKey(9, 0, 4)};
+    for (size_t i = 0; i < keys.size(); ++i)
+        EXPECT_TRUE(
+            memo.emplace(keys[i], mc::VisitEntry::grey(i, i)).second);
+    EXPECT_FALSE(memo.emplace(keys[2], mc::VisitEntry::grey(7, 7))
+                     .second);
+    EXPECT_TRUE(memo.erase(keys[0]));
+    EXPECT_FALSE(memo.erase(keys[0]));
+    EXPECT_EQ(memo.find(keys[0]), nullptr);
+    for (size_t i = 1; i < keys.size(); ++i)
+        expectSameEntry(memo.find(keys[i]),
+                        mc::VisitEntry::grey(i, i));
+    EXPECT_EQ(memo.size(), 3u);
+}
+
+TEST(StateMemo, RandomOperationsMatchAnUnorderedMapReference)
+{
+    // Most keys crowd one segment with homes clustered at the segment
+    // end and start: long probe runs, wrap-around, backward shifts
+    // across the wrap, and that segment growing 16 -> 1024 slots
+    // while the others stay small.
+    std::mt19937_64 rng(0x6d656d6f);
+    std::vector<Digest128> pool;
+    for (uint64_t j = 0; j < 700; ++j) {
+        uint64_t seg = j % 8 == 7 ? rng() % 64 : 3;
+        uint64_t home;
+        switch (j % 5) {
+          case 0: home = 0xfffff; break; // the last slot, any size
+          case 1: home = 0xffffe; break;
+          case 2: home = 0; break;
+          case 3: home = 1; break;
+          default: home = rng(); break;
+        }
+        pool.push_back(memoKey(seg, home, j));
+    }
+    mc::StateMemo memo;
+    std::unordered_map<Digest128, mc::VisitEntry, Digest128::Hasher> ref;
+    for (int op = 0; op < 30000; ++op) {
+        // Drift the working set: insert-heavy first, erase-heavy in
+        // the middle third, balanced at the end.
+        int phase = op / 10000;
+        const Digest128 &key = pool[rng() % pool.size()];
+        uint64_t r = rng() % 10;
+        if (r < (phase == 1 ? 3u : 6u)) {
+            mc::VisitEntry e = mc::VisitEntry::grey(rng() % 1000, rng());
+            if (rng() % 2)
+                e.blacken(rng() % 100000);
+            auto [got, inserted] = memo.emplace(key, e);
+            auto [it, ref_inserted] = ref.emplace(key, e);
+            EXPECT_EQ(inserted, ref_inserted);
+            expectSameEntry(got, it->second);
+        } else if (r < 8) {
+            EXPECT_EQ(memo.erase(key), ref.erase(key) > 0);
+        } else {
+            auto it = ref.find(key);
+            if (it == ref.end())
+                EXPECT_EQ(memo.find(key), nullptr);
+            else
+                expectSameEntry(memo.find(key), it->second);
+        }
+        ASSERT_EQ(memo.size(), ref.size()) << "op " << op;
+        if (op % 1000 == 999) {
+            for (const Digest128 &k : pool) {
+                auto it = ref.find(k);
+                if (it == ref.end())
+                    EXPECT_EQ(memo.find(k), nullptr);
+                else
+                    expectSameEntry(memo.find(k), it->second);
+            }
+        }
+    }
+    EXPECT_GT(memo.bytes(), 0u);
 }
 
 TEST(Explorer, SpinLoopTerminatesViaStateCache)

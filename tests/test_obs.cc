@@ -336,6 +336,10 @@ TEST_F(ObsTest, ExplorerTicksReplaysAndHeartbeat)
     EXPECT_EQ(reg.counter("mc_bounded_total").value(), 0u);
     EXPECT_EQ(reg.counter("mc_states_cached_total").value(),
               r.stats.distinctStates);
+    // Every memoised state holds a 32-byte memo slot and at least an
+    // arena header word.
+    EXPECT_GE(reg.gauge("mc_last_memo_bytes").value(),
+              static_cast<int64_t>(r.stats.distinctStates * 40));
     // heartbeatEvery=8: one beat per 8 replays, modulo the tail.
     EXPECT_EQ(beats, r.stats.replays / 8);
 }

@@ -804,6 +804,47 @@ TEST(Serve, TestOverTheRegisterLimitIsAnErrorNotADeadDaemon)
               got.kinds.end());
 }
 
+TEST(Serve, InconsistentInlineTestIsAnErrorNotADeadDaemon)
+{
+    // A register init for a thread the test does not have used to
+    // reach a fatal in Test::validate and exit the daemon; the parser
+    // now returns it as a parse error.
+    const std::string source = "GPU_PTX ghost_thread\n{5:r0=1;}\n"
+                               "T0 ;\nld.cg r1,[x] ;\n"
+                               "exists (0:r1=0)\n";
+
+    TestServer ts("ghost");
+    ASSERT_NE(ts.server, nullptr);
+    std::string error;
+    {
+        auto client = Client::connectUnix(ts.socket, &error);
+        ASSERT_NE(client, nullptr) << error;
+        std::string line;
+        ASSERT_TRUE(client->readLine(&line)); // hello
+        Request req;
+        req.cmd = "explore";
+        req.id = "ghost-thread";
+        req.tests.push_back({"", source, ""});
+        req.chips = {"Titan"};
+        ASSERT_TRUE(client->sendLine(renderRequest(req)));
+        ASSERT_TRUE(client->readLine(&line, &error)) << error;
+        auto event = json::parse(line);
+        ASSERT_TRUE(event.has_value());
+        EXPECT_EQ(event->getString("event"), "error");
+        EXPECT_NE(event->getString("message").find("bad thread 5"),
+                  std::string::npos)
+            << line;
+    }
+    // A second client is still served.
+    Request req;
+    req.cmd = "list";
+    req.id = "after-ghost-thread";
+    Collected got = submitAndCollect(ts.socket, req);
+    EXPECT_EQ(got.exit, 0) << got.error;
+    EXPECT_NE(std::find(got.kinds.begin(), got.kinds.end(), "list"),
+              got.kinds.end());
+}
+
 TEST(Serve, UnknownCommandYieldsErrorEventNotDisconnect)
 {
     TestServer ts("badcmd");
