@@ -350,19 +350,12 @@ compileForChip(const litmus::Test &test, const sim::ChipProfile &chip,
 
 namespace {
 
-/** Evaluate one job: the persistent store is the L2 behind the
- * in-process cache — a cache miss consults it before evaluating, and
- * every computed result feeds it. */
+/** Compute one job and feed the result to the persistent store (the
+ * L2 behind the in-process cache), if any. */
 std::shared_ptr<const EvalResult>
-evaluateJob(const Backend &backend, serve::ResultStore *store,
-            const EvalJob &job)
+computeJob(const Backend &backend, serve::ResultStore *store,
+           const EvalJob &job)
 {
-    if (store) {
-        if (auto hit = store->fetchEval(job)) {
-            obs::counter("engine_jobs_from_store_total").add();
-            return std::make_shared<EvalResult>(std::move(*hit));
-        }
-    }
     auto result = std::make_shared<EvalResult>(backend.evaluate(job));
     if (store)
         store->putEval(job, *result);
@@ -418,10 +411,11 @@ Engine::cacheSize() const
     return cache_.size();
 }
 
-std::vector<EvalResult>
-Engine::run(const std::vector<EvalJob> &jobs,
-            const std::vector<EvalSink *> &sinks, ProgressFn progress)
+Engine::Batch
+Engine::resolve(const std::vector<EvalJob> &jobs)
 {
+    Batch b;
+    b.submitted_ = &jobs;
     // Resolve every backend up front so a typo'd id fails before any
     // work is done, and workers never touch the registry lock. Jobs
     // naming a backend by an alias ("operational" for "baseline") are
@@ -429,82 +423,115 @@ Engine::run(const std::vector<EvalJob> &jobs,
     // result's backend field and the conformance join all agree — two
     // aliases of one model dedup onto one evaluation instead of
     // computing it twice under two keys.
-    std::unordered_map<std::string, std::shared_ptr<const Backend>>
-        backends;
-    std::vector<EvalJob> normalised; // a copy, made only when needed
     for (size_t i = 0; i < jobs.size(); ++i) {
-        auto it = backends.find(jobs[i].backend);
-        if (it == backends.end()) {
+        auto it = b.backends_.find(jobs[i].backend);
+        if (it == b.backends_.end()) {
             std::string error;
             auto backend = backendByName(jobs[i].backend, &error);
             if (!backend)
                 fatal("%s", error.c_str());
-            it = backends.emplace(jobs[i].backend, std::move(backend))
+            it = b.backends_.emplace(jobs[i].backend, std::move(backend))
                      .first;
         }
         const std::string resolved = it->second->name();
         if (resolved != jobs[i].backend) {
-            backends.emplace(resolved, it->second);
-            if (normalised.empty())
-                normalised = jobs;
-            normalised[i].backend = resolved;
+            b.backends_.emplace(resolved, it->second);
+            if (b.normalised_.empty())
+                b.normalised_ = jobs;
+            b.normalised_[i].backend = resolved;
         }
     }
-    const std::vector<EvalJob> &batch =
-        normalised.empty() ? jobs : normalised;
+    const std::vector<EvalJob> &batch = b.jobs();
     const size_t n = batch.size();
-    std::vector<std::shared_ptr<const EvalResult>> slots(n);
+    b.slots_.resize(n);
 
-    // Partition into compute jobs, cache hits and in-batch aliases.
-    // An alias is a job whose cache key is owned by an earlier job in
-    // this batch; it reuses that job's result instead of recomputing.
-    // Without the cache every job computes, even duplicates. The
-    // cache lock covers only the lookups: concurrent callers (the
-    // daemon's clients) share this engine.
-    std::vector<size_t> compute;
-    std::vector<std::pair<size_t, size_t>> aliases; // (index, owner)
-    std::vector<uint64_t> keys(cacheEnabled_ ? n : 0);
+    // Cache hits and in-batch aliases. An alias is a job whose cache
+    // key is owned by an earlier job in this batch; it reuses that
+    // job's result instead of recomputing. Without the cache every
+    // job is its own owner, even duplicates. The cache lock covers
+    // only the lookups: concurrent callers (the daemon's clients)
+    // share this engine.
+    std::vector<size_t> owners;
     uint64_t batch_hits = 0;
     if (!cacheEnabled_) {
         for (size_t i = 0; i < n; ++i)
-            compute.push_back(i);
+            owners.push_back(i);
     } else {
+        b.keys_.resize(n);
         for (size_t i = 0; i < n; ++i)
-            keys[i] = batch[i].cacheKey();
+            b.keys_[i] = batch[i].cacheKey();
         {
             std::lock_guard<std::mutex> lock(cacheMutex_);
             for (size_t i = 0; i < n; ++i) {
-                if (auto hit = cache_.find(keys[i]); hit != cache_.end())
-                    slots[i] = hit->second;
+                if (auto hit = cache_.find(b.keys_[i]);
+                    hit != cache_.end())
+                    b.slots_[i] = hit->second;
             }
         }
         std::unordered_map<uint64_t, size_t> owner;
         for (size_t i = 0; i < n; ++i) {
-            if (slots[i]) {
-                slots[i] = servedFrom(*slots[i], batch[i]);
+            if (b.slots_[i]) {
+                b.slots_[i] = servedFrom(*b.slots_[i], batch[i]);
                 ++batch_hits;
-            } else if (auto claimed = owner.find(keys[i]);
+            } else if (auto claimed = owner.find(b.keys_[i]);
                        claimed != owner.end()) {
-                aliases.push_back({i, claimed->second});
+                b.aliases_.push_back({i, claimed->second});
                 ++batch_hits;
             } else {
-                owner[keys[i]] = i;
-                compute.push_back(i);
+                owner[b.keys_[i]] = i;
+                owners.push_back(i);
             }
         }
+    }
+
+    // Store hits: the L2 answers what the cache could not, here
+    // rather than in the workers, so a batch the store answers
+    // starts none. Hits join the in-process cache like computed
+    // results do.
+    uint64_t store_hits = 0;
+    for (size_t i : owners) {
+        std::optional<EvalResult> hit;
+        if (store_)
+            hit = store_->fetchEval(batch[i]);
+        if (!hit) {
+            b.compute_.push_back(i);
+            continue;
+        }
+        b.slots_[i] = std::make_shared<EvalResult>(std::move(*hit));
+        ++store_hits;
+    }
+    if (cacheEnabled_) {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         cacheHits_ += batch_hits;
+        if (store_hits > 0) {
+            for (size_t i : owners) {
+                if (b.slots_[i])
+                    cache_.emplace(b.keys_[i], b.slots_[i]);
+            }
+        }
     }
 
     // Telemetry observes the batch — counters and wall clocks only,
     // never job identity or sharding, so results stay bit-identical
     // with GPULITMUS_OBS on or off (tests/test_obs.cc pins this).
-    const bool obs_on = obs::enabled();
-    if (obs_on) {
+    if (obs::enabled()) {
         obs::counter("engine_batches_total").add();
         obs::counter("engine_jobs_total").add(n);
         obs::counter("engine_jobs_cached_total").add(batch_hits);
+        if (store_hits > 0)
+            obs::counter("engine_jobs_from_store_total").add(store_hits);
     }
+    return b;
+}
+
+std::vector<EvalResult>
+Engine::run(Batch b, const std::vector<EvalSink *> &sinks,
+            ProgressFn progress)
+{
+    const std::vector<EvalJob> &batch = b.jobs();
+    const std::vector<size_t> &compute = b.compute_;
+    auto &slots = b.slots_;
+    const bool obs_on = obs::enabled();
     const auto batch_start = std::chrono::steady_clock::now();
 
     // Shard the compute jobs over the pool. Results are pure
@@ -533,8 +560,8 @@ Engine::run(const std::vector<EvalJob> &jobs,
                                    : std::string("job"),
                                "engine");
                 const auto job_start = std::chrono::steady_clock::now();
-                result = evaluateJob(*backends.at(job.backend), store_,
-                                     job);
+                result = computeJob(*b.backends_.at(job.backend),
+                                    store_, job);
                 if (obs_on) {
                     uint64_t us = microsSince(job_start);
                     obs::timer("engine_job_latency_us").record(us);
@@ -558,9 +585,9 @@ Engine::run(const std::vector<EvalJob> &jobs,
 
     int pool = static_cast<int>(
         std::min<size_t>(static_cast<size_t>(threads_), compute.size()));
-    if (pool <= 1) {
+    if (pool == 1) {
         worker();
-    } else {
+    } else if (pool > 1) {
         std::vector<std::thread> workers;
         workers.reserve(static_cast<size_t>(pool));
         for (int t = 0; t < pool; ++t)
@@ -571,17 +598,17 @@ Engine::run(const std::vector<EvalJob> &jobs,
 
     // Resolve in-batch aliases now that their owners have run, then
     // install the computed results into the cache.
-    for (auto [idx, owner_idx] : aliases)
+    for (auto [idx, owner_idx] : b.aliases_)
         slots[idx] = servedFrom(*slots[owner_idx], batch[idx]);
-    if (cacheEnabled_) {
+    if (cacheEnabled_ && !compute.empty()) {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         for (size_t idx : compute)
-            cache_.emplace(keys[idx], slots[idx]);
+            cache_.emplace(b.keys_[idx], slots[idx]);
     }
 
     // Deliver to sinks in job order: deterministic at any thread count.
     std::vector<EvalResult> results;
-    results.reserve(n);
+    results.reserve(slots.size());
     for (const auto &slot : slots) {
         for (EvalSink *sink : sinks) {
             if (sink)
@@ -590,6 +617,13 @@ Engine::run(const std::vector<EvalJob> &jobs,
         results.push_back(*slot);
     }
     return results;
+}
+
+std::vector<EvalResult>
+Engine::run(const std::vector<EvalJob> &jobs,
+            const std::vector<EvalSink *> &sinks, ProgressFn progress)
+{
+    return run(resolve(jobs), sinks, std::move(progress));
 }
 
 std::vector<EvalResult>
@@ -678,6 +712,7 @@ void
 ConformanceSink::add(const EvalResult &result)
 {
     joined_.reset();
+    const auto text = result.job->renderedTest();
     if (result.hasHist()) {
         // Cache hits redeliver identical cells; keep the first per
         // (cell, label) so re-runs do not duplicate rows but
@@ -685,23 +720,20 @@ ConformanceSink::add(const EvalResult &result)
         if (seenSims_
                 .insert({result.job->cacheKey(), result.label()})
                 .second) {
-            sims_.push_back({result.job, *result.hist,
-                             result.job->test.str()});
+            sims_.push_back({result.job, *result.hist, text->str});
         }
     }
     if (result.hasExact()) {
         if (seenExacts_
                 .insert({result.job->cacheKey(), result.label()})
                 .second) {
-            exacts_.push_back({result.job, *result.exact,
-                               result.job->test.str()});
+            exacts_.push_back({result.job, *result.exact, text->str});
         }
     }
     // Out-of-scope refusals never join: the model said nothing, so
     // the cell must not read as trivially sound (or unsound).
     if (result.hasVerdict() && !result.verdict->outOfScope)
-        verdicts_[result.job->test.str()][result.backend] =
-            *result.verdict;
+        verdicts_[text->str][result.backend] = *result.verdict;
 }
 
 const ConformanceSink::ExactCell *

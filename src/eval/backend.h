@@ -256,10 +256,10 @@ class EvalSink
 
 /** Progress callback: (computed jobs finished so far, total jobs to
  * compute, the result that just finished). Cells served from the
- * cache or aliased onto a batch-mate are not reported — the callback
- * tracks evaluation work, not deliveries. Invoked from worker threads
- * as jobs complete; completion order is nondeterministic, use sinks
- * for ordered output. */
+ * cache, the store or aliased onto a batch-mate are not reported —
+ * the callback tracks evaluation work, not deliveries. Invoked from
+ * worker threads as jobs complete; completion order is
+ * nondeterministic, use sinks for ordered output. */
 using ProgressFn =
     std::function<void(size_t done, size_t total, const EvalResult &)>;
 
@@ -271,8 +271,8 @@ struct EngineOptions
     bool cache = true;
     /** Optional persistent result store (serve/store.h): the L2
      * behind the in-process cache. Consulted on every cache miss
-     * before evaluating, fed every computed result. Not owned; must
-     * outlive the engine. */
+     * before any worker starts, fed every computed result. Not
+     * owned; must outlive the engine. */
     serve::ResultStore *store = nullptr;
 };
 
@@ -286,14 +286,57 @@ struct EngineOptions
  * caching is on — model jobs with the same (backend, test) collapse
  * onto one evaluation. Unknown backend ids are fatal. Safe to call
  * from several threads at once (the daemon's client handlers do).
+ *
+ * A run has two phases. resolve() does every lookup on the calling
+ * thread — in-process cache hits, in-batch aliases, store hits — and
+ * leaves a Batch that knows how many jobs must compute. run(Batch)
+ * then computes those on the pool; with none, it starts no worker.
+ * The daemon reads Batch::computing() in between to decide whether a
+ * request needs a journal entry and a heartbeat monitor.
  */
 class Engine
 {
   public:
+    /** A batch with its lookups done (see resolve()). Refers to the
+     * job vector it was resolved from, which must outlive it. */
+    class Batch
+    {
+      public:
+        /** Jobs that must compute: no cache entry, batch-mate or
+         * store record answers them. */
+        size_t computing() const { return compute_.size(); }
+
+      private:
+        friend class Engine;
+        const std::vector<EvalJob> &jobs() const
+        {
+            return normalised_.empty() ? *submitted_ : normalised_;
+        }
+
+        const std::vector<EvalJob> *submitted_ = nullptr;
+        std::vector<EvalJob> normalised_; ///< made only when needed
+        std::unordered_map<std::string, std::shared_ptr<const Backend>>
+            backends_;
+        std::vector<std::shared_ptr<const EvalResult>> slots_;
+        std::vector<uint64_t> keys_;  ///< cache keys (cache on)
+        std::vector<size_t> compute_; ///< job indices to evaluate
+        /** (job index, index of the batch-mate it reuses). */
+        std::vector<std::pair<size_t, size_t>> aliases_;
+    };
+
     explicit Engine(EngineOptions opts = {});
 
-    /** Execute all jobs; blocks until done. Results are delivered to
-     * the sinks in job order, then returned. */
+    /** Resolve backends and answer every job the cache, a batch-mate
+     * or the store can answer; unknown backend ids are fatal. */
+    Batch resolve(const std::vector<EvalJob> &jobs);
+
+    /** Compute what `batch` left open, then deliver every result to
+     * the sinks in job order and return them. */
+    std::vector<EvalResult>
+    run(Batch batch, const std::vector<EvalSink *> &sinks = {},
+        ProgressFn progress = nullptr);
+
+    /** resolve() then run(): execute all jobs; blocks until done. */
     std::vector<EvalResult>
     run(const std::vector<EvalJob> &jobs,
         const std::vector<EvalSink *> &sinks = {},

@@ -96,15 +96,31 @@ Job::fromConfig(const sim::ChipProfile &chip, const litmus::Test &test,
     return job;
 }
 
+std::shared_ptr<const TestText>
+TestText::of(const litmus::Test &test)
+{
+    auto text = std::make_shared<TestText>();
+    text->str = test.str();
+    text->hash = fnv1a(text->str);
+    return text;
+}
+
+std::shared_ptr<const TestText>
+Job::renderedTest() const
+{
+    return text ? text : TestText::of(test);
+}
+
 uint64_t
 Job::key() const
 {
+    const uint64_t test_hash = renderedTest()->hash;
     if (isSim()) {
         // The PR-1 derivation, bit for bit: sim-only sweeps keep
         // their histograms across the backend redesign.
         uint64_t h = splitmix64(seed);
         h = splitmix64(h ^ fnv1a(chip.shortName));
-        h = splitmix64(h ^ fnv1a(test.str()));
+        h = splitmix64(h ^ test_hash);
         h = splitmix64(h ^ static_cast<uint64_t>(inc.column()));
         return h;
     }
@@ -114,14 +130,14 @@ Job::key() const
         // mechanisms exist, so they shape the reachable set.
         uint64_t h = splitmix64(fnv1a(backend));
         h = splitmix64(h ^ fnv1a(chip.shortName));
-        h = splitmix64(h ^ fnv1a(test.str()));
+        h = splitmix64(h ^ test_hash);
         return splitmix64(h ^ static_cast<uint64_t>(inc.column()));
     }
     // A model evaluation depends only on (backend, test); excluding
     // the chip/incantation/seed axes lets a grid sweep collapse the
     // redundant cells onto one computation via the result cache.
     uint64_t h = splitmix64(fnv1a(backend));
-    return splitmix64(h ^ fnv1a(test.str()));
+    return splitmix64(h ^ test_hash);
 }
 
 uint64_t
@@ -185,13 +201,12 @@ machineFor(const Job &job)
                                     std::unique_ptr<CachedMachine>>
         cache;
 
-    std::string text = job.test.str();
-    uint64_t key = splitmix64(fnv1a(job.chip.shortName)) ^
-                   fnv1a(text);
+    auto text = job.renderedTest();
+    uint64_t key = splitmix64(fnv1a(job.chip.shortName)) ^ text->hash;
     auto it = cache.find(key);
     if (it != cache.end() &&
         (it->second->chipName != job.chip.shortName ||
-         it->second->text != text)) {
+         it->second->text != text->str)) {
         // 64-bit key collision (astronomically rare): evict rather
         // than risk simulating the wrong machine.
         cache.erase(it);
@@ -204,7 +219,7 @@ machineFor(const Job &job)
         entry->chip = job.chip;
         entry->test = job.test;
         entry->chipName = job.chip.shortName;
-        entry->text = std::move(text);
+        entry->text = text->str;
         entry->machine.emplace(entry->chip, entry->test,
                                sim::MachineOptions{});
         it = cache.emplace(key, std::move(entry)).first;
@@ -376,6 +391,7 @@ Campaign::jobs() const
                     backends.size() +
                 extra_.size());
     for (const auto &lt : tests_) {
+        const auto text = TestText::of(lt.test);
         for (const auto &chip : chips) {
             for (const auto &inc : incs) {
                 for (const auto &backend : backends) {
@@ -383,6 +399,7 @@ Campaign::jobs() const
                     job.backend = backend;
                     job.chip = chip;
                     job.test = lt.test;
+                    job.text = text;
                     job.inc = inc;
                     job.iterations = iterations_;
                     job.seed = seed_;

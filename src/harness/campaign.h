@@ -96,6 +96,23 @@ inline constexpr const char *kMcBackend = "mc";
 int defaultJobs();
 
 /**
+ * A test rendered once: its text (litmus::Test::str) and the fnv1a
+ * hash of that text. Rendering is the dominant cost of a job's
+ * identity, so a planner renders each test once and every job of that
+ * test shares the result (Job::text); Job::key() hashes nothing more
+ * and serve::ResultStore::digestFor absorbs the shared text. The
+ * values are exactly those of rendering afresh, so keys, derived
+ * seeds and store digests do not depend on whether it was shared.
+ */
+struct TestText
+{
+    std::string str;
+    uint64_t hash = 0; ///< fnv1a(str)
+
+    static std::shared_ptr<const TestText> of(const litmus::Test &test);
+};
+
+/**
  * One cell of a sweep: evaluate `test` under the engine named by
  * `backend`. For the simulator backend that means running it on
  * `chip` under `inc` for `iterations` runs; axiomatic backends (see
@@ -120,6 +137,10 @@ struct Job
     int maxMicroSteps = 4000;
     /** Display label for sinks; defaults to "<test>@<chip>" when empty. */
     std::string label;
+    /** `test` rendered once and shared by every job of that test
+     * (serve::planJobs sets it); null means "render on demand". Whoever
+     * replaces `test` on a job that carries it must reset it. */
+    std::shared_ptr<const TestText> text;
 
     static Job fromConfig(const sim::ChipProfile &chip,
                           const litmus::Test &test,
@@ -151,6 +172,9 @@ struct Job
     /** Cache identity: key() plus, for sim and mc jobs, iterations
      * (the mc replay budget) and machine limits. */
     uint64_t cacheKey() const;
+
+    /** The rendered test: the shared `text`, or a fresh rendering. */
+    std::shared_ptr<const TestText> renderedTest() const;
 
     /** label, or "<test>@<chip>" ("<test>@<chip>#mc" for mc jobs,
      * "<test>#<backend>" for model jobs) when unset. */

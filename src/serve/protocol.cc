@@ -449,6 +449,10 @@ planOnChips(const LoadedTest &loaded,
     harness::RunConfig test_cfg = cfg;
     test_cfg.maxMicroSteps =
         std::max(cfg.maxMicroSteps, loaded.minMicroSteps);
+    // Render the test once: every job of it shares the text its keys
+    // and store digests hash. Nvidia chips run the test as written;
+    // an AMD chip's compiled test gets its own rendering.
+    const auto as_written = harness::TestText::of(loaded.test);
     for (const auto &chip : chips) {
         std::vector<std::string> quirks;
         auto to_run =
@@ -464,6 +468,8 @@ planOnChips(const LoadedTest &loaded,
         harness::Job base =
             harness::Job::fromConfig(chip, *to_run, test_cfg);
         base.label = loaded.test.name;
+        base.text =
+            chip.isAmd() ? harness::TestText::of(*to_run) : as_written;
         expand(base);
     }
 }

@@ -15,6 +15,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 
 #include "common/log.h"
 #include "common/strutil.h"
@@ -67,6 +69,89 @@ writeAll(int fd, std::string_view bytes)
     }
     return true;
 }
+
+/** Period of the wall-clock heartbeat `progress` events. */
+constexpr auto kHeartbeatPeriod = std::chrono::seconds(2);
+
+/**
+ * Wall-clock progress for a request that computes: a monitor thread
+ * emits a heartbeat `progress` event every kHeartbeatPeriod, so a
+ * *single* long job — an exploration burning 128k replays between
+ * completions — is visibly alive. It samples the telemetry registry
+ * (the explorer ticks mc_replays_total per replay, mc/explorer.cc)
+ * and derives jobs/sec and an ETA over the `total` jobs that compute;
+ * it only observes, so results are unchanged. Stops on destruction.
+ */
+class Heartbeat
+{
+  public:
+    Heartbeat(std::function<void(const std::string &)> emit,
+              std::string head, size_t total,
+              const std::atomic<size_t> &done)
+        : emit_(std::move(emit)), head_(std::move(head)),
+          total_(total), done_(done)
+    {
+        obs::counter("serve_heartbeat_monitors_total").add();
+        thread_ = std::thread([this]() { loop(); });
+    }
+    Heartbeat(const Heartbeat &) = delete;
+    Heartbeat &operator=(const Heartbeat &) = delete;
+
+    ~Heartbeat()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stop_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+
+  private:
+    void
+    loop()
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        uint64_t last_replays =
+            obs::counter("mc_replays_total").value();
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!cv_.wait_for(lock, kHeartbeatPeriod,
+                             [this] { return stop_; })) {
+            auto elapsed_ms =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+            size_t done = done_.load();
+            uint64_t replays = obs::counter("mc_replays_total").value();
+            double secs = static_cast<double>(elapsed_ms) / 1000.0;
+            double rate =
+                secs > 0.0 ? static_cast<double>(done) / secs : 0.0;
+            std::string e = head_;
+            e += ",\"heartbeat\":true";
+            e += ",\"done\":" + std::to_string(done);
+            e += ",\"total\":" + std::to_string(total_);
+            e += ",\"elapsed_ms\":" + std::to_string(elapsed_ms);
+            e += ",\"jobs_per_sec\":" + strprintf("%.3f", rate);
+            if (rate > 0.0 && total_ > done) {
+                double eta = static_cast<double>(total_ - done) / rate;
+                e += ",\"eta_sec\":" + strprintf("%.1f", eta);
+            }
+            e += ",\"mc_replays_delta\":" +
+                 std::to_string(replays - last_replays);
+            last_replays = replays;
+            emit_(e + "}");
+        }
+    }
+
+    std::function<void(const std::string &)> emit_;
+    std::string head_; ///< the event head: `{"event":"progress"...`
+    size_t total_;
+    const std::atomic<size_t> &done_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool stop_ = false;
+    std::thread thread_; ///< last: starts after the fields above
+};
 
 } // namespace
 
@@ -274,10 +359,19 @@ Server::stats() const
 // ---- journal --------------------------------------------------------
 
 std::string
-Server::journalPath(uint64_t seq) const
+Server::writeJournal(const Request &req)
 {
-    return opts_.storeDir + "/pending/" + std::to_string(seq) +
-           ".req";
+    std::string path = opts_.storeDir + "/pending/" +
+                       std::to_string(journalSeq_.fetch_add(1)) +
+                       ".req";
+    std::ofstream out(path);
+    out << renderRequest(req) << "\n" << std::flush;
+    if (!out) {
+        ::unlink(path.c_str());
+        return "";
+    }
+    obs::counter("serve_journal_writes_total").add();
+    return path;
 }
 
 void
@@ -544,17 +638,17 @@ Server::runJobsRequest(Client &client, const Request &req)
         stats_.jobs += plan.jobs.size();
     }
 
-    // Journal before running: a daemon killed mid-request replays
+    // Every lookup happens before anything computes. A request the
+    // cache and the store answer completely pays for nothing else:
+    // no journal entry, no heartbeat thread, no worker, no flush.
+    eval::Engine::Batch batch = engine_->resolve(plan.jobs);
+    const size_t computing = batch.computing();
+
+    // Journal before computing: a daemon killed mid-request replays
     // this entry at the next startup and completes it from the store.
     std::string journal;
-    if (store_) {
-        journal = journalPath(journalSeq_.fetch_add(1));
-        std::ofstream out(journal);
-        if (out)
-            out << renderRequest(req) << "\n";
-        else
-            journal.clear();
-    }
+    if (store_ && computing > 0)
+        journal = writeJournal(req);
 
     client.writeLine(eventHead("accepted", req.id) +
                      ",\"jobs\":" +
@@ -564,14 +658,9 @@ Server::runJobsRequest(Client &client, const Request &req)
 
     eval::ConformanceSink conformance;
 
-    // Progress at two granularities. Per-job events come from the
-    // engine's workers as jobs complete; wall-clock heartbeats come
-    // from a monitor thread so a *single* long job — an exploration
-    // burning 128k replays between completions — is visibly alive.
-    // The monitor samples the telemetry registry (the explorer ticks
-    // mc_replays_total per replay, mc/explorer.cc) and derives
-    // jobs/sec and an ETA; it only observes, so results are
-    // unchanged.
+    // Progress at two granularities: per-job events from the
+    // engine's workers as computed jobs complete, and wall-clock
+    // heartbeats from a monitor thread while anything computes.
     std::atomic<size_t> jobs_done{0};
     auto progress = [&client, &req, &jobs_done](
                         size_t done, size_t total,
@@ -582,58 +671,19 @@ Server::runJobsRequest(Client &client, const Request &req)
                          ",\"total\":" + std::to_string(total) +
                          "," + jsonField("label", r.label()) + "}");
     };
-
-    std::mutex hb_mutex;
-    std::condition_variable hb_cv;
-    bool hb_stop = false;
-    std::thread monitor([&]() {
-        const auto t0 = std::chrono::steady_clock::now();
-        uint64_t last_replays =
-            obs::counter("mc_replays_total").value();
-        std::unique_lock<std::mutex> lock(hb_mutex);
-        while (!hb_cv.wait_for(lock, std::chrono::seconds(2),
-                               [&] { return hb_stop; })) {
-            auto elapsed_ms =
-                std::chrono::duration_cast<
-                    std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            size_t done = jobs_done.load();
-            uint64_t replays =
-                obs::counter("mc_replays_total").value();
-            double secs =
-                static_cast<double>(elapsed_ms) / 1000.0;
-            double rate = secs > 0.0
-                              ? static_cast<double>(done) / secs
-                              : 0.0;
-            std::string e = eventHead("progress", req.id);
-            e += ",\"heartbeat\":true";
-            e += ",\"done\":" + std::to_string(done);
-            e += ",\"total\":" +
-                 std::to_string(plan.jobs.size());
-            e += ",\"elapsed_ms\":" + std::to_string(elapsed_ms);
-            e += ",\"jobs_per_sec\":" + strprintf("%.3f", rate);
-            if (rate > 0.0 && plan.jobs.size() > done) {
-                double eta =
-                    static_cast<double>(plan.jobs.size() - done) /
-                    rate;
-                e += ",\"eta_sec\":" + strprintf("%.1f", eta);
-            }
-            e += ",\"mc_replays_delta\":" +
-                 std::to_string(replays - last_replays);
-            last_replays = replays;
-            client.writeLine(e + "}");
-        }
-    });
-
-    auto results =
-        engine_->run(plan.jobs, {&conformance}, progress);
+    std::vector<eval::EvalResult> results;
     {
-        std::lock_guard<std::mutex> lock(hb_mutex);
-        hb_stop = true;
+        std::optional<Heartbeat> heartbeat;
+        if (computing > 0) {
+            heartbeat.emplace(
+                [&client](const std::string &line) {
+                    client.writeLine(line);
+                },
+                eventHead("progress", req.id), computing, jobs_done);
+        }
+        results = engine_->run(std::move(batch), {&conformance},
+                               progress);
     }
-    hb_cv.notify_all();
-    monitor.join();
 
     for (const auto &r : results)
         client.writeLine(eventHead("result", req.id) +
@@ -655,7 +705,7 @@ Server::runJobsRequest(Client &client, const Request &req)
         summary += std::string(",\"") + key + "\":" + std::to_string(value);
     client.writeLine(summary + "}");
 
-    if (store_) {
+    if (store_ && computing > 0) {
         std::string flush_error;
         if (!store_->flush(&flush_error))
             warn("serve: store flush failed: %s",

@@ -15,9 +15,11 @@
  * backend — the second submission of a corpus validation is pure
  * store reads.
  *
- * Durability/resume: every accepted job-carrying request is journaled
- * to STORE/pending/<seq>.req before it runs and unlinked after its
- * results are flushed. A daemon killed mid-request replays the journal
+ * Durability/resume: every accepted job-carrying request with at
+ * least one job to compute is journaled to STORE/pending/<seq>.req
+ * before the first computation starts and unlinked after its results
+ * are flushed; a request the cache and the store answer completely
+ * writes no entry. A daemon killed mid-request replays the journal
  * at the next startup: cells finished before the kill come straight
  * from the store, only the tail recomputes. The store itself is the
  * checkpoint, at result granularity.
@@ -116,7 +118,9 @@ class Server
 
     void handleRequest(Client &client, const std::string &line);
     void runJobsRequest(Client &client, const Request &req);
-    std::string journalPath(uint64_t seq) const;
+    /** Journal `req` to STORE/pending/<seq>.req; the path, or empty
+     * when the entry could not be written. */
+    std::string writeJournal(const Request &req);
     /** The `hello` event: ABI stamp, worker count, stored records. */
     std::string helloEvent(const std::string &id) const;
 

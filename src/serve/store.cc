@@ -390,8 +390,8 @@ ResultStore::ResultStore(std::string dir, StoreOptions opts)
 ResultStore::~ResultStore()
 {
     if (fd_ >= 0) {
-        if (opts_.syncOnFlush)
-            ::fsync(fd_);
+        if (unsynced_ && opts_.syncOnFlush)
+            syncLocked();
         ::close(fd_);
     }
 }
@@ -547,7 +547,7 @@ ResultStore::digestFor(const harness::Job &job)
     };
     put(kAbiVersionString);
     put(job.backend);
-    put(job.test.str());
+    put(job.renderedTest()->str);
     if (job.isSim() || job.isMc()) {
         // Chip + column select the machine mechanisms; iterations are
         // the sampling depth / replay budget; the micro-step cap
@@ -654,6 +654,7 @@ ResultStore::appendLocked(const Digest128 &key,
         return false;
     }
     logBytes_ += bytes.size();
+    unsynced_ = true;
     ++stats_.appends;
     obs::counter("store_appends_total").add();
     index_[key] = rec;
@@ -706,8 +707,10 @@ ResultStore::compactLocked()
     bool ok = writeAll(tmp_fd, headerBytes());
     for (size_t i = drop; ok && i < encoded.size(); ++i)
         ok = writeAll(tmp_fd, encoded[i]);
-    if (ok && opts_.syncOnFlush)
+    if (ok && opts_.syncOnFlush) {
         ok = ::fsync(tmp_fd) == 0;
+        obs::counter("store_fsyncs_total").add();
+    }
     ::close(tmp_fd);
     if (!ok || ::rename(tmp.c_str(), logPath().c_str()) != 0) {
         warn("result store %s: compaction failed: %s",
@@ -739,13 +742,27 @@ ResultStore::flush(std::string *error)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     // Appends hit the kernel synchronously (::write); flush makes
-    // them durable.
-    if (opts_.syncOnFlush && ::fsync(fd_) != 0) {
+    // them durable. Nothing appended since the last good flush means
+    // nothing to sync: a request answered from the cache or the store
+    // must not queue every client on this mutex behind an fsync.
+    if (!unsynced_ || !opts_.syncOnFlush)
+        return true;
+    if (!syncLocked()) {
         if (error)
             *error = "fsync '" + logPath() +
                      "' failed: " + std::strerror(errno);
         return false;
     }
+    return true;
+}
+
+bool
+ResultStore::syncLocked()
+{
+    obs::counter("store_fsyncs_total").add();
+    if (::fsync(fd_) != 0)
+        return false;
+    unsynced_ = false;
     return true;
 }
 

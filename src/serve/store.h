@@ -133,7 +133,8 @@ class ResultStore
     void putEval(const harness::Job &job,
                  const eval::EvalResult &result);
 
-    /** Push appended records to disk (and fsync when syncOnFlush).
+    /** Make the records appended since the last successful flush
+     * durable (fsync when syncOnFlush); a no-op when there are none.
      * False + `error` when the write-back fails. */
     bool flush(std::string *error = nullptr);
 
@@ -151,6 +152,8 @@ class ResultStore
     bool appendLocked(const Digest128 &key,
                       const std::shared_ptr<const Record> &rec);
     bool compactLocked();
+    /** fsync the log; clears `unsynced_` on success. */
+    bool syncLocked();
     void putRecord(const Digest128 &key,
                    std::shared_ptr<const Record> rec);
     std::shared_ptr<const Record> lookup(const Digest128 &key);
@@ -165,6 +168,8 @@ class ResultStore
     uint64_t appendSeq_ = 0; ///< eviction order stamp
     int fd_ = -1;            ///< append handle on results.log
     uint64_t logBytes_ = 0;  ///< current log length
+    /** Records appended since the last successful fsync. */
+    bool unsynced_ = false;
     StoreStats stats_;
 };
 

@@ -12,12 +12,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <cctype>
 #include <cstring>
+#include <functional>
 #include <thread>
+#include <utility>
 
 #include "common/version.h"
 #include "harness/campaign.h"
@@ -133,7 +136,102 @@ TEST(Store, DigestIsDeterministicAndSeparatesAxes)
               ResultStore::digestFor(relabeled));
 }
 
+TEST(Store, KeysSeedsAndDigestsArePinned)
+{
+    // Literal identities of four planned jobs. Every store written
+    // so far is addressed by these digests and every cached cell by
+    // these keys: a change to how a job is rendered or hashed must
+    // show up here, not as every user's store silently going cold.
+    // (The digests fold in the ABI stamp: a deliberate ABI bump
+    // re-pins them.)
+    Request validate;
+    validate.cmd = "validate";
+    validate.tests.push_back({"mp", "", ""});
+    validate.chips = {"Titan"};
+    validate.models = {"ptx"};
+    validate.iterations = 4400;
+    validate.exact = true;
+    Request explore;
+    explore.cmd = "explore";
+    explore.tests.push_back({"", "", "scenario:seqlock,fenced=1"});
+    explore.chips = {"Titan"};
+    explore.models = {"none"};
+
+    Plan mp_plan, seqlock_plan;
+    std::string error;
+    ASSERT_TRUE(planJobs(validate, &mp_plan, &error)) << error;
+    ASSERT_TRUE(planJobs(explore, &seqlock_plan, &error)) << error;
+    ASSERT_EQ(mp_plan.jobs.size(), 3u); // sim, mc, ptx
+    ASSERT_EQ(seqlock_plan.jobs.size(), 1u);
+
+    struct Pin
+    {
+        const harness::Job *job;
+        const char *backend;
+        uint64_t cacheKey, derivedSeed, digestLo, digestHi;
+    };
+    const Pin pins[] = {
+        {&mp_plan.jobs[0], "sim", 0x4a0f3341180a460dULL,
+         0x3920a4078817def6ULL, 0x3a5a392ec059b801ULL,
+         0x8a80a830f6c82c9aULL},
+        {&mp_plan.jobs[1], "mc", 0xbfd4af97800121b8ULL,
+         0xae2bcf56dd535411ULL, 0xe29297848dd41544ULL,
+         0xbaeeee13bd093872ULL},
+        {&mp_plan.jobs[2], "ptx", 0x840c0ff03d46e63cULL,
+         0x372d31e197727164ULL, 0xc13ff5d759036715ULL,
+         0x8a0acf0329d85a94ULL},
+        {&seqlock_plan.jobs[0], "mc", 0x64f22d818c6a73beULL,
+         0x6178b7d558a7040dULL, 0x9de9947faf95d718ULL,
+         0x1509d8b593557465ULL},
+    };
+    for (const Pin &pin : pins) {
+        // The planner's shared rendering and a fresh one agree.
+        harness::Job fresh = *pin.job;
+        fresh.text.reset();
+        for (const harness::Job *job : {pin.job, &std::as_const(fresh)}) {
+            SCOPED_TRACE(job->displayLabel() + " " + job->backend +
+                         (job->text ? " (shared text)" : " (rendered)"));
+            EXPECT_EQ(job->backend, pin.backend);
+            EXPECT_EQ(job->cacheKey(), pin.cacheKey);
+            EXPECT_EQ(job->derivedSeed(), pin.derivedSeed);
+            Digest128 digest = ResultStore::digestFor(*job);
+            EXPECT_EQ(digest.lo, pin.digestLo);
+            EXPECT_EQ(digest.hi, pin.digestHi);
+        }
+    }
+}
+
 // ---- store: roundtrip and durability --------------------------------
+
+TEST(Store, FlushSyncsOnlyWhatWasAppended)
+{
+    // The fsync counter is the evidence; this test needs it recording.
+    const bool telemetry_was_on = obs::enabled();
+    obs::setEnabled(true);
+    auto fsyncs = []() {
+        return obs::counter("store_fsyncs_total").value();
+    };
+
+    TempDir dir("flush");
+    harness::Job job = simJob(pl::mp());
+    auto store = ResultStore::open(dir.str());
+    ASSERT_NE(store, nullptr);
+    const uint64_t before = fsyncs();
+    ASSERT_TRUE(store->flush()); // nothing appended yet
+    EXPECT_EQ(fsyncs(), before);
+
+    store->putEval(job, simulate(job));
+    ASSERT_TRUE(store->flush());
+    ASSERT_TRUE(store->flush()); // nothing new since the last one
+    EXPECT_EQ(fsyncs(), before + 1);
+
+    // A put of a digest the store already holds appends nothing.
+    store->putEval(job, simulate(job));
+    ASSERT_TRUE(store->flush());
+    store.reset(); // closing a synced log syncs nothing either
+    EXPECT_EQ(fsyncs(), before + 1);
+    obs::setEnabled(telemetry_was_on);
+}
 
 TEST(Store, SimResultRoundTripsAcrossReopen)
 {
@@ -438,6 +536,55 @@ TEST(Store, EngineStoreHitsTickTheFromStoreCounter)
     }
 }
 
+TEST(Store, StoreHitsResolveBeforeAnyWorkerStarts)
+{
+    // Store lookups happen in Engine::resolve: a batch the store
+    // answers completely leaves nothing to compute, so run() starts
+    // no worker and reports no progress.
+    TempDir dir("resolve");
+    std::vector<harness::Job> jobs = {simJob(pl::mp()), simJob(pl::sb())};
+    jobs.push_back(jobs[0]); // an in-batch alias
+    jobs[2].label = "mp again";
+    StoreOptions sopts;
+    sopts.syncOnFlush = false;
+    auto store = ResultStore::open(dir.str(), sopts);
+    ASSERT_NE(store, nullptr);
+    eval::EngineOptions eopts;
+    eopts.store = store.get();
+    std::vector<eval::EvalResult> cold;
+    {
+        eval::Engine engine(eopts);
+        auto batch = engine.resolve(jobs);
+        EXPECT_EQ(batch.computing(), 2u);
+        cold = engine.run(std::move(batch));
+    }
+
+    eval::Engine engine(eopts);
+    auto batch = engine.resolve(jobs);
+    EXPECT_EQ(batch.computing(), 0u);
+    const uint64_t wall_before =
+        obs::counter("engine_worker_wall_us_total").value();
+    size_t progressed = 0;
+    auto warm = engine.run(std::move(batch), {},
+                           [&progressed](size_t, size_t,
+                                         const eval::EvalResult &) {
+                               ++progressed;
+                           });
+    EXPECT_EQ(progressed, 0u);
+    EXPECT_EQ(obs::counter("engine_worker_wall_us_total").value(),
+              wall_before);
+    ASSERT_EQ(warm.size(), cold.size());
+    for (size_t i = 0; i < warm.size(); ++i) {
+        EXPECT_TRUE(warm[i].fromStore);
+        EXPECT_EQ(warm[i].label(), cold[i].label());
+        EXPECT_EQ(stripProvenance(eval::evalCellJson(warm[i])),
+                  stripProvenance(eval::evalCellJson(cold[i])));
+    }
+    // The store hits joined the in-process cache.
+    EXPECT_EQ(engine.resolve(jobs).computing(), 0u);
+    EXPECT_EQ(engine.cacheSize(), 2u);
+}
+
 // ---- protocol -------------------------------------------------------
 
 TEST(Protocol, ParseRejectsMalformedRequests)
@@ -644,22 +791,21 @@ TEST(Protocol, PlannerMirrorsCliDefaultsAndSurvivesBadInput)
 // ---- daemon ---------------------------------------------------------
 
 /** A live daemon on a Unix socket (short path: sockaddr_un caps at
- * ~108 bytes), torn down on destruction. */
-struct TestServer
+ * ~108 bytes) over the store in `store_dir`, torn down on
+ * destruction. */
+struct LiveDaemon
 {
-    TempDir store_dir;
     std::string socket;
     std::unique_ptr<Server> server;
     std::thread runner;
 
-    explicit TestServer(const std::string &tag)
-        : store_dir("srv_" + tag)
+    LiveDaemon(const std::string &tag, const std::string &store_dir)
     {
         socket = "/tmp/gls_" + tag + "_" +
                  std::to_string(::getpid()) + ".sock";
         ServerOptions opts;
         opts.socketPath = socket;
-        opts.storeDir = store_dir.str();
+        opts.storeDir = store_dir;
         opts.threads = 2;
         std::string error;
         server = Server::create(opts, &error);
@@ -667,12 +813,21 @@ struct TestServer
             runner = std::thread([this]() { server->run(); });
     }
 
-    ~TestServer()
+    ~LiveDaemon()
     {
         if (server) {
             server->shutdown();
             runner.join();
         }
+    }
+};
+
+/** A live daemon over a fresh store directory. */
+struct TestServer : TempDir, LiveDaemon
+{
+    explicit TestServer(const std::string &tag)
+        : TempDir("srv_" + tag), LiveDaemon(tag, TempDir::str())
+    {
     }
 };
 
@@ -682,12 +837,17 @@ struct Collected
     int exit = -1;
     std::vector<std::string> kinds;
     std::vector<std::string> resultCells; ///< "cell" objects, raw
+    /** `total` of each per-job (non-heartbeat) progress event. */
+    std::vector<int64_t> progressTotals;
     int64_t storeResults = -1;
+    std::string summary; ///< the summary line, raw
     std::string error;
 };
 
+/** `onEvent`, when set, sees each event kind as it arrives. */
 Collected
-submitAndCollect(const std::string &socket, const Request &req)
+submitAndCollect(const std::string &socket, const Request &req,
+                 std::function<void(const std::string &)> onEvent = {})
 {
     Collected out;
     auto client = Client::connectUnix(socket, &out.error);
@@ -695,9 +855,16 @@ submitAndCollect(const std::string &socket, const Request &req)
         return out;
     out.exit = client->submit(
         req,
-        [&out](const json::Value &event, const std::string &line) {
+        [&out, &onEvent](const json::Value &event,
+                         const std::string &line) {
             std::string kind = event.getString("event");
+            if (onEvent)
+                onEvent(kind);
             out.kinds.push_back(kind);
+            if (kind == "progress" && !event.getBool("heartbeat", false))
+                out.progressTotals.push_back(event.getInt("total", -1));
+            if (kind == "summary")
+                out.summary = line;
             if (kind == "result") {
                 auto cell = line.find("\"cell\":");
                 out.resultCells.push_back(
@@ -908,6 +1075,116 @@ TEST(Serve, ValidateMatchesBatchEngineAndWarmsTheStore)
     for (size_t i = 0; i < baseline.size(); ++i)
         EXPECT_EQ(stripProvenance(warm.resultCells[i]),
                   stripProvenance(cold.resultCells[i]));
+}
+
+/** The three costs only a request that computes may pay: journal
+ * entries written, heartbeat monitors started, store fsyncs. */
+std::array<uint64_t, 3>
+computeCosts()
+{
+    return {obs::counter("serve_journal_writes_total").value(),
+            obs::counter("serve_heartbeat_monitors_total").value(),
+            obs::counter("store_fsyncs_total").value()};
+}
+
+std::array<uint64_t, 3>
+computeCostsSince(const std::array<uint64_t, 3> &before)
+{
+    auto now = computeCosts();
+    return {now[0] - before[0], now[1] - before[1], now[2] - before[2]};
+}
+
+/** A summary line minus `store_results`, the one provenance tally. */
+std::string
+withoutStoreResults(std::string summary)
+{
+    auto at = summary.find(",\"store_results\":");
+    if (at != std::string::npos)
+        summary.erase(at, summary.find(',', at + 1) - at);
+    return summary;
+}
+
+TEST(Serve, WarmRequestsWriteNoJournalStartNoMonitorAndSyncNothing)
+{
+    // The counters are the evidence; this test needs them recording.
+    const bool telemetry_was_on = obs::enabled();
+    obs::setEnabled(true);
+
+    TempDir store_dir("paid");
+    const fs::path pending = store_dir.path / "pending";
+    auto pending_entries = [&pending]() {
+        return std::distance(fs::directory_iterator(pending),
+                             fs::directory_iterator());
+    };
+    Request req;
+    req.cmd = "validate";
+    req.id = "w";
+    req.tests = {{"mp", "", ""}, {"sb", "", ""}};
+    req.chips = {"Titan"};
+    req.models = {"ptx"};
+    req.iterations = 2000;
+    const std::array<uint64_t, 3> once{1, 1, 1}, none{0, 0, 0};
+
+    Collected cold, cached, stored;
+    {
+        LiveDaemon daemon("paid1", store_dir.str());
+        ASSERT_NE(daemon.server, nullptr);
+        auto before = computeCosts();
+        long pending_at_first_progress = -1;
+        cold = submitAndCollect(
+            daemon.socket, req, [&](const std::string &kind) {
+                if (kind == "progress" && pending_at_first_progress < 0)
+                    pending_at_first_progress = pending_entries();
+            });
+        EXPECT_EQ(cold.exit, 0) << cold.error;
+        EXPECT_EQ(pending_at_first_progress, 1);
+        EXPECT_EQ(pending_entries(), 0);
+        EXPECT_EQ(computeCostsSince(before), once);
+        // All four jobs (sim and ptx for each test) compute, and the
+        // per-job progress events count against those four.
+        EXPECT_EQ(cold.progressTotals, std::vector<int64_t>(4, 4));
+
+        before = computeCosts();
+        cached = submitAndCollect(daemon.socket, req);
+        EXPECT_EQ(computeCostsSince(before), none);
+    }
+    {
+        // A restart on the same store: its answers come from disk.
+        LiveDaemon daemon("paid2", store_dir.str());
+        ASSERT_NE(daemon.server, nullptr);
+        auto before = computeCosts();
+        stored = submitAndCollect(daemon.socket, req);
+        EXPECT_EQ(computeCostsSince(before), none);
+        EXPECT_EQ(stored.storeResults, 4);
+
+        // Half answered, half computed: only the computed half
+        // reports progress, and the request pays once.
+        Request mixed = req;
+        mixed.tests.push_back({"lb", "", ""});
+        before = computeCosts();
+        Collected partial = submitAndCollect(daemon.socket, mixed);
+        EXPECT_EQ(partial.exit, 0) << partial.error;
+        EXPECT_EQ(partial.storeResults, 4);
+        EXPECT_EQ(partial.progressTotals, std::vector<int64_t>(2, 2));
+        EXPECT_EQ(computeCostsSince(before), once);
+        EXPECT_EQ(pending_entries(), 0);
+    }
+
+    // A fully answered request streams no progress at all.
+    const std::vector<std::string> answered = {
+        "hello",  "accepted", "result", "result",
+        "result", "result",   "summary", "done"};
+    for (const Collected *warm : {&cached, &stored}) {
+        EXPECT_EQ(warm->exit, 0) << warm->error;
+        EXPECT_EQ(warm->kinds, answered);
+        ASSERT_EQ(warm->resultCells.size(), cold.resultCells.size());
+        for (size_t i = 0; i < cold.resultCells.size(); ++i)
+            EXPECT_EQ(stripProvenance(warm->resultCells[i]),
+                      stripProvenance(cold.resultCells[i]));
+        EXPECT_EQ(withoutStoreResults(warm->summary),
+                  withoutStoreResults(cold.summary));
+    }
+    obs::setEnabled(telemetry_was_on);
 }
 
 TEST(Serve, ConcurrentClientsGetIdenticalDeterministicAnswers)

@@ -345,9 +345,9 @@ planBatch(const std::string &cmd, const Args &args)
 }
 
 /** A stderr progress line every `n` computed jobs. The denominator is
- * computed jobs: cells served from the cache or deduped onto a
- * batch-mate (model cells across chips) are never reported, so it is
- * below the result count by design. */
+ * computed jobs: cells served from the cache or the store, or deduped
+ * onto a batch-mate (model cells across chips), are never reported,
+ * so it is below the result count by design. */
 eval::ProgressFn
 progressEvery(size_t n)
 {
