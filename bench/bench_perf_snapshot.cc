@@ -14,9 +14,9 @@
  * The two modes must be *observationally identical*: same reachable
  * sets, same pruned replay counts, same pruning statistics — only
  * wall clock and per-replay work may differ. This bench enforces
- * that invariance (exit 1 on any drift), pins the historical anchor
- * (inter-CTA mp on the Titan at column 16 is exactly 4,400 pruned
- * replays, as PR 3 recorded), and emits BENCH_snapshot.json with
+ * that invariance (exit 1 on any drift), pins the anchor (inter-CTA
+ * mp on the Titan at column 16 is exactly 1,296 pruned replays under
+ * eager issue), and emits BENCH_snapshot.json with
  * before/after replays-per-second per workload.
  *
  * GPULITMUS_SNAPSHOT_REPS controls the best-of repetition count
@@ -71,11 +71,11 @@ main()
     {
         const char *name;
         litmus::Test test;
-        /** PR-3 pruned-replay anchor; 0 = unpinned. */
+        /** Pruned-replay anchor; 0 = unpinned. */
         uint64_t expectReplays;
     };
     const Workload workloads[] = {
-        {"mp", litmus::paperlib::mp(), 4400},
+        {"mp", litmus::paperlib::mp(), 1296},
         {"sb", litmus::paperlib::sb(), 0},
         {"corr", litmus::paperlib::coRRL2L1(ptx::Scope::Gl), 0},
         {"lb", litmus::paperlib::lb(), 0},

@@ -32,11 +32,14 @@ namespace gpulitmus {
 /** Result-equivalence generation (see file header for bump rules).
  * 2: the mc backend's static pre-pass (analysis/) answers
  * fully-ordered programs from SC enumeration, changing the stored
- * search statistics and path weights for those jobs. */
-inline constexpr int kAbiVersion = 2;
+ * search statistics and path weights for those jobs.
+ * 3: the explorer issues eagerly (commit, then issue to the next
+ * block point), changing the stored replays, states and path
+ * weights of explored jobs; reachable sets are unchanged. */
+inline constexpr int kAbiVersion = 3;
 
 /** The stamp as written into store headers, handshakes and JSON. */
-inline constexpr const char *kAbiVersionString = "gpulitmus-abi-2";
+inline constexpr const char *kAbiVersionString = "gpulitmus-abi-3";
 
 } // namespace gpulitmus
 

@@ -154,6 +154,8 @@ struct Walker final : sim::ChoiceProvider
     bool truncatedLeaf = false;
     /** A budget tripped: the search is incomplete (bounded). */
     bool aborted = false;
+    /** Register-hazard IssueOrCommit nodes under eager issue. */
+    uint64_t issueBranches = 0;
 
     Walker(const sim::ChipProfile &chip, const litmus::Test &t,
            const ExploreOptions *o)
@@ -181,6 +183,7 @@ struct Walker final : sim::ChoiceProvider
      * materialises a fresh node; replayed prefixes use their stored
      * snapshot, so skip the build. */
     bool wantsActors() const override { return depth >= traceLen; }
+    bool eagerIssue() const override { return opts->eagerIssue; }
     int delayBump() override { return 0; }
 
     uint64_t
@@ -227,6 +230,8 @@ struct Walker final : sim::ChoiceProvider
             return node.chosen;
         }
         ++stats.choicePoints;
+        if (kind == sim::ChoiceKind::IssueOrCommit && opts->eagerIssue)
+            ++issueBranches;
         Node &node = pushNode(kind, arity);
         node.pending.reserve(arity - 1);
         for (uint32_t v = 1; v < arity; ++v)
@@ -733,6 +738,8 @@ struct Explorer::Impl
             obs::counter("mc_states_cached_total")
                 .add(walker.stats.distinctStates);
             obs::counter("mc_resumes_total").add(walker.stats.resumes);
+            obs::counter("mc_issue_branches_total")
+                .add(walker.issueBranches);
             obs::counter("mc_replayed_choices_total")
                 .add(walker.stats.replayedChoices);
             obs::gauge("mc_last_peak_depth")

@@ -13,6 +13,17 @@
  *
  * Pruning, in decreasing order of leverage:
  *
+ * - Eager issue: a thread's slot commits one window entry and then
+ *   issues up to the next block point (sim::Machine's eager mode), so
+ *   the search never enumerates *when* a thread fetches. Issuing is
+ *   thread-local and only adds commit options, so no reachable final
+ *   state is lost. A register hazard, where the issue time decides a
+ *   register value, keeps its IssueOrCommit branch (issue now, or
+ *   after a later commit; counted by mc_issue_branches_total).
+ *   Issuing before the commit would be unsound: the entries issued
+ *   and retired in one slot would escape the slot's footprint.
+ *   ExploreOptions::eagerIssue off restores the lazy traversal, which
+ *   the tests keep as the differential oracle.
  * - Timing-only choices (start skew, replay delays, drain laziness,
  *   CTA placement) are pinned to a canonical value: exhaustive
  *   scheduling subsumes them, so no reachable final state is lost.
@@ -91,6 +102,10 @@ struct ExploreOptions
     /** Cap on cached states before the search declares itself
      * bounded. */
     uint64_t maxStates = 1u << 22;
+    /** Eager issue: thread slots commit, then issue to the next block
+     * point (sound; disable to cross-check against the lazy
+     * traversal). */
+    bool eagerIssue = true;
     /** DPOR sleep-set pruning (sound; disable to cross-check). */
     bool sleepSets = true;
     /** State-cache pruning (sound; disable to cross-check). */

@@ -43,6 +43,8 @@ namespace gpulitmus::sim {
 enum class ChoiceKind : uint8_t {
     Schedule,     ///< which actor (thread / drain) takes the slot
     IssueOrCommit,///< thread slot: fetch-issue vs retire from window
+                  ///  (eager issue: issue now vs after a later
+                  ///  commit, asked only at a register hazard)
     CommitBypass, ///< younger window entry overtakes older entries
     DrainLazy,    ///< drain actor defers (timing-only)
     DrainReorder, ///< store buffer drains out of order this time
@@ -131,6 +133,17 @@ class ChoiceProvider
      * Samplers say no and the machine skips building footprints on
      * its hot path. */
     virtual bool wantsActors() const { return false; }
+
+    /**
+     * Issue mode of a thread's slot. Lazy (false, the sampler's
+     * mode): a slot either issues one instruction or commits one
+     * window entry, an IssueOrCommit draw deciding when both can.
+     * Eager (true): a slot commits one entry, then issues up to the
+     * next block point. Issuing is thread-local, so searchers take
+     * the eager mode to stop enumerating fetch timing; see
+     * Machine::threadAction. Read once per run()/resume().
+     */
+    virtual bool eagerIssue() const { return false; }
 
     /**
      * Scheduling pick: one slot among the n actors, or kAbortRun to

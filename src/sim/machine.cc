@@ -401,6 +401,15 @@ Machine::runLight(ChoiceProvider &cp)
 {
     resetRun(cp);
     truncated_ = false;
+    eagerIssue_ = cp.eagerIssue();
+    if (eagerIssue_) {
+        // Eager issue starts every thread at its first block point, so
+        // each thread slot has an entry to commit.
+        for (int t = 0; t < static_cast<int>(threads_.size()); ++t) {
+            if (threads_[t].startDelay == 0)
+                issueToBlock(t, cp);
+        }
+    }
     return mainLoop(0, cp);
 }
 
@@ -408,6 +417,7 @@ bool
 Machine::resumeLight(const Snapshot &snap, ChoiceProvider &cp)
 {
     restore(snap);
+    eagerIssue_ = cp.eagerIssue();
     return mainLoop(snap.step, cp);
 }
 
@@ -540,12 +550,24 @@ Machine::threadAction(int tid, ChoiceProvider &cp)
         --ts.startDelay;
         return;
     }
+    if (eagerIssue_) {
+        // Commit first, then issue: the commit retires an entry the
+        // slot's footprint (fillActorTable) already covers, and the
+        // issues after it touch only this thread's registers, pc and
+        // window. An entry issued before the commit could retire in
+        // the same slot outside that footprint and escape the sleep
+        // sets' independence check.
+        if (!ts.window.empty())
+            commitOne(tid, cp);
+        issueToBlock(tid, cp);
+        return;
+    }
     bool can_commit = !ts.window.empty();
     bool can_issue = false;
     if (!ts.frontDone) {
         if (ts.pc >= static_cast<int>(compiled_[tid].instrs.size())) {
             ts.frontDone = true;
-        } else if (ts.window.size() < 8) {
+        } else if (ts.window.size() < kWindowCap) {
             can_issue =
                 issueReady(ts, compiled_[tid].instrs[ts.pc]);
         }
@@ -557,6 +579,50 @@ Machine::threadAction(int tid, ChoiceProvider &cp)
         issueOne(tid, cp);
     else if (can_commit)
         commitOne(tid, cp);
+}
+
+void
+Machine::issueToBlock(int tid, ChoiceProvider &cp)
+{
+    ThreadState &ts = threads_[tid];
+    const std::vector<CInstr> &instrs = compiled_[tid].instrs;
+    while (!ts.frontDone) {
+        if (ts.pc >= static_cast<int>(instrs.size())) {
+            ts.frontDone = true;
+            return;
+        }
+        const CInstr &in = instrs[ts.pc];
+        if (ts.window.size() >= kWindowCap || !issueReady(ts, in))
+            return;
+        // At a hazard the issue time decides a register value, so it
+        // stays a choice: issue now, or after a later commit.
+        if (issueHazard(ts, in) &&
+            !cp.chance(ChoiceKind::IssueOrCommit, 0.6))
+            return;
+        issueOne(tid, cp);
+    }
+}
+
+bool
+Machine::issueHazard(const ThreadState &ts, const CInstr &in) const
+{
+    uint64_t window_dsts = 0;
+    for (const auto &e : ts.window) {
+        if (e.dst >= 0)
+            window_dsts |= 1ULL << e.dst;
+    }
+    if (!window_dsts)
+        return false;
+    // Every register the instruction reads or writes. A read can only
+    // hit here after two entries shared a dst (the first commit clears
+    // the pending bit); a write is a WAW with an in-flight entry.
+    uint64_t regs = 0;
+    for (int r : {in.guardReg, in.dst, in.addr.reg, in.src0.reg,
+                  in.src1.reg}) {
+        if (r >= 0)
+            regs |= 1ULL << r;
+    }
+    return (regs & window_dsts) != 0;
 }
 
 bool

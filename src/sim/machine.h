@@ -51,6 +51,21 @@
  *   finalState(), so the steady-state iteration builds no string and
  *   no map.
  *
+ * - Two issue modes, chosen by the provider (ChoiceProvider::
+ *   eagerIssue). Lazy issue, the sampler's: a thread's slot issues
+ *   one instruction or commits one window entry, an IssueOrCommit
+ *   draw choosing when both can; the sampler's draw stream is the
+ *   pre-refactor one, bit for bit. Eager issue, the explorer's: every
+ *   thread issues up to its first block point when the run starts,
+ *   and a slot commits one entry and then issues up to the next block
+ *   point. Issuing touches only the thread's own registers, pc and
+ *   window and only adds commit options, so the reachable final
+ *   states are the lazy ones. The one exception is a register hazard
+ *   (issueHazard): an instruction reading or writing the dst of an
+ *   in-flight load or atomic, whose issue time decides a register
+ *   value. There the IssueOrCommit choice stays, marked relevant:
+ *   issue now, or after a later commit.
+ *
  * - Used SMs only: an SM hosting no testing thread is never read — its
  *   buffer fills only from its own threads and its L1 lines are served
  *   to no one. resetRun() therefore resets and warms only the used
@@ -271,6 +286,9 @@ class Machine
         int delay = 0;
     };
 
+    /** Commit-window entries a thread may have in flight. */
+    static constexpr size_t kWindowCap = 8;
+
     struct ThreadState
     {
         int smId = 0;
@@ -364,7 +382,15 @@ class Machine
     template <typename Sink> void encodeTo(Sink &sink) const;
     bool allDone() const;
     void threadAction(int tid, ChoiceProvider &cp);
+    /** Eager issue: issue in order until an instruction cannot issue
+     * (window full, operand pending, front end done) or a hazard
+     * branch defers it. */
+    void issueToBlock(int tid, ChoiceProvider &cp);
     bool issueReady(const ThreadState &ts, const CInstr &in) const;
+    /** Does issuing `in` now, rather than after a later commit, decide
+     * a register value? True when it reads or writes the dst of an
+     * in-flight window entry. */
+    bool issueHazard(const ThreadState &ts, const CInstr &in) const;
     void issueOne(int tid, ChoiceProvider &cp);
     void commitOne(int tid, ChoiceProvider &cp);
     double pairPass(const ThreadState &ts, const WindowEntry &older,
@@ -417,6 +443,8 @@ class Machine
     uint64_t usedSms_ = 0;
     /** Set when a run hits the outer step bound or a fetch guard. */
     bool truncated_ = false;
+    /** The provider's issue mode, read at run()/resume(). */
+    bool eagerIssue_ = false;
     /** Main-loop position, maintained so snapshot() can record where
      * to resume. */
     int curStep_ = 0;

@@ -185,9 +185,17 @@ TEST(Explorer, MpTitanReachesExactlyThePtxAllowedSet)
 {
     mc::ExploreResult r = explore("mp.litmus", "Titan", 16);
     ASSERT_TRUE(r.complete);
-    // The PR-3 pruning anchor: checkpointing and digest keys must
-    // not change what gets explored, only how fast.
-    EXPECT_EQ(r.stats.replays, 4400u);
+    // The pruning anchor: checkpointing and digest keys must not
+    // change what gets explored, only how fast. Eager issue walks
+    // 1,296 replays; the lazy traversal, kept as the differential
+    // oracle, walks 4,400.
+    EXPECT_EQ(r.stats.replays, 1296u);
+    mc::ExploreOptions lazy;
+    lazy.eagerIssue = false;
+    mc::ExploreResult l = explore("mp.litmus", "Titan", 16, lazy);
+    ASSERT_TRUE(l.complete);
+    EXPECT_EQ(l.stats.replays, 4400u);
+    EXPECT_EQ(l.finals.size(), r.finals.size());
     litmus::Test mp = loadCorpus("mp.litmus");
     model::Verdict v = model::Checker(cat::models::ptx()).check(mp);
     std::set<std::string> reached;
@@ -254,16 +262,18 @@ TEST(Explorer, SamplerNeverEscapesTheExactSet)
 
 TEST(Explorer, PruningIsInvisibleInTheReachableSet)
 {
-    // Sleep sets and state caching are pure pruning: every on/off
-    // combination reaches the same final states. (The unpruned tree
-    // is big; column 6 keeps the raw enumeration CI-sized.)
+    // Sleep sets, state caching and eager issue are pure pruning:
+    // every on/off combination reaches the same final states. (The
+    // unpruned tree is big; column 6 keeps the raw enumeration
+    // CI-sized.)
     for (const char *file : {"mp.litmus", "sb.litmus"}) {
         std::set<std::string> base;
         uint64_t base_replays = 0;
-        for (int mode = 0; mode < 4; ++mode) {
+        for (int mode = 0; mode < 8; ++mode) {
             mc::ExploreOptions opts;
             opts.sleepSets = mode & 1;
             opts.stateCache = mode & 2;
+            opts.eagerIssue = mode & 4;
             opts.maxReplays = 4u << 20;
             mc::ExploreResult r = explore(file, "Titan", 6, opts);
             ASSERT_TRUE(r.complete) << file << " mode " << mode;
@@ -277,7 +287,7 @@ TEST(Explorer, PruningIsInvisibleInTheReachableSet)
                 EXPECT_EQ(keys, base) << file << " mode " << mode;
             }
             // Full pruning must not exceed the unpruned effort.
-            if (mode == 3) {
+            if (mode == 3 || mode == 7) {
                 EXPECT_LE(r.stats.replays, base_replays) << file;
             }
         }
@@ -563,6 +573,68 @@ exists ((1:r2=0))
     // Loop states dedup across fetch-counter values, which trades
     // the exactness claim away: a spin test is honestly "bounded".
     EXPECT_FALSE(r.complete);
+}
+
+/** Reachable final-state keys of `text` on Titan column 16, lazy or
+ * eager issue. */
+std::set<std::string>
+reachableKeys(const char *text, bool eager)
+{
+    auto test = litmus::parseTest(text);
+    EXPECT_TRUE(test.has_value());
+    mc::ExploreOptions opts;
+    opts.machine.inc = sim::Incantations::fromColumn(16);
+    opts.eagerIssue = eager;
+    mc::ExploreResult r =
+        mc::Explorer(sim::chip("Titan"), *test, opts).explore();
+    EXPECT_TRUE(r.complete);
+    std::set<std::string> keys;
+    for (const auto &[key, weight] : r.finals)
+        keys.insert(key);
+    return keys;
+}
+
+TEST(Explorer, EagerIssueBranchesAtAWriteAfterWriteHazard)
+{
+    // The load into r1 is in flight when `mov r1,5` can issue: the
+    // issue time decides r1. Issued early, the load lands last (r1 =
+    // x = 1); issued after the load commits, the mov lands last (r1
+    // = 5). Eager issue must keep both: stopping at the hazard loses
+    // the first, issuing through it loses the second.
+    const char *text = R"(GPU_PTX waw
+{global x=1;}
+ T0               ;
+ ld.cg.s32 r1,[x] ;
+ mov.s32 r1,5     ;
+ScopeTree(grid(cta((warp T0))))
+exists (0:r1=5)
+)";
+    for (bool eager : {false, true}) {
+        std::set<std::string> keys = reachableKeys(text, eager);
+        EXPECT_EQ(keys, (std::set<std::string>{"0:r1=1;", "0:r1=5;"}))
+            << (eager ? "eager" : "lazy");
+    }
+}
+
+TEST(Explorer, EagerIssueBranchesAtAReadOfAnInFlightDestination)
+{
+    // Both loads write r1. When the y load (2) overtakes the x load
+    // (1), its commit clears r1's pending bit while the x load is
+    // still in flight; the add may then read r1 before or after that
+    // load lands. Reading it after (r1 = r2 = 1) needs the add's
+    // issue to stay a choice.
+    const char *text = R"(GPU_PTX raw
+{global x=1; global y=2;}
+ T0                 ;
+ ld.cg.s32 r1,[x]   ;
+ ld.cg.s32 r1,[y]   ;
+ add.s32 r2,r1,0    ;
+ScopeTree(grid(cta((warp T0))))
+exists (0:r1=1 /\ 0:r2=1)
+)";
+    std::set<std::string> lazy = reachableKeys(text, false);
+    EXPECT_TRUE(lazy.count("0:r1=1; 0:r2=1;"));
+    EXPECT_EQ(reachableKeys(text, true), lazy);
 }
 
 // ---------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "eval/backend.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
+#include "litmus/parser.h"
 #include "mc/explorer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -414,6 +415,42 @@ TEST_F(ObsTest, ExplorationBitIdenticalWithTelemetryOnAndOff)
     EXPECT_EQ(on.paths, off.paths);
     EXPECT_EQ(on.stats.replays, off.stats.replays);
     EXPECT_EQ(on.stats.distinctStates, off.stats.distinctStates);
+}
+
+TEST_F(ObsTest, ExplorerTicksIssueBranchesOnlyAtRegisterHazards)
+{
+    // `mov r1,5` can issue while the load into r1 is in flight: one
+    // hazard branch per explored point. mp has no hazard at all.
+    auto waw = litmus::parseTest(R"(GPU_PTX waw
+{global x=1;}
+ T0               ;
+ ld.cg.s32 r1,[x] ;
+ mov.s32 r1,5     ;
+ScopeTree(grid(cta((warp T0))))
+exists (0:r1=5)
+)");
+    ASSERT_TRUE(waw.has_value());
+    auto run = [](const litmus::Test &test) {
+        mc::ExploreOptions opts;
+        opts.machine.inc = sim::Incantations::fromColumn(16);
+        return mc::Explorer(sim::chip("Titan"), test, opts).explore();
+    };
+    auto &branches = obs::Registry::instance().counter(
+        "mc_issue_branches_total");
+    mc::ExploreResult on = run(*waw);
+    uint64_t ticked = branches.value();
+    EXPECT_GE(ticked, 1u);
+    run(pl::mp());
+    EXPECT_EQ(branches.value(), ticked);
+
+    // Telemetry off: nothing ticks, and the search is unchanged.
+    obs::setEnabled(false);
+    mc::ExploreResult off = run(*waw);
+    obs::setEnabled(true);
+    EXPECT_EQ(branches.value(), ticked);
+    EXPECT_EQ(on.finals, off.finals);
+    EXPECT_EQ(on.stats.replays, off.stats.replays);
+    EXPECT_EQ(on.stats.choicePoints, off.stats.choicePoints);
 }
 
 // ---- serve parity ---------------------------------------------------

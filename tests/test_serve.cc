@@ -172,17 +172,17 @@ TEST(Store, KeysSeedsAndDigestsArePinned)
     };
     const Pin pins[] = {
         {&mp_plan.jobs[0], "sim", 0x4a0f3341180a460dULL,
-         0x3920a4078817def6ULL, 0x3a5a392ec059b801ULL,
-         0x8a80a830f6c82c9aULL},
+         0x3920a4078817def6ULL, 0x6f1289df81f0247bULL,
+         0xd344aca74b3f2937ULL},
         {&mp_plan.jobs[1], "mc", 0xbfd4af97800121b8ULL,
-         0xae2bcf56dd535411ULL, 0xe29297848dd41544ULL,
-         0xbaeeee13bd093872ULL},
+         0xae2bcf56dd535411ULL, 0x29ca3b6cb2bd6adeULL,
+         0x0937e4fc199d9515ULL},
         {&mp_plan.jobs[2], "ptx", 0x840c0ff03d46e63cULL,
-         0x372d31e197727164ULL, 0xc13ff5d759036715ULL,
-         0x8a0acf0329d85a94ULL},
+         0x372d31e197727164ULL, 0x3d1c03e28f8b0777ULL,
+         0x71461fbff98ee5c8ULL},
         {&seqlock_plan.jobs[0], "mc", 0x64f22d818c6a73beULL,
-         0x6178b7d558a7040dULL, 0x9de9947faf95d718ULL,
-         0x1509d8b593557465ULL},
+         0x6178b7d558a7040dULL, 0x1f89dfd85dcaadcaULL,
+         0xa645485e7f7f98fdULL},
     };
     for (const Pin &pin : pins) {
         // The planner's shared rendering and a fresh one agree.
