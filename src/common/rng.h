@@ -25,8 +25,10 @@ namespace gpulitmus {
  *
  * The per-draw members (next/below/uniform/chance) are defined inline
  * here: the sampler draws tens of times per simulated iteration, and
- * inlining them into sim::RngChoice removes a call per draw. The
- * arithmetic — and therefore every seeded stream — is unchanged.
+ * inlining them into sim::RngChoice removes a call per draw. below()
+ * divides once per draw (see reduce()) and chance() compares in
+ * integers; every seeded stream is the one the textbook formulas
+ * give.
  */
 class Rng
 {
@@ -58,13 +60,46 @@ class Rng
     {
         if (bound == 0)
             panic("Rng::below called with bound 0");
-        // Rejection sampling to avoid modulo bias.
-        uint64_t threshold = -bound % bound;
-        for (;;) {
-            uint64_t r = next();
-            if (r >= threshold)
-                return r % bound;
+        uint64_t out;
+        while (!reduce(next(), bound, out)) {
         }
+        return out;
+    }
+
+    /**
+     * One rejection-sampling step of below(): false when the raw draw
+     * r lies in the biased zone [0, 2^64 mod bound) and must be
+     * redrawn, else `out` = r % bound — the textbook
+     * `r >= -bound % bound ? r % bound : reject`, bit for bit. The
+     * zone ends below bound, so the division that sizes it is only
+     * made when r < bound (probability bound / 2^64): one division
+     * per draw instead of two.
+     */
+    static bool
+    reduce(uint64_t r, uint64_t bound, uint64_t &out)
+    {
+        if ((bound & (bound - 1)) == 0) {
+            // A power of two divides 2^64: no zone, and r % bound is
+            // a mask.
+            out = r & (bound - 1);
+            return true;
+        }
+        if (r < bound) [[unlikely]] {
+            if (r < -bound % bound)
+                return false;
+            out = r;
+            return true;
+        }
+        out = r % bound;
+        return true;
+    }
+
+    /** Advance the stream by n draws: the state n next() calls leave. */
+    void
+    discard(uint64_t n)
+    {
+        for (; n > 0; --n)
+            next();
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
@@ -77,7 +112,8 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli draw with probability p of true. */
+    /** Bernoulli draw with probability p of true: uniform() < p,
+     * compared in integers (see chanceThreshold). */
     bool
     chance(double p)
     {
@@ -85,7 +121,22 @@ class Rng
             return false;
         if (p >= 1.0)
             return true;
-        return uniform() < p;
+        return (next() >> 11) < chanceThreshold(p);
+    }
+
+    /**
+     * The integer form of `uniform() < p` for 0 < p < 1: uniform() is
+     * x * 2^-53 for the integer x = next() >> 11, and scaling by a
+     * power of two is exact, so the test is x < p * 2^53, i.e.
+     * x < ceil(p * 2^53). The threshold depends on p alone, so the
+     * draw's path to the branch is a shift and a compare.
+     */
+    static uint64_t
+    chanceThreshold(double p)
+    {
+        double scaled = p * 0x1.0p53;
+        auto t = static_cast<uint64_t>(scaled);
+        return t + (static_cast<double>(t) < scaled ? 1 : 0);
     }
 
     /** Fisher-Yates shuffle of a random-access container. */

@@ -255,14 +255,21 @@ runJob(Job job)
 
     // Record by outcome digest: only a run whose digest is new
     // materialises its final state and renders its key (see
-    // sim/outcomes.h); the histogram is filled once at the end. The
-    // draws are exactly those of Machine::run(Rng&), so the result is
-    // bit-identical to recording each run's final state.
+    // sim/outcomes.h); the histogram is filled once at the end.
+    // runLight(RngChoice&) is the machine's sampler instantiation,
+    // the one Machine::run(Rng&) takes too: it consumes the stream any
+    // provider over this Rng would (test_harness pins it against the
+    // virtual instantiation), so the result is bit-identical to
+    // recording each run's final state. Steps and truncated runs are
+    // tallied here and ticked once per job.
     sim::OutcomeTable outcomes(owned->test);
     std::vector<uint64_t> counts;
+    uint64_t steps = 0, truncated = 0;
     auto start = std::chrono::steady_clock::now();
     for (uint64_t i = 0; i < owned->iterations; ++i) {
         machine.runLight(choices);
+        steps += static_cast<uint64_t>(machine.lastRunSteps());
+        truncated += machine.lastRunTruncated() ? 1 : 0;
         uint32_t id = outcomes.idOf(machine);
         if (id >= counts.size())
             counts.resize(id + 1, 0);
@@ -278,6 +285,8 @@ runJob(Job job)
         obs::counter("sim_iterations_total").add(owned->iterations);
         obs::counter("sim_outcomes_materialised_total")
             .add(outcomes.materialised());
+        obs::counter("sim_steps_total").add(steps);
+        obs::counter("sim_truncated_runs_total").add(truncated);
     }
 
     if (result.hist.total() > 0) {

@@ -80,10 +80,4 @@ toString(DataType t)
     panic("unknown DataType");
 }
 
-bool
-scopeAtLeast(Scope outer, Scope inner)
-{
-    return static_cast<int>(outer) >= static_cast<int>(inner);
-}
-
 } // namespace gpulitmus::ptx

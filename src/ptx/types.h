@@ -87,7 +87,11 @@ std::string toString(Space s);
 std::string toString(DataType t);
 
 /** Scope containment: true if outer is at least as wide as inner. */
-bool scopeAtLeast(Scope outer, Scope inner);
+inline bool
+scopeAtLeast(Scope outer, Scope inner)
+{
+    return static_cast<int>(outer) >= static_cast<int>(inner);
+}
 
 } // namespace gpulitmus::ptx
 

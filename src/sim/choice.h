@@ -9,9 +9,13 @@
  * Two providers exist:
  *
  * - RngChoice samples every choice from an Rng with the probabilities
- *   the chip profile prescribes. Machine::run(Rng&) instantiates it,
- *   and the draw sequence is bit-identical to the pre-refactor
- *   machine: histograms, seeds and campaign caches are unchanged.
+ *   the chip profile prescribes. Machine::run(Rng&) and
+ *   harness::runJob both run it through Machine::runLight(RngChoice&),
+ *   the machine's instantiation specialised on this final class; the
+ *   draw sequence is bit-identical to the pre-refactor machine:
+ *   histograms, seeds and campaign caches are unchanged. Any other
+ *   provider wrapping the same Rng, run through the virtual
+ *   instantiation, consumes the same stream (test_harness pins it).
  * - mc::Explorer's replay provider (mc/explorer.h) enumerates the
  *   alternatives instead, turning the same machine into an exhaustive
  *   state-space search.
@@ -129,6 +133,19 @@ class ChoiceProvider
      */
     virtual bool chance(ChoiceKind kind, double p, bool relevant = true) = 0;
 
+    /**
+     * n irrelevant chances of one kind and probability in a row, their
+     * answers dropped: by default exactly n chance(kind, p, false)
+     * calls. The sampler advances its Rng by the n draws those calls
+     * would consume instead.
+     */
+    virtual void
+    skipChances(ChoiceKind kind, double p, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            chance(kind, p, false);
+    }
+
     /** Does the provider want the actor table at Schedule choices?
      * Samplers say no and the machine skips building footprints on
      * its hot path. */
@@ -171,8 +188,14 @@ class ChoiceProvider
 /**
  * The sampling provider: draws every choice from an Rng with the
  * machine-supplied probabilities. One pick()/chance() maps to exactly
- * one below()/chance() on the Rng, so the stream consumed for a given
- * run is bit-identical to the pre-refactor Machine::run(Rng&).
+ * one below()/chance() on the Rng, so the stream a run consumes is
+ * the pre-refactor machine's, and the same through either of the
+ * machine's instantiations.
+ *
+ * The class is final and overrides every hook, so the machine's
+ * RngChoice instantiation (Machine::runLight(RngChoice&)) calls them
+ * directly: wantsActors() and eagerIssue() fold to constants and each
+ * draw inlines to the Rng arithmetic.
  */
 class RngChoice final : public ChoiceProvider
 {
@@ -189,6 +212,29 @@ class RngChoice final : public ChoiceProvider
     chance(ChoiceKind, double p, bool = true) override
     {
         return rng_->chance(p);
+    }
+
+    /** Rng::chance draws only when 0 < p < 1. */
+    void
+    skipChances(ChoiceKind, double p, int n) override
+    {
+        if (p > 0.0 && p < 1.0)
+            rng_->discard(static_cast<uint64_t>(n));
+    }
+
+    bool wantsActors() const override { return false; }
+    bool eagerIssue() const override { return false; }
+
+    size_t
+    pickActor(const ActorOption *, size_t n) override
+    {
+        return static_cast<size_t>(rng_->below(n));
+    }
+
+    int
+    delayBump() override
+    {
+        return 2 + static_cast<int>(rng_->below(4));
     }
 
   private:

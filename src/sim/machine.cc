@@ -115,13 +115,46 @@ Machine::locIndexOf(int64_t addr) const
     if (off % litmus::Test::locStride != 0)
         return -1;
     int idx = static_cast<int>(off / litmus::Test::locStride);
-    if (idx < 0 || idx >= static_cast<int>(locShared_.size()))
+    if (idx < 0 || idx >= static_cast<int>(locInit_.size()))
         return -1;
     // The base encodes the space; check consistency.
     bool shared = addr >= litmus::Test::sharedBase;
-    if (locShared_[idx] != shared)
+    if (locShared(idx) != shared)
         return -1;
     return idx;
+}
+
+void
+Machine::setIssueMasks(CInstr &ci)
+{
+    auto bit = [](int reg) { return reg >= 0 ? 1ULL << reg : 0; };
+    // The operands an opcode waits for; an immediate has reg -1.
+    uint64_t addr = bit(ci.addr.reg), src0 = bit(ci.src0.reg),
+             src1 = bit(ci.src1.reg);
+    switch (ci.op) {
+      case ptx::Opcode::Ld:
+      case ptx::Opcode::AtomInc:
+        ci.waitRegs = addr;
+        break;
+      case ptx::Opcode::St:
+      case ptx::Opcode::AtomExch:
+      case ptx::Opcode::AtomAdd:
+        ci.waitRegs = addr | src0;
+        break;
+      case ptx::Opcode::AtomCas:
+        ci.waitRegs = addr | src0 | src1;
+        break;
+      case ptx::Opcode::Membar:
+      case ptx::Opcode::Nop:
+      case ptx::Opcode::Bra:
+        ci.waitRegs = 0;
+        break;
+      default:
+        ci.waitRegs = src0 | src1;
+        break;
+    }
+    ci.waitRegs |= bit(ci.guardReg);
+    ci.touchRegs = bit(ci.guardReg) | bit(ci.dst) | addr | src0 | src1;
 }
 
 void
@@ -142,7 +175,10 @@ Machine::compile()
               chip_->shortName.c_str());
 
     for (const auto &l : test_->locations) {
-        locShared_.push_back(l.space == litmus::MemSpace::Shared);
+        if (l.space == litmus::MemSpace::Shared)
+            sharedLocs_ |= 1ULL << locInit_.size();
+        else
+            ++numGlobalLocs_;
         locInit_.push_back(l.init);
     }
 
@@ -169,6 +205,7 @@ Machine::compile()
                 ci.src1 = compileOperand(in.srcs[1], t);
             if (in.op == ptx::Opcode::Bra)
                 ci.braTarget = prog.labelTarget(in.target);
+            setIssueMasks(ci);
             ct.instrs.push_back(ci);
         }
         ct.regInit.assign(regNames_[t].size(), 0);
@@ -198,38 +235,49 @@ Machine::compile()
                 hasSameCtaPeer_[a] = true;
         }
     }
+
+    // Per-run storage, sized once; resetRun resets it in place.
+    threads_.resize(nthreads);
+    for (int t = 0; t < nthreads; ++t)
+        threads_[t].regs.resize(compiled_[t].regInit.size());
+    l2_.resize(locInit_.size());
+    sms_.resize(chip_->numSMs);
+    for (auto &sm : sms_)
+        sm.l1.resize(locInit_.size());
+    ctaSm_.resize(numCtas_);
+    smIds_.resize(chip_->numSMs);
+    sharedMem_.assign(numCtas_, locInit_);
 }
 
 // ---------------------------------------------------------------------
 // Per-run reset
 // ---------------------------------------------------------------------
 
+template <typename P>
 void
-Machine::resetRun(ChoiceProvider &cp)
+Machine::resetRun(P &cp)
 {
-    // Every container below is reset *in place*: after the first run
-    // the sizes are stable, so assign/resize/clear reuse the pooled
-    // capacity and the reset performs no heap allocation. The choice
+    // Every container below is reset *in place* (compile() sized
+    // them), so the reset performs no heap allocation. The choice
     // draw order is identical to the pre-pooling reset (placement,
     // then L1 warmth, then start skew) — bit-compatibility with the
     // golden histograms depends on it.
     int nthreads = static_cast<int>(compiled_.size());
-    int nlocs = static_cast<int>(locShared_.size());
+    int nlocs = static_cast<int>(locInit_.size());
 
-    l2_.assign(locInit_.begin(), locInit_.end());
+    std::copy(locInit_.begin(), locInit_.end(), l2_.begin());
 
     int nctas = numCtas_;
-    sharedMem_.resize(nctas);
-    for (auto &mem : sharedMem_)
-        mem.assign(locInit_.begin(), locInit_.end());
+    if (sharedLocs_ != 0) {
+        for (auto &mem : sharedMem_)
+            std::copy(locInit_.begin(), locInit_.end(), mem.begin());
+    }
 
     // CTA -> SM placement: distinct SMs per CTA (the scheduler
     // spreads resident CTAs across SMs). Without thread randomisation
     // the layout is fixed; with it, each iteration draws a fresh
     // assignment.
-    ctaSm_.resize(nctas);
     if (opts_.inc.threadRandomisation && nctas <= chip_->numSMs) {
-        smIds_.resize(chip_->numSMs);
         for (int s = 0; s < chip_->numSMs; ++s)
             smIds_[s] = s;
         // Fisher-Yates, one pick per swap: the sampler consumes the
@@ -254,28 +302,30 @@ Machine::resetRun(ChoiceProvider &cp)
 
     // Warm L1 lines: residue of previous iterations holding the
     // (re-)initialised values. Only used SMs are reset and warmed:
-    // the rest are never read (see usedSms_), so their L1Warm draws
-    // are made — the sampler's stream depends on them — but marked
-    // irrelevant and their answers dropped.
-    sms_.resize(chip_->numSMs);
-    for (size_t s = 0; s < sms_.size(); ++s) {
+    // the rest are never read (see usedSms_), so their L1Warm draws —
+    // the sampler's stream depends on them — are made as irrelevant
+    // chances, one skipChances call per run of unused SMs.
+    const double warm_p = chip_->l1WarmProb;
+    int next_sm = 0; // first SM whose draws are not yet made
+    for (uint64_t m = usedSms_; m; m &= m - 1) {
+        int s = std::countr_zero(m);
+        if (s > next_sm)
+            cp.skipChances(ChoiceKind::L1Warm, warm_p,
+                           (s - next_sm) * numGlobalLocs_);
+        next_sm = s + 1;
         SmState &sm = sms_[s];
-        bool relevant = (usedSms_ >> (s & 63)) & 1;
-        if (relevant) {
-            sm.l1.assign(nlocs, std::nullopt);
-            sm.buffer.clear();
-        }
+        sm.buffer.clear();
         for (int i = 0; i < nlocs; ++i) {
-            if (locShared_[i])
-                continue;
-            bool warm = cp.chance(ChoiceKind::L1Warm,
-                                  chip_->l1WarmProb, relevant);
-            if (warm && relevant)
-                sm.l1[i] = L1Line{locInit_[i], false, false};
+            bool warm = !locShared(i) &&
+                        cp.chance(ChoiceKind::L1Warm, warm_p);
+            sm.l1[i] = warm ? L1Line{locInit_[i], true, false, false}
+                            : L1Line{};
         }
     }
+    if (chip_->numSMs > next_sm)
+        cp.skipChances(ChoiceKind::L1Warm, warm_p,
+                       (chip_->numSMs - next_sm) * numGlobalLocs_);
 
-    threads_.resize(nthreads);
     for (int t = 0; t < nthreads; ++t) {
         ThreadState &ts = threads_[t];
         ts.ctaId = threadCta_[t];
@@ -284,7 +334,7 @@ Machine::resetRun(ChoiceProvider &cp)
         ts.executed = 0;
         ts.frontDone = false;
         const auto &init = compiled_[t].regInit;
-        ts.regs.assign(init.begin(), init.end());
+        std::copy(init.begin(), init.end(), ts.regs.begin());
         ts.pendingRegs = 0;
         ts.window.clear();
         ts.wroteLocs = 0;
@@ -298,16 +348,6 @@ Machine::resetRun(ChoiceProvider &cp)
     }
 }
 
-bool
-Machine::allDone() const
-{
-    for (const auto &t : threads_) {
-        if (!t.done())
-            return false;
-    }
-    return true;
-}
-
 // ---------------------------------------------------------------------
 // Main loop
 // ---------------------------------------------------------------------
@@ -316,7 +356,7 @@ litmus::FinalState
 Machine::run(Rng &rng)
 {
     RngChoice choices(rng);
-    return run(choices);
+    return runLight(choices) ? collectFinalState() : litmus::FinalState{};
 }
 
 /**
@@ -396,13 +436,14 @@ Machine::resume(const Snapshot &snap, ChoiceProvider &cp)
                                  : litmus::FinalState{};
 }
 
+template <typename P>
 bool
-Machine::runLight(ChoiceProvider &cp)
+Machine::startRun(P &cp)
 {
     resetRun(cp);
     truncated_ = false;
     eagerIssue_ = cp.eagerIssue();
-    if (eagerIssue_) {
+    if (eager<P>()) {
         // Eager issue starts every thread at its first block point, so
         // each thread slot has an entry to commit.
         for (int t = 0; t < static_cast<int>(threads_.size()); ++t) {
@@ -411,6 +452,18 @@ Machine::runLight(ChoiceProvider &cp)
         }
     }
     return mainLoop(0, cp);
+}
+
+bool
+Machine::runLight(ChoiceProvider &cp)
+{
+    return startRun(cp);
+}
+
+bool
+Machine::runLight(RngChoice &cp)
+{
+    return startRun(cp);
 }
 
 bool
@@ -427,12 +480,19 @@ Machine::finalState() const
     return collectFinalState();
 }
 
+template <typename P>
 bool
-Machine::mainLoop(int start_step, ChoiceProvider &cp)
+Machine::mainLoop(int start_step, P &cp)
 {
     int nthreads = static_cast<int>(threads_.size());
-    for (int step = start_step;
-         step < opts_.maxMicroSteps && !allDone(); ++step) {
+    // A thread is done once its front end is done and its window
+    // empty, and only its own slots change either: the count of live
+    // threads falls only after the picked thread acts.
+    int live = 0;
+    for (const auto &ts : threads_)
+        live += ts.done() ? 0 : 1;
+    int step = start_step;
+    for (; step < opts_.maxMicroSteps && live > 0; ++step) {
         curStep_ = step;
         // Actors: threads plus (under stress) one drain actor per SM
         // with a non-empty buffer. Buffers fill only from their own
@@ -460,8 +520,10 @@ Machine::mainLoop(int start_step, ChoiceProvider &cp)
         }
         int choice = static_cast<int>(picked);
         if (choice < nthreads) {
-            if (!threads_[choice].done())
+            if (!threads_[choice].done()) {
                 threadAction(choice, cp);
+                live -= threads_[choice].done() ? 1 : 0;
+            }
         } else {
             int sm = drain_sms[choice - nthreads];
             if (!cp.chance(ChoiceKind::DrainLazy,
@@ -470,9 +532,11 @@ Machine::mainLoop(int start_step, ChoiceProvider &cp)
         }
     }
 
+    curStep_ = step;
+
     // If the step budget ran out (imported tests with unbounded
     // spins), finish deterministically in order.
-    if (!allDone())
+    if (live > 0)
         truncated_ = true;
     for (int t = 0; t < nthreads; ++t) {
         ThreadState &ts = threads_[t];
@@ -480,11 +544,11 @@ Machine::mainLoop(int start_step, ChoiceProvider &cp)
         while (!ts.done() && guard-- > 0) {
             if (!ts.window.empty()) {
                 WindowEntry e = ts.window.front();
-                ts.window.erase(ts.window.begin());
+                ts.window.erase(0);
                 perform(t, e, cp);
             } else {
                 ts.startDelay = 0;
-                issueOne(t, cp);
+                issueOne(t);
             }
         }
     }
@@ -542,15 +606,16 @@ Machine::restore(const Snapshot &snap)
 // Thread actions
 // ---------------------------------------------------------------------
 
+template <typename P>
 void
-Machine::threadAction(int tid, ChoiceProvider &cp)
+Machine::threadAction(int tid, P &cp)
 {
     ThreadState &ts = threads_[tid];
     if (ts.startDelay > 0) {
         --ts.startDelay;
         return;
     }
-    if (eagerIssue_) {
+    if (eager<P>()) {
         // Commit first, then issue: the commit retires an entry the
         // slot's footprint (fillActorTable) already covers, and the
         // issues after it touch only this thread's registers, pc and
@@ -576,13 +641,14 @@ Machine::threadAction(int tid, ChoiceProvider &cp)
     if (can_issue &&
         (!can_commit ||
          cp.chance(ChoiceKind::IssueOrCommit, 0.6)))
-        issueOne(tid, cp);
+        issueOne(tid);
     else if (can_commit)
         commitOne(tid, cp);
 }
 
+template <typename P>
 void
-Machine::issueToBlock(int tid, ChoiceProvider &cp)
+Machine::issueToBlock(int tid, P &cp)
 {
     ThreadState &ts = threads_[tid];
     const std::vector<CInstr> &instrs = compiled_[tid].instrs;
@@ -599,7 +665,7 @@ Machine::issueToBlock(int tid, ChoiceProvider &cp)
         if (issueHazard(ts, in) &&
             !cp.chance(ChoiceKind::IssueOrCommit, 0.6))
             return;
-        issueOne(tid, cp);
+        issueOne(tid);
     }
 }
 
@@ -611,52 +677,14 @@ Machine::issueHazard(const ThreadState &ts, const CInstr &in) const
         if (e.dst >= 0)
             window_dsts |= 1ULL << e.dst;
     }
-    if (!window_dsts)
-        return false;
-    // Every register the instruction reads or writes. A read can only
-    // hit here after two entries shared a dst (the first commit clears
-    // the pending bit); a write is a WAW with an in-flight entry.
-    uint64_t regs = 0;
-    for (int r : {in.guardReg, in.dst, in.addr.reg, in.src0.reg,
-                  in.src1.reg}) {
-        if (r >= 0)
-            regs |= 1ULL << r;
-    }
-    return (regs & window_dsts) != 0;
-}
-
-bool
-Machine::issueReady(const ThreadState &ts, const CInstr &in) const
-{
-    auto ready = [&](const COperand &op) {
-        return op.isImm || op.reg < 0 ||
-               !((ts.pendingRegs >> op.reg) & 1);
-    };
-    if (in.guardReg >= 0 && ((ts.pendingRegs >> in.guardReg) & 1))
-        return false;
-    switch (in.op) {
-      case ptx::Opcode::Ld:
-        return ready(in.addr);
-      case ptx::Opcode::St:
-        return ready(in.addr) && ready(in.src0);
-      case ptx::Opcode::AtomCas:
-        return ready(in.addr) && ready(in.src0) && ready(in.src1);
-      case ptx::Opcode::AtomExch:
-      case ptx::Opcode::AtomAdd:
-        return ready(in.addr) && ready(in.src0);
-      case ptx::Opcode::AtomInc:
-        return ready(in.addr);
-      case ptx::Opcode::Membar:
-      case ptx::Opcode::Nop:
-      case ptx::Opcode::Bra:
-        return true;
-      default:
-        return ready(in.src0) && ready(in.src1);
-    }
+    // A read can only hit here after two entries shared a dst (the
+    // first commit clears the pending bit); a write is a WAW with an
+    // in-flight entry.
+    return (in.touchRegs & window_dsts) != 0;
 }
 
 void
-Machine::issueOne(int tid, ChoiceProvider &cp)
+Machine::issueOne(int tid)
 {
     ThreadState &ts = threads_[tid];
     const CThread &ct = compiled_[tid];
@@ -749,7 +777,7 @@ Machine::issueOne(int tid, ChoiceProvider &cp)
             return;
         }
         e.loc = loc;
-        e.shared = locShared_[loc];
+        e.shared = locShared(loc);
         e.dst = in.dst;
         switch (in.op) {
           case ptx::Opcode::Ld:
@@ -780,7 +808,6 @@ Machine::issueOne(int tid, ChoiceProvider &cp)
     }
     ts.window.push_back(e);
     ++ts.pc;
-    (void)cp;
 }
 
 // ---------------------------------------------------------------------
@@ -914,8 +941,9 @@ Machine::pairPass(const ThreadState &ts, const WindowEntry &older,
     return chip_->rwPass * damp;
 }
 
+template <typename P>
 void
-Machine::commitOne(int tid, ChoiceProvider &cp)
+Machine::commitOne(int tid, P &cp)
 {
     ThreadState &ts = threads_[tid];
     SmState &sm = sms_[ts.smId];
@@ -951,8 +979,7 @@ Machine::commitOne(int tid, ChoiceProvider &cp)
         ts.window[j].delay += cp.delayBump();
 
     WindowEntry e = ts.window[chosen];
-    ts.window.erase(ts.window.begin() +
-                    static_cast<std::ptrdiff_t>(chosen));
+    ts.window.erase(chosen);
     perform(tid, e, cp);
 }
 
@@ -961,27 +988,26 @@ Machine::commitOne(int tid, ChoiceProvider &cp)
 // ---------------------------------------------------------------------
 
 void
-Machine::writeToL2(int loc, int64_t value, int writer_sm,
-                   ChoiceProvider &cp)
+Machine::writeToL2(int loc, int64_t value, int writer_sm)
 {
     l2_[loc] = value;
     for (uint64_t m = usedSms_; m; m &= m - 1) {
         int s = std::countr_zero(m);
-        auto &line = sms_[s].l1[loc];
-        if (!line)
+        L1Line &line = sms_[s].l1[loc];
+        if (!line.valid)
             continue;
-        if (line->value == value) {
-            line->stale = false;
+        if (line.value == value) {
+            line.stale = false;
             continue;
         }
-        line->stale = true;
-        line->staleFromOwnSM = s == writer_sm;
+        line.stale = true;
+        line.staleFromOwnSM = s == writer_sm;
     }
-    (void)cp;
 }
 
+template <typename P>
 void
-Machine::drainOne(int sm_id, ChoiceProvider &cp, bool in_order_only)
+Machine::drainOne(int sm_id, P &cp, bool in_order_only)
 {
     SmState &sm = sms_[sm_id];
     if (sm.buffer.empty())
@@ -1006,18 +1032,20 @@ Machine::drainOne(int sm_id, ChoiceProvider &cp, bool in_order_only)
     BufferEntry e = sm.buffer[pick];
     sm.buffer.erase(sm.buffer.begin() +
                     static_cast<std::ptrdiff_t>(pick));
-    writeToL2(e.loc, e.value, sm_id, cp);
+    writeToL2(e.loc, e.value, sm_id);
 }
 
+template <typename P>
 void
-Machine::drainAll(int sm_id, ChoiceProvider &cp)
+Machine::drainAll(int sm_id, P &cp)
 {
     while (!sms_[sm_id].buffer.empty())
         drainOne(sm_id, cp, true);
 }
 
+template <typename P>
 int64_t
-Machine::readGlobal(int tid, const WindowEntry &e, ChoiceProvider &cp)
+Machine::readGlobal(int tid, const WindowEntry &e, P &cp)
 {
     ThreadState &ts = threads_[tid];
     SmState &sm = sms_[ts.smId];
@@ -1030,45 +1058,45 @@ Machine::readGlobal(int tid, const WindowEntry &e, ChoiceProvider &cp)
 
     bool own_wrote = (ts.wroteLocs >> e.loc) & 1;
     if (e.cacheOp == ptx::CacheOp::Ca && !own_wrote) {
-        auto &line = sm.l1[e.loc];
-        if (line) {
-            if (!line->stale)
-                return line->value;
+        L1Line &line = sm.l1[e.loc];
+        if (line.valid) {
+            if (!line.stale)
+                return line.value;
             double serve = stress() ? chip_->l1StaleServe : 0.02;
             if (cp.chance(ChoiceKind::L1StaleServe, serve))
-                return line->value;
-            line.reset(); // self-invalidate, fall through to miss
+                return line.value;
+            // Self-invalidate; the miss below refills the line.
         }
         int64_t v = l2_[e.loc];
-        sm.l1[e.loc] = L1Line{v, false, false};
+        line = L1Line{v, true, false, false};
         return v;
     }
 
     // .cg (and volatile / default) reads the L2; on chips honouring
     // the manual it also evicts a matching L1 line.
     if (cp.chance(ChoiceKind::CgEvict, chip_->cgLoadEvicts))
-        sm.l1[e.loc].reset();
+        sm.l1[e.loc].valid = false;
     return l2_[e.loc];
 }
 
+template <typename P>
 void
-Machine::applyFenceInvalidation(int sm_id, ptx::Scope scope,
-                                ChoiceProvider &cp)
+Machine::applyFenceInvalidation(int sm_id, ptx::Scope scope, P &cp)
 {
     SmState &sm = sms_[sm_id];
     for (auto &line : sm.l1) {
-        if (!line || !line->stale)
+        if (!line.valid || !line.stale)
             continue;
-        double p = line->staleFromOwnSM
-                       ? chip_->invalSame.at(scope)
-                       : chip_->invalInter.at(scope);
+        double p = line.staleFromOwnSM ? chip_->invalSame.at(scope)
+                                       : chip_->invalInter.at(scope);
         if (cp.chance(ChoiceKind::FenceInval, p))
-            line.reset();
+            line.valid = false;
     }
 }
 
+template <typename P>
 void
-Machine::perform(int tid, const WindowEntry &e, ChoiceProvider &cp)
+Machine::perform(int tid, const WindowEntry &e, P &cp)
 {
     ThreadState &ts = threads_[tid];
     SmState &sm = sms_[ts.smId];
@@ -1109,7 +1137,7 @@ Machine::perform(int tid, const WindowEntry &e, ChoiceProvider &cp)
         }
         ts.wroteLocs |= 1ULL << e.loc;
         if (cp.chance(ChoiceKind::CgEvict, chip_->cgStoreEvicts))
-            sm.l1[e.loc].reset();
+            sm.l1[e.loc].valid = false;
         // Bank conflicts serialise the pipeline enough that stores
         // often go straight to the L2 (Tab. 6: Titan sb collapses
         // from 6673 to 749 when bank conflicts are added). A store
@@ -1125,7 +1153,7 @@ Machine::perform(int tid, const WindowEntry &e, ChoiceProvider &cp)
         if (chip_->storeBuffer && stress() && !bypass) {
             sm.buffer.push_back({e.loc, e.src0});
         } else {
-            writeToL2(e.loc, e.src0, ts.smId, cp);
+            writeToL2(e.loc, e.src0, ts.smId);
         }
         return;
       }
@@ -1188,7 +1216,7 @@ Machine::perform(int tid, const WindowEntry &e, ChoiceProvider &cp)
             if (e.shared) {
                 *cell = new_val;
             } else {
-                writeToL2(e.loc, new_val, ts.smId, cp);
+                writeToL2(e.loc, new_val, ts.smId);
                 ts.wroteLocs |= 1ULL << e.loc;
             }
         }
@@ -1313,14 +1341,14 @@ Machine::encodeTo(Sink &sink) const
             sink.put64(static_cast<uint64_t>(b.value));
         }
         for (const auto &line : sm.l1) {
-            if (!line) {
+            if (!line.valid) {
                 sink.put8(0);
                 continue;
             }
             sink.put8(static_cast<uint8_t>(
-                1 | (line->stale ? 2 : 0) |
-                (line->staleFromOwnSM ? 4 : 0)));
-            sink.put64(static_cast<uint64_t>(line->value));
+                1 | (line.stale ? 2 : 0) |
+                (line.staleFromOwnSM ? 4 : 0)));
+            sink.put64(static_cast<uint64_t>(line.value));
         }
     }
     for (int64_t v : l2_)
@@ -1360,8 +1388,8 @@ Machine::outcomeDigest() const
         for (int64_t r : ts.regs)
             h.put64(static_cast<uint64_t>(r));
     }
-    for (size_t i = 0; i < locShared_.size(); ++i) {
-        if (locShared_[i])
+    for (size_t i = 0; i < locInit_.size(); ++i) {
+        if (locShared(static_cast<int>(i)))
             h.put64(static_cast<uint64_t>(
                 sharedMem_.empty() ? locInit_[i]
                                    : sharedMem_[0][i]));
@@ -1381,9 +1409,9 @@ Machine::collectFinalState() const
             st.regs[{static_cast<int>(t), names[r]}] =
                 threads_[t].regs[r];
     }
-    for (size_t i = 0; i < locShared_.size(); ++i) {
+    for (size_t i = 0; i < locInit_.size(); ++i) {
         const std::string &name = test_->locations[i].name;
-        if (locShared_[i])
+        if (locShared(static_cast<int>(i)))
             st.mem[name] = sharedMem_.empty()
                                ? locInit_[i]
                                : sharedMem_[0][static_cast<int>(i)];

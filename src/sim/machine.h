@@ -69,10 +69,32 @@
  * - Used SMs only: an SM hosting no testing thread is never read — its
  *   buffer fills only from its own threads and its L1 lines are served
  *   to no one. resetRun() therefore resets and warms only the used
- *   SMs (the L1Warm draws of the others are still made, marked
- *   irrelevant, so the sampler's stream is unchanged), and writeToL2
- *   and the drain scans walk only the used-SM bits. Unused SMs keep
- *   whatever an earlier run left behind.
+ *   SMs, and writeToL2 and the drain scans walk only the used-SM bits.
+ *   The L1Warm draws of the others are still made, as one
+ *   ChoiceProvider::skipChances call per run of consecutive unused
+ *   SMs (irrelevant chances: the sampler advances its Rng past them,
+ *   so its stream is unchanged). Unused SMs keep whatever an earlier
+ *   run left behind.
+ *
+ * - One machine source, two instantiations: the stochastic members
+ *   (resetRun, mainLoop, threadAction, commitOne, perform, the drains,
+ *   readGlobal, ...) are templates on the provider type. machine.cc
+ *   instantiates them for the final sim::RngChoice, behind
+ *   runLight(RngChoice&) and run(Rng&) — the sampler, where every
+ *   provider call inlines and the actor table and eager issue fold
+ *   away at compile time — and for the virtual ChoiceProvider behind
+ *   runLight(ChoiceProvider&), run(ChoiceProvider&) and resume(),
+ *   which the explorer and every other provider take. Both walk the
+ *   same code, so for one Rng they make the same draws in the same
+ *   order and reach the same final state.
+ *
+ * - Flat per-run state: a commit window is an inline array of at most
+ *   kWindowCap entries, and an L1 line a plain struct with a valid
+ *   bit, so a reset or a snapshot copy of a thread touches no heap.
+ *   Per-run containers are sized at compile; shared memory is reset
+ *   only when the test has shared locations (nothing else writes
+ *   it). The state encoding streams exactly the fields it did over
+ *   the earlier vector/optional layout.
  *
  * - Snapshot/restore lifetime: snapshot() captures the complete
  *   mutable run state at the top of a scheduling step; resume()
@@ -102,8 +124,8 @@
 #define GPULITMUS_SIM_MACHINE_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/hash.h"
@@ -168,8 +190,8 @@ class Machine
     const MachineOptions &options() const { return opts_; }
 
     /** One iteration; draws all randomness from rng. Thin wrapper
-     * over run(ChoiceProvider&) with the RngChoice sampler — the
-     * draw sequence is bit-identical to the pre-refactor machine. */
+     * over runLight(RngChoice&) — the draw sequence is bit-identical
+     * to the pre-refactor machine. */
     litmus::FinalState run(Rng &rng);
 
     /** One iteration; every nondeterministic decision is answered by
@@ -185,6 +207,11 @@ class Machine
      * common) leaves whose outcome repeats an earlier one.
      */
     bool runLight(ChoiceProvider &choices);
+
+    /** runLight() specialised on the sampler: the same draws, answers
+     * and final state as the virtual overload given an equal Rng,
+     * with every provider call resolved at compile time. */
+    bool runLight(RngChoice &choices);
 
     /**
      * 128-bit digest of the observable final state of the last
@@ -237,6 +264,10 @@ class Machine
      * is exploring the unguarded machine exactly. */
     bool lastRunTruncated() const { return truncated_; }
 
+    /** Scheduling steps the last run took (its main-loop position at
+     * exit; a resumed run counts from its snapshot's step). */
+    int lastRunSteps() const { return curStep_; }
+
     const ChipProfile &chip() const { return *chip_; }
 
   private:
@@ -260,6 +291,11 @@ class Machine
         COperand addr;
         COperand src0, src1;
         int braTarget = -1;
+        /** Registers that must not be pending for the instruction to
+         * issue (its guard and the operands its opcode reads). */
+        uint64_t waitRegs = 0;
+        /** Every register it reads or writes (issueHazard). */
+        uint64_t touchRegs = 0;
     };
 
     struct CThread
@@ -271,7 +307,7 @@ class Machine
     // ---- runtime state ----------------------------------------------
     struct WindowEntry
     {
-        enum class Kind { Load, Store, Atomic, Fence };
+        enum class Kind : uint8_t { Load, Store, Atomic, Fence };
         Kind kind = Kind::Load;
         ptx::Opcode op = ptx::Opcode::Nop;
         ptx::CacheOp cacheOp = ptx::CacheOp::None;
@@ -289,6 +325,33 @@ class Machine
     /** Commit-window entries a thread may have in flight. */
     static constexpr size_t kWindowCap = 8;
 
+    /** A thread's commit window, held inline: resetting or copying a
+     * thread touches no heap. Entries keep program order. */
+    struct Window
+    {
+        WindowEntry entries[kWindowCap];
+        size_t n = 0;
+
+        size_t size() const { return n; }
+        bool empty() const { return n == 0; }
+        void clear() { n = 0; }
+        const WindowEntry &front() const { return entries[0]; }
+        WindowEntry &operator[](size_t i) { return entries[i]; }
+        const WindowEntry &operator[](size_t i) const { return entries[i]; }
+        const WindowEntry *begin() const { return entries; }
+        const WindowEntry *end() const { return entries + n; }
+        void push_back(const WindowEntry &e) { entries[n++] = e; }
+
+        /** Remove entry i; the younger entries move up one. */
+        void
+        erase(size_t i)
+        {
+            for (; i + 1 < n; ++i)
+                entries[i] = entries[i + 1];
+            --n;
+        }
+    };
+
     struct ThreadState
     {
         int smId = 0;
@@ -299,15 +362,18 @@ class Machine
         bool frontDone = false;
         std::vector<int64_t> regs;
         uint64_t pendingRegs = 0;
-        std::vector<WindowEntry> window;
+        Window window;
         uint64_t wroteLocs = 0; ///< bitmask over location indices
 
         bool done() const { return frontDone && window.empty(); }
     };
 
+    /** One location's L1 line; the other fields mean nothing while
+     * valid is false. */
     struct L1Line
     {
         int64_t value = 0;
+        bool valid = false;
         bool stale = false;
         bool staleFromOwnSM = false;
     };
@@ -320,7 +386,7 @@ class Machine
 
     struct SmState
     {
-        std::vector<std::optional<L1Line>> l1; ///< per location
+        std::vector<L1Line> l1; ///< per location
         std::vector<BufferEntry> buffer;
     };
 
@@ -367,45 +433,64 @@ class Machine
   private:
     // ---- helpers ----------------------------------------------------
     void compile();
+    static void setIssueMasks(CInstr &ci);
     int regIndex(int tid, const std::string &name);
     COperand compileOperand(const ptx::Operand &op, int tid);
     int locIndexOf(int64_t addr) const;
+    bool locShared(int loc) const { return (sharedLocs_ >> loc) & 1; }
 
-    void resetRun(ChoiceProvider &cp);
+    // The stochastic members are templates on the provider type P,
+    // defined and instantiated in machine.cc for the final RngChoice
+    // (runLight(RngChoice&): every provider call inlines) and for the
+    // virtual ChoiceProvider (everything else, the explorer included).
+    template <typename P> bool startRun(P &cp);
+    template <typename P> void resetRun(P &cp);
     void restore(const Snapshot &snap);
     /** The step loop plus the deterministic finish; run() enters it
      * at step 0, resume() at the snapshot's step. False when the
      * provider aborted the iteration. */
-    bool mainLoop(int start_step, ChoiceProvider &cp);
+    template <typename P> bool mainLoop(int start_step, P &cp);
     /** One traversal generates both state encodings (see
      * encodeState/hashState); Sink is a byte/word consumer. */
     template <typename Sink> void encodeTo(Sink &sink) const;
-    bool allDone() const;
-    void threadAction(int tid, ChoiceProvider &cp);
+    /** The run's issue mode: the provider's, read at run()/resume();
+     * a compile-time false for the sampler. */
+    template <typename P>
+    bool
+    eager() const
+    {
+        return !std::is_same_v<P, RngChoice> && eagerIssue_;
+    }
+    template <typename P> void threadAction(int tid, P &cp);
     /** Eager issue: issue in order until an instruction cannot issue
      * (window full, operand pending, front end done) or a hazard
      * branch defers it. */
-    void issueToBlock(int tid, ChoiceProvider &cp);
-    bool issueReady(const ThreadState &ts, const CInstr &in) const;
+    template <typename P> void issueToBlock(int tid, P &cp);
+    bool
+    issueReady(const ThreadState &ts, const CInstr &in) const
+    {
+        return (ts.pendingRegs & in.waitRegs) == 0;
+    }
     /** Does issuing `in` now, rather than after a later commit, decide
      * a register value? True when it reads or writes the dst of an
      * in-flight window entry. */
     bool issueHazard(const ThreadState &ts, const CInstr &in) const;
-    void issueOne(int tid, ChoiceProvider &cp);
-    void commitOne(int tid, ChoiceProvider &cp);
+    void issueOne(int tid);
+    template <typename P> void commitOne(int tid, P &cp);
     double pairPass(const ThreadState &ts, const WindowEntry &older,
                     const WindowEntry &younger) const;
     bool fenceActiveFor(const ThreadState &ts, const WindowEntry &fence,
                         bool target_shared) const;
-    void perform(int tid, const WindowEntry &e, ChoiceProvider &cp);
-    void drainOne(int sm, ChoiceProvider &cp, bool in_order_only);
-    void drainAll(int sm, ChoiceProvider &cp);
-    void writeToL2(int loc, int64_t value, int writer_sm,
-                   ChoiceProvider &cp);
-    int64_t readGlobal(int tid, const WindowEntry &e,
-                       ChoiceProvider &cp);
-    void applyFenceInvalidation(int sm, ptx::Scope scope,
-                                ChoiceProvider &cp);
+    template <typename P>
+    void perform(int tid, const WindowEntry &e, P &cp);
+    template <typename P>
+    void drainOne(int sm, P &cp, bool in_order_only);
+    template <typename P> void drainAll(int sm, P &cp);
+    void writeToL2(int loc, int64_t value, int writer_sm);
+    template <typename P>
+    int64_t readGlobal(int tid, const WindowEntry &e, P &cp);
+    template <typename P>
+    void applyFenceInvalidation(int sm, ptx::Scope scope, P &cp);
     void fillActorTable(int nthreads, const int *drain_sms,
                         int ndrains);
     litmus::FinalState collectFinalState() const;
@@ -420,14 +505,16 @@ class Machine
     // Compiled once.
     std::vector<CThread> compiled_;
     std::vector<std::vector<std::string>> regNames_; ///< per thread
-    std::vector<bool> locShared_;
     std::vector<int64_t> locInit_;
+    uint64_t sharedLocs_ = 0; ///< bitmask over location indices
+    int numGlobalLocs_ = 0;   ///< L1Warm draws per SM
     std::vector<bool> hasSameCtaPeer_;
     std::vector<int> threadCta_; ///< per thread, from the scope tree
     int numCtas_ = 0;
 
-    // Reset per run (storage pooled across runs: reset happens in
-    // place, so the steady state allocates nothing).
+    // Reset per run (storage sized at compile and reset in place, so
+    // a run allocates nothing). Shared memory is reset only when the
+    // test has shared locations: otherwise nothing writes it.
     std::vector<ThreadState> threads_;
     std::vector<SmState> sms_;
     std::vector<int64_t> l2_;

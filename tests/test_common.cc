@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/strutil.h"
@@ -92,6 +94,114 @@ TEST(Rng, ChanceApproximatesP)
     for (int i = 0; i < 20000; ++i)
         hits += r.chance(0.25);
     EXPECT_NEAR(hits / 20000.0, 0.25, 0.02);
+}
+
+/** below()'s reference: the textbook rejection formula, two
+ * divisions per draw. */
+uint64_t
+textbookBelow(Rng &r, uint64_t bound)
+{
+    uint64_t threshold = -bound % bound;
+    for (;;) {
+        uint64_t x = r.next();
+        if (x >= threshold)
+            return x % bound;
+    }
+}
+
+std::vector<uint64_t>
+belowTestBounds()
+{
+    std::vector<uint64_t> bounds;
+    for (uint64_t b = 1; b <= 64; ++b)
+        bounds.push_back(b);
+    for (uint64_t b : {(1ULL << 32) + 1, (1ULL << 63) + 1, ~0ULL})
+        bounds.push_back(b);
+    return bounds;
+}
+
+TEST(Rng, ReduceMatchesTheTextbookFormulaAtEveryEdge)
+{
+    // Raw draws fed straight into the rejection step: around 0, the
+    // bound, the rejection threshold (2^64 mod bound) and 2^64, plus
+    // a spread of random values. For 2^63 + 1 the rejected zone is
+    // nearly half the range; for powers of two it is empty.
+    Rng spread(31);
+    for (uint64_t bound : belowTestBounds()) {
+        uint64_t threshold = -bound % bound;
+        std::vector<uint64_t> rs = {0, 1, ~0ULL, ~0ULL - 1};
+        for (uint64_t edge : {bound, threshold}) {
+            for (uint64_t d : {0ULL, 1ULL, 2ULL}) {
+                rs.push_back(edge + d);
+                rs.push_back(edge - d);
+            }
+        }
+        for (int i = 0; i < 2000; ++i)
+            rs.push_back(spread.next());
+        int rejected = 0;
+        for (uint64_t r : rs) {
+            uint64_t out = ~0ULL;
+            bool accepted = Rng::reduce(r, bound, out);
+            ASSERT_EQ(accepted, r >= threshold)
+                << "bound " << bound << " r " << r;
+            if (accepted)
+                ASSERT_EQ(out, r % bound) << "bound " << bound << " r " << r;
+            rejected += accepted ? 0 : 1;
+        }
+        // The edge values above include threshold - 1 whenever the
+        // zone is non-empty, so the rejection path ran.
+        if (threshold > 0)
+            EXPECT_GT(rejected, 0) << "bound " << bound;
+    }
+}
+
+TEST(Rng, BelowMatchesTheTextbookStream)
+{
+    // Same seed, same answers, same stream position afterwards —
+    // including the draws a rejection consumes (2^63 + 1 rejects about
+    // half of them).
+    for (uint64_t bound : belowTestBounds()) {
+        Rng a(bound), b(bound);
+        for (int i = 0; i < 500; ++i)
+            ASSERT_EQ(a.below(bound), textbookBelow(b, bound))
+                << "bound " << bound << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "bound " << bound;
+    }
+}
+
+TEST(Rng, ChanceMatchesTheUniformCompare)
+{
+    // chance(p) compares the draw's top 53 bits against an integer
+    // threshold; it must answer exactly `uniform() < p`. Probe each
+    // threshold's neighbours directly, then whole streams.
+    const double ps[] = {0x1.0p-60, 0x1.0p-53, 1e-9, 0.02, 0.1, 0.25,
+                         1.0 / 3, 0.5, std::nextafter(0.5, 0.0),
+                         std::nextafter(0.5, 1.0), 0.6, 0.999999,
+                         std::nextafter(1.0, 0.0)};
+    for (double p : ps) {
+        uint64_t t = Rng::chanceThreshold(p);
+        for (uint64_t x = t > 2 ? t - 2 : 0; x <= t + 1; ++x) {
+            if (x >= (1ULL << 53))
+                break;
+            EXPECT_EQ(x < t, static_cast<double>(x) * 0x1.0p-53 < p)
+                << "p " << p << " x " << x;
+        }
+        Rng a(77), b(77);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.chance(p), b.uniform() < p) << "p " << p;
+        EXPECT_EQ(a.next(), b.next());
+    }
+}
+
+TEST(Rng, DiscardEqualsThatManyDraws)
+{
+    for (uint64_t n : {0ULL, 1ULL, 5ULL, 24ULL, 1000ULL}) {
+        Rng a(41), b(41);
+        a.discard(n);
+        for (uint64_t i = 0; i < n; ++i)
+            b.next();
+        EXPECT_EQ(a.next(), b.next()) << "n " << n;
+    }
 }
 
 TEST(Rng, ShuffleIsPermutation)

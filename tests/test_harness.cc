@@ -25,13 +25,10 @@ namespace {
 
 namespace pl = litmus::paperlib;
 
-TEST(Runner, RunJobMatchesPerIterationRecordingOverTheCorpus)
+/** The litmus-tests/ corpus, parsed. */
+std::vector<litmus::Test>
+loadCorpus()
 {
-    // Differential oracle for runJob's fast path (outcomes recorded by
-    // digest, unused SMs left alone, one cached machine reused across
-    // jobs): the reference is the plain loop — a freshly compiled
-    // machine, one materialised final state recorded per iteration —
-    // at the job's own RNG stream.
     std::vector<litmus::Test> corpus;
     for (const auto &entry : std::filesystem::directory_iterator(
              std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests")) {
@@ -40,11 +37,23 @@ TEST(Runner, RunJobMatchesPerIterationRecordingOverTheCorpus)
         ss << in.rdbuf();
         litmus::ParseError err;
         auto test = litmus::parseTest(ss.str(), &err);
-        ASSERT_TRUE(test.has_value())
+        EXPECT_TRUE(test.has_value())
             << entry.path() << ": " << err.message;
-        corpus.push_back(std::move(*test));
+        if (test)
+            corpus.push_back(std::move(*test));
     }
-    ASSERT_GE(corpus.size(), 20u);
+    EXPECT_GE(corpus.size(), 20u);
+    return corpus;
+}
+
+TEST(Runner, RunJobMatchesPerIterationRecordingOverTheCorpus)
+{
+    // Differential oracle for runJob's fast path (outcomes recorded by
+    // digest, unused SMs left alone, one cached machine reused across
+    // jobs): the reference is the plain loop — a freshly compiled
+    // machine, one materialised final state recorded per iteration —
+    // at the job's own RNG stream.
+    std::vector<litmus::Test> corpus = loadCorpus();
     // Plus Fig. 3's inter-CTA mp with .ca loads: the corpus has no
     // test that reads an L1 on another SM than the writer's.
     for (pl::FenceOpt fence :
@@ -81,6 +90,104 @@ TEST(Runner, RunJobMatchesPerIterationRecordingOverTheCorpus)
         }
     }
     EXPECT_EQ(cells, corpus.size() * sim::allChips().size() * 5);
+}
+
+/**
+ * Forwards every draw to an RngChoice. Not final and passed as a
+ * plain ChoiceProvider, so the machine takes its virtual
+ * instantiation, with the interface's default pickActor, delayBump
+ * and skipChances (one chance() per skipped draw).
+ */
+struct ForwardingChoice : sim::ChoiceProvider
+{
+    sim::RngChoice inner;
+
+    explicit ForwardingChoice(Rng &rng) : inner(rng) {}
+
+    uint64_t
+    pick(sim::ChoiceKind kind, uint64_t n) override
+    {
+        return inner.pick(kind, n);
+    }
+
+    bool
+    chance(sim::ChoiceKind kind, double p, bool relevant) override
+    {
+        return inner.chance(kind, p, relevant);
+    }
+};
+
+/** Run `iterations` runs of `test` through both instantiations of
+ * one seeded stream; every run must end in the same final state,
+ * step count and truncation flag, with both Rngs at the same
+ * position. Returns the truncated runs. */
+int
+expectInstantiationsAgree(const sim::ChipProfile &chip,
+                          const litmus::Test &test,
+                          const sim::MachineOptions &opts,
+                          uint64_t seed, int iterations,
+                          const std::string &cell)
+{
+    sim::Machine fast(chip, test, opts), generic(chip, test, opts);
+    Rng fast_rng(seed), generic_rng(seed);
+    sim::RngChoice sampler(fast_rng);
+    ForwardingChoice forwarder(generic_rng);
+    sim::ChoiceProvider &provider = forwarder;
+    int truncated = 0;
+    for (int i = 0; i < iterations; ++i) {
+        EXPECT_TRUE(fast.runLight(sampler)) << cell;
+        EXPECT_TRUE(generic.runLight(provider)) << cell;
+        Rng a = fast_rng, b = generic_rng;
+        bool agree = fast.outcomeDigest() == generic.outcomeDigest() &&
+                     fast.lastRunSteps() == generic.lastRunSteps() &&
+                     fast.lastRunTruncated() ==
+                         generic.lastRunTruncated() &&
+                     a.next() == b.next() &&
+                     (i % 64 != 0 ||
+                      fast.finalState() == generic.finalState());
+        if (!agree) {
+            ADD_FAILURE() << cell << ": run " << i << " differs";
+            break;
+        }
+        truncated += fast.lastRunTruncated() ? 1 : 0;
+    }
+    return truncated;
+}
+
+TEST(Runner, SamplerInstantiationMatchesTheVirtualOneOverTheCorpus)
+{
+    // runJob and Machine::run(Rng&) take the machine's RngChoice
+    // instantiation; the explorer and every other provider take the
+    // virtual one. Both are one source, so a forwarding provider over
+    // the same seeded Rng must walk the same runs draw for draw.
+    std::vector<litmus::Test> corpus = loadCorpus();
+    // Fig. 12's sb mixes a shared and a global location (the corpus's
+    // mp-volatile is all-shared): the shared-memory reset runs.
+    corpus.push_back(pl::sbFig12());
+    for (const auto &test : corpus) {
+        for (const auto &chip : sim::allChips()) {
+            for (int column : {1, 6, 8, 12, 16}) {
+                sim::MachineOptions opts;
+                opts.inc = sim::Incantations::fromColumn(column);
+                expectInstantiationsAgree(
+                    chip, test, opts, 0xfeed + column, 300,
+                    test.name + "@" + chip.shortName + " column " +
+                        std::to_string(column));
+            }
+        }
+    }
+    // A spin lock at a step bound it often hits: the truncated
+    // finish (in-order drain of every window and buffer) agrees too.
+    litmus::Test cas = pl::casSl(false);
+    int truncated = 0;
+    for (const auto &chip : sim::allChips()) {
+        sim::MachineOptions opts;
+        opts.maxMicroSteps = 24;
+        truncated += expectInstantiationsAgree(
+            chip, cas, opts, 0xca5, 300,
+            "cas-sl@" + chip.shortName + " at 24 steps");
+    }
+    EXPECT_GT(truncated, 0);
 }
 
 TEST(Runner, HistogramTotalsMatchIterations)

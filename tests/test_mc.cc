@@ -177,6 +177,23 @@ TEST(ChoiceRefactor, RngChoiceMatchesRawRngDraws)
     EXPECT_EQ(choice.delayBump(), 2 + static_cast<int>(b.below(4)));
 }
 
+TEST(ChoiceRefactor, SkipChancesConsumesWhatTheChancesWould)
+{
+    // The sampler's batched irrelevant chances advance the Rng exactly
+    // as n chance() calls: one draw each for 0 < p < 1, none at the
+    // extremes (Rng::chance does not draw there).
+    for (double p : {0.0, 0.3, 0.9, 1.0}) {
+        for (int n : {0, 1, 24, 56}) {
+            Rng a(5), b(5);
+            sim::RngChoice batched(a), single(b);
+            batched.skipChances(sim::ChoiceKind::L1Warm, p, n);
+            for (int i = 0; i < n; ++i)
+                single.chance(sim::ChoiceKind::L1Warm, p, false);
+            EXPECT_EQ(a.next(), b.next()) << "p " << p << " n " << n;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Explorer: exact reachable sets.
 // ---------------------------------------------------------------------

@@ -314,6 +314,75 @@ TEST_F(ObsTest, EngineTicksJobAndCacheCounters)
     EXPECT_GT(reg.counter("engine_worker_wall_us_total").value(), 0u);
 }
 
+TEST_F(ObsTest, SamplerTicksStepsOnceAndNoTruncationOverTheCorpus)
+{
+    // The corpus validate's sim jobs (every Nvidia result chip at
+    // column 16, the default step bound) never hit a step guard, so
+    // no histogram holds a run the bound cut short.
+    std::vector<harness::Job> jobs;
+    for (const auto &entry : fs::directory_iterator(
+             std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests")) {
+        std::ifstream in(entry.path());
+        std::stringstream ss;
+        ss << in.rdbuf();
+        auto test = litmus::parseTest(ss.str());
+        ASSERT_TRUE(test.has_value()) << entry.path();
+        for (const auto &chip : sim::resultChips()) {
+            if (!chip.isNvidia())
+                continue;
+            harness::Job job = simJob(*test, 500);
+            job.chip = chip;
+            jobs.push_back(std::move(job));
+        }
+    }
+    ASSERT_GE(jobs.size(), 100u);
+    uint64_t iterations = 0;
+    for (const auto &job : jobs) {
+        harness::runJob(job);
+        iterations += job.iterations;
+    }
+    auto &reg = obs::Registry::instance();
+    EXPECT_EQ(reg.counter("sim_truncated_runs_total").value(), 0u);
+    // Every run takes at least one step per thread instruction.
+    EXPECT_GT(reg.counter("sim_steps_total").value(), 2 * iterations);
+}
+
+TEST_F(ObsTest, SamplerCountsRunsTruncatedAtATinyStepBound)
+{
+    harness::Job job = simJob(pl::casSl(false), 1000);
+    job.maxMicroSteps = 24;
+    harness::JobResult r = harness::runJob(job);
+    auto &reg = obs::Registry::instance();
+    uint64_t truncated = reg.counter("sim_truncated_runs_total").value();
+    EXPECT_GT(truncated, 0u);
+    EXPECT_LE(truncated, 1000u);
+    EXPECT_EQ(r.hist.total(), 1000u); // truncated runs still land
+    // No run exceeds the bound, and the counter ticked once per job.
+    EXPECT_LE(reg.counter("sim_steps_total").value(), 24u * 1000u);
+    EXPECT_EQ(reg.counter("sim_jobs_total").value(), 1u);
+}
+
+TEST_F(ObsTest, SamplerCountersLeaveResultsBitIdentical)
+{
+    harness::Job job = simJob(pl::casSl(false), 2000);
+    job.maxMicroSteps = 24;
+    obs::setEnabled(true);
+    harness::JobResult on = harness::runJob(job);
+    uint64_t steps_on =
+        obs::Registry::instance().counter("sim_steps_total").value();
+    obs::Registry::instance().reset();
+    obs::setEnabled(false);
+    harness::JobResult off = harness::runJob(job);
+    obs::setEnabled(true);
+    EXPECT_EQ(on.hist.counts(), off.hist.counts());
+    EXPECT_EQ(on.hist.observed(), off.hist.observed());
+    EXPECT_GT(steps_on, 0u);
+    EXPECT_EQ(obs::Registry::instance()
+                  .counter("sim_steps_total")
+                  .value(),
+              0u);
+}
+
 TEST_F(ObsTest, ExplorerTicksReplaysAndHeartbeat)
 {
     mc::ExploreOptions opts;
