@@ -199,6 +199,8 @@ Machine::compile()
                 ci.dst = regIndex(t, in.dst);
             if (!in.addr.isNone())
                 ci.addr = compileOperand(in.addr, t);
+            if (ci.addr.isImm)
+                ci.addrLoc = locIndexOf(ci.addr.imm);
             if (in.srcs.size() > 0)
                 ci.src0 = compileOperand(in.srcs[0], t);
             if (in.srcs.size() > 1)
@@ -767,7 +769,7 @@ Machine::issueOne(int tid)
         e.kind = WindowEntry::Kind::Fence;
     } else {
         int64_t addr = val(in.addr);
-        int loc = locIndexOf(addr);
+        int loc = in.addr.isImm ? in.addrLoc : locIndexOf(addr);
         if (loc < 0) {
             warn("test '%s': T%d accesses non-testing address %lld;"
                  " treating as nop",
@@ -833,8 +835,7 @@ Machine::corrJitterFactor() const
 }
 
 bool
-Machine::fenceActiveFor(const ThreadState &ts,
-                        const WindowEntry &fence,
+Machine::fenceActiveFor(int tid, const WindowEntry &fence,
                         bool target_shared) const
 {
     if (target_shared)
@@ -843,12 +844,11 @@ Machine::fenceActiveFor(const ThreadState &ts,
         return true;
     // membar.cta orders the global stream only when an in-CTA
     // observer exists (same-SM streams are snooped in order).
-    int tid = static_cast<int>(&ts - threads_.data());
     return hasSameCtaPeer_[tid];
 }
 
 double
-Machine::pairPass(const ThreadState &ts, const WindowEntry &older,
+Machine::pairPass(int tid, const WindowEntry &older,
                   const WindowEntry &younger) const
 {
     using Kind = WindowEntry::Kind;
@@ -857,7 +857,7 @@ Machine::pairPass(const ThreadState &ts, const WindowEntry &older,
         return 0.0; // fences commit in order
 
     if (older.kind == Kind::Fence) {
-        if (fenceActiveFor(ts, older, younger.shared))
+        if (fenceActiveFor(tid, older, younger.shared))
             return 0.0;
         // Transparent inter-CTA membar.cta; partially effective.
         return 1.0 - chip_->ctaFenceInterBlock;
@@ -952,7 +952,7 @@ Machine::commitOne(int tid, P &cp)
     // commit slot drains instead.
     const WindowEntry &head = ts.window.front();
     if (head.kind == WindowEntry::Kind::Fence &&
-        fenceActiveFor(ts, head, false) && !sm.buffer.empty()) {
+        fenceActiveFor(tid, head, false) && !sm.buffer.empty()) {
         drainOne(ts.smId, cp, true);
         return;
     }
@@ -963,7 +963,7 @@ Machine::commitOne(int tid, P &cp)
     for (size_t i = 1; i < ts.window.size(); ++i) {
         double p = 1.0;
         for (size_t j = 0; j < i && p > 0.0; ++j)
-            p = std::min(p, pairPass(ts, ts.window[j], ts.window[i]));
+            p = std::min(p, pairPass(tid, ts.window[j], ts.window[i]));
         if (p > 0.0 && cp.chance(ChoiceKind::CommitBypass, p)) {
             chosen = i;
             break;
@@ -1103,7 +1103,7 @@ Machine::perform(int tid, const WindowEntry &e, P &cp)
 
     switch (e.kind) {
       case WindowEntry::Kind::Fence: {
-        bool active = fenceActiveFor(ts, e, false);
+        bool active = fenceActiveFor(tid, e, false);
         // Even an inter-CTA-transparent membar.cta usually flushes
         // the SM's buffer (it orders the SM-local stream); it leaks
         // with probability 1 - ctaFenceInterBlock, which is what

@@ -123,6 +123,7 @@
 #ifndef GPULITMUS_SIM_MACHINE_H
 #define GPULITMUS_SIM_MACHINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -289,6 +290,7 @@ class Machine
         bool guardNeg = false;
         int dst = -1;
         COperand addr;
+        int addrLoc = -1; ///< location of an immediate address
         COperand src0, src1;
         int braTarget = -1;
         /** Registers that must not be pending for the instruction to
@@ -308,18 +310,18 @@ class Machine
     struct WindowEntry
     {
         enum class Kind : uint8_t { Load, Store, Atomic, Fence };
-        Kind kind = Kind::Load;
+        int64_t src0 = 0, src1 = 0;
         ptx::Opcode op = ptx::Opcode::Nop;
         ptx::CacheOp cacheOp = ptx::CacheOp::None;
         ptx::Scope scope = ptx::Scope::Gl;
         int loc = -1; ///< location index; -1 for fences
-        bool shared = false;
         int dst = -1;
-        int64_t src0 = 0, src1 = 0;
         /** Replay delay: bumped when a younger access passes this
          * entry (the bypassed access replays in the pipeline), which
          * widens the race window for other threads to intervene. */
         int delay = 0;
+        Kind kind = Kind::Load;
+        bool shared = false;
     };
 
     /** Commit-window entries a thread may have in flight. */
@@ -331,6 +333,18 @@ class Machine
     {
         WindowEntry entries[kWindowCap];
         size_t n = 0;
+
+        Window() = default;
+        Window(const Window &other) { *this = other; }
+
+        /** Copies the live entries only. */
+        Window &
+        operator=(const Window &other)
+        {
+            n = other.n;
+            std::copy(other.entries, other.entries + n, entries);
+            return *this;
+        }
 
         size_t size() const { return n; }
         bool empty() const { return n == 0; }
@@ -477,9 +491,9 @@ class Machine
     bool issueHazard(const ThreadState &ts, const CInstr &in) const;
     void issueOne(int tid);
     template <typename P> void commitOne(int tid, P &cp);
-    double pairPass(const ThreadState &ts, const WindowEntry &older,
+    double pairPass(int tid, const WindowEntry &older,
                     const WindowEntry &younger) const;
-    bool fenceActiveFor(const ThreadState &ts, const WindowEntry &fence,
+    bool fenceActiveFor(int tid, const WindowEntry &fence,
                         bool target_shared) const;
     template <typename P>
     void perform(int tid, const WindowEntry &e, P &cp);
