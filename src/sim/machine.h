@@ -89,12 +89,12 @@
  *   order and reach the same final state.
  *
  * - Flat per-run state: a commit window is an inline array of at most
- *   kWindowCap entries, and an L1 line a plain struct with a valid
- *   bit, so a reset or a snapshot copy of a thread touches no heap.
- *   Per-run containers are sized at compile; shared memory is reset
- *   only when the test has shared locations (nothing else writes
- *   it). The state encoding streams exactly the fields it did over
- *   the earlier vector/optional layout.
+ *   kWindowCap entries (a copy moves only the live ones), and an L1
+ *   line a plain struct with a valid bit. Per-run containers are
+ *   sized at compile, so a reset touches no heap; shared memory is
+ *   reset only when the test has shared locations (nothing else
+ *   writes it). The state encoding ignores the layout: an invalid
+ *   line encodes as one zero byte whatever its other fields hold.
  *
  * - Snapshot/restore lifetime: snapshot() captures the complete
  *   mutable run state at the top of a scheduling step; resume()
