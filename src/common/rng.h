@@ -26,8 +26,8 @@ namespace gpulitmus {
  * The per-draw members (next/below/uniform/chance) are defined inline
  * here: the sampler draws tens of times per simulated iteration, and
  * inlining them into sim::RngChoice removes a call per draw. below()
- * divides once per draw (see reduce()) and chance() compares in
- * integers; every seeded stream is the one the textbook formulas
+ * divides at most once per draw (see reduce()) and chance() compares
+ * in integers; every seeded stream is the one the textbook formulas
  * give.
  */
 class Rng
@@ -73,7 +73,7 @@ class Rng
      * `r >= -bound % bound ? r % bound : reject`, bit for bit. The
      * zone ends below bound, so the division that sizes it is only
      * made when r < bound (probability bound / 2^64): one division
-     * per draw instead of two.
+     * per draw instead of two, and none for a power-of-two bound.
      */
     static bool
     reduce(uint64_t r, uint64_t bound, uint64_t &out)
