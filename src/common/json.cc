@@ -140,17 +140,23 @@ struct Parser
             return fail("expected string");
         out->clear();
         while (true) {
+            // Copy the run up to the next quote, backslash or control
+            // character in one append.
+            const size_t run = pos;
+            while (pos < text.size()) {
+                const auto b = static_cast<unsigned char>(text[pos]);
+                if (b == '"' || b == '\\' || b < 0x20)
+                    break;
+                ++pos;
+            }
+            out->append(text.data() + run, pos - run);
             if (pos >= text.size())
                 return fail("unterminated string");
             char c = text[pos++];
             if (c == '"')
                 return true;
-            if (static_cast<unsigned char>(c) < 0x20)
+            if (c != '\\')
                 return fail("raw control character in string");
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
             if (pos >= text.size())
                 return fail("truncated escape");
             char e = text[pos++];

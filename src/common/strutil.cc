@@ -105,23 +105,34 @@ jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
+    appendJsonEscaped(out, s);
+    return out;
+}
+
+void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    size_t run = 0; // start of the pending unescaped run
+    for (size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+              const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                  kHex[c & 0xf]};
+              out.append(esc, sizeof esc);
+          }
         }
     }
-    return out;
+    out.append(s.data() + run, s.size() - run);
 }
 
 void

@@ -44,6 +44,10 @@ uint64_t fnv1a(std::string_view s);
  * backslashes, control characters). */
 std::string jsonEscape(std::string_view s);
 
+/** jsonEscape appended to `out`: runs that need no escaping are
+ * copied in bulk, and nothing is allocated beyond `out`'s growth. */
+void appendJsonEscaped(std::string &out, std::string_view s);
+
 /** Write pre-rendered JSON values as one array document, one value
  * per line — the shared emitter behind every sink's writeTo. */
 void writeJsonArray(std::ostream &os,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -362,21 +364,41 @@ computeJob(const Backend &backend, serve::ResultStore *store,
     return result;
 }
 
-/** Re-label a shared result for the job that requested it: the cache
- * key ignores labels (and, for model cells, the whole chip/incantation
- * axis), so the served copy re-points at the submitted job and
- * rebinds its histogram to stay self-contained. */
-std::shared_ptr<const EvalResult>
-servedFrom(const EvalResult &src, const EvalJob &requested)
+/** The same cell in every field a delivered result shows: a cache hit
+ * for it can keep the cached job instead of copying the requested one.
+ * Cache keys leave out the label, and model keys the chip,
+ * incantation, iteration and seed axes, so equal keys are not enough. */
+bool
+sameCell(const EvalJob &a, const EvalJob &b)
 {
-    auto hit = std::make_shared<EvalResult>(src);
-    auto owned = std::make_shared<EvalJob>(requested);
-    if (hit->hist)
-        hit->hist->rebind(owned->test);
-    hit->job = std::move(owned);
-    hit->fromCache = true;
-    hit->millis = 0.0;
-    return hit;
+    if (a.label != b.label || a.backend != b.backend ||
+        a.iterations != b.iterations || a.seed != b.seed ||
+        a.maxMicroSteps != b.maxMicroSteps || !(a.inc == b.inc) ||
+        !(a.chip == b.chip))
+        return false;
+    return (a.text && a.text == b.text) ||
+           a.renderedTest()->str == b.renderedTest()->str;
+}
+
+/** The result delivered for `requested`: a copy of its slot. A hit (a
+ * cache entry or a batch-mate's result) is re-pointed at the requested
+ * job — unless that is the same cell as the one it was computed for —
+ * and rebinds its histogram to stay self-contained. */
+EvalResult
+deliver(const EvalResult &slot, const EvalJob &requested, bool hit)
+{
+    EvalResult out = slot;
+    if (!hit)
+        return out;
+    if (!sameCell(*slot.job, requested)) {
+        auto owned = std::make_shared<EvalJob>(requested);
+        if (out.hist)
+            out.hist->rebind(owned->test);
+        out.job = std::move(owned);
+    }
+    out.fromCache = true;
+    out.millis = 0.0;
+    return out;
 }
 
 uint64_t
@@ -453,6 +475,7 @@ Engine::resolve(const std::vector<EvalJob> &jobs)
     // share this engine.
     std::vector<size_t> owners;
     uint64_t batch_hits = 0;
+    b.hits_.assign(n, 0);
     if (!cacheEnabled_) {
         for (size_t i = 0; i < n; ++i)
             owners.push_back(i);
@@ -471,7 +494,7 @@ Engine::resolve(const std::vector<EvalJob> &jobs)
         std::unordered_map<uint64_t, size_t> owner;
         for (size_t i = 0; i < n; ++i) {
             if (b.slots_[i]) {
-                b.slots_[i] = servedFrom(*b.slots_[i], batch[i]);
+                b.hits_[i] = 1;
                 ++batch_hits;
             } else if (auto claimed = owner.find(b.keys_[i]);
                        claimed != owner.end()) {
@@ -598,8 +621,10 @@ Engine::run(Batch b, const std::vector<EvalSink *> &sinks,
 
     // Resolve in-batch aliases now that their owners have run, then
     // install the computed results into the cache.
-    for (auto [idx, owner_idx] : b.aliases_)
-        slots[idx] = servedFrom(*slots[owner_idx], batch[idx]);
+    for (auto [idx, owner_idx] : b.aliases_) {
+        slots[idx] = slots[owner_idx];
+        b.hits_[idx] = 1;
+    }
     if (cacheEnabled_ && !compute.empty()) {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         for (size_t idx : compute)
@@ -607,14 +632,15 @@ Engine::run(Batch b, const std::vector<EvalSink *> &sinks,
     }
 
     // Deliver to sinks in job order: deterministic at any thread count.
+    // Each delivered result is built once, here.
     std::vector<EvalResult> results;
     results.reserve(slots.size());
-    for (const auto &slot : slots) {
+    for (size_t i = 0; i < slots.size(); ++i) {
+        results.push_back(deliver(*slots[i], batch[i], b.hits_[i]));
         for (EvalSink *sink : sinks) {
             if (sink)
-                sink->add(*slot);
+                sink->add(results.back());
         }
-        results.push_back(*slot);
     }
     return results;
 }
@@ -1022,116 +1048,195 @@ ConformanceSink::writeFile(const std::string &path) const
 
 // ---- JsonSink -------------------------------------------------------
 
-std::string
-evalCellJson(const EvalResult &result)
+namespace {
+
+/** An integer, as std::to_string renders it. */
+template <typename Int>
+void
+appendNum(std::string &out, Int v)
+{
+    char buf[24];
+    auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    out.append(buf, end);
+}
+
+/** A double, as std::to_string renders it ("%f"). */
+void
+appendFixed(std::string &out, double v)
+{
+    char buf[64];
+    int n = std::snprintf(buf, sizeof buf, "%f", v);
+    if (n > 0 && static_cast<size_t>(n) < sizeof buf)
+        out.append(buf, static_cast<size_t>(n));
+    else
+        out += std::to_string(v);
+}
+
+void
+appendBool(std::string &out, bool v)
+{
+    out += v ? "true" : "false";
+}
+
+/** A quoted, escaped JSON string. */
+void
+appendStr(std::string &out, std::string_view v)
+{
+    out += '"';
+    appendJsonEscaped(out, v);
+    out += '"';
+}
+
+/** A JSON object of string -> count members. */
+void
+appendCounts(std::string &out,
+             const std::map<std::string, uint64_t> &counts)
+{
+    out += '{';
+    bool first = true;
+    for (const auto &[key, count] : counts) {
+        if (!first)
+            out += ',';
+        first = false;
+        appendStr(out, key);
+        out += ':';
+        appendNum(out, count);
+    }
+    out += '}';
+}
+
+void
+appendVerdictFields(std::string &out, const model::Verdict &v)
+{
+    out += ",\"model\":";
+    appendStr(out, v.modelName);
+    out += ",\"candidates\":";
+    appendNum(out, v.numCandidates);
+    out += ",\"allowed\":";
+    appendNum(out, v.numAllowed);
+    out += ",\"model_verdict\":";
+    appendStr(out, v.verdict);
+    out += ",\"allowed_outcomes\":[";
+    bool first = true;
+    for (const auto &key : v.allowedKeys) {
+        if (!first)
+            out += ',';
+        first = false;
+        appendStr(out, key);
+    }
+    out += ']';
+}
+
+void
+appendExactFields(std::string &out, const mc::ExploreResult &x,
+                  const EvalJob &job)
+{
+    out += ",\"chip\":";
+    appendStr(out, x.chipName);
+    out += ",\"column\":";
+    appendNum(out, x.column);
+    out += ",\"complete\":";
+    appendBool(out, x.complete);
+    out += ",\"fair_complete\":";
+    appendBool(out, x.fairComplete);
+    out += ",\"paths\":";
+    appendNum(out, x.paths);
+    out += ",\"replays\":";
+    appendNum(out, x.stats.replays);
+    out += ",\"states\":";
+    appendNum(out, x.stats.distinctStates);
+    out += ",\"state_cuts\":";
+    appendNum(out, x.stats.stateCuts);
+    out += ",\"sleep_skips\":";
+    appendNum(out, x.stats.sleepSkips);
+    // Bounded-verdict diagnostics: deepest frontier, checkpoint
+    // resumes, and the replay budget the job carried. The budget comes
+    // from the job — not the advisory ExploreResult fields — so
+    // store-served cells render byte-identically to computed ones (CI
+    // diffs them).
+    out += ",\"peak_depth\":";
+    appendNum(out, x.stats.peakDepth);
+    out += ",\"resumes\":";
+    appendNum(out, x.stats.resumes);
+    out += ",\"budget_replays\":";
+    appendNum(out, job.iterations);
+    out += ",\"reachable\":";
+    appendCounts(out, x.finals);
+}
+
+} // namespace
+
+void
+appendCellJson(std::string &out, const EvalResult &result)
 {
     const EvalJob &job = *result.job;
-
-    auto verdictFields = [](const model::Verdict &v) {
-        std::string f;
-        f += ",\"model\":\"" + jsonEscape(v.modelName) + "\"";
-        f += ",\"candidates\":" + std::to_string(v.numCandidates);
-        f += ",\"allowed\":" + std::to_string(v.numAllowed);
-        f += ",\"model_verdict\":\"" + jsonEscape(v.verdict) + "\"";
-        f += ",\"allowed_outcomes\":[";
-        bool first = true;
-        for (const auto &key : v.allowedKeys) {
-            if (!first)
-                f += ",";
-            f += "\"" + jsonEscape(key) + "\"";
-            first = false;
-        }
-        return f + "]";
-    };
-
-    auto exactFields = [&job](const mc::ExploreResult &x) {
-        std::string f;
-        f += ",\"chip\":\"" + jsonEscape(x.chipName) + "\"";
-        f += ",\"column\":" + std::to_string(x.column);
-        f += ",\"complete\":" +
-             std::string(x.complete ? "true" : "false");
-        f += ",\"fair_complete\":" +
-             std::string(x.fairComplete ? "true" : "false");
-        f += ",\"paths\":" + std::to_string(x.paths);
-        f += ",\"replays\":" + std::to_string(x.stats.replays);
-        f += ",\"states\":" + std::to_string(x.stats.distinctStates);
-        f += ",\"state_cuts\":" + std::to_string(x.stats.stateCuts);
-        f += ",\"sleep_skips\":" +
-             std::to_string(x.stats.sleepSkips);
-        // Bounded-verdict diagnostics (ISSUE 8): deepest frontier,
-        // checkpoint resumes, and the replay budget the job carried.
-        // The budget comes from the job — not the advisory
-        // ExploreResult fields — so store-served cells render
-        // byte-identically to computed ones (CI diffs them).
-        f += ",\"peak_depth\":" + std::to_string(x.stats.peakDepth);
-        f += ",\"resumes\":" + std::to_string(x.stats.resumes);
-        f += ",\"budget_replays\":" + std::to_string(job.iterations);
-        f += ",\"reachable\":{";
-        bool first = true;
-        for (const auto &[key, weight] : x.finals) {
-            if (!first)
-                f += ",";
-            f += "\"" + jsonEscape(key) +
-                 "\":" + std::to_string(weight);
-            first = false;
-        }
-        return f + "}";
-    };
-
-    std::string e;
+    out += "{\"label\":";
+    if (!job.label.empty())
+        appendStr(out, job.label);
+    else
+        appendStr(out, job.displayLabel());
     if (result.hasHist()) {
         // The sim schema: job identity, histogram and provenance (a
         // both-sided result appends the verdict fields).
         const litmus::Histogram &hist = *result.hist;
-        e = "{";
-        e += "\"label\":\"" + jsonEscape(job.displayLabel()) + "\",";
-        e += "\"backend\":\"" + jsonEscape(job.backend) + "\",";
-        e += "\"test\":\"" + jsonEscape(job.test.name) + "\",";
-        e += "\"chip\":\"" + jsonEscape(job.chip.shortName) + "\",";
-        e += "\"vendor\":\"" + jsonEscape(job.chip.vendor) + "\",";
-        e += "\"column\":" + std::to_string(job.inc.column()) + ",";
-        e += "\"incantations\":\"" + jsonEscape(job.inc.str()) + "\",";
-        e += "\"iterations\":" + std::to_string(job.iterations) + ",";
-        e += "\"seed\":" + std::to_string(job.seed) + ",";
-        e += "\"observed\":" + std::to_string(hist.observed()) + ",";
-        e += "\"total\":" + std::to_string(hist.total()) + ",";
-        e += "\"obs_per_100k\":" +
-             std::to_string(result.observedPer100k) + ",";
-        e += "\"verdict\":\"" + jsonEscape(hist.verdict()) + "\",";
-        e += "\"cached\":" +
-             std::string(result.fromCache ? "true" : "false") + ",";
-        e += "\"millis\":" + std::to_string(result.millis) + ",";
-        e += "\"counts\":{";
-        bool first = true;
-        for (const auto &[key, count] : hist.counts()) {
-            if (!first)
-                e += ",";
-            e += "\"" + jsonEscape(key) + "\":" + std::to_string(count);
-            first = false;
-        }
-        e += "}";
+        out += ",\"backend\":";
+        appendStr(out, job.backend);
+        out += ",\"test\":";
+        appendStr(out, job.test.name);
+        out += ",\"chip\":";
+        appendStr(out, job.chip.shortName);
+        out += ",\"vendor\":";
+        appendStr(out, job.chip.vendor);
+        out += ",\"column\":";
+        appendNum(out, job.inc.column());
+        out += ",\"incantations\":";
+        appendStr(out, job.inc.str());
+        out += ",\"iterations\":";
+        appendNum(out, job.iterations);
+        out += ",\"seed\":";
+        appendNum(out, job.seed);
+        out += ",\"observed\":";
+        appendNum(out, hist.observed());
+        out += ",\"total\":";
+        appendNum(out, hist.total());
+        out += ",\"obs_per_100k\":";
+        appendNum(out, result.observedPer100k);
+        out += ",\"verdict\":";
+        appendStr(out, hist.verdict());
+        out += ",\"cached\":";
+        appendBool(out, result.fromCache);
+        out += ",\"millis\":";
+        appendFixed(out, result.millis);
+        out += ",\"counts\":";
+        appendCounts(out, hist.counts());
         if (result.hasVerdict())
-            e += verdictFields(*result.verdict);
-        e += "}";
+            appendVerdictFields(out, *result.verdict);
     } else {
-        e = "{";
-        e += "\"label\":\"" + jsonEscape(result.label()) + "\",";
-        e += "\"backend\":\"" + jsonEscape(result.backend) + "\",";
-        e += "\"test\":\"" + jsonEscape(job.test.name) + "\",";
-        e += "\"cached\":" +
-             std::string(result.fromCache ? "true" : "false") + ",";
-        e += "\"millis\":" + std::to_string(result.millis);
+        out += ",\"backend\":";
+        appendStr(out, result.backend);
+        out += ",\"test\":";
+        appendStr(out, job.test.name);
+        out += ",\"cached\":";
+        appendBool(out, result.fromCache);
+        out += ",\"millis\":";
+        appendFixed(out, result.millis);
         if (result.hasVerdict())
-            e += verdictFields(*result.verdict);
+            appendVerdictFields(out, *result.verdict);
         if (result.hasExact())
-            e += exactFields(*result.exact);
-        e += "}";
+            appendExactFields(out, *result.exact, job);
     }
     // Provenance for store-hit assertions (CI serve-smoke greps it).
-    e.pop_back(); // reopen the object
-    e += std::string(",\"from_store\":") +
-         (result.fromStore ? "true" : "false") + "}";
-    return e;
+    out += ",\"from_store\":";
+    appendBool(out, result.fromStore);
+    out += '}';
+}
+
+std::string
+evalCellJson(const EvalResult &result)
+{
+    std::string out;
+    appendCellJson(out, result);
+    return out;
 }
 
 void

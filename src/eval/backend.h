@@ -317,7 +317,11 @@ class Engine
         std::vector<EvalJob> normalised_; ///< made only when needed
         std::unordered_map<std::string, std::shared_ptr<const Backend>>
             backends_;
+        /** Shared results: computed, fetched from the store, or the
+         * cache entry or batch-mate result a hit reuses. */
         std::vector<std::shared_ptr<const EvalResult>> slots_;
+        /** 1 where the slot is a hit that run() re-points at its job. */
+        std::vector<char> hits_;
         std::vector<uint64_t> keys_;  ///< cache keys (cache on)
         std::vector<size_t> compute_; ///< job indices to evaluate
         /** (job index, index of the batch-mate it reuses). */
@@ -537,6 +541,10 @@ class ConformanceSink : public EvalSink
  * statistics. Every entry carries "from_store".
  */
 std::string evalCellJson(const EvalResult &result);
+
+/** evalCellJson appended to `out`, with no temporaries: the daemon
+ * renders result events straight into the bytes it sends. */
+void appendCellJson(std::string &out, const EvalResult &result);
 
 /**
  * Writes evaluation results as a JSON array (evalCellJson entries) for

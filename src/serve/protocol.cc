@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/json.h"
@@ -12,6 +15,7 @@
 #include "litmus/library.h"
 #include "litmus/parser.h"
 #include "model/checker.h"
+#include "obs/metrics.h"
 #include "scenario/registry.h"
 #include "sim/chip.h"
 
@@ -382,6 +386,126 @@ resolveTest(const TestSpec &spec, std::string *error)
 
 namespace {
 
+/**
+ * A TestSpec resolved once and shared by every plan that names it: the
+ * loaded test, its as-written rendering, its model scope and, made on
+ * first use, each AMD chip's compilation. Everything but the
+ * compilations is fixed at construction; those sit behind a mutex.
+ */
+class ResolvedTest
+{
+  public:
+    /** The test as one AMD chip's (simulated) OpenCL compiler emits it. */
+    struct Compiled
+    {
+        std::optional<litmus::Test> test; ///< nullopt: miscompiled
+        std::vector<std::string> quirks;
+        std::shared_ptr<const harness::TestText> text;
+    };
+
+    explicit ResolvedTest(LoadedTest test)
+        : loaded(std::move(test)),
+          text(harness::TestText::of(loaded.test)),
+          inScope(model::inModelScope(loaded.test))
+    {
+    }
+
+    /** `chip`'s compilation (an AMD chip from the registry, so its
+     * short name identifies it). */
+    const Compiled &
+    compiledFor(const sim::ChipProfile &chip) const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto &slot = compiled_[chip.shortName];
+        if (!slot) {
+            auto c = std::make_unique<Compiled>();
+            c->test = eval::compileForChip(loaded.test, chip, &c->quirks);
+            if (c->test)
+                c->text = harness::TestText::of(*c->test);
+            slot = std::move(c);
+        }
+        return *slot;
+    }
+
+    const LoadedTest loaded;
+    /** `loaded.test` rendered: what Nvidia chips run. */
+    const std::shared_ptr<const harness::TestText> text;
+    const bool inScope; ///< model::inModelScope(loaded.test)
+
+  private:
+    mutable std::mutex mutex_;
+    mutable std::map<std::string, std::unique_ptr<const Compiled>>
+        compiled_;
+};
+
+using ResolvedPtr = std::shared_ptr<const ResolvedTest>;
+
+/** The planner's memo: TestSpec key -> resolved test, within the
+ * kTestMemoMax* caps. */
+struct TestMemo
+{
+    std::mutex mutex;
+    std::unordered_map<std::string, ResolvedPtr> entries;
+    size_t keyBytes = 0;
+};
+
+TestMemo &
+testMemo()
+{
+    static TestMemo memo;
+    return memo;
+}
+
+/** The field resolveTest reads, tagged with its kind. */
+std::string
+memoKey(const TestSpec &spec)
+{
+    if (!spec.spec.empty())
+        return "c" + spec.spec;
+    if (!spec.source.empty())
+        return "s" + spec.source;
+    return "n" + spec.name;
+}
+
+/** resolveTest through the memo. Failures are not memoised: a bad
+ * spec pays its diagnosis every time, and gives the same one. */
+ResolvedPtr
+resolveMemoised(const TestSpec &spec, std::string *error)
+{
+    static obs::Counter &hits =
+        obs::counter("serve_test_cache_hits_total");
+    static obs::Counter &misses =
+        obs::counter("serve_test_cache_misses_total");
+    TestMemo &memo = testMemo();
+    std::string key = memoKey(spec);
+    {
+        std::lock_guard<std::mutex> lock(memo.mutex);
+        if (auto it = memo.entries.find(key); it != memo.entries.end()) {
+            hits.add();
+            return it->second;
+        }
+    }
+    misses.add();
+    auto loaded = resolveTest(spec, error);
+    if (!loaded)
+        return nullptr;
+    ResolvedPtr entry = std::make_shared<const ResolvedTest>(
+        std::move(*loaded));
+    if (key.size() > kTestMemoMaxKeyBytes)
+        return entry;
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    if (memo.entries.size() >= kTestMemoMaxEntries ||
+        memo.keyBytes + key.size() > kTestMemoMaxKeyBytes) {
+        memo.entries.clear();
+        memo.keyBytes = 0;
+    }
+    const size_t key_bytes = key.size();
+    auto [it, inserted] = memo.entries.emplace(std::move(key), entry);
+    if (inserted)
+        memo.keyBytes += key_bytes;
+    return it->second; // a racing planner's entry is as good
+}
+
 bool
 resolveChips(const Request &req,
              const std::vector<sim::ChipProfile> &fallback,
@@ -433,49 +557,62 @@ resolveModels(const Request &req, std::vector<std::string> *out,
     return true;
 }
 
+/** Append a job: `base` (whose test is empty) running `test`. The one
+ * copy of the test a planned job makes. */
+harness::Job &
+addJob(Plan *plan, const harness::Job &base, const litmus::Test &test)
+{
+    plan->jobs.push_back(base);
+    plan->jobs.back().test = test;
+    return plan->jobs.back();
+}
+
 /**
- * The loop every planner shares: compile `loaded` for each chip —
- * recording compile notes and miscompiled (test, chip) cells in
- * `plan` — and hand `expand` the base job of every cell that runs:
- * the test as that chip runs it, labelled with the test's name, on the
- * `cfg` axes raised to the test's micro-step floor.
+ * The loop every planner shares: for each chip, take the test as that
+ * chip runs it — as written on Nvidia, the memoised compilation on AMD,
+ * recording compile notes and miscompiled (test, chip) cells in `plan`
+ * — and hand `expand` the cell's base job plus that test. The base job
+ * is labelled with the test's name, carries the shared rendering its
+ * keys and store digests hash, sits on the `cfg` axes raised to the
+ * test's micro-step floor, and has an empty test: expand adds each job
+ * with addJob.
  */
 template <typename Expand>
 void
-planOnChips(const LoadedTest &loaded,
+planOnChips(const ResolvedTest &rt,
             const std::vector<sim::ChipProfile> &chips,
             const harness::RunConfig &cfg, Plan *plan, Expand expand)
 {
-    harness::RunConfig test_cfg = cfg;
-    test_cfg.maxMicroSteps =
-        std::max(cfg.maxMicroSteps, loaded.minMicroSteps);
-    // Render the test once: every job of it shares the text its keys
-    // and store digests hash. Nvidia chips run the test as written;
-    // an AMD chip's compiled test gets its own rendering.
-    const auto as_written = harness::TestText::of(loaded.test);
+    harness::Job base;
+    base.inc = cfg.inc;
+    base.iterations = cfg.iterations;
+    base.seed = cfg.seed;
+    base.maxMicroSteps =
+        std::max(cfg.maxMicroSteps, rt.loaded.minMicroSteps);
+    base.label = rt.loaded.test.name;
     for (const auto &chip : chips) {
-        std::vector<std::string> quirks;
-        auto to_run =
-            eval::compileForChip(loaded.test, chip, &quirks);
-        for (const auto &q : quirks)
-            plan->notes.push_back("compile note (" + chip.shortName +
-                                  "): " + q);
-        if (!to_run) {
-            plan->skipped.push_back(loaded.test.name + " on " +
-                                    chip.shortName);
-            continue;
+        const litmus::Test *to_run = &rt.loaded.test;
+        base.text = rt.text;
+        if (chip.isAmd()) {
+            const ResolvedTest::Compiled &compiled = rt.compiledFor(chip);
+            for (const auto &q : compiled.quirks)
+                plan->notes.push_back("compile note (" + chip.shortName +
+                                      "): " + q);
+            if (!compiled.test) {
+                plan->skipped.push_back(rt.loaded.test.name + " on " +
+                                        chip.shortName);
+                continue;
+            }
+            to_run = &*compiled.test;
+            base.text = compiled.text;
         }
-        harness::Job base =
-            harness::Job::fromConfig(chip, *to_run, test_cfg);
-        base.label = loaded.test.name;
-        base.text =
-            chip.isAmd() ? harness::TestText::of(*to_run) : as_written;
-        expand(base);
+        base.chip = chip;
+        expand(base, *to_run);
     }
 }
 
 void
-planSweep(const Request &req, const std::vector<LoadedTest> &tests,
+planSweep(const Request &req, const std::vector<ResolvedPtr> &tests,
           const std::vector<sim::ChipProfile> &chips, Plan *plan)
 {
     std::vector<int> columns = req.columns;
@@ -487,19 +624,16 @@ planSweep(const Request &req, const std::vector<LoadedTest> &tests,
     cfg.iterations = req.iterations;
     cfg.seed = req.seed;
 
-    auto expand = [&](const harness::Job &base) {
-        for (int col : columns) {
-            harness::Job job = base;
-            job.inc = sim::Incantations::fromColumn(col);
-            plan->jobs.push_back(std::move(job));
-        }
+    auto expand = [&](const harness::Job &base, const litmus::Test &test) {
+        for (int col : columns)
+            addJob(plan, base, test).inc = sim::Incantations::fromColumn(col);
     };
-    for (const auto &loaded : tests)
-        planOnChips(loaded, chips, cfg, plan, expand);
+    for (const auto &rt : tests)
+        planOnChips(*rt, chips, cfg, plan, expand);
 }
 
 bool
-planValidate(const Request &req, const std::vector<LoadedTest> &tests,
+planValidate(const Request &req, const std::vector<ResolvedPtr> &tests,
              const std::vector<sim::ChipProfile> &chips, Plan *plan,
              std::string *error)
 {
@@ -515,34 +649,30 @@ planValidate(const Request &req, const std::vector<LoadedTest> &tests,
 
     // The model jobs carry the compiled text of their sim cell so the
     // conformance join compares like with like.
-    auto expand = [&](const harness::Job &sim_job) {
-        plan->jobs.push_back(sim_job);
+    auto expand = [&](const harness::Job &base, const litmus::Test &test) {
+        addJob(plan, base, test);
         if (req.exact) {
             // One exhaustive exploration per sim cell, so the join
             // can upgrade imprecise verdicts to rare/unreachable.
-            harness::Job mc_job = sim_job;
+            harness::Job &mc_job = addJob(plan, base, test);
             mc_job.backend = harness::kMcBackend;
             mc_job.iterations = req.budget;
-            plan->jobs.push_back(std::move(mc_job));
         }
-        for (const auto &model : plan->models) {
-            harness::Job model_job = sim_job;
-            model_job.backend = model;
-            plan->jobs.push_back(std::move(model_job));
-        }
+        for (const auto &model : plan->models)
+            addJob(plan, base, test).backend = model;
     };
-    for (const auto &loaded : tests) {
+    for (const auto &rt : tests) {
         // Tests outside the model's scope (.ca / volatile accesses,
         // Sec. 5.5) are excluded exactly as in the paper.
-        if (!model::inModelScope(loaded.test)) {
+        if (!rt->inScope) {
             plan->notes.push_back(
-                loaded.test.name +
+                rt->loaded.test.name +
                 " is outside the model scope (.ca/volatile/loops,"
                 " Sec. 5.5); skipped");
             ++plan->outOfScope;
             continue;
         }
-        planOnChips(loaded, chips, cfg, plan, expand);
+        planOnChips(*rt, chips, cfg, plan, expand);
     }
     if (plan->jobs.empty()) {
         if (error) {
@@ -557,7 +687,7 @@ planValidate(const Request &req, const std::vector<LoadedTest> &tests,
 }
 
 bool
-planExplore(const Request &req, const std::vector<LoadedTest> &tests,
+planExplore(const Request &req, const std::vector<ResolvedPtr> &tests,
             const std::vector<sim::ChipProfile> &chips, Plan *plan,
             std::string *error)
 {
@@ -569,23 +699,18 @@ planExplore(const Request &req, const std::vector<LoadedTest> &tests,
     // property of the machine — but skip the model join, exactly as
     // validate skips them.
     bool in_scope = true;
-    auto expand = [&](const harness::Job &base) {
-        harness::Job mc_job = base;
-        mc_job.backend = harness::kMcBackend;
-        plan->jobs.push_back(mc_job);
+    auto expand = [&](const harness::Job &base, const litmus::Test &test) {
+        addJob(plan, base, test).backend = harness::kMcBackend;
         if (!in_scope)
             return;
-        for (const auto &model : plan->models) {
-            harness::Job model_job = mc_job;
-            model_job.backend = model;
-            plan->jobs.push_back(std::move(model_job));
-        }
+        for (const auto &model : plan->models)
+            addJob(plan, base, test).backend = model;
     };
-    for (const auto &loaded : tests) {
-        in_scope = model::inModelScope(loaded.test);
+    for (const auto &rt : tests) {
+        in_scope = rt->inScope;
         if (!in_scope)
             ++plan->outOfScope;
-        planOnChips(loaded, chips, cfg, plan, expand);
+        planOnChips(*rt, chips, cfg, plan, expand);
     }
     if (plan->jobs.empty()) {
         if (error)
@@ -597,6 +722,14 @@ planExplore(const Request &req, const std::vector<LoadedTest> &tests,
 }
 
 } // namespace
+
+TestMemoStats
+testMemoStats()
+{
+    TestMemo &memo = testMemo();
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    return {memo.entries.size(), memo.keyBytes};
+}
 
 bool
 planJobs(const Request &req, Plan *plan, std::string *error)
@@ -637,15 +770,16 @@ planJobs(const Request &req, Plan *plan, std::string *error)
         return false;
     // A parse failure names the tests[] entry: inline source carries
     // no name yet.
-    std::vector<LoadedTest> tests;
+    std::vector<ResolvedPtr> tests;
+    tests.reserve(req.tests.size());
     for (size_t i = 0; i < req.tests.size(); ++i) {
-        auto loaded = resolveTest(req.tests[i], error);
-        if (!loaded) {
+        auto rt = resolveMemoised(req.tests[i], error);
+        if (!rt) {
             if (error && !req.tests[i].source.empty())
                 *error = "tests[" + std::to_string(i) + "]: " + *error;
             return false;
         }
-        tests.push_back(std::move(*loaded));
+        tests.push_back(std::move(rt));
     }
 
     if (validate)

@@ -169,8 +169,30 @@ struct Plan
  * into its job list. False + `error` on unresolvable tests/chips/
  * models or an empty plan (every cell miscompiled / nothing in
  * scope).
+ *
+ * Each TestSpec is resolved once per process: a memo keyed on the
+ * spec (library id, scenario spec or inline source text) keeps the
+ * loaded test, its rendering, its model scope and each AMD chip's
+ * compilation, so a repeated request re-plans without parsing,
+ * rendering or compiling, and each planned job copies its test once.
+ * Failures are not memoised. Safe to call from several threads.
  */
 bool planJobs(const Request &req, Plan *plan, std::string *error);
+
+/** Caps of planJobs' memo of resolved tests: entries, and bytes of
+ * keys (an inline source is its own key, and a request line may carry
+ * up to a MiB of them). A key over the byte cap is never memoised; an
+ * insert that would pass either cap empties the memo first. */
+inline constexpr size_t kTestMemoMaxEntries = 128;
+inline constexpr size_t kTestMemoMaxKeyBytes = size_t{1} << 20;
+
+/** What planJobs' memo holds right now. */
+struct TestMemoStats
+{
+    size_t entries = 0;
+    size_t keyBytes = 0;
+};
+TestMemoStats testMemoStats();
 
 /**
  * What a finished job-carrying request amounts to: the exit status

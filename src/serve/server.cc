@@ -33,14 +33,28 @@ int Server::sSignalPipe[2] = {-1, -1};
 
 namespace {
 
-/** Start an event object: `{"event":"<name>"[,"id":"<id>"]`. The
- * caller appends fields and the closing brace. */
+/** Append the start of an event object,
+ * `{"event":"<name>"[,"id":"<id>"]`, to `out`. The caller appends
+ * fields and the closing brace. */
+void
+appendEventHead(std::string &out, const char *event, const std::string &id)
+{
+    out += "{\"event\":\"";
+    out += event;
+    out += '"';
+    if (!id.empty()) {
+        out += ",\"id\":\"";
+        appendJsonEscaped(out, id);
+        out += '"';
+    }
+}
+
+/** The start of an event object (appendEventHead). */
 std::string
 eventHead(const char *event, const std::string &id)
 {
-    std::string e = std::string("{\"event\":\"") + event + "\"";
-    if (!id.empty())
-        e += "," + jsonField("id", id);
+    std::string e;
+    appendEventHead(e, event, id);
     return e;
 }
 
@@ -55,8 +69,12 @@ errorEvent(const std::string &id, const std::string &message)
 bool
 writeAll(int fd, std::string_view bytes)
 {
+    static obs::Counter &writes = obs::counter("serve_event_writes_total");
     size_t off = 0;
     while (off < bytes.size()) {
+        // Ticked before the send, so a client that has read the bytes
+        // also sees the count.
+        writes.add();
         ssize_t n =
             ::send(fd, bytes.data() + off, bytes.size() - off,
                    MSG_NOSIGNAL);
@@ -166,14 +184,18 @@ struct Server::Client
      * newline; readLine gave up on the connection. */
     bool overflowed = false;
 
-    /** Write one event line; serialised because progress events come
-     * from engine worker threads while the handler owns the socket. */
+    /** Write newline-terminated event lines in one piece; serialised
+     * because progress events come from engine worker threads while
+     * the handler owns the socket. */
     bool
-    writeLine(const std::string &line)
+    write(std::string_view lines)
     {
         std::lock_guard<std::mutex> lock(writeMutex);
-        return writeAll(fd, line + "\n");
+        return writeAll(fd, lines);
     }
+
+    /** Write one event line. */
+    bool writeLine(const std::string &line) { return write(line + "\n"); }
 
     /**
      * Next request line; polls so the handler can notice daemon
@@ -640,7 +662,8 @@ Server::runJobsRequest(Client &client, const Request &req)
 
     // Every lookup happens before anything computes. A request the
     // cache and the store answer completely pays for nothing else:
-    // no journal entry, no heartbeat thread, no worker, no flush.
+    // no journal entry, no heartbeat thread, no worker, no flush —
+    // and its events go out in one write.
     eval::Engine::Batch batch = engine_->resolve(plan.jobs);
     const size_t computing = batch.computing();
 
@@ -650,11 +673,18 @@ Server::runJobsRequest(Client &client, const Request &req)
     if (store_ && computing > 0)
         journal = writeJournal(req);
 
-    client.writeLine(eventHead("accepted", req.id) +
-                     ",\"jobs\":" +
-                     std::to_string(plan.jobs.size()) +
-                     ",\"skipped\":" + jsonStringArray(plan.skipped) +
-                     ",\"notes\":" + jsonStringArray(plan.notes) + "}");
+    // The request's events, buffered until the next point the client
+    // must hear from us.
+    std::string out;
+    appendEventHead(out, "accepted", req.id);
+    out += ",\"jobs\":" + std::to_string(plan.jobs.size()) +
+           ",\"skipped\":" + jsonStringArray(plan.skipped) +
+           ",\"notes\":" + jsonStringArray(plan.notes) + "}\n";
+    // A request that computes announces itself before its first job.
+    if (computing > 0) {
+        client.write(out);
+        out.clear();
+    }
 
     eval::ConformanceSink conformance;
 
@@ -685,14 +715,17 @@ Server::runJobsRequest(Client &client, const Request &req)
                                progress);
     }
 
-    for (const auto &r : results)
-        client.writeLine(eventHead("result", req.id) +
-                         ",\"cell\":" + eval::evalCellJson(r) + "}");
+    for (const auto &r : results) {
+        appendEventHead(out, "result", req.id);
+        out += ",\"cell\":";
+        eval::appendCellJson(out, r);
+        out += "}\n";
+    }
 
     // The batch command's exit status and tallies, by the same
     // function the batch CLI uses.
     Outcome o = summarize(req, results, conformance);
-    std::string summary = eventHead("summary", req.id);
+    appendEventHead(out, "summary", req.id);
     const std::pair<const char *, size_t> fields[] = {
         {"exit", static_cast<size_t>(o.exit)},
         {"results", o.results}, {"store_results", o.fromStore},
@@ -701,11 +734,18 @@ Server::runJobsRequest(Client &client, const Request &req)
         {"unreachable", o.unreachable}, {"bounded", o.bounded},
         {"forbidden_reachable", o.forbiddenReachable},
         {"inconsistent", o.inconsistent}};
-    for (const auto &[key, value] : fields)
-        summary += std::string(",\"") + key + "\":" + std::to_string(value);
-    client.writeLine(summary + "}");
+    for (const auto &[key, value] : fields) {
+        out += ",\"";
+        out += key;
+        out += "\":";
+        out += std::to_string(value);
+    }
+    out += "}\n";
 
+    // Results reach the client before the flush; `done` after it.
     if (store_ && computing > 0) {
+        client.write(out);
+        out.clear();
         std::string flush_error;
         if (!store_->flush(&flush_error))
             warn("serve: store flush failed: %s",
@@ -713,7 +753,9 @@ Server::runJobsRequest(Client &client, const Request &req)
         else if (!journal.empty())
             ::unlink(journal.c_str());
     }
-    client.writeLine(eventHead("done", req.id) + "}");
+    appendEventHead(out, "done", req.id);
+    out += "}\n";
+    client.write(out);
 }
 
 } // namespace gpulitmus::serve

@@ -31,6 +31,8 @@ struct InvalProbs
     double gl = 1.0;
     double sys = 1.0;
 
+    bool operator==(const InvalProbs &other) const = default;
+
     double
     at(ptx::Scope s) const
     {
@@ -142,6 +144,8 @@ struct ChipProfile
 
     bool isNvidia() const { return vendor == "Nvidia"; }
     bool isAmd() const { return vendor == "AMD"; }
+
+    bool operator==(const ChipProfile &other) const = default;
 };
 
 /** All chips of Tab. 1 in paper order (including the GTX 280, which

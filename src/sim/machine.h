@@ -148,6 +148,8 @@ struct Incantations
     static Incantations none() { return {}; }
     static Incantations all() { return {true, true, true, true}; }
 
+    bool operator==(const Incantations &other) const = default;
+
     /**
      * Tab. 6 column (1..16). Bit assignment reconstructed from the
      * paper's column comparisons: bit0 = thread randomisation, bit1 =

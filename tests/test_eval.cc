@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -19,6 +23,8 @@
 #include "litmus/library.h"
 #include "litmus/parser.h"
 #include "model/checker.h"
+#include "serve/protocol.h"
+#include "serve/store.h"
 
 #ifndef GPULITMUS_SOURCE_DIR
 #define GPULITMUS_SOURCE_DIR "."
@@ -458,6 +464,156 @@ TEST(EvalEngine, CacheServesRepeatedCells)
     auto miss = engine.run({other});
     EXPECT_FALSE(miss[0].fromCache);
     EXPECT_EQ(engine.cacheSize(), 2u);
+}
+
+/** Every field of a job a delivered result shows. */
+void
+expectSameJob(const harness::Job &got, const harness::Job &want)
+{
+    EXPECT_EQ(got.label, want.label);
+    EXPECT_EQ(got.backend, want.backend);
+    EXPECT_EQ(got.chip.shortName, want.chip.shortName);
+    EXPECT_EQ(got.inc.column(), want.inc.column());
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.seed, want.seed);
+    EXPECT_EQ(got.maxMicroSteps, want.maxMicroSteps);
+    EXPECT_EQ(got.test.str(), want.test.str());
+}
+
+TEST(EvalEngine, HitsKeepTheRequestedJobsIdentity)
+{
+    harness::RunConfig cfg;
+    cfg.iterations = 300;
+    harness::Job a =
+        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    a.label = "a";
+    Engine engine;
+    auto cold = engine.run({a});
+
+    // The same cell in every field: the hit keeps the cached job.
+    auto same = engine.run({a});
+    EXPECT_TRUE(same[0].fromCache);
+    EXPECT_EQ(same[0].job.get(), cold[0].job.get());
+    expectSameJob(*same[0].job, a);
+
+    // A cache hit under another label keeps that label.
+    harness::Job b = a;
+    b.label = "b";
+    auto relabelled = engine.run({b});
+    ASSERT_TRUE(relabelled[0].fromCache);
+    EXPECT_EQ(relabelled[0].label(), "b");
+    expectSameJob(*relabelled[0].job, b);
+    EXPECT_EQ(relabelled[0].hist->counts(), cold[0].hist->counts());
+    EXPECT_EQ(cold[0].label(), "a"); // the first delivery is untouched
+
+    // Two jobs for one new cell in one batch: the second is an alias of
+    // the first, and each carries its own label.
+    harness::Job x = a, y = a;
+    x.inc = y.inc = sim::Incantations::fromColumn(9);
+    x.label = "x";
+    y.label = "y";
+    auto pair = engine.run({x, y});
+    EXPECT_FALSE(pair[0].fromCache);
+    EXPECT_TRUE(pair[1].fromCache);
+    EXPECT_EQ(pair[0].label(), "x");
+    EXPECT_EQ(pair[1].label(), "y");
+    expectSameJob(*pair[1].job, y);
+
+    // Model jobs key on (backend, test): a ptx job on a second chip is
+    // a hit, and still reports the chip it was requested on — in one
+    // batch and across batches.
+    harness::Job ptx_titan = a;
+    ptx_titan.backend = "ptx";
+    ptx_titan.label = "";
+    harness::Job ptx_gtx5 = ptx_titan;
+    ptx_gtx5.chip = sim::chip("GTX5");
+    auto both = engine.run({ptx_titan, ptx_gtx5});
+    EXPECT_EQ(both[0].chip().shortName, "Titan");
+    EXPECT_EQ(both[1].chip().shortName, "GTX5");
+    EXPECT_TRUE(both[1].fromCache);
+    harness::Job ptx_tesc = ptx_titan;
+    ptx_tesc.chip = sim::chip("TesC");
+    auto later = engine.run({ptx_tesc, ptx_gtx5});
+    EXPECT_EQ(later[0].chip().shortName, "TesC");
+    EXPECT_EQ(later[1].chip().shortName, "GTX5");
+    expectSameJob(*later[0].job, ptx_tesc);
+    EXPECT_EQ(later[0].verdict->allowedKeys, both[0].verdict->allowedKeys);
+}
+
+/** evalCellJson minus the provenance and timing fields. */
+std::string
+stripProvenance(std::string json)
+{
+    for (const char *marker :
+         {",\"from_store\":true", ",\"from_store\":false",
+          ",\"cached\":true", ",\"cached\":false"}) {
+        auto at = json.find(marker);
+        if (at != std::string::npos)
+            json.erase(at, std::strlen(marker));
+    }
+    auto at = json.find(",\"millis\":");
+    if (at != std::string::npos) {
+        auto end = json.find_first_of(",}", at + 1);
+        json.erase(at, end - at);
+    }
+    return json;
+}
+
+TEST(EvalEngine, CacheAndStoreCellsEqualColdCells)
+{
+    auto dir = std::filesystem::temp_directory_path() /
+               ("gls_eval_deliver_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    serve::Request req;
+    req.cmd = "validate";
+    req.tests = {{"mp", "", ""}, {"sb", "", ""}};
+    req.chips = {"Titan", "GTX5", "HD7970"};
+    req.models = {"ptx"};
+    req.iterations = 300;
+    req.exact = true;
+    req.budget = 4096;
+    serve::Plan plan;
+    std::string error;
+    ASSERT_TRUE(serve::planJobs(req, &plan, &error)) << error;
+    // Relabel one cell's duplicate: cache hits must keep it.
+    plan.jobs.push_back(plan.jobs.front());
+    plan.jobs.back().label = "mp-again";
+
+    auto cells = [](const std::vector<EvalResult> &results) {
+        std::vector<std::string> out;
+        for (const auto &r : results)
+            out.push_back(stripProvenance(evalCellJson(r)));
+        return out;
+    };
+    std::vector<std::string> cold, stored, cached;
+    {
+        auto store = serve::ResultStore::open(dir.string(), {}, &error);
+        ASSERT_NE(store, nullptr) << error;
+        EngineOptions opts;
+        opts.store = store.get();
+        cold = cells(Engine(opts).run(plan.jobs));
+    }
+    {
+        auto store = serve::ResultStore::open(dir.string(), {}, &error);
+        ASSERT_NE(store, nullptr) << error;
+        EngineOptions opts;
+        opts.store = store.get();
+        Engine engine(opts);
+        auto from_store = engine.run(plan.jobs);
+        for (const auto &r : from_store)
+            EXPECT_TRUE(r.fromStore) << r.label();
+        stored = cells(from_store);
+        auto from_cache = engine.run(plan.jobs);
+        for (const auto &r : from_cache)
+            EXPECT_TRUE(r.fromCache) << r.label();
+        cached = cells(from_cache);
+    }
+    ASSERT_EQ(cold.size(), plan.jobs.size());
+    EXPECT_EQ(stored, cold);
+    EXPECT_EQ(cached, cold);
+    EXPECT_NE(cold.back().find("\"label\":\"mp-again\""),
+              std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(EvalEngine, CacheCanBeDisabled)

@@ -581,6 +581,117 @@ submitFor(const std::string &socket, const serve::Request &req,
     return payload;
 }
 
+/** A served request's result cells with `millis` dropped: the one
+ * field that may differ between two runs of the same request. */
+std::vector<std::string>
+cellsWithoutMillis(serve::Client &client, const serve::Request &req)
+{
+    std::vector<std::string> cells;
+    std::string error;
+    EXPECT_EQ(client.submit(
+                  req,
+                  [&cells](const json::Value &event,
+                           const std::string &line) {
+                      if (event.getString("event") != "result")
+                          return;
+                      std::string cell = line;
+                      auto at = cell.find(",\"millis\":");
+                      if (at != std::string::npos)
+                          cell.erase(at, cell.find(',', at + 1) - at);
+                      cells.push_back(cell);
+                  },
+                  &error),
+              0)
+        << error;
+    return cells;
+}
+
+TEST_F(ObsTest, RepeatedWarmRequestHitsTheTestMemoAndWritesOnce)
+{
+    fs::path store_dir =
+        fs::temp_directory_path() /
+        ("gls_obs_memo_" + std::to_string(::getpid()));
+    fs::remove_all(store_dir);
+    fs::create_directories(store_dir);
+
+    serve::Request req;
+    req.cmd = "validate";
+    req.id = "w";
+    req.tests = {{"mp", "", ""}, {"", pl::sb().str(), ""}};
+    req.chips = {"Titan", "GTX5"};
+    req.models = {"ptx"};
+    req.iterations = 500;
+
+    ObsServer ts(store_dir.string(), "memo");
+    ASSERT_NE(ts.server, nullptr);
+    std::string error;
+    auto client = serve::Client::connectUnix(ts.socket, &error);
+    ASSERT_NE(client, nullptr) << error;
+    std::string hello;
+    ASSERT_TRUE(client->readLine(&hello, &error)) << error;
+    auto cold = cellsWithoutMillis(*client, req);
+
+    auto value = [](const char *name) {
+        return obs::counter(name).value();
+    };
+    const uint64_t hits = value("serve_test_cache_hits_total");
+    const uint64_t misses = value("serve_test_cache_misses_total");
+    const uint64_t writes = value("serve_event_writes_total");
+    auto warm = cellsWithoutMillis(*client, req);
+    EXPECT_EQ(value("serve_test_cache_hits_total") - hits, 2u);
+    EXPECT_EQ(value("serve_test_cache_misses_total"), misses);
+    // accepted, eight results, summary and done: one write.
+    EXPECT_EQ(value("serve_event_writes_total") - writes, 1u);
+    ASSERT_EQ(warm.size(), 8u);
+    ASSERT_EQ(cold.size(), warm.size());
+    fs::remove_all(store_dir);
+}
+
+TEST_F(ObsTest, ServedCellsBitIdenticalWithTelemetryOnAndOff)
+{
+    serve::Request req;
+    req.cmd = "validate";
+    req.id = "b";
+    req.tests = {{"mp", "", ""}, {"", pl::lb().str(), ""}};
+    req.chips = {"Titan", "HD7970"};
+    req.models = {"ptx"};
+    req.iterations = 500;
+    req.exact = true;
+    req.budget = 4096;
+
+    // Cold, then warm from the cache, on a fresh daemon and store.
+    auto serve_twice = [&req](const std::string &tag) {
+        fs::path store_dir =
+            fs::temp_directory_path() /
+            ("gls_obs_" + tag + "_" + std::to_string(::getpid()));
+        fs::remove_all(store_dir);
+        fs::create_directories(store_dir);
+        std::vector<std::string> cells;
+        {
+            ObsServer ts(store_dir.string(), tag);
+            EXPECT_NE(ts.server, nullptr);
+            std::string error;
+            auto client = serve::Client::connectUnix(ts.socket, &error);
+            EXPECT_NE(client, nullptr) << error;
+            std::string hello;
+            if (client && client->readLine(&hello, &error)) {
+                for (int pass = 0; pass < 2; ++pass) {
+                    for (auto &cell : cellsWithoutMillis(*client, req))
+                        cells.push_back(cell);
+                }
+            }
+        }
+        fs::remove_all(store_dir);
+        return cells;
+    };
+    auto on = serve_twice("bits_on");
+    obs::setEnabled(false);
+    auto off = serve_twice("bits_off");
+    obs::setEnabled(true);
+    ASSERT_FALSE(on.empty());
+    EXPECT_EQ(on, off);
+}
+
 TEST_F(ObsTest, MetricsCommandReportsEngineAndStoreTraffic)
 {
     fs::path store_dir =

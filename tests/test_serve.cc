@@ -23,6 +23,7 @@
 #include <utility>
 
 #include "common/version.h"
+#include "eval/backend.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
 #include "obs/metrics.h"
@@ -30,6 +31,10 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/store.h"
+
+#ifndef GPULITMUS_SOURCE_DIR
+#define GPULITMUS_SOURCE_DIR "."
+#endif
 
 namespace gpulitmus::serve {
 namespace {
@@ -788,6 +793,174 @@ TEST(Protocol, PlannerMirrorsCliDefaultsAndSurvivesBadInput)
     EXPECT_EQ(exp_plan.jobs.size(), sim::allChips().size());
 }
 
+// ---- planner memo ---------------------------------------------------
+
+/** The corpus sources, each made unique to this process and `tag` by a
+ * trailing comment, so the memo has never seen them. */
+std::vector<std::string>
+freshCorpusSources(const std::string &tag)
+{
+    std::vector<std::string> out;
+    for (const auto &entry : fs::directory_iterator(
+             std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests")) {
+        std::string error;
+        auto spec = testSpecFor(entry.path().string(), &error);
+        EXPECT_TRUE(spec.has_value()) << error;
+        if (spec)
+            out.push_back(spec->source + "\n(* " + tag + " " +
+                          std::to_string(::getpid()) + " *)\n");
+    }
+    return out;
+}
+
+/** Every identity a planned job carries into the cache and the store. */
+struct JobIdentity
+{
+    std::string label, backend, chip;
+    uint64_t cacheKey, derivedSeed;
+    Digest128 digest;
+
+    bool operator==(const JobIdentity &) const = default;
+};
+
+std::vector<JobIdentity>
+identities(const Plan &plan)
+{
+    std::vector<JobIdentity> out;
+    for (const auto &job : plan.jobs)
+        out.push_back({job.label, job.backend, job.chip.shortName,
+                       job.cacheKey(), job.derivedSeed(),
+                       ResultStore::digestFor(job)});
+    return out;
+}
+
+TEST(Protocol, MemoHitPlanEqualsAFreshPlan)
+{
+    const bool telemetry_was_on = obs::enabled();
+    obs::setEnabled(true);
+    Request validate;
+    validate.cmd = "validate";
+    validate.chips = {"all"};
+    validate.models = {"ptx", "sc"};
+    validate.iterations = 300;
+    validate.exact = true;
+    Request explore;
+    explore.cmd = "explore";
+    explore.chips = {"all"};
+    explore.budget = 5000;
+    Request sweep;
+    sweep.cmd = "sweep";
+    sweep.chips = {"Titan", "HD6570", "HD7970"};
+    sweep.columns = {3, 16};
+
+    for (Request *req : {&validate, &explore, &sweep}) {
+        SCOPED_TRACE(req->cmd);
+        // Sources no plan has seen, so the first plan resolves,
+        // renders and compiles everything afresh. dlb-lb miscompiles
+        // on HD6570 (Fig. 8's n/a cell).
+        const std::string tag = "memo-equal-" + req->cmd;
+        auto sources = freshCorpusSources(tag);
+        sources.push_back(pl::dlbLb(false).str() + "\n(* " + tag + " " +
+                          std::to_string(::getpid()) + " *)\n");
+        for (const auto &source : sources)
+            req->tests.push_back({"", source, ""});
+
+        auto &hits = obs::counter("serve_test_cache_hits_total");
+        auto &misses = obs::counter("serve_test_cache_misses_total");
+        Plan fresh, memoised;
+        std::string error;
+        uint64_t hits_before = hits.value();
+        uint64_t misses_before = misses.value();
+        ASSERT_TRUE(planJobs(*req, &fresh, &error)) << error;
+        EXPECT_EQ(misses.value() - misses_before, sources.size());
+        EXPECT_EQ(hits.value(), hits_before);
+        hits_before = hits.value();
+        misses_before = misses.value();
+        ASSERT_TRUE(planJobs(*req, &memoised, &error)) << error;
+        EXPECT_EQ(hits.value() - hits_before, sources.size());
+        EXPECT_EQ(misses.value(), misses_before);
+
+        EXPECT_EQ(identities(memoised), identities(fresh));
+        for (size_t i = 0; i < fresh.jobs.size(); ++i)
+            EXPECT_EQ(memoised.jobs[i].test.str(),
+                      fresh.jobs[i].test.str());
+        EXPECT_EQ(memoised.notes, fresh.notes);
+        EXPECT_EQ(memoised.skipped, fresh.skipped);
+        EXPECT_EQ(memoised.outOfScope, fresh.outOfScope);
+        bool hd7970_note = false;
+        for (const auto &note : fresh.notes)
+            hd7970_note |= note.find("(HD7970)") != std::string::npos;
+        EXPECT_TRUE(hd7970_note);
+        EXPECT_NE(std::find(fresh.skipped.begin(), fresh.skipped.end(),
+                            "dlb-lb on HD6570"),
+                  fresh.skipped.end());
+    }
+    obs::setEnabled(telemetry_was_on);
+}
+
+TEST(Protocol, MemoStaysWithinItsCaps)
+{
+    const std::string mp = pl::mp().str();
+    auto plan_source = [](const std::string &source) {
+        Request req;
+        req.cmd = "sweep";
+        req.tests.push_back({"", source, ""});
+        req.chips = {"Titan"};
+        req.columns = {16};
+        req.iterations = 10;
+        Plan plan;
+        std::string error;
+        EXPECT_TRUE(planJobs(req, &plan, &error)) << error;
+        EXPECT_EQ(plan.jobs.size(), 1u);
+        TestMemoStats stats = testMemoStats();
+        EXPECT_LE(stats.entries, kTestMemoMaxEntries);
+        EXPECT_LE(stats.keyBytes, kTestMemoMaxKeyBytes);
+    };
+    // More unique sources than the entry cap...
+    for (size_t i = 0; i < kTestMemoMaxEntries + 20; ++i)
+        plan_source(mp + "(* caps " + std::to_string(i) + " *)\n");
+    EXPECT_GT(testMemoStats().entries, 0u);
+    // ... more key bytes than the byte cap, and one source over it.
+    const std::string padding(kTestMemoMaxKeyBytes / 3, ' ');
+    for (int i = 0; i < 5; ++i)
+        plan_source(mp + "(* caps-big " + std::to_string(i) + padding +
+                    " *)\n");
+    plan_source(mp + "(* caps-huge" + std::string(kTestMemoMaxKeyBytes, ' ') +
+                " *)\n");
+}
+
+TEST(Protocol, ConcurrentPlannersShareTheMemo)
+{
+    // Fresh sources on AMD chips: the threads race to resolve them and
+    // to make each chip's compilation on first use.
+    auto sources = freshCorpusSources("memo-threads");
+    Request req;
+    req.cmd = "explore";
+    req.chips = {"all"};
+    req.models = {"ptx"};
+    for (const auto &source : sources)
+        req.tests.push_back({"", source, ""});
+
+    constexpr int kThreads = 4;
+    std::vector<Plan> plans(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            std::string error;
+            EXPECT_TRUE(planJobs(req, &plans[t], &error)) << error;
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    Plan after;
+    std::string error;
+    ASSERT_TRUE(planJobs(req, &after, &error)) << error;
+    for (const Plan &plan : plans) {
+        EXPECT_EQ(identities(plan), identities(after));
+        EXPECT_EQ(plan.notes, after.notes);
+    }
+}
+
 // ---- daemon ---------------------------------------------------------
 
 /** A live daemon on a Unix socket (short path: sockaddr_un caps at
@@ -1102,6 +1275,92 @@ withoutStoreResults(std::string summary)
     if (at != std::string::npos)
         summary.erase(at, summary.find(',', at + 1) - at);
     return summary;
+}
+
+TEST(Serve, MalformedSourceErrorIsTheSameAroundAMemoisedSource)
+{
+    TestServer ts("badsrc");
+    ASSERT_NE(ts.server, nullptr);
+    const std::string good = freshCorpusSources("badsrc").front();
+    std::string bad = good;
+    bad.replace(bad.find("exists"), 6, "exists ((");
+
+    auto submit = [&ts](const std::string &source) {
+        Request req;
+        req.cmd = "sweep";
+        req.id = "src";
+        req.tests.push_back({"", source, ""});
+        req.chips = {"Titan"};
+        req.columns = {16};
+        req.iterations = 50;
+        return submitAndCollect(ts.socket, req);
+    };
+    Collected before = submit(bad);
+    EXPECT_EQ(before.exit, 1);
+    EXPECT_NE(before.error.find("tests[0]: cannot parse inline test"),
+              std::string::npos)
+        << before.error;
+    Collected ok = submit(good);
+    EXPECT_EQ(ok.exit, 0) << ok.error;
+    Collected cached = submit(good);
+    EXPECT_EQ(cached.exit, 0) << cached.error;
+    Collected after = submit(bad);
+    EXPECT_EQ(after.exit, 1);
+    EXPECT_EQ(after.error, before.error);
+    std::string plan_error;
+    Plan plan;
+    Request req;
+    req.cmd = "sweep";
+    req.tests.push_back({"", bad, ""});
+    EXPECT_FALSE(planJobs(req, &plan, &plan_error));
+    EXPECT_EQ(plan_error, before.error);
+}
+
+TEST(Serve, AnswersCorrectlyAfterTheMemoOverflows)
+{
+    TestServer ts("overflow");
+    ASSERT_NE(ts.server, nullptr);
+    const std::string mp = pl::mp().str();
+    auto request = [](const std::string &source) {
+        Request req;
+        req.cmd = "validate";
+        req.id = "o";
+        req.tests.push_back({"", source, ""});
+        req.chips = {"Titan", "GTX5"};
+        req.iterations = 300;
+        return req;
+    };
+    const Request first = request(mp + "(* overflow first *)\n");
+    Collected cold = submitAndCollect(ts.socket, first);
+    ASSERT_EQ(cold.exit, 0) << cold.error;
+    // Overflow the memo past its entry cap, over the socket.
+    for (size_t i = 0; i <= kTestMemoMaxEntries; i += 16) {
+        Request req = request(mp);
+        req.tests.clear();
+        for (size_t k = i; k < i + 16; ++k)
+            req.tests.push_back(
+                {"", mp + "(* overflow " + std::to_string(k) + " *)\n",
+                 ""});
+        Collected got = submitAndCollect(ts.socket, req);
+        ASSERT_EQ(got.exit, 0) << got.error;
+    }
+    EXPECT_LE(testMemoStats().entries, kTestMemoMaxEntries);
+
+    // The first request again, and the batch engine's answer to it.
+    Collected again = submitAndCollect(ts.socket, first);
+    ASSERT_EQ(again.exit, 0) << again.error;
+    Plan plan;
+    std::string error;
+    ASSERT_TRUE(planJobs(first, &plan, &error)) << error;
+    auto baseline = eval::Engine().run(plan.jobs);
+    ASSERT_EQ(again.resultCells.size(), baseline.size());
+    ASSERT_EQ(cold.resultCells.size(), baseline.size());
+    for (size_t i = 0; i < baseline.size(); ++i) {
+        const std::string want =
+            stripProvenance(eval::evalCellJson(baseline[i]));
+        EXPECT_EQ(stripProvenance(again.resultCells[i]), want);
+        EXPECT_EQ(stripProvenance(cold.resultCells[i]), want);
+    }
 }
 
 TEST(Serve, WarmRequestsWriteNoJournalStartNoMonitorAndSyncNothing)
