@@ -18,12 +18,10 @@
  * tests such as lb+membar.ctas.
  */
 
-#include <cstdlib>
 #include <map>
 #include <set>
 
 #include "bench_util.h"
-#include "common/strutil.h"
 #include "eval/backend.h"
 #include "gen/generator.h"
 #include "litmus/library.h"
@@ -31,27 +29,12 @@
 
 using namespace gpulitmus;
 
-namespace {
-
-uint64_t
-envOr(const char *name, uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return fallback;
-    auto parsed = parseInt(v);
-    return parsed && *parsed > 0 ? static_cast<uint64_t>(*parsed)
-                                 : fallback;
-}
-
-} // namespace
-
 int
 main()
 {
-    uint64_t max_tests = envOr("GPULITMUS_VALIDATION_TESTS", 1500);
-    uint64_t iters = envOr("GPULITMUS_VALIDATION_ITERS", 1500);
-    uint64_t max_edges = envOr("GPULITMUS_VALIDATION_EDGES", 4);
+    uint64_t max_tests = benchutil::envOr("GPULITMUS_VALIDATION_TESTS", 1500);
+    uint64_t iters = benchutil::envOr("GPULITMUS_VALIDATION_ITERS", 1500);
+    uint64_t max_edges = benchutil::envOr("GPULITMUS_VALIDATION_EDGES", 4);
 
     benchutil::printHeader(
         "Sec. 5.4 - validating the model against generated tests",

@@ -10,8 +10,8 @@
  * obs/100k.
  */
 
-#ifndef GPULITMUS_BENCH_BENCH_UTIL_H
-#define GPULITMUS_BENCH_BENCH_UTIL_H
+#ifndef GPULITMUS_BENCHUTIL_H
+#define GPULITMUS_BENCHUTIL_H
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,9 +28,9 @@
 
 namespace gpulitmus::benchutil {
 
-/** Positive-integer environment override with a fallback (shared by
- * the perf benches for their budget/rep knobs; iteration counts come
- * from harness::defaultIterations). */
+/** Positive-integer environment override with a fallback (the
+ * validation bench's size knobs; iteration counts come from
+ * harness::defaultIterations). */
 inline uint64_t
 envOr(const char *name, uint64_t fallback)
 {
@@ -155,4 +155,4 @@ chipHeader(const std::string &first,
 
 } // namespace gpulitmus::benchutil
 
-#endif // GPULITMUS_BENCH_BENCH_UTIL_H
+#endif // GPULITMUS_BENCHUTIL_H

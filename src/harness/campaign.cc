@@ -347,14 +347,6 @@ Campaign::overBackends(const std::vector<std::string> &backends)
 }
 
 Campaign &
-Campaign::overTests(const std::vector<litmus::Test> &tests)
-{
-    for (const auto &t : tests)
-        tests_.push_back({t, ""});
-    return *this;
-}
-
-Campaign &
 Campaign::test(const litmus::Test &t, const std::string &label)
 {
     tests_.push_back({t, label});

@@ -228,7 +228,6 @@ class Campaign
      * with model backends pairs every simulated cell with its model
      * evaluations. */
     Campaign &overBackends(const std::vector<std::string> &backends);
-    Campaign &overTests(const std::vector<litmus::Test> &tests);
     /** Add one test to the test axis, with an explicit label. */
     Campaign &test(const litmus::Test &t, const std::string &label = "");
     /**

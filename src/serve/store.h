@@ -12,7 +12,7 @@
  * (common/version.h), so:
  *
  *  - two binaries of the same ABI generation share verdicts byte for
- *    byte (the warm half of BENCH_serve.json);
+ *    byte (the reopen in Store.WarmEngineRunIsBitIdenticalToCold);
  *  - a binary of a *different* generation never serves a stale entry:
  *    the stamp is in the digest AND in the file header, so even a
  *    change to the digest function itself is caught.

@@ -37,6 +37,7 @@
 #include "analysis/sc.h"
 #include "eval/backend.h"
 #include "gen/generator.h"
+#include "litmus/library.h"
 #include "litmus/parser.h"
 #include "mc/explorer.h"
 #include "scenario/registry.h"
@@ -306,38 +307,63 @@ TEST(DifferentialGate, GeneratedPrograms)
 TEST(Prepass, BackendAnswersFullyOrderedFromScEnumeration)
 {
     // mp-deps is fully ordered (membar.gl on the writer, the Fig. 13
-    // artificial dependency on the reader), so the pre-pass must
-    // answer it without a single explorer replay — and the answer
-    // must match the full exploration semantically.
-    harness::Job job;
-    job.backend = harness::kMcBackend;
-    job.chip = sim::chip("Titan");
-    job.test = loadCorpus("mp-deps.litmus");
-    job.inc = sim::Incantations::fromColumn(16);
+    // artificial dependency on the reader), as are the gl-fenced
+    // paper tests, so the pre-pass must answer them without a single
+    // explorer replay — and the answer must match the full
+    // exploration semantically. mp and lb+membar.cta (fences
+    // present but under-scoped across CTAs, the Sec. 6 red flag) are
+    // racy: the pre-pass stands aside and the cells must still agree.
+    struct Workload
+    {
+        litmus::Test test;
+        bool fullyOrdered;
+    };
+    const Workload workloads[] = {
+        {loadCorpus("mp-deps.litmus"), true},
+        {litmus::paperlib::mpMembarGls(), true},
+        {litmus::paperlib::mp(ptx::Scope::Gl), true},
+        {litmus::paperlib::sb(ptx::Scope::Gl), true},
+        {litmus::paperlib::mp(), false},
+        {litmus::paperlib::lbMembarCtas(), false},
+    };
+    for (const auto &w : workloads) {
+        const std::string &name = w.test.name;
+        EXPECT_EQ(analysis::analyze(w.test).fullyOrdered, w.fullyOrdered)
+            << name;
+        harness::Job job;
+        job.backend = harness::kMcBackend;
+        job.chip = sim::chip("Titan");
+        job.test = w.test;
+        job.inc = sim::Incantations::fromColumn(16);
 
-    eval::McBackend backend;
-    ::unsetenv("GPULITMUS_MC_NO_PREPASS");
-    eval::EvalResult pre = backend.evaluate(job);
-    ASSERT_TRUE(pre.hasExact());
-    EXPECT_EQ(pre.exact->stats.replays, 0u)
-        << "pre-pass did not fire on a fully-ordered program";
-    EXPECT_TRUE(pre.exact->complete);
+        eval::McBackend backend;
+        ::unsetenv("GPULITMUS_MC_NO_PREPASS");
+        eval::EvalResult pre = backend.evaluate(job);
+        ASSERT_TRUE(pre.hasExact()) << name;
+        EXPECT_EQ(pre.exact->stats.replays == 0, w.fullyOrdered)
+            << name << ": pre-pass fired on a racy program or did not"
+            << " fire on a fully-ordered one";
+        EXPECT_TRUE(pre.exact->complete) << name;
 
-    ::setenv("GPULITMUS_MC_NO_PREPASS", "1", 1);
-    eval::EvalResult full = backend.evaluate(job);
-    ::unsetenv("GPULITMUS_MC_NO_PREPASS");
-    ASSERT_TRUE(full.hasExact());
-    EXPECT_GT(full.exact->stats.replays, 0u)
-        << "kill-switch did not force the full exploration";
-    ASSERT_TRUE(full.exact->complete);
+        ::setenv("GPULITMUS_MC_NO_PREPASS", "1", 1);
+        eval::EvalResult full = backend.evaluate(job);
+        ::unsetenv("GPULITMUS_MC_NO_PREPASS");
+        ASSERT_TRUE(full.hasExact()) << name;
+        EXPECT_GT(full.exact->stats.replays, 0u)
+            << name << ": kill-switch did not force the full exploration";
+        ASSERT_TRUE(full.exact->complete) << name;
 
-    // The semantic contract: reachable set, satisfying set and
-    // verdict identical; only search statistics and path weights may
-    // differ (which is why the knob is excluded from cache keys).
-    EXPECT_EQ(keysOf(pre.exact->finals), keysOf(full.exact->finals));
-    EXPECT_EQ(pre.exact->satisfying, full.exact->satisfying);
-    EXPECT_EQ(pre.exact->verdict(job.test),
-              full.exact->verdict(job.test));
+        // The semantic contract: reachable set, satisfying set and
+        // verdict identical (both cells are complete, above); only
+        // search statistics and path weights may differ (which is why
+        // the knob is excluded from cache keys).
+        EXPECT_EQ(keysOf(pre.exact->finals), keysOf(full.exact->finals))
+            << name;
+        EXPECT_EQ(pre.exact->satisfying, full.exact->satisfying) << name;
+        EXPECT_EQ(pre.exact->verdict(job.test),
+                  full.exact->verdict(job.test))
+            << name;
+    }
 }
 
 TEST(Prepass, RacyProgramsStillExplore)

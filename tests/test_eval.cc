@@ -401,14 +401,12 @@ TEST(EvalEngine, SimCampaignBitIdenticalToRunJobAt1And8Threads)
     // A sim-only sweep through the engine is bit-identical to
     // harness::runJob — the single-cell reference — at any thread
     // count, over the whole on-disk corpus.
-    std::vector<litmus::Test> tests;
-    for (const auto &name : kCorpus)
-        tests.push_back(corpusTest(name));
     harness::Campaign campaign;
     campaign.iterations(400)
         .overChips(std::vector<std::string>{"Titan", "HD7970"})
-        .overColumns(9, 12)
-        .overTests(tests);
+        .overColumns(9, 12);
+    for (const auto &name : kCorpus)
+        campaign.test(corpusTest(name));
     auto jobs = campaign.jobs();
 
     for (int threads : {1, 8}) {

@@ -54,13 +54,19 @@ loadCorpus(const std::string &name)
 }
 
 mc::ExploreResult
-explore(const std::string &corpus_file, const std::string &chip,
-        int column, mc::ExploreOptions opts = {})
+explore(const litmus::Test &test, const std::string &chip, int column,
+        mc::ExploreOptions opts = {})
 {
-    litmus::Test test = loadCorpus(corpus_file);
     opts.machine.inc = sim::Incantations::fromColumn(column);
     mc::Explorer explorer(sim::chip(chip), test, opts);
     return explorer.explore();
+}
+
+mc::ExploreResult
+explore(const std::string &corpus_file, const std::string &chip,
+        int column, mc::ExploreOptions opts = {})
+{
+    return explore(loadCorpus(corpus_file), chip, column, opts);
 }
 
 // ---------------------------------------------------------------------
@@ -257,11 +263,12 @@ TEST(Explorer, SamplerNeverEscapesTheExactSet)
 {
     // 2000 sampled runs all land inside the explored reachable set —
     // the cross-engine consistency the ConformanceSink also checks.
-    for (const char *file : {"mp.litmus", "sb.litmus", "lb.litmus",
-                             "cas-sl.litmus"}) {
-        litmus::Test test = loadCorpus(file);
-        mc::ExploreResult r = explore(file, "Titan", 16);
-        ASSERT_TRUE(r.complete) << file;
+    for (const litmus::Test &test :
+         {loadCorpus("mp.litmus"), loadCorpus("sb.litmus"),
+          loadCorpus("lb.litmus"), loadCorpus("cas-sl.litmus"),
+          litmus::paperlib::mp(std::nullopt, /*inter_cta=*/false)}) {
+        mc::ExploreResult r = explore(test, "Titan", 16);
+        ASSERT_TRUE(r.complete) << test.name;
         harness::RunConfig cfg;
         cfg.iterations = 2000;
         cfg.inc = sim::Incantations::fromColumn(16);
@@ -270,7 +277,7 @@ TEST(Explorer, SamplerNeverEscapesTheExactSet)
         for (const auto &[key, count] : hist.counts()) {
             if (count > 0) {
                 EXPECT_TRUE(r.reachable(key))
-                    << file << ": sampled '" << key
+                    << test.name << ": sampled '" << key
                     << "' escaped the exploration";
             }
         }
@@ -344,36 +351,39 @@ TEST(Explorer, CheckpointingIsInvisibleInTraversalAndResults)
     // machinery: all four on/off combinations must traverse the
     // identical tree — same reachable sets, same replay counts, same
     // pruning statistics, same completeness.
-    for (const char *file :
-         {"mp.litmus", "sb.litmus", "corr.litmus", "cas-sl.litmus"}) {
+    for (const litmus::Test &test :
+         {loadCorpus("mp.litmus"), loadCorpus("sb.litmus"),
+          loadCorpus("corr.litmus"), loadCorpus("cas-sl.litmus"),
+          loadCorpus("lb.litmus"),
+          litmus::paperlib::coRRL2L1(ptx::Scope::Gl)}) {
         mc::ExploreResult base;
         for (int mode = 0; mode < 4; ++mode) {
             mc::ExploreOptions opts;
             opts.checkpoints = mode & 1;
             opts.debugStateKeys = mode & 2;
-            mc::ExploreResult r = explore(file, "Titan", 16, opts);
+            mc::ExploreResult r = explore(test, "Titan", 16, opts);
             if (mode == 0) {
                 base = r;
                 continue;
             }
-            EXPECT_EQ(r.finals, base.finals) << file << " " << mode;
+            EXPECT_EQ(r.finals, base.finals) << test.name << " " << mode;
             EXPECT_EQ(r.satisfying, base.satisfying)
-                << file << " " << mode;
+                << test.name << " " << mode;
             EXPECT_EQ(r.complete, base.complete)
-                << file << " " << mode;
+                << test.name << " " << mode;
             EXPECT_EQ(r.stats.replays, base.stats.replays)
-                << file << " " << mode;
+                << test.name << " " << mode;
             EXPECT_EQ(r.stats.choicePoints, base.stats.choicePoints)
-                << file << " " << mode;
+                << test.name << " " << mode;
             EXPECT_EQ(r.stats.stateCuts, base.stats.stateCuts)
-                << file << " " << mode;
+                << test.name << " " << mode;
             EXPECT_EQ(r.stats.sleepSkips, base.stats.sleepSkips)
-                << file << " " << mode;
+                << test.name << " " << mode;
             EXPECT_EQ(r.stats.distinctStates,
                       base.stats.distinctStates)
-                << file << " " << mode;
+                << test.name << " " << mode;
             EXPECT_EQ(r.stats.peakDepth, base.stats.peakDepth)
-                << file << " " << mode;
+                << test.name << " " << mode;
         }
     }
 }

@@ -288,6 +288,24 @@ TEST(ExactVerdicts, UnfencedDequeLosesTasksFencedExactUnreachable)
     EXPECT_TRUE(fixed.fairComplete);
 }
 
+TEST(ExactVerdicts, EveryFencedVariantProvenSafeOnTesC)
+{
+    // The fence variants are the fixes: on the weak Tesla C2075 no
+    // terminating execution of any of them reaches its forbidden
+    // condition. The Explorer is called directly, so the proof comes
+    // from exploration, not from the mc backend's static pre-pass.
+    for (const auto &s : all()) {
+        std::string spec = "scenario:" + s.name + ",fenced=1";
+        std::string error;
+        auto built = buildSpec(spec, &error);
+        ASSERT_TRUE(built.has_value()) << error;
+        mc::ExploreResult r =
+            explore(built->test, "TesC", built->maxMicroSteps);
+        EXPECT_TRUE(r.satisfying.empty()) << spec;
+        EXPECT_TRUE(r.complete || r.fairComplete) << spec;
+    }
+}
+
 TEST(ExactVerdicts, StrongChipNeverLosesUpdatesEvenUnfenced)
 {
     // The GTX 750 (Maxwell) shows none of the weak behaviours: even

@@ -457,14 +457,17 @@ TEST(Store, CompactionEvictsOldestWhenOverCap)
 
 TEST(Store, WarmEngineRunIsBitIdenticalToCold)
 {
+    // The paper library on every chip, plus one ptx verdict per test.
     TempDir dir("warmrun");
     std::vector<harness::Job> jobs;
-    const litmus::Test tests[] = {pl::mp(), pl::lb()};
-    for (const auto &test : tests) {
-        harness::Job sim = simJob(test);
-        harness::Job model = sim;
+    for (const auto &nt : pl::allTests()) {
+        harness::Job model = simJob(nt.test);
         model.backend = "ptx";
-        jobs.push_back(sim);
+        for (const auto &chip : sim::allChips()) {
+            harness::Job sim = simJob(nt.test);
+            sim.chip = chip;
+            jobs.push_back(sim);
+        }
         jobs.push_back(model);
     }
 

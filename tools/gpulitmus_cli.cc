@@ -386,7 +386,7 @@ writeJsonFlag(const Args &args, const std::string &fallback,
 
 /** Flush the --store and print the one-line epilogue: how much of
  * the campaign came from disk and what was added (the cold/warm
- * signal BENCH_serve.json gates). */
+ * signal). */
 void
 finishStore(serve::ResultStore *store)
 {
