@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "litmus/library.h"
-#include "opt/amd.h"
 
 using namespace gpulitmus;
 
@@ -23,38 +22,20 @@ main()
         "mem_fence(CLK_GLOBAL_MEM_FENCE) maps to a global fence;"
         " threads in distinct work-groups");
 
-    auto cfg = benchutil::config();
     std::vector<sim::ChipProfile> chips = {sim::chip("HD6570"),
                                            sim::chip("HD7970")};
 
     Table table;
     table.header({"variant", "HD6570", "HD7970"});
-
-    for (bool fences : {false, true}) {
-        litmus::Test test = fences
-                                ? litmus::paperlib::mp(ptx::Scope::Gl)
-                                : litmus::paperlib::mp();
-        std::vector<std::string> row{fences ? "mp+fences (sim)"
-                                            : "mp (sim)"};
-        for (const auto &chip : chips) {
-            auto compiled = opt::amdCompile(test, chip);
-            row.push_back(std::to_string(harness::observePer100k(
-                chip, compiled.compiled, cfg)));
-        }
-        table.row(row);
-        if (!fences)
-            table.row({"mp (paper)", "9327", "2956"});
-        else
-            table.row({"mp+fences (paper)", "0", "observed (fence"
-                                             " removed)"});
-    }
+    benchutil::sweepRows(table, "mp", benchutil::libraryTest("mp"),
+                         chips, {"9327", "2956"});
+    serve::Plan fenced = benchutil::sweepRows(
+        table, "mp+fences",
+        benchutil::inCodeTest(litmus::paperlib::mp(ptx::Scope::Gl)),
+        chips, {"0", "observed (fence removed)"});
     table.print(std::cout);
 
-    auto compiled = opt::amdCompile(litmus::paperlib::mp(ptx::Scope::Gl),
-                                    sim::chip("HD7970"));
-    std::cout << "\nHD7970 compile notes:\n";
-    for (const auto &q : compiled.quirks)
-        std::cout << "  " << q << "\n";
+    benchutil::printCompileNotes(fenced, "HD7970");
     std::cout << "(It is unclear from the OpenCL specification"
                  " whether this transformation is legitimate; the"
                  " paper reported it to AMD.)\n";

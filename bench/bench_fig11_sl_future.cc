@@ -7,7 +7,6 @@
  */
 
 #include "bench_util.h"
-#include "litmus/library.h"
 
 using namespace gpulitmus;
 
@@ -24,14 +23,12 @@ main()
     auto chips = benchutil::nvidiaChips();
     Table table;
     table.header(benchutil::chipHeader("variant", chips));
-    benchutil::obsRows(table, "sl-future",
-                       litmus::paperlib::slFuture(false), chips,
-                       {"0", "99", "41", "58", "0"},
-                       benchutil::config());
-    benchutil::obsRows(table, "sl-future+fixed",
-                       litmus::paperlib::slFuture(true), chips,
-                       {"0", "0", "0", "0", "0"},
-                       benchutil::config());
+    benchutil::sweepRows(table, "sl-future",
+                         benchutil::libraryTest("sl-future"), chips,
+                         {"0", "99", "41", "58", "0"});
+    benchutil::sweepRows(table, "sl-future+fixed",
+                         benchutil::libraryTest("sl-future+fixed"), chips,
+                         {"0", "0", "0", "0", "0"});
     table.print(std::cout);
     return 0;
 }

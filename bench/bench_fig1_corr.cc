@@ -7,7 +7,6 @@
  */
 
 #include "bench_util.h"
-#include "litmus/library.h"
 
 using namespace gpulitmus;
 
@@ -21,14 +20,12 @@ main()
         " threads: intra-CTA");
 
     auto chips = benchutil::allResultChips();
-    litmus::Test test = litmus::paperlib::coRR();
-
     Table table;
     table.header(benchutil::chipHeader("obs/100k", chips));
-    benchutil::obsRows(table, "coRR", test, chips,
-                       {"11642", "8879", "9599", "9787", "0", "0",
-                        "0"},
-                       benchutil::config());
+    benchutil::sweepRows(table, "coRR", benchutil::libraryTest("coRR"),
+                         chips,
+                         {"11642", "8879", "9599", "9787", "0", "0",
+                          "0"});
     table.print(std::cout);
     return 0;
 }

@@ -10,7 +10,6 @@
  */
 
 #include "bench_util.h"
-#include "litmus/library.h"
 
 using namespace gpulitmus;
 
@@ -30,20 +29,21 @@ main()
     struct RowSpec
     {
         std::string label;
-        litmus::paperlib::FenceOpt fence;
+        std::string test; ///< paper-library id
         std::vector<std::string> paper;
     };
     std::vector<RowSpec> rows = {
-        {"no-op", std::nullopt, {"4979", "10581", "3635", "6011", "3"}},
-        {"membar.cta", ptx::Scope::Cta, {"0", "308", "14", "1696", "0"}},
-        {"membar.gl", ptx::Scope::Gl, {"0", "187", "0", "0", "0"}},
-        {"membar.sys", ptx::Scope::Sys, {"0", "162", "0", "0", "0"}},
+        {"no-op", "mp-L1", {"4979", "10581", "3635", "6011", "3"}},
+        {"membar.cta", "mp-L1+membar.cta",
+         {"0", "308", "14", "1696", "0"}},
+        {"membar.gl", "mp-L1+membar.gl", {"0", "187", "0", "0", "0"}},
+        {"membar.sys", "mp-L1+membar.sys", {"0", "162", "0", "0", "0"}},
     };
 
     for (const auto &row : rows) {
-        benchutil::obsRows(table, row.label,
-                           litmus::paperlib::mpL1(row.fence), chips,
-                           row.paper, benchutil::config());
+        benchutil::sweepRows(table, row.label,
+                             benchutil::libraryTest(row.test), chips,
+                             row.paper);
     }
     table.print(std::cout);
     return 0;

@@ -10,7 +10,6 @@
  */
 
 #include "bench_util.h"
-#include "litmus/library.h"
 
 using namespace gpulitmus;
 
@@ -30,21 +29,23 @@ main()
     struct RowSpec
     {
         std::string label;
-        litmus::paperlib::FenceOpt fence;
+        std::string test; ///< paper-library id
         std::vector<std::string> paper;
     };
     std::vector<RowSpec> rows = {
-        {"no-op", std::nullopt, {"2556", "2982", "2", "141", "0"}},
-        {"membar.cta", ptx::Scope::Cta,
+        {"no-op", "coRR-L2-L1", {"2556", "2982", "2", "141", "0"}},
+        {"membar.cta", "coRR-L2-L1+membar.cta",
          {"1934", "2180", "0", "0", "0"}},
-        {"membar.gl", ptx::Scope::Gl, {"0", "1496", "0", "0", "0"}},
-        {"membar.sys", ptx::Scope::Sys, {"0", "1428", "0", "0", "0"}},
+        {"membar.gl", "coRR-L2-L1+membar.gl",
+         {"0", "1496", "0", "0", "0"}},
+        {"membar.sys", "coRR-L2-L1+membar.sys",
+         {"0", "1428", "0", "0", "0"}},
     };
 
     for (const auto &row : rows) {
-        benchutil::obsRows(table, row.label,
-                           litmus::paperlib::coRRL2L1(row.fence),
-                           chips, row.paper, benchutil::config());
+        benchutil::sweepRows(table, row.label,
+                             benchutil::libraryTest(row.test), chips,
+                             row.paper);
     }
     table.print(std::cout);
     return 0;

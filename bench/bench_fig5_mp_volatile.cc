@@ -6,7 +6,6 @@
  */
 
 #include "bench_util.h"
-#include "litmus/library.h"
 
 using namespace gpulitmus;
 
@@ -23,10 +22,9 @@ main()
     auto chips = benchutil::nvidiaChips();
     Table table;
     table.header(benchutil::chipHeader("obs/100k", chips));
-    benchutil::obsRows(table, "mp-volatile",
-                       litmus::paperlib::mpVolatile(), chips,
-                       {"6301", "4977", "2753", "2188", "0"},
-                       benchutil::config());
+    benchutil::sweepRows(table, "mp-volatile",
+                         benchutil::libraryTest("mp-volatile"), chips,
+                         {"6301", "4977", "2753", "2188", "0"});
     table.print(std::cout);
     return 0;
 }

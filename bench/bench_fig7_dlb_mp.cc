@@ -27,15 +27,14 @@ main()
     auto chips = benchutil::allResultChips();
     Table table;
     table.header(benchutil::chipHeader("variant", chips));
-    benchutil::scenarioRows(table, "dlb-mp",
-                            "scenario:work_stealing_deque", chips,
-                            {"0", "4", "36", "65", "0", "0", "0"},
-                            benchutil::config());
-    benchutil::scenarioRows(table, "dlb-mp+fences",
-                            "scenario:work_stealing_deque,fenced=1",
-                            chips,
-                            {"0", "0", "0", "0", "0", "0", "0"},
-                            benchutil::config());
+    benchutil::sweepRows(
+        table, "dlb-mp",
+        benchutil::scenarioTest("scenario:work_stealing_deque"), chips,
+        {"0", "4", "36", "65", "0", "0", "0"});
+    benchutil::sweepRows(
+        table, "dlb-mp+fences",
+        benchutil::scenarioTest("scenario:work_stealing_deque,fenced=1"),
+        chips, {"0", "0", "0", "0", "0", "0", "0"});
     table.print(std::cout);
     return 0;
 }

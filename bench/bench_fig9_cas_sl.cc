@@ -29,15 +29,14 @@ main()
     auto chips = benchutil::allResultChips();
     Table table;
     table.header(benchutil::chipHeader("variant", chips));
-    benchutil::scenarioRows(table, "cas-sl", "scenario:cas_spinlock",
-                            chips,
-                            {"0", "47", "43", "512", "0", "508",
-                             "748"},
-                            benchutil::config());
-    benchutil::scenarioRows(table, "cas-sl+fences",
-                            "scenario:cas_spinlock,fenced=1", chips,
-                            {"0", "0", "0", "0", "0", "0", "0"},
-                            benchutil::config());
+    benchutil::sweepRows(table, "cas-sl",
+                         benchutil::scenarioTest("scenario:cas_spinlock"),
+                         chips,
+                         {"0", "47", "43", "512", "0", "508", "748"});
+    benchutil::sweepRows(
+        table, "cas-sl+fences",
+        benchutil::scenarioTest("scenario:cas_spinlock,fenced=1"), chips,
+        {"0", "0", "0", "0", "0", "0", "0"});
     table.print(std::cout);
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Regenerates the model validation of Sec. 5.4 as ONE conformance
- * campaign through the unified eval backend API: litmus tests are
+ * Regenerates the model validation of Sec. 5.4 as ONE validate
+ * request, planned like `gpulitmus validate` plans it: litmus tests are
  * generated with the diy extension, every (test x Nvidia chip) cell
  * runs through the sim backend, every (test x model) pair through an
  * axiomatic backend, and the ConformanceSink joins the two sides —
@@ -25,7 +25,6 @@
 #include "eval/backend.h"
 #include "gen/generator.h"
 #include "litmus/library.h"
-#include "model/checker.h"
 
 using namespace gpulitmus;
 
@@ -50,61 +49,29 @@ main()
     gopts.maxTests = max_tests;
     auto generated = gen::generate(gen::defaultPool(), gopts);
 
-    // The paper's hand-picked tests join the generated family.
-    struct Entry
-    {
-        std::string id;
-        litmus::Test test;
-    };
-    std::vector<Entry> tests;
-    for (auto &g : generated)
-        tests.push_back({g.cycleName, std::move(g.test)});
-
-    // Sec. 5.5: the model covers accesses with the .cg operator only;
-    // .ca (L1) and volatile accesses are outside its scope (no fence
-    // restores .ca ordering on Fermi), so — like the paper — they are
-    // excluded from the validation set.
-    size_t excluded = 0;
-    for (auto &nt : litmus::paperlib::allTests()) {
-        if (model::inModelScope(nt.test))
-            tests.push_back({nt.id, std::move(nt.test)});
-        else
-            ++excluded;
-    }
-    std::cout << "excluded " << excluded
-              << " paper tests with .ca/volatile accesses (outside"
-                 " the model's scope, Sec. 5.5)\n";
-
-    std::cout << "tests: " << tests.size() << " (" << generated.size()
-              << " generated + paper library), " << iters
-              << " iterations each\n\n";
+    // The generated family travels as inline source, the paper's
+    // hand-picked tests by library id.
+    std::vector<serve::TestSpec> tests;
+    for (const auto &g : generated)
+        tests.push_back(benchutil::inCodeTest(g.test));
+    for (const auto &nt : litmus::paperlib::allTests())
+        tests.push_back(benchutil::libraryTest(nt.id));
 
     // The PTX model plus the ablation models, as eval backends.
     const std::vector<std::string> models = {
         "ptx", "rmo", "baseline", "tso", "sc", "sc-per-loc-full"};
 
-    auto chips = benchutil::nvidiaChips();
-    harness::RunConfig cfg;
-    cfg.iterations = iters;
-
-    // The whole validation is ONE mixed-backend campaign: the
-    // (test x chip) simulation grid plus one model job per
-    // (test x model), all sharded across the worker pool
-    // (GPULITMUS_JOBS); the ConformanceSink joins the two sides.
-    harness::Campaign campaign;
-    campaign.base(cfg).overChips(chips);
-    for (const auto &entry : tests)
-        campaign.test(entry.test, entry.id);
-    for (const auto &entry : tests) {
-        for (const auto &model : models) {
-            harness::Job job;
-            job.backend = model;
-            job.test = entry.test;
-            job.label = entry.id;
-            campaign.add(std::move(job));
-        }
-    }
-
+    // The whole validation is ONE validate request over the Nvidia
+    // chips: per (test x chip) a simulation plus one job per model,
+    // all sharded across the worker pool (GPULITMUS_JOBS); the
+    // ConformanceSink joins the two sides. Sec. 5.5: the model covers
+    // accesses with the .cg operator only; .ca (L1) and volatile
+    // accesses are outside its scope (no fence restores .ca ordering
+    // on Fermi), so — like the paper — the planner excludes them.
+    serve::Request req = benchutil::request(
+        "validate", std::move(tests), benchutil::nvidiaChips());
+    req.models = models;
+    req.iterations = iters;
     eval::ConformanceSink conformance;
     // Computed jobs only: deduped/cached cells are never reported.
     auto progress = [&](size_t done, size_t total,
@@ -114,9 +81,17 @@ main()
                       << " jobs\r";
         }
     };
-    eval::Engine engine;
-    auto results = engine.run(campaign, {&conformance}, progress);
+    serve::Plan plan;
+    auto results = benchutil::run(req, plan, {&conformance}, progress);
     std::cerr << "\n";
+
+    std::cout << "excluded " << plan.outOfScope
+              << " paper tests with .ca/volatile accesses (outside"
+                 " the model's scope, Sec. 5.5)\n";
+    const size_t validated = req.tests.size() - plan.outOfScope;
+    std::cout << "tests: " << validated << " (" << generated.size()
+              << " generated + paper library), " << iters
+              << " iterations each\n\n";
 
     uint64_t total_runs = 0;
     std::set<std::string> weak_tests;
@@ -158,7 +133,7 @@ main()
 
     std::cout << "\ntotal simulated runs: " << total_runs
               << "; tests with weak behaviour observed: "
-              << weak_tests.size() << "/" << tests.size() << "\n";
+              << weak_tests.size() << "/" << validated << "\n";
     std::cout << "Paper's result: the scoped PTX model is"
                  " experimentally sound w.r.t. all 10930 tests on"
                  " every Nvidia chip of Tab. 1.\n";

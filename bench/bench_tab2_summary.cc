@@ -15,39 +15,19 @@ using namespace gpulitmus;
 
 namespace {
 
-/**
- * Batches every harness query of the table into one campaign: jobs
- * are declared up front, run in parallel on the shared engine (which
- * also dedupes cells this table re-queries), then read back by index.
- */
-class ObsBatch
+/** One evidence cell: paper-library test `name` on `chip` at column
+ * 16, as a one-cell sweep on the shared engine (which dedupes cells
+ * the table re-queries). AMD chips run the compiled test. */
+uint64_t
+obs(const char *chip, const std::string &name)
 {
-  public:
-    size_t
-    add(const char *chip, const litmus::Test &test)
-    {
-        harness::Job job = harness::Job::fromConfig(
-            sim::chip(chip), test, benchutil::config());
-        jobs_.push_back(std::move(job));
-        return jobs_.size() - 1;
-    }
-
-    void
-    run()
-    {
-        results_ = benchutil::engine().run(jobs_);
-    }
-
-    uint64_t
-    obs(size_t idx) const
-    {
-        return results_[idx].observedPer100k;
-    }
-
-  private:
-    std::vector<harness::Job> jobs_;
-    std::vector<eval::EvalResult> results_;
-};
+    serve::Plan plan;
+    auto results = benchutil::run(
+        benchutil::request("sweep", {benchutil::libraryTest(name)},
+                           {sim::chip(chip)}),
+        plan);
+    return results.front().observedPer100k;
+}
 
 } // namespace
 
@@ -64,67 +44,52 @@ main()
                   "comment"});
     namespace pl = litmus::paperlib;
 
-    ObsBatch batch;
-    size_t corr = batch.add("TesC", pl::coRR());
-    size_t mp_l1 = batch.add("TesC", pl::mpL1(ptx::Scope::Sys));
-    size_t corr_l2_l1 =
-        batch.add("TesC", pl::coRRL2L1(ptx::Scope::Sys));
-    size_t mp_volatile = batch.add("GTX5", pl::mpVolatile());
-    size_t dlb_mp = batch.add("Titan", pl::dlbMp(false));
-    size_t dlb_lb = batch.add("Titan", pl::dlbLb(false));
-    size_t cas_sl = batch.add("Titan", pl::casSl(false));
-    size_t exch_sl = batch.add("HD7970", pl::casSl(false));
-    size_t sl_future = batch.add("TesC", pl::slFuture(false));
-    batch.run();
-    auto obs = [&](size_t idx) { return batch.obs(idx); };
-
     table.row({"Nvidia Fermi/Kepler", "coRR",
-               "TesC " + std::to_string(obs(corr)) +
+               "TesC " + std::to_string(obs("TesC", "coRR")) +
                    "/100k",
                "sparks debate for CPUs (Sec. 3.1.1)"});
 
     table.row(
         {"Fermi architecture", "mp-L1",
          "TesC membar.sys " +
-             std::to_string(obs(mp_l1)) +
+             std::to_string(obs("TesC", "mp-L1+membar.sys")) +
              "/100k",
          "fences do not restore orderings (Sec. 3.1.2)"});
 
     table.row(
         {"Fermi architecture", "coRR-L2-L1",
          "TesC membar.sys " +
-             std::to_string(obs(corr_l2_l1)) +
+             std::to_string(obs("TesC", "coRR-L2-L1+membar.sys")) +
              "/100k",
          "fences do not restore orderings (Sec. 3.1.2)"});
 
     table.row({"PTX ISA", "mp-volatile",
-               "GTX5 " + std::to_string(obs(mp_volatile)) +
+               "GTX5 " + std::to_string(obs("GTX5", "mp-volatile")) +
                    "/100k",
                "volatile documentation disagrees with testing"});
 
     table.row({"GPU Computing Gems", "dlb-mp",
-               "Titan " + std::to_string(obs(dlb_mp)) +
+               "Titan " + std::to_string(obs("Titan", "dlb-mp")) +
                    "/100k",
                "fenceless deque allows items to be skipped"});
 
     table.row({"GPU Computing Gems", "dlb-lb",
-               "Titan " + std::to_string(obs(dlb_lb)) +
+               "Titan " + std::to_string(obs("Titan", "dlb-lb")) +
                    "/100k",
                "fenceless deque allows items to be skipped"});
 
     table.row({"CUDA by Example", "cas-sl",
-               "Titan " + std::to_string(obs(cas_sl)) +
+               "Titan " + std::to_string(obs("Titan", "cas-sl")) +
                    "/100k",
                "fenceless lock allows stale values to be read"});
 
     table.row({"Stuart-Owens lock", "exch-sl",
-               "HD7970 " +
-                   std::to_string(obs(exch_sl)) +
+               "HD7970 " + std::to_string(obs("HD7970", "cas-sl")) +
                    "/100k",
                "fenceless lock allows stale values to be read"});
 
     table.row({"He-Yu lock", "sl-future",
-               "TesC " + std::to_string(obs(sl_future)) +
+               "TesC " + std::to_string(obs("TesC", "sl-future")) +
                    "/100k",
                "lock allows future values to be read"});
 
@@ -134,7 +99,16 @@ main()
         opts.optLevel = 3;
         opts.sdkVersion = "5.5";
         opts.targetMaxwell = true;
-        auto sass = opt::assemble(pl::coRR(), opts);
+        // The Sec. 4.4 bug reorders volatile loads, so the reader of
+        // coRR loads with ld.volatile here.
+        litmus::Test corr_volatile =
+            litmus::TestBuilder("coRR-volatile")
+                .global("x", 0)
+                .thread("ld.volatile r1,[x]; ld.volatile r2,[x]")
+                .intraCta()
+                .exists("0:r1=1 /\\ 0:r2=0")
+                .build();
+        auto sass = opt::assemble(corr_volatile, opts);
         auto check = opt::optcheck(sass);
         table.row({"CUDA 5.5", "coRR",
                    check.ok ? "optcheck OK (unexpected)"

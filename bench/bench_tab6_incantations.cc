@@ -12,7 +12,6 @@
  */
 
 #include "bench_util.h"
-#include "litmus/library.h"
 
 using namespace gpulitmus;
 
@@ -21,7 +20,7 @@ namespace {
 struct TestRow
 {
     std::string label;
-    litmus::Test test;
+    std::string test;               // paper-library id
     std::vector<std::string> paper; // 16 values
 };
 
@@ -48,26 +47,30 @@ runChip(const sim::ChipProfile &chip, const std::vector<TestRow> &rows)
     legend("thread sync", 2);
     legend("thread rand", 1);
 
-    // The whole tests x 16-column grid is one campaign, sharded over
-    // the worker pool (GPULITMUS_JOBS). Results come back in grid
-    // order: test outermost, column innermost.
-    harness::Campaign campaign;
-    campaign.base(benchutil::config())
-        .overChips(std::vector<sim::ChipProfile>{chip})
-        .overColumns(1, 16);
+    // The whole tests x 16-column grid (no columns: the planner's
+    // 1..16) is one sweep request, sharded over the worker pool
+    // (GPULITMUS_JOBS). Results come back in plan order: test
+    // outermost, column innermost. A test the chip's compiler
+    // miscompiles has no cells and prints "n/a".
+    std::vector<serve::TestSpec> tests;
     for (const auto &row : rows)
-        campaign.test(row.test, row.label);
-    auto results = benchutil::engine().run(campaign);
+        tests.push_back(benchutil::libraryTest(row.test));
+    serve::Plan plan;
+    auto results = benchutil::run(
+        benchutil::request("sweep", tests, {chip}, {}), plan);
 
-    for (size_t t = 0; t < rows.size(); ++t) {
-        std::vector<std::string> measured{rows[t].label + " (sim)"};
+    size_t next = 0;
+    for (const auto &row : rows) {
+        const bool ran =
+            next < results.size() && results[next].label() == row.test;
+        std::vector<std::string> measured{row.label + " (sim)"};
         for (int col = 1; col <= 16; ++col)
-            measured.push_back(std::to_string(
-                results[t * 16 + static_cast<size_t>(col) - 1]
-                    .observedPer100k));
+            measured.push_back(
+                ran ? std::to_string(results[next++].observedPer100k)
+                    : "n/a");
         table.row(measured);
-        std::vector<std::string> reference{rows[t].label + " (paper)"};
-        for (const auto &p : rows[t].paper)
+        std::vector<std::string> reference{row.label + " (paper)"};
+        for (const auto &p : row.paper)
             reference.push_back(p);
         table.row(reference);
     }
@@ -85,33 +88,33 @@ main()
         " all tests target global memory");
 
     std::vector<TestRow> titan_rows = {
-        {"coRR (intra-CTA)", litmus::paperlib::coRR(),
+        {"coRR (intra-CTA)", "coRR",
          {"0", "0", "0", "0", "0", "1235", "0", "9774", "161", "118",
           "847", "362", "632", "3384", "3993", "9985"}},
-        {"lb (inter-CTA)", litmus::paperlib::lb(),
+        {"lb (inter-CTA)", "lb",
          {"0", "0", "0", "0", "0", "0", "0", "0", "181", "1067",
           "1555", "2247", "4", "37", "83", "486"}},
-        {"mp (inter-CTA)", litmus::paperlib::mp(),
+        {"mp (inter-CTA)", "mp",
          {"0", "0", "0", "0", "0", "621", "0", "2921", "315", "1128",
           "2372", "4347", "7", "94", "442", "2888"}},
-        {"sb (inter-CTA)", litmus::paperlib::sb(),
+        {"sb (inter-CTA)", "sb",
          {"0", "0", "0", "0", "0", "0", "0", "0", "462", "1403",
           "3308", "6673", "3", "50", "88", "749"}},
     };
     runChip(sim::chip("Titan"), titan_rows);
 
     std::vector<TestRow> amd_rows = {
-        {"coRR (intra-CTA)", litmus::paperlib::coRR(),
+        {"coRR (intra-CTA)", "coRR",
          {"0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0",
           "0", "0", "0", "0"}},
-        {"lb (inter-CTA)", litmus::paperlib::lb(),
+        {"lb (inter-CTA)", "lb",
          {"10959", "8979", "31895", "29092", "13510", "12729",
           "29779", "26737", "5094", "9360", "37624", "38664", "5321",
           "10054", "32796", "34196"}},
-        {"mp (inter-CTA)", litmus::paperlib::mp(),
+        {"mp (inter-CTA)", "mp",
          {"212", "31", "243", "158", "277", "46", "318", "247", "473",
           "217", "1289", "563", "611", "339", "2542", "1628"}},
-        {"sb (inter-CTA)", litmus::paperlib::sb(),
+        {"sb (inter-CTA)", "sb",
          {"0", "0", "0", "0", "2", "0", "2", "0", "0", "0", "0", "0",
           "0", "0", "0", "0"}},
     };

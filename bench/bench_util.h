@@ -5,9 +5,11 @@
  *
  * Every binary prints (a) the simulated observation counts, and (b)
  * the paper's published numbers for the same cell, so the shape can
- * be compared at a glance. Iteration counts come from GPULITMUS_ITERS
- * (default 100000, the paper's count); observations are normalised to
- * obs/100k.
+ * be compared at a glance. Each grid is a serve::Request planned by
+ * serve::planJobs, the planner the CLI and the daemon use, so every
+ * cell can be reproduced with `gpulitmus sweep`. Iteration counts come
+ * from GPULITMUS_ITERS (default 100000, the paper's count);
+ * observations are normalised to obs/100k.
  */
 
 #ifndef GPULITMUS_BENCHUTIL_H
@@ -24,6 +26,7 @@
 #include "eval/backend.h"
 #include "harness/campaign.h"
 #include "litmus/test.h"
+#include "serve/protocol.h"
 #include "sim/chip.h"
 
 namespace gpulitmus::benchutil {
@@ -42,6 +45,8 @@ envOr(const char *name, uint64_t fallback)
                                  : fallback;
 }
 
+/** The per-cell configuration of the benches that run single cells
+ * through harness::observePer100k. */
 inline harness::RunConfig
 config()
 {
@@ -51,9 +56,9 @@ config()
 }
 
 /**
- * The shared campaign engine for this binary: worker count from
- * GPULITMUS_JOBS (default: hardware concurrency), results cached
- * across sweeps so a cell queried by two tables is simulated once.
+ * The shared engine for this binary: worker count from GPULITMUS_JOBS
+ * (default: hardware concurrency), results cached across requests so
+ * a cell queried by two tables is simulated once.
  */
 inline eval::Engine &
 engine()
@@ -93,54 +98,108 @@ printHeader(const std::string &title, const std::string &what)
               << "=====================================================\n";
 }
 
-/** Run one per-chip campaign row and append the measured and paper
- * rows; obsRows/scenarioRows differ only in how the test lands on
- * the campaign. */
-inline void
-campaignRows(Table &table, const std::string &label,
-             harness::Campaign &campaign,
-             const std::vector<sim::ChipProfile> &chips,
-             const std::vector<std::string> &paper)
+/** Request tests: a paper-library id, a test built in code (sent as
+ * its printed text, a print -> parse -> print fixed point, so its keys
+ * and seeds are the test's own) and a registry scenario spec. */
+inline serve::TestSpec
+libraryTest(const std::string &id)
 {
-    auto results = engine().run(campaign.overChips(chips));
+    return {id, "", ""};
+}
+
+inline serve::TestSpec
+inCodeTest(const litmus::Test &test)
+{
+    return {"", test.str(), ""};
+}
+
+inline serve::TestSpec
+scenarioTest(const std::string &spec)
+{
+    return {"", "", spec};
+}
+
+/**
+ * A request over `tests` and `chips` at the bench iteration count and
+ * the harness base seed (harness::RunConfig, not the CLI's --seed
+ * default), so every Nvidia cell equals harness::run of the same cell.
+ * Sweeps default to column 16, the column the figures report.
+ */
+inline serve::Request
+request(const std::string &cmd, std::vector<serve::TestSpec> tests,
+        const std::vector<sim::ChipProfile> &chips,
+        std::vector<int> columns = {16})
+{
+    serve::Request req;
+    req.cmd = cmd;
+    req.tests = std::move(tests);
+    for (const auto &c : chips)
+        req.chips.push_back(c.shortName);
+    req.columns = std::move(columns);
+    req.iterations = harness::defaultIterations();
+    req.seed = harness::RunConfig{}.seed;
+    return req;
+}
+
+/** Plan `req` with serve::planJobs and run the plan on the shared
+ * engine. A planner error ends the binary: the message goes to stderr
+ * and the exit status is 1. */
+inline std::vector<eval::EvalResult>
+run(const serve::Request &req, serve::Plan &plan,
+    const std::vector<eval::EvalSink *> &sinks = {},
+    eval::ProgressFn progress = nullptr)
+{
+    std::string error;
+    if (!serve::planJobs(req, &plan, &error)) {
+        std::cerr << "error: " << error << "\n";
+        std::exit(1);
+    }
+    return engine().run(plan.jobs, sinks, std::move(progress));
+}
+
+/**
+ * Append measured and paper rows for one test: a sweep of `test` over
+ * `chips` at column 16, one batch on the shared engine. AMD chips run
+ * what their OpenCL compiler emits; a cell the planner skips as
+ * miscompiled prints as "n/a". Returns the plan, whose notes carry the
+ * compile quirks.
+ */
+inline serve::Plan
+sweepRows(Table &table, const std::string &label,
+          const serve::TestSpec &test,
+          const std::vector<sim::ChipProfile> &chips,
+          const std::vector<std::string> &paper)
+{
+    serve::Plan plan;
+    auto results = run(request("sweep", {test}, chips), plan);
     std::vector<std::string> measured{label + " (sim)"};
-    for (const auto &r : results)
-        measured.push_back(std::to_string(r.observedPer100k));
+    size_t next = 0;
+    for (const auto &chip : chips) {
+        if (next < results.size() &&
+            results[next].job->chip.shortName == chip.shortName)
+            measured.push_back(
+                std::to_string(results[next++].observedPer100k));
+        else
+            measured.push_back("n/a");
+    }
     table.row(measured);
     std::vector<std::string> reference{label + " (paper)"};
     for (const auto &p : paper)
         reference.push_back(p);
     table.row(reference);
+    return plan;
 }
 
-/** Append measured and paper rows for one test configuration. The
- * per-chip cells are one campaign batch, sharded across the engine's
- * worker pool. */
+/** Print the compile quirks `plan` noted for `chip`. */
 inline void
-obsRows(Table &table, const std::string &label,
-        const litmus::Test &test,
-        const std::vector<sim::ChipProfile> &chips,
-        const std::vector<std::string> &paper,
-        const harness::RunConfig &cfg)
+printCompileNotes(const serve::Plan &plan, const std::string &chip)
 {
-    harness::Campaign campaign;
-    campaign.base(cfg).test(test, label);
-    campaignRows(table, label, campaign, chips, paper);
-}
-
-/** obsRows for a registry scenario spec: one campaign batch over the
- * chips, measured row + paper row. The scenario's recommended
- * micro-step cap rides along via Campaign::scenario. */
-inline void
-scenarioRows(Table &table, const std::string &label,
-             const std::string &spec,
-             const std::vector<sim::ChipProfile> &chips,
-             const std::vector<std::string> &paper,
-             const harness::RunConfig &cfg)
-{
-    harness::Campaign campaign;
-    campaign.base(cfg).scenario(spec);
-    campaignRows(table, label, campaign, chips, paper);
+    const std::string prefix = "compile note (" + chip + "): ";
+    std::cout << "\n" << chip << " compile notes:\n";
+    for (const auto &note : plan.notes) {
+        if (note.rfind(prefix, 0) == 0)
+            std::cout << "  " << note.substr(prefix.size()) << "\n";
+    }
 }
 
 inline std::vector<std::string>

@@ -7,8 +7,9 @@
  *    effective incantations and print the outcome histogram.
  * 3. Ask the paper's PTX memory model whether the relaxed outcome is
  *    allowed, and show a witness execution.
- * 4. Sweep the test across an incantation-column grid: a Campaign
- *    run on the batched evaluation engine.
+ * 4. Sweep the test across an incantation-column grid: a sweep
+ *    request, planned as `gpulitmus sweep` plans it and run on the
+ *    batched evaluation engine.
  */
 
 #include <iostream>
@@ -18,6 +19,7 @@
 #include "harness/campaign.h"
 #include "litmus/parser.h"
 #include "model/checker.h"
+#include "serve/protocol.h"
 
 using namespace gpulitmus;
 
@@ -91,18 +93,25 @@ exists (0:r2=0 /\ 1:r2=0)
               << (checker.allows(*fenced) ? "allowed" : "forbidden")
               << "\n";
 
-    // Sweeps are first-class: the same test across all 16 incantation
-    // columns (Tab. 6), sharded over a worker pool, rendered by a
+    // Sweeps are first-class: the same tests across all 16 incantation
+    // columns (Tab. 6, the default), planned as `gpulitmus sweep` and
+    // the daemon plan them, sharded over a worker pool, rendered by a
     // table sink. Bit-identical results at any thread count.
+    serve::Request sweep;
+    sweep.cmd = "sweep";
+    sweep.tests = {{"", test->str(), ""}, {"", fenced->str(), ""}};
+    sweep.iterations = config.iterations;
+    sweep.seed = config.seed;
+    serve::Plan plan;
+    std::string error;
+    if (!serve::planJobs(sweep, &plan, &error)) {
+        std::cerr << "error: " << error << "\n";
+        return 1;
+    }
     eval::TableSink table("test", eval::TableSink::byLabel(),
                           eval::TableSink::byColumn());
     eval::Engine engine;
-    engine.run(harness::Campaign()
-                   .iterations(config.iterations)
-                   .test(*test, "sb")
-                   .test(*fenced, "sb+membar.gls")
-                   .overColumns(1, 16),
-               {&table});
+    engine.run(plan.jobs, {&table});
     std::cout << "\nIncantation sweep (obs/100k, "
               << engine.threads() << " worker threads):\n";
     table.render().print(std::cout);

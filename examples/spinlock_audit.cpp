@@ -5,11 +5,11 @@
  *
  * The lock is a registry scenario (`scenario:cas_spinlock`) whose
  * forbidden condition is the bug: the lock was acquired yet the read
- * returned stale data. One campaign samples both variants across
- * chips; the model side checks the PTX model's opinion; and the
- * dot-product client (`scenario:spinlock_dot_product`) gets the
- * *exact* treatment — the exhaustive explorer either exhibits a
- * lost-update schedule or proves there is none.
+ * returned stale data. One sweep request samples both variants
+ * across chips, and the dot-product client
+ * (`scenario:spinlock_dot_product`) gets the *exact* treatment — the
+ * exhaustive explorer either exhibits a lost-update schedule or
+ * proves there is none.
  */
 
 #include <iostream>
@@ -19,6 +19,7 @@
 #include "harness/campaign.h"
 #include "mc/explorer.h"
 #include "scenario/catalog.h"
+#include "serve/protocol.h"
 
 using namespace gpulitmus;
 
@@ -28,25 +29,34 @@ main()
     std::cout << "CUDA by Example spin lock (original):\n"
               << cuda::casSpinLockSource(false) << "\n";
 
-    // Both lock variants on three chips, plus the PTX model's
-    // verdict per variant, in one mixed-backend campaign grid.
-    harness::Campaign campaign;
-    campaign.iterations(harness::defaultIterations())
-        .overChips(std::vector<std::string>{"TesC", "Titan", "HD7970"})
-        .scenario("scenario:cas_spinlock")
-        .scenario("scenario:cas_spinlock,fenced=1");
+    // Both lock variants on three chips as one sweep request, planned
+    // as `gpulitmus sweep` plans it; the HD7970 runs what its OpenCL
+    // compiler emits.
+    serve::Request sweep;
+    sweep.cmd = "sweep";
+    for (const char *spec :
+         {"scenario:cas_spinlock", "scenario:cas_spinlock,fenced=1"})
+        sweep.tests.push_back({"", "", spec});
+    sweep.chips = {"TesC", "Titan", "HD7970"};
+    sweep.columns = {16};
+    sweep.iterations = harness::defaultIterations();
+    sweep.seed = harness::RunConfig{}.seed;
+    serve::Plan plan;
+    std::string error;
+    if (!serve::planJobs(sweep, &plan, &error)) {
+        std::cerr << "error: " << error << "\n";
+        return 1;
+    }
     eval::Engine engine;
-    auto results = engine.run(campaign);
-
-    size_t next = 0;
-    for (bool fences : {false, true}) {
-        std::cout << "=== scenario: cas_spinlock"
-                  << (fences ? ",fenced=1" : "") << " ===\n";
-        for (const char *chip : {"TesC", "Titan", "HD7970"}) {
-            std::cout << "  " << chip << ": "
-                      << results[next++].observedPer100k
-                      << "/100k lock acquisitions read stale data\n";
+    std::string shown;
+    for (const auto &r : engine.run(plan.jobs)) {
+        if (r.label() != shown) {
+            shown = r.label();
+            std::cout << "=== " << shown << " ===\n";
         }
+        std::cout << "  " << r.job->chip.shortName << ": "
+                  << r.observedPer100k
+                  << "/100k lock acquisitions read stale data\n";
     }
 
     // End-to-end, exactly: the dot product of CUDA by Example

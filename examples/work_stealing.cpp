@@ -3,7 +3,7 @@
  * Audit of the Cederman-Tsigas work-stealing deque (Fig. 6 /
  * Sec. 3.2.1, GPU Computing Gems) through the Scenario API: the
  * push/steal race is the `work_stealing_deque` registry scenario
- * whose forbidden condition is a lost task. One campaign samples
+ * whose forbidden condition is a lost task. One sweep request samples
  * both fence variants across chips; the explorer settles the
  * question exactly; and the TeraScale OpenCL compiler adds its own
  * way of breaking the code.
@@ -17,6 +17,7 @@
 #include "mc/explorer.h"
 #include "opt/amd.h"
 #include "scenario/catalog.h"
+#include "serve/protocol.h"
 
 using namespace gpulitmus;
 
@@ -26,29 +27,35 @@ main()
     std::cout << "Cederman-Tsigas deque (excerpt, original):\n"
               << cuda::dequeSource(false) << "\n";
 
-    // Both variants across three chips as one campaign: observed =
-    // tasks lost per 100k push/steal races.
-    std::vector<const char *> chips = {"TesC", "GTX6", "Titan"};
-    harness::Campaign campaign;
-    campaign.iterations(harness::defaultIterations())
-        .overChips(std::vector<std::string>(chips.begin(),
-                                            chips.end()))
-        .scenario("scenario:work_stealing_deque")
-        .scenario("scenario:work_stealing_deque,fenced=1");
+    // Both variants across three chips as one sweep request, planned
+    // as `gpulitmus sweep` plans it: observed = tasks lost per 100k
+    // push/steal races.
+    serve::Request sweep;
+    sweep.cmd = "sweep";
+    for (const char *spec : {"scenario:work_stealing_deque",
+                             "scenario:work_stealing_deque,fenced=1"})
+        sweep.tests.push_back({"", "", spec});
+    sweep.chips = {"TesC", "GTX6", "Titan"};
+    sweep.columns = {16};
+    sweep.iterations = harness::defaultIterations();
+    sweep.seed = harness::RunConfig{}.seed;
+    serve::Plan plan;
+    std::string error;
+    if (!serve::planJobs(sweep, &plan, &error)) {
+        std::cerr << "error: " << error << "\n";
+        return 1;
+    }
     eval::Engine engine;
-    auto results = engine.run(campaign);
-
-    size_t next = 0;
-    for (bool fences : {false, true}) {
-        std::cout << "=== scenario: work_stealing_deque"
-                  << (fences ? ",fenced=1" : "")
-                  << " (steal sees the tail, reads a stale task)"
-                  << " ===\n";
-        for (const char *chip : chips) {
-            std::cout << "  " << chip << ": "
-                      << results[next++].observedPer100k
-                      << " tasks lost /100k\n";
+    std::string shown;
+    for (const auto &r : engine.run(plan.jobs)) {
+        if (r.label() != shown) {
+            shown = r.label();
+            std::cout << "=== " << shown
+                      << " (steal sees the tail, reads a stale task)"
+                      << " ===\n";
         }
+        std::cout << "  " << r.job->chip.shortName << ": "
+                  << r.observedPer100k << " tasks lost /100k\n";
     }
 
     // Exact verdicts: either a concrete task-losing schedule exists,

@@ -652,13 +652,6 @@ Engine::run(const std::vector<EvalJob> &jobs,
     return run(resolve(jobs), sinks, std::move(progress));
 }
 
-std::vector<EvalResult>
-Engine::run(const harness::Campaign &campaign,
-            const std::vector<EvalSink *> &sinks, ProgressFn progress)
-{
-    return run(campaign.jobs(), sinks, std::move(progress));
-}
-
 // ---- TableSink ------------------------------------------------------
 
 TableSink::TableSink(std::string corner, KeyFn row_of, KeyFn col_of)

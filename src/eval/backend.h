@@ -24,7 +24,8 @@
  * - ConformanceSink joins the sim histograms against the model
  *   verdicts per (chip, test, incantation) cell and classifies each
  *   as sound, unsound (observed-but-forbidden) or imprecise
- *   (allowed-never-observed) — the Sec. 5.4 table as one campaign.
+ *   (allowed-never-observed) — the Sec. 5.4 table as one planned
+ *   validate request (serve::planJobs).
  *   Exact (mc) results join too and upgrade imprecise cells to
  *   rare/unreachable/bounded; the full verdict lattice and the
  *   exact-vs-sampled evidence semantics are documented in
@@ -346,12 +347,6 @@ class Engine
         const std::vector<EvalSink *> &sinks = {},
         ProgressFn progress = nullptr);
 
-    /** Convenience: materialise and run a campaign's grid. */
-    std::vector<EvalResult>
-    run(const harness::Campaign &campaign,
-        const std::vector<EvalSink *> &sinks = {},
-        ProgressFn progress = nullptr);
-
     int threads() const { return threads_; }
     /** Cells served from the cache (including in-batch aliases) over
      * this Engine's lifetime. */
@@ -459,11 +454,12 @@ struct ConformanceCell
 
 /**
  * Joins simulation histograms against model verdicts: feed it a
- * mixed-backend campaign (sim + one or more model backends over the
- * same tests) and it pairs every simulated (chip, test, incantation)
- * cell with every verdict for the same test text, classifying each
- * pair. Results from the mc backend join too: an exact exploration
- * of the same (chip, test, incantation) upgrades the cell's verdict
+ * mixed-backend batch (sim + one or more model backends over the
+ * same tests, as a planned validate request is) and it pairs every
+ * simulated (chip, test, incantation) cell with every verdict for the
+ * same test text, classifying each pair. Results from the mc backend
+ * join too: an exact exploration of the same (chip, test,
+ * incantation) upgrades the cell's verdict
  * (Imprecise -> Rare/Unreachable/Bounded, see Conformance) and adds
  * reachable-but-forbidden outcomes to the violations — a definitive
  * unsoundness proof that needs no sampling luck. Cells with an

@@ -1,16 +1,15 @@
 #include "harness/campaign.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/log.h"
 #include "common/strutil.h"
 #include "obs/metrics.h"
-#include "scenario/registry.h"
 #include "sim/outcomes.h"
 
 namespace gpulitmus::harness {
@@ -47,7 +46,7 @@ litmus::Histogram
 run(const sim::ChipProfile &chip, const litmus::Test &test,
     const RunConfig &config)
 {
-    // One-job campaign. The RNG stream is derived from the job key
+    // One job. The RNG stream is derived from the job key
     // (splitmix64 over base seed, chip, test and incantation column),
     // so this cell is bit-identical to the same cell in any batched
     // sweep, at any thread count.
@@ -294,126 +293,6 @@ runJob(Job job)
             result.hist.observed() * 100000 / result.hist.total();
     }
     return result;
-}
-
-// ---- Campaign -------------------------------------------------------
-
-Campaign &
-Campaign::iterations(uint64_t n)
-{
-    iterations_ = n;
-    return *this;
-}
-
-Campaign &
-Campaign::base(const RunConfig &config)
-{
-    iterations_ = config.iterations;
-    seed_ = config.seed;
-    maxMicroSteps_ = config.maxMicroSteps;
-    baseInc_ = config.inc;
-    incSet_ = true;
-    return *this;
-}
-
-Campaign &
-Campaign::overChips(const std::vector<sim::ChipProfile> &chips)
-{
-    chips_.insert(chips_.end(), chips.begin(), chips.end());
-    return *this;
-}
-
-Campaign &
-Campaign::overChips(const std::vector<std::string> &short_names)
-{
-    for (const auto &name : short_names)
-        chips_.push_back(sim::chip(name));
-    return *this;
-}
-
-Campaign &
-Campaign::overColumns(int lo, int hi)
-{
-    for (int col = lo; col <= hi; ++col)
-        incs_.push_back(sim::Incantations::fromColumn(col));
-    return *this;
-}
-
-Campaign &
-Campaign::overBackends(const std::vector<std::string> &backends)
-{
-    backends_.insert(backends_.end(), backends.begin(), backends.end());
-    return *this;
-}
-
-Campaign &
-Campaign::test(const litmus::Test &t, const std::string &label)
-{
-    tests_.push_back({t, label});
-    return *this;
-}
-
-Campaign &
-Campaign::scenario(const std::string &spec)
-{
-    std::string error;
-    auto built = gpulitmus::scenario::buildSpec(spec, &error);
-    if (!built)
-        fatal("%s", error.c_str());
-    // No explicit label: the built test's name already carries the
-    // scenario id and its parameters ("spinlock_dot_product+t3").
-    tests_.push_back({std::move(built->test), "",
-                      built->maxMicroSteps});
-    return *this;
-}
-
-Campaign &
-Campaign::add(Job job)
-{
-    extra_.push_back(std::move(job));
-    return *this;
-}
-
-std::vector<Job>
-Campaign::jobs() const
-{
-    std::vector<sim::ChipProfile> chips = chips_;
-    if (chips.empty())
-        chips.push_back(sim::chip("Titan"));
-    std::vector<sim::Incantations> incs = incs_;
-    if (incs.empty())
-        incs.push_back(incSet_ ? baseInc_ : sim::Incantations::all());
-    std::vector<std::string> backends = backends_;
-    if (backends.empty())
-        backends.push_back(kSimBackend);
-
-    std::vector<Job> out;
-    out.reserve(tests_.size() * chips.size() * incs.size() *
-                    backends.size() +
-                extra_.size());
-    for (const auto &lt : tests_) {
-        const auto text = TestText::of(lt.test);
-        for (const auto &chip : chips) {
-            for (const auto &inc : incs) {
-                for (const auto &backend : backends) {
-                    Job job;
-                    job.backend = backend;
-                    job.chip = chip;
-                    job.test = lt.test;
-                    job.text = text;
-                    job.inc = inc;
-                    job.iterations = iterations_;
-                    job.seed = seed_;
-                    job.maxMicroSteps =
-                        std::max(maxMicroSteps_, lt.minMicroSteps);
-                    job.label = lt.label;
-                    out.push_back(std::move(job));
-                }
-            }
-        }
-    }
-    out.insert(out.end(), extra_.begin(), extra_.end());
-    return out;
 }
 
 } // namespace gpulitmus::harness

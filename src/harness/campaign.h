@@ -1,13 +1,14 @@
 /**
  * @file
- * The simulated cell and the campaign grid: the paper's methodology
- * as a first-class API.
+ * The simulated cell: one Job of a sweep, its key and derived seed,
+ * and runJob, which simulates it.
  *
  * Every figure and table of the paper is a *sweep* — the same litmus
  * test re-run across a (chip × incantation-column × iterations) grid.
- * A Campaign describes such a grid declaratively as a list of Jobs;
- * eval::Engine (eval/backend.h) executes them on a worker pool and
- * feeds the results, in job order, to pluggable sinks.
+ * serve::planJobs (serve/protocol.h) builds such a grid from a
+ * serve::Request as a list of Jobs; eval::Engine (eval/backend.h)
+ * executes them on a worker pool and feeds the results, in job order,
+ * to pluggable sinks.
  *
  * Determinism is the design center: each Job derives its RNG seed
  * purely from its own key (a splitmix64-mixed hash of base seed, chip,
@@ -31,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "litmus/outcome.h"
 #include "sim/chip.h"
@@ -63,7 +63,7 @@ struct RunConfig
 uint64_t defaultIterations();
 
 /** Run a test on a chip; returns the full histogram. Thin wrapper
- * over a one-job campaign: the cell is bit-identical — same
+ * over runJob: the cell is bit-identical — same
  * splitmix64-derived RNG stream — to the same cell inside a batched,
  * multi-threaded sweep. */
 litmus::Histogram run(const sim::ChipProfile &chip,
@@ -199,74 +199,6 @@ struct JobResult
  * the single source of truth for how a cell is simulated;
  * `harness::run` and eval::SimBackend both call it. */
 JobResult runJob(Job job);
-
-/**
- * Declarative sweep builder. The job list is the cross product
- * tests × chips × incantations × backends (each axis defaulting to a
- * singleton: the Titan, Incantations::all(), the simulator), plus any
- * explicitly add()ed jobs, in row-major order (test outermost,
- * backend innermost). Run the grid with eval::Engine::run(campaign).
- */
-class Campaign
-{
-  public:
-    Campaign() = default;
-
-    // ---- base parameters (apply to every grid job) -----------------
-    Campaign &iterations(uint64_t n);
-    /** Adopt iterations/seed/incantation/limits from a RunConfig. */
-    Campaign &base(const RunConfig &config);
-
-    // ---- grid axes --------------------------------------------------
-    Campaign &overChips(const std::vector<sim::ChipProfile> &chips);
-    /** Chips by registry short name ("Titan", "HD7970", ...). */
-    Campaign &overChips(const std::vector<std::string> &short_names);
-    /** Tab. 6 incantation columns lo..hi inclusive (1..16). */
-    Campaign &overColumns(int lo, int hi);
-    /** Backend ids for the innermost grid axis — kSimBackend and/or
-     * anything eval::backendByName resolves. A grid that mixes "sim"
-     * with model backends pairs every simulated cell with its model
-     * evaluations. */
-    Campaign &overBackends(const std::vector<std::string> &backends);
-    /** Add one test to the test axis, with an explicit label. */
-    Campaign &test(const litmus::Test &t, const std::string &label = "");
-    /**
-     * Add a registry scenario to the test axis by spec
-     * ("scenario:<name>[,k=v...]", scenario/registry.h). The
-     * scenario's recommended micro-step cap (spin-loop headroom) is
-     * applied to its grid jobs when it exceeds the campaign base.
-     * Unknown names/params are fatal; use scenario::buildSpec
-     * directly for recoverable validation.
-     */
-    Campaign &scenario(const std::string &spec);
-
-    /** Append a fully-specified job outside the grid. */
-    Campaign &add(Job job);
-
-    /** Materialise the job list. */
-    std::vector<Job> jobs() const;
-
-  private:
-    struct LabelledTest
-    {
-        litmus::Test test;
-        std::string label;
-        /** Per-test micro-step floor (0: campaign base). Registry
-         * scenarios with spin loops raise it. */
-        int minMicroSteps = 0;
-    };
-
-    uint64_t iterations_ = 100000;
-    uint64_t seed_ = 0x6c69746d7573ULL;
-    int maxMicroSteps_ = 4000;
-    bool incSet_ = false;
-    sim::Incantations baseInc_ = sim::Incantations::all();
-    std::vector<sim::ChipProfile> chips_;
-    std::vector<sim::Incantations> incs_;
-    std::vector<std::string> backends_;
-    std::vector<LabelledTest> tests_;
-    std::vector<Job> extra_;
-};
 
 } // namespace gpulitmus::harness
 

@@ -54,7 +54,7 @@ class Histogram
     std::string keyFor(const FinalState &state) const;
 
     /**
-     * Re-point at a content-identical Test instance. Campaign results
+     * Re-point at a content-identical Test instance. Engine results
      * are self-contained (they own the test the histogram references);
      * the single-shot harness wrapper rebinds the returned histogram
      * to the caller's instance so it stays valid on its own.

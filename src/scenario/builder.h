@@ -14,7 +14,8 @@
  * condition, and `build()` lowers the whole thing to a plain
  * `litmus::Test` — which then runs unchanged under every backend:
  * sampled (`sim`), exhaustive (`mc`) and axiomatic (model ids), via
- * `harness::Campaign` grids, the CLI and the conformance join.
+ * grids planned by `serve::planJobs`, the CLI and the conformance
+ * join.
  *
  * Lowering is exact: the emitted instructions are the same
  * `ptx::build` encodings the hand-written library and the CUDA

@@ -9,8 +9,9 @@
  *   scenario:<name>[,key=value...]
  *
  * e.g. `scenario:spinlock_dot_product,threads=3,fenced=1`. The CLI
- * (`run/sweep/validate/explore/list`), `harness::Campaign::scenario`
- * and the benches all resolve specs through buildSpec(), so one
+ * (`run/sweep/validate/explore/list`) and the request planner
+ * (`serve::planJobs`, which the daemon, the benches and the examples
+ * plan with) resolve specs through buildSpec(), so one
  * registration makes a workload available to the sampled, exhaustive
  * and axiomatic backends alike.
  *

@@ -4,7 +4,7 @@
  * tagged EvalResult of each engine, key/cache semantics of
  * backend-named jobs, the engine's cache/alias/progress semantics,
  * the conformance join over the on-disk corpus, and bit-identity of
- * engine-run sim campaigns with harness::runJob at any thread count.
+ * engine-run planned sweeps with harness::runJob at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -43,19 +43,44 @@ const char *kCorpus[] = {
     "mp-deps.litmus",      "corr-l2-l1.litmus",
 };
 
-litmus::Test
-corpusTest(const std::string &name)
+/** A corpus file as a request test: its text inline. */
+serve::TestSpec
+corpusSpec(const std::string &name)
 {
-    std::string path =
-        std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests/" + name;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    litmus::ParseError err;
-    auto test = litmus::parseTest(ss.str(), &err);
-    EXPECT_TRUE(test.has_value()) << name << ": " << err.message;
-    return *test;
+    std::string error;
+    auto spec = serve::testSpecFor(
+        std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests/" + name,
+        &error);
+    EXPECT_TRUE(spec.has_value()) << name << ": " << error;
+    return spec.value_or(serve::TestSpec{});
+}
+
+/** A `cmd` request over the paper-library tests `names` on `chips`
+ * (empty: the command's default), `iterations` per sim cell, at the
+ * harness::RunConfig base seed the grids here have always sampled with
+ * (the CLI's --seed default differs). */
+serve::Request
+request(const std::string &cmd, const std::vector<std::string> &names,
+        std::vector<std::string> chips, uint64_t iterations)
+{
+    serve::Request req;
+    req.cmd = cmd;
+    for (const auto &name : names)
+        req.tests.push_back({name, "", ""});
+    req.chips = std::move(chips);
+    req.iterations = iterations;
+    req.seed = harness::RunConfig{}.seed;
+    return req;
+}
+
+/** The jobs serve::planJobs plans for `req`. */
+std::vector<EvalJob>
+planned(const serve::Request &req)
+{
+    serve::Plan plan;
+    std::string error;
+    EXPECT_TRUE(serve::planJobs(req, &plan, &error)) << error;
+    return plan.jobs;
 }
 
 TEST(BackendRegistry, ResolvesEveryBuiltin)
@@ -206,20 +231,16 @@ TEST(EvalJob, ModelKeysIgnoreSimAxesButNotBackendOrTest)
 
 TEST(EvalEngine, MixedBackendGridJoinsAndDedups)
 {
-    harness::Campaign campaign;
-    campaign.iterations(800)
-        .overChips(std::vector<std::string>{"Titan", "TesC"})
-        .overBackends({harness::kSimBackend, "ptx"})
-        .test(pl::mp(), "mp");
-
-    auto jobs = campaign.jobs();
+    serve::Request req = request("validate", {"mp"}, {"Titan", "TesC"}, 800);
+    req.models = {"ptx"};
+    auto jobs = planned(req);
     ASSERT_EQ(jobs.size(), 4u); // 2 chips x {sim, ptx}
     EXPECT_EQ(jobs[0].backend, harness::kSimBackend);
     EXPECT_EQ(jobs[1].backend, "ptx");
 
     Engine engine;
     ConformanceSink conformance;
-    auto results = engine.run(campaign, {&conformance});
+    auto results = engine.run(jobs, {&conformance});
     ASSERT_EQ(results.size(), 4u);
 
     // The two ptx cells collapse onto one evaluation.
@@ -277,35 +298,21 @@ TEST(Conformance, PtxSoundOnCorpusForEveryChipProfile)
     // chip profile. AMD chips run what their OpenCL compiler
     // produces; out-of-scope tests (.ca/volatile, Sec. 5.5) are
     // excluded exactly as in the paper.
-    harness::RunConfig cfg;
-    cfg.iterations = 600;
-
-    harness::Campaign campaign;
-    campaign.base(cfg);
-    size_t in_scope = 0;
-    for (const auto &name : kCorpus) {
-        litmus::Test test = corpusTest(name);
-        if (!model::inModelScope(test))
-            continue;
-        ++in_scope;
-        for (const auto &chip : sim::resultChips()) {
-            auto to_run = compileForChip(test, chip);
-            if (!to_run)
-                continue; // miscompiled: the paper's "n/a" cells
-            harness::Job sim_job =
-                harness::Job::fromConfig(chip, *to_run, cfg);
-            sim_job.label = std::string(name);
-            campaign.add(sim_job);
-            harness::Job model_job = sim_job;
-            model_job.backend = "ptx";
-            campaign.add(std::move(model_job));
-        }
-    }
+    serve::Request req = request("validate", {}, {}, 600);
+    req.models = {"ptx"};
+    for (const auto &name : kCorpus)
+        req.tests.push_back(corpusSpec(name));
+    for (const auto &chip : sim::resultChips())
+        req.chips.push_back(chip.shortName);
+    serve::Plan plan;
+    std::string error;
+    ASSERT_TRUE(serve::planJobs(req, &plan, &error)) << error;
+    const size_t in_scope = req.tests.size() - plan.outOfScope;
     ASSERT_GT(in_scope, 5u);
 
     Engine engine;
     ConformanceSink conformance;
-    engine.run(campaign, {&conformance});
+    engine.run(plan.jobs, {&conformance});
 
     auto cells = conformance.cells();
     ASSERT_GE(cells.size(), in_scope * 2); // AMD "n/a" cells drop out
@@ -325,15 +332,14 @@ TEST(Conformance, FlagsTheSec6BaselineAsUnsound)
     // The Sec. 6 counterexample through the new API: inter-CTA
     // lb+membar.ctas is observed on the Titan but forbidden by the
     // operational baseline model.
-    harness::Campaign campaign;
-    campaign.iterations(30000)
-        .overChips(std::vector<std::string>{"Titan"})
-        .overBackends({harness::kSimBackend, "baseline", "ptx"})
-        .test(pl::lbMembarCtas(), "lb+membar.ctas");
+    serve::Request req =
+        request("validate", {"lb+membar.ctas"}, {"Titan"}, 30000);
+    req.models = {"baseline", "ptx"};
+    auto jobs = planned(req);
 
     Engine engine;
     ConformanceSink conformance;
-    engine.run(campaign, {&conformance});
+    engine.run(jobs, {&conformance});
 
     bool baseline_unsound = false;
     for (const auto &cell : conformance.cells()) {
@@ -349,14 +355,12 @@ TEST(Conformance, FlagsTheSec6BaselineAsUnsound)
 
 TEST(Conformance, SinkSummaryAndJsonShape)
 {
-    harness::Campaign campaign;
-    campaign.iterations(500)
-        .overChips(std::vector<std::string>{"Titan"})
-        .overBackends({harness::kSimBackend, "ptx", "sc"})
-        .test(pl::mp(), "mp");
+    serve::Request req = request("validate", {"mp"}, {"Titan"}, 500);
+    req.models = {"ptx", "sc"};
+    auto jobs = planned(req);
     Engine engine;
     ConformanceSink conformance;
-    engine.run(campaign, {&conformance});
+    engine.run(jobs, {&conformance});
 
     std::string summary = conformance.summary().str();
     EXPECT_NE(summary.find("model"), std::string::npos);
@@ -375,14 +379,12 @@ TEST(Conformance, SinkSummaryAndJsonShape)
 
 TEST(EvalEngine, JsonSinkTagsBothSides)
 {
-    harness::Campaign campaign;
-    campaign.iterations(300)
-        .overChips(std::vector<std::string>{"Titan"})
-        .overBackends({harness::kSimBackend, "ptx"})
-        .test(pl::sb(), "sb");
+    serve::Request req = request("validate", {"sb"}, {"Titan"}, 300);
+    req.models = {"ptx"};
+    auto jobs = planned(req);
     Engine engine;
     JsonSink json;
-    engine.run(campaign, {&json});
+    engine.run(jobs, {&json});
     ASSERT_EQ(json.size(), 2u);
     std::ostringstream os;
     json.writeTo(os);
@@ -398,23 +400,21 @@ TEST(EvalEngine, JsonSinkTagsBothSides)
 
 TEST(EvalEngine, SimCampaignBitIdenticalToRunJobAt1And8Threads)
 {
-    // A sim-only sweep through the engine is bit-identical to
+    // A planned sim-only sweep through the engine is bit-identical to
     // harness::runJob — the single-cell reference — at any thread
     // count, over the whole on-disk corpus.
-    harness::Campaign campaign;
-    campaign.iterations(400)
-        .overChips(std::vector<std::string>{"Titan", "HD7970"})
-        .overColumns(9, 12);
+    serve::Request req = request("sweep", {}, {"Titan", "HD7970"}, 400);
+    req.columns = {9, 10, 11, 12};
     for (const auto &name : kCorpus)
-        campaign.test(corpusTest(name));
-    auto jobs = campaign.jobs();
+        req.tests.push_back(corpusSpec(name));
+    auto jobs = planned(req);
 
     for (int threads : {1, 8}) {
         EngineOptions opts;
         opts.threads = threads;
         opts.cache = false;
         Engine engine(opts);
-        auto actual = engine.run(campaign);
+        auto actual = engine.run(jobs);
 
         ASSERT_EQ(actual.size(), jobs.size());
         for (size_t i = 0; i < jobs.size(); ++i) {
@@ -639,11 +639,9 @@ TEST(EvalEngine, ProgressCallbackCountsComputedJobs)
     Engine engine;
     // Four distinct cells plus an in-batch duplicate: the duplicate
     // is an alias, not work, so it is never reported.
-    auto jobs = harness::Campaign()
-                    .iterations(100)
-                    .test(pl::mp(), "mp")
-                    .overColumns(1, 4)
-                    .jobs();
+    serve::Request req = request("sweep", {"mp"}, {}, 100);
+    req.columns = {1, 2, 3, 4};
+    auto jobs = planned(req);
     jobs.push_back(jobs.front());
     engine.run(jobs, {},
                [&](size_t done, size_t total, const EvalResult &) {
@@ -659,12 +657,9 @@ TEST(EvalEngine, TableSinkShape)
 {
     TableSink table("test", TableSink::byLabel(), TableSink::byColumn());
     Engine engine;
-    engine.run(harness::Campaign()
-                   .iterations(200)
-                   .test(pl::mp(), "mp")
-                   .test(pl::sb(), "sb")
-                   .overColumns(9, 12),
-               {&table});
+    serve::Request req = request("sweep", {"mp", "sb"}, {}, 200);
+    req.columns = {9, 10, 11, 12};
+    engine.run(planned(req), {&table});
     std::string rendered = table.render().str();
     // Header: corner + the four columns; body: one row per test.
     EXPECT_NE(rendered.find("test"), std::string::npos);

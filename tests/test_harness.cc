@@ -341,55 +341,11 @@ TEST(Incantations, BankConflictsDampenInterCtaOnNvidia)
     EXPECT_GT(without_bank, with_bank);
 }
 
-// ---- campaign grid --------------------------------------------------
-// (The engine that runs the grid is tested in test_eval.cc.)
+// ---- job identity and worker count --------------------------------
+// (Grid order is the planner's, tested in test_serve.cc; the engine
+// that runs a grid is tested in test_eval.cc.)
 
-TEST(Campaign, GridIsRowMajorTestChipColumn)
-{
-    auto jobs = Campaign()
-                    .iterations(100)
-                    .test(pl::mp(), "mp")
-                    .test(pl::sb(), "sb")
-                    .overChips(std::vector<std::string>{"Titan",
-                                                        "HD7970"})
-                    .overColumns(9, 10)
-                    .jobs();
-    ASSERT_EQ(jobs.size(), 8u);
-    EXPECT_EQ(jobs[0].label, "mp");
-    EXPECT_EQ(jobs[0].chip.shortName, "Titan");
-    EXPECT_EQ(jobs[0].inc.column(), 9);
-    EXPECT_EQ(jobs[1].inc.column(), 10);
-    EXPECT_EQ(jobs[2].chip.shortName, "HD7970");
-    EXPECT_EQ(jobs[4].label, "sb");
-    for (const auto &job : jobs)
-        EXPECT_EQ(job.iterations, 100u);
-}
-
-TEST(Campaign, OverBackendsIsTheInnermostAxisAndDefaultsToSim)
-{
-    // Default: every grid job names the simulator.
-    for (const auto &job :
-         Campaign().iterations(50).test(pl::mp(), "mp").jobs())
-        EXPECT_EQ(job.backend, kSimBackend);
-
-    auto jobs = Campaign()
-                    .iterations(50)
-                    .test(pl::mp(), "mp")
-                    .overChips(std::vector<std::string>{"Titan",
-                                                        "TesC"})
-                    .overBackends({kSimBackend, "ptx"})
-                    .jobs();
-    ASSERT_EQ(jobs.size(), 4u);
-    EXPECT_EQ(jobs[0].chip.shortName, "Titan");
-    EXPECT_EQ(jobs[0].backend, kSimBackend);
-    EXPECT_EQ(jobs[1].chip.shortName, "Titan");
-    EXPECT_EQ(jobs[1].backend, "ptx");
-    EXPECT_EQ(jobs[2].chip.shortName, "TesC");
-    EXPECT_EQ(jobs[2].backend, kSimBackend);
-    EXPECT_EQ(jobs[3].backend, "ptx");
-}
-
-TEST(Campaign, JobKeysDistinguishChipsAndColumns)
+TEST(Job, JobKeysDistinguishChipsAndColumns)
 {
     RunConfig cfg;
     Job a = Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
@@ -409,7 +365,7 @@ TEST(Campaign, JobKeysDistinguishChipsAndColumns)
     EXPECT_NE(a.cacheKey(), e.cacheKey());
 }
 
-TEST(Campaign, DefaultJobsFromEnv)
+TEST(Job, DefaultJobsFromEnv)
 {
     setenv("GPULITMUS_JOBS", "3", 1);
     EXPECT_EQ(defaultJobs(), 3);

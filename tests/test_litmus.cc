@@ -426,14 +426,26 @@ TEST(LitmusParser, LocationInconsistenciesAreValidationErrors)
 
 TEST(LitmusParser, RoundTripThroughPrinter)
 {
-    litmus::Test orig = paperlib::mp();
-    ParseError err;
-    auto reparsed = parseTest(orig.str(), &err);
-    ASSERT_TRUE(reparsed.has_value()) << err.message;
-    EXPECT_EQ(reparsed->program.numThreads(),
-              orig.program.numThreads());
-    EXPECT_EQ(reparsed->locations.size(), orig.locations.size());
-    EXPECT_EQ(reparsed->scopeTree, orig.scopeTree);
+    // Every paper test, and the in-code variants the benches send as
+    // inline source, is a print -> parse -> print fixed point: a
+    // planned job keys on the reparsed text, so its seed matches the
+    // original's.
+    std::vector<litmus::Test> tests;
+    for (auto &named : paperlib::allTests())
+        tests.push_back(std::move(named.test));
+    tests.push_back(paperlib::mp(ptx::Scope::Gl));
+    tests.push_back(paperlib::coRRL2L1(ptx::Scope::Gl));
+    for (const auto &orig : tests) {
+        ParseError err;
+        auto reparsed = parseTest(orig.str(), &err);
+        ASSERT_TRUE(reparsed.has_value()) << orig.name << ": "
+                                          << err.message;
+        EXPECT_EQ(reparsed->program.numThreads(),
+                  orig.program.numThreads());
+        EXPECT_EQ(reparsed->locations.size(), orig.locations.size());
+        EXPECT_EQ(reparsed->scopeTree, orig.scopeTree);
+        EXPECT_EQ(reparsed->str(), orig.str()) << orig.name;
+    }
 }
 
 TEST(Histogram, CountsAndVerdict)

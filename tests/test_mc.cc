@@ -31,6 +31,7 @@
 #include "mc/memo.h"
 #include "model/checker.h"
 #include "scenario/registry.h"
+#include "serve/protocol.h"
 
 #ifndef GPULITMUS_SOURCE_DIR
 #define GPULITMUS_SOURCE_DIR "."
@@ -743,24 +744,26 @@ TEST(McBackend, EngineRunsAndCachesMcJobs)
     EXPECT_GE(engine.cacheHits(), 1u);
 }
 
-TEST(McBackend, CampaignOverBackendsMixesSimMcAndModels)
+TEST(McBackend, ValidateExactMixesSimMcAndModels)
 {
+    // A validate request with `exact` pairs every sim cell with an
+    // exploration (budget: the request's, plenty here — mp completes
+    // in thousands of replays) and the model verdicts.
     litmus::Test mp = loadCorpus("mp.litmus");
-    harness::Campaign campaign;
-    campaign.iterations(200);
-    campaign.test(mp, "mp");
-    campaign.overChips(std::vector<std::string>{"Titan", "GTX5"});
-    campaign.overBackends({harness::kSimBackend,
-                           harness::kMcBackend, "ptx"});
-    auto jobs = campaign.jobs();
+    serve::Request req;
+    req.cmd = "validate";
+    req.tests = {{"", mp.str(), ""}};
+    req.chips = {"Titan", "GTX5"};
+    req.models = {"ptx"};
+    req.iterations = 200;
+    req.seed = harness::RunConfig{}.seed;
+    req.budget = 1u << 20;
+    req.exact = true;
+    serve::Plan plan;
+    std::string error;
+    ASSERT_TRUE(serve::planJobs(req, &plan, &error)) << error;
+    const auto &jobs = plan.jobs;
     ASSERT_EQ(jobs.size(), 6u);
-
-    // The mc grid cells keep the sampling iteration count as their
-    // replay budget — plenty here (mp completes in thousands).
-    for (auto &job : jobs) {
-        if (job.isMc())
-            job.iterations = 1u << 20;
-    }
 
     eval::ConformanceSink conformance;
     eval::Engine engine(eval::EngineOptions{2, true});

@@ -3,11 +3,13 @@
  * Tests for the Scenario API: Builder lowering (structural equality
  * with the hand-written library tests), registry spec resolution,
  * litmus round trips of every registry scenario, exact (mc) verdicts
- * for the application bugs on weak chips, and the Campaign/backend
- * semantics of scenario jobs.
+ * for the application bugs on weak chips, and the backend semantics
+ * of planned scenario jobs.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "cuda/snippets.h"
 #include "eval/backend.h"
@@ -19,6 +21,7 @@
 #include "scenario/builder.h"
 #include "scenario/catalog.h"
 #include "scenario/registry.h"
+#include "serve/protocol.h"
 
 namespace gpulitmus::scenario {
 namespace {
@@ -317,40 +320,42 @@ TEST(ExactVerdicts, StrongChipNeverLosesUpdatesEvenUnfenced)
 }
 
 // ---------------------------------------------------------------------
-// Campaign and backend semantics of scenario jobs.
+// Backend semantics of planned scenario jobs. (Job order and the
+// micro-step floor are the planner's, pinned in test_serve.)
 // ---------------------------------------------------------------------
 
-TEST(CampaignScenarios, SpecAxisAndMicroStepFloor)
+/** The jobs a validate request with `exact` plans for `specs` on the
+ * Titan: per test a sim cell, its exploration (`budget` replays) and
+ * one job per model. */
+std::vector<harness::Job>
+validateExact(const std::vector<std::string> &specs,
+              const std::vector<std::string> &models, uint64_t iterations,
+              uint64_t budget, serve::Plan *plan)
 {
-    harness::Campaign campaign;
-    campaign.iterations(500)
-        .overChips(std::vector<std::string>{"Titan", "TesC"})
-        .scenario("scenario:spinlock_dot_product")
-        .scenario("scenario:seqlock");
-    auto jobs = campaign.jobs();
-    ASSERT_EQ(jobs.size(), 4u);
-    // Row-major: test outermost, chip inner.
-    EXPECT_EQ(jobs[0].test.name, "spinlock_dot_product+t2");
-    EXPECT_EQ(jobs[0].chip.shortName, "Titan");
-    EXPECT_EQ(jobs[1].chip.shortName, "TesC");
-    EXPECT_EQ(jobs[2].test.name, "seqlock");
-    // The spin-loop scenario raises its micro-step cap; the
-    // straight-line one keeps the campaign default.
-    EXPECT_EQ(jobs[0].maxMicroSteps, 20000);
-    EXPECT_EQ(jobs[2].maxMicroSteps, 4000);
-    // Labels default to the parameterised test name.
-    EXPECT_EQ(jobs[0].displayLabel(),
-              "spinlock_dot_product+t2@Titan");
+    serve::Request req;
+    req.cmd = "validate";
+    for (const auto &spec : specs)
+        req.tests.push_back({"", "", spec});
+    req.chips = {"Titan"};
+    req.models = models;
+    req.iterations = iterations;
+    req.seed = harness::RunConfig{}.seed;
+    req.budget = budget;
+    req.exact = true;
+    std::string error;
+    EXPECT_TRUE(serve::planJobs(req, plan, &error)) << error;
+    return plan->jobs;
 }
 
-TEST(CampaignScenarios, JobKeySemanticsPerBackend)
+TEST(ScenarioJobs, JobKeySemanticsPerBackend)
 {
-    harness::Campaign campaign;
-    campaign.iterations(1000).scenario("scenario:cas_spinlock");
-    campaign.overBackends({harness::kSimBackend, harness::kMcBackend,
-                           "ptx"});
-    auto jobs = campaign.jobs();
+    serve::Plan plan;
+    auto jobs = validateExact({"scenario:cas_spinlock"}, {"ptx"}, 1000,
+                              1000, &plan);
     ASSERT_EQ(jobs.size(), 3u);
+    ASSERT_EQ(jobs[0].backend, harness::kSimBackend);
+    ASSERT_EQ(jobs[1].backend, harness::kMcBackend);
+    ASSERT_EQ(jobs[2].backend, "ptx");
 
     // Sim keys move with the seed; mc and model keys do not (the
     // search and the model evaluation are deterministic).
@@ -378,32 +383,41 @@ TEST(CampaignScenarios, JobKeySemanticsPerBackend)
     EXPECT_EQ(mc_job.key(), jobs[1].key());
 }
 
-TEST(CampaignScenarios, AllScenariosUnderAllFourBackends)
+TEST(ScenarioJobs, AllScenariosUnderAllFourBackends)
 {
     // The acceptance grid: every registry scenario through the
-    // sampler, the explorer, the PTX model and the Sec. 6 baseline
-    // in ONE campaign. Scenarios outside the model scope
-    // (volatile accesses or spin loops, Sec. 5.5) get an explicit
-    // out-of-scope refusal from the model backends — every job
-    // completes, nothing hangs, nothing joins as trivially sound.
+    // sampler, the explorer, the PTX model and the Sec. 6 baseline.
+    // validate plans the scenarios inside the model scope; the rest
+    // (volatile accesses or spin loops, Sec. 5.5) it leaves out of the
+    // model join, so they get the same four jobs by hand. The model
+    // backends answer those with an explicit out-of-scope refusal —
+    // every job completes, nothing hangs, nothing joins as trivially
+    // sound.
     std::vector<std::string> specs;
     for (const auto &s : all())
         specs.push_back("scenario:" + s.name);
 
-    harness::Campaign campaign;
-    campaign.iterations(200);
-    for (const auto &spec : specs)
-        campaign.scenario(spec);
-    campaign.overBackends({harness::kSimBackend, harness::kMcBackend,
-                           "ptx", "baseline"});
-    auto jobs = campaign.jobs();
-    ASSERT_EQ(jobs.size(), all().size() * 4);
-    // mc jobs would explore with the sampling iteration count as
-    // budget; give them a real one.
-    for (auto &job : jobs) {
-        if (job.isMc())
-            job.iterations = 200000;
+    serve::Plan plan;
+    auto jobs = validateExact(specs, {"ptx", "baseline"}, 200, 200000,
+                              &plan);
+    ASSERT_EQ(jobs.size(), (all().size() - plan.outOfScope) * 4);
+    const std::vector<harness::Job> pattern(jobs.begin(),
+                                            jobs.begin() + 4);
+    for (const auto &spec : specs) {
+        auto built = buildSpec(spec);
+        ASSERT_TRUE(built.has_value()) << spec;
+        if (model::inModelScope(built->test))
+            continue;
+        for (harness::Job job : pattern) {
+            job.test = built->test;
+            job.text.reset();
+            job.label = built->test.name;
+            job.maxMicroSteps = std::max(
+                harness::RunConfig{}.maxMicroSteps, built->maxMicroSteps);
+            jobs.push_back(std::move(job));
+        }
     }
+    ASSERT_EQ(jobs.size(), all().size() * 4);
 
     eval::EngineOptions eopts;
     eopts.threads = 2;
@@ -437,7 +451,7 @@ TEST(CampaignScenarios, AllScenariosUnderAllFourBackends)
     EXPECT_GE(in_scope_verdicts, 4u);
 }
 
-TEST(CampaignScenarios, UnknownSpecInCliStyleResolutionFails)
+TEST(ScenarioJobs, UnknownSpecInCliStyleResolutionFails)
 {
     std::string error;
     EXPECT_FALSE(buildSpec("scenario:", &error).has_value());

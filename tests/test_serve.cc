@@ -796,6 +796,81 @@ TEST(Protocol, PlannerMirrorsCliDefaultsAndSurvivesBadInput)
     EXPECT_EQ(exp_plan.jobs.size(), sim::allChips().size());
 }
 
+TEST(Protocol, PlanOrderAndMicroStepFloor)
+{
+    std::string error;
+
+    // sweep: test outermost, then chip, then column (Tab. 6 indexes
+    // its results by this order); every job names the simulator.
+    Request req;
+    req.cmd = "sweep";
+    req.tests = {{"mp", "", ""}, {"sb", "", ""}};
+    req.chips = {"Titan", "HD7970"};
+    req.columns = {9, 10};
+    req.iterations = 100;
+    Plan sweep;
+    ASSERT_TRUE(planJobs(req, &sweep, &error)) << error;
+    const auto &jobs = sweep.jobs;
+    ASSERT_EQ(jobs.size(), 8u);
+    EXPECT_EQ(jobs[0].label, "mp");
+    EXPECT_EQ(jobs[0].chip.shortName, "Titan");
+    EXPECT_EQ(jobs[0].inc.column(), 9);
+    EXPECT_EQ(jobs[1].inc.column(), 10);
+    EXPECT_EQ(jobs[2].chip.shortName, "HD7970");
+    EXPECT_EQ(jobs[4].label, "sb");
+    for (const auto &job : jobs) {
+        EXPECT_EQ(job.iterations, 100u);
+        EXPECT_EQ(job.backend, harness::kSimBackend);
+    }
+
+    // validate with exact: per chip the sim cell, its exploration
+    // (the budget as its replay count), then each model in request
+    // order.
+    req.cmd = "validate";
+    req.tests = {{"mp", "", ""}};
+    req.chips = {"Titan", "TesC"};
+    req.models = {"sc", "ptx"};
+    req.budget = 1 << 16;
+    req.exact = true;
+    Plan validate;
+    ASSERT_TRUE(planJobs(req, &validate, &error)) << error;
+    ASSERT_EQ(validate.jobs.size(), 8u);
+    const char *backends[] = {harness::kSimBackend, harness::kMcBackend,
+                              "sc", "ptx"};
+    for (size_t i = 0; i < validate.jobs.size(); ++i) {
+        const harness::Job &job = validate.jobs[i];
+        EXPECT_EQ(job.chip.shortName, i < 4 ? "Titan" : "TesC") << i;
+        EXPECT_EQ(job.backend, backends[i % 4]) << i;
+        if (job.isMc()) {
+            EXPECT_EQ(job.iterations, 1u << 16);
+        }
+    }
+
+    // Scenarios: a spin-loop scenario raises its jobs' micro-step cap,
+    // a straight-line one keeps the default; labels are the
+    // parameterised test name.
+    Request scen;
+    scen.cmd = "sweep";
+    scen.tests = {{"", "", "scenario:spinlock_dot_product"},
+                  {"", "", "scenario:seqlock"}};
+    scen.chips = {"Titan", "TesC"};
+    scen.columns = {16};
+    scen.iterations = 500;
+    Plan scenarios;
+    ASSERT_TRUE(planJobs(scen, &scenarios, &error)) << error;
+    ASSERT_EQ(scenarios.jobs.size(), 4u);
+    EXPECT_EQ(scenarios.jobs[0].test.name, "spinlock_dot_product+t2");
+    EXPECT_EQ(scenarios.jobs[0].chip.shortName, "Titan");
+    EXPECT_EQ(scenarios.jobs[1].chip.shortName, "TesC");
+    EXPECT_EQ(scenarios.jobs[2].test.name, "seqlock");
+    EXPECT_EQ(scenarios.jobs[0].maxMicroSteps, 20000);
+    EXPECT_EQ(scenarios.jobs[1].maxMicroSteps, 20000);
+    EXPECT_EQ(scenarios.jobs[2].maxMicroSteps, 4000);
+    EXPECT_EQ(scenarios.jobs[0].label, "spinlock_dot_product+t2");
+    EXPECT_EQ(scenarios.jobs[0].displayLabel(),
+              "spinlock_dot_product+t2");
+}
+
 // ---- planner memo ---------------------------------------------------
 
 /** The corpus sources, each made unique to this process and `tag` by a
