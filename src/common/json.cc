@@ -51,6 +51,8 @@ constexpr int kMaxDepth = 64;
 struct Parser
 {
     std::string_view text;
+    /** Leave out the containers nested in the top-level value. */
+    bool headerOnly = false;
     size_t pos = 0;
     std::string error = {};
 
@@ -133,12 +135,32 @@ struct Parser
         }
     }
 
+    /** The character a one-letter escape stands for; 0 when the
+     * escape is invalid. */
+    static char
+    unescaped(char e)
+    {
+        switch (e) {
+          case '"': return '"';
+          case '\\': return '\\';
+          case '/': return '/';
+          case 'b': return '\b';
+          case 'f': return '\f';
+          case 'n': return '\n';
+          case 'r': return '\r';
+          case 't': return '\t';
+          default: return 0;
+        }
+    }
+
+    /** A null `out` checks the string without building it. */
     bool
     parseString(std::string *out)
     {
         if (!consume('"'))
             return fail("expected string");
-        out->clear();
+        if (out)
+            out->clear();
         while (true) {
             // Copy the run up to the next quote, backslash or control
             // character in one append.
@@ -149,7 +171,8 @@ struct Parser
                     break;
                 ++pos;
             }
-            out->append(text.data() + run, pos - run);
+            if (out)
+                out->append(text.data() + run, pos - run);
             if (pos >= text.size())
                 return fail("unterminated string");
             char c = text[pos++];
@@ -160,45 +183,40 @@ struct Parser
             if (pos >= text.size())
                 return fail("truncated escape");
             char e = text[pos++];
-            switch (e) {
-              case '"': *out += '"'; break;
-              case '\\': *out += '\\'; break;
-              case '/': *out += '/'; break;
-              case 'b': *out += '\b'; break;
-              case 'f': *out += '\f'; break;
-              case 'n': *out += '\n'; break;
-              case 'r': *out += '\r'; break;
-              case 't': *out += '\t'; break;
-              case 'u': {
-                  uint32_t cp = 0;
-                  if (!parseHex4(&cp))
-                      return false;
-                  // Surrogate pair: a high surrogate must be followed
-                  // by \uDC00-\uDFFF; anything else keeps the lone
-                  // code unit (lenient, like most line-protocol
-                  // readers).
-                  if (cp >= 0xd800 && cp <= 0xdbff &&
-                      text.substr(pos, 2) == "\\u") {
-                      size_t saved = pos;
-                      pos += 2;
-                      uint32_t lo = 0;
-                      if (!parseHex4(&lo))
-                          return false;
-                      if (lo >= 0xdc00 && lo <= 0xdfff) {
-                          cp = 0x10000 + ((cp - 0xd800) << 10) +
-                               (lo - 0xdc00);
-                      } else {
-                          pos = saved;
-                      }
-                  }
-                  appendUtf8(*out, cp);
-                  break;
-              }
-              default: return fail("invalid escape");
+            if (e != 'u') {
+                char plain = unescaped(e);
+                if (!plain)
+                    return fail("invalid escape");
+                if (out)
+                    *out += plain;
+                continue;
             }
+            uint32_t cp = 0;
+            if (!parseHex4(&cp))
+                return false;
+            // Surrogate pair: a high surrogate must be followed by
+            // \uDC00-\uDFFF; anything else keeps the lone code unit
+            // (lenient, like most line-protocol readers).
+            if (cp >= 0xd800 && cp <= 0xdbff &&
+                text.substr(pos, 2) == "\\u") {
+                size_t saved = pos;
+                pos += 2;
+                uint32_t lo = 0;
+                if (!parseHex4(&lo))
+                    return false;
+                if (lo >= 0xdc00 && lo <= 0xdfff) {
+                    cp = 0x10000 + ((cp - 0xd800) << 10) +
+                         (lo - 0xdc00);
+                } else {
+                    pos = saved;
+                }
+            }
+            if (out)
+                appendUtf8(*out, cp);
         }
     }
 
+    /** A null `out` checks the number without building it. */
     bool
     parseNumber(Value *out)
     {
@@ -231,6 +249,11 @@ struct Parser
                        static_cast<unsigned char>(text[pos])))
                 ++pos;
         }
+        // Only an integer of 20 or more digits can overflow a u64, so
+        // a check that builds nothing skips the conversion otherwise.
+        if (!out &&
+            (!isInt || pos - start - (text[start] == '-') < 20))
+            return true;
         std::string token(text.substr(start, pos - start));
         if (isInt) {
             errno = 0;
@@ -243,13 +266,34 @@ struct Parser
                 return fail("integer out of range");
             int64_t v = neg ? -static_cast<int64_t>(mag)
                             : static_cast<int64_t>(mag);
-            *out = Value(v);
+            if (out)
+                *out = Value(v);
         } else {
             *out = Value(std::strtod(token.c_str(), nullptr));
         }
         return true;
     }
 
+    /**
+     * Where the member of a container at `depth` goes: into `member`,
+     * or nowhere (checked only) when the container is not built, or
+     * when the member is a container nested in a header.
+     */
+    Value *
+    slotFor(Value *out, Value *member, int depth)
+    {
+        if (!out)
+            return nullptr;
+        if (headerOnly && depth == 0) {
+            skipSpace();
+            if (pos < text.size() &&
+                (text[pos] == '{' || text[pos] == '['))
+                return nullptr;
+        }
+        return member;
+    }
+
+    /** A null `out` checks the value without building it. */
     bool
     parseValue(Value *out, int depth)
     {
@@ -264,21 +308,24 @@ struct Parser
             Object obj;
             skipSpace();
             if (consume('}')) {
-                *out = Value(std::move(obj));
+                if (out)
+                    *out = Value(std::move(obj));
                 return true;
             }
             while (true) {
                 skipSpace();
                 std::string key;
-                if (!parseString(&key))
+                if (!parseString(out ? &key : nullptr))
                     return false;
                 skipSpace();
                 if (!consume(':'))
                     return fail("expected ':'");
                 Value v;
-                if (!parseValue(&v, depth + 1))
+                Value *slot = slotFor(out, &v, depth);
+                if (!parseValue(slot, depth + 1))
                     return false;
-                obj[key] = std::move(v);
+                if (slot)
+                    obj[key] = std::move(v);
                 skipSpace();
                 if (consume(','))
                     continue;
@@ -286,7 +333,8 @@ struct Parser
                     break;
                 return fail("expected ',' or '}'");
             }
-            *out = Value(std::move(obj));
+            if (out)
+                *out = Value(std::move(obj));
             return true;
         }
         if (c == '[') {
@@ -294,14 +342,17 @@ struct Parser
             Array arr;
             skipSpace();
             if (consume(']')) {
-                *out = Value(std::move(arr));
+                if (out)
+                    *out = Value(std::move(arr));
                 return true;
             }
             while (true) {
                 Value v;
-                if (!parseValue(&v, depth + 1))
+                Value *slot = slotFor(out, &v, depth);
+                if (!parseValue(slot, depth + 1))
                     return false;
-                arr.push_back(std::move(v));
+                if (slot)
+                    arr.push_back(std::move(v));
                 skipSpace();
                 if (consume(','))
                     continue;
@@ -309,44 +360,50 @@ struct Parser
                     break;
                 return fail("expected ',' or ']'");
             }
-            *out = Value(std::move(arr));
+            if (out)
+                *out = Value(std::move(arr));
             return true;
         }
         if (c == '"') {
             std::string s;
-            if (!parseString(&s))
+            if (!parseString(out ? &s : nullptr))
                 return false;
-            *out = Value(std::move(s));
+            if (out)
+                *out = Value(std::move(s));
             return true;
         }
         if (c == 't') {
             if (!literal("true"))
                 return false;
-            *out = Value(true);
+            if (out)
+                *out = Value(true);
             return true;
         }
         if (c == 'f') {
             if (!literal("false"))
                 return false;
-            *out = Value(false);
+            if (out)
+                *out = Value(false);
             return true;
         }
         if (c == 'n') {
             if (!literal("null"))
                 return false;
-            *out = Value();
+            if (out)
+                *out = Value();
             return true;
         }
         return parseNumber(out);
     }
 };
 
-} // namespace
-
+/** Parse `text` as one document; trailing non-whitespace is an
+ * error. */
 std::optional<Value>
-parse(std::string_view text, std::string *error)
+parseDocument(std::string_view text, bool headerOnly,
+              std::string *error)
 {
-    Parser p{text};
+    Parser p{text, headerOnly};
     Value v;
     if (!p.parseValue(&v, 0)) {
         if (error)
@@ -361,6 +418,20 @@ parse(std::string_view text, std::string *error)
         return std::nullopt;
     }
     return v;
+}
+
+} // namespace
+
+std::optional<Value>
+parse(std::string_view text, std::string *error)
+{
+    return parseDocument(text, false, error);
+}
+
+std::optional<Value>
+parseHeader(std::string_view text, std::string *error)
+{
+    return parseDocument(text, true, error);
 }
 
 } // namespace gpulitmus::json

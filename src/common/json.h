@@ -10,6 +10,12 @@
  * have no fraction/exponent (job counts, seeds, budgets) and as
  * double otherwise, object keys keep last-wins semantics, and depth
  * is capped so a hostile request cannot recurse the stack away.
+ *
+ * Two entry points share one grammar. `parse` builds the whole tree.
+ * `parseHeader` checks the whole line the same way but builds only
+ * its top-level scalars: a client that dispatches on an event's
+ * `event`/`id`/`exit` fields does not pay for a `result` line's
+ * nested `cell` object, which it reads from the raw line if at all.
  */
 
 #ifndef GPULITMUS_COMMON_JSON_H
@@ -124,6 +130,16 @@ class Value
  */
 std::optional<Value> parse(std::string_view text,
                            std::string *error = nullptr);
+
+/**
+ * Parse one JSON document's header: the top-level value with every
+ * object or array nested in it left out, so an object keeps only its
+ * string, number, bool and null members. The nested values are still
+ * checked: `parseHeader` accepts exactly the documents `parse`
+ * accepts, and fails with the same `error`.
+ */
+std::optional<Value> parseHeader(std::string_view text,
+                                 std::string *error = nullptr);
 
 } // namespace gpulitmus::json
 

@@ -143,7 +143,7 @@ Client::submit(const Request &req, const EventFn &onEvent,
                              : readError;
             return -1;
         }
-        auto event = json::parse(line);
+        auto event = json::parseHeader(line);
         if (!event || !event->isObject())
             continue; // not ours to diagnose; wait for a real event
         std::string kind = event->getString("event");

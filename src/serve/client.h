@@ -46,8 +46,11 @@ class Client
      * error (`error` left empty for a clean EOF). */
     bool readLine(std::string *line, std::string *error = nullptr);
 
-    /** Per-event callback: the parsed event object plus its raw wire
-     * line (for `--json` passthrough). */
+    /** Per-event callback: the event's header (its top-level scalar
+     * members, from json::parseHeader) plus its raw wire line. A
+     * nested member — a `result`'s `cell`, the `metrics` registry,
+     * `accepted`'s `skipped` and `notes` — is only in `line`; a
+     * callback that needs one parses `line` itself. */
     using EventFn = std::function<void(const json::Value &event,
                                        const std::string &line)>;
 

@@ -597,6 +597,7 @@ Server::handleRequest(Client &client, const std::string &line)
 
     if (req->cmd == "hello") {
         client.writeLine(helloEvent(req->id));
+        client.writeLine(eventHead("done", req->id) + "}");
         return;
     }
     if (req->cmd == "list") {

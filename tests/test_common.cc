@@ -2,10 +2,13 @@
  * @file
  * Unit tests for the common utilities: RNG determinism and
  * distribution sanity, string helpers, table rendering, and the JSON
- * reader and escaper the serve protocol speaks.
+ * reader and escaper the serve protocol speaks (including the header
+ * reader, differentially against the full one on served event lines).
  */
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -13,6 +16,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -20,7 +24,9 @@
 #include "common/strutil.h"
 #include "common/table.h"
 #include "eval/backend.h"
+#include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/server.h"
 
 #ifndef GPULITMUS_SOURCE_DIR
 #define GPULITMUS_SOURCE_DIR "."
@@ -155,14 +161,16 @@ TEST(Rng, ReduceMatchesTheTextbookFormulaAtEveryEdge)
             bool accepted = Rng::reduce(r, bound, out);
             ASSERT_EQ(accepted, r >= threshold)
                 << "bound " << bound << " r " << r;
-            if (accepted)
+            if (accepted) {
                 ASSERT_EQ(out, r % bound) << "bound " << bound << " r " << r;
+            }
             rejected += accepted ? 0 : 1;
         }
         // The edge values above include threshold - 1 whenever the
         // zone is non-empty, so the rejection path ran.
-        if (threshold > 0)
+        if (threshold > 0) {
             EXPECT_GT(rejected, 0) << "bound " << bound;
+        }
     }
 }
 
@@ -530,6 +538,176 @@ TEST(Json, ErrorsKeepTheirMessageAndBytePosition)
     EXPECT_EQ(parseError("\"\\q\""), "invalid escape at byte 3");
     EXPECT_EQ(parseError("{\"a\":1} x"),
               "trailing characters after document at byte 8");
+}
+
+/** The event lines of one served conversation, as the daemon wrote
+ * them: the greeting, a validate of mp on Titan with exact cells
+ * (accepted, progress, sim/mc/ptx results, summary, done), and a
+ * metrics request. */
+std::vector<std::string>
+servedEventLines()
+{
+    serve::ServerOptions opts;
+    opts.socketPath =
+        "/tmp/gls_header_" + std::to_string(::getpid()) + ".sock";
+    opts.threads = 2;
+    std::string error;
+    auto server = serve::Server::create(opts, &error);
+    EXPECT_NE(server, nullptr) << error;
+    if (!server)
+        return {};
+    std::thread runner([&server]() { server->run(); });
+    std::vector<std::string> lines;
+    if (auto client = serve::Client::connectUnix(opts.socketPath, &error)) {
+        serve::Request validate;
+        validate.cmd = "validate";
+        validate.id = "hdr";
+        validate.tests = {{"mp", "", ""}};
+        validate.chips = {"Titan"};
+        validate.iterations = 200;
+        validate.exact = true;
+        serve::Request metrics;
+        metrics.cmd = "metrics";
+        metrics.id = "hdr";
+        for (const serve::Request *req : {&validate, &metrics}) {
+            EXPECT_EQ(client->submit(
+                          *req,
+                          [&lines](const json::Value &,
+                                   const std::string &line) {
+                              lines.push_back(line);
+                          },
+                          &error),
+                      0)
+                << error;
+        }
+    } else {
+        ADD_FAILURE() << error;
+    }
+    server->shutdown();
+    runner.join();
+    return lines;
+}
+
+bool
+isContainer(const json::Value &v)
+{
+    return v.isObject() || v.isArray();
+}
+
+/** parseHeader accepts `text` exactly when parse does, with the same
+ * error; when both accept, the header holds exactly the top-level
+ * scalars of the full tree. */
+void
+expectHeaderMatchesParse(const std::string &text)
+{
+    std::string full_error, header_error;
+    auto full = json::parse(text, &full_error);
+    auto header = json::parseHeader(text, &header_error);
+    ASSERT_EQ(header.has_value(), full.has_value())
+        << text << "\nparse: " << full_error
+        << "\nparseHeader: " << header_error;
+    if (!full) {
+        EXPECT_EQ(header_error, full_error) << text;
+        return;
+    }
+    ASSERT_EQ(header->kind(), full->kind()) << text;
+    if (full->isObject()) {
+        json::Object scalars;
+        for (const auto &[key, member] : full->object()) {
+            if (!isContainer(member))
+                scalars.emplace(key, member);
+        }
+        EXPECT_EQ(render(*header), render(json::Value(scalars))) << text;
+    } else if (full->isArray()) {
+        json::Array scalars;
+        for (const auto &item : full->array()) {
+            if (!isContainer(item))
+                scalars.push_back(item);
+        }
+        EXPECT_EQ(render(*header), render(json::Value(scalars))) << text;
+    } else {
+        EXPECT_EQ(render(*header), render(*full)) << text;
+    }
+}
+
+TEST(Json, HeaderReaderAcceptsExactlyWhatParseAccepts)
+{
+    const std::vector<std::string> lines = servedEventLines();
+    ASSERT_FALSE(HasFailure());
+
+    // The conversation covers every event kind a client dispatches
+    // on, and results from both the sampler and the explorer.
+    std::set<std::string> kinds, backends;
+    std::string result; ///< the sim result line, for the mutants below
+    for (const auto &line : lines) {
+        auto event = json::parse(line);
+        ASSERT_TRUE(event.has_value()) << line;
+        kinds.insert(event->getString("event"));
+        if (const json::Value *cell = event->find("cell")) {
+            backends.insert(cell->getString("backend"));
+            if (cell->getString("backend") == "sim")
+                result = line;
+        }
+    }
+    for (const char *kind :
+         {"hello", "accepted", "result", "summary", "done", "metrics"})
+        EXPECT_EQ(kinds.count(kind), 1u) << kind;
+    EXPECT_EQ(backends, (std::set<std::string>{"sim", "mc", "ptx"}));
+
+    std::vector<std::string> inputs = lines;
+    for (const auto &line : lines) {
+        // Every prefix of every line, and trailing garbage.
+        for (size_t cut = 0; cut < line.size(); ++cut)
+            inputs.push_back(line.substr(0, cut));
+        for (const char *tail : {" x", "}", ",", " {}", "\"", " \t"})
+            inputs.push_back(line + tail);
+    }
+    // Bad escapes and a raw control character inside the nested cell.
+    const std::string label = "\"cell\":{\"label\":\"";
+    const size_t at = result.find(label);
+    ASSERT_NE(at, std::string::npos) << result;
+    for (const char *bad : {"\\q", "\\u12x4", "\\", "\x01", "\x1f"}) {
+        std::string mutant = result;
+        mutant.insert(at + label.size(), bad);
+        inputs.push_back(mutant);
+    }
+    // Integers at and past the u64 range inside the cell.
+    const std::string column = "\"column\":16";
+    ASSERT_NE(result.find(column), std::string::npos) << result;
+    for (const char *number :
+         {"18446744073709551615", "18446744073709551616",
+          "-18446744073709551616", "000000000000000000016",
+          "99999999999999999999999", "1e999"}) {
+        std::string mutant = result;
+        mutant.replace(result.find(column) + column.size() - 2, 2,
+                       number);
+        inputs.push_back(mutant);
+    }
+    // The cell wrapped in arrays, across the depth limit of 64.
+    const size_t open = at + std::string("\"cell\":").size();
+    for (size_t depth : {1, 60, 61, 62, 63, 64, 65, 100}) {
+        std::string mutant = result;
+        mutant.insert(mutant.size() - 1, std::string(depth, ']'));
+        mutant.insert(open, std::string(depth, '['));
+        inputs.push_back(mutant);
+    }
+    // Top-level values that are not objects.
+    for (const char *other :
+         {"42", "-7.5", "\"text\"", "true", "null", "[]",
+          "[1,{\"a\":[2]},\"s\",[3],null]", "{}", "{\"a\":{}}"})
+        inputs.push_back(other);
+
+    size_t accepted = 0, refused = 0;
+    for (const auto &text : inputs) {
+        expectHeaderMatchesParse(text);
+        if (HasFailure())
+            return;
+        ++(json::parse(text) ? accepted : refused);
+    }
+    // Both sides of the differential are exercised, including the
+    // depth limit inside a cell.
+    EXPECT_GT(accepted, lines.size());
+    EXPECT_GT(refused, inputs.size() / 2);
 }
 
 /** The escaper as it was written char by char, before bulk runs. */

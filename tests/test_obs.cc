@@ -556,8 +556,8 @@ struct ObsServer
     }
 };
 
-/** Submit `req` and return the named event's payload (null Value if
- * the event never arrived). */
+/** Submit `req` and return the named event's payload, nested members
+ * included (null Value if the event never arrived). */
 json::Value
 submitFor(const std::string &socket, const serve::Request &req,
           const std::string &event_kind)
@@ -571,9 +571,9 @@ submitFor(const std::string &socket, const serve::Request &req,
     EXPECT_EQ(client->submit(
                   req,
                   [&payload, &event_kind](const json::Value &event,
-                                          const std::string &) {
+                                          const std::string &line) {
                       if (event.getString("event") == event_kind)
-                          payload = event;
+                          payload = json::parse(line).value_or(event);
                   },
                   &error),
               0)

@@ -19,6 +19,7 @@
 #include <cctype>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <thread>
 #include <utility>
 
@@ -1143,6 +1144,43 @@ TEST(Serve, HandshakeCarriesTheAbiStamp)
     ASSERT_TRUE(hello.has_value());
     EXPECT_EQ(hello->getString("event"), "hello");
     EXPECT_EQ(hello->getString("abi"), gpulitmus::kAbiVersionString);
+}
+
+TEST(Serve, HelloCommandEndsWithDone)
+{
+    TestServer ts("hellocmd");
+    ASSERT_NE(ts.server, nullptr);
+    std::string error;
+    auto client = Client::connectUnix(ts.socket, &error);
+    ASSERT_NE(client, nullptr) << error;
+    Request req;
+    req.cmd = "hello";
+    req.id = "greet";
+    // Submit on a second thread and bound the wait, so that a reply
+    // without `done` fails here instead of hanging the suite.
+    int exit = -2;
+    std::vector<std::string> kinds;
+    std::promise<void> finished;
+    std::future<void> ended = finished.get_future();
+    std::thread submitter([&]() {
+        exit = client->submit(
+            req,
+            [&kinds](const json::Value &event, const std::string &) {
+                kinds.push_back(event.getString("event"));
+            },
+            &error);
+        finished.set_value();
+    });
+    const bool done = ended.wait_for(std::chrono::seconds(10)) ==
+                      std::future_status::ready;
+    if (!done)
+        ts.server->shutdown(); // closes the connection under submit
+    submitter.join();
+    ASSERT_TRUE(done) << "the hello reply never ended with done";
+    EXPECT_EQ(exit, 0) << error;
+    // The connection's greeting, the answer, then the terminal event.
+    EXPECT_EQ(kinds,
+              (std::vector<std::string>{"hello", "hello", "done"}));
 }
 
 TEST(Serve, OversizedRequestLineIsRefusedAndTheDaemonLivesOn)

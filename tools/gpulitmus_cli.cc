@@ -1173,8 +1173,10 @@ pollDaemon(serve::Client &client, const std::string &id,
     rc = client.submit(
         req,
         [&](const json::Value &event, const std::string &line) {
+            // The registry is a nested object, which the event
+            // header leaves out: read it from the line.
             if (event.getString("event") == "metrics") {
-                *metrics = event;
+                *metrics = json::parse(line).value_or(event);
                 *metrics_line = line;
             }
         },
