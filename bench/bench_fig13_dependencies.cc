@@ -71,8 +71,12 @@ main()
         litmus::Test compiled = opt::sassToTest(test, sass);
         model::Checker checker(cat::models::ptx());
         bool allowed = checker.check(compiled).conditionSatisfiable;
-        uint64_t obs = harness::observePer100k(
-            sim::chip("Titan"), compiled, benchutil::config());
+        serve::Plan plan;
+        auto results = benchutil::run(
+            benchutil::request("sweep", {benchutil::inCodeTest(compiled)},
+                               {sim::chip("Titan")}),
+            plan);
+        uint64_t obs = results[0].observedPer100k;
         std::cout << "compiled test: lb outcome "
                   << (allowed ? "ALLOWED" : "FORBIDDEN")
                   << " by the PTX model; observed " << obs

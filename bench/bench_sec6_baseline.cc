@@ -35,10 +35,12 @@ main()
     table.header({"", "GTX6", "Titan", "ptx model",
                   "operational baseline"});
     std::vector<std::string> measured{"lb+membar.ctas (sim)"};
-    for (const char *name : {"GTX6", "Titan"}) {
-        measured.push_back(std::to_string(harness::observePer100k(
-            sim::chip(name), test, benchutil::config())));
-    }
+    serve::Plan plan;
+    for (const auto &r : benchutil::run(
+             benchutil::request("sweep", {benchutil::inCodeTest(test)},
+                                {sim::chip("GTX6"), sim::chip("Titan")}),
+             plan))
+        measured.push_back(std::to_string(r.observedPer100k));
     measured.push_back(ptx_verdict.conditionSatisfiable
                            ? "allowed"
                            : "forbidden");

@@ -45,16 +45,6 @@ envOr(const char *name, uint64_t fallback)
                                  : fallback;
 }
 
-/** The per-cell configuration of the benches that run single cells
- * through harness::observePer100k. */
-inline harness::RunConfig
-config()
-{
-    harness::RunConfig c;
-    c.iterations = harness::defaultIterations();
-    return c;
-}
-
 /**
  * The shared engine for this binary: worker count from GPULITMUS_JOBS
  * (default: hardware concurrency), results cached across requests so
@@ -92,7 +82,7 @@ printHeader(const std::string &title, const std::string &what)
     std::cout << "=====================================================\n"
               << title << "\n"
               << what << "\n"
-              << "iterations/run: " << config().iterations
+              << "iterations/run: " << harness::defaultIterations()
               << " (set GPULITMUS_ITERS to change); all counts are"
                  " normalised to obs/100k\n"
               << "=====================================================\n";
@@ -121,9 +111,10 @@ scenarioTest(const std::string &spec)
 
 /**
  * A request over `tests` and `chips` at the bench iteration count and
- * the harness base seed (harness::RunConfig, not the CLI's --seed
- * default), so every Nvidia cell equals harness::run of the same cell.
- * Sweeps default to column 16, the column the figures report.
+ * the harness base seed (harness::kBaseSeed, not the CLI's --seed
+ * default), so every cell equals harness::runJob of a default Job on
+ * the same chip, test and column. Sweeps default to column 16, the
+ * column the figures report.
  */
 inline serve::Request
 request(const std::string &cmd, std::vector<serve::TestSpec> tests,
@@ -137,7 +128,7 @@ request(const std::string &cmd, std::vector<serve::TestSpec> tests,
         req.chips.push_back(c.shortName);
     req.columns = std::move(columns);
     req.iterations = harness::defaultIterations();
-    req.seed = harness::RunConfig{}.seed;
+    req.seed = harness::kBaseSeed;
     return req;
 }
 

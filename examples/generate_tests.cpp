@@ -33,16 +33,17 @@ main(int argc, char **argv)
               << ")\n\n";
 
     model::Checker checker(cat::models::ptx());
-    harness::RunConfig config;
-    config.iterations =
+    harness::Job job;
+    job.chip = sim::chip(chip_name);
+    job.iterations =
         std::max<uint64_t>(2000, harness::defaultIterations() / 20);
 
     for (const auto &g : tests) {
         std::cout << "=== cycle: " << g.cycleName << " ===\n";
         std::cout << g.test.str();
         bool allowed = checker.allows(g.test);
-        uint64_t obs = harness::observePer100k(sim::chip(chip_name),
-                                               g.test, config);
+        job.test = g.test;
+        uint64_t obs = harness::runJob(job).observedPer100k;
         std::cout << "PTX model: "
                   << (allowed ? "ALLOWED" : "FORBIDDEN") << "; "
                   << chip_name << ": " << obs << "/100k";

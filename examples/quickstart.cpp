@@ -48,13 +48,14 @@ exists (0:r2=0 /\ 1:r2=0)
     }
     std::cout << "Parsed test:\n" << test->str() << "\n";
 
-    // Run on the simulated GTX Titan with all four incantations.
-    harness::RunConfig config;
-    config.iterations = harness::defaultIterations();
-    config.inc = sim::Incantations::all();
-    litmus::Histogram hist =
-        harness::run(sim::chip("Titan"), *test, config);
-    std::cout << hist.str() << "\n";
+    // Run on the simulated GTX Titan: one Job, which defaults to all
+    // four incantations and the harness base seed.
+    harness::Job job;
+    job.chip = sim::chip("Titan");
+    job.test = *test;
+    job.iterations = harness::defaultIterations();
+    harness::JobResult run = harness::runJob(job);
+    std::cout << run.hist.str() << "\n";
 
     // Check the outcome against the paper's PTX model.
     model::Checker checker(cat::models::ptx());
@@ -85,10 +86,11 @@ ScopeTree(grid(cta(warp T0)) (cta(warp T1)))
 exists (0:r2=0 /\ 1:r2=0)
 )",
                                     &err);
-    litmus::Histogram fenced_hist =
-        harness::run(sim::chip("Titan"), *fenced, config);
+    job.test = *fenced;
+    harness::JobResult fenced_run = harness::runJob(job);
     std::cout << "\nWith membar.gl fences: observed "
-              << fenced_hist.observed() << "/" << fenced_hist.total()
+              << fenced_run.hist.observed() << "/"
+              << fenced_run.hist.total()
               << "; model says "
               << (checker.allows(*fenced) ? "allowed" : "forbidden")
               << "\n";
@@ -100,8 +102,8 @@ exists (0:r2=0 /\ 1:r2=0)
     serve::Request sweep;
     sweep.cmd = "sweep";
     sweep.tests = {{"", test->str(), ""}, {"", fenced->str(), ""}};
-    sweep.iterations = config.iterations;
-    sweep.seed = config.seed;
+    sweep.iterations = job.iterations;
+    sweep.seed = job.seed;
     serve::Plan plan;
     std::string error;
     if (!serve::planJobs(sweep, &plan, &error)) {

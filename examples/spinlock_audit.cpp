@@ -40,7 +40,7 @@ main()
     sweep.chips = {"TesC", "Titan", "HD7970"};
     sweep.columns = {16};
     sweep.iterations = harness::defaultIterations();
-    sweep.seed = harness::RunConfig{}.seed;
+    sweep.seed = harness::kBaseSeed;
     serve::Plan plan;
     std::string error;
     if (!serve::planJobs(sweep, &plan, &error)) {

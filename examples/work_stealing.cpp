@@ -38,7 +38,7 @@ main()
     sweep.chips = {"TesC", "GTX6", "Titan"};
     sweep.columns = {16};
     sweep.iterations = harness::defaultIterations();
-    sweep.seed = harness::RunConfig{}.seed;
+    sweep.seed = harness::kBaseSeed;
     serve::Plan plan;
     std::string error;
     if (!serve::planJobs(sweep, &plan, &error)) {

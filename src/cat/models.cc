@@ -1,7 +1,5 @@
 #include "cat/models.h"
 
-#include <map>
-
 namespace gpulitmus::cat::models {
 
 std::string
@@ -84,49 +82,44 @@ acyclic (po-loc | com) as sc-per-loc
 )CAT";
 }
 
-namespace {
-
-const Model &
-cached(const char *name, std::string (*source)())
-{
-    static std::map<std::string, Model> cache;
-    auto it = cache.find(name);
-    if (it == cache.end())
-        it = cache.emplace(name, Model::parseOrDie(source(), name))
-                 .first;
-    return it->second;
-}
-
-} // anonymous namespace
+// One function-local static per model: C++ initialises each exactly
+// once, thread-safely, so concurrent first uses (the daemon's client
+// threads) never race.
 
 const Model &
 ptx()
 {
-    return cached("ptx", ptxSource);
+    static const Model model = Model::parseOrDie(ptxSource(), "ptx");
+    return model;
 }
 
 const Model &
 rmo()
 {
-    return cached("rmo", rmoSource);
+    static const Model model = Model::parseOrDie(rmoSource(), "rmo");
+    return model;
 }
 
 const Model &
 sc()
 {
-    return cached("sc", scSource);
+    static const Model model = Model::parseOrDie(scSource(), "sc");
+    return model;
 }
 
 const Model &
 tso()
 {
-    return cached("tso", tsoSource);
+    static const Model model = Model::parseOrDie(tsoSource(), "tso");
+    return model;
 }
 
 const Model &
 scPerLocFull()
 {
-    return cached("sc-per-loc-full", scPerLocFullSource);
+    static const Model model =
+        Model::parseOrDie(scPerLocFullSource(), "sc-per-loc-full");
+    return model;
 }
 
 std::vector<std::pair<std::string, const Model *>>

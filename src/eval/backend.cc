@@ -21,7 +21,6 @@
 #include "model/baseline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "opt/amd.h"
 #include "serve/store.h"
 
 namespace gpulitmus::eval {
@@ -62,17 +61,13 @@ McBackend::optionsFor(const EvalJob &job)
     opts.machine.inc = job.inc;
     opts.machine.maxMicroSteps = job.maxMicroSteps;
     opts.maxReplays = job.iterations;
-    // Forensic knobs (mc/explorer.h): GPULITMUS_MC_DEBUG_KEYS=1
+    // Forensic knob (mc/explorer.h): GPULITMUS_MC_DEBUG_KEYS=1
     // switches the state cache back to the PR-3 string keys (slow,
     // collision-free; diff against a digest-keyed run to implicate a
-    // digest collision), GPULITMUS_MC_NO_CHECKPOINTS=1
-    // disables snapshot resume (replays run from the root). Neither
-    // changes any result — determinism tests pin that — so they are
-    // deliberately excluded from job cache keys.
+    // digest collision). It changes no result — determinism tests pin
+    // that — so it is deliberately excluded from job cache keys.
     if (envSet("GPULITMUS_MC_DEBUG_KEYS"))
         opts.debugStateKeys = true;
-    if (envSet("GPULITMUS_MC_NO_CHECKPOINTS"))
-        opts.checkpoints = false;
     return opts;
 }
 
@@ -88,37 +83,32 @@ McBackend::evaluate(const EvalJob &job) const
     // can only reach sequentially consistent outcomes, so the SC
     // enumeration IS the exact reachable set — no weak-memory
     // exploration needed. The substitution is differentially
-    // validated in tests/test_analysis.cc over the corpus, all
-    // scenario variants and generated programs.
-    // GPULITMUS_MC_NO_PREPASS=1 forces full exploration (and, like
-    // the forensic knobs above, is excluded from job cache keys
-    // because the reachable set and verdict are identical — only
-    // search statistics and path weights differ).
-    if (!envSet("GPULITMUS_MC_NO_PREPASS")) {
-        analysis::Report rep = analysis::analyze(owned->test);
-        if (rep.fullyOrdered) {
-            auto start = std::chrono::steady_clock::now();
-            if (auto sc = analysis::enumerateSc(owned->test)) {
-                mc::ExploreResult x;
-                x.testName = owned->test.name;
-                x.chipName = owned->chip.shortName;
-                x.column = owned->inc.column();
-                x.complete = sc->complete;
-                x.fairComplete = true;
-                x.finals = std::move(sc->finals);
-                x.satisfying = std::move(sc->satisfying);
-                for (const auto &[key, w] : x.finals)
-                    x.paths += w;
-                x.stats.distinctStates = sc->states;
-                x.budgetReplays = owned->iterations;
-                auto end = std::chrono::steady_clock::now();
-                x.millis = std::chrono::duration<double, std::milli>(
-                               end - start)
-                               .count();
-                result.exact = std::move(x);
-                result.millis = result.exact->millis;
-                return result;
-            }
+    // validated in tests/test_analysis.cc, against the exploration
+    // below, over the corpus, all scenario variants and generated
+    // programs.
+    analysis::Report rep = analysis::analyze(owned->test);
+    if (rep.fullyOrdered) {
+        auto start = std::chrono::steady_clock::now();
+        if (auto sc = analysis::enumerateSc(owned->test)) {
+            mc::ExploreResult x;
+            x.testName = owned->test.name;
+            x.chipName = owned->chip.shortName;
+            x.column = owned->inc.column();
+            x.complete = sc->complete;
+            x.fairComplete = true;
+            x.finals = std::move(sc->finals);
+            x.satisfying = std::move(sc->satisfying);
+            for (const auto &[key, w] : x.finals)
+                x.paths += w;
+            x.stats.distinctStates = sc->states;
+            x.budgetReplays = owned->iterations;
+            auto end = std::chrono::steady_clock::now();
+            x.millis =
+                std::chrono::duration<double, std::milli>(end - start)
+                    .count();
+            result.exact = std::move(x);
+            result.millis = result.exact->millis;
+            return result;
         }
     }
 
@@ -330,24 +320,6 @@ modelBackendByName(const std::string &name, std::string *error)
     return axiom;
 }
 
-// ---- compileForChip -------------------------------------------------
-
-std::optional<litmus::Test>
-compileForChip(const litmus::Test &test, const sim::ChipProfile &chip,
-               std::vector<std::string> *quirks)
-{
-    if (!chip.isAmd())
-        return test;
-    auto compiled = opt::amdCompile(test, chip);
-    if (quirks) {
-        quirks->insert(quirks->end(), compiled.quirks.begin(),
-                       compiled.quirks.end());
-    }
-    if (compiled.miscompiled)
-        return std::nullopt;
-    return compiled.compiled;
-}
-
 // ---- Engine ---------------------------------------------------------
 
 namespace {
@@ -415,7 +387,7 @@ microsSince(std::chrono::steady_clock::time_point t0)
 Engine::Engine(EngineOptions opts)
     : threads_(opts.threads > 0 ? opts.threads
                                 : harness::defaultJobs()),
-      cacheEnabled_(opts.cache), store_(opts.store)
+      store_(opts.store)
 {
 }
 
@@ -469,41 +441,34 @@ Engine::resolve(const std::vector<EvalJob> &jobs)
 
     // Cache hits and in-batch aliases. An alias is a job whose cache
     // key is owned by an earlier job in this batch; it reuses that
-    // job's result instead of recomputing. Without the cache every
-    // job is its own owner, even duplicates. The cache lock covers
-    // only the lookups: concurrent callers (the daemon's clients)
-    // share this engine.
+    // job's result instead of recomputing. The cache lock covers only
+    // the lookups: concurrent callers (the daemon's clients) share
+    // this engine.
     std::vector<size_t> owners;
     uint64_t batch_hits = 0;
     b.hits_.assign(n, 0);
-    if (!cacheEnabled_) {
-        for (size_t i = 0; i < n; ++i)
-            owners.push_back(i);
-    } else {
-        b.keys_.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            b.keys_[i] = batch[i].cacheKey();
-        {
-            std::lock_guard<std::mutex> lock(cacheMutex_);
-            for (size_t i = 0; i < n; ++i) {
-                if (auto hit = cache_.find(b.keys_[i]);
-                    hit != cache_.end())
-                    b.slots_[i] = hit->second;
-            }
-        }
-        std::unordered_map<uint64_t, size_t> owner;
+    b.keys_.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        b.keys_[i] = batch[i].cacheKey();
+    {
+        std::lock_guard<std::mutex> lock(cacheMutex_);
         for (size_t i = 0; i < n; ++i) {
-            if (b.slots_[i]) {
-                b.hits_[i] = 1;
-                ++batch_hits;
-            } else if (auto claimed = owner.find(b.keys_[i]);
-                       claimed != owner.end()) {
-                b.aliases_.push_back({i, claimed->second});
-                ++batch_hits;
-            } else {
-                owner[b.keys_[i]] = i;
-                owners.push_back(i);
-            }
+            if (auto hit = cache_.find(b.keys_[i]); hit != cache_.end())
+                b.slots_[i] = hit->second;
+        }
+    }
+    std::unordered_map<uint64_t, size_t> owner;
+    for (size_t i = 0; i < n; ++i) {
+        if (b.slots_[i]) {
+            b.hits_[i] = 1;
+            ++batch_hits;
+        } else if (auto claimed = owner.find(b.keys_[i]);
+                   claimed != owner.end()) {
+            b.aliases_.push_back({i, claimed->second});
+            ++batch_hits;
+        } else {
+            owner[b.keys_[i]] = i;
+            owners.push_back(i);
         }
     }
 
@@ -523,7 +488,7 @@ Engine::resolve(const std::vector<EvalJob> &jobs)
         b.slots_[i] = std::make_shared<EvalResult>(std::move(*hit));
         ++store_hits;
     }
-    if (cacheEnabled_) {
+    {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         cacheHits_ += batch_hits;
         if (store_hits > 0) {
@@ -625,7 +590,7 @@ Engine::run(Batch b, const std::vector<EvalSink *> &sinks,
         slots[idx] = slots[owner_idx];
         b.hits_[idx] = 1;
     }
-    if (cacheEnabled_ && !compute.empty()) {
+    if (!compute.empty()) {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         for (size_t idx : compute)
             cache_.emplace(b.keys_[idx], slots[idx]);

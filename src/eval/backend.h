@@ -36,10 +36,10 @@
  * re-parameterised per job), and McBackend's explorer checkpoints
  * and digest-keys its search (mc/explorer.h) — both pure wall-clock
  * machinery whose results are bit-identical to recomputation, so
- * cache identities never observe them. The GPULITMUS_MC_DEBUG_KEYS /
- * GPULITMUS_MC_NO_CHECKPOINTS environment knobs (McBackend::
- * optionsFor) switch the explorer back to the PR-3 code paths for
- * forensic cross-checks.
+ * cache identities never observe them. The GPULITMUS_MC_DEBUG_KEYS
+ * environment knob (McBackend::optionsFor) switches the explorer's
+ * state cache back to the PR-3 string keys for forensic
+ * cross-checks.
  */
 
 #ifndef GPULITMUS_EVAL_BACKEND_H
@@ -131,8 +131,8 @@ class Backend
     virtual EvalResult evaluate(const EvalJob &job) const = 0;
 };
 
-/** The operational simulator: wraps harness::runJob, so sim cells are
- * bit-identical to harness::run (same derived seeds). */
+/** The operational simulator: wraps harness::runJob, so a sim cell is
+ * bit-identical to runJob of the same job (same derived seed). */
 class SimBackend : public Backend
 {
   public:
@@ -237,16 +237,6 @@ std::vector<std::string> builtinBackendNames();
  * simulator). */
 std::vector<std::string> builtinModelNames();
 
-/**
- * A test as a given chip actually runs it: AMD chips run what their
- * (simulated) OpenCL compiler produces, Nvidia chips run the test as
- * written. Returns nullopt when the compiler miscompiles the test
- * (the paper's "n/a" cells); `quirks` collects compile notes.
- */
-std::optional<litmus::Test>
-compileForChip(const litmus::Test &test, const sim::ChipProfile &chip,
-               std::vector<std::string> *quirks = nullptr);
-
 /** Streaming sink for evaluation results, delivered in job order. */
 class EvalSink
 {
@@ -268,8 +258,6 @@ struct EngineOptions
 {
     /** Worker threads; 0 means harness::defaultJobs(). */
     int threads = 0;
-    /** Serve repeated cells from the in-process cache. */
-    bool cache = true;
     /** Optional persistent result store (serve/store.h): the L2
      * behind the in-process cache. Consulted on every cache miss
      * before any worker starts, fed every computed result. Not
@@ -283,9 +271,8 @@ struct EngineOptions
  * regardless of scheduling, because a job's result is a pure function
  * of the job (seeds derive from job keys, never from scheduling): sim
  * histograms are bit-identical at any thread count. Repeated cells
- * within and across run() calls are computed once per Engine when
- * caching is on — model jobs with the same (backend, test) collapse
- * onto one evaluation. Unknown backend ids are fatal. Safe to call
+ * within and across run() calls are computed once per Engine — model
+ * jobs with the same (backend, test) collapse onto one evaluation. Unknown backend ids are fatal. Safe to call
  * from several threads at once (the daemon's client handlers do).
  *
  * A run has two phases. resolve() does every lookup on the calling
@@ -323,7 +310,7 @@ class Engine
         std::vector<std::shared_ptr<const EvalResult>> slots_;
         /** 1 where the slot is a hit that run() re-points at its job. */
         std::vector<char> hits_;
-        std::vector<uint64_t> keys_;  ///< cache keys (cache on)
+        std::vector<uint64_t> keys_;  ///< cache keys
         std::vector<size_t> compute_; ///< job indices to evaluate
         /** (job index, index of the batch-mate it reuses). */
         std::vector<std::pair<size_t, size_t>> aliases_;
@@ -355,7 +342,6 @@ class Engine
 
   private:
     int threads_ = 1;
-    bool cacheEnabled_ = true;
     serve::ResultStore *store_ = nullptr;
 
     /** Result memo keyed by Job::cacheKey. */

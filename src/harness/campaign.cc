@@ -14,8 +14,6 @@
 
 namespace gpulitmus::harness {
 
-// ---- single-shot wrappers (formerly harness/runner.cc) --------------
-
 namespace {
 
 /** A positive integer from environment variable `name`; nullopt when
@@ -42,27 +40,6 @@ defaultIterations()
         positiveEnv("GPULITMUS_ITERS").value_or(100000));
 }
 
-litmus::Histogram
-run(const sim::ChipProfile &chip, const litmus::Test &test,
-    const RunConfig &config)
-{
-    // One job. The RNG stream is derived from the job key
-    // (splitmix64 over base seed, chip, test and incantation column),
-    // so this cell is bit-identical to the same cell in any batched
-    // sweep, at any thread count.
-    JobResult result = runJob(Job::fromConfig(chip, test, config));
-    litmus::Histogram hist = std::move(result.hist);
-    hist.rebind(test);
-    return hist;
-}
-
-uint64_t
-observePer100k(const sim::ChipProfile &chip, const litmus::Test &test,
-               const RunConfig &config)
-{
-    return runJob(Job::fromConfig(chip, test, config)).observedPer100k;
-}
-
 uint64_t
 splitmix64(uint64_t x)
 {
@@ -79,20 +56,6 @@ defaultJobs()
         return static_cast<int>(*v);
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-Job
-Job::fromConfig(const sim::ChipProfile &chip, const litmus::Test &test,
-                const RunConfig &config)
-{
-    Job job;
-    job.chip = chip;
-    job.test = test;
-    job.inc = config.inc;
-    job.iterations = config.iterations;
-    job.seed = config.seed;
-    job.maxMicroSteps = config.maxMicroSteps;
-    return job;
 }
 
 std::shared_ptr<const TestText>

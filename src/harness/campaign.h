@@ -14,8 +14,7 @@
  * purely from its own key (a splitmix64-mixed hash of base seed, chip,
  * test text and incantation column), never from scheduling, so the
  * histograms are bit-identical at any thread count — and identical to
- * what the single-shot `harness::run` wrapper produces for the same
- * cell.
+ * what runJob computes for the same cell on its own.
  *
  * runJob keeps one *compiled machine* per (chip, test) pair per
  * worker thread: the compiled program depends on neither the
@@ -39,21 +38,9 @@
 
 namespace gpulitmus::harness {
 
-// ---- single-shot interface (formerly harness/runner.h) --------------
-
-/** Parameters of one simulated cell (Sec. 4.2/4.3). */
-struct RunConfig
-{
-    /** Number of iterations; the paper uses 100k. */
-    uint64_t iterations = 100000;
-    /** Base RNG seed; every run is reproducible. The per-cell stream
-     * is derived from this plus the chip/test/incantation key. */
-    uint64_t seed = 0x6c69746d7573ULL; // "litmus"
-    /** Incantation combination (Sec. 4.3). */
-    sim::Incantations inc = sim::Incantations::all();
-    /** Per-iteration machine limits. */
-    int maxMicroSteps = 4000;
-};
+/** Base RNG seed of a Job ("litmus"). The per-cell stream is derived
+ * from it plus the chip/test/incantation key (Job::derivedSeed). */
+inline constexpr uint64_t kBaseSeed = 0x6c69746d7573ULL;
 
 /**
  * Iteration count from the GPULITMUS_ITERS environment variable, or
@@ -61,20 +48,6 @@ struct RunConfig
  * runtime down.
  */
 uint64_t defaultIterations();
-
-/** Run a test on a chip; returns the full histogram. Thin wrapper
- * over runJob: the cell is bit-identical — same
- * splitmix64-derived RNG stream — to the same cell inside a batched,
- * multi-threaded sweep. */
-litmus::Histogram run(const sim::ChipProfile &chip,
-                      const litmus::Test &test,
-                      const RunConfig &config = {});
-
-/** Shorthand: number of runs whose final state satisfied the
- * condition body, normalised to per-100k ("obs/100k"). */
-uint64_t observePer100k(const sim::ChipProfile &chip,
-                        const litmus::Test &test,
-                        const RunConfig &config = {});
 
 /** splitmix64 finaliser (Steele, Lea & Flood): a full-avalanche 64-bit
  * mix used to derive per-job seeds and hash job keys. */
@@ -133,7 +106,7 @@ struct Job
     sim::Incantations inc = sim::Incantations::all();
     uint64_t iterations = 100000;
     /** Base seed; the RNG stream is derived from key(), not used raw. */
-    uint64_t seed = 0x6c69746d7573ULL; // "litmus"
+    uint64_t seed = kBaseSeed;
     int maxMicroSteps = 4000;
     /** Display label for sinks; defaults to "<test>@<chip>" when empty. */
     std::string label;
@@ -141,10 +114,6 @@ struct Job
      * (serve::planJobs sets it); null means "render on demand". Whoever
      * replaces `test` on a job that carries it must reset it. */
     std::shared_ptr<const TestText> text;
-
-    static Job fromConfig(const sim::ChipProfile &chip,
-                          const litmus::Test &test,
-                          const RunConfig &config);
 
     bool isSim() const { return backend == kSimBackend; }
     /** Exhaustive exploration of the same machine: `iterations`
@@ -197,7 +166,8 @@ struct JobResult
 
 /** Execute one sim job synchronously on the calling thread. This is
  * the single source of truth for how a cell is simulated;
- * `harness::run` and eval::SimBackend both call it. */
+ * eval::SimBackend calls it. The result's histogram reads the test of
+ * the result's own job, so keep the JobResult while using it. */
 JobResult runJob(Job job);
 
 } // namespace gpulitmus::harness

@@ -56,8 +56,8 @@ class Histogram
     /**
      * Re-point at a content-identical Test instance. Engine results
      * are self-contained (they own the test the histogram references);
-     * the single-shot harness wrapper rebinds the returned histogram
-     * to the caller's instance so it stays valid on its own.
+     * a cache hit delivered for another job rebinds its histogram to
+     * that job's own test (eval::Engine).
      */
     void rebind(const Test &test) { test_ = &test; }
 

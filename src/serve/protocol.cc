@@ -16,6 +16,7 @@
 #include "litmus/parser.h"
 #include "model/checker.h"
 #include "obs/metrics.h"
+#include "opt/amd.h"
 #include "scenario/registry.h"
 #include "sim/chip.h"
 
@@ -411,7 +412,9 @@ class ResolvedTest
     }
 
     /** `chip`'s compilation (an AMD chip from the registry, so its
-     * short name identifies it). */
+     * short name identifies it): what its (simulated) OpenCL compiler
+     * emits, or nullopt when it miscompiles the test (the paper's
+     * "n/a" cells). */
     const Compiled &
     compiledFor(const sim::ChipProfile &chip) const
     {
@@ -419,9 +422,12 @@ class ResolvedTest
         auto &slot = compiled_[chip.shortName];
         if (!slot) {
             auto c = std::make_unique<Compiled>();
-            c->test = eval::compileForChip(loaded.test, chip, &c->quirks);
-            if (c->test)
+            opt::AmdCompileResult out = opt::amdCompile(loaded.test, chip);
+            c->quirks = std::move(out.quirks);
+            if (!out.miscompiled) {
+                c->test = std::move(out.compiled);
                 c->text = harness::TestText::of(*c->test);
+            }
             slot = std::move(c);
         }
         return *slot;
@@ -571,24 +577,20 @@ addJob(Plan *plan, const harness::Job &base, const litmus::Test &test)
  * The loop every planner shares: for each chip, take the test as that
  * chip runs it — as written on Nvidia, the memoised compilation on AMD,
  * recording compile notes and miscompiled (test, chip) cells in `plan`
- * — and hand `expand` the cell's base job plus that test. The base job
- * is labelled with the test's name, carries the shared rendering its
- * keys and store digests hash, sits on the `cfg` axes raised to the
- * test's micro-step floor, and has an empty test: expand adds each job
- * with addJob.
+ * — and hand `expand` the cell's job plus that test. That job is
+ * `base` labelled with the test's name, carrying the shared rendering
+ * its keys and store digests hash, its micro-step bound raised to the
+ * test's floor, and with an empty test: expand adds each job with
+ * addJob.
  */
 template <typename Expand>
 void
 planOnChips(const ResolvedTest &rt,
             const std::vector<sim::ChipProfile> &chips,
-            const harness::RunConfig &cfg, Plan *plan, Expand expand)
+            harness::Job base, Plan *plan, Expand expand)
 {
-    harness::Job base;
-    base.inc = cfg.inc;
-    base.iterations = cfg.iterations;
-    base.seed = cfg.seed;
     base.maxMicroSteps =
-        std::max(cfg.maxMicroSteps, rt.loaded.minMicroSteps);
+        std::max(base.maxMicroSteps, rt.loaded.minMicroSteps);
     base.label = rt.loaded.test.name;
     for (const auto &chip : chips) {
         const litmus::Test *to_run = &rt.loaded.test;
@@ -620,16 +622,16 @@ planSweep(const Request &req, const std::vector<ResolvedPtr> &tests,
         for (int c = 1; c <= 16; ++c)
             columns.push_back(c);
     }
-    harness::RunConfig cfg;
-    cfg.iterations = req.iterations;
-    cfg.seed = req.seed;
+    harness::Job base;
+    base.iterations = req.iterations;
+    base.seed = req.seed;
 
-    auto expand = [&](const harness::Job &base, const litmus::Test &test) {
+    auto expand = [&](const harness::Job &cell, const litmus::Test &test) {
         for (int col : columns)
-            addJob(plan, base, test).inc = sim::Incantations::fromColumn(col);
+            addJob(plan, cell, test).inc = sim::Incantations::fromColumn(col);
     };
     for (const auto &rt : tests)
-        planOnChips(*rt, chips, cfg, plan, expand);
+        planOnChips(*rt, chips, base, plan, expand);
 }
 
 bool
@@ -642,24 +644,24 @@ planValidate(const Request &req, const std::vector<ResolvedPtr> &tests,
             *error = "validate needs at least one model";
         return false;
     }
-    harness::RunConfig cfg;
-    cfg.iterations = req.iterations;
-    cfg.seed = req.seed;
-    cfg.inc = sim::Incantations::fromColumn(req.column);
+    harness::Job base;
+    base.iterations = req.iterations;
+    base.seed = req.seed;
+    base.inc = sim::Incantations::fromColumn(req.column);
 
     // The model jobs carry the compiled text of their sim cell so the
     // conformance join compares like with like.
-    auto expand = [&](const harness::Job &base, const litmus::Test &test) {
-        addJob(plan, base, test);
+    auto expand = [&](const harness::Job &cell, const litmus::Test &test) {
+        addJob(plan, cell, test);
         if (req.exact) {
             // One exhaustive exploration per sim cell, so the join
             // can upgrade imprecise verdicts to rare/unreachable.
-            harness::Job &mc_job = addJob(plan, base, test);
+            harness::Job &mc_job = addJob(plan, cell, test);
             mc_job.backend = harness::kMcBackend;
             mc_job.iterations = req.budget;
         }
         for (const auto &model : plan->models)
-            addJob(plan, base, test).backend = model;
+            addJob(plan, cell, test).backend = model;
     };
     for (const auto &rt : tests) {
         // Tests outside the model's scope (.ca / volatile accesses,
@@ -672,7 +674,7 @@ planValidate(const Request &req, const std::vector<ResolvedPtr> &tests,
             ++plan->outOfScope;
             continue;
         }
-        planOnChips(*rt, chips, cfg, plan, expand);
+        planOnChips(*rt, chips, base, plan, expand);
     }
     if (plan->jobs.empty()) {
         if (error) {
@@ -691,26 +693,26 @@ planExplore(const Request &req, const std::vector<ResolvedPtr> &tests,
             const std::vector<sim::ChipProfile> &chips, Plan *plan,
             std::string *error)
 {
-    harness::RunConfig cfg;
-    cfg.inc = sim::Incantations::fromColumn(req.column);
-    cfg.iterations = req.budget;
+    harness::Job base;
+    base.inc = sim::Incantations::fromColumn(req.column);
+    base.iterations = req.budget;
 
     // Out-of-scope tests still explore — the reachable set is a
     // property of the machine — but skip the model join, exactly as
     // validate skips them.
     bool in_scope = true;
-    auto expand = [&](const harness::Job &base, const litmus::Test &test) {
-        addJob(plan, base, test).backend = harness::kMcBackend;
+    auto expand = [&](const harness::Job &cell, const litmus::Test &test) {
+        addJob(plan, cell, test).backend = harness::kMcBackend;
         if (!in_scope)
             return;
         for (const auto &model : plan->models)
-            addJob(plan, base, test).backend = model;
+            addJob(plan, cell, test).backend = model;
     };
     for (const auto &rt : tests) {
         in_scope = rt->inScope;
         if (!in_scope)
             ++plan->outOfScope;
-        planOnChips(*rt, chips, cfg, plan, expand);
+        planOnChips(*rt, chips, base, plan, expand);
     }
     if (plan->jobs.empty()) {
         if (error)

@@ -18,10 +18,12 @@
  *            {"event":"done","id":"r1"}
  *
  * The planner (planJobs) is the one place a test grid is built —
- * per-chip compilation via eval::compileForChip, model-scope policy
- * via model::inModelScope, the defaults (chips, models, seeds,
- * budgets). The batch `gpulitmus sweep/validate/explore` commands are
- * its in-process clients: they turn their flags into a Request
+ * per-chip compilation (an AMD chip runs what its simulated OpenCL
+ * compiler emits, opt::amdCompile), model-scope policy via
+ * model::inModelScope, the defaults (chips, models, seeds, budgets).
+ * The batch `gpulitmus run/sweep/validate/explore` commands are its
+ * in-process clients (`run` is a one-cell sweep): they turn their
+ * flags into a Request
  * (requestFromFlags), plan it here, run the plan on eval::Engine and
  * take their exit status from summarize() — exactly what the daemon
  * does with a request line. A request submitted over the socket

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "axiom/enumerate.h"
 #include "cat/models.h"
 #include "litmus/library.h"
@@ -20,6 +24,34 @@ firstExecution(const litmus::Test &t)
     auto execs = axiom::enumerateExecutions(t);
     EXPECT_FALSE(execs.empty());
     return execs.front();
+}
+
+// First in the file: the built-in models must not have been touched
+// yet in this process when the threads race for them.
+TEST(CatModels, ConcurrentFirstUseIsRaceFree)
+{
+    // The daemon's client threads can reach models::all() together
+    // (a `list` next to a `validate`); every thread must get the same
+    // parsed singletons, with no data race (the TSan build checks).
+    constexpr int kThreads = 8;
+    using Models = std::vector<std::pair<std::string, const Model *>>;
+    std::vector<Models> seen(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            seen[static_cast<size_t>(t)] = models::all();
+        });
+    }
+    go = true;
+    for (auto &t : threads)
+        t.join();
+    ASSERT_EQ(seen[0].size(), 5u);
+    for (const auto &got : seen)
+        EXPECT_EQ(got, seen[0]);
+    EXPECT_EQ(seen[0][0].second, &models::ptx());
 }
 
 TEST(CatParse, AcceptsPaperModels)

@@ -124,55 +124,48 @@ TEST(Snippets, SourcesMentionTheFences)
 // harness run IS the wrong-result count (scenario/catalog.h). The
 // exact (mc) verdicts for these scenarios live in test_scenario.cc.
 
-harness::RunConfig
-appConfig(uint64_t iterations)
+/** runJob of scenario `test` on `chip` for `iterations` runs. */
+harness::JobResult
+runApp(const char *chip, const litmus::Test &test, uint64_t iterations)
 {
-    harness::RunConfig cfg;
-    cfg.iterations = iterations;
-    cfg.maxMicroSteps = 20000; // spin loops need headroom
-    return cfg;
+    harness::Job job;
+    job.chip = sim::chip(chip);
+    job.test = test;
+    job.iterations = iterations;
+    job.maxMicroSteps = 20000; // spin loops need headroom
+    return harness::runJob(std::move(job));
 }
 
 TEST(Apps, DotProductWrongWithoutFences)
 {
-    litmus::Histogram buggy =
-        harness::run(sim::chip("TesC"),
-                     scenario::spinlockDotProduct(3, false),
-                     appConfig(4000));
-    EXPECT_GT(buggy.observed(), 0u);
-    EXPECT_LT(buggy.observed(), buggy.total()); // mostly right
+    harness::JobResult buggy =
+        runApp("TesC", scenario::spinlockDotProduct(3, false), 4000);
+    EXPECT_GT(buggy.hist.observed(), 0u);
+    EXPECT_LT(buggy.hist.observed(), buggy.hist.total()); // mostly right
 }
 
 TEST(Apps, DotProductCorrectWithFences)
 {
-    litmus::Histogram fixed =
-        harness::run(sim::chip("TesC"),
-                     scenario::spinlockDotProduct(3, true),
-                     appConfig(4000));
-    EXPECT_EQ(fixed.observed(), 0u);
+    EXPECT_EQ(runApp("TesC", scenario::spinlockDotProduct(3, true), 4000)
+                  .hist.observed(),
+              0u);
 }
 
 TEST(Apps, DotProductCorrectOnMaxwellEitherWay)
 {
-    litmus::Histogram hist =
-        harness::run(sim::chip("GTX7"),
-                     scenario::spinlockDotProduct(3, false),
-                     appConfig(3000));
-    EXPECT_EQ(hist.observed(), 0u);
+    EXPECT_EQ(runApp("GTX7", scenario::spinlockDotProduct(3, false), 3000)
+                  .hist.observed(),
+              0u);
 }
 
 TEST(Apps, WorkStealingLosesTasksWithoutFences)
 {
-    litmus::Histogram buggy =
-        harness::run(sim::chip("Titan"),
-                     scenario::workStealingDeque(false),
-                     appConfig(30000));
-    EXPECT_GT(buggy.observed(), 0u);
-    litmus::Histogram fixed =
-        harness::run(sim::chip("Titan"),
-                     scenario::workStealingDeque(true),
-                     appConfig(10000));
-    EXPECT_EQ(fixed.observed(), 0u);
+    EXPECT_GT(runApp("Titan", scenario::workStealingDeque(false), 30000)
+                  .hist.observed(),
+              0u);
+    EXPECT_EQ(runApp("Titan", scenario::workStealingDeque(true), 10000)
+                  .hist.observed(),
+              0u);
 }
 
 } // namespace

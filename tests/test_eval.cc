@@ -55,10 +55,22 @@ corpusSpec(const std::string &name)
     return spec.value_or(serve::TestSpec{});
 }
 
+/** mp on the Titan as one sim job of `iterations` runs, at the job
+ * defaults (column 16, the base seed). */
+harness::Job
+mpOnTitan(uint64_t iterations)
+{
+    harness::Job job;
+    job.chip = sim::chip("Titan");
+    job.test = pl::mp();
+    job.iterations = iterations;
+    return job;
+}
+
 /** A `cmd` request over the paper-library tests `names` on `chips`
  * (empty: the command's default), `iterations` per sim cell, at the
- * harness::RunConfig base seed the grids here have always sampled with
- * (the CLI's --seed default differs). */
+ * harness::kBaseSeed the grids here have always sampled with (the
+ * CLI's --seed default differs). */
 serve::Request
 request(const std::string &cmd, const std::vector<std::string> &names,
         std::vector<std::string> chips, uint64_t iterations)
@@ -69,7 +81,7 @@ request(const std::string &cmd, const std::vector<std::string> &names,
         req.tests.push_back({name, "", ""});
     req.chips = std::move(chips);
     req.iterations = iterations;
-    req.seed = harness::RunConfig{}.seed;
+    req.seed = harness::kBaseSeed;
     return req;
 }
 
@@ -153,19 +165,16 @@ TEST(BackendRegistry, BadCatFileReportsParseError)
 
 TEST(SimBackend, MatchesHarnessRunBitForBit)
 {
-    harness::RunConfig cfg;
-    cfg.iterations = 1500;
-    litmus::Histogram direct = harness::run(sim::chip("Titan"),
-                                            pl::mp(), cfg);
+    harness::Job job = mpOnTitan(1500);
+    harness::JobResult direct = harness::runJob(job);
 
     SimBackend backend;
-    EvalResult result = backend.evaluate(
-        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg));
+    EvalResult result = backend.evaluate(job);
     ASSERT_TRUE(result.hasHist());
     EXPECT_FALSE(result.hasVerdict());
     EXPECT_EQ(result.backend, harness::kSimBackend);
-    EXPECT_EQ(result.hist->counts(), direct.counts());
-    EXPECT_EQ(result.hist->observed(), direct.observed());
+    EXPECT_EQ(result.hist->counts(), direct.hist.counts());
+    EXPECT_EQ(result.hist->observed(), direct.hist.observed());
 }
 
 TEST(AxiomBackend, MatchesCheckerVerdict)
@@ -190,9 +199,7 @@ TEST(EvalJob, SimKeysUnchangedByBackendRedesign)
 {
     // A default job IS a sim job: the backend field must not perturb
     // the PR-1 key/seed derivation.
-    harness::RunConfig cfg;
-    harness::Job job =
-        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    harness::Job job = mpOnTitan(100000);
     EXPECT_TRUE(job.isSim());
     harness::Job named = job;
     named.backend = harness::kSimBackend;
@@ -203,9 +210,7 @@ TEST(EvalJob, SimKeysUnchangedByBackendRedesign)
 
 TEST(EvalJob, ModelKeysIgnoreSimAxesButNotBackendOrTest)
 {
-    harness::RunConfig cfg;
-    harness::Job job =
-        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    harness::Job job = mpOnTitan(100000);
     job.backend = "ptx";
 
     harness::Job other_cell = job;
@@ -412,7 +417,6 @@ TEST(EvalEngine, SimCampaignBitIdenticalToRunJobAt1And8Threads)
     for (int threads : {1, 8}) {
         EngineOptions opts;
         opts.threads = threads;
-        opts.cache = false;
         Engine engine(opts);
         auto actual = engine.run(jobs);
 
@@ -430,10 +434,7 @@ TEST(EvalEngine, SimCampaignBitIdenticalToRunJobAt1And8Threads)
 
 TEST(EvalEngine, CacheServesRepeatedCells)
 {
-    harness::RunConfig cfg;
-    cfg.iterations = 300;
-    harness::Job job =
-        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    harness::Job job = mpOnTitan(300);
 
     Engine engine;
     // Duplicate cell within one batch: computed once, aliased once.
@@ -480,10 +481,7 @@ expectSameJob(const harness::Job &got, const harness::Job &want)
 
 TEST(EvalEngine, HitsKeepTheRequestedJobsIdentity)
 {
-    harness::RunConfig cfg;
-    cfg.iterations = 300;
-    harness::Job a =
-        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
+    harness::Job a = mpOnTitan(300);
     a.label = "a";
     Engine engine;
     auto cold = engine.run({a});
@@ -612,24 +610,6 @@ TEST(EvalEngine, CacheAndStoreCellsEqualColdCells)
     EXPECT_NE(cold.back().find("\"label\":\"mp-again\""),
               std::string::npos);
     std::filesystem::remove_all(dir);
-}
-
-TEST(EvalEngine, CacheCanBeDisabled)
-{
-    harness::RunConfig cfg;
-    cfg.iterations = 200;
-    harness::Job job =
-        harness::Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
-    EngineOptions opts;
-    opts.cache = false;
-    Engine engine(opts);
-    auto batch = engine.run({job, job});
-    EXPECT_FALSE(batch[0].fromCache);
-    EXPECT_FALSE(batch[1].fromCache);
-    EXPECT_EQ(engine.cacheHits(), 0u);
-    EXPECT_EQ(engine.cacheSize(), 0u);
-    // Still deterministic: both computed the same stream.
-    EXPECT_EQ(batch[0].hist->counts(), batch[1].hist->counts());
 }
 
 TEST(EvalEngine, ProgressCallbackCountsComputedJobs)

@@ -25,6 +25,29 @@ namespace {
 
 namespace pl = litmus::paperlib;
 
+/** `test` on `chip` as one sim Job: `iterations` runs under `inc` at
+ * the base seed. */
+Job
+cell(const sim::ChipProfile &chip, const litmus::Test &test,
+     uint64_t iterations, sim::Incantations inc = sim::Incantations::all())
+{
+    Job job;
+    job.chip = chip;
+    job.test = test;
+    job.iterations = iterations;
+    job.inc = inc;
+    return job;
+}
+
+/** runJob of cell(sim::chip(chip), ...): its observation count. */
+uint64_t
+observed(const char *chip, const litmus::Test &test, uint64_t iterations,
+         sim::Incantations inc = sim::Incantations::all())
+{
+    return runJob(cell(sim::chip(chip), test, iterations, inc))
+        .hist.observed();
+}
+
 /** The litmus-tests/ corpus, parsed. */
 std::vector<litmus::Test>
 loadCorpus()
@@ -65,10 +88,8 @@ TEST(Runner, RunJobMatchesPerIterationRecordingOverTheCorpus)
     for (const auto &test : corpus) {
         for (const auto &chip : sim::allChips()) {
             for (int column : {1, 6, 8, 12, 16}) {
-                RunConfig cfg;
-                cfg.iterations = 2000;
-                cfg.inc = sim::Incantations::fromColumn(column);
-                Job job = Job::fromConfig(chip, test, cfg);
+                Job job = cell(chip, test, 2000,
+                               sim::Incantations::fromColumn(column));
 
                 litmus::Histogram ref(test);
                 sim::MachineOptions opts;
@@ -192,9 +213,8 @@ TEST(Runner, SamplerInstantiationMatchesTheVirtualOneOverTheCorpus)
 
 TEST(Runner, HistogramTotalsMatchIterations)
 {
-    RunConfig cfg;
-    cfg.iterations = 500;
-    litmus::Histogram h = run(sim::chip("Titan"), pl::mp(), cfg);
+    JobResult r = runJob(cell(sim::chip("Titan"), pl::mp(), 500));
+    const litmus::Histogram &h = r.hist;
     EXPECT_EQ(h.total(), 500u);
     uint64_t sum = 0;
     for (const auto &[key, count] : h.counts())
@@ -208,49 +228,49 @@ TEST(Runner, MachineReuseAcrossOptionsIsBitIdentical)
     // compiled machine, re-parameterised per job via setOptions.
     // Interleaving columns and chips must leave each cell
     // bit-identical to what a freshly compiled machine computes.
-    RunConfig c16;
-    c16.iterations = 3000;
+    Job c16 = cell(sim::chip("Titan"), pl::mp(), 3000,
+                   sim::Incantations::fromColumn(16));
     c16.seed = 12345;
-    c16.inc = sim::Incantations::fromColumn(16);
-    RunConfig c1 = c16;
+    Job c1 = c16;
     c1.inc = sim::Incantations::fromColumn(1);
 
-    litmus::Histogram first = run(sim::chip("Titan"), pl::mp(), c16);
+    JobResult first = runJob(c16);
     // Reconfigure the cached machine (same chip/test, column 1) and
     // touch a second chip and a second test in between.
-    run(sim::chip("Titan"), pl::mp(), c1);
-    run(sim::chip("GTX5"), pl::mp(), c16);
-    run(sim::chip("Titan"), pl::sb(), c16);
-    litmus::Histogram again = run(sim::chip("Titan"), pl::mp(), c16);
-    EXPECT_EQ(first.counts(), again.counts());
-    EXPECT_EQ(first.observed(), again.observed());
+    runJob(c1);
+    Job other_chip = c16;
+    other_chip.chip = sim::chip("GTX5");
+    runJob(other_chip);
+    Job other_test = c16;
+    other_test.test = pl::sb();
+    runJob(other_test);
+    JobResult again = runJob(c16);
+    EXPECT_EQ(first.hist.counts(), again.hist.counts());
+    EXPECT_EQ(first.hist.observed(), again.hist.observed());
 }
 
 TEST(Runner, ReproducibleWithSameSeed)
 {
-    RunConfig cfg;
-    cfg.iterations = 2000;
-    litmus::Histogram a = run(sim::chip("TesC"), pl::sb(), cfg);
-    litmus::Histogram b = run(sim::chip("TesC"), pl::sb(), cfg);
-    EXPECT_EQ(a.observed(), b.observed());
-    EXPECT_EQ(a.counts(), b.counts());
+    Job job = cell(sim::chip("TesC"), pl::sb(), 2000);
+    JobResult a = runJob(job);
+    JobResult b = runJob(job);
+    EXPECT_EQ(a.hist.observed(), b.hist.observed());
+    EXPECT_EQ(a.hist.counts(), b.hist.counts());
 }
 
 TEST(Runner, DifferentSeedsDiffer)
 {
-    RunConfig a_cfg, b_cfg;
-    a_cfg.iterations = b_cfg.iterations = 5000;
-    b_cfg.seed = a_cfg.seed + 1;
-    litmus::Histogram a = run(sim::chip("Titan"), pl::sb(), a_cfg);
-    litmus::Histogram b = run(sim::chip("Titan"), pl::sb(), b_cfg);
+    Job a_job = cell(sim::chip("Titan"), pl::sb(), 5000);
+    Job b_job = a_job;
+    b_job.seed = a_job.seed + 1;
+    JobResult a = runJob(a_job);
+    JobResult b = runJob(b_job);
     // Weak counts fluctuate between seeds (they are samples).
-    EXPECT_NE(a.counts(), b.counts());
+    EXPECT_NE(a.hist.counts(), b.hist.counts());
 }
 
 TEST(Runner, ObservePer100kNormalises)
 {
-    RunConfig cfg;
-    cfg.iterations = 1000;
     // A test whose condition always holds: final x=1 after one store.
     litmus::Test t = litmus::TestBuilder("always")
                          .global("x", 0)
@@ -258,7 +278,8 @@ TEST(Runner, ObservePer100kNormalises)
                          .intraCta()
                          .exists("x=1")
                          .build();
-    EXPECT_EQ(observePer100k(sim::chip("Titan"), t, cfg), 100000u);
+    EXPECT_EQ(runJob(cell(sim::chip("Titan"), t, 1000)).observedPer100k,
+              100000u);
 }
 
 TEST(Runner, DefaultIterationsFromEnv)
@@ -273,71 +294,52 @@ TEST(Runner, DefaultIterationsFromEnv)
 
 TEST(Runner, MpAllOutcomesAppear)
 {
-    RunConfig cfg;
-    cfg.iterations = 20000;
-    litmus::Histogram h = run(sim::chip("Titan"), pl::mp(), cfg);
+    JobResult r = runJob(cell(sim::chip("Titan"), pl::mp(), 20000));
     // All four r1/r2 combinations should be reachable under stress.
-    EXPECT_EQ(h.counts().size(), 4u);
+    EXPECT_EQ(r.hist.counts().size(), 4u);
 }
 
 TEST(Incantations, StressIsRequiredOnNvidia)
 {
-    RunConfig with, without;
-    with.iterations = without.iterations = 8000;
-    with.inc = sim::Incantations::all();
-    without.inc = sim::Incantations::all();
-    without.inc.memoryStress = false;
-    without.inc.bankConflicts = false;
-    EXPECT_GT(run(sim::chip("Titan"), pl::sb(), with).observed(), 0u);
-    EXPECT_EQ(run(sim::chip("Titan"), pl::sb(), without).observed(),
-              0u);
+    sim::Incantations without = sim::Incantations::all();
+    without.memoryStress = false;
+    without.bankConflicts = false;
+    EXPECT_GT(observed("Titan", pl::sb(), 8000), 0u);
+    EXPECT_EQ(observed("Titan", pl::sb(), 8000, without), 0u);
 }
 
 TEST(Incantations, AmdWeakWithoutStress)
 {
-    RunConfig cfg;
-    cfg.iterations = 8000;
-    cfg.inc = sim::Incantations::none();
-    EXPECT_GT(run(sim::chip("HD7970"), pl::lb(), cfg).observed(), 0u);
+    EXPECT_GT(
+        observed("HD7970", pl::lb(), 8000, sim::Incantations::none()),
+        0u);
 }
 
 TEST(Incantations, SyncIncreasesInterCtaIncidence)
 {
-    RunConfig base, sync;
-    base.iterations = sync.iterations = 30000;
-    base.inc = sim::Incantations::fromColumn(9);  // stress only
-    sync.inc = sim::Incantations::fromColumn(11); // stress + sync
-    uint64_t without_sync =
-        run(sim::chip("Titan"), pl::sb(), base).observed();
-    uint64_t with_sync =
-        run(sim::chip("Titan"), pl::sb(), sync).observed();
+    uint64_t without_sync = observed( // stress only
+        "Titan", pl::sb(), 30000, sim::Incantations::fromColumn(9));
+    uint64_t with_sync = observed( // stress + sync
+        "Titan", pl::sb(), 30000, sim::Incantations::fromColumn(11));
     EXPECT_GT(with_sync, without_sync);
 }
 
 TEST(Incantations, BankConflictsNeededForCoRRWithoutStress)
 {
-    RunConfig bank_rand, rand_only;
-    bank_rand.iterations = rand_only.iterations = 20000;
-    bank_rand.inc = sim::Incantations::fromColumn(6); // bank + rand
-    rand_only.inc = sim::Incantations::fromColumn(2); // rand alone
-    EXPECT_GT(
-        run(sim::chip("Titan"), pl::coRR(), bank_rand).observed(),
-        0u);
-    EXPECT_EQ(
-        run(sim::chip("Titan"), pl::coRR(), rand_only).observed(),
-        0u);
+    EXPECT_GT(observed("Titan", pl::coRR(), 20000, // bank + rand
+                       sim::Incantations::fromColumn(6)),
+              0u);
+    EXPECT_EQ(observed("Titan", pl::coRR(), 20000, // rand alone
+                       sim::Incantations::fromColumn(2)),
+              0u);
 }
 
 TEST(Incantations, BankConflictsDampenInterCtaOnNvidia)
 {
-    RunConfig c12, c16;
-    c12.iterations = c16.iterations = 40000;
-    c12.inc = sim::Incantations::fromColumn(12);
-    c16.inc = sim::Incantations::fromColumn(16);
-    uint64_t without_bank =
-        run(sim::chip("Titan"), pl::lb(), c12).observed();
-    uint64_t with_bank =
-        run(sim::chip("Titan"), pl::lb(), c16).observed();
+    uint64_t without_bank = observed("Titan", pl::lb(), 40000,
+                                     sim::Incantations::fromColumn(12));
+    uint64_t with_bank = observed("Titan", pl::lb(), 40000,
+                                  sim::Incantations::fromColumn(16));
     EXPECT_GT(without_bank, with_bank);
 }
 
@@ -347,9 +349,8 @@ TEST(Incantations, BankConflictsDampenInterCtaOnNvidia)
 
 TEST(Job, JobKeysDistinguishChipsAndColumns)
 {
-    RunConfig cfg;
-    Job a = Job::fromConfig(sim::chip("Titan"), pl::mp(), cfg);
-    Job b = Job::fromConfig(sim::chip("TesC"), pl::mp(), cfg);
+    Job a = cell(sim::chip("Titan"), pl::mp(), 100000);
+    Job b = cell(sim::chip("TesC"), pl::mp(), 100000);
     Job c = a;
     c.inc = sim::Incantations::fromColumn(9);
     Job d = a;

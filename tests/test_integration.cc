@@ -80,10 +80,12 @@ TEST_P(Corpus, RunsAndRespectsQuantifier)
 {
     auto test = litmus::parseTest(readFile(GetParam()));
     ASSERT_TRUE(test.has_value());
-    harness::RunConfig cfg;
-    cfg.iterations = 3000;
-    litmus::Histogram hist = harness::run(sim::chip("Titan"), *test,
-                                          cfg);
+    harness::Job job;
+    job.chip = sim::chip("Titan");
+    job.test = *test;
+    job.iterations = 3000;
+    harness::JobResult run = harness::runJob(job);
+    const litmus::Histogram &hist = run.hist;
     EXPECT_EQ(hist.total(), 3000u);
     if (test->quantifier == litmus::Quantifier::NotExists) {
         EXPECT_EQ(hist.observed(), 0u)

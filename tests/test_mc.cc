@@ -83,19 +83,29 @@ countOf(const litmus::Histogram &hist, const std::string &key)
     return it == hist.counts().end() ? 0 : it->second;
 }
 
+/** runJob of `test` on `chip` under `column`: `iterations` runs at
+ * base seed `seed`. */
+harness::JobResult
+sample(const char *chip, const litmus::Test &test, int column,
+       uint64_t iterations, uint64_t seed = harness::kBaseSeed)
+{
+    harness::Job job;
+    job.chip = sim::chip(chip);
+    job.test = test;
+    job.inc = sim::Incantations::fromColumn(column);
+    job.iterations = iterations;
+    job.seed = seed;
+    return harness::runJob(std::move(job));
+}
+
 TEST(ChoiceRefactor, SamplerBitIdenticalToGoldenMp)
 {
     litmus::Test mp = loadCorpus("mp.litmus");
-    harness::RunConfig cfg;
-    cfg.iterations = 5000;
-    cfg.seed = 12345;
-    cfg.inc = sim::Incantations::fromColumn(16);
-    litmus::Histogram hist =
-        harness::run(sim::chip("Titan"), mp, cfg);
-    EXPECT_EQ(countOf(hist, "1:r1=0; 1:r2=0;"), 1899u);
-    EXPECT_EQ(countOf(hist, "1:r1=0; 1:r2=1;"), 1652u);
-    EXPECT_EQ(countOf(hist, "1:r1=1; 1:r2=0;"), 123u);
-    EXPECT_EQ(countOf(hist, "1:r1=1; 1:r2=1;"), 1326u);
+    harness::JobResult r = sample("Titan", mp, 16, 5000, 12345);
+    EXPECT_EQ(countOf(r.hist, "1:r1=0; 1:r2=0;"), 1899u);
+    EXPECT_EQ(countOf(r.hist, "1:r1=0; 1:r2=1;"), 1652u);
+    EXPECT_EQ(countOf(r.hist, "1:r1=1; 1:r2=0;"), 123u);
+    EXPECT_EQ(countOf(r.hist, "1:r1=1; 1:r2=1;"), 1326u);
 }
 
 TEST(ChoiceRefactor, SamplerBitIdenticalToGoldenAcrossColumns)
@@ -107,13 +117,9 @@ TEST(ChoiceRefactor, SamplerBitIdenticalToGoldenAcrossColumns)
         uint64_t observed;
     } golden[] = {{1, 0}, {6, 16}, {8, 72}, {12, 157}, {16, 123}};
     for (const auto &g : golden) {
-        harness::RunConfig cfg;
-        cfg.iterations = 5000;
-        cfg.seed = 12345;
-        cfg.inc = sim::Incantations::fromColumn(g.column);
-        litmus::Histogram hist =
-            harness::run(sim::chip("Titan"), mp, cfg);
-        EXPECT_EQ(hist.observed(), g.observed)
+        EXPECT_EQ(sample("Titan", mp, g.column, 5000, 12345)
+                      .hist.observed(),
+                  g.observed)
             << "column " << g.column;
     }
 }
@@ -131,13 +137,9 @@ TEST(ChoiceRefactor, SamplerBitIdenticalToGoldenOtherTests)
                   {"corr-l2-l1.litmus", 3}};
     for (const auto &g : golden) {
         litmus::Test test = loadCorpus(g.file);
-        harness::RunConfig cfg;
-        cfg.iterations = 5000;
-        cfg.seed = 12345;
-        cfg.inc = sim::Incantations::fromColumn(16);
-        litmus::Histogram hist =
-            harness::run(sim::chip("Titan"), test, cfg);
-        EXPECT_EQ(hist.observed(), g.observed) << g.file;
+        EXPECT_EQ(sample("Titan", test, 16, 5000, 12345).hist.observed(),
+                  g.observed)
+            << g.file;
     }
 }
 
@@ -159,13 +161,9 @@ TEST(ChoiceRefactor, SamplerBitIdenticalToGoldenInterCtaL1)
                   {"Titan", 6, 36},  {"Titan", 16, 384}};
     litmus::Test test = litmus::paperlib::mpL1(std::nullopt);
     for (const auto &g : golden) {
-        harness::RunConfig cfg;
-        cfg.iterations = 5000;
-        cfg.seed = 12345;
-        cfg.inc = sim::Incantations::fromColumn(g.column);
-        litmus::Histogram hist =
-            harness::run(sim::chip(g.chip), test, cfg);
-        EXPECT_EQ(hist.observed(), g.observed)
+        EXPECT_EQ(sample(g.chip, test, g.column, 5000, 12345)
+                      .hist.observed(),
+                  g.observed)
             << g.chip << " column " << g.column;
     }
 }
@@ -270,12 +268,8 @@ TEST(Explorer, SamplerNeverEscapesTheExactSet)
           litmus::paperlib::mp(std::nullopt, /*inter_cta=*/false)}) {
         mc::ExploreResult r = explore(test, "Titan", 16);
         ASSERT_TRUE(r.complete) << test.name;
-        harness::RunConfig cfg;
-        cfg.iterations = 2000;
-        cfg.inc = sim::Incantations::fromColumn(16);
-        litmus::Histogram hist =
-            harness::run(sim::chip("Titan"), test, cfg);
-        for (const auto &[key, count] : hist.counts()) {
+        harness::JobResult sampled = sample("Titan", test, 16, 2000);
+        for (const auto &[key, count] : sampled.hist.counts()) {
             if (count > 0) {
                 EXPECT_TRUE(r.reachable(key))
                     << test.name << ": sampled '" << key
@@ -728,7 +722,7 @@ TEST(McBackend, EngineRunsAndCachesMcJobs)
     job.test = mp;
     job.inc = sim::Incantations::fromColumn(16);
 
-    eval::Engine engine(eval::EngineOptions{2, true});
+    eval::Engine engine(eval::EngineOptions{2});
     auto first = engine.run({job});
     ASSERT_EQ(first.size(), 1u);
     ASSERT_TRUE(first[0].hasExact());
@@ -756,7 +750,7 @@ TEST(McBackend, ValidateExactMixesSimMcAndModels)
     req.chips = {"Titan", "GTX5"};
     req.models = {"ptx"};
     req.iterations = 200;
-    req.seed = harness::RunConfig{}.seed;
+    req.seed = harness::kBaseSeed;
     req.budget = 1u << 20;
     req.exact = true;
     serve::Plan plan;
@@ -766,7 +760,7 @@ TEST(McBackend, ValidateExactMixesSimMcAndModels)
     ASSERT_EQ(jobs.size(), 6u);
 
     eval::ConformanceSink conformance;
-    eval::Engine engine(eval::EngineOptions{2, true});
+    eval::Engine engine(eval::EngineOptions{2});
     engine.run(jobs, {&conformance});
 
     // 2 chips x 1 model verdict per chip cell (sim+exact collapse
@@ -800,7 +794,7 @@ TEST(Conformance, ImpreciseUpgradesToRareWithWeight)
     model_job.backend = "ptx";
 
     eval::ConformanceSink sink;
-    eval::Engine engine(eval::EngineOptions{2, true});
+    eval::Engine engine(eval::EngineOptions{2});
     engine.run({sim_job, mc_job, model_job}, {&sink});
 
     ASSERT_EQ(sink.cells().size(), 1u);
@@ -842,7 +836,7 @@ TEST(Conformance, ImpreciseUpgradesToUnreachableOnStrongChip)
     model_job.backend = "ptx";
 
     eval::ConformanceSink sink;
-    eval::Engine engine(eval::EngineOptions{2, true});
+    eval::Engine engine(eval::EngineOptions{2});
     engine.run({sim_job, mc_job, model_job}, {&sink});
 
     ASSERT_EQ(sink.cells().size(), 1u);
@@ -872,7 +866,7 @@ TEST(Conformance, BudgetExhaustionYieldsBoundedCell)
     model_job.backend = "ptx";
 
     eval::ConformanceSink sink;
-    eval::Engine engine(eval::EngineOptions{1, true});
+    eval::Engine engine(eval::EngineOptions{1});
     engine.run({sim_job, mc_job, model_job}, {&sink});
 
     ASSERT_EQ(sink.cells().size(), 1u);
@@ -898,7 +892,7 @@ TEST(Conformance, McOnlyCellsClassifyFromTheExactSet)
     model_job.backend = "ptx";
 
     eval::ConformanceSink sink;
-    eval::Engine engine(eval::EngineOptions{2, true});
+    eval::Engine engine(eval::EngineOptions{2});
     engine.run({mc_job, model_job}, {&sink});
 
     ASSERT_EQ(sink.cells().size(), 1u);
@@ -915,7 +909,7 @@ TEST(Conformance, ExactSetAgreesWithPtxOnCorpusSample)
     // in-scope corpus on two chips produce no reachable-but-
     // forbidden state (0 unsound) and no sampling escapee.
     eval::ConformanceSink sink;
-    eval::Engine engine(eval::EngineOptions{2, true});
+    eval::Engine engine(eval::EngineOptions{2});
     std::vector<harness::Job> jobs;
     for (const char *file :
          {"mp.litmus", "sb.litmus", "lb.litmus",

@@ -104,14 +104,15 @@ TEST(McDiff, CorpusSampledOutcomesSubsetOfExact)
         litmus::Test test = loadCorpus(file);
         mc::ExploreResult exact = exploreTest(test, "Titan", 16, {});
         ASSERT_TRUE(exact.complete) << file;
+        harness::Job job;
+        job.chip = sim::chip("Titan");
+        job.test = test;
+        job.inc = sim::Incantations::fromColumn(16);
+        job.iterations = 1000;
         for (uint64_t seed : {1u, 2u, 3u}) {
-            harness::RunConfig cfg;
-            cfg.iterations = 1000;
-            cfg.seed = seed;
-            cfg.inc = sim::Incantations::fromColumn(16);
-            litmus::Histogram hist =
-                harness::run(sim::chip("Titan"), test, cfg);
-            for (const auto &[key, count] : hist.counts()) {
+            job.seed = seed;
+            harness::JobResult sampled = harness::runJob(job);
+            for (const auto &[key, count] : sampled.hist.counts()) {
                 if (count > 0) {
                     EXPECT_TRUE(exact.reachable(key))
                         << file << " seed " << seed << ": sampled '"
@@ -143,15 +144,16 @@ TEST(McDiff, ScenarioSampledOutcomesSubsetOfExact)
             exploreTest(built->test, "TesC", 16, opts);
         if (!exact.complete && !exact.fairComplete)
             continue;
+        harness::Job job;
+        job.chip = sim::chip("TesC");
+        job.test = built->test;
+        job.inc = sim::Incantations::fromColumn(16);
+        job.iterations = 300;
+        job.maxMicroSteps = built->maxMicroSteps;
         for (uint64_t seed : {7u, 8u, 9u}) {
-            harness::RunConfig cfg;
-            cfg.iterations = 300;
-            cfg.seed = seed;
-            cfg.maxMicroSteps = built->maxMicroSteps;
-            cfg.inc = sim::Incantations::fromColumn(16);
-            litmus::Histogram hist =
-                harness::run(sim::chip("TesC"), built->test, cfg);
-            for (const auto &[key, count] : hist.counts()) {
+            job.seed = seed;
+            harness::JobResult sampled = harness::runJob(job);
+            for (const auto &[key, count] : sampled.hist.counts()) {
                 if (count > 0) {
                     EXPECT_TRUE(exact.reachable(key))
                         << spec << " seed " << seed << ": sampled '"

@@ -282,11 +282,13 @@ TEST_F(ObsTest, TraceWriteFileRoundTrips)
 harness::Job
 simJob(const litmus::Test &test, uint64_t iterations = 2000)
 {
-    harness::RunConfig cfg;
-    cfg.iterations = iterations;
-    cfg.seed = 12345;
-    cfg.inc = sim::Incantations::fromColumn(16);
-    return harness::Job::fromConfig(sim::chip("Titan"), test, cfg);
+    harness::Job job;
+    job.chip = sim::chip("Titan");
+    job.test = test;
+    job.iterations = iterations;
+    job.seed = 12345;
+    job.inc = sim::Incantations::fromColumn(16);
+    return job;
 }
 
 TEST_F(ObsTest, EngineTicksJobAndCacheCounters)

@@ -339,7 +339,7 @@ validateExact(const std::vector<std::string> &specs,
     req.chips = {"Titan"};
     req.models = models;
     req.iterations = iterations;
-    req.seed = harness::RunConfig{}.seed;
+    req.seed = harness::kBaseSeed;
     req.budget = budget;
     req.exact = true;
     std::string error;
@@ -412,8 +412,8 @@ TEST(ScenarioJobs, AllScenariosUnderAllFourBackends)
             job.test = built->test;
             job.text.reset();
             job.label = built->test.name;
-            job.maxMicroSteps = std::max(
-                harness::RunConfig{}.maxMicroSteps, built->maxMicroSteps);
+            job.maxMicroSteps = std::max(harness::Job{}.maxMicroSteps,
+                                         built->maxMicroSteps);
             jobs.push_back(std::move(job));
         }
     }

@@ -64,11 +64,11 @@ harness::Job
 simJob(const litmus::Test &test, uint64_t iterations = 500,
        uint64_t seed = 0x6c69)
 {
-    harness::RunConfig cfg;
-    cfg.iterations = iterations;
-    cfg.seed = seed;
-    harness::Job job =
-        harness::Job::fromConfig(sim::chip("Titan"), test, cfg);
+    harness::Job job;
+    job.chip = sim::chip("Titan");
+    job.test = test;
+    job.iterations = iterations;
+    job.seed = seed;
     job.label = test.name;
     return job;
 }

@@ -53,13 +53,15 @@ TEST_P(Soundness, SimulatedBehavioursAllowedByPtxModel)
     model::Checker checker(cat::models::ptx());
     model::Verdict verdict = checker.check(test);
 
-    harness::RunConfig cfg;
-    cfg.iterations = 800;
+    harness::Job job;
+    job.test = test;
+    job.iterations = 800;
     for (const auto &chip : sim::resultChips()) {
         if (!chip.isNvidia())
             continue;
-        litmus::Histogram hist = harness::run(chip, test, cfg);
-        auto report = model::checkSoundness(verdict, hist);
+        job.chip = chip;
+        harness::JobResult run = harness::runJob(job);
+        auto report = model::checkSoundness(verdict, run.hist);
         EXPECT_TRUE(report.sound)
             << test.name << " on " << chip.shortName
             << ": observed-but-forbidden outcome '"
@@ -89,18 +91,17 @@ TEST(Completeness, ModelAllowedOutcomesAreSimReachableForIdioms)
     // allows should actually show up on the weakest chip. (Not a
     // general theorem — hardware may be stronger — but true for
     // these shapes on TesC/Titan.)
-    harness::RunConfig cfg;
-    cfg.iterations = 60000;
+    harness::Job job;
+    job.iterations = 60000;
     for (auto test : {litmus::paperlib::mp(), litmus::paperlib::sb(),
                       litmus::paperlib::coRR()}) {
         model::Checker checker(cat::models::ptx());
         model::Verdict verdict = checker.check(test);
-        litmus::Histogram hist =
-            harness::run(sim::chip(test.name == "coRR" ? "GTX5"
-                                                       : "Titan"),
-                         test, cfg);
+        job.chip = sim::chip(test.name == "coRR" ? "GTX5" : "Titan");
+        job.test = test;
+        harness::JobResult run = harness::runJob(job);
         for (const auto &key : verdict.allowedKeys) {
-            EXPECT_TRUE(hist.counts().count(key))
+            EXPECT_TRUE(run.hist.counts().count(key))
                 << test.name << ": allowed outcome '" << key
                 << "' never observed";
         }

@@ -237,6 +237,13 @@ loadTest(const std::string &arg)
     return loaded;
 }
 
+/**
+ * `run`: one cell — a one-test, one-chip, one-column sweep request,
+ * planned by serve::planJobs and run on eval::Engine, so it equals the
+ * same cell of `sweep`. Prints the cell's histogram; exit 2 when the
+ * chip's compiler miscompiles the test or a ~exists condition is
+ * observed.
+ */
 int
 cmdRun(const Args &args)
 {
@@ -245,41 +252,43 @@ cmdRun(const Args &args)
                      " NAME] [--iterations N] [--column 1..16]\n";
         return 1;
     }
-    auto loaded = loadTest(args.positional[0]);
-    if (!loaded)
+    std::string error;
+    auto req = serve::requestFromFlags("sweep", {args.positional[0]},
+                                       args.flags, &error);
+    if (!req) {
+        std::cerr << "error: " << error << "\n";
         return 1;
-
-    harness::RunConfig cfg;
-    cfg.iterations =
-        args.getCount("iterations", harness::defaultIterations());
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 0x6c69));
-    cfg.maxMicroSteps =
-        std::max(cfg.maxMicroSteps, loaded->minMicroSteps);
-    int column = static_cast<int>(args.getCount("column", 16));
-    cfg.inc = sim::Incantations::fromColumn(column);
-    const sim::ChipProfile &chip =
-        sim::chip(args.get("chip", "Titan"));
-
-    std::vector<std::string> quirks;
-    auto compiled = eval::compileForChip(loaded->test, chip, &quirks);
-    for (const auto &q : quirks)
-        std::cout << "compile note: " << q << "\n";
-    if (!compiled) {
-        std::cout << "test miscompiled for " << chip.shortName
+    }
+    req->chips = {args.get("chip", "Titan")};
+    req->columns = {req->column};
+    serve::Plan plan;
+    const bool planned = serve::planJobs(*req, &plan, &error);
+    if (plan.chips.size() > 1) {
+        std::cerr << "error: run takes one chip\n";
+        return 1;
+    }
+    // One chip, so its compile notes drop the planner's chip tag.
+    for (const auto &note : plan.notes) {
+        const std::string tag = "compile note (" + plan.chips[0] + "): ";
+        std::cout << "compile note: " << note.substr(tag.size()) << "\n";
+    }
+    if (!plan.skipped.empty()) {
+        std::cout << "test miscompiled for " << plan.chips[0]
                   << ": result is n/a\n";
         return 2;
     }
-    const litmus::Test &to_run = *compiled;
+    if (!planned) {
+        std::cerr << "error: " << error << "\n";
+        return 1;
+    }
 
-    std::cout << "chip: " << chip.vendor << " " << chip.chipName
-              << "; incantations: " << cfg.inc.str() << "; "
-              << cfg.iterations << " iterations\n\n";
-    litmus::Histogram hist = harness::run(chip, to_run, cfg);
-    std::cout << hist.str();
-    if (to_run.quantifier == litmus::Quantifier::NotExists &&
-        hist.observed() > 0)
-        return 2;
-    return 0;
+    auto results = eval::Engine().run(plan.jobs);
+    const harness::Job &cell = *results[0].job;
+    std::cout << "chip: " << cell.chip.vendor << " " << cell.chip.chipName
+              << "; incantations: " << cell.inc.str() << "; "
+              << cell.iterations << " iterations\n\n"
+              << results[0].hist->str();
+    return serve::summarize(*req, results, eval::ConformanceSink{}).exit;
 }
 
 /** A batch command, planned: its request, the plan, the --store the
