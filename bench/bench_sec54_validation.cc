@@ -4,7 +4,7 @@
  * request, planned like `gpulitmus validate` plans it: litmus tests are
  * generated with the diy extension, every (test x Nvidia chip) cell
  * runs through the sim backend, every (test x model) pair through an
- * axiomatic backend, and the ConformanceSink joins the two sides —
+ * axiomatic backend, and eval::conform joins the two sides —
  * the model is experimentally sound iff no cell is "unsound"
  * (observed-but-forbidden).
  *
@@ -64,7 +64,7 @@ main()
     // The whole validation is ONE validate request over the Nvidia
     // chips: per (test x chip) a simulation plus one job per model,
     // all sharded across the worker pool (GPULITMUS_JOBS); the
-    // ConformanceSink joins the two sides. Sec. 5.5: the model covers
+    // conformance join pairs the two sides. Sec. 5.5: the model covers
     // accesses with the .cg operator only; .ca (L1) and volatile
     // accesses are outside its scope (no fence restores .ca ordering
     // on Fermi), so — like the paper — the planner excludes them.
@@ -72,7 +72,6 @@ main()
         "validate", std::move(tests), benchutil::nvidiaChips());
     req.models = models;
     req.iterations = iters;
-    eval::ConformanceSink conformance;
     // Computed jobs only: deduped/cached cells are never reported.
     auto progress = [&](size_t done, size_t total,
                         const eval::EvalResult &) {
@@ -82,7 +81,7 @@ main()
         }
     };
     serve::Plan plan;
-    auto results = benchutil::run(req, plan, {&conformance}, progress);
+    auto results = benchutil::run(req, plan, progress);
     std::cerr << "\n";
 
     std::cout << "excluded " << plan.outOfScope
@@ -111,7 +110,8 @@ main()
         std::string example;
     };
     std::map<std::string, ModelStats> stats;
-    for (const auto &cell : conformance.cells()) {
+    const serve::Outcome outcome = serve::summarize(req, results);
+    for (const auto &cell : outcome.conformance) {
         ModelStats &ms = stats[cell.model];
         ms.violations += cell.violations.size();
         if (!cell.violations.empty() && ms.example.empty()) {

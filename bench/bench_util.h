@@ -137,7 +137,6 @@ request(const std::string &cmd, std::vector<serve::TestSpec> tests,
  * and the exit status is 1. */
 inline std::vector<eval::EvalResult>
 run(const serve::Request &req, serve::Plan &plan,
-    const std::vector<eval::EvalSink *> &sinks = {},
     eval::ProgressFn progress = nullptr)
 {
     std::string error;
@@ -145,7 +144,7 @@ run(const serve::Request &req, serve::Plan &plan,
         std::cerr << "error: " << error << "\n";
         std::exit(1);
     }
-    return engine().run(plan.jobs, sinks, std::move(progress));
+    return engine().run(plan.jobs, std::move(progress));
 }
 
 /**

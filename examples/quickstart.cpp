@@ -97,8 +97,8 @@ exists (0:r2=0 /\ 1:r2=0)
 
     // Sweeps are first-class: the same tests across all 16 incantation
     // columns (Tab. 6, the default), planned as `gpulitmus sweep` and
-    // the daemon plan them, sharded over a worker pool, rendered by a
-    // table sink. Bit-identical results at any thread count.
+    // the daemon plan them, sharded over a worker pool, rendered as an
+    // obs/100k grid. Bit-identical results at any thread count.
     serve::Request sweep;
     sweep.cmd = "sweep";
     sweep.tests = {{"", test->str(), ""}, {"", fenced->str(), ""}};
@@ -110,12 +110,12 @@ exists (0:r2=0 /\ 1:r2=0)
         std::cerr << "error: " << error << "\n";
         return 1;
     }
-    eval::TableSink table("test", eval::TableSink::byLabel(),
-                          eval::TableSink::byColumn());
     eval::Engine engine;
-    engine.run(plan.jobs, {&table});
+    auto results = engine.run(plan.jobs);
     std::cout << "\nIncantation sweep (obs/100k, "
               << engine.threads() << " worker threads):\n";
-    table.render().print(std::cout);
+    eval::obsTable(results, "test", [](const eval::EvalResult &r) {
+        return r.label();
+    }).print(std::cout);
     return 0;
 }

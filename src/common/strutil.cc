@@ -135,20 +135,6 @@ appendJsonEscaped(std::string &out, std::string_view s)
     out.append(s.data() + run, s.size() - run);
 }
 
-void
-writeJsonArray(std::ostream &os,
-               const std::vector<std::string> &entries)
-{
-    os << "[\n";
-    for (size_t i = 0; i < entries.size(); ++i) {
-        os << "  " << entries[i];
-        if (i + 1 < entries.size())
-            os << ",";
-        os << "\n";
-    }
-    os << "]\n";
-}
-
 bool
 writeJsonArrayFile(const std::string &path,
                    const std::vector<std::string> &entries)
@@ -156,7 +142,14 @@ writeJsonArrayFile(const std::string &path,
     std::ofstream out(path);
     if (!out)
         return false;
-    writeJsonArray(out, entries);
+    out << "[\n";
+    for (size_t i = 0; i < entries.size(); ++i) {
+        out << "  " << entries[i];
+        if (i + 1 < entries.size())
+            out << ",";
+        out << "\n";
+    }
+    out << "]\n";
     return out.good();
 }
 

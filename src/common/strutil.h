@@ -7,7 +7,6 @@
 #define GPULITMUS_COMMON_STRUTIL_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,12 +47,9 @@ std::string jsonEscape(std::string_view s);
  * copied in bulk, and nothing is allocated beyond `out`'s growth. */
 void appendJsonEscaped(std::string &out, std::string_view s);
 
-/** Write pre-rendered JSON values as one array document, one value
- * per line — the shared emitter behind every sink's writeTo. */
-void writeJsonArray(std::ostream &os,
-                    const std::vector<std::string> &entries);
-
-/** writeJsonArray into a file; false when the path is unwritable. */
+/** Write pre-rendered JSON values to `path` as one array document,
+ * one value per line — the shared emitter behind every `--json` file.
+ * False when the path is unwritable. */
 bool writeJsonArrayFile(const std::string &path,
                         const std::vector<std::string> &entries);
 

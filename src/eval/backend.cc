@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
-#include <ostream>
+#include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -101,7 +103,6 @@ McBackend::evaluate(const EvalJob &job) const
             for (const auto &[key, w] : x.finals)
                 x.paths += w;
             x.stats.distinctStates = sc->states;
-            x.budgetReplays = owned->iterations;
             auto end = std::chrono::steady_clock::now();
             x.millis =
                 std::chrono::duration<double, std::milli>(end - start)
@@ -254,11 +255,9 @@ backendByName(const std::string &name, std::string *error)
     std::shared_ptr<const Backend> backend;
     if (name == harness::kSimBackend) {
         backend = std::make_shared<SimBackend>();
-    } else if (name == harness::kMcBackend ||
-               name == "exhaustive") {
+    } else if (name == harness::kMcBackend) {
         backend = std::make_shared<McBackend>();
-    } else if (name == "baseline" || name == "operational" ||
-               name == "sorensen") {
+    } else if (name == "baseline") {
         backend = std::make_shared<BaselineBackend>();
     } else if (looksLikeModelPath(name)) {
         backend = AxiomBackend::fromFile(name, error);
@@ -409,34 +408,19 @@ Engine::Batch
 Engine::resolve(const std::vector<EvalJob> &jobs)
 {
     Batch b;
-    b.submitted_ = &jobs;
+    b.jobs_ = &jobs;
     // Resolve every backend up front so a typo'd id fails before any
-    // work is done, and workers never touch the registry lock. Jobs
-    // naming a backend by an alias ("operational" for "baseline") are
-    // normalised to the resolved name, so the cache identity, the
-    // result's backend field and the conformance join all agree — two
-    // aliases of one model dedup onto one evaluation instead of
-    // computing it twice under two keys.
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        auto it = b.backends_.find(jobs[i].backend);
-        if (it == b.backends_.end()) {
-            std::string error;
-            auto backend = backendByName(jobs[i].backend, &error);
-            if (!backend)
-                fatal("%s", error.c_str());
-            it = b.backends_.emplace(jobs[i].backend, std::move(backend))
-                     .first;
-        }
-        const std::string resolved = it->second->name();
-        if (resolved != jobs[i].backend) {
-            b.backends_.emplace(resolved, it->second);
-            if (b.normalised_.empty())
-                b.normalised_ = jobs;
-            b.normalised_[i].backend = resolved;
-        }
+    // work is done, and workers never touch the registry lock.
+    for (const EvalJob &job : jobs) {
+        if (b.backends_.count(job.backend))
+            continue;
+        std::string error;
+        auto backend = backendByName(job.backend, &error);
+        if (!backend)
+            fatal("%s", error.c_str());
+        b.backends_.emplace(job.backend, std::move(backend));
     }
-    const std::vector<EvalJob> &batch = b.jobs();
-    const size_t n = batch.size();
+    const size_t n = jobs.size();
     b.slots_.resize(n);
 
     // Cache hits and in-batch aliases. An alias is a job whose cache
@@ -449,7 +433,7 @@ Engine::resolve(const std::vector<EvalJob> &jobs)
     b.hits_.assign(n, 0);
     b.keys_.resize(n);
     for (size_t i = 0; i < n; ++i)
-        b.keys_[i] = batch[i].cacheKey();
+        b.keys_[i] = jobs[i].cacheKey();
     {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         for (size_t i = 0; i < n; ++i) {
@@ -480,7 +464,7 @@ Engine::resolve(const std::vector<EvalJob> &jobs)
     for (size_t i : owners) {
         std::optional<EvalResult> hit;
         if (store_)
-            hit = store_->fetchEval(batch[i]);
+            hit = store_->fetchEval(jobs[i]);
         if (!hit) {
             b.compute_.push_back(i);
             continue;
@@ -513,10 +497,9 @@ Engine::resolve(const std::vector<EvalJob> &jobs)
 }
 
 std::vector<EvalResult>
-Engine::run(Batch b, const std::vector<EvalSink *> &sinks,
-            ProgressFn progress)
+Engine::run(Batch b, ProgressFn progress)
 {
-    const std::vector<EvalJob> &batch = b.jobs();
+    const std::vector<EvalJob> &batch = *b.jobs_;
     const std::vector<size_t> &compute = b.compute_;
     auto &slots = b.slots_;
     const bool obs_on = obs::enabled();
@@ -596,87 +579,55 @@ Engine::run(Batch b, const std::vector<EvalSink *> &sinks,
             cache_.emplace(b.keys_[idx], slots[idx]);
     }
 
-    // Deliver to sinks in job order: deterministic at any thread count.
-    // Each delivered result is built once, here.
+    // Deliver in job order: deterministic at any thread count. Each
+    // delivered result is built once, here.
     std::vector<EvalResult> results;
     results.reserve(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
+    for (size_t i = 0; i < slots.size(); ++i)
         results.push_back(deliver(*slots[i], batch[i], b.hits_[i]));
-        for (EvalSink *sink : sinks) {
-            if (sink)
-                sink->add(results.back());
-        }
-    }
     return results;
 }
 
 std::vector<EvalResult>
-Engine::run(const std::vector<EvalJob> &jobs,
-            const std::vector<EvalSink *> &sinks, ProgressFn progress)
+Engine::run(const std::vector<EvalJob> &jobs, ProgressFn progress)
 {
-    return run(resolve(jobs), sinks, std::move(progress));
+    return run(resolve(jobs), std::move(progress));
 }
 
-// ---- TableSink ------------------------------------------------------
-
-TableSink::TableSink(std::string corner, KeyFn row_of, KeyFn col_of)
-    : corner_(std::move(corner)), rowOf_(std::move(row_of)),
-      colOf_(std::move(col_of))
-{
-}
-
-void
-TableSink::add(const EvalResult &result)
-{
-    std::string row = rowOf_(result);
-    std::string col = colOf_(result);
-    if (cells_.find(row) == cells_.end())
-        rowOrder_.push_back(row);
-    if (std::find(colOrder_.begin(), colOrder_.end(), col) ==
-        colOrder_.end())
-        colOrder_.push_back(col);
-    cells_[row][col] = std::to_string(result.observedPer100k);
-}
+// ---- obs/100k grid -------------------------------------------------
 
 Table
-TableSink::render() const
+obsTable(const std::vector<EvalResult> &results, const std::string &corner,
+         const std::function<std::string(const EvalResult &)> &row_of)
 {
+    std::vector<std::string> rows, cols;
+    std::map<std::string, std::map<std::string, std::string>> cells;
+    for (const EvalResult &r : results) {
+        std::string row = row_of(r);
+        std::string col = std::to_string(r.column());
+        if (cells.find(row) == cells.end())
+            rows.push_back(row);
+        if (std::find(cols.begin(), cols.end(), col) == cols.end())
+            cols.push_back(col);
+        cells[row][col] = std::to_string(r.observedPer100k);
+    }
     Table table;
-    std::vector<std::string> header{corner_};
-    for (const auto &c : colOrder_)
-        header.push_back(c);
+    std::vector<std::string> header{corner};
+    header.insert(header.end(), cols.begin(), cols.end());
     table.header(header);
-    for (const auto &r : rowOrder_) {
-        std::vector<std::string> cells{r};
-        const auto &row = cells_.at(r);
-        for (const auto &c : colOrder_) {
-            auto it = row.find(c);
-            cells.push_back(it == row.end() ? "-" : it->second);
+    for (const auto &row : rows) {
+        std::vector<std::string> line{row};
+        const auto &have = cells.at(row);
+        for (const auto &col : cols) {
+            auto it = have.find(col);
+            line.push_back(it == have.end() ? "-" : it->second);
         }
-        table.row(cells);
+        table.row(line);
     }
     return table;
 }
 
-TableSink::KeyFn
-TableSink::byChip()
-{
-    return [](const EvalResult &r) { return r.chip().shortName; };
-}
-
-TableSink::KeyFn
-TableSink::byColumn()
-{
-    return [](const EvalResult &r) { return std::to_string(r.column()); };
-}
-
-TableSink::KeyFn
-TableSink::byLabel()
-{
-    return [](const EvalResult &r) { return r.label(); };
-}
-
-// ---- ConformanceSink ------------------------------------------------
+// ---- conformance --------------------------------------------------
 
 const char *
 toString(Conformance kind)
@@ -690,46 +641,6 @@ toString(Conformance kind)
       case Conformance::Bounded: return "bounded";
     }
     return "?";
-}
-
-void
-ConformanceSink::add(const EvalResult &result)
-{
-    joined_.reset();
-    const auto text = result.job->renderedTest();
-    if (result.hasHist()) {
-        // Cache hits redeliver identical cells; keep the first per
-        // (cell, label) so re-runs do not duplicate rows but
-        // distinctly-labelled duplicates stay visible.
-        if (seenSims_
-                .insert({result.job->cacheKey(), result.label()})
-                .second) {
-            sims_.push_back({result.job, *result.hist, text->str});
-        }
-    }
-    if (result.hasExact()) {
-        if (seenExacts_
-                .insert({result.job->cacheKey(), result.label()})
-                .second) {
-            exacts_.push_back({result.job, *result.exact, text->str});
-        }
-    }
-    // Out-of-scope refusals never join: the model said nothing, so
-    // the cell must not read as trivially sound (or unsound).
-    if (result.hasVerdict() && !result.verdict->outOfScope)
-        verdicts_[text->str][result.backend] = *result.verdict;
-}
-
-const ConformanceSink::ExactCell *
-ConformanceSink::exactFor(const std::string &text,
-                          const std::string &chip, int column) const
-{
-    for (const auto &e : exacts_) {
-        if (e.text == text && e.job->chip.shortName == chip &&
-            e.job->inc.column() == column)
-            return &e;
-    }
-    return nullptr;
 }
 
 namespace {
@@ -816,83 +727,82 @@ classify(ConformanceCell &cell, const model::Verdict &verdict,
 
 } // anonymous namespace
 
-const std::vector<ConformanceCell> &
-ConformanceSink::cells() const
+std::vector<ConformanceCell>
+conform(const std::vector<EvalResult> &results)
 {
-    if (joined_)
-        return *joined_;
+    // Each result's rendered test, held here because a job without a
+    // shared text renders a fresh one.
+    std::vector<std::shared_ptr<const harness::TestText>> texts;
+    texts.reserve(results.size());
+    // Result indices of the sim and exact sides. Cache hits repeat
+    // identical cells; keep the first per (cell, label) so repeats do
+    // not duplicate rows but distinctly-labelled duplicates stay
+    // visible.
+    std::vector<size_t> sims, exacts;
+    std::set<std::pair<uint64_t, std::string>> seen_sims, seen_exacts;
+    // test text -> model id -> verdict; keyed by the exact text so
+    // distinct tests can never collide into each other's verdicts.
+    std::map<std::string_view,
+             std::map<std::string_view, const model::Verdict *>>
+        verdicts;
+    for (size_t i = 0; i < results.size(); ++i) {
+        const EvalResult &r = results[i];
+        texts.push_back(r.job->renderedTest());
+        if (r.hasHist() &&
+            seen_sims.insert({r.job->cacheKey(), r.label()}).second)
+            sims.push_back(i);
+        if (r.hasExact() &&
+            seen_exacts.insert({r.job->cacheKey(), r.label()}).second)
+            exacts.push_back(i);
+        // Out-of-scope refusals never join: the model said nothing, so
+        // the cell must not read as trivially sound (or unsound).
+        if (r.hasVerdict() && !r.verdict->outOfScope)
+            verdicts[texts[i]->str][r.backend] = &*r.verdict;
+    }
+
+    auto same_cell = [&](size_t a, size_t b) {
+        const EvalJob &x = *results[a].job, &y = *results[b].job;
+        return texts[a]->str == texts[b]->str &&
+               x.chip.shortName == y.chip.shortName &&
+               x.inc.column() == y.inc.column();
+    };
     std::vector<ConformanceCell> out;
-    for (const auto &sim : sims_) {
-        auto matching = verdicts_.find(sim.text);
-        if (matching == verdicts_.end())
-            continue;
-        const ExactCell *exact =
-            exactFor(sim.text, sim.job->chip.shortName,
-                     sim.job->inc.column());
+    auto join = [&](size_t i, const litmus::Histogram *hist,
+                    const mc::ExploreResult *exact) {
+        auto matching = verdicts.find(texts[i]->str);
+        if (matching == verdicts.end())
+            return;
+        const EvalJob &job = *results[i].job;
         for (const auto &[model, verdict] : matching->second) {
             ConformanceCell cell;
-            cell.test = sim.job->displayLabel();
-            cell.chip = sim.job->chip.shortName;
-            cell.column = sim.job->inc.column();
+            cell.test = job.displayLabel();
+            cell.chip = job.chip.shortName;
+            cell.column = job.inc.column();
             cell.model = model;
-            cell.runs = sim.hist.total();
-            classify(cell, verdict, &sim.hist.counts(),
-                     exact ? &exact->exact : nullptr);
+            cell.runs = hist ? hist->total() : 0;
+            classify(cell, *verdict, hist ? &hist->counts() : nullptr,
+                     exact);
             out.push_back(std::move(cell));
         }
+    };
+    for (size_t sim : sims) {
+        auto exact = std::find_if(exacts.begin(), exacts.end(),
+                                  [&](size_t e) { return same_cell(sim, e); });
+        join(sim, &*results[sim].hist,
+             exact == exacts.end() ? nullptr : &*results[*exact].exact);
     }
     // Explorations with no sim histogram of their own still make
     // cells: the exact set *is* the observation.
-    for (const auto &exact : exacts_) {
-        bool simmed = false;
-        for (const auto &sim : sims_) {
-            simmed = simmed ||
-                     (sim.text == exact.text &&
-                      sim.job->chip.shortName ==
-                          exact.job->chip.shortName &&
-                      sim.job->inc.column() ==
-                          exact.job->inc.column());
-        }
-        if (simmed)
-            continue;
-        auto matching = verdicts_.find(exact.text);
-        if (matching == verdicts_.end())
-            continue;
-        for (const auto &[model, verdict] : matching->second) {
-            ConformanceCell cell;
-            cell.test = exact.job->displayLabel();
-            cell.chip = exact.job->chip.shortName;
-            cell.column = exact.job->inc.column();
-            cell.model = model;
-            cell.runs = 0;
-            classify(cell, verdict, nullptr, &exact.exact);
-            out.push_back(std::move(cell));
-        }
+    for (size_t exact : exacts) {
+        if (std::none_of(sims.begin(), sims.end(),
+                         [&](size_t sim) { return same_cell(sim, exact); }))
+            join(exact, nullptr, &*results[exact].exact);
     }
-    joined_ = std::move(out);
-    return *joined_;
-}
-
-size_t
-ConformanceSink::count(Conformance kind) const
-{
-    size_t n = 0;
-    for (const auto &cell : cells())
-        n += cell.kind == kind;
-    return n;
-}
-
-size_t
-ConformanceSink::inconsistentCells() const
-{
-    size_t n = 0;
-    for (const auto &cell : cells())
-        n += !cell.inconsistent.empty();
-    return n;
+    return out;
 }
 
 Table
-ConformanceSink::summary() const
+conformanceSummary(const std::vector<ConformanceCell> &cells)
 {
     struct ModelRow
     {
@@ -903,7 +813,7 @@ ConformanceSink::summary() const
     };
     std::vector<std::string> order;
     std::map<std::string, ModelRow> rows;
-    for (const auto &cell : cells()) {
+    for (const auto &cell : cells) {
         if (!rows.count(cell.model))
             order.push_back(cell.model);
         ModelRow &row = rows[cell.model];
@@ -992,19 +902,14 @@ cellJsonEntries(const std::vector<ConformanceCell> &cells)
 
 } // namespace
 
-void
-ConformanceSink::writeTo(std::ostream &os) const
-{
-    writeJsonArray(os, cellJsonEntries(cells()));
-}
-
 bool
-ConformanceSink::writeFile(const std::string &path) const
+writeConformanceFile(const std::string &path,
+                     const std::vector<ConformanceCell> &cells)
 {
-    return writeJsonArrayFile(path, cellJsonEntries(cells()));
+    return writeJsonArrayFile(path, cellJsonEntries(cells));
 }
 
-// ---- JsonSink -------------------------------------------------------
+// ---- cell JSON ------------------------------------------------------
 
 namespace {
 
@@ -1197,22 +1102,15 @@ evalCellJson(const EvalResult &result)
     return out;
 }
 
-void
-JsonSink::add(const EvalResult &result)
-{
-    entries_.push_back(evalCellJson(result));
-}
-
-void
-JsonSink::writeTo(std::ostream &os) const
-{
-    writeJsonArray(os, entries_);
-}
-
 bool
-JsonSink::writeFile(const std::string &path) const
+writeCellsFile(const std::string &path,
+               const std::vector<EvalResult> &results)
 {
-    return writeJsonArrayFile(path, entries_);
+    std::vector<std::string> entries;
+    entries.reserve(results.size());
+    for (const EvalResult &r : results)
+        entries.push_back(evalCellJson(r));
+    return writeJsonArrayFile(path, entries);
 }
 
 } // namespace gpulitmus::eval

@@ -21,15 +21,16 @@
  *   their harness::runJob RNG streams bit-identically at any thread
  *   count, model cells collapse onto one evaluation per (backend,
  *   test);
- * - ConformanceSink joins the sim histograms against the model
- *   verdicts per (chip, test, incantation) cell and classifies each
- *   as sound, unsound (observed-but-forbidden) or imprecise
- *   (allowed-never-observed) — the Sec. 5.4 table as one planned
- *   validate request (serve::planJobs).
- *   Exact (mc) results join too and upgrade imprecise cells to
- *   rare/unreachable/bounded; the full verdict lattice and the
- *   exact-vs-sampled evidence semantics are documented in
- *   docs/VERDICTS.md.
+ * - Engine::run returns the results in job order; everything shown
+ *   to a user is a function of that vector. conform() joins the sim
+ *   histograms against the model verdicts per (chip, test,
+ *   incantation) cell and classifies each as sound, unsound
+ *   (observed-but-forbidden) or imprecise (allowed-never-observed) —
+ *   the Sec. 5.4 table as one planned validate request
+ *   (serve::planJobs). Exact (mc) results join too and upgrade
+ *   imprecise cells to rare/unreachable/bounded; the full verdict
+ *   lattice and the exact-vs-sampled evidence semantics are
+ *   documented in docs/VERDICTS.md.
  *
  * Engine notes: SimBackend rides the pooled per-thread machine cache
  * in harness::runJob (one compiled machine per (chip, test) pair,
@@ -46,11 +47,9 @@
 #define GPULITMUS_EVAL_BACKEND_H
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,9 +73,8 @@ using EvalJob = harness::Job;
 
 /**
  * Tagged result of evaluating one job under one backend: a histogram
- * (sim), a verdict (axiomatic), or — for joined sinks — either side
- * of the comparison. Self-contained: `job` owns the test the
- * histogram references.
+ * (sim), a verdict (axiomatic) or an exact reachable set (mc).
+ * Self-contained: `job` owns the test the histogram references.
  */
 struct EvalResult
 {
@@ -124,7 +122,7 @@ class Backend
   public:
     virtual ~Backend() = default;
 
-    /** Backend id; mixed into job keys and shown by sinks. */
+    /** Backend id; mixed into job keys and shown in results. */
     virtual std::string name() const = 0;
 
     /** Evaluate one job to a tagged result. */
@@ -141,10 +139,10 @@ class SimBackend : public Backend
 };
 
 /**
- * The exhaustive schedule explorer ("mc", alias "exhaustive"): the
- * same operational machine as SimBackend, enumerated instead of
- * sampled (mc/explorer.h). The job's `iterations` field is the
- * replay budget; `seed` is ignored (the search is deterministic).
+ * The exhaustive schedule explorer ("mc"): the same operational
+ * machine as SimBackend, enumerated instead of sampled
+ * (mc/explorer.h). The job's `iterations` field is the replay budget;
+ * `seed` is ignored (the search is deterministic).
  * Returns the exact reachable final-state set in EvalResult::exact —
  * or a bounded lower bound when the budget trips.
  */
@@ -211,10 +209,9 @@ class BaselineBackend : public AxiomBackend
 };
 
 /**
- * Resolve a backend id: "sim"; "mc" (alias: exhaustive); a built-in
- * model name (ptx, rmo, sc, tso, sc-per-loc-full); "baseline"
- * (aliases: operational, sorensen); or a path to a .cat file
- * (anything containing '/' or ending in ".cat"). Instances are
+ * Resolve a backend id: "sim"; "mc"; a built-in model name (ptx,
+ * rmo, sc, tso, sc-per-loc-full); "baseline"; or a path to a .cat
+ * file (anything containing '/' or ending in ".cat"). Instances are
  * cached process-wide, so repeated resolution is cheap and every job
  * naming the same backend shares one engine. Returns null and sets
  * `error` (which lists the valid names) when the id is unknown or
@@ -237,20 +234,12 @@ std::vector<std::string> builtinBackendNames();
  * simulator). */
 std::vector<std::string> builtinModelNames();
 
-/** Streaming sink for evaluation results, delivered in job order. */
-class EvalSink
-{
-  public:
-    virtual ~EvalSink() = default;
-    virtual void add(const EvalResult &result) = 0;
-};
-
 /** Progress callback: (computed jobs finished so far, total jobs to
  * compute, the result that just finished). Cells served from the
  * cache, the store or aliased onto a batch-mate are not reported —
  * the callback tracks evaluation work, not deliveries. Invoked from
  * worker threads as jobs complete; completion order is
- * nondeterministic, use sinks for ordered output. */
+ * nondeterministic, use run()'s returned vector for ordered output. */
 using ProgressFn =
     std::function<void(size_t done, size_t total, const EvalResult &)>;
 
@@ -272,8 +261,9 @@ struct EngineOptions
  * of the job (seeds derive from job keys, never from scheduling): sim
  * histograms are bit-identical at any thread count. Repeated cells
  * within and across run() calls are computed once per Engine — model
- * jobs with the same (backend, test) collapse onto one evaluation. Unknown backend ids are fatal. Safe to call
- * from several threads at once (the daemon's client handlers do).
+ * jobs with the same (backend, test) collapse onto one evaluation.
+ * Unknown backend ids are fatal. Safe to call from several threads at
+ * once (the daemon's client handlers do).
  *
  * A run has two phases. resolve() does every lookup on the calling
  * thread — in-process cache hits, in-batch aliases, store hits — and
@@ -296,13 +286,7 @@ class Engine
 
       private:
         friend class Engine;
-        const std::vector<EvalJob> &jobs() const
-        {
-            return normalised_.empty() ? *submitted_ : normalised_;
-        }
-
-        const std::vector<EvalJob> *submitted_ = nullptr;
-        std::vector<EvalJob> normalised_; ///< made only when needed
+        const std::vector<EvalJob> *jobs_ = nullptr;
         std::unordered_map<std::string, std::shared_ptr<const Backend>>
             backends_;
         /** Shared results: computed, fetched from the store, or the
@@ -322,17 +306,13 @@ class Engine
      * or the store can answer; unknown backend ids are fatal. */
     Batch resolve(const std::vector<EvalJob> &jobs);
 
-    /** Compute what `batch` left open, then deliver every result to
-     * the sinks in job order and return them. */
-    std::vector<EvalResult>
-    run(Batch batch, const std::vector<EvalSink *> &sinks = {},
-        ProgressFn progress = nullptr);
+    /** Compute what `batch` left open and return every result in job
+     * order. */
+    std::vector<EvalResult> run(Batch batch, ProgressFn progress = nullptr);
 
     /** resolve() then run(): execute all jobs; blocks until done. */
-    std::vector<EvalResult>
-    run(const std::vector<EvalJob> &jobs,
-        const std::vector<EvalSink *> &sinks = {},
-        ProgressFn progress = nullptr);
+    std::vector<EvalResult> run(const std::vector<EvalJob> &jobs,
+                                ProgressFn progress = nullptr);
 
     int threads() const { return threads_; }
     /** Cells served from the cache (including in-batch aliases) over
@@ -352,33 +332,14 @@ class Engine
 };
 
 /**
- * Renders results as a fixed-width table (common/table). Rows and
- * columns are chosen by caller-supplied key functions; cells are
- * obs/100k. First-seen order is preserved for both axes.
+ * The results as an obs/100k grid (common/table): one row per distinct
+ * `row_of` key, one column per incantation column, both in first-seen
+ * order, "-" where a (row, column) pair has no result. `corner` heads
+ * the row-key column.
  */
-class TableSink : public EvalSink
-{
-  public:
-    using KeyFn = std::function<std::string(const EvalResult &)>;
-
-    TableSink(std::string corner, KeyFn row_of, KeyFn col_of);
-
-    void add(const EvalResult &result) override;
-
-    /** Assemble the table from everything added so far. */
-    Table render() const;
-
-    // Common axis key functions.
-    static KeyFn byChip();   ///< chip short name
-    static KeyFn byColumn(); ///< Tab. 6 incantation column
-    static KeyFn byLabel();  ///< job display label
-
-  private:
-    std::string corner_;
-    KeyFn rowOf_, colOf_;
-    std::vector<std::string> rowOrder_, colOrder_;
-    std::map<std::string, std::map<std::string, std::string>> cells_;
-};
+Table obsTable(const std::vector<EvalResult> &results,
+               const std::string &corner,
+               const std::function<std::string(const EvalResult &)> &row_of);
 
 // ---- conformance ----------------------------------------------------
 
@@ -439,88 +400,38 @@ struct ConformanceCell
 };
 
 /**
- * Joins simulation histograms against model verdicts: feed it a
- * mixed-backend batch (sim + one or more model backends over the
- * same tests, as a planned validate request is) and it pairs every
- * simulated (chip, test, incantation) cell with every verdict for the
- * same test text, classifying each pair. Results from the mc backend
- * join too: an exact exploration of the same (chip, test,
- * incantation) upgrades the cell's verdict
- * (Imprecise -> Rare/Unreachable/Bounded, see Conformance) and adds
- * reachable-but-forbidden outcomes to the violations — a definitive
- * unsoundness proof that needs no sampling luck. Cells with an
- * exploration but no sim histogram are classified from the exact set
- * alone. Duplicate deliveries (cache hits) are deduplicated by cell
- * identity.
+ * The Sec. 5.4 join over a mixed-backend result vector (sim + one or
+ * more model backends over the same tests, as a planned validate
+ * request is): every simulated (chip, test, incantation) cell is
+ * paired with every in-scope verdict for the same test text, one
+ * ConformanceCell per pair, in first-seen sim-cell order and model-id
+ * order within a cell. Results from the mc backend join too: an exact
+ * exploration of the same (chip, test, incantation) upgrades the
+ * cell's verdict (Imprecise -> Rare/Unreachable/Bounded, see
+ * Conformance) and adds reachable-but-forbidden outcomes to the
+ * violations — a definitive unsoundness proof that needs no sampling
+ * luck. Explorations with no sim histogram of their own follow,
+ * classified from the exact set alone. Repeated cells (same cache key
+ * and label) join once; out-of-scope verdicts never join.
  */
-class ConformanceSink : public EvalSink
-{
-  public:
-    void add(const EvalResult &result) override;
+std::vector<ConformanceCell> conform(const std::vector<EvalResult> &results);
 
-    /** The join, in first-seen sim-cell order. Computed lazily and
-     * memoised until the next add(), so repeated accessors (summary,
-     * the classification counts) never redo the O(cells x models)
-     * pairing. */
-    const std::vector<ConformanceCell> &cells() const;
+/** Per-model summary of a join: cells, the count of each
+ * classification, the model's verdict and its first counterexample. */
+Table conformanceSummary(const std::vector<ConformanceCell> &cells);
 
-    /** Cells classified as `kind` (over cells()). */
-    size_t count(Conformance kind) const;
-    /** Cells whose sim observations escaped the exploration — must
-     * stay 0; anything else is an explorer/simulator divergence. */
-    size_t inconsistentCells() const;
-
-    /** Per-model summary: cells, sound/unsound/imprecise counts and
-     * the first counterexample. */
-    Table summary() const;
-
-    /** The join as a JSON array of cells. */
-    void writeTo(std::ostream &os) const;
-    bool writeFile(const std::string &path) const;
-
-  private:
-    struct SimCell
-    {
-        std::shared_ptr<const EvalJob> job; ///< owns the test
-        litmus::Histogram hist;
-        std::string text; ///< exact test text (join key)
-    };
-
-    struct ExactCell
-    {
-        std::shared_ptr<const EvalJob> job; ///< owns the test
-        mc::ExploreResult exact;
-        std::string text; ///< exact test text (join key)
-    };
-
-    /** The exploration joined to a sim cell, matched on (test text,
-     * chip, incantation column); null when none was delivered. */
-    const ExactCell *exactFor(const std::string &text,
-                              const std::string &chip,
-                              int column) const;
-
-    std::vector<SimCell> sims_;
-    std::vector<ExactCell> exacts_;
-    /** Dedup of redelivered cells by (cache key, label): cache hits
-     * across runs collapse, while distinctly-labelled submissions of
-     * identical content keep their own rows. */
-    std::set<std::pair<uint64_t, std::string>> seenSims_;
-    std::set<std::pair<uint64_t, std::string>> seenExacts_;
-    /** test text -> model id -> verdict; keyed by the exact text so
-     * distinct tests can never collide into each other's verdicts. */
-    std::map<std::string, std::map<std::string, model::Verdict>>
-        verdicts_;
-    /** Memoised join; reset by add(). */
-    mutable std::optional<std::vector<ConformanceCell>> joined_;
-};
+/** The join as a JSON array of cells (`gpulitmus validate --json`);
+ * false when `path` is unwritable. */
+bool writeConformanceFile(const std::string &path,
+                          const std::vector<ConformanceCell> &cells);
 
 /**
  * One evaluation result rendered as a JSON object — the schema of
- * JsonSink entries, shared with the serve layer's `result` events so
- * daemon output cannot drift from `--json` output. Sim entries carry
- * the histogram (plus the verdict fields of a both-sided result);
- * verdict/exact-only entries carry the model and exploration
- * statistics. Every entry carries "from_store".
+ * writeCellsFile entries, shared with the serve layer's `result`
+ * events so daemon output cannot drift from `--json` output. Sim
+ * entries carry the histogram (plus the verdict fields of a
+ * both-sided result); verdict/exact-only entries carry the model and
+ * exploration statistics. Every entry carries "from_store".
  */
 std::string evalCellJson(const EvalResult &result);
 
@@ -528,23 +439,11 @@ std::string evalCellJson(const EvalResult &result);
  * renders result events straight into the bytes it sends. */
 void appendCellJson(std::string &out, const EvalResult &result);
 
-/**
- * Writes evaluation results as a JSON array (evalCellJson entries) for
- * machine consumption: BENCH artifacts, `gpulitmus sweep/explore
- * --json`.
- */
-class JsonSink : public EvalSink
-{
-  public:
-    void add(const EvalResult &result) override;
-
-    void writeTo(std::ostream &os) const;
-    bool writeFile(const std::string &path) const;
-    size_t size() const { return entries_.size(); }
-
-  private:
-    std::vector<std::string> entries_;
-};
+/** The results as a JSON array of evalCellJson entries, in order
+ * (`gpulitmus sweep/explore --json`); false when `path` is
+ * unwritable. */
+bool writeCellsFile(const std::string &path,
+                    const std::vector<EvalResult> &results);
 
 } // namespace gpulitmus::eval
 

@@ -7,8 +7,8 @@
  * test re-run across a (chip × incantation-column × iterations) grid.
  * serve::planJobs (serve/protocol.h) builds such a grid from a
  * serve::Request as a list of Jobs; eval::Engine (eval/backend.h)
- * executes them on a worker pool and feeds the results, in job order,
- * to pluggable sinks.
+ * executes them on a worker pool and returns the results in job
+ * order.
  *
  * Determinism is the design center: each Job derives its RNG seed
  * purely from its own key (a splitmix64-mixed hash of base seed, chip,
@@ -108,7 +108,8 @@ struct Job
     /** Base seed; the RNG stream is derived from key(), not used raw. */
     uint64_t seed = kBaseSeed;
     int maxMicroSteps = 4000;
-    /** Display label for sinks; defaults to "<test>@<chip>" when empty. */
+    /** Display label of the cell's results; defaults to
+     * "<test>@<chip>" when empty. */
     std::string label;
     /** `test` rendered once and shared by every job of that test
      * (serve::planJobs sets it); null means "render on demand". Whoever

@@ -591,9 +591,9 @@ struct Walker final : sim::ChoiceProvider
     run()
     {
         // Telemetry observes the search; it never steers it. The
-        // per-replay counter and the heartbeat callback fire on the
-        // replay cadence only — traversal, pruning and results are
-        // bit-identical with them on or off (tests pin this).
+        // per-replay counter ticks on the replay cadence only —
+        // traversal, pruning and results are bit-identical with it on
+        // or off (tests pin this).
         const bool obs_on = obs::enabled();
         obs::Counter &replay_counter =
             obs::counter("mc_replays_total");
@@ -605,9 +605,6 @@ struct Walker final : sim::ChoiceProvider
             ++stats.replays;
             if (obs_on)
                 replay_counter.add();
-            if (opts->heartbeat && opts->heartbeatEvery &&
-                stats.replays % opts->heartbeatEvery == 0)
-                opts->heartbeat(stats);
             std::fill(curSleep.begin(), curSleep.end(), 0);
             cutPending = false;
             // Resume from the deepest checkpoint on the spine: the
@@ -717,14 +714,13 @@ struct Explorer::Impl
             result.paths += walker.rootFinals[id];
         }
         result.stats = walker.stats;
-        result.budgetReplays = opts.maxReplays;
-        result.budgetStates = opts.maxStates;
         auto end = std::chrono::steady_clock::now();
         result.millis =
             std::chrono::duration<double, std::milli>(end - start)
                 .count();
         // Fold the search-shape statistics into the process registry
-        // (replays were already ticked live for heartbeat rates).
+        // (replays were already ticked live, for the serve daemon's
+        // heartbeat monitor).
         if (obs::enabled()) {
             obs::counter("mc_explorations_total").add();
             // `complete` (the parameter) is the budget flag; the
@@ -792,68 +788,6 @@ ExploreResult::verdict(const litmus::Test &test) const
     if (!complete)
         v += fairComplete ? " (fair)" : " (bounded)";
     return v;
-}
-
-std::string
-ExploreResult::str() const
-{
-    std::string out;
-    out += "Exploration " + testName + "@" + chipName + " (column " +
-           std::to_string(column) + ")\n";
-    out += (complete ? std::string("complete: ")
-            : fairComplete
-                ? std::string("complete for terminating executions"
-                              " (spin-loop dedup): ")
-                : std::string("BOUNDED (budget or loop guard): ")) +
-           std::to_string(finals.size()) + " reachable states, " +
-           std::to_string(paths) + " paths\n";
-    for (const auto &[key, weight] : finals) {
-        out += "  " + std::to_string(weight) + "  " + key;
-        if (satisfying.count(key))
-            out += "  *";
-        out += "\n";
-    }
-    out += "replays " + std::to_string(stats.replays) + " (" +
-           std::to_string(stats.resumes) + " resumed), states " +
-           std::to_string(stats.distinctStates) + ", state cuts " +
-           std::to_string(stats.stateCuts) + ", sleep skips " +
-           std::to_string(stats.sleepSkips) + ", peak depth " +
-           std::to_string(stats.peakDepth) + ", replayed choices " +
-           std::to_string(stats.replayedChoices) + "\n";
-    return out;
-}
-
-std::string
-ExploreResult::report() const
-{
-    std::string out = str();
-    // The diagnosability tail: which budget bit, and how the search
-    // was shaped when it did. Budgets are advisory fields (0 when the
-    // result came back from the persistent store).
-    auto pct = [](uint64_t used, uint64_t budget) {
-        if (!budget)
-            return std::string("?");
-        return std::to_string(used * 100 / budget) + "%";
-    };
-    out += "budget: replays " + std::to_string(stats.replays);
-    if (budgetReplays)
-        out += "/" + std::to_string(budgetReplays) + " (" +
-               pct(stats.replays, budgetReplays) + ")";
-    out += ", states " + std::to_string(stats.distinctStates);
-    if (budgetStates)
-        out += "/" + std::to_string(budgetStates) + " (" +
-               pct(stats.distinctStates, budgetStates) + ")";
-    out += ", deepest frontier " + std::to_string(stats.peakDepth) +
-           "\n";
-    if (!complete && !fairComplete) {
-        bool replays_out =
-            budgetReplays && stats.replays >= budgetReplays;
-        out += std::string("bounded by: ") +
-               (replays_out ? "replay budget — raise --budget"
-                            : "state cap or step guard") +
-               "\n";
-    }
-    return out;
 }
 
 } // namespace gpulitmus::mc

@@ -76,7 +76,6 @@
 #define GPULITMUS_MC_EXPLORER_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -121,14 +120,6 @@ struct ExploreOptions
      * each mode: any divergence implicates a digest collision
      * (GPULITMUS_MC_DEBUG_KEYS=1 wires it through the mc backend). */
     bool debugStateKeys = false;
-    /** Liveness hook: called from the search loop every
-     * `heartbeatEvery` replays with the running statistics, so a
-     * 128k-replay exploration is visibly alive (the serve daemon
-     * forwards these as `progress` heartbeat events). Purely
-     * observational — the callback sees the stats, never steers the
-     * traversal — so results are bit-identical with or without it. */
-    std::function<void(const ExploreStats &)> heartbeat;
-    uint64_t heartbeatEvery = 4096;
 };
 
 struct ExploreStats
@@ -189,14 +180,6 @@ struct ExploreResult
     ExploreStats stats;
     double millis = 0.0;
 
-    /** The budgets this exploration ran under (ExploreOptions),
-     * kept so a bounded verdict can report its burn-down. Advisory:
-     * not part of the result's identity and not persisted by the
-     * result store (store-served results carry 0 here; renderers
-     * that must be store-stable derive the budget from the job). */
-    uint64_t budgetReplays = 0;
-    uint64_t budgetStates = 0;
-
     bool
     reachable(const std::string &key) const
     {
@@ -206,15 +189,6 @@ struct ExploreResult
     /** Litmus-style verdict against the test's quantifier, qualified
      * by completeness: "Ok"/"No", or "Ok (bounded)" etc. */
     std::string verdict(const litmus::Test &test) const;
-
-    /** Multi-line report: reachable states with weights + stats. */
-    std::string str() const;
-
-    /** str() plus the diagnosability tail: budget burn-down (replays
-     * and states used vs budgeted) and the search-shape metrics
-     * (deepest frontier, resumes) that explain *why* a bounded
-     * verdict ran out — the ISSUE-8 answer to "bounded, now what?". */
-    std::string report() const;
 };
 
 /**

@@ -798,8 +798,7 @@ planJobs(const Request &req, Plan *plan, std::string *error)
 }
 
 Outcome
-summarize(const Request &req, const std::vector<eval::EvalResult> &results,
-          const eval::ConformanceSink &conformance)
+summarize(const Request &req, const std::vector<eval::EvalResult> &results)
 {
     Outcome out;
     out.results = results.size();
@@ -819,14 +818,18 @@ summarize(const Request &req, const std::vector<eval::EvalResult> &results,
         if (not_exists && !x.satisfying.empty())
             ++out.forbiddenReachable;
     }
-    using eval::Conformance;
-    out.cells = conformance.cells().size();
-    out.sound = conformance.count(Conformance::Sound);
-    out.unsound = conformance.count(Conformance::Unsound);
-    out.imprecise = conformance.count(Conformance::Imprecise);
-    out.rare = conformance.count(Conformance::Rare);
-    out.unreachable = conformance.count(Conformance::Unreachable);
-    out.inconsistent = conformance.inconsistentCells();
+    out.conformance = eval::conform(results);
+    for (const eval::ConformanceCell &cell : out.conformance) {
+        switch (cell.kind) {
+          case eval::Conformance::Sound: ++out.sound; break;
+          case eval::Conformance::Unsound: ++out.unsound; break;
+          case eval::Conformance::Imprecise: ++out.imprecise; break;
+          case eval::Conformance::Rare: ++out.rare; break;
+          case eval::Conformance::Unreachable: ++out.unreachable; break;
+          case eval::Conformance::Bounded: break;
+        }
+        out.inconsistent += !cell.inconsistent.empty();
+    }
 
     // 2 for a failed check, per command: a sampled ~exists condition
     // (sweep), an unsound or inconsistent cell (validate), an unsound

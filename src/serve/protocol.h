@@ -23,10 +23,10 @@
  * model::inModelScope, the defaults (chips, models, seeds, budgets).
  * The batch `gpulitmus run/sweep/validate/explore` commands are its
  * in-process clients (`run` is a one-cell sweep): they turn their
- * flags into a Request
- * (requestFromFlags), plan it here, run the plan on eval::Engine and
- * take their exit status from summarize() — exactly what the daemon
- * does with a request line. A request submitted over the socket
+ * flags into a Request (requestFromFlags), plan it here, run the plan
+ * on eval::Engine and take their conformance join and exit status
+ * from summarize() — exactly what the daemon does with a request
+ * line. A request submitted over the socket
  * therefore evaluates bit-identically to the equivalent batch
  * invocation by construction; only the transport differs.
  */
@@ -200,18 +200,20 @@ TestMemoStats testMemoStats();
  * What a finished job-carrying request amounts to: the exit status
  * (0, or 2 for a failed check — an observed ~exists condition in a
  * sweep, an unsound or inconsistent validate cell, an unsound or
- * forbidden-reachable explore cell) and the tallies the daemon's
- * `summary` event reports. The batch commands take their exit status
- * from the same function, so `submit` and the batch command cannot
- * disagree.
+ * forbidden-reachable explore cell), the conformance join the batch
+ * commands print and the tallies the daemon's `summary` event
+ * reports. The batch commands take their exit status from the same
+ * function, so `submit` and the batch command cannot disagree.
  */
 struct Outcome
 {
     int exit = 0;
     size_t results = 0;   ///< results delivered
     size_t fromStore = 0; ///< ... of which the result store answered
-    /** Conformance-join cells and their classification counts. */
-    size_t cells = 0, sound = 0, unsound = 0, imprecise = 0, rare = 0,
+    /** The Sec. 5.4 join over the results (eval::conform). */
+    std::vector<eval::ConformanceCell> conformance;
+    /** Classification counts over `conformance`. */
+    size_t sound = 0, unsound = 0, imprecise = 0, rare = 0,
            unreachable = 0, inconsistent = 0;
     /** Distinct explorations that hit their budget. */
     size_t bounded = 0;
@@ -220,12 +222,10 @@ struct Outcome
     size_t forbiddenReachable = 0;
 };
 
-/** Tally `results` (delivered in job order for `req`) and the
- * conformance join over them. Repeated cells (same cache identity)
- * count once. */
+/** Join `results` (delivered in job order for `req`) and tally them.
+ * Repeated cells (same cache identity) count once. */
 Outcome summarize(const Request &req,
-                  const std::vector<eval::EvalResult> &results,
-                  const eval::ConformanceSink &conformance);
+                  const std::vector<eval::EvalResult> &results);
 
 /** JSON string field helper shared by the server/client event code:
  * `"key":"escaped"`. */

@@ -687,8 +687,6 @@ Server::runJobsRequest(Client &client, const Request &req)
         out.clear();
     }
 
-    eval::ConformanceSink conformance;
-
     // Progress at two granularities: per-job events from the
     // engine's workers as computed jobs complete, and wall-clock
     // heartbeats from a monitor thread while anything computes.
@@ -712,8 +710,7 @@ Server::runJobsRequest(Client &client, const Request &req)
                 },
                 eventHead("progress", req.id), computing, jobs_done);
         }
-        results = engine_->run(std::move(batch), {&conformance},
-                               progress);
+        results = engine_->run(std::move(batch), progress);
     }
 
     for (const auto &r : results) {
@@ -725,12 +722,13 @@ Server::runJobsRequest(Client &client, const Request &req)
 
     // The batch command's exit status and tallies, by the same
     // function the batch CLI uses.
-    Outcome o = summarize(req, results, conformance);
+    Outcome o = summarize(req, results);
     appendEventHead(out, "summary", req.id);
     const std::pair<const char *, size_t> fields[] = {
         {"exit", static_cast<size_t>(o.exit)},
         {"results", o.results}, {"store_results", o.fromStore},
-        {"cells", o.cells}, {"sound", o.sound}, {"unsound", o.unsound},
+        {"cells", o.conformance.size()}, {"sound", o.sound},
+        {"unsound", o.unsound},
         {"imprecise", o.imprecise}, {"rare", o.rare},
         {"unreachable", o.unreachable}, {"bounded", o.bounded},
         {"forbidden_reachable", o.forbiddenReachable},

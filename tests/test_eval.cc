@@ -43,6 +43,16 @@ const char *kCorpus[] = {
     "mp-deps.litmus",      "corr-l2-l1.litmus",
 };
 
+/** The whole of a file written by the code under test. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
 /** A corpus file as a request test: its text inline. */
 serve::TestSpec
 corpusSpec(const std::string &name)
@@ -105,12 +115,6 @@ TEST(BackendRegistry, ResolvesEveryBuiltin)
             EXPECT_EQ(backend->name(), "baseline");
         else
             EXPECT_EQ(backend->name(), name);
-    }
-    // Aliases of the Sec. 6 baseline.
-    for (const char *alias : {"operational", "sorensen"}) {
-        auto backend = backendByName(alias);
-        ASSERT_NE(backend, nullptr);
-        EXPECT_EQ(backend->name(), "baseline");
     }
 }
 
@@ -244,8 +248,7 @@ TEST(EvalEngine, MixedBackendGridJoinsAndDedups)
     EXPECT_EQ(jobs[1].backend, "ptx");
 
     Engine engine;
-    ConformanceSink conformance;
-    auto results = engine.run(jobs, {&conformance});
+    auto results = engine.run(jobs);
     ASSERT_EQ(results.size(), 4u);
 
     // The two ptx cells collapse onto one evaluation.
@@ -257,33 +260,13 @@ TEST(EvalEngine, MixedBackendGridJoinsAndDedups)
     EXPECT_EQ(computed_models, 1u);
 
     // Join: one cell per (chip x model).
-    auto cells = conformance.cells();
+    auto cells = conform(results);
     ASSERT_EQ(cells.size(), 2u);
     for (const auto &cell : cells) {
         EXPECT_EQ(cell.model, "ptx");
         EXPECT_EQ(cell.runs, 800u);
         EXPECT_NE(cell.kind, Conformance::Unsound);
     }
-}
-
-TEST(EvalEngine, BaselineAliasesNormaliseAndShareOneEvaluation)
-{
-    // "operational"/"sorensen" are aliases of "baseline": jobs naming
-    // either must dedup onto one evaluation under the resolved name.
-    harness::Job a;
-    a.backend = "baseline";
-    a.test = pl::mp();
-    harness::Job b = a;
-    b.backend = "operational";
-
-    Engine engine;
-    auto results = engine.run({a, b});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].backend, "baseline");
-    EXPECT_EQ(results[1].backend, "baseline");
-    EXPECT_EQ(results[1].job->backend, "baseline"); // normalised
-    EXPECT_FALSE(results[0].fromCache);
-    EXPECT_TRUE(results[1].fromCache); // shared, not recomputed
 }
 
 TEST(EvalEngine, RejectsUnknownBackend)
@@ -316,10 +299,7 @@ TEST(Conformance, PtxSoundOnCorpusForEveryChipProfile)
     ASSERT_GT(in_scope, 5u);
 
     Engine engine;
-    ConformanceSink conformance;
-    engine.run(plan.jobs, {&conformance});
-
-    auto cells = conformance.cells();
+    auto cells = conform(engine.run(plan.jobs));
     ASSERT_GE(cells.size(), in_scope * 2); // AMD "n/a" cells drop out
     for (const auto &cell : cells) {
         EXPECT_NE(cell.kind, Conformance::Unsound)
@@ -329,7 +309,6 @@ TEST(Conformance, PtxSoundOnCorpusForEveryChipProfile)
                                         : cell.violations.front())
             << "'";
     }
-    EXPECT_EQ(conformance.count(Conformance::Unsound), 0u);
 }
 
 TEST(Conformance, FlagsTheSec6BaselineAsUnsound)
@@ -343,11 +322,8 @@ TEST(Conformance, FlagsTheSec6BaselineAsUnsound)
     auto jobs = planned(req);
 
     Engine engine;
-    ConformanceSink conformance;
-    engine.run(jobs, {&conformance});
-
     bool baseline_unsound = false;
-    for (const auto &cell : conformance.cells()) {
+    for (const auto &cell : conform(engine.run(jobs))) {
         if (cell.model == "baseline")
             baseline_unsound |= cell.kind == Conformance::Unsound;
         if (cell.model == "ptx") {
@@ -355,26 +331,26 @@ TEST(Conformance, FlagsTheSec6BaselineAsUnsound)
         }
     }
     EXPECT_TRUE(baseline_unsound);
-    EXPECT_GE(conformance.count(Conformance::Unsound), 1u);
 }
 
-TEST(Conformance, SinkSummaryAndJsonShape)
+TEST(Conformance, SummaryAndJsonShape)
 {
     serve::Request req = request("validate", {"mp"}, {"Titan"}, 500);
     req.models = {"ptx", "sc"};
     auto jobs = planned(req);
     Engine engine;
-    ConformanceSink conformance;
-    engine.run(jobs, {&conformance});
+    auto cells = conform(engine.run(jobs));
 
-    std::string summary = conformance.summary().str();
+    std::string summary = conformanceSummary(cells).str();
     EXPECT_NE(summary.find("model"), std::string::npos);
     EXPECT_NE(summary.find("ptx"), std::string::npos);
     EXPECT_NE(summary.find("sc"), std::string::npos);
 
-    std::ostringstream os;
-    conformance.writeTo(os);
-    std::string doc = os.str();
+    const std::string path = "/tmp/gpulitmus_test_conformance." +
+                             std::to_string(getpid()) + ".json";
+    ASSERT_TRUE(writeConformanceFile(path, cells));
+    std::string doc = readFile(path);
+    std::remove(path.c_str());
     EXPECT_EQ(doc.front(), '[');
     for (const char *field :
          {"\"test\":\"mp\"", "\"chip\":\"Titan\"", "\"model\":\"ptx\"",
@@ -382,18 +358,40 @@ TEST(Conformance, SinkSummaryAndJsonShape)
         EXPECT_NE(doc.find(field), std::string::npos) << field;
 }
 
-TEST(EvalEngine, JsonSinkTagsBothSides)
+TEST(Conformance, RepeatedCellsJoinOnceDistinctLabelsKeepRows)
+{
+    // A repeated cell (same cache key and label) joins once; the same
+    // content under another label keeps its own row.
+    serve::Request req = request("validate", {"mp"}, {"Titan"}, 300);
+    req.models = {"ptx"};
+    auto jobs = planned(req); // sim, ptx
+    ASSERT_EQ(jobs.size(), 2u);
+    jobs.push_back(jobs[0]);
+    harness::Job relabelled = jobs[0];
+    relabelled.label = "mp-again";
+    jobs.push_back(relabelled);
+
+    Engine engine;
+    auto cells = conform(engine.run(jobs));
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_EQ(cells[0].test, "mp");
+    EXPECT_EQ(cells[1].test, "mp-again");
+    EXPECT_EQ(cells[0].kind, cells[1].kind);
+}
+
+TEST(EvalEngine, CellsFileTagsBothSides)
 {
     serve::Request req = request("validate", {"sb"}, {"Titan"}, 300);
     req.models = {"ptx"};
     auto jobs = planned(req);
     Engine engine;
-    JsonSink json;
-    engine.run(jobs, {&json});
-    ASSERT_EQ(json.size(), 2u);
-    std::ostringstream os;
-    json.writeTo(os);
-    std::string doc = os.str();
+    auto results = engine.run(jobs);
+    ASSERT_EQ(results.size(), 2u);
+    const std::string path = "/tmp/gpulitmus_test_cells." +
+                             std::to_string(getpid()) + ".json";
+    ASSERT_TRUE(writeCellsFile(path, results));
+    std::string doc = readFile(path);
+    std::remove(path.c_str());
     for (const char *field :
          {"\"backend\":\"sim\"", "\"backend\":\"ptx\"",
           "\"label\":\"sb\"", "\"chip\":\"Titan\"", "\"column\":16",
@@ -623,8 +621,7 @@ TEST(EvalEngine, ProgressCallbackCountsComputedJobs)
     req.columns = {1, 2, 3, 4};
     auto jobs = planned(req);
     jobs.push_back(jobs.front());
-    engine.run(jobs, {},
-               [&](size_t done, size_t total, const EvalResult &) {
+    engine.run(jobs, [&](size_t done, size_t total, const EvalResult &) {
                    ++calls;
                    last_total = total;
                    EXPECT_LE(done, total);
@@ -633,14 +630,15 @@ TEST(EvalEngine, ProgressCallbackCountsComputedJobs)
     EXPECT_EQ(last_total, 4u);
 }
 
-TEST(EvalEngine, TableSinkShape)
+TEST(EvalEngine, ObsTableShape)
 {
-    TableSink table("test", TableSink::byLabel(), TableSink::byColumn());
     Engine engine;
     serve::Request req = request("sweep", {"mp", "sb"}, {}, 200);
     req.columns = {9, 10, 11, 12};
-    engine.run(planned(req), {&table});
-    std::string rendered = table.render().str();
+    std::string rendered =
+        obsTable(engine.run(planned(req)), "test",
+                 [](const EvalResult &r) { return r.label(); })
+            .str();
     // Header: corner + the four columns; body: one row per test.
     EXPECT_NE(rendered.find("test"), std::string::npos);
     for (const char *col : {"9", "10", "11", "12"})

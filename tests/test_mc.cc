@@ -10,12 +10,13 @@
  * - sleep sets and state caching are pure pruning (the reachable set
  *   is invariant under every on/off combination);
  * - budgets degrade to sound bounded results;
- * - McBackend/eval::Engine/ConformanceSink upgrade imprecise cells
+ * - McBackend/eval::Engine/eval::conform upgrade imprecise cells
  *   to rare/unreachable/bounded verdicts.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -52,6 +53,26 @@ loadCorpus(const std::string &name)
     auto test = litmus::parseTest(ss.str());
     EXPECT_TRUE(test.has_value()) << path;
     return *test;
+}
+
+/** Join cells classified as `kind`. */
+size_t
+countKind(const std::vector<eval::ConformanceCell> &cells,
+          eval::Conformance kind)
+{
+    return static_cast<size_t>(
+        std::count_if(cells.begin(), cells.end(),
+                      [kind](const auto &c) { return c.kind == kind; }));
+}
+
+/** Join cells whose sampled outcomes escaped the exploration. */
+size_t
+inconsistentCells(const std::vector<eval::ConformanceCell> &cells)
+{
+    return static_cast<size_t>(
+        std::count_if(cells.begin(), cells.end(), [](const auto &c) {
+            return !c.inconsistent.empty();
+        }));
 }
 
 mc::ExploreResult
@@ -261,7 +282,7 @@ TEST(Explorer, IncantationsGateTheReachableSet)
 TEST(Explorer, SamplerNeverEscapesTheExactSet)
 {
     // 2000 sampled runs all land inside the explored reachable set —
-    // the cross-engine consistency the ConformanceSink also checks.
+    // the cross-engine consistency eval::conform also checks.
     for (const litmus::Test &test :
          {loadCorpus("mp.litmus"), loadCorpus("sb.litmus"),
           loadCorpus("lb.litmus"), loadCorpus("cas-sl.litmus"),
@@ -663,14 +684,11 @@ exists (0:r1=1 /\ 0:r2=1)
 // Eval integration: McBackend, job keys, conformance upgrades.
 // ---------------------------------------------------------------------
 
-TEST(McBackend, RegistryResolvesMcAndAlias)
+TEST(McBackend, RegistryResolvesMc)
 {
     auto mc_backend = eval::backendByName("mc");
     ASSERT_TRUE(mc_backend);
     EXPECT_EQ(mc_backend->name(), "mc");
-    auto alias = eval::backendByName("exhaustive");
-    ASSERT_TRUE(alias);
-    EXPECT_EQ(alias->name(), "mc");
     // mc is not a model backend.
     std::string error;
     EXPECT_FALSE(eval::modelBackendByName("mc", &error));
@@ -759,16 +777,15 @@ TEST(McBackend, ValidateExactMixesSimMcAndModels)
     const auto &jobs = plan.jobs;
     ASSERT_EQ(jobs.size(), 6u);
 
-    eval::ConformanceSink conformance;
     eval::Engine engine(eval::EngineOptions{2});
-    engine.run(jobs, {&conformance});
+    auto cells = eval::conform(engine.run(jobs));
 
     // 2 chips x 1 model verdict per chip cell (sim+exact collapse
     // into one upgraded cell per chip).
-    ASSERT_EQ(conformance.cells().size(), 2u);
-    EXPECT_EQ(conformance.count(eval::Conformance::Unsound), 0u);
-    EXPECT_EQ(conformance.inconsistentCells(), 0u);
-    for (const auto &cell : conformance.cells())
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_EQ(countKind(cells, eval::Conformance::Unsound), 0u);
+    EXPECT_EQ(inconsistentCells(cells), 0u);
+    for (const auto &cell : cells)
         EXPECT_TRUE(cell.hasExact) << cell.chip;
 }
 
@@ -793,12 +810,11 @@ TEST(Conformance, ImpreciseUpgradesToRareWithWeight)
     harness::Job model_job = sim_job;
     model_job.backend = "ptx";
 
-    eval::ConformanceSink sink;
     eval::Engine engine(eval::EngineOptions{2});
-    engine.run({sim_job, mc_job, model_job}, {&sink});
+    auto cells = eval::conform(engine.run({sim_job, mc_job, model_job}));
 
-    ASSERT_EQ(sink.cells().size(), 1u);
-    const eval::ConformanceCell &cell = sink.cells()[0];
+    ASSERT_EQ(cells.size(), 1u);
+    const eval::ConformanceCell &cell = cells[0];
     ASSERT_EQ(cell.kind, eval::Conformance::Rare)
         << "observed-but-unsampled precondition changed?";
     EXPECT_TRUE(cell.hasExact);
@@ -814,7 +830,7 @@ TEST(Conformance, ImpreciseUpgradesToRareWithWeight)
     EXPECT_TRUE(weak_rare);
     EXPECT_TRUE(cell.unobserved.empty());
     EXPECT_TRUE(cell.violations.empty());
-    EXPECT_EQ(sink.count(eval::Conformance::Rare), 1u);
+    EXPECT_EQ(countKind(cells, eval::Conformance::Rare), 1u);
 }
 
 TEST(Conformance, ImpreciseUpgradesToUnreachableOnStrongChip)
@@ -835,17 +851,16 @@ TEST(Conformance, ImpreciseUpgradesToUnreachableOnStrongChip)
     harness::Job model_job = sim_job;
     model_job.backend = "ptx";
 
-    eval::ConformanceSink sink;
     eval::Engine engine(eval::EngineOptions{2});
-    engine.run({sim_job, mc_job, model_job}, {&sink});
+    auto cells = eval::conform(engine.run({sim_job, mc_job, model_job}));
 
-    ASSERT_EQ(sink.cells().size(), 1u);
-    const eval::ConformanceCell &cell = sink.cells()[0];
+    ASSERT_EQ(cells.size(), 1u);
+    const eval::ConformanceCell &cell = cells[0];
     EXPECT_EQ(cell.kind, eval::Conformance::Unreachable);
     ASSERT_FALSE(cell.unreachable.empty());
     EXPECT_EQ(cell.unreachable[0], "1:r1=1; 1:r2=0;");
     EXPECT_TRUE(cell.violations.empty());
-    EXPECT_EQ(sink.count(eval::Conformance::Unreachable), 1u);
+    EXPECT_EQ(countKind(cells, eval::Conformance::Unreachable), 1u);
 }
 
 TEST(Conformance, BudgetExhaustionYieldsBoundedCell)
@@ -865,12 +880,11 @@ TEST(Conformance, BudgetExhaustionYieldsBoundedCell)
     harness::Job model_job = sim_job;
     model_job.backend = "ptx";
 
-    eval::ConformanceSink sink;
     eval::Engine engine(eval::EngineOptions{1});
-    engine.run({sim_job, mc_job, model_job}, {&sink});
+    auto cells = eval::conform(engine.run({sim_job, mc_job, model_job}));
 
-    ASSERT_EQ(sink.cells().size(), 1u);
-    const eval::ConformanceCell &cell = sink.cells()[0];
+    ASSERT_EQ(cells.size(), 1u);
+    const eval::ConformanceCell &cell = cells[0];
     EXPECT_EQ(cell.kind, eval::Conformance::Bounded);
     EXPECT_TRUE(cell.hasExact);
     EXPECT_FALSE(cell.exactComplete);
@@ -891,12 +905,11 @@ TEST(Conformance, McOnlyCellsClassifyFromTheExactSet)
     harness::Job model_job = mc_job;
     model_job.backend = "ptx";
 
-    eval::ConformanceSink sink;
     eval::Engine engine(eval::EngineOptions{2});
-    engine.run({mc_job, model_job}, {&sink});
+    auto cells = eval::conform(engine.run({mc_job, model_job}));
 
-    ASSERT_EQ(sink.cells().size(), 1u);
-    const eval::ConformanceCell &cell = sink.cells()[0];
+    ASSERT_EQ(cells.size(), 1u);
+    const eval::ConformanceCell &cell = cells[0];
     // Titan reaches the full ptx-allowed set for mp: exact match.
     EXPECT_EQ(cell.kind, eval::Conformance::Sound);
     EXPECT_EQ(cell.runs, 0u);
@@ -908,7 +921,6 @@ TEST(Conformance, ExactSetAgreesWithPtxOnCorpusSample)
     // The acceptance property in miniature: explorations of the
     // in-scope corpus on two chips produce no reachable-but-
     // forbidden state (0 unsound) and no sampling escapee.
-    eval::ConformanceSink sink;
     eval::Engine engine(eval::EngineOptions{2});
     std::vector<harness::Job> jobs;
     for (const char *file :
@@ -928,15 +940,16 @@ TEST(Conformance, ExactSetAgreesWithPtxOnCorpusSample)
             jobs.push_back(model_job);
         }
     }
-    auto results = engine.run(jobs, {&sink});
+    auto results = engine.run(jobs);
     for (const auto &r : results) {
         if (r.hasExact()) {
             EXPECT_TRUE(r.exact->complete) << r.label();
         }
     }
-    EXPECT_EQ(sink.cells().size(), 10u);
-    EXPECT_EQ(sink.count(eval::Conformance::Unsound), 0u);
-    EXPECT_EQ(sink.inconsistentCells(), 0u);
+    auto cells = eval::conform(results);
+    EXPECT_EQ(cells.size(), 10u);
+    EXPECT_EQ(countKind(cells, eval::Conformance::Unsound), 0u);
+    EXPECT_EQ(inconsistentCells(cells), 0u);
 }
 
 } // namespace

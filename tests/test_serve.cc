@@ -574,7 +574,7 @@ TEST(Store, StoreHitsResolveBeforeAnyWorkerStarts)
     const uint64_t wall_before =
         obs::counter("engine_worker_wall_us_total").value();
     size_t progressed = 0;
-    auto warm = engine.run(std::move(batch), {},
+    auto warm = engine.run(std::move(batch),
                            [&progressed](size_t, size_t,
                                          const eval::EvalResult &) {
                                ++progressed;

@@ -96,9 +96,12 @@
  * for https://ui.perfetto.dev (docs/OBSERVABILITY.md). GPULITMUS_OBS=0
  * disables all telemetry; results are bit-identical either way.
  *
- * Exit status: 0 on success, 1 on usage/parse errors (including a
- * malformed integer flag or a negative count), 2 when a check
- * fails (optcheck violation, ~exists condition observed or
+ * Each command reads only the flags named in its usage line (the
+ * table in commands()); any other flag is a usage error.
+ *
+ * Exit status: 0 on success, 1 on usage/parse errors (including an
+ * unknown flag, a malformed integer flag or a negative count), 2 when
+ * a check fails (optcheck violation, ~exists condition observed or
  * mc-reachable, or an unsound validate/explore cell).
  */
 
@@ -188,34 +191,6 @@ struct Args
     }
 };
 
-Args
-parseArgs(int argc, char **argv, int start)
-{
-    Args args;
-    for (int i = start; i < argc; ++i) {
-        std::string a = argv[i];
-        if (startsWith(a, "--")) {
-            std::string name = a.substr(2);
-            std::string value = "true";
-            auto eq = name.find('=');
-            if (eq != std::string::npos) {
-                value = name.substr(eq + 1);
-                name = name.substr(0, eq);
-            } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-                value = argv[++i];
-            }
-            args.flags[name] = value;
-        } else if (startsWith(a, "-O")) {
-            // Both `-O3` and `-O 3`.
-            args.flags["opt-level"] =
-                a.size() == 2 && i + 1 < argc ? argv[++i] : a.substr(2);
-        } else {
-            args.positional.push_back(a);
-        }
-    }
-    return args;
-}
-
 /**
  * Resolve one test argument — a .litmus path, a registry-scenario spec
  * ("scenario:<name>[,k=v...]") or a paper-library id — exactly as the
@@ -288,7 +263,7 @@ cmdRun(const Args &args)
               << "; incantations: " << cell.inc.str() << "; "
               << cell.iterations << " iterations\n\n"
               << results[0].hist->str();
-    return serve::summarize(*req, results, eval::ConformanceSink{}).exit;
+    return serve::summarize(*req, results).exit;
 }
 
 /** A batch command, planned: its request, the plan, the --store the
@@ -431,37 +406,30 @@ cmdSweep(const Args &args)
             tests.end())
             tests.push_back(job.label);
     }
-    // One row per chip; a multi-test sweep keys rows by test too.
-    eval::TableSink table(
-        "chip",
-        tests.size() == 1
-            ? eval::TableSink::byChip()
-            : [](const eval::EvalResult &r) {
-                  return r.label() + "@" + r.chip().shortName;
-              },
-        eval::TableSink::byColumn());
-    eval::JsonSink json;
-    std::vector<eval::EvalSink *> sinks{&table};
-    if (args.has("json"))
-        sinks.push_back(&json);
 
     std::cout << "sweep: " << join(tests, ", ") << ", "
               << req.iterations << " iterations/cell, "
               << engine.threads() << " worker threads\n\n";
-    auto results = engine.run(plan.jobs, sinks);
-    table.render().print(std::cout);
+    auto results = engine.run(plan.jobs);
+    // One row per chip; a multi-test sweep keys rows by test too.
+    const bool one_test = tests.size() == 1;
+    eval::obsTable(results, "chip", [one_test](const eval::EvalResult &r) {
+        return one_test ? r.chip().shortName
+                        : r.label() + "@" + r.chip().shortName;
+    }).print(std::cout);
     for (const auto &cell : plan.skipped)
         std::cout << cell << ": miscompiled (n/a)\n";
     finishStore(batch->store.get());
 
     // Exit 2 when a ~exists condition was observed anywhere in the
     // grid, mirroring `run`.
-    int exit_code =
-        serve::summarize(req, results, eval::ConformanceSink{}).exit;
+    int exit_code = serve::summarize(req, results).exit;
     return writeJsonFlag(
         args, "sweep.json", exit_code,
-        [&](const std::string &path) { return json.writeFile(path); },
-        "\n", " (" + std::to_string(json.size()) + " cells)");
+        [&](const std::string &path) {
+            return eval::writeCellsFile(path, results);
+        },
+        "\n", " (" + std::to_string(results.size()) + " cells)");
 }
 
 int
@@ -469,7 +437,7 @@ cmdCheck(const Args &args)
 {
     if (args.positional.empty()) {
         std::cerr << "usage: gpulitmus check <test>"
-                     " [--model ptx|rmo|sc|tso|operational]\n";
+                     " [--model ptx|rmo|sc|tso|baseline]\n";
         return 1;
     }
     auto loaded = loadTest(args.positional[0]);
@@ -551,13 +519,15 @@ cmdValidate(const Args &args)
               << " iterations/cell, column " << req.column << ", "
               << engine.threads() << " worker threads\n\n";
 
-    eval::ConformanceSink conformance;
-    auto results =
-        engine.run(plan.jobs, {&conformance}, progressEvery(50));
+    auto results = engine.run(plan.jobs, progressEvery(50));
     std::cerr << "\n";
 
-    conformance.summary().print(std::cout);
-    for (const auto &cell : conformance.cells()) {
+    // An explorer/simulator divergence is as fatal as unsoundness:
+    // the tool's own invariant (sampled outcomes stay inside the
+    // exact set) failed, so nothing it printed can be trusted.
+    serve::Outcome outcome = serve::summarize(req, results);
+    eval::conformanceSummary(outcome.conformance).print(std::cout);
+    for (const auto &cell : outcome.conformance) {
         if (cell.kind == eval::Conformance::Unsound) {
             std::cout << "UNSOUND: " << cell.test << " on "
                       << cell.chip << " (column " << cell.column
@@ -575,17 +545,19 @@ cmdValidate(const Args &args)
     for (const auto &cell : plan.skipped)
         std::cout << cell << ": miscompiled (n/a)\n";
 
-    // An explorer/simulator divergence is as fatal as unsoundness:
-    // the tool's own invariant (sampled outcomes stay inside the
-    // exact set) failed, so nothing it printed can be trusted.
-    serve::Outcome outcome = serve::summarize(req, results, conformance);
-    std::cout << "\n" << outcome.cells << " cells: " << outcome.sound
+    std::cout << "\n"
+              << outcome.conformance.size() << " cells: " << outcome.sound
               << " sound, " << outcome.unsound << " unsound, "
               << outcome.imprecise << " imprecise";
     if (req.exact) {
         std::cout << ", " << outcome.rare << " rare, "
                   << outcome.unreachable << " unreachable, "
-                  << conformance.count(eval::Conformance::Bounded)
+                  << std::count_if(outcome.conformance.begin(),
+                                   outcome.conformance.end(),
+                                   [](const eval::ConformanceCell &c) {
+                                       return c.kind ==
+                                              eval::Conformance::Bounded;
+                                   })
                   << " bounded";
     }
     std::cout << "\n";
@@ -593,7 +565,8 @@ cmdValidate(const Args &args)
 
     return writeJsonFlag(args, "validate.json", outcome.exit,
                          [&](const std::string &path) {
-                             return conformance.writeFile(path);
+                             return eval::writeConformanceFile(
+                                 path, outcome.conformance);
                          });
 }
 
@@ -633,13 +606,9 @@ cmdExplore(const Args &args)
                                       : join(plan.models, ","))
               << ", " << engine.threads() << " worker threads\n\n";
 
-    eval::ConformanceSink conformance;
-    eval::JsonSink json;
-    std::vector<eval::EvalSink *> sinks{&conformance};
-    if (args.has("json"))
-        sinks.push_back(&json);
-    auto results = engine.run(plan.jobs, sinks, progressEvery(10));
+    auto results = engine.run(plan.jobs, progressEvery(10));
     std::cerr << "\n";
+    serve::Outcome outcome = serve::summarize(req, results);
 
     // A reachable satisfying state of a ~exists test (an application
     // scenario's "wrong result") is a definitive failure: the
@@ -703,8 +672,8 @@ cmdExplore(const Args &args)
 
     if (!plan.models.empty()) {
         std::cout << "\n";
-        conformance.summary().print(std::cout);
-        for (const auto &cell : conformance.cells()) {
+        eval::conformanceSummary(outcome.conformance).print(std::cout);
+        for (const auto &cell : outcome.conformance) {
             if (cell.kind != eval::Conformance::Unsound)
                 continue;
             std::cout << "UNSOUND: " << cell.test << " on "
@@ -715,7 +684,6 @@ cmdExplore(const Args &args)
             std::cout << "\n";
         }
     }
-    serve::Outcome outcome = serve::summarize(req, results, conformance);
     for (const auto &cell : plan.skipped)
         std::cout << cell << ": miscompiled (n/a)\n";
     if (outcome.bounded > 0)
@@ -728,8 +696,10 @@ cmdExplore(const Args &args)
 
     return writeJsonFlag(
         args, "explore.json", outcome.exit,
-        [&](const std::string &path) { return json.writeFile(path); },
-        "", " (" + std::to_string(json.size()) + " cells)");
+        [&](const std::string &path) {
+            return eval::writeCellsFile(path, results);
+        },
+        "", " (" + std::to_string(results.size()) + " cells)");
 }
 
 int
@@ -966,7 +936,7 @@ cmdList(const Args &args)
 }
 
 int
-cmdChips()
+cmdChips(const Args &)
 {
     for (const auto &c : sim::allChips()) {
         std::cout << c.shortName << "\t" << c.vendor << " "
@@ -978,7 +948,7 @@ cmdChips()
 }
 
 int
-cmdModels()
+cmdModels(const Args &)
 {
     for (const auto &[name, m] : cat::models::all()) {
         std::cout << name << ": checks";
@@ -1289,43 +1259,120 @@ cmdStatus(const Args &args)
     return 0;
 }
 
-int
-dispatch(const std::string &cmd, const Args &args)
+/** How a flag takes its value. */
+enum class Takes
 {
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "sweep")
-        return cmdSweep(args);
-    if (cmd == "check")
-        return cmdCheck(args);
-    if (cmd == "validate")
-        return cmdValidate(args);
-    if (cmd == "explore")
-        return cmdExplore(args);
-    if (cmd == "list")
-        return cmdList(args);
-    if (cmd == "show")
-        return cmdShow(args);
-    if (cmd == "lint")
-        return cmdLint(args);
-    if (cmd == "sass")
-        return cmdSass(args);
-    if (cmd == "generate")
-        return cmdGenerate(args);
-    if (cmd == "gen")
-        return cmdGen(args);
-    if (cmd == "chips")
-        return cmdChips();
-    if (cmd == "models")
-        return cmdModels();
-    if (cmd == "serve")
-        return cmdServe(args);
-    if (cmd == "submit")
-        return cmdSubmit(args);
-    if (cmd == "status")
-        return cmdStatus(args);
-    std::cerr << "unknown command '" << cmd << "'\n";
-    return 1;
+    Nothing,  ///< a switch: never consumes an argument
+    Value,    ///< consumes the next argument
+    Optional, ///< consumes the next argument unless it starts with '-'
+};
+
+/** A subcommand: its handler and the flags it reads. */
+struct Command
+{
+    int (*run)(const Args &);
+    std::map<std::string, Takes> flags;
+};
+
+/** Every subcommand and the flags it reads. Any other flag is a usage
+ * error, so a misspelt flag never silently runs the defaults; --trace
+ * is accepted everywhere (see main). */
+const std::map<std::string, Command> &
+commands()
+{
+    constexpr Takes N = Takes::Nothing, V = Takes::Value,
+                    O = Takes::Optional;
+    static const std::map<std::string, Command> table = {
+        {"run", {cmdRun, {{"chip", V}, {"column", V}, {"iterations", V},
+                          {"seed", V}}}},
+        {"sweep", {cmdSweep, {{"chips", V}, {"columns", V}, {"jobs", V},
+                              {"iterations", V}, {"seed", V}, {"json", O},
+                              {"store", V}, {"max-store-bytes", V}}}},
+        {"check", {cmdCheck, {{"model", V}}}},
+        {"validate",
+         {cmdValidate, {{"models", V}, {"chips", V}, {"column", V},
+                        {"jobs", V}, {"iterations", V}, {"seed", V},
+                        {"exact", N}, {"budget", V}, {"json", O},
+                        {"store", V}, {"max-store-bytes", V}}}},
+        {"explore", {cmdExplore, {{"chips", V}, {"column", V},
+                                  {"budget", V}, {"jobs", V},
+                                  {"models", V}, {"json", O},
+                                  {"store", V}, {"max-store-bytes", V}}}},
+        {"list", {cmdList, {{"json", N}, {"corpus", V}}}},
+        {"show", {cmdShow, {}}},
+        {"lint", {cmdLint, {{"json", N}}}},
+        {"sass", {cmdSass, {{"opt-level", V}, {"sdk", V},
+                            {"maxwell", N}}}},
+        {"generate", {cmdGenerate, {{"max-edges", V}, {"max-tests", V},
+                                    {"steer", N}}}},
+        {"gen", {cmdGen, {{"out", V}, {"min-edges", V}, {"max-edges", V},
+                          {"max-tests", V}, {"no-scopes", N},
+                          {"no-deps", N}, {"steer", N}}}},
+        {"chips", {cmdChips, {}}},
+        {"models", {cmdModels, {}}},
+        {"serve", {cmdServe, {{"socket", V}, {"port", V}, {"store", V},
+                              {"jobs", V}, {"max-store-bytes", V}}}},
+        {"submit", {cmdSubmit, {{"socket", V}, {"port", V}, {"host", V},
+                                {"chips", V}, {"models", V},
+                                {"columns", V}, {"column", V},
+                                {"iterations", V}, {"seed", V},
+                                {"budget", V}, {"exact", N}, {"id", V},
+                                {"json", N}}}},
+        {"status", {cmdStatus, {{"socket", V}, {"port", V}, {"host", V},
+                                {"watch", O}, {"id", V}, {"json", N}}}},
+    };
+    return table;
+}
+
+/** Split the arguments after `cmd` into positionals and the flags its
+ * table entry names: `--name value`, `--name=value`, and `-O3`/`-O 3` for
+ * --opt-level. An unknown flag, or a value flag at the end of the
+ * line, is a usage error (exit 1). */
+Args
+parseArgs(const std::string &cmd, const Command &command, int argc,
+          char **argv)
+{
+    Args args;
+    for (int i = 2; i < argc; ++i) {
+        std::string a = argv[i];
+        std::string name, value;
+        bool valued = false;
+        if (startsWith(a, "--")) {
+            name = a.substr(2);
+            if (auto eq = name.find('='); eq != std::string::npos) {
+                value = name.substr(eq + 1);
+                name = name.substr(0, eq);
+                valued = true;
+            }
+        } else if (startsWith(a, "-O")) {
+            name = "opt-level";
+            value = a.substr(2);
+            valued = a.size() > 2;
+        } else {
+            args.positional.push_back(a);
+            continue;
+        }
+        const std::string shown = startsWith(a, "--") ? "--" + name : "-O";
+        auto spec = command.flags.find(name);
+        if (name != "trace" && spec == command.flags.end())
+            Args::usageError("unknown flag " + shown + " for " + cmd);
+        Takes takes = name == "trace" ? Takes::Optional : spec->second;
+        if (!valued) {
+            if (takes == Takes::Value) {
+                if (i + 1 >= argc)
+                    Args::usageError("flag " + shown + " for " + cmd +
+                                     " needs a value");
+                value = argv[++i];
+            } else if (takes == Takes::Optional && i + 1 < argc &&
+                       argv[i + 1][0] != '-') {
+                value = argv[++i];
+            } else {
+                value = "true";
+            }
+        }
+        args.flags[name] = value;
+    }
+    return args;
 }
 
 } // namespace
@@ -1342,7 +1389,12 @@ main(int argc, char **argv)
         return 1;
     }
     std::string cmd = argv[1];
-    Args args = parseArgs(argc, argv, 2);
+    auto command = commands().find(cmd);
+    if (command == commands().end()) {
+        std::cerr << "unknown command '" << cmd << "'\n";
+        return 1;
+    }
+    Args args = parseArgs(cmd, command->second, argc, argv);
 
     // --trace FILE: collect spans for the whole invocation and write
     // Chrome trace-event JSON on the way out (docs/OBSERVABILITY.md).
@@ -1354,7 +1406,7 @@ main(int argc, char **argv)
         obs::Trace::start();
     }
 
-    int exit_code = dispatch(cmd, args);
+    int exit_code = command->second.run(args);
 
     if (!trace_path.empty()) {
         std::string error;
