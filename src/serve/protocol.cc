@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -85,118 +86,259 @@ registryJson(const std::vector<std::string> &corpus)
     return out;
 }
 
-const std::vector<std::string> kCommands = {
-    "hello",    "list",    "stats",    "metrics",  "sweep",
-    "validate", "explore", "scenario", "shutdown",
+// ---- the request schema ---------------------------------------------
+
+namespace {
+
+/** Command bits; a field is read by a mask of them. */
+enum : unsigned { kControl = 1, kSweep = 2, kValidate = 4, kExplore = 8 };
+constexpr unsigned kJobs = kSweep | kValidate | kExplore;
+
+/** explore and scenario share a planner; the control commands read
+ * only the id. */
+const std::vector<std::pair<std::string, unsigned>> kCommands = {
+    {"hello", kControl},   {"list", kControl},     {"stats", kControl},
+    {"metrics", kControl}, {"sweep", kSweep},      {"validate", kValidate},
+    {"explore", kExplore}, {"scenario", kExplore}, {"shutdown", kControl},
 };
+
+/** How a value is checked, and spelt as a flag: a list is
+ * comma-separated, a column list also takes ranges ("1-4,9"), a switch
+ * is its presence, the tests are the positionals. */
+enum class Kind { Text, Tests, Strings, Columns, Column, Count, Integer, Switch };
+
+/** Each kind's placeholder in a usage line, in Kind order (null: not a
+ * flag). */
+const char *const kPlaceholder[] = {nullptr, nullptr, "A,B", "1-16",
+                                    "1..16", "N",     "N",   ""};
+
+/** The request schema, in wire order: `field(name, kind, read by,
+ * member of req)` for each field. What a command reads is what
+ * planJobs reads for it. */
+template <typename Req, typename Fn>
+void
+forEachField(Req &req, Fn &&field)
+{
+    field("id", Kind::Text, kControl | kJobs, req.id);
+    field("tests", Kind::Tests, kJobs, req.tests);
+    field("chips", Kind::Strings, kJobs, req.chips);
+    field("models", Kind::Strings, kValidate | kExplore, req.models);
+    field("columns", Kind::Columns, kSweep, req.columns);
+    field("column", Kind::Column, kValidate | kExplore, req.column);
+    field("iterations", Kind::Count, kSweep | kValidate, req.iterations);
+    field("seed", Kind::Integer, kSweep | kValidate, req.seed);
+    field("budget", Kind::Count, kValidate | kExplore, req.budget);
+    field("exact", Kind::Switch, kValidate, req.exact);
+}
+
+/** Set `error`; a `T` that says "failed" (false, 0, nullopt). */
+template <typename T = bool>
+T
+fail(std::string *error, const std::string &message)
+{
+    if (error)
+        *error = message;
+    return T{};
+}
+
+/** `cmd`'s bit; 0 + `error` for an unknown command. */
+unsigned
+commandBit(const std::string &cmd, std::string *error)
+{
+    std::vector<std::string> names;
+    for (const auto &[name, bit] : kCommands) {
+        if (name == cmd)
+            return bit;
+        names.push_back(name);
+    }
+    return fail<unsigned>(error, "unknown cmd '" + cmd + "' (valid: " +
+                                     join(names, ", ") + ")");
+}
+
+/** The range and sign check of the integer kinds (a count would wrap
+ * to ~2^64 if negative), on the wire, for the request flags and for
+ * intFlag. `label` names the field as its source spells it ("budget",
+ * "--budget"). */
+bool
+checkInteger(Kind kind, int64_t v, const std::string &label,
+             std::string *error)
+{
+    if ((kind == Kind::Column || kind == Kind::Columns) && (v < 1 || v > 16))
+        return fail(error, label + " must be 1..16, got " + std::to_string(v));
+    if (kind == Kind::Count && v < 0)
+        return fail(error, label + " must be >= 0, got " + std::to_string(v));
+    return true;
+}
+
+/** The setter of every field, typed by its member: `v` is its wire
+ * value (a flag's text made one by flagValue), checked against
+ * `kind`. */
+template <typename T>
+bool
+set(T &out, Kind kind, const json::Value &v, const std::string &label,
+    std::string *error)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (!v.isString())
+            return fail(error, label + " expects a string");
+        out = v.string();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (!v.isBool())
+            return fail(error, label + " expects true or false");
+        out = v.boolean();
+    } else if constexpr (std::is_integral_v<T>) {
+        if (!v.isInt())
+            return fail(error, label + " expects an integer");
+        if (!checkInteger(kind, v.integer(), label, error))
+            return false;
+        out = static_cast<T>(v.integer());
+    } else if constexpr (std::is_same_v<T, TestSpec>) {
+        // A string is a library id or, by its "scenario:" prefix, a
+        // scenario spec; an object has exactly one of name, source and
+        // spec.
+        const bool one = v.isObject() && v.object().size() == 1;
+        const json::Value &text = one ? v.object().begin()->second : v;
+        const std::string key = one ? v.object().begin()->first
+                                : scenario::isSpec(v.string()) ? "spec"
+                                                               : "name";
+        std::string *slot = key == "name"     ? &out.name
+                            : key == "source" ? &out.source
+                            : key == "spec"   ? &out.spec
+                                              : nullptr;
+        if (!slot || !text.isString() || text.string().empty())
+            return fail(error, label + " entries must be test names or"
+                                       " objects with one of name,"
+                                       " source or spec");
+        *slot = text.string();
+    } else {
+        if (!v.isArray())
+            return fail(error, label + " expects an array");
+        for (const auto &item : v.array()) {
+            if (!set(out.emplace_back(), kind, item, label, error))
+                return false;
+        }
+    }
+    return true;
+}
+
+/** A flag's text as the wire value of a field of `kind`. */
+std::optional<json::Value>
+flagValue(Kind kind, const std::string &text, const std::string &label,
+          std::string *error)
+{
+    using Result = std::optional<json::Value>;
+    if (kind == Kind::Text)
+        return json::Value(text);
+    if (kind == Kind::Switch)
+        return json::Value(true);
+    if (kind != Kind::Strings && kind != Kind::Columns) {
+        if (auto v = parseInt(text))
+            return json::Value(*v);
+        return fail<Result>(error, label + " expects an integer, got '" +
+                                       text + "'");
+    }
+    json::Array items;
+    for (const auto &part : split(text, ',')) {
+        if (kind == Kind::Strings) {
+            items.emplace_back(trim(part));
+            continue;
+        }
+        // "lo-hi" or one column; a typo'd range must not balloon.
+        auto dash = part.find('-');
+        auto lo = parseInt(part.substr(0, dash));
+        auto hi = dash == std::string::npos ? lo
+                                            : parseInt(part.substr(dash + 1));
+        if (!lo || !hi || *lo > *hi || *hi - *lo >= 16)
+            return fail<Result>(error, "invalid " + label + " '" + text +
+                                           "' (want e.g. 1-16, 9 or 1,5,9)");
+        for (int64_t n = 0; n <= *hi - *lo; ++n)
+            items.emplace_back(*lo + n);
+    }
+    return json::Value(std::move(items));
+}
+
+/** Set field `name` of `req` (whose command has bit `reads`) from its
+ * `wire` value, or from a flag's `text` when `wire` is null. False +
+ * `error` naming the field when it is unknown (a flag outside the
+ * schema is the command line's own: true), the command does not read
+ * it or its kind refuses the value. */
+bool
+setField(Request &req, unsigned reads, const std::string &name,
+         const json::Value *wire, const std::string &text,
+         std::string *error)
+{
+    const std::string label = wire ? name : "--" + name;
+    std::optional<bool> ok;
+    forEachField(req, [&](const char *field, Kind kind, unsigned readBy,
+                          auto &member) {
+        if (name != field || (!wire && kind == Kind::Tests))
+            return;
+        if (!(readBy & reads)) {
+            ok = fail(error, "'" + req.cmd + "' does not read " + label);
+            return;
+        }
+        std::optional<json::Value> flag;
+        if (!wire)
+            flag = flagValue(kind, text, label, error);
+        const json::Value *value = wire ? wire : flag ? &*flag : nullptr;
+        ok = value && set(member, kind, *value, label, error);
+    });
+    if (!ok && wire)
+        return fail(error, "unknown field '" + name + "'");
+    return ok.value_or(true);
+}
+
+/** Append a field's wire value to `out`. */
+template <typename T>
+void
+appendJson(std::string &out, const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        out += '"' + jsonEscape(v) + '"';
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out += v ? "true" : "false";
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        out += std::to_string(v);
+    } else if constexpr (std::is_same_v<T, TestSpec>) {
+        // Exactly one field of a TestSpec is set.
+        out += '{';
+        out += !v.spec.empty()     ? jsonField("spec", v.spec)
+               : !v.source.empty() ? jsonField("source", v.source)
+                                   : jsonField("name", v.name);
+        out += '}';
+    } else {
+        out += '[';
+        for (size_t i = 0; i < v.size(); ++i) {
+            out += i ? "," : "";
+            appendJson(out, v[i]);
+        }
+        out += ']';
+    }
+}
+
+} // namespace
 
 std::optional<Request>
 parseRequest(const std::string &line, std::string *error)
 {
-    auto fail = [error](const std::string &message) {
-        if (error)
-            *error = message;
-        return std::nullopt;
-    };
     auto doc = json::parse(line, error);
     if (!doc)
         return std::nullopt;
-    if (!doc->isObject())
-        return fail("request must be a JSON object");
-
+    const json::Value *cmd = doc->find("cmd");
+    if (!cmd || !cmd->isString())
+        return fail<std::optional<Request>>(
+            error, doc->isObject() ? "missing \"cmd\""
+                                   : "request must be a JSON object");
     Request req;
-    req.cmd = doc->getString("cmd", "");
-    if (req.cmd.empty())
-        return fail("missing \"cmd\"");
-    if (std::find(kCommands.begin(), kCommands.end(), req.cmd) ==
-        kCommands.end())
-        return fail("unknown cmd '" + req.cmd +
-                    "' (valid: " + join(kCommands, ", ") + ")");
-    req.id = doc->getString("id", "");
-
-    for (const auto &t : doc->getArray("tests")) {
-        TestSpec spec;
-        if (t.isString()) {
-            // Shorthand: a bare string is a library id or a scenario
-            // spec, disambiguated by the "scenario:" prefix — same as
-            // a CLI positional.
-            if (scenario::isSpec(t.string()))
-                spec.spec = t.string();
-            else
-                spec.name = t.string();
-        } else if (t.isObject()) {
-            spec.name = t.getString("name", "");
-            spec.source = t.getString("source", "");
-            spec.spec = t.getString("spec", "");
-        } else {
-            return fail("each tests[] entry must be a string or an"
-                        " object");
-        }
-        if (spec.name.empty() && spec.source.empty() &&
-            spec.spec.empty())
-            return fail("tests[] entry names no test (want name,"
-                        " source or spec)");
-        req.tests.push_back(std::move(spec));
+    req.cmd = cmd->string();
+    const unsigned reads = commandBit(req.cmd, error);
+    if (!reads)
+        return std::nullopt;
+    for (const auto &[name, value] : doc->object()) {
+        if (name != "cmd" && !setField(req, reads, name, &value, "", error))
+            return std::nullopt;
     }
-
-    for (auto [key, out] : {std::pair{"chips", &req.chips},
-                            std::pair{"models", &req.models}}) {
-        for (const auto &v : doc->getArray(key)) {
-            if (!v.isString())
-                return fail(std::string(key) +
-                            "[] entries must be strings");
-            out->push_back(v.string());
-        }
-    }
-    for (const auto &col : doc->getArray("columns")) {
-        if (!col.isNumber() || col.integer() < 1 ||
-            col.integer() > 16)
-            return fail("columns[] entries must be integers 1..16");
-        req.columns.push_back(static_cast<int>(col.integer()));
-    }
-    int64_t column = doc->getInt("column", 16);
-    if (column < 1 || column > 16)
-        return fail("column must be 1..16");
-    req.column = static_cast<int>(column);
-    // Counts are unsigned: a negative one would wrap to ~2^64
-    // iterations or replays.
-    int64_t iterations = doc->getInt("iterations", 0);
-    int64_t budget = doc->getInt("budget", 1 << 20);
-    if (iterations < 0)
-        return fail("iterations must be >= 0");
-    if (budget < 0)
-        return fail("budget must be >= 0");
-    req.iterations = iterations > 0 ? static_cast<uint64_t>(iterations)
-                                    : harness::defaultIterations();
-    req.seed = static_cast<uint64_t>(doc->getInt("seed", 0x6c69));
-    req.budget = static_cast<uint64_t>(budget);
-    req.exact = doc->getBool("exact", false);
     return req;
-}
-
-std::vector<int>
-parseColumns(const std::string &spec)
-{
-    std::vector<int> out;
-    for (const auto &part : split(spec, ',')) {
-        auto dash = part.find('-');
-        if (dash != std::string::npos) {
-            auto lo = parseInt(part.substr(0, dash));
-            auto hi = parseInt(part.substr(dash + 1));
-            // Bounds-check before expanding so a typo'd range cannot
-            // balloon the list.
-            if (!lo || !hi || *lo > *hi || *lo < 1 || *hi > 16)
-                return {};
-            for (int64_t c = *lo; c <= *hi; ++c)
-                out.push_back(static_cast<int>(c));
-        } else {
-            auto c = parseInt(part);
-            if (!c || *c < 1 || *c > 16)
-                return {};
-            out.push_back(static_cast<int>(*c));
-        }
-    }
-    return out;
 }
 
 std::optional<TestSpec>
@@ -211,9 +353,8 @@ testSpecFor(const std::string &arg, std::string *error)
         spec.source = buffer.str();
     } else if (arg.find('/') != std::string::npos ||
                endsWith(arg, ".litmus")) {
-        if (error)
-            *error = "cannot open '" + arg + "'";
-        return std::nullopt;
+        return fail<std::optional<TestSpec>>(error,
+                                             "cannot open '" + arg + "'");
     } else {
         spec.name = arg; // a paper-library id
     }
@@ -228,17 +369,11 @@ intFlag(const std::map<std::string, std::string> &flags,
     auto it = flags.find(name);
     if (it == flags.end())
         return fallback;
-    const std::string &v = it->second;
-    auto parsed = parseInt(v);
-    if (parsed && (!count || *parsed >= 0))
-        return parsed;
-    if (error) {
-        *error = !parsed ? "--" + name + " expects an integer" +
-                               (v == "true" ? std::string()
-                                            : ", got '" + v + "'")
-                         : "--" + name + " must be >= 0, got " + v;
-    }
-    return std::nullopt;
+    const Kind kind = count ? Kind::Count : Kind::Integer;
+    auto v = flagValue(kind, it->second, "--" + name, error);
+    if (!v || !checkInteger(kind, v->integer(), "--" + name, error))
+        return std::nullopt;
+    return v->integer();
 }
 
 std::optional<Request>
@@ -247,99 +382,54 @@ requestFromFlags(const std::string &cmd,
                  const std::map<std::string, std::string> &flags,
                  std::string *error)
 {
-    auto fail = [error](const std::string &message) {
-        if (error)
-            *error = message;
-        return std::nullopt;
-    };
-    auto flag = [&flags](const std::string &name) -> const std::string * {
-        auto it = flags.find(name);
-        return it == flags.end() ? nullptr : &it->second;
-    };
-    std::string bad;
-    auto integer = [&](const std::string &name, int64_t fallback,
-                       bool count) {
-        auto v = intFlag(flags, name, fallback, count,
-                         bad.empty() ? &bad : nullptr);
-        return v.value_or(fallback);
-    };
-    auto list = [&flag](const std::string &name) {
-        std::vector<std::string> out;
-        if (const std::string *v = flag(name)) {
-            for (const auto &item : split(*v, ','))
-                out.push_back(trim(item));
-        }
-        return out;
-    };
-
     Request req;
     req.cmd = cmd;
-    req.id = flag("id") ? *flag("id") : "cli";
+    req.id = "cli";
+    // An empty tests[] asks the schema whether the command reads tests.
+    const json::Value none{json::Array{}};
+    const unsigned reads = commandBit(cmd, error);
+    if (!reads ||
+        (!tests.empty() && !setField(req, reads, "tests", &none, "", error)))
+        return std::nullopt;
     for (const auto &arg : tests) {
-        std::string bad_test;
-        auto spec = testSpecFor(arg, &bad_test);
+        auto spec = testSpecFor(arg, error);
         if (!spec)
-            return fail(bad_test);
+            return std::nullopt;
         req.tests.push_back(std::move(*spec));
     }
-    req.chips = list("chips");
-    req.models = list("models");
-    if (const std::string *v = flag("columns")) {
-        req.columns = parseColumns(*v);
-        if (req.columns.empty())
-            return fail("invalid --columns '" + *v +
-                        "' (want e.g. 1-16, 9 or 1,5,9)");
+    for (const auto &[name, text] : flags) {
+        if (!setField(req, reads, name, nullptr, text, error))
+            return std::nullopt;
     }
-    int64_t column = integer("column", 16, true);
-    req.iterations = static_cast<uint64_t>(integer(
-        "iterations",
-        static_cast<int64_t>(harness::defaultIterations()), true));
-    req.seed = static_cast<uint64_t>(integer("seed", 0x6c69, false));
-    req.budget = static_cast<uint64_t>(integer("budget", 1 << 20, true));
-    req.exact = flag("exact") != nullptr;
-    if (!bad.empty())
-        return fail(bad);
-    if (column < 1 || column > 16)
-        return fail("--column must be 1..16");
-    req.column = static_cast<int>(column);
     return req;
+}
+
+std::vector<std::pair<std::string, std::string>>
+requestFlags(const std::string &cmd)
+{
+    const unsigned reads = cmd.empty() ? ~0u : commandBit(cmd, nullptr);
+    std::vector<std::pair<std::string, std::string>> out;
+    Request req;
+    forEachField(req, [&](const char *name, Kind kind, unsigned readBy,
+                          auto &) {
+        if ((readBy & reads) && kPlaceholder[static_cast<int>(kind)])
+            out.push_back({name, kPlaceholder[static_cast<int>(kind)]});
+    });
+    return out;
 }
 
 std::string
 renderRequest(const Request &req)
 {
+    const unsigned reads = commandBit(req.cmd, nullptr);
     std::string out = "{" + jsonField("cmd", req.cmd);
-    if (!req.id.empty())
-        out += "," + jsonField("id", req.id);
-    if (!req.tests.empty()) {
-        out += ",\"tests\":[";
-        for (size_t i = 0; i < req.tests.size(); ++i) {
-            // Exactly one field of a TestSpec is set.
-            const TestSpec &t = req.tests[i];
-            out += (i ? ",{" : "{") +
-                   (!t.spec.empty()     ? jsonField("spec", t.spec)
-                    : !t.source.empty() ? jsonField("source", t.source)
-                                        : jsonField("name", t.name)) +
-                   "}";
+    forEachField(req, [&](const char *name, Kind, unsigned readBy,
+                          const auto &v) {
+        if (readBy & reads) {
+            out += ",\"" + std::string(name) + "\":";
+            appendJson(out, v);
         }
-        out += "]";
-    }
-    if (!req.chips.empty())
-        out += ",\"chips\":" + jsonStringArray(req.chips);
-    if (!req.models.empty())
-        out += ",\"models\":" + jsonStringArray(req.models);
-    if (!req.columns.empty()) {
-        out += ",\"columns\":[";
-        for (size_t i = 0; i < req.columns.size(); ++i)
-            out += (i ? "," : "") + std::to_string(req.columns[i]);
-        out += "]";
-    }
-    out += ",\"column\":" + std::to_string(req.column);
-    out += ",\"iterations\":" + std::to_string(req.iterations);
-    out += ",\"seed\":" + std::to_string(req.seed);
-    out += ",\"budget\":" + std::to_string(req.budget);
-    if (req.exact)
-        out += ",\"exact\":true";
+    });
     return out + "}";
 }
 
@@ -357,15 +447,12 @@ resolveTest(const TestSpec &spec, std::string *error)
         litmus::ParseError err;
         auto test = litmus::parseTest(spec.source, &err);
         if (!test) {
-            if (error) {
-                *error = "cannot parse inline test" +
-                         (err.line > 0 ? " (line " +
-                                             std::to_string(err.line) +
-                                             ")"
-                                       : std::string()) +
-                         ": " + err.message;
-            }
-            return std::nullopt;
+            return fail<std::optional<LoadedTest>>(
+                error, "cannot parse inline test" +
+                           (err.line > 0 ? " (line " +
+                                               std::to_string(err.line) + ")"
+                                         : std::string()) +
+                           ": " + err.message);
         }
         return LoadedTest{std::move(*test), 0};
     }
@@ -373,14 +460,12 @@ resolveTest(const TestSpec &spec, std::string *error)
         if (named.id == spec.name)
             return LoadedTest{std::move(named.test), 0};
     }
-    if (error) {
-        std::vector<std::string> ids;
-        for (const auto &named : litmus::paperlib::allTests())
-            ids.push_back(named.id);
-        *error = "unknown test '" + spec.name +
-                 "' (library ids: " + join(ids, ", ") + ")";
-    }
-    return std::nullopt;
+    std::vector<std::string> ids;
+    for (const auto &named : litmus::paperlib::allTests())
+        ids.push_back(named.id);
+    return fail<std::optional<LoadedTest>>(
+        error, "unknown test '" + spec.name + "' (library ids: " +
+                   join(ids, ", ") + ")");
 }
 
 // ---- planning -------------------------------------------------------
@@ -530,14 +615,11 @@ resolveChips(const Request &req,
         // must error instead of killing the daemon.
         const sim::ChipProfile *chip = sim::findChip(name);
         if (!chip) {
-            if (error) {
-                std::vector<std::string> names;
-                for (const auto &c : sim::allChips())
-                    names.push_back(c.shortName);
-                *error = "unknown chip '" + name +
-                         "' (valid: " + join(names, ", ") + ")";
-            }
-            return false;
+            std::vector<std::string> names;
+            for (const auto &c : sim::allChips())
+                names.push_back(c.shortName);
+            return fail(error, "unknown chip '" + name + "' (valid: " +
+                                   join(names, ", ") + ")");
         }
         out->push_back(*chip);
     }
@@ -639,11 +721,8 @@ planValidate(const Request &req, const std::vector<ResolvedPtr> &tests,
              const std::vector<sim::ChipProfile> &chips, Plan *plan,
              std::string *error)
 {
-    if (plan->models.empty()) {
-        if (error)
-            *error = "validate needs at least one model";
-        return false;
-    }
+    if (plan->models.empty())
+        return fail(error, "validate needs at least one model");
     harness::Job base;
     base.iterations = req.iterations;
     base.seed = req.seed;
@@ -676,15 +755,11 @@ planValidate(const Request &req, const std::vector<ResolvedPtr> &tests,
         }
         planOnChips(*rt, chips, base, plan, expand);
     }
-    if (plan->jobs.empty()) {
-        if (error) {
-            *error = plan->outOfScope
-                         ? "no in-scope tests to validate"
-                         : "nothing to validate — every cell was"
-                           " miscompiled";
-        }
-        return false;
-    }
+    if (plan->jobs.empty())
+        return fail(error, plan->outOfScope
+                               ? "no in-scope tests to validate"
+                               : "nothing to validate — every cell was"
+                                 " miscompiled");
     return true;
 }
 
@@ -714,12 +789,9 @@ planExplore(const Request &req, const std::vector<ResolvedPtr> &tests,
             ++plan->outOfScope;
         planOnChips(*rt, chips, base, plan, expand);
     }
-    if (plan->jobs.empty()) {
-        if (error)
-            *error = "nothing to explore — every cell was"
-                     " miscompiled";
-        return false;
-    }
+    if (plan->jobs.empty())
+        return fail(error, "nothing to explore — every cell was"
+                           " miscompiled");
     return true;
 }
 
@@ -736,21 +808,15 @@ testMemoStats()
 bool
 planJobs(const Request &req, Plan *plan, std::string *error)
 {
-    if (req.tests.empty()) {
-        if (error)
-            *error = "'" + req.cmd + "' needs a tests[] list";
-        return false;
-    }
+    if (req.tests.empty())
+        return fail(error, "'" + req.cmd + "' needs a tests[] list");
     // "scenario" is explore over scenario specs: the planner is the
     // same; the name documents the intent (and the CI smoke uses it).
     const bool sweep = req.cmd == "sweep";
     const bool validate = req.cmd == "validate";
     if (!sweep && !validate && req.cmd != "explore" &&
-        req.cmd != "scenario") {
-        if (error)
-            *error = "cmd '" + req.cmd + "' carries no jobs";
-        return false;
-    }
+        req.cmd != "scenario")
+        return fail(error, "cmd '" + req.cmd + "' carries no jobs");
 
     // Default chips: the Nvidia chips of the paper's result rows for
     // validate (the models target PTX), the Titan otherwise.
@@ -789,11 +855,8 @@ planJobs(const Request &req, Plan *plan, std::string *error)
     if (!sweep)
         return planExplore(req, tests, chips, plan, error);
     planSweep(req, tests, chips, plan);
-    if (plan->jobs.empty()) {
-        if (error)
-            *error = "nothing to sweep — every cell was miscompiled";
-        return false;
-    }
+    if (plan->jobs.empty())
+        return fail(error, "nothing to sweep — every cell was miscompiled");
     return true;
 }
 

@@ -54,7 +54,8 @@ struct TestSpec
     std::string spec;   ///< scenario spec
 };
 
-/** A parsed request line. Defaults mirror the batch CLI flags. */
+/** A request. The member initialisers are the defaults of absent
+ * fields, on the wire and on the command line alike. */
 struct Request
 {
     /** hello | list | stats | metrics | sweep | validate | explore |
@@ -79,9 +80,8 @@ struct Request
     /** Incantation column (validate/explore/scenario). */
     int column = 16;
     /** Iterations per sim cell, used as given (0 plans zero-iteration
-     * cells). On the wire an absent or 0 "iterations" means
-     * harness::defaultIterations(); parseRequest resolves it. */
-    uint64_t iterations = 100000;
+     * cells). Absent: harness::defaultIterations(). */
+    uint64_t iterations = harness::defaultIterations();
     /** Base seed — the batch CLI's --seed default. */
     uint64_t seed = 0x6c69;
     /** Exploration replay budget (mc cells). */
@@ -90,9 +90,10 @@ struct Request
     bool exact = false;
 };
 
-/** Parse one request line. nullopt + `error` on malformed JSON, a
- * missing/unknown cmd, bad field types, or a negative "iterations" or
- * "budget". */
+/** Parse one request line by the request schema (protocol.cc,
+ * docs/SERVE.md). nullopt + `error` naming the field on malformed
+ * JSON, a missing or unknown cmd, an unknown field, a field the
+ * command does not read, or a value of the wrong type or range. */
 std::optional<Request> parseRequest(const std::string &line,
                                     std::string *error);
 
@@ -100,18 +101,23 @@ std::optional<Request> parseRequest(const std::string &line,
  * The request a command line stands for: `cmd`, its test arguments
  * (paper-library ids, scenario specs, .litmus paths — a file's text
  * travels inline as source, so a daemon never needs this machine's
- * filesystem) and its `--flag value` pairs: chips, models, columns,
- * column, iterations, seed, budget, exact, id. Absent flags take the
- * batch defaults; --iterations defaults to
- * harness::defaultIterations(). The batch commands plan this request
+ * filesystem) and its `--flag value` pairs, read by parseRequest's
+ * schema; flags outside it (--jobs, --store, ...) are ignored and the
+ * id defaults to "cli". The batch commands plan this request
  * in-process, `submit` sends it. nullopt + `error` on an unreadable
- * test file, a malformed integer, a negative count, or a bad column.
+ * test file and whatever parseRequest refuses, naming the `--flag`.
  */
 std::optional<Request>
 requestFromFlags(const std::string &cmd,
                  const std::vector<std::string> &tests,
                  const std::map<std::string, std::string> &flags,
                  std::string *error);
+
+/** The request fields `cmd` (empty: any command) reads as flags, all
+ * but the id and the tests, each with its usage-line placeholder
+ * ("N", "A,B", ...; empty for a switch). */
+std::vector<std::pair<std::string, std::string>>
+requestFlags(const std::string &cmd);
 
 /** The integer value of `--name` in `flags`, `fallback` when absent.
  * A malformed value — or, for a `count`, a negative one (it would wrap
@@ -121,10 +127,6 @@ std::optional<int64_t>
 intFlag(const std::map<std::string, std::string> &flags,
         const std::string &name, int64_t fallback, bool count,
         std::string *error);
-
-/** Parse a --columns spec: "1-16", "9", or "1,5,9". Empty when
- * malformed or outside 1..16. */
-std::vector<int> parseColumns(const std::string &spec);
 
 /** One command-line test argument as a TestSpec: a scenario spec, a
  * readable file (its text inline), or a paper-library id. nullopt +
@@ -146,8 +148,8 @@ struct LoadedTest
 std::optional<LoadedTest> resolveTest(const TestSpec &spec,
                                       std::string *error);
 
-/** Render a Request back to its wire line (no trailing newline); the
- * client side of parseRequest. */
+/** Render a Request as its wire line (no trailing newline): exactly
+ * the fields its command reads. */
 std::string renderRequest(const Request &req);
 
 /** The job list a request plans to, plus everything the planner had

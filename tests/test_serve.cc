@@ -622,20 +622,133 @@ TEST(Protocol, ParseRejectsMalformedRequests)
     EXPECT_NE(error.find("iterations"), std::string::npos);
 }
 
-TEST(Protocol, AbsentOrZeroIterationsMeanTheDefault)
+TEST(Protocol, AbsentIterationsMeanTheDefaultAndZeroMeansZero)
 {
+    // 0 is zero work on the wire as on the command line.
     std::string error;
-    for (const char *line :
-         {"{\"cmd\":\"validate\"}",
-          "{\"cmd\":\"validate\",\"iterations\":0}"}) {
+    for (auto [line, want] :
+         {std::pair{"{\"cmd\":\"validate\"}", harness::defaultIterations()},
+          std::pair{"{\"cmd\":\"validate\",\"iterations\":0}", uint64_t{0}},
+          std::pair{"{\"cmd\":\"validate\",\"iterations\":7}", uint64_t{7}}}) {
         auto req = parseRequest(line, &error);
         ASSERT_TRUE(req.has_value()) << error;
-        EXPECT_EQ(req->iterations, harness::defaultIterations());
+        EXPECT_EQ(req->iterations, want) << line;
     }
-    auto req = parseRequest("{\"cmd\":\"validate\",\"iterations\":7}",
-                            &error);
-    ASSERT_TRUE(req.has_value()) << error;
-    EXPECT_EQ(req->iterations, 7u);
+}
+
+TEST(Protocol, EachCommandAcceptsExactlyTheFieldsItReads)
+{
+    // field -> a valid wire value and the same value as a flag; the
+    // commands that read it.
+    struct Field
+    {
+        std::string name, wire, flag;
+        std::vector<std::string> readBy;
+    };
+    const std::vector<std::string> control = {"hello", "list", "stats",
+                                              "metrics", "shutdown"};
+    const std::vector<Field> fields = {
+        {"chips", "[\"Titan\"]", "Titan",
+         {"sweep", "validate", "explore", "scenario"}},
+        {"models", "[\"sc\"]", "sc", {"validate", "explore", "scenario"}},
+        {"columns", "[3]", "3", {"sweep"}},
+        {"column", "3", "3", {"validate", "explore", "scenario"}},
+        {"iterations", "7", "7", {"sweep", "validate"}},
+        {"seed", "9", "9", {"sweep", "validate"}},
+        {"budget", "50", "50", {"validate", "explore", "scenario"}},
+        {"exact", "true", "true", {"validate"}},
+    };
+    for (const std::string cmd :
+         {"hello", "list", "stats", "metrics", "shutdown", "sweep",
+          "validate", "explore", "scenario"}) {
+        const bool jobs = std::find(control.begin(), control.end(), cmd) ==
+                          control.end();
+        std::string error;
+        // id is read by every command, tests by the job commands.
+        EXPECT_TRUE(parseRequest("{\"cmd\":\"" + cmd + "\",\"id\":\"x\"}",
+                                 &error))
+            << cmd << ": " << error;
+        EXPECT_EQ(parseRequest("{\"cmd\":\"" + cmd +
+                                   "\",\"tests\":[\"mp\"]}",
+                               &error)
+                      .has_value(),
+                  jobs)
+            << cmd;
+        EXPECT_EQ(requestFromFlags(cmd, {"mp"}, {}, &error).has_value(),
+                  jobs)
+            << cmd;
+        for (const Field &f : fields) {
+            const bool reads = std::find(f.readBy.begin(), f.readBy.end(),
+                                         cmd) != f.readBy.end();
+            error.clear();
+            auto wire = parseRequest("{\"cmd\":\"" + cmd + "\",\"" +
+                                         f.name + "\":" + f.wire + "}",
+                                     &error);
+            EXPECT_EQ(wire.has_value(), reads) << cmd << " " << f.name;
+            if (!reads) {
+                EXPECT_NE(error.find(f.name), std::string::npos) << error;
+            }
+            error.clear();
+            auto flags = requestFromFlags(cmd, {}, {{f.name, f.flag}}, &error);
+            EXPECT_EQ(flags.has_value(), reads) << cmd << " --" << f.name;
+            if (!reads) {
+                EXPECT_NE(error.find("--" + f.name), std::string::npos)
+                    << error;
+            }
+            // Both paths render what the command reads.
+            for (const auto &req : {wire, flags}) {
+                const std::string line = req ? renderRequest(*req) : "";
+                EXPECT_EQ(line.find("\"" + f.name + "\":" + f.wire) !=
+                              std::string::npos,
+                          reads)
+                    << line;
+            }
+        }
+    }
+    // Flags outside the schema are the command line's own.
+    std::string error;
+    EXPECT_TRUE(requestFromFlags("sweep", {"mp"},
+                                 {{"jobs", "3"}, {"store", "dir"}}, &error))
+        << error;
+}
+
+TEST(Protocol, WrongTypesAndUnknownFieldsAreErrorsNamingTheField)
+{
+    // One wrongly typed value per kind, a misspelt field and malformed
+    // tests[] entries: each an error that names the field, never the
+    // defaults.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"{\"cmd\":\"sweep\",\"tests\":[\"mp\"],\"chip\":[\"TesC\"]}", "chip"},
+        {"{\"cmd\":\"sweep\",\"chips\":\"TesC\"}", "chips"},
+        {"{\"cmd\":\"sweep\",\"chips\":[1]}", "chips"},
+        {"{\"cmd\":\"sweep\",\"columns\":[\"3\"]}", "columns"},
+        {"{\"cmd\":\"sweep\",\"columns\":[17]}", "columns"},
+        {"{\"cmd\":\"validate\",\"column\":\"3\"}", "column"},
+        {"{\"cmd\":\"validate\",\"column\":0}", "column"},
+        {"{\"cmd\":\"sweep\",\"iterations\":\"100\"}", "iterations"},
+        {"{\"cmd\":\"sweep\",\"iterations\":100.7}", "iterations"},
+        {"{\"cmd\":\"sweep\",\"seed\":1.5}", "seed"},
+        {"{\"cmd\":\"validate\",\"exact\":\"true\"}", "exact"},
+        {"{\"cmd\":\"stats\",\"id\":7}", "id"},
+        {"{\"cmd\":\"sweep\",\"tests\":\"mp\"}", "tests"},
+        {"{\"cmd\":\"sweep\",\"tests\":[{\"name\":\"mp\",\"spec\":\"x\"}]}",
+         "tests"},
+        {"{\"cmd\":\"sweep\",\"tests\":[{\"file\":\"mp\"}]}", "tests"},
+        {"{\"cmd\":\"sweep\",\"tests\":[{\"name\":3}]}", "tests"},
+        {"{\"cmd\":\"sweep\",\"tests\":[{}]}", "tests"},
+    };
+    for (const auto &[line, field] : cases) {
+        std::string error;
+        EXPECT_FALSE(parseRequest(line, &error).has_value()) << line;
+        EXPECT_NE(error.find(field), std::string::npos)
+            << line << " -> " << error;
+    }
+    std::string error;
+    EXPECT_FALSE(requestFromFlags("sweep", {"mp"}, {{"seed", "1.5"}},
+                                  &error));
+    EXPECT_NE(error.find("--seed expects an integer"), std::string::npos);
+    EXPECT_FALSE(requestFromFlags("frobnicate", {}, {}, &error));
+    EXPECT_NE(error.find("frobnicate"), std::string::npos);
 }
 
 /** The cache identities and labels of a plan, in job order. */
@@ -684,6 +797,12 @@ TEST(Protocol, FlagsPlanLikeTheEquivalentWireLine)
          "{\"cmd\":\"explore\",\"tests\":[\"mp\","
          "\"scenario:seqlock,fenced=1\"],\"chips\":[\"all\"],"
          "\"models\":[\"none\"],\"budget\":1000}"},
+        // 0 iterations is zero work on both paths.
+        {"sweep",
+         {"mp"},
+         {{"iterations", "0"}, {"columns", "16"}},
+         "{\"cmd\":\"sweep\",\"tests\":[\"mp\"],\"columns\":[16],"
+         "\"iterations\":0}"},
     };
     for (const auto &c : cases) {
         std::string error;
@@ -753,6 +872,40 @@ TEST(Protocol, RenderParseRoundTrip)
     EXPECT_EQ(parsed->seed, 42u);
     EXPECT_EQ(parsed->budget, 5000u);
     EXPECT_TRUE(parsed->exact);
+
+    // One request per command, every field set: the line carries the
+    // fields the command reads and no other, and parses back.
+    const std::map<std::string, std::vector<std::string>> reads = {
+        {"hello", {"id"}},
+        {"list", {"id"}},
+        {"stats", {"id"}},
+        {"metrics", {"id"}},
+        {"shutdown", {"id"}},
+        {"sweep", {"id", "tests", "chips", "columns", "iterations", "seed"}},
+        {"validate",
+         {"id", "tests", "chips", "models", "column", "iterations", "seed",
+          "budget", "exact"}},
+        {"explore", {"id", "tests", "chips", "models", "column", "budget"}},
+        {"scenario", {"id", "tests", "chips", "models", "column", "budget"}},
+    };
+    req.columns = {1, 2};
+    for (const auto &[cmd, fields] : reads) {
+        req.cmd = cmd;
+        const std::string line = renderRequest(req);
+        auto doc = json::parse(line, &error);
+        ASSERT_TRUE(doc.has_value()) << line;
+        std::vector<std::string> got;
+        for (const auto &[name, value] : doc->object()) {
+            if (name != "cmd")
+                got.push_back(name);
+        }
+        std::vector<std::string> want = fields;
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << line;
+        auto back = parseRequest(line, &error);
+        ASSERT_TRUE(back.has_value()) << line << ": " << error;
+        EXPECT_EQ(renderRequest(*back), line);
+    }
 }
 
 TEST(Protocol, PlannerMirrorsCliDefaultsAndSurvivesBadInput)
@@ -1326,6 +1479,49 @@ TEST(Serve, UnknownCommandYieldsErrorEventNotDisconnect)
     ASSERT_TRUE(list.has_value());
     EXPECT_EQ(list->getString("event"), "list");
     EXPECT_EQ(list->getString("abi"), gpulitmus::kAbiVersionString);
+}
+
+TEST(Serve, HostileRequestsGetErrorsNamingTheFieldAndTheDaemonLivesOn)
+{
+    TestServer ts("hostile");
+    ASSERT_NE(ts.server, nullptr);
+    std::string error;
+    auto client = Client::connectUnix(ts.socket, &error);
+    ASSERT_NE(client, nullptr) << error;
+    std::string line;
+    ASSERT_TRUE(client->readLine(&line)); // hello
+    // A misspelt field, a wrongly typed one and a field the command
+    // does not read: each would have run the defaults.
+    const std::vector<std::pair<std::string, std::string>> hostile = {
+        {"{\"cmd\":\"sweep\",\"tests\":[{\"name\":\"mp\"}],"
+         "\"chip\":[\"TesC\"],\"columns\":[16],\"iterations\":100}",
+         "chip"},
+        {"{\"cmd\":\"sweep\",\"tests\":[\"mp\"],\"iterations\":\"100\"}",
+         "iterations"},
+        {"{\"cmd\":\"validate\",\"tests\":[\"mp\"],\"columns\":[3]}",
+         "columns"},
+    };
+    for (const auto &[request, field] : hostile) {
+        ASSERT_TRUE(client->sendLine(request));
+        ASSERT_TRUE(client->readLine(&line));
+        auto event = json::parse(line);
+        ASSERT_TRUE(event.has_value()) << line;
+        EXPECT_EQ(event->getString("event"), "error") << line;
+        EXPECT_NE(event->getString("message").find(field),
+                  std::string::npos)
+            << line;
+    }
+    // The same socket still answers a valid request.
+    ASSERT_TRUE(client->sendLine(
+        "{\"cmd\":\"sweep\",\"id\":\"ok\",\"tests\":[\"mp\"],"
+        "\"chips\":[\"TesC\"],\"columns\":[16],\"iterations\":100}"));
+    std::string last;
+    while (client->readLine(&line)) {
+        last = json::parse(line)->getString("event");
+        if (last == "done" || last == "error")
+            break;
+    }
+    EXPECT_EQ(last, "done");
 }
 
 TEST(Serve, ValidateMatchesBatchEngineAndWarmsTheStore)

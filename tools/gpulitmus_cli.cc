@@ -9,79 +9,49 @@
  * paper-library id (e.g. `mp`) is accepted; `gpulitmus list`
  * enumerates the registry and the library.
  *
- *   gpulitmus run <test> [--chip NAME] [--iterations N]
- *            [--column 1..16]            run a test on a simulated chip
- *   gpulitmus sweep <test...> [--chips A,B] [--columns 1-16]
- *            [--jobs N] [--iterations N] [--json FILE]
- *                                        batched campaign over a
- *                                        (chip x column) grid
- *   gpulitmus check <test> [--model NAME]
- *                                        herd-style model evaluation
- *   gpulitmus validate <test...> [--models A,B] [--chips A,B]
- *            [--column 1..16] [--jobs N] [--iterations N]
- *            [--exact] [--budget N] [--json FILE]
- *                                        conformance campaign: run the
- *                                        tests on the simulator AND
- *                                        through the models, join the
- *                                        verdicts (Sec. 5.4); --exact
- *                                        adds an exhaustive
- *                                        exploration per cell so
- *                                        imprecise verdicts upgrade
- *   gpulitmus explore <test...> [--chips A,B|all]
- *            [--column 1..16] [--budget N] [--jobs N] [--models A,B]
- *            [--json FILE]               exhaustive schedule
- *                                        exploration (stateless model
- *                                        checking with DPOR): the
- *                                        exact reachable final-state
- *                                        set per (chip, test), joined
- *                                        against the models; for
- *                                        ~exists tests (application
- *                                        scenarios) a reachable
- *                                        forbidden state is a
- *                                        definitive failure (exit 2)
- *   gpulitmus list [--json] [--corpus DIR]
- *                                        enumerate registry scenarios
- *                                        (with parameters), corpus
- *                                        tests, chips, models and
- *                                        backends
- *   gpulitmus show <file.litmus>         parse and pretty-print
- *   gpulitmus lint <tests...> [--json]   static race & fence
- *                                        analysis (docs/ANALYSIS.md):
- *                                        proven-racy / possibly-racy
- *                                        / proven-ordered per pair
- *                                        with file:line diagnostics;
- *                                        exit 2 on proven-racy
- *   gpulitmus sass <file.litmus> [-O N] [--sdk V] [--maxwell]
- *                                        assemble + optcheck
- *   gpulitmus generate [--max-edges N] [--max-tests N] [--steer]
- *                                        diy-style test generation
- *                                        (stdout)
- *   gpulitmus gen --out DIR [--max-edges N] [--max-tests N]
- *            [--min-edges N] [--no-scopes] [--no-deps] [--steer]
- *                                        write the generated corpus
- *                                        to .litmus files (cycle
- *                                        name, scope tree and final
- *                                        condition included)
- *   gpulitmus chips                      list the chip registry
- *   gpulitmus models                     list the built-in models
- *   gpulitmus serve --socket PATH|--port N [--store DIR] [--jobs N]
- *            [--max-store-bytes N]       persistent validation daemon
- *                                        (docs/SERVE.md): line-JSON
- *                                        requests over a Unix socket
- *                                        or loopback TCP, answers
- *                                        repeated jobs from the
- *                                        durable result store
- *   gpulitmus submit <sweep|validate|explore|scenario|list|stats|
- *            shutdown> [tests...] --socket PATH|--port N
- *            [batch flags] [--json]      submit one request to a
- *                                        running daemon; exit status
- *                                        mirrors the batch command
- *   gpulitmus status --socket PATH|--port N [--watch N] [--json]
- *                                        daemon + store counters and
- *                                        telemetry; --watch N polls
- *                                        every N seconds and redraws,
- *                                        --json emits the raw event
- *                                        lines for scripting
+ * `gpulitmus <command>` without the operands it needs prints its usage
+ * line, made from commands(): the operands and every flag it reads.
+ *
+ *   run <test>             run a test on a simulated chip (one cell)
+ *   sweep <test...>        batched campaign over a (chip x column) grid
+ *   check <test>           herd-style model evaluation
+ *   validate <test...>     conformance campaign: run the tests on the
+ *                          simulator AND through the models, join the
+ *                          verdicts (Sec. 5.4); --exact adds an
+ *                          exhaustive exploration per cell so
+ *                          imprecise verdicts upgrade
+ *   explore <test...>      exhaustive schedule exploration (stateless
+ *                          model checking with DPOR): the exact
+ *                          reachable final-state set per (chip, test),
+ *                          joined against the models; for ~exists
+ *                          tests (application scenarios) a reachable
+ *                          forbidden state is a definitive failure
+ *                          (exit 2)
+ *   list                   enumerate registry scenarios (with
+ *                          parameters), corpus tests, chips, models
+ *                          and backends
+ *   show <test>            parse and pretty-print
+ *   lint <test...>         static race & fence analysis
+ *                          (docs/ANALYSIS.md): proven-racy /
+ *                          possibly-racy / proven-ordered per pair with
+ *                          file:line diagnostics; exit 2 on proven-racy
+ *   sass <test>            assemble + optcheck
+ *   generate               diy-style test generation (stdout)
+ *   gen --out DIR          write the generated corpus to .litmus files
+ *                          (cycle name, scope tree and final condition
+ *                          included)
+ *   chips, models          list the chip registry, the built-in models
+ *   serve                  persistent validation daemon (docs/SERVE.md):
+ *                          line-JSON requests over a Unix socket or
+ *                          loopback TCP, answers repeated jobs from the
+ *                          durable result store
+ *   submit <cmd> [tests...]
+ *                          submit one request to a running daemon; exit
+ *                          status mirrors the batch command
+ *   status                 daemon + store counters and telemetry;
+ *                          --watch N polls every N seconds and redraws,
+ *                          --json emits the raw event lines for
+ *                          scripting
  *
  * `sweep`, `validate` and `explore` are in-process clients of the
  * daemon's planner: their flags become the serve::Request `submit`
@@ -96,8 +66,8 @@
  * for https://ui.perfetto.dev (docs/OBSERVABILITY.md). GPULITMUS_OBS=0
  * disables all telemetry; results are bit-identical either way.
  *
- * Each command reads only the flags named in its usage line (the
- * table in commands()); any other flag is a usage error.
+ * Each command reads only the flags named in its usage line; any
+ * other flag is a usage error.
  *
  * Exit status: 0 on success, 1 on usage/parse errors (including an
  * unknown flag, a malformed integer flag or a negative count), 2 when
@@ -141,6 +111,10 @@
 using namespace gpulitmus;
 
 namespace {
+
+/** Print `cmd`'s usage line, made from its commands() entry; returns
+ * the exit status 1. */
+int usage(const std::string &cmd);
 
 struct Args
 {
@@ -222,20 +196,18 @@ loadTest(const std::string &arg)
 int
 cmdRun(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus run <test> [--chip"
-                     " NAME] [--iterations N] [--column 1..16]\n";
-        return 1;
-    }
+    // --chip and --column are the one-cell sweep's --chips and --columns.
+    std::map<std::string, std::string> flags = args.flags;
+    flags.erase("column");
+    flags["chips"] = args.get("chip", "Titan");
+    flags["columns"] = std::to_string(args.getInt("column", 16));
     std::string error;
     auto req = serve::requestFromFlags("sweep", {args.positional[0]},
-                                       args.flags, &error);
+                                       flags, &error);
     if (!req) {
         std::cerr << "error: " << error << "\n";
         return 1;
     }
-    req->chips = {args.get("chip", "Titan")};
-    req->columns = {req->column};
     serve::Plan plan;
     const bool planned = serve::planJobs(*req, &plan, &error);
     if (plan.chips.size() > 1) {
@@ -386,13 +358,6 @@ finishStore(serve::ResultStore *store)
 int
 cmdSweep(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus sweep <test...> [--chips"
-                     " A,B] [--columns 1-16] [--jobs N]"
-                     " [--iterations N] [--seed S] [--json FILE]"
-                     " [--store DIR]\n";
-        return 1;
-    }
     auto batch = planBatch("sweep", args);
     if (!batch)
         return 1;
@@ -435,11 +400,6 @@ cmdSweep(const Args &args)
 int
 cmdCheck(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus check <test>"
-                     " [--model ptx|rmo|sc|tso|baseline]\n";
-        return 1;
-    }
     auto loaded = loadTest(args.positional[0]);
     if (!loaded)
         return 1;
@@ -495,14 +455,6 @@ cmdCheck(const Args &args)
 int
 cmdValidate(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus validate <test...>"
-                     " [--models A,B] [--chips A,B|all]"
-                     " [--column 1..16] [--jobs N] [--iterations N]"
-                     " [--seed S] [--exact] [--budget N] [--json FILE]"
-                     " [--store DIR]\n";
-        return 1;
-    }
     auto batch = planBatch("validate", args);
     if (!batch)
         return 1;
@@ -580,14 +532,6 @@ cmdValidate(const Args &args)
 int
 cmdExplore(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus explore <test...>"
-                     " [--chips A,B|all] [--column 1..16]"
-                     " [--budget N] [--jobs N]"
-                     " [--models A,B|none]"
-                     " [--json FILE] [--store DIR]\n";
-        return 1;
-    }
     auto batch = planBatch("explore", args);
     if (!batch)
         return 1;
@@ -705,10 +649,6 @@ cmdExplore(const Args &args)
 int
 cmdShow(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus show <test>\n";
-        return 1;
-    }
     auto loaded = loadTest(args.positional[0]);
     if (!loaded)
         return 1;
@@ -725,12 +665,6 @@ cmdShow(const Args &args)
 int
 cmdLint(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus lint"
-                     " <file.litmus|scenario:name[,k=v...]>..."
-                     " [--json]\n";
-        return 1;
-    }
     bool json = args.has("json");
     bool any_proven = false;
     std::string jout = "[";
@@ -758,11 +692,6 @@ cmdLint(const Args &args)
 int
 cmdSass(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus sass <file.litmus> [-O N]"
-                     " [--sdk V] [--maxwell]\n";
-        return 1;
-    }
     auto loaded = loadTest(args.positional[0]);
     if (!loaded)
         return 1;
@@ -956,7 +885,7 @@ cmdModels(const Args &)
             std::cout << " " << c;
         std::cout << "\n";
     }
-    std::cout << "sorensen-operational: checks";
+    std::cout << "baseline: checks";
     for (const auto &c : model::operationalBaseline().checkNames())
         std::cout << " " << c;
     std::cout << "\n";
@@ -981,12 +910,8 @@ cmdServe(const Args &args)
     opts.storeDir = args.get("store", "");
     opts.threads = static_cast<int>(args.getCount("jobs", 0));
     opts.maxStoreBytes = args.getCount("max-store-bytes", 0);
-    if (opts.socketPath.empty() && opts.tcpPort == 0) {
-        std::cerr << "usage: gpulitmus serve --socket PATH |"
-                     " --port N [--store DIR] [--jobs N]"
-                     " [--max-store-bytes N]\n";
-        return 1;
-    }
+    if (opts.socketPath.empty() && opts.tcpPort == 0)
+        return usage("serve");
 
     std::string error;
     auto server = serve::Server::create(opts, &error);
@@ -1051,16 +976,6 @@ connectFlag(const Args &args)
 int
 cmdSubmit(const Args &args)
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: gpulitmus submit"
-                     " <sweep|validate|explore|scenario|list|stats|"
-                     "shutdown> [tests...] --socket PATH|--port N"
-                     " [--chips A,B] [--models A,B] [--columns 1-16]"
-                     " [--column 1..16] [--iterations N] [--seed S]"
-                     " [--budget N] [--exact] [--json]\n";
-        return 1;
-    }
-
     // The same flags->request translation the batch commands plan
     // in-process; only the transport differs.
     std::string error;
@@ -1259,69 +1174,86 @@ cmdStatus(const Args &args)
     return 0;
 }
 
-/** How a flag takes its value. */
-enum class Takes
-{
-    Nothing,  ///< a switch: never consumes an argument
-    Value,    ///< consumes the next argument
-    Optional, ///< consumes the next argument unless it starts with '-'
-};
-
-/** A subcommand: its handler and the flags it reads. */
+/** A subcommand: its handler, its operands and the flags it reads, each
+ * with its value's placeholder in the usage line. An empty one marks a
+ * switch, which never takes the next argument; a bracketed one an
+ * optional value, taken unless the next argument starts with '-'. */
 struct Command
 {
     int (*run)(const Args &);
-    std::map<std::string, Takes> flags;
+    std::string operands; ///< "<...>": at least one positional
+    std::map<std::string, std::string> flags;
 };
 
-/** Every subcommand and the flags it reads. Any other flag is a usage
- * error, so a misspelt flag never silently runs the defaults; --trace
- * is accepted everywhere (see main). */
+/** Every subcommand and the flags it reads: the request commands' come
+ * from serve::requestFlags. Any other flag is a usage error, so a
+ * misspelt flag never silently runs the defaults; --trace is accepted
+ * everywhere (see main). */
 const std::map<std::string, Command> &
 commands()
 {
-    constexpr Takes N = Takes::Nothing, V = Takes::Value,
-                    O = Takes::Optional;
-    static const std::map<std::string, Command> table = {
-        {"run", {cmdRun, {{"chip", V}, {"column", V}, {"iterations", V},
-                          {"seed", V}}}},
-        {"sweep", {cmdSweep, {{"chips", V}, {"columns", V}, {"jobs", V},
-                              {"iterations", V}, {"seed", V}, {"json", O},
-                              {"store", V}, {"max-store-bytes", V}}}},
-        {"check", {cmdCheck, {{"model", V}}}},
-        {"validate",
-         {cmdValidate, {{"models", V}, {"chips", V}, {"column", V},
-                        {"jobs", V}, {"iterations", V}, {"seed", V},
-                        {"exact", N}, {"budget", V}, {"json", O},
-                        {"store", V}, {"max-store-bytes", V}}}},
-        {"explore", {cmdExplore, {{"chips", V}, {"column", V},
-                                  {"budget", V}, {"jobs", V},
-                                  {"models", V}, {"json", O},
-                                  {"store", V}, {"max-store-bytes", V}}}},
-        {"list", {cmdList, {{"json", N}, {"corpus", V}}}},
-        {"show", {cmdShow, {}}},
-        {"lint", {cmdLint, {{"json", N}}}},
-        {"sass", {cmdSass, {{"opt-level", V}, {"sdk", V},
-                            {"maxwell", N}}}},
-        {"generate", {cmdGenerate, {{"max-edges", V}, {"max-tests", V},
-                                    {"steer", N}}}},
-        {"gen", {cmdGen, {{"out", V}, {"min-edges", V}, {"max-edges", V},
-                          {"max-tests", V}, {"no-scopes", N},
-                          {"no-deps", N}, {"steer", N}}}},
-        {"chips", {cmdChips, {}}},
-        {"models", {cmdModels, {}}},
-        {"serve", {cmdServe, {{"socket", V}, {"port", V}, {"store", V},
-                              {"jobs", V}, {"max-store-bytes", V}}}},
-        {"submit", {cmdSubmit, {{"socket", V}, {"port", V}, {"host", V},
-                                {"chips", V}, {"models", V},
-                                {"columns", V}, {"column", V},
-                                {"iterations", V}, {"seed", V},
-                                {"budget", V}, {"exact", N}, {"id", V},
-                                {"json", N}}}},
-        {"status", {cmdStatus, {{"socket", V}, {"port", V}, {"host", V},
-                                {"watch", O}, {"id", V}, {"json", N}}}},
-    };
+    using Flags = std::map<std::string, std::string>;
+    static const auto table = [] {
+        auto request = [](const std::string &cmd, Flags own) {
+            for (const auto &[name, value] : serve::requestFlags(cmd))
+                own.emplace(name, value);
+            return own;
+        };
+        const Flags batch = {{"jobs", "N"}, {"json", "[FILE]"},
+                             {"store", "DIR"}, {"max-store-bytes", "N"}};
+        // run is a one-cell sweep with --chip and --column.
+        Flags run = request("sweep", {{"chip", "NAME"}, {"column", "1..16"}});
+        run.erase("chips");
+        run.erase("columns");
+        return std::map<std::string, Command>{
+            {"run", {cmdRun, "<test>", run}},
+            {"sweep", {cmdSweep, "<test...>", request("sweep", batch)}},
+            {"check", {cmdCheck, "<test>",
+                       {{"model", "ptx|rmo|sc|tso|baseline"}}}},
+            {"validate",
+             {cmdValidate, "<test...>", request("validate", batch)}},
+            {"explore", {cmdExplore, "<test...>", request("explore", batch)}},
+            {"list", {cmdList, "", {{"json", ""}, {"corpus", "DIR"}}}},
+            {"show", {cmdShow, "<test>", {}}},
+            {"lint", {cmdLint, "<test...>", {{"json", ""}}}},
+            {"sass", {cmdSass, "<test>",
+                      {{"opt-level", "N"}, {"sdk", "V"}, {"maxwell", ""}}}},
+            {"generate", {cmdGenerate, "",
+                          {{"max-edges", "N"}, {"max-tests", "N"},
+                           {"steer", ""}}}},
+            {"gen", {cmdGen, "",
+                     {{"out", "DIR"}, {"min-edges", "N"}, {"max-edges", "N"},
+                      {"max-tests", "N"}, {"no-scopes", ""},
+                      {"no-deps", ""}, {"steer", ""}}}},
+            {"chips", {cmdChips, "", {}}},
+            {"models", {cmdModels, "", {}}},
+            {"serve", {cmdServe, "--socket PATH|--port N",
+                       {{"socket", "PATH"}, {"port", "N"}, {"store", "DIR"},
+                        {"jobs", "N"}, {"max-store-bytes", "N"}}}},
+            {"submit",
+             {cmdSubmit,
+              "<sweep|validate|explore|scenario|list|stats|shutdown>"
+              " [tests...] --socket PATH|--port N",
+              request("", {{"socket", "PATH"}, {"port", "N"},
+                           {"host", "ADDR"}, {"id", "ID"}, {"json", ""}})}},
+            {"status", {cmdStatus, "--socket PATH|--port N",
+                        {{"socket", "PATH"}, {"port", "N"}, {"host", "ADDR"},
+                         {"watch", "[N]"}, {"id", "ID"}, {"json", ""}}}},
+        };
+    }();
     return table;
+}
+
+int
+usage(const std::string &cmd)
+{
+    const Command &command = commands().at(cmd);
+    std::cerr << "usage: gpulitmus " << cmd << " " << command.operands;
+    for (const auto &[name, value] : command.flags)
+        std::cerr << " [--" << name << (value.empty() ? "" : " ") << value
+                  << "]";
+    std::cerr << "\n";
+    return 1;
 }
 
 /** Split the arguments after `cmd` into positionals and the flags its
@@ -1356,14 +1288,14 @@ parseArgs(const std::string &cmd, const Command &command, int argc,
         auto spec = command.flags.find(name);
         if (name != "trace" && spec == command.flags.end())
             Args::usageError("unknown flag " + shown + " for " + cmd);
-        Takes takes = name == "trace" ? Takes::Optional : spec->second;
+        const std::string takes = name == "trace" ? "[FILE]" : spec->second;
         if (!valued) {
-            if (takes == Takes::Value) {
+            if (!takes.empty() && takes[0] != '[') {
                 if (i + 1 >= argc)
                     Args::usageError("flag " + shown + " for " + cmd +
                                      " needs a value");
                 value = argv[++i];
-            } else if (takes == Takes::Optional && i + 1 < argc &&
+            } else if (!takes.empty() && i + 1 < argc &&
                        argv[i + 1][0] != '-') {
                 value = argv[++i];
             } else {
@@ -1395,6 +1327,8 @@ main(int argc, char **argv)
         return 1;
     }
     Args args = parseArgs(cmd, command->second, argc, argv);
+    if (startsWith(command->second.operands, "<") && args.positional.empty())
+        return usage(cmd);
 
     // --trace FILE: collect spans for the whole invocation and write
     // Chrome trace-event JSON on the way out (docs/OBSERVABILITY.md).
