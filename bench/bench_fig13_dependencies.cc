@@ -74,7 +74,7 @@ main()
         serve::Plan plan;
         auto results = benchutil::run(
             benchutil::request("sweep", {benchutil::inCodeTest(compiled)},
-                               {sim::chip("Titan")}),
+                               {"Titan"}),
             plan);
         uint64_t obs = results[0].observedPer100k;
         std::cout << "compiled test: lb outcome "

@@ -62,14 +62,14 @@ main()
         "ptx", "rmo", "baseline", "tso", "sc", "sc-per-loc-full"};
 
     // The whole validation is ONE validate request over the Nvidia
-    // chips: per (test x chip) a simulation plus one job per model,
-    // all sharded across the worker pool (GPULITMUS_JOBS); the
-    // conformance join pairs the two sides. Sec. 5.5: the model covers
+    // chips (validate's default): per (test x chip) a simulation plus
+    // one job per model, all sharded across the worker pool
+    // (GPULITMUS_JOBS); the conformance join pairs the two sides. Sec. 5.5: the model covers
     // accesses with the .cg operator only; .ca (L1) and volatile
     // accesses are outside its scope (no fence restores .ca ordering
     // on Fermi), so — like the paper — the planner excludes them.
-    serve::Request req = benchutil::request(
-        "validate", std::move(tests), benchutil::nvidiaChips());
+    serve::Request req =
+        benchutil::request("validate", std::move(tests), {});
     req.models = models;
     req.iterations = iters;
     // Computed jobs only: deduped/cached cells are never reported.

@@ -1,6 +1,7 @@
 #include "common/strutil.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -83,8 +84,9 @@ parseInt(std::string_view s)
     if (str.empty())
         return std::nullopt;
     char *end = nullptr;
+    errno = 0;
     long long v = std::strtoll(str.c_str(), &end, 0);
-    if (end != str.c_str() + str.size())
+    if (end != str.c_str() + str.size() || errno == ERANGE)
         return std::nullopt;
     return static_cast<int64_t>(v);
 }

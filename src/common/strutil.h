@@ -32,7 +32,8 @@ bool endsWith(std::string_view s, std::string_view suffix);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);
 
-/** Parse a decimal or 0x-prefixed hexadecimal signed integer. */
+/** Parse a decimal or 0x-prefixed hexadecimal signed integer;
+ * nullopt when malformed or outside int64_t's range. */
 std::optional<int64_t> parseInt(std::string_view s);
 
 /** FNV-1a 64-bit hash; the string-hashing primitive of job keys and

@@ -9,7 +9,7 @@ operationalBaselineSource()
 (* Axiomatic rendering of the Sorensen et al. operational model:
    fences drain the issuing core's buffers irrespective of scope, so
    every membar orders globally. Unsound w.r.t. hardware; see Sec. 6
-   of the paper and bench_sec6_baseline. *)
+   of the paper and its row in bench/paper_ledger.h. *)
 let com = rf | co | fr
 let po-loc-llh = WW(po-loc) | WR(po-loc) | RW(po-loc)
 acyclic (po-loc-llh | com) as sc-per-loc-llh

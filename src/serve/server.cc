@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/strutil.h"
 #include "common/version.h"
@@ -583,7 +584,15 @@ Server::handleRequest(Client &client, const std::string &line)
     std::string error;
     auto req = parseRequest(line, &error);
     if (!req) {
-        client.writeLine(errorEvent("", error));
+        // Echo a well-formed string id, so a client pipelining
+        // requests can tell which line was refused.
+        std::string id;
+        if (auto head = json::parseHeader(line)) {
+            const json::Value *v = head->find("id");
+            if (v && v->isString())
+                id = v->string();
+        }
+        client.writeLine(errorEvent(id, error));
         return;
     }
     {

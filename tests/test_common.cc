@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -284,6 +285,19 @@ TEST(Strutil, ParseInt)
     EXPECT_FALSE(parseInt("4x2").has_value());
     EXPECT_FALSE(parseInt("").has_value());
     EXPECT_FALSE(parseInt("abc").has_value());
+}
+
+TEST(Strutil, ParseIntRefusesOutOfRange)
+{
+    // strtoll saturates and sets ERANGE; a saturated value would run
+    // a seed or budget nobody asked for.
+    EXPECT_EQ(parseInt("9223372036854775807").value(), INT64_MAX);
+    EXPECT_EQ(parseInt("-9223372036854775808").value(), INT64_MIN);
+    EXPECT_FALSE(parseInt("9223372036854775808").has_value());
+    EXPECT_FALSE(parseInt("99999999999999999999").has_value());
+    EXPECT_FALSE(parseInt("-99999999999999999999").has_value());
+    EXPECT_FALSE(parseInt("0x10000000000000000").has_value());
+    EXPECT_EQ(parseInt("7").value(), 7); // errno from a failure is reset
 }
 
 TEST(Strutil, Join)

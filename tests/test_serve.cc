@@ -1491,17 +1491,26 @@ TEST(Serve, HostileRequestsGetErrorsNamingTheFieldAndTheDaemonLivesOn)
     std::string line;
     ASSERT_TRUE(client->readLine(&line)); // hello
     // A misspelt field, a wrongly typed one and a field the command
-    // does not read: each would have run the defaults.
-    const std::vector<std::pair<std::string, std::string>> hostile = {
-        {"{\"cmd\":\"sweep\",\"tests\":[{\"name\":\"mp\"}],"
-         "\"chip\":[\"TesC\"],\"columns\":[16],\"iterations\":100}",
-         "chip"},
-        {"{\"cmd\":\"sweep\",\"tests\":[\"mp\"],\"iterations\":\"100\"}",
-         "iterations"},
-        {"{\"cmd\":\"validate\",\"tests\":[\"mp\"],\"columns\":[3]}",
-         "columns"},
+    // does not read: each would have run the defaults. The error event
+    // echoes the line's id when it is a string, so a client pipelining
+    // requests can tell which one failed.
+    struct Hostile
+    {
+        std::string request, field, id;
     };
-    for (const auto &[request, field] : hostile) {
+    const std::vector<Hostile> hostile = {
+        {"{\"cmd\":\"sweep\",\"id\":\"r9\",\"tests\":[{\"name\":\"mp\"}],"
+         "\"chip\":[\"TesC\"],\"columns\":[16],\"iterations\":100}",
+         "chip", "r9"},
+        {"{\"cmd\":\"sweep\",\"tests\":[\"mp\"],\"iterations\":\"100\"}",
+         "iterations", ""},
+        {"{\"cmd\":\"validate\",\"tests\":[\"mp\"],\"columns\":[3]}",
+         "columns", ""},
+        {"{\"cmd\":\"sweep\",\"id\":7,\"tests\":[\"mp\"]}", "id", ""},
+        {"{\"cmd\":\"sweep\",\"id\":\"r10\",\"tests\":[\"mp\"]", "",
+         ""},
+    };
+    for (const auto &[request, field, id] : hostile) {
         ASSERT_TRUE(client->sendLine(request));
         ASSERT_TRUE(client->readLine(&line));
         auto event = json::parse(line);
@@ -1509,6 +1518,9 @@ TEST(Serve, HostileRequestsGetErrorsNamingTheFieldAndTheDaemonLivesOn)
         EXPECT_EQ(event->getString("event"), "error") << line;
         EXPECT_NE(event->getString("message").find(field),
                   std::string::npos)
+            << line;
+        EXPECT_EQ(event->getString("id", "<absent>"),
+                  id.empty() ? "<absent>" : id)
             << line;
     }
     // The same socket still answers a valid request.
