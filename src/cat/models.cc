@@ -122,6 +122,32 @@ scPerLocFull()
     return model;
 }
 
+std::string
+baselineSource()
+{
+    return R"CAT(
+(* Axiomatic rendering of the Sorensen et al. operational model:
+   fences drain the issuing core's buffers irrespective of scope, so
+   every membar orders globally. Unsound w.r.t. hardware; see Sec. 6
+   of the paper and its row in bench/paper_ledger.h. *)
+let com = rf | co | fr
+let po-loc-llh = WW(po-loc) | WR(po-loc) | RW(po-loc)
+acyclic (po-loc-llh | com) as sc-per-loc-llh
+let dp = addr | data | ctrl
+acyclic (dp | rf) as no-thin-air
+let any-fence = membar.cta | membar.gl | membar.sys
+acyclic (dp | any-fence | rfe | co | fr) as buffer-drain-order
+)CAT";
+}
+
+const Model &
+baseline()
+{
+    static const Model model =
+        Model::parseOrDie(baselineSource(), "sorensen-operational");
+    return model;
+}
+
 std::vector<std::pair<std::string, const Model *>>
 all()
 {
@@ -131,6 +157,7 @@ all()
         {"sc", &sc()},
         {"tso", &tso()},
         {"sc-per-loc-full", &scPerLocFull()},
+        {"baseline", &baseline()},
     };
 }
 

@@ -249,25 +249,25 @@ struct Parser
                        static_cast<unsigned char>(text[pos])))
                 ++pos;
         }
-        // Only an integer of 20 or more digits can overflow a u64, so
-        // a check that builds nothing skips the conversion otherwise.
-        if (!out &&
-            (!isInt || pos - start - (text[start] == '-') < 20))
+        // Only an integer token of 20 or more characters (20 digits,
+        // or a sign and 19) can leave [INT64_MIN, UINT64_MAX], so a
+        // check that builds nothing skips the conversion otherwise.
+        if (!out && (!isInt || pos - start < 20))
             return true;
         std::string token(text.substr(start, pos - start));
         if (isInt) {
             errno = 0;
-            // strtoull covers the full u64 range (seeds are u64);
-            // the sign is applied after so -N still round-trips.
+            // strtoull covers the full u64 range (seeds are u64); the
+            // sign is applied after, down to INT64_MIN.
             bool neg = token[0] == '-';
             uint64_t mag = std::strtoull(
                 token.c_str() + (neg ? 1 : 0), nullptr, 10);
-            if (errno == ERANGE)
+            if (errno == ERANGE ||
+                (neg && mag > static_cast<uint64_t>(INT64_MAX) + 1))
                 return fail("integer out of range");
-            int64_t v = neg ? -static_cast<int64_t>(mag)
-                            : static_cast<int64_t>(mag);
             if (out)
-                *out = Value(v);
+                *out = neg ? Value(static_cast<int64_t>(0 - mag))
+                           : Value(mag);
         } else {
             *out = Value(std::strtod(token.c_str(), nullptr));
         }

@@ -6,10 +6,11 @@
  * everything the tree needs is to *read* small request objects —
  * writing stays with strutil's jsonEscape/writeJsonArray emitters.
  * This is deliberately a reader for machine-built protocol lines, not
- * a general document store: numbers are parsed as int64 when they
- * have no fraction/exponent (job counts, seeds, budgets) and as
- * double otherwise, object keys keep last-wins semantics, and depth
- * is capped so a hostile request cannot recurse the stack away.
+ * a general document store: numbers are parsed as integers when they
+ * have no fraction/exponent (job counts, seeds, budgets; INT64_MIN up
+ * to UINT64_MAX, anything beyond is an error) and as double otherwise,
+ * object keys keep last-wins semantics, and depth is capped so a
+ * hostile request cannot recurse the stack away.
  *
  * Two entry points share one grammar. `parse` builds the whole tree.
  * `parseHeader` checks the whole line the same way but builds only
@@ -55,6 +56,13 @@ class Value
     Value() = default;
     explicit Value(bool b) : kind_(Kind::Bool), bool_(b) {}
     explicit Value(int64_t i) : kind_(Kind::Int), int_(i) {}
+    /** An integer up to UINT64_MAX; integer() wraps one above
+     * INT64_MAX, unsignedInteger() reads it back. */
+    explicit Value(uint64_t u)
+        : kind_(Kind::Int), int_(static_cast<int64_t>(u)),
+          aboveInt64_(u > static_cast<uint64_t>(INT64_MAX))
+    {
+    }
     explicit Value(double d) : kind_(Kind::Double), double_(d) {}
     explicit Value(std::string s)
         : kind_(Kind::String), string_(std::move(s))
@@ -89,6 +97,14 @@ class Value
         return kind_ == Kind::Double ? static_cast<int64_t>(double_)
                                      : int_;
     }
+    /** The integer as a u64; nullopt when it is negative or not an
+     * integer. */
+    std::optional<uint64_t> unsignedInteger() const
+    {
+        if (kind_ != Kind::Int || (int_ < 0 && !aboveInt64_))
+            return std::nullopt;
+        return static_cast<uint64_t>(int_);
+    }
     double number() const
     {
         return kind_ == Kind::Int ? static_cast<double>(int_)
@@ -115,6 +131,7 @@ class Value
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     int64_t int_ = 0;
+    bool aboveInt64_ = false; ///< int_ holds a u64 above INT64_MAX
     double double_ = 0.0;
     std::string string_;
     /** shared_ptr keeps Value copyable/cheap and breaks the

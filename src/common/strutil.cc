@@ -91,6 +91,21 @@ parseInt(std::string_view s)
     return static_cast<int64_t>(v);
 }
 
+std::optional<uint64_t>
+parseUint(std::string_view s)
+{
+    std::string str = trim(s);
+    // strtoull would negate a leading '-' silently.
+    if (str.empty() || str[0] == '-' || str[0] == '+')
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(str.c_str(), &end, 0);
+    if (end != str.c_str() + str.size() || errno == ERANGE)
+        return std::nullopt;
+    return static_cast<uint64_t>(v);
+}
+
 uint64_t
 fnv1a(std::string_view s)
 {

@@ -36,6 +36,10 @@ std::string toLower(std::string_view s);
  * nullopt when malformed or outside int64_t's range. */
 std::optional<int64_t> parseInt(std::string_view s);
 
+/** parseInt for an unsigned integer: nullopt when malformed, signed
+ * or above UINT64_MAX. */
+std::optional<uint64_t> parseUint(std::string_view s);
+
 /** FNV-1a 64-bit hash; the string-hashing primitive of job keys and
  * memo tables across the harness, model and eval layers. */
 uint64_t fnv1a(std::string_view s);

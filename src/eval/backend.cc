@@ -20,7 +20,6 @@
 #include "cat/models.h"
 #include "common/log.h"
 #include "common/strutil.h"
-#include "model/baseline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/store.h"
@@ -122,9 +121,8 @@ McBackend::evaluate(const EvalJob &job) const
 
 // ---- AxiomBackend ---------------------------------------------------
 
-AxiomBackend::AxiomBackend(const cat::Model &model,
-                           axiom::EnumeratorOptions opts)
-    : model_(&model), opts_(opts), name_(model.name())
+AxiomBackend::AxiomBackend(const cat::Model &model, std::string name)
+    : model_(&model), name_(std::move(name))
 {
 }
 
@@ -200,19 +198,12 @@ AxiomBackend::evaluate(const EvalJob &job) const
     }
 
     auto start = std::chrono::steady_clock::now();
-    model::Checker checker(*model_, opts_);
+    model::Checker checker(*model_);
     result.verdict = checker.check(owned->test);
     auto end = std::chrono::steady_clock::now();
     result.millis =
         std::chrono::duration<double, std::milli>(end - start).count();
     return result;
-}
-
-// ---- BaselineBackend ------------------------------------------------
-
-BaselineBackend::BaselineBackend()
-    : AxiomBackend(model::operationalBaseline())
-{
 }
 
 // ---- registry -------------------------------------------------------
@@ -235,7 +226,6 @@ builtinBackendNames()
                                    harness::kMcBackend};
     for (const auto &[name, model] : cat::models::all())
         names.push_back(name);
-    names.push_back("baseline");
     return names;
 }
 
@@ -257,8 +247,6 @@ backendByName(const std::string &name, std::string *error)
         backend = std::make_shared<SimBackend>();
     } else if (name == harness::kMcBackend) {
         backend = std::make_shared<McBackend>();
-    } else if (name == "baseline") {
-        backend = std::make_shared<BaselineBackend>();
     } else if (looksLikeModelPath(name)) {
         backend = AxiomBackend::fromFile(name, error);
         if (!backend)
@@ -266,7 +254,7 @@ backendByName(const std::string &name, std::string *error)
     } else {
         for (const auto &[model_name, model] : cat::models::all()) {
             if (model_name == name) {
-                backend = std::make_shared<AxiomBackend>(*model);
+                backend = std::make_shared<AxiomBackend>(*model, name);
                 break;
             }
         }

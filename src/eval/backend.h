@@ -13,9 +13,9 @@
  *   result carrying a litmus::Histogram (simulation), a
  *   model::Verdict (axiomatic evaluation), or both;
  * - SimBackend wraps the operational machine (harness::runJob),
- *   AxiomBackend wraps model::Checker over any cat::Model (built-in
- *   or parsed from a .cat file), BaselineBackend wraps the Sec. 6
- *   operational-baseline model;
+ *   AxiomBackend wraps model::Checker over any cat::Model (built-in,
+ *   the Sec. 6 operational baseline among them, or parsed from a .cat
+ *   file);
  * - eval::Engine spreads a mixed-backend batch over a deterministic
  *   worker pool with an in-process result cache — sim cells keep
  *   their harness::runJob RNG streams bit-identically at any thread
@@ -166,10 +166,10 @@ class McBackend : public Backend
 class AxiomBackend : public Backend
 {
   public:
-    /** Non-owning view of a built-in (static-lifetime) model; the
-     * backend id defaults to the model's name. */
-    explicit AxiomBackend(const cat::Model &model,
-                          axiom::EnumeratorOptions opts = {});
+    /** Non-owning view of a built-in (static-lifetime) model under
+     * its cat::models::all() id, which need not be the model's name
+     * (`baseline` is `sorensen-operational`). */
+    AxiomBackend(const cat::Model &model, std::string name);
 
     /** Parse `source` as a .cat model the backend owns. Returns null
      * and sets `error` on bad syntax. */
@@ -194,23 +194,12 @@ class AxiomBackend : public Backend
   private:
     std::shared_ptr<const cat::Model> owned_; ///< null for built-ins
     const cat::Model *model_;
-    axiom::EnumeratorOptions opts_;
     std::string name_;
 };
 
-/** The Sec. 6 comparison baseline: the operational Nvidia model of
- * Sorensen et al. rendered axiomatically (model/baseline.h). The
- * paper shows it unsound (inter-CTA lb+membar.ctas). */
-class BaselineBackend : public AxiomBackend
-{
-  public:
-    BaselineBackend();
-    std::string name() const override { return "baseline"; }
-};
-
 /**
- * Resolve a backend id: "sim"; "mc"; a built-in model name (ptx,
- * rmo, sc, tso, sc-per-loc-full); "baseline"; or a path to a .cat
+ * Resolve a backend id: "sim"; "mc"; a built-in model id (ptx, rmo,
+ * sc, tso, sc-per-loc-full, baseline); or a path to a .cat
  * file (anything containing '/' or ending in ".cat"). Instances are
  * cached process-wide, so repeated resolution is cheap and every job
  * naming the same backend shares one engine. Returns null and sets

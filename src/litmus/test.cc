@@ -202,6 +202,10 @@ TestBuilder::thread(const std::string &ptx_text)
     auto prog = ptx::parseThread(ptx_text, &err);
     if (!prog)
         fatal("test '%s': %s", test_.name.c_str(), err.message.c_str());
+    // Positions within a built-in thread's text name no source file
+    // a user could open; only tests parsed from files carry them.
+    for (auto &instr : prog->instrs)
+        instr.srcLine = instr.srcCol = 0;
     test_.program.threads.push_back(std::move(*prog));
     return *this;
 }

@@ -134,7 +134,8 @@ class TestBuilder
     TestBuilder &global(const std::string &loc, int64_t init = 0);
     TestBuilder &shared(const std::string &loc, int64_t init = 0);
 
-    /** Append a thread from semicolon/newline-separated PTX text. */
+    /** Append a thread from semicolon/newline-separated PTX text. Its
+     * instructions carry no source positions (srcLine/srcCol 0). */
     TestBuilder &thread(const std::string &ptx_text);
 
     /** Append a pre-built thread program. */

@@ -1,9 +1,11 @@
 #include "scenario/catalog.h"
 
 #include "common/log.h"
-#include "scenario/builder.h"
+#include "litmus/library.h"
 
 namespace gpulitmus::scenario {
+
+using litmus::TestBuilder;
 
 namespace {
 
@@ -13,35 +15,32 @@ fenceSuffix(bool fenced)
     return fenced ? "+fences" : "";
 }
 
+/** The (+) fence of a fenced variant, as thread text. */
+std::string
+fence(bool fenced)
+{
+    return fenced ? "membar.gl;" : "";
+}
+
+/** A paper-library test restated as a scenario: same program, renamed,
+ * its outcome now the forbidden bug. */
+litmus::Test
+forbidden(litmus::Test test, const std::string &name)
+{
+    test.name = name;
+    test.quantifier = litmus::Quantifier::NotExists;
+    return test;
+}
+
 } // anonymous namespace
 
 litmus::Test
 casSpinlock(bool fenced)
 {
-    // The Fig. 9 distillation, instruction for instruction (the test
-    // suite pins it against cuda::distillCasSpinLock / paperlib).
-    Builder b("cas_spinlock" + fenceSuffix(fenced));
-    Loc x = b.global("x", 0);
-    Loc m = b.global("m", 1);
-
-    Thread &t0 = b.thread();
-    Reg r0 = t0.reg("r0");
-    t0.st(x, 1);
-    if (fenced)
-        t0.membar(); // unlock-side fence, Fig. 2 line 5 (+)
-    t0.exch(r0, m, 0);
-
-    Thread &t1 = b.thread();
-    Reg r1 = t1.reg("r1");
-    Reg p2 = t1.reg("p2");
-    Reg r3 = t1.reg("r3");
-    t1.cas(r1, m, 0, 1); // lock attempt, Fig. 2 line 2
-    t1.setpEq(p2, r1, 0);
-    if (fenced)
-        t1.membar().onlyIf(p2); // lock-side fence, line 3 (+)
-    t1.ld(r3, x).onlyIf(p2);
-
-    return b.forbid(r1 == 0 && r3 == 0).build();
+    // cas-sl (Fig. 9), which test_cuda pins against
+    // cuda::distillCasSpinLock.
+    return forbidden(litmus::paperlib::casSl(fenced),
+                     "cas_spinlock" + fenceSuffix(fenced));
 }
 
 litmus::Test
@@ -51,198 +50,110 @@ spinlockDotProduct(int threads, bool fenced)
         fatal("spinlock_dot_product supports 2..6 threads, got %d",
               threads);
 
-    Builder b("spinlock_dot_product+t" + std::to_string(threads) +
-              fenceSuffix(fenced));
-    Loc sum = b.global("sum", 0);
-    Loc m = b.global("m", 0);
-
-    int64_t expected = 0;
-    for (int t = 0; t < threads; ++t) {
-        expected += t + 1;
-        Thread &th = b.thread();
-        Reg r0 = th.reg("r0");
-        Reg p0 = th.reg("p0");
-        Reg r1 = th.reg("r1");
-        Reg r2 = th.reg("r2");
-        Reg r3 = th.reg("r3");
-        th.label("LOCK").cas(r0, m, 0, 1); // while (CAS != 0);
-        th.setpNe(p0, r0, 0);
-        th.branchIf(p0, "LOCK");
-        if (fenced)
-            th.membar(); // lock-side fence (Fig. 2 line 3 (+))
-        th.ld(r1, sum);
-        th.add(r2, r1, t + 1);
-        th.st(sum, r2);
-        if (fenced)
-            th.membar(); // unlock-side fence (Fig. 2 line 5 (+))
-        th.exch(r3, m, 0);
+    TestBuilder b("spinlock_dot_product+t" + std::to_string(threads) +
+                  fenceSuffix(fenced));
+    b.global("sum", 0).global("m", 0);
+    int expected = 0;
+    for (int t = 1; t <= threads; ++t) {
+        expected += t;
+        // while (CAS != 0); critical section; release. The fences
+        // are Fig. 2 lines 3 and 5 (+).
+        b.thread("LOCK: atom.cas r0,[m],0,1; setp.ne p0,r0,0;"
+                 "@p0 bra LOCK;" +
+                 fence(fenced) + "ld.cg r1,[sum]; add r2,r1," +
+                 std::to_string(t) + "; st.cg [sum],r2;" +
+                 fence(fenced) + "atom.exch r3,[m],0");
     }
-
-    return b.forbid(sum != expected).build();
+    return b.notExists("~(sum=" + std::to_string(expected) + ")")
+        .build();
 }
 
 litmus::Test
 workStealingDeque(bool fenced)
 {
-    // The Fig. 7 push/steal distillation (volatile tail, as the
-    // deque declares it), pinned against cuda::distillDequeMp.
-    Builder b("work_stealing_deque" + fenceSuffix(fenced));
-    Loc t = b.global("t", 0); // tail
-    Loc d = b.global("d", 0); // task slot
-
-    Thread &push = b.thread();
-    Reg r2 = push.reg("r2");
-    push.st(d, 1); // tasks[tail] = task (l.3)
-    if (fenced)
-        push.membar(); // l.4 (+)
-    push.ld(r2, t).volatile_(); // tail++ (l.5)
-    push.add(r2, r2, 1);
-    push.st(t, r2).volatile_();
-
-    Thread &steal = b.thread();
-    Reg r0 = steal.reg("r0");
-    Reg p4 = steal.reg("p4");
-    Reg r1 = steal.reg("r1");
-    steal.ld(r0, t).volatile_(); // read tail (l.8)
-    steal.setpEq(p4, r0, 0);     // empty?
-    if (fenced)
-        steal.membar().unless(p4); // l.9 (+)
-    steal.ld(r1, d).unless(p4); // read task (l.10)
-
-    return b.forbid(r0 == 1 && r1 == 0).build();
+    // dlb-mp (Fig. 7), which test_cuda pins against
+    // cuda::distillDequeMp.
+    return forbidden(litmus::paperlib::dlbMp(fenced),
+                     "work_stealing_deque" + fenceSuffix(fenced));
 }
 
 litmus::Test
 ticketLock(bool fenced)
 {
-    Builder b("ticket_lock" + fenceSuffix(fenced));
-    Loc ticket = b.global("ticket", 0);
-    Loc serving = b.global("serving", 0);
-    Loc sum = b.global("sum", 0);
-
-    int64_t expected = 0;
-    for (int t = 0; t < 2; ++t) {
-        expected += t + 1;
-        Thread &th = b.thread();
-        Reg r0 = th.reg("r0");
-        Reg r1 = th.reg("r1");
-        Reg p0 = th.reg("p0");
-        Reg r2 = th.reg("r2");
-        Reg r3 = th.reg("r3");
-        Reg r4 = th.reg("r4");
-        th.inc(r0, ticket); // draw a ticket
-        th.label("SPIN").ld(r1, serving);
-        th.setpNe(p0, r1, r0);
-        th.branchIf(p0, "SPIN");
-        if (fenced)
-            th.membar();
-        th.ld(r2, sum); // critical section
-        th.add(r3, r2, t + 1);
-        th.st(sum, r3);
-        if (fenced)
-            th.membar();
-        th.add(r4, r0, 1); // serve the next ticket
-        th.st(serving, r4);
+    TestBuilder b("ticket_lock" + fenceSuffix(fenced));
+    b.global("ticket", 0).global("serving", 0).global("sum", 0);
+    for (int t = 1; t <= 2; ++t) {
+        // Draw a ticket, spin until served, add to the sum in the
+        // critical section, serve the next ticket.
+        b.thread("atom.inc r0,[ticket];"
+                 "SPIN: ld.cg r1,[serving]; setp.ne p0,r1,r0;"
+                 "@p0 bra SPIN;" +
+                 fence(fenced) + "ld.cg r2,[sum]; add r3,r2," +
+                 std::to_string(t) + "; st.cg [sum],r3;" +
+                 fence(fenced) + "add r4,r0,1; st.cg [serving],r4");
     }
-
-    return b.forbid(sum != expected).build();
+    return b.notExists("~(sum=3)").build();
 }
 
 litmus::Test
 producerConsumerRing(bool fenced)
 {
-    Builder b("producer_consumer_ring" + fenceSuffix(fenced));
-    Loc slot = b.global("slot", 0);
-    Loc head = b.global("head", 0);
-
-    Thread &prod = b.thread();
-    prod.st(slot, 1); // fill the slot
-    if (fenced)
-        prod.membar();
-    prod.st(head, 1).volatile_(); // publish
-
-    Thread &cons = b.thread();
-    Reg r0 = cons.reg("r0");
-    Reg p0 = cons.reg("p0");
-    Reg r1 = cons.reg("r1");
-    cons.label("SPIN").ld(r0, head).volatile_();
-    cons.setpEq(p0, r0, 0);
-    cons.branchIf(p0, "SPIN"); // wait for the head
-    if (fenced)
-        cons.membar();
-    cons.ld(r1, slot);
-
-    return b.forbid(r1 == 0).build();
+    // The producer fills the slot and publishes the head; the
+    // consumer waits for the head, then reads the slot.
+    return TestBuilder("producer_consumer_ring" + fenceSuffix(fenced))
+        .global("slot", 0)
+        .global("head", 0)
+        .thread("st.cg [slot],1;" + fence(fenced) +
+                "st.volatile [head],1")
+        .thread("SPIN: ld.volatile r0,[head]; setp.eq p0,r0,0;"
+                "@p0 bra SPIN;" +
+                fence(fenced) + "ld.cg r1,[slot]")
+        .notExists("1:r1=0")
+        .build();
 }
 
 litmus::Test
 flagBarrier(bool fenced)
 {
-    Builder b("flag_barrier" + fenceSuffix(fenced));
-    Loc x0 = b.global("x0", 0);
-    Loc x1 = b.global("x1", 0);
-    Loc f0 = b.global("f0", 0);
-    Loc f1 = b.global("f1", 0);
-
-    auto side = [&](Loc mine, Loc my_flag, Loc other_flag,
-                    Loc theirs) -> Reg {
-        Thread &th = b.thread();
-        Reg r0 = th.reg("r0");
-        Reg p0 = th.reg("p0");
-        Reg r1 = th.reg("r1");
-        th.st(mine, 1); // my contribution
-        if (fenced)
-            th.membar();
-        th.st(my_flag, 1); // arrive
-        th.label("SPIN").ld(r0, other_flag);
-        th.setpEq(p0, r0, 0);
-        th.branchIf(p0, "SPIN"); // wait for the other side
-        if (fenced)
-            th.membar();
-        th.ld(r1, theirs); // read their contribution
-        return r1;
+    // Write my data, raise my flag, wait for the other's flag, read
+    // their data.
+    auto side = [&](const std::string &mine, const std::string &my_flag,
+                    const std::string &other_flag,
+                    const std::string &theirs) {
+        return "st.cg [" + mine + "],1;" + fence(fenced) + "st.cg [" +
+               my_flag + "],1; SPIN: ld.cg r0,[" + other_flag +
+               "]; setp.eq p0,r0,0; @p0 bra SPIN;" + fence(fenced) +
+               "ld.cg r1,[" + theirs + "]";
     };
-    Reg a = side(x0, f0, f1, x1);
-    Reg bb = side(x1, f1, f0, x0);
-
-    return b.forbid(a == 0 || bb == 0).build();
+    return TestBuilder("flag_barrier" + fenceSuffix(fenced))
+        .global("x0", 0)
+        .global("x1", 0)
+        .global("f0", 0)
+        .global("f1", 0)
+        .thread(side("x0", "f0", "f1", "x1"))
+        .thread(side("x1", "f1", "f0", "x0"))
+        .notExists("0:r1=0 \\/ 1:r1=0")
+        .build();
 }
 
 litmus::Test
 seqlock(bool fenced)
 {
-    Builder b("seqlock" + fenceSuffix(fenced));
-    Loc s = b.global("s", 0);
-    Loc d1 = b.global("d1", 0);
-    Loc d2 = b.global("d2", 0);
-
-    Thread &w = b.thread();
-    w.st(s, 1); // sequence odd: write in progress
-    if (fenced)
-        w.membar();
-    w.st(d1, 1);
-    w.st(d2, 1);
-    if (fenced)
-        w.membar();
-    w.st(s, 2); // sequence even: write complete
-
-    Thread &r = b.thread();
-    Reg r0 = r.reg("r0");
-    Reg r1 = r.reg("r1");
-    Reg r2 = r.reg("r2");
-    Reg r3 = r.reg("r3");
-    r.ld(r0, s);
-    if (fenced)
-        r.membar();
-    r.ld(r1, d1);
-    r.ld(r2, d2);
-    if (fenced)
-        r.membar();
-    r.ld(r3, s);
-
-    // A stable, even sequence (2 before and after) promises a
-    // complete snapshot; torn data under it is the seqlock bug.
-    return b.forbid(r0 == 2 && r3 == 2 && (r1 == 0 || r2 == 0))
+    // The writer makes the sequence odd, writes both words, makes it
+    // even; the reader samples it around its reads.
+    return TestBuilder("seqlock" + fenceSuffix(fenced))
+        .global("s", 0)
+        .global("d1", 0)
+        .global("d2", 0)
+        .thread("st.cg [s],1;" + fence(fenced) +
+                "st.cg [d1],1; st.cg [d2],1;" + fence(fenced) +
+                "st.cg [s],2")
+        .thread("ld.cg r0,[s];" + fence(fenced) +
+                "ld.cg r1,[d1]; ld.cg r2,[d2];" + fence(fenced) +
+                "ld.cg r3,[s]")
+        // A stable, even sequence (2 before and after) promises a
+        // complete snapshot; torn data under it is the seqlock bug.
+        .notExists("(1:r0=2 /\\ 1:r3=2) /\\ (1:r1=0 \\/ 1:r2=0)")
         .build();
 }
 

@@ -2,8 +2,11 @@
  * @file
  * The built-in scenario catalog: the paper's audited applications
  * (Sec. 3.2) plus the classic GPU synchronisation idioms the
- * workgroup-progress literature catalogues, each as a Builder-made
- * test whose bug is the forbidden final condition.
+ * workgroup-progress literature catalogues, each a litmus::Test whose
+ * bug is the forbidden (`~exists`) final condition. The threads are
+ * PTX text through litmus::TestBuilder, as in the paper library; the
+ * two scenarios that are paper-library tests (cas-sl, dlb-mp) are
+ * taken from it and renamed.
  *
  * These constructors back the registry entries in registry.cc; they
  * are exposed directly for the examples, the benches and the tests.
@@ -17,11 +20,11 @@
 namespace gpulitmus::scenario {
 
 /**
- * The CUDA by Example spin lock distilled (Fig. 2 -> Fig. 9): T0
- * unlocks after writing data, T1 locks and reads it. Forbidden: the
- * lock was acquired yet the read returned stale data — the bug of
- * Nvidia's erratum. Straight-line (the lock acquisition is the
- * single CAS of the distillation).
+ * The CUDA by Example spin lock distilled (Fig. 2 -> Fig. 9), i.e.
+ * paperlib::casSl: T0 unlocks after writing data, T1 locks and reads
+ * it. Forbidden: the lock was acquired yet the read returned stale
+ * data — the bug of Nvidia's erratum. Straight-line (the lock
+ * acquisition is the single CAS of the distillation).
  */
 litmus::Test casSpinlock(bool fenced);
 
@@ -36,8 +39,8 @@ litmus::Test spinlockDotProduct(int threads, bool fenced);
 
 /**
  * The Cederman-Tsigas work-stealing deque, push/steal pair (Fig. 6
- * -> Fig. 7): forbidden, the thief observed the pushed tail but read
- * an empty task slot — the deque lost a task.
+ * -> Fig. 7), i.e. paperlib::dlbMp: forbidden, the thief observed the
+ * pushed tail but read an empty task slot — the deque lost a task.
  */
 litmus::Test workStealingDeque(bool fenced);
 

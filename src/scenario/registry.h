@@ -1,8 +1,8 @@
 /**
  * @file
  * The scenario registry: named, parameterised application workloads
- * (built with scenario::Builder, lowered to litmus::Test) that every
- * surface API accepts next to .litmus files.
+ * (the litmus::Tests of scenario/catalog.h) that every surface API
+ * accepts next to .litmus files.
  *
  * A scenario is addressed by a *spec* string:
  *

@@ -105,12 +105,12 @@ const std::vector<std::pair<std::string, unsigned>> kCommands = {
 /** How a value is checked, and spelt as a flag: a list is
  * comma-separated, a column list also takes ranges ("1-4,9"), a switch
  * is its presence, the tests are the positionals. */
-enum class Kind { Text, Tests, Strings, Columns, Column, Count, Integer, Switch };
+enum class Kind { Text, Tests, Strings, Columns, Column, Count, Integer, Seed, Switch };
 
 /** Each kind's placeholder in a usage line, in Kind order (null: not a
  * flag). */
-const char *const kPlaceholder[] = {nullptr, nullptr, "A,B", "1-16",
-                                    "1..16", "N",     "N",   ""};
+const char *const kPlaceholder[] = {nullptr, nullptr, "A,B", "1-16", "1..16",
+                                    "N",     "N",     "N",   ""};
 
 /** The request schema, in wire order: `field(name, kind, read by,
  * member of req)` for each field. What a command reads is what
@@ -126,7 +126,7 @@ forEachField(Req &req, Fn &&field)
     field("columns", Kind::Columns, kSweep, req.columns);
     field("column", Kind::Column, kValidate | kExplore, req.column);
     field("iterations", Kind::Count, kSweep | kValidate, req.iterations);
-    field("seed", Kind::Integer, kSweep | kValidate, req.seed);
+    field("seed", Kind::Seed, kSweep | kValidate, req.seed);
     field("budget", Kind::Count, kValidate | kExplore, req.budget);
     field("exact", Kind::Switch, kValidate, req.exact);
 }
@@ -156,17 +156,21 @@ commandBit(const std::string &cmd, std::string *error)
 }
 
 /** The range and sign check of the integer kinds (a count would wrap
- * to ~2^64 if negative), on the wire, for the request flags and for
- * intFlag. `label` names the field as its source spells it ("budget",
- * "--budget"). */
+ * to ~2^64 if negative; a seed is any u64), on the wire, for the
+ * request flags and for intFlag. `label` names the field as its source
+ * spells it ("budget", "--budget"). */
 bool
-checkInteger(Kind kind, int64_t v, const std::string &label,
+checkInteger(Kind kind, const json::Value &value, const std::string &label,
              std::string *error)
 {
+    const int64_t v = value.integer();
     if ((kind == Kind::Column || kind == Kind::Columns) && (v < 1 || v > 16))
         return fail(error, label + " must be 1..16, got " + std::to_string(v));
     if (kind == Kind::Count && v < 0)
         return fail(error, label + " must be >= 0, got " + std::to_string(v));
+    if (kind == Kind::Seed && !value.unsignedInteger())
+        return fail(error, label + " must be 0.." + std::to_string(UINT64_MAX) +
+                               ", got " + std::to_string(v));
     return true;
 }
 
@@ -189,8 +193,10 @@ set(T &out, Kind kind, const json::Value &v, const std::string &label,
     } else if constexpr (std::is_integral_v<T>) {
         if (!v.isInt())
             return fail(error, label + " expects an integer");
-        if (!checkInteger(kind, v.integer(), label, error))
+        if (!checkInteger(kind, v, label, error))
             return false;
+        // A seed above INT64_MAX is wrapped in integer(), and unwrapped
+        // by the cast back to u64.
         out = static_cast<T>(v.integer());
     } else if constexpr (std::is_same_v<T, TestSpec>) {
         // A string is a library id or, by its "scenario:" prefix, a
@@ -232,6 +238,10 @@ flagValue(Kind kind, const std::string &text, const std::string &label,
     if (kind == Kind::Switch)
         return json::Value(true);
     if (kind != Kind::Strings && kind != Kind::Columns) {
+        // A seed takes the whole u64 range; a signed one parses as
+        // such, for checkInteger to refuse as it does on the wire.
+        if (auto u = kind == Kind::Seed ? parseUint(text) : std::nullopt)
+            return json::Value(*u);
         if (auto v = parseInt(text))
             return json::Value(*v);
         return fail<Result>(error, label + " expects an integer, got '" +
@@ -371,7 +381,7 @@ intFlag(const std::map<std::string, std::string> &flags,
         return fallback;
     const Kind kind = count ? Kind::Count : Kind::Integer;
     auto v = flagValue(kind, it->second, "--" + name, error);
-    if (!v || !checkInteger(kind, v->integer(), "--" + name, error))
+    if (!v || !checkInteger(kind, *v, "--" + name, error))
         return std::nullopt;
     return v->integer();
 }

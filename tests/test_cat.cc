@@ -13,7 +13,6 @@
 #include "axiom/enumerate.h"
 #include "cat/models.h"
 #include "litmus/library.h"
-#include "model/baseline.h"
 
 namespace gpulitmus::cat {
 namespace {
@@ -48,7 +47,7 @@ TEST(CatModels, ConcurrentFirstUseIsRaceFree)
     go = true;
     for (auto &t : threads)
         t.join();
-    ASSERT_EQ(seen[0].size(), 5u);
+    ASSERT_EQ(seen[0].size(), 6u);
     for (const auto &got : seen)
         EXPECT_EQ(got, seen[0]);
     EXPECT_EQ(seen[0][0].second, &models::ptx());
@@ -65,8 +64,7 @@ TEST(CatParse, AcceptsPaperModels)
         << err.message;
     EXPECT_TRUE(Model::parse(models::tsoSource(), "tso", &err))
         << err.message;
-    EXPECT_TRUE(Model::parse(
-        gpulitmus::model::operationalBaselineSource(), "op", &err))
+    EXPECT_TRUE(Model::parse(models::baselineSource(), "op", &err))
         << err.message;
 }
 

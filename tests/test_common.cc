@@ -300,6 +300,17 @@ TEST(Strutil, ParseIntRefusesOutOfRange)
     EXPECT_EQ(parseInt("7").value(), 7); // errno from a failure is reset
 }
 
+TEST(Strutil, ParseUintTakesTheU64RangeAndNoSign)
+{
+    EXPECT_EQ(parseUint("18446744073709551615").value(), UINT64_MAX);
+    EXPECT_EQ(parseUint(" 0x6c69 ").value(), 0x6c69u);
+    EXPECT_FALSE(parseUint("18446744073709551616").has_value());
+    EXPECT_FALSE(parseUint("-1").has_value());
+    EXPECT_FALSE(parseUint("+1").has_value());
+    EXPECT_FALSE(parseUint("1.5").has_value());
+    EXPECT_FALSE(parseUint("").has_value());
+}
+
 TEST(Strutil, Join)
 {
     std::vector<std::string> v{"a", "b", "c"};
@@ -524,6 +535,26 @@ TEST(Json, IntegersKeepU64SeedsAndNegatives)
     EXPECT_EQ(real->number(), -1500.0);
     EXPECT_EQ(parseError("18446744073709551616"),
               "integer out of range at byte 20");
+    // A negative magnitude used to wrap: -(2^64 - 1) read as 1, so a
+    // hostile "iterations" or "column" became a small valid one.
+    auto min = json::parse("-9223372036854775808");
+    ASSERT_TRUE(min.has_value());
+    EXPECT_EQ(min->integer(), INT64_MIN);
+    EXPECT_EQ(parseError("-9223372036854775809"),
+              "integer out of range at byte 20");
+    EXPECT_EQ(parseError("-18446744073709551615"),
+              "integer out of range at byte 21");
+    // The header parse refuses what the full parse refuses.
+    std::string error;
+    EXPECT_FALSE(json::parseHeader(
+        "{\"iterations\":-18446744073709551615}", &error));
+    EXPECT_NE(error.find("integer out of range"), std::string::npos);
+    // A u64 reads back unsigned; a negative integer does not.
+    EXPECT_EQ(max->find("seed")->unsignedInteger(), UINT64_MAX);
+    EXPECT_EQ(json::parse("9223372036854775807")->unsignedInteger(),
+              static_cast<uint64_t>(INT64_MAX));
+    EXPECT_FALSE(neg->array()[0].unsignedInteger().has_value());
+    EXPECT_FALSE(real->unsignedInteger().has_value());
 }
 
 TEST(Json, DepthLimit)

@@ -183,7 +183,7 @@ TEST(SimBackend, MatchesHarnessRunBitForBit)
 
 TEST(AxiomBackend, MatchesCheckerVerdict)
 {
-    AxiomBackend backend(cat::models::ptx());
+    AxiomBackend backend(cat::models::ptx(), "ptx");
     EvalJob job;
     job.backend = "ptx";
     job.test = pl::lbMembarCtas();

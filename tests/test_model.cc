@@ -17,7 +17,6 @@
 #include "cat/models.h"
 #include "litmus/library.h"
 #include "litmus/parser.h"
-#include "model/baseline.h"
 #include "model/checker.h"
 
 namespace gpulitmus::model {
@@ -99,7 +98,7 @@ TEST(PtxModel, Sec6Counterexample)
     // (observed on Titan!), forbidden by the operational baseline.
     litmus::Test t = paperlib::lbMembarCtas();
     EXPECT_TRUE(allowedBy(cat::models::ptx(), t));
-    EXPECT_FALSE(allowedBy(operationalBaseline(), t));
+    EXPECT_FALSE(allowedBy(cat::models::baseline(), t));
 }
 
 TEST(PtxModel, NoThinAirHolds)
@@ -238,7 +237,7 @@ TEST(EnumerationMemo, OneEnumerationServesEveryModel)
     Verdict first = Checker(cat::models::ptx()).check(test);
     EXPECT_EQ(enumerationCacheSize(), 1u);
     Verdict second = Checker(cat::models::sc()).check(test);
-    Verdict third = Checker(operationalBaseline()).check(test);
+    Verdict third = Checker(cat::models::baseline()).check(test);
     EXPECT_EQ(enumerationCacheSize(), 1u);
 
     // Distinct verdicts, same candidate set.

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the Scenario API: Builder lowering (structural equality
- * with the hand-written library tests), registry spec resolution,
- * litmus round trips of every registry scenario, exact (mc) verdicts
+ * Tests for the Scenario API: the catalog's derivation from the paper
+ * library, registry spec resolution, litmus round trips and pinned
+ * texts of every registry scenario, exact (mc) verdicts
  * for the application bugs on weak chips, and the backend semantics
  * of planned scenario jobs.
  */
@@ -18,7 +18,6 @@
 #include "litmus/parser.h"
 #include "mc/explorer.h"
 #include "model/checker.h"
-#include "scenario/builder.h"
 #include "scenario/catalog.h"
 #include "scenario/registry.h"
 #include "serve/protocol.h"
@@ -27,54 +26,11 @@ namespace gpulitmus::scenario {
 namespace {
 
 // ---------------------------------------------------------------------
-// Builder lowering: typed handles produce the same litmus::Test the
-// hand-written library builds from PTX text.
+// Catalog: the scenarios derived from paper-library tests keep their
+// programs.
 // ---------------------------------------------------------------------
 
-TEST(Builder, MpMatchesHandWrittenLibraryTest)
-{
-    Builder b("mp");
-    Loc x = b.global("x", 0);
-    Loc y = b.global("y", 0);
-    Thread &t0 = b.thread();
-    t0.st(x, 1).st(y, 1);
-    Thread &t1 = b.thread();
-    Reg r1 = t1.reg("r1");
-    Reg r2 = t1.reg("r2");
-    t1.ld(r1, y).ld(r2, x);
-    litmus::Test built = b.allow(r1 == 1 && r2 == 0).build();
-
-    EXPECT_EQ(built.str(), litmus::paperlib::mp().str());
-}
-
-TEST(Builder, CasSlMatchesHandWrittenLibraryTest)
-{
-    for (bool fences : {false, true}) {
-        Builder b(fences ? "cas-sl+fences" : "cas-sl");
-        Loc x = b.global("x", 0);
-        Loc m = b.global("m", 1);
-        Thread &t0 = b.thread();
-        Reg r0 = t0.reg("r0");
-        t0.st(x, 1);
-        if (fences)
-            t0.membar();
-        t0.exch(r0, m, 0);
-        Thread &t1 = b.thread();
-        Reg r1 = t1.reg("r1");
-        Reg p2 = t1.reg("p2");
-        Reg r3 = t1.reg("r3");
-        t1.cas(r1, m, 0, 1).setpEq(p2, r1, 0);
-        if (fences)
-            t1.membar().onlyIf(p2);
-        t1.ld(r3, x).onlyIf(p2);
-        litmus::Test built = b.allow(r1 == 0 && r3 == 0).build();
-
-        EXPECT_EQ(built.str(),
-                  litmus::paperlib::casSl(fences).str());
-    }
-}
-
-TEST(Builder, CatalogProgramsMatchCudaDistillations)
+TEST(Catalog, CatalogProgramsMatchCudaDistillations)
 {
     // The registry scenarios reuse the Tab. 5 instruction encodings:
     // program text identical to the CUDA distillations, only the
@@ -91,85 +47,6 @@ TEST(Builder, CatalogProgramsMatchCudaDistillations)
               litmus::Quantifier::NotExists);
     EXPECT_EQ(casSpinlock(false).condition.str(),
               cuda::distillCasSpinLock(false).condition.str());
-}
-
-TEST(Builder, ModifiersRewriteTheLastInstruction)
-{
-    Builder b("mods");
-    Loc x = b.global("x", 0);
-    Thread &t0 = b.thread();
-    Reg r0 = t0.reg("r0");
-    Reg p0 = t0.reg("p0");
-    t0.ld(r0, x).volatile_();
-    t0.setpEq(p0, r0, 0);
-    t0.membar(ptx::Scope::Cta).unless(p0);
-    t0.st(x, 1).ca().onlyIf(p0);
-    litmus::Test test = b.allow(r0 == 0).build();
-
-    const auto &instrs = test.program.threads[0].instrs;
-    ASSERT_EQ(instrs.size(), 4u);
-    EXPECT_TRUE(instrs[0].isVolatile);
-    EXPECT_EQ(instrs[0].cacheOp, ptx::CacheOp::None);
-    EXPECT_EQ(instrs[2].scope, ptx::Scope::Cta);
-    EXPECT_TRUE(instrs[2].hasGuard);
-    EXPECT_TRUE(instrs[2].guardNegated);
-    EXPECT_EQ(instrs[3].cacheOp, ptx::CacheOp::Ca);
-    EXPECT_TRUE(instrs[3].hasGuard);
-    EXPECT_FALSE(instrs[3].guardNegated);
-}
-
-TEST(Builder, DependencyModifierEmitsFig13Shapes)
-{
-    // Data dependency: the store value routes through and/add on the
-    // source register; address dependency: the load address routes
-    // through cvt/add onto an address-initialised register.
-    Builder b("deps");
-    Loc x = b.global("x", 0);
-    Loc y = b.global("y", 0);
-    Thread &t0 = b.thread();
-    Reg r1 = t0.reg("r1");
-    t0.ld(r1, x);
-    t0.st(y, 1).dependsOn(r1);
-    Reg r2 = t0.reg("r2");
-    t0.ld(r2, x).dependsOn(r1);
-    litmus::Test test = b.allow(r1 == 1).build();
-
-    // ld; [and, add, st] (data dep); [and, cvt, add, ld] (addr dep).
-    const auto &instrs = test.program.threads[0].instrs;
-    ASSERT_EQ(instrs.size(), 8u);
-    EXPECT_EQ(instrs[1].op, ptx::Opcode::And);
-    EXPECT_EQ(instrs[2].op, ptx::Opcode::Add);
-    EXPECT_EQ(instrs[3].op, ptx::Opcode::St);
-    EXPECT_TRUE(instrs[3].srcs[0].isReg());
-    EXPECT_EQ(instrs[5].op, ptx::Opcode::Cvt);
-    EXPECT_EQ(instrs[7].op, ptx::Opcode::Ld);
-    EXPECT_TRUE(instrs[7].addr.isReg());
-    // The address register is initialised with the location address.
-    bool addr_init = false;
-    for (const auto &ri : test.regInits)
-        addr_init |= ri.isLocAddress && ri.loc == "x";
-    EXPECT_TRUE(addr_init);
-    // The whole thing still round-trips through the litmus format.
-    auto reparsed = litmus::parseTest(test.str());
-    ASSERT_TRUE(reparsed.has_value());
-    EXPECT_EQ(reparsed->str(), test.str());
-}
-
-TEST(Builder, ThreadPlacementShapesTheScopeTree)
-{
-    Builder b("placed");
-    Loc x = b.global("x", 0);
-    Thread &t0 = b.thread(0, 0);
-    Thread &t1 = b.thread(0, 1);
-    Thread &t2 = b.thread(1, 0);
-    Reg r0 = t0.reg("r0");
-    t0.ld(r0, x);
-    t1.st(x, 1);
-    t2.st(x, 2);
-    litmus::Test test = b.allow(r0 == 0).build();
-    EXPECT_TRUE(test.scopeTree.sameCta(0, 1));
-    EXPECT_FALSE(test.scopeTree.sameWarp(0, 1));
-    EXPECT_FALSE(test.scopeTree.sameCta(0, 2));
 }
 
 // ---------------------------------------------------------------------
@@ -230,6 +107,49 @@ TEST(Registry, EveryScenarioRoundTripsThroughTheLitmusFormat)
                 << text;
             EXPECT_EQ(reparsed->str(), text) << s.name;
         }
+    }
+}
+
+TEST(Registry, EveryVariantRendersItsPinnedText)
+{
+    // Sim seeds, job keys and store digests derive from the hash of a
+    // test's rendered text: a scenario whose text moves orphans every
+    // stored cell of it. These are the hashes of all 22 variants (each
+    // scenario unfenced and fenced, the dot product at 2..6 threads).
+    const std::vector<std::pair<std::string, uint64_t>> pins = {
+        {"cas_spinlock,fenced=0", 0x95ac6dd5087b0d3dull},
+        {"cas_spinlock,fenced=1", 0xdfe06bc8294ee417ull},
+        {"work_stealing_deque,fenced=0", 0x73031c06a741f4c9ull},
+        {"work_stealing_deque,fenced=1", 0x825155b0b4ae0eb6ull},
+        {"ticket_lock,fenced=0", 0xe6eb609b77293b32ull},
+        {"ticket_lock,fenced=1", 0x3f7957ec4d3f26e9ull},
+        {"producer_consumer_ring,fenced=0", 0x0e9f4e07ca808655ull},
+        {"producer_consumer_ring,fenced=1", 0x2e43b28cecd57f4full},
+        {"flag_barrier,fenced=0", 0xf906f1060938a7a9ull},
+        {"flag_barrier,fenced=1", 0x8062d2446d75bd24ull},
+        {"seqlock,fenced=0", 0xedf1f4f2ef757fe8ull},
+        {"seqlock,fenced=1", 0x17f42068ff8b2ca9ull},
+        {"spinlock_dot_product,threads=2,fenced=0", 0xc6ebe3298eadd842ull},
+        {"spinlock_dot_product,threads=2,fenced=1", 0x622e662e606dae03ull},
+        {"spinlock_dot_product,threads=3,fenced=0", 0x637f64766245c5acull},
+        {"spinlock_dot_product,threads=3,fenced=1", 0x1f7e060f0b35abe3ull},
+        {"spinlock_dot_product,threads=4,fenced=0", 0xb6b0369f385c8e91ull},
+        {"spinlock_dot_product,threads=4,fenced=1", 0xe9ff348606514854ull},
+        {"spinlock_dot_product,threads=5,fenced=0", 0x60e706dda1452249ull},
+        {"spinlock_dot_product,threads=5,fenced=1", 0x5f0727699ac38632ull},
+        {"spinlock_dot_product,threads=6,fenced=0", 0xe4bfc4aa48a5c38cull},
+        {"spinlock_dot_product,threads=6,fenced=1", 0x5b02562492c378cbull},
+    };
+    size_t variants = 0;
+    for (const auto &s : all())
+        variants += s.name == "spinlock_dot_product" ? 10 : 2;
+    EXPECT_EQ(pins.size(), variants);
+    for (const auto &[spec, hash] : pins) {
+        auto built = buildSpec("scenario:" + spec);
+        ASSERT_TRUE(built.has_value()) << spec;
+        EXPECT_EQ(harness::TestText::of(built->test)->hash, hash)
+            << spec << "\n"
+            << built->test.str();
     }
 }
 

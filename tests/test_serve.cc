@@ -728,6 +728,7 @@ TEST(Protocol, WrongTypesAndUnknownFieldsAreErrorsNamingTheField)
         {"{\"cmd\":\"sweep\",\"iterations\":\"100\"}", "iterations"},
         {"{\"cmd\":\"sweep\",\"iterations\":100.7}", "iterations"},
         {"{\"cmd\":\"sweep\",\"seed\":1.5}", "seed"},
+        {"{\"cmd\":\"sweep\",\"seed\":-1}", "seed"},
         {"{\"cmd\":\"validate\",\"exact\":\"true\"}", "exact"},
         {"{\"cmd\":\"stats\",\"id\":7}", "id"},
         {"{\"cmd\":\"sweep\",\"tests\":\"mp\"}", "tests"},
@@ -747,6 +748,12 @@ TEST(Protocol, WrongTypesAndUnknownFieldsAreErrorsNamingTheField)
     EXPECT_FALSE(requestFromFlags("sweep", {"mp"}, {{"seed", "1.5"}},
                                   &error));
     EXPECT_NE(error.find("--seed expects an integer"), std::string::npos);
+    // -1 is not another spelling of the largest seed, on either path.
+    EXPECT_FALSE(requestFromFlags("sweep", {"mp"}, {{"seed", "-1"}},
+                                  &error));
+    EXPECT_NE(error.find("--seed must be 0..18446744073709551615, got -1"),
+              std::string::npos)
+        << error;
     EXPECT_FALSE(requestFromFlags("frobnicate", {}, {}, &error));
     EXPECT_NE(error.find("frobnicate"), std::string::npos);
 }
@@ -803,6 +810,14 @@ TEST(Protocol, FlagsPlanLikeTheEquivalentWireLine)
          {{"iterations", "0"}, {"columns", "16"}},
          "{\"cmd\":\"sweep\",\"tests\":[\"mp\"],\"columns\":[16],"
          "\"iterations\":0}"},
+        // A seed takes the whole u64 range on both paths.
+        {"sweep",
+         {"mp"},
+         {{"seed", "18446744073709551615"}, {"columns", "16"},
+          {"iterations", "50"}},
+         "{\"cmd\":\"sweep\",\"tests\":[\"mp\"],"
+         "\"seed\":18446744073709551615,\"columns\":[16],"
+         "\"iterations\":50}"},
     };
     for (const auto &c : cases) {
         std::string error;
@@ -1509,6 +1524,13 @@ TEST(Serve, HostileRequestsGetErrorsNamingTheFieldAndTheDaemonLivesOn)
         {"{\"cmd\":\"sweep\",\"id\":7,\"tests\":[\"mp\"]}", "id", ""},
         {"{\"cmd\":\"sweep\",\"id\":\"r10\",\"tests\":[\"mp\"]", "",
          ""},
+        // Below INT64_MIN: once read as 1 iteration and column 1.
+        {"{\"cmd\":\"sweep\",\"tests\":[\"mp\"],"
+         "\"iterations\":-18446744073709551615}",
+         "integer out of range", ""},
+        {"{\"cmd\":\"validate\",\"tests\":[\"mp\"],"
+         "\"column\":-18446744073709551615}",
+         "integer out of range", ""},
     };
     for (const auto &[request, field, id] : hostile) {
         ASSERT_TRUE(client->sendLine(request));

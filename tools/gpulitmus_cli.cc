@@ -97,7 +97,6 @@
 #include "gen/generator.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
-#include "model/baseline.h"
 #include "model/checker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -885,10 +884,6 @@ cmdModels(const Args &)
             std::cout << " " << c;
         std::cout << "\n";
     }
-    std::cout << "baseline: checks";
-    for (const auto &c : model::operationalBaseline().checkNames())
-        std::cout << " " << c;
-    std::cout << "\n";
     return 0;
 }
 
