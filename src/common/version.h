@@ -35,11 +35,14 @@ namespace gpulitmus {
  * search statistics and path weights for those jobs.
  * 3: the explorer issues eagerly (commit, then issue to the next
  * block point), changing the stored replays, states and path
- * weights of explored jobs; reachable sets are unchanged. */
-inline constexpr int kAbiVersion = 3;
+ * weights of explored jobs; reachable sets are unchanged.
+ * 4: dead-L1 pruning (the explorer pins the L1 draws of a test with
+ * no ld.ca) changes the stored replays, states and path weights of
+ * explored jobs; reachable sets are unchanged. */
+inline constexpr int kAbiVersion = 4;
 
 /** The stamp as written into store headers, handshakes and JSON. */
-inline constexpr const char *kAbiVersionString = "gpulitmus-abi-3";
+inline constexpr const char *kAbiVersionString = "gpulitmus-abi-4";
 
 } // namespace gpulitmus
 

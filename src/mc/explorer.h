@@ -27,6 +27,12 @@
  * - Timing-only choices (start skew, replay delays, drain laziness,
  *   CTA placement) are pinned to a canonical value: exhaustive
  *   scheduling subsumes them, so no reachable final state is lost.
+ * - Dead L1: only a .ca load reads an L1 line, so in a test with no
+ *   ld.ca the machine makes every L1Warm, CgEvict and FenceInval draw
+ *   as an irrelevant chance, which the walker pins, and leaves the L1
+ *   lines out of the state key (sim::Machine's "Live L1 lines only").
+ *   Such a test explores one L1 warmth pattern rather than one per
+ *   subset of (SM, location) lines.
  * - State caching: at every scheduling point the machine state is
  *   encoded canonically; a revisited state contributes its memoised
  *   reachable set and the branch is cut. Cycles (spin loops) are

@@ -156,21 +156,34 @@ commandBit(const std::string &cmd, std::string *error)
 }
 
 /** The range and sign check of the integer kinds (a count would wrap
- * to ~2^64 if negative; a seed is any u64), on the wire, for the
- * request flags and for intFlag. `label` names the field as its source
- * spells it ("budget", "--budget"). */
+ * to ~2^64 if negative; a seed is any u64; no other kind reaches past
+ * INT64_MAX), on the wire, for the request flags and for intFlag.
+ * `label` names the field as its source spells it ("budget",
+ * "--budget"). */
 bool
 checkInteger(Kind kind, const json::Value &value, const std::string &label,
              std::string *error)
 {
+    // Range-check the number as sent: one above INT64_MAX wraps to a
+    // negative integer().
+    const std::optional<uint64_t> u = value.unsignedInteger();
+    const bool wide = u && *u > static_cast<uint64_t>(INT64_MAX);
     const int64_t v = value.integer();
-    if ((kind == Kind::Column || kind == Kind::Columns) && (v < 1 || v > 16))
-        return fail(error, label + " must be 1..16, got " + std::to_string(v));
-    if (kind == Kind::Count && v < 0)
-        return fail(error, label + " must be >= 0, got " + std::to_string(v));
-    if (kind == Kind::Seed && !value.unsignedInteger())
-        return fail(error, label + " must be 0.." + std::to_string(UINT64_MAX) +
-                               ", got " + std::to_string(v));
+    const std::string got =
+        ", got " + (u ? std::to_string(*u) : std::to_string(v));
+    if (kind == Kind::Column || kind == Kind::Columns) {
+        if (wide || v < 1 || v > 16)
+            return fail(error, label + " must be 1..16" + got);
+    } else if (kind == Kind::Seed) {
+        if (!u)
+            return fail(error, label + " must be 0.." +
+                                   std::to_string(UINT64_MAX) + got);
+    } else if (wide) {
+        return fail(error, label + " must be <= " +
+                               std::to_string(INT64_MAX) + got);
+    } else if (kind == Kind::Count && v < 0) {
+        return fail(error, label + " must be >= 0" + got);
+    }
     return true;
 }
 
@@ -238,9 +251,9 @@ flagValue(Kind kind, const std::string &text, const std::string &label,
     if (kind == Kind::Switch)
         return json::Value(true);
     if (kind != Kind::Strings && kind != Kind::Columns) {
-        // A seed takes the whole u64 range; a signed one parses as
-        // such, for checkInteger to refuse as it does on the wire.
-        if (auto u = kind == Kind::Seed ? parseUint(text) : std::nullopt)
+        // A number parses at the whole u64 range, or signed, as on the
+        // wire: checkInteger then refuses it with the same message.
+        if (auto u = parseUint(text))
             return json::Value(*u);
         if (auto v = parseInt(text))
             return json::Value(*v);

@@ -208,6 +208,9 @@ Machine::compile()
             if (in.op == ptx::Opcode::Bra)
                 ci.braTarget = prog.labelTarget(in.target);
             setIssueMasks(ci);
+            // readGlobal serves an L1 line only to a .ca load.
+            l1Live_ |= ci.op == ptx::Opcode::Ld &&
+                       ci.cacheOp == ptx::CacheOp::Ca;
             ct.instrs.push_back(ci);
         }
         ct.regInit.assign(regNames_[t].size(), 0);
@@ -306,7 +309,9 @@ Machine::resetRun(P &cp)
     // (re-)initialised values. Only used SMs are reset and warmed:
     // the rest are never read (see usedSms_), so their L1Warm draws —
     // the sampler's stream depends on them — are made as irrelevant
-    // chances, one skipChances call per run of unused SMs.
+    // chances, one skipChances call per run of unused SMs. A dead
+    // line's warmth is unobservable (see l1Live_): its draw is
+    // irrelevant too.
     const double warm_p = chip_->l1WarmProb;
     int next_sm = 0; // first SM whose draws are not yet made
     for (uint64_t m = usedSms_; m; m &= m - 1) {
@@ -319,7 +324,7 @@ Machine::resetRun(P &cp)
         sm.buffer.clear();
         for (int i = 0; i < nlocs; ++i) {
             bool warm = !locShared(i) &&
-                        cp.chance(ChoiceKind::L1Warm, warm_p);
+                        cp.chance(ChoiceKind::L1Warm, warm_p, l1Live_);
             sm.l1[i] = warm ? L1Line{locInit_[i], true, false, false}
                             : L1Line{};
         }
@@ -1074,7 +1079,7 @@ Machine::readGlobal(int tid, const WindowEntry &e, P &cp)
 
     // .cg (and volatile / default) reads the L2; on chips honouring
     // the manual it also evicts a matching L1 line.
-    if (cp.chance(ChoiceKind::CgEvict, chip_->cgLoadEvicts))
+    if (cp.chance(ChoiceKind::CgEvict, chip_->cgLoadEvicts, l1Live_))
         sm.l1[e.loc].valid = false;
     return l2_[e.loc];
 }
@@ -1089,7 +1094,7 @@ Machine::applyFenceInvalidation(int sm_id, ptx::Scope scope, P &cp)
             continue;
         double p = line.staleFromOwnSM ? chip_->invalSame.at(scope)
                                        : chip_->invalInter.at(scope);
-        if (cp.chance(ChoiceKind::FenceInval, p))
+        if (cp.chance(ChoiceKind::FenceInval, p, l1Live_))
             line.valid = false;
     }
 }
@@ -1136,7 +1141,7 @@ Machine::perform(int tid, const WindowEntry &e, P &cp)
             return;
         }
         ts.wroteLocs |= 1ULL << e.loc;
-        if (cp.chance(ChoiceKind::CgEvict, chip_->cgStoreEvicts))
+        if (cp.chance(ChoiceKind::CgEvict, chip_->cgStoreEvicts, l1Live_))
             sm.l1[e.loc].valid = false;
         // Bank conflicts serialise the pipeline enough that stores
         // often go straight to the L2 (Tab. 6: Titan sb collapses
@@ -1291,6 +1296,9 @@ Machine::encodeTo(Sink &sink) const
     // cannot influence any continuation. Encoding the used-SM mask
     // and then only the used SMs keeps the key injective while
     // skipping the constant majority (8-SM chips host 2-4 CTAs).
+    // Likewise a dead L1 (see l1Live_) reaches no register and no
+    // relevant choice: its lines are encoded only when live, which is
+    // fixed at compile, so the key stays injective.
     uint64_t used = 0;
     for (const auto &ts : threads_)
         used |= 1ULL << (ts.smId & 63);
@@ -1340,6 +1348,8 @@ Machine::encodeTo(Sink &sink) const
             sink.put64(static_cast<uint64_t>(b.loc));
             sink.put64(static_cast<uint64_t>(b.value));
         }
+        if (!l1Live_)
+            continue;
         for (const auto &line : sm.l1) {
             if (!line.valid) {
                 sink.put8(0);

@@ -76,6 +76,17 @@
  *   so its stream is unchanged). Unused SMs keep whatever an earlier
  *   run left behind.
  *
+ * - Live L1 lines only: an L1 line is read only by a .ca load
+ *   (readGlobal's L1 path); .cg, volatile and default loads, stores
+ *   and atomics go to the L2. compile() marks the L1 live when the
+ *   program has some ld.ca. In a program without one, no line is
+ *   served to anyone, so every L1Warm, CgEvict and FenceInval draw is
+ *   made as an irrelevant chance (the sampler still draws them: its
+ *   stream is unchanged; the explorer pins them) and the state
+ *   encoding leaves the L1 lines out. Flipping the answer to any of
+ *   those draws changes no other choice, no encoded state and no
+ *   outcome (test_mc_diff's L1-unobservability oracle).
+ *
  * - One machine source, two instantiations: the stochastic members
  *   (resetRun, mainLoop, threadAction, commitOne, perform, the drains,
  *   readGlobal, ...) are templates on the provider type. machine.cc
@@ -113,11 +124,12 @@
  *   words, and every field is injective at its full width (an enum
  *   over its whole enumerator range), so packing merges no states.
  *   Two states with equal encodings behave identically under
- *   identical future choices. The encoding — and
- *   therefore the digest — is stable within a process and across
- *   processes of one build, but is NOT a serialisation format: field
- *   layout may change between versions, so never persist keys or
- *   digests across builds (see common/hash.h).
+ *   identical future relevant choices (a dead L1's lines, left out, only
+ *   change how many irrelevant FenceInval draws are made). The
+ *   encoding — and therefore the digest — is stable within a process
+ *   and across processes of one build, but is NOT a serialisation
+ *   format: field layout may change between versions, so never
+ *   persist keys or digests across builds (see common/hash.h).
  */
 
 #ifndef GPULITMUS_SIM_MACHINE_H
@@ -231,13 +243,13 @@ class Machine
 
     /**
      * Append a canonical encoding of the mutable run state (thread
-     * contexts, commit windows, store buffers, L1s, L2, shared
-     * memory) to `out`. Two runs whose encodings match behave
-     * identically under identical future choices — the state key the
-     * model checker dedups on. The per-thread fetch counters are
-     * excluded (they only drive the runaway-loop guard); see
-     * executedSignature() for detecting when that exclusion could
-     * matter.
+     * contexts, commit windows, store buffers, a live L1's lines, L2,
+     * shared memory) to `out`. Two runs whose encodings match behave
+     * identically under identical future relevant choices — the
+     * state key the model checker dedups on. The per-thread fetch
+     * counters are excluded (they only drive the runaway-loop
+     * guard); see executedSignature() for detecting when that
+     * exclusion could matter.
      */
     void encodeState(std::string &out) const;
 
@@ -523,6 +535,9 @@ class Machine
     std::vector<std::vector<std::string>> regNames_; ///< per thread
     std::vector<int64_t> locInit_;
     uint64_t sharedLocs_ = 0; ///< bitmask over location indices
+    /** Some ld.ca exists: the only way an L1 line's contents can
+     * reach a register. */
+    bool l1Live_ = false;
     int numGlobalLocs_ = 0;   ///< L1Warm draws per SM
     std::vector<bool> hasSameCtaPeer_;
     std::vector<int> threadCta_; ///< per thread, from the scope tree

@@ -230,14 +230,14 @@ TEST(Explorer, MpTitanReachesExactlyThePtxAllowedSet)
     ASSERT_TRUE(r.complete);
     // The pruning anchor: checkpointing and digest keys must not
     // change what gets explored, only how fast. Eager issue walks
-    // 1,296 replays; the lazy traversal, kept as the differential
-    // oracle, walks 4,400.
-    EXPECT_EQ(r.stats.replays, 1296u);
+    // 51 replays; the lazy traversal, kept as the differential
+    // oracle, walks 179. mp has no ld.ca, so no L1 draw branches.
+    EXPECT_EQ(r.stats.replays, 51u);
     mc::ExploreOptions lazy;
     lazy.eagerIssue = false;
     mc::ExploreResult l = explore("mp.litmus", "Titan", 16, lazy);
     ASSERT_TRUE(l.complete);
-    EXPECT_EQ(l.stats.replays, 4400u);
+    EXPECT_EQ(l.stats.replays, 179u);
     EXPECT_EQ(l.finals.size(), r.finals.size());
     litmus::Test mp = loadCorpus("mp.litmus");
     model::Verdict v = model::Checker(cat::models::ptx()).check(mp);
@@ -250,6 +250,34 @@ TEST(Explorer, MpTitanReachesExactlyThePtxAllowedSet)
     // The weak outcome is reachable and satisfies the condition.
     EXPECT_TRUE(r.satisfying.count("1:r1=1; 1:r2=0;"));
     EXPECT_EQ(r.verdict(mp), "Ok");
+}
+
+TEST(Explorer, LiveL1LinesKeepTheirStaleOutcomes)
+{
+    // The live side of dead-L1 pruning: the L1 draws of a location a
+    // ld.ca reads still branch. Wherever the sampler sees a stale L1
+    // read (Figs. 3 and 4), the exploration must reach it too.
+    int observed_cells = 0;
+    for (const litmus::Test &test :
+         {loadCorpus("corr-l2-l1.litmus"),
+          litmus::paperlib::mpL1(std::nullopt),
+          litmus::paperlib::coRRL2L1(std::nullopt)}) {
+        for (const sim::ChipProfile &chip : sim::allChips()) {
+            for (int column : {6, 16}) {
+                const char *name = chip.shortName.c_str();
+                if (sample(name, test, column, 5000, 12345)
+                        .hist.observed() == 0)
+                    continue;
+                ++observed_cells;
+                mc::ExploreResult r = explore(test, name, column);
+                std::string label = test.name + "@" + name +
+                                    " column " + std::to_string(column);
+                EXPECT_TRUE(r.complete) << label;
+                EXPECT_FALSE(r.satisfying.empty()) << label;
+            }
+        }
+    }
+    EXPECT_EQ(observed_cells, 22);
 }
 
 TEST(Explorer, StrongChipCannotReachWeakMp)

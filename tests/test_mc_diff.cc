@@ -11,9 +11,15 @@
  * - eager issue (the default) against the lazy traversal it replaced:
  *   equal reachable sets, satisfying sets and completeness over the
  *   corpus on every chip, the generated programs and every scenario
- *   variant the lazy search settles; and, for the five cells only
- *   eager issue settles at the default budget, the reachable sets a
- *   lazy search found with a 16M-replay budget.
+ *   variant; and, for the eight heavy lock cells, the reachable sets
+ *   a lazy search found with a 16M-replay budget.
+ * - dead L1 draws (sim/machine.h, "Live L1 lines only") against their
+ *   flipped twins: a random run of every corpus test, paper-library
+ *   test, registry variant and generated program without a ld.ca is
+ *   repeated with each L1 draw the machine calls irrelevant answered
+ *   the other way, and must ask the same other choices, pass through
+ *   the same encoded states and reach the same outcome. In a test
+ *   with a ld.ca every L1 draw must arrive relevant.
  *
  * The Explorer is called directly, so the mc backend's static
  * pre-pass answers no cell.
@@ -21,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -28,12 +35,16 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/rng.h"
 #include "gen/generator.h"
 #include "harness/campaign.h"
+#include "litmus/library.h"
 #include "litmus/parser.h"
 #include "mc/explorer.h"
 #include "scenario/registry.h"
 #include "sim/chip.h"
+#include "sim/machine.h"
 
 #ifndef GPULITMUS_SOURCE_DIR
 #define GPULITMUS_SOURCE_DIR "."
@@ -225,8 +236,8 @@ TEST(McDiff, EagerIssueMatchesLazyOverGeneratedPrograms)
 
 TEST(McDiff, EagerIssueMatchesLazyOverTheScenarioVariants)
 {
-    // Every cell the lazy search settles within 1<<17 replays. The
-    // rest are the heavy lock cells, pinned by the next test.
+    // The lazy search settles all 42 cells within 1<<17 replays. The
+    // heavy lock cells are also pinned by the next test.
     int compared = 0;
     for (const std::string &spec : variantSpecs()) {
         std::string error;
@@ -247,17 +258,17 @@ TEST(McDiff, EagerIssueMatchesLazyOverTheScenarioVariants)
             expectSameVerdict(lazy, eager, spec + "@" + chip);
         }
     }
-    EXPECT_GE(compared, 30);
+    EXPECT_EQ(compared, 42);
 }
 
 TEST(McDiff, EagerIssueSettlesTheHeavyLockCellsAtTheDefaultBudget)
 {
-    // The eight variant cells the previous test skips: the lazy
-    // search needs more than 1<<17 replays for each, and leaves the
-    // first five bounded even at the default 1<<20. With a 1<<24
-    // budget it settles all eight with the sets below (flag_barrier
-    // fair-complete, seqlock complete). The eager search must settle
-    // them at the default budget, with the same sets.
+    // The eight heavy lock cells. A lazy search that still branched
+    // on dead L1 draws needed more than 1<<17 replays for each and
+    // left the first five bounded even at the default 1<<20; with a
+    // 1<<24 budget it settled all eight with the sets below
+    // (flag_barrier fair-complete, seqlock complete). The eager search
+    // must settle them at the default budget, with the same sets.
     const std::set<std::string> flag_barrier = {
         "0:r1=0; 1:r1=0;", "0:r1=0; 1:r1=1;",
         "0:r1=1; 1:r1=0;", "0:r1=1; 1:r1=1;"};
@@ -326,6 +337,186 @@ TEST(McDiff, EagerIssueSettlesTheHeavyLockCellsAtTheDefaultBudget)
             keys.insert(key);
         EXPECT_EQ(keys, *cell.reachable) << label;
     }
+}
+
+// ---------------------------------------------------------------------
+// Dead L1 draws against their flipped twins.
+// ---------------------------------------------------------------------
+
+bool
+isL1Draw(sim::ChoiceKind kind)
+{
+    return kind == sim::ChoiceKind::L1Warm ||
+           kind == sim::ChoiceKind::CgEvict ||
+           kind == sim::ChoiceKind::FenceInval;
+}
+
+/**
+ * A random provider that records a run. An L1 draw arriving
+ * irrelevant is answered from a stream of its own (negated when
+ * `flip`), so the two twins' other choices come from one stream in
+ * one order however many dead draws each makes. Every other choice is
+ * logged with its answer, and the encoded machine state at every
+ * schedule point.
+ */
+struct RecordingChoice final : sim::ChoiceProvider
+{
+    const sim::Machine *machine;
+    Rng main, dead;
+    bool flip, eager;
+    std::vector<uint64_t> log;
+    std::vector<Digest128> states;
+    /** L1 draws made (skipChances aside), by relevance. */
+    uint64_t liveDraws = 0, deadDraws = 0;
+
+    RecordingChoice(const sim::Machine &m, uint64_t seed, bool flip_dead,
+                    bool eager_issue)
+        : machine(&m), main(seed), dead(~seed), flip(flip_dead),
+          eager(eager_issue)
+    {
+    }
+
+    bool eagerIssue() const override { return eager; }
+
+    uint64_t
+    pick(sim::ChoiceKind kind, uint64_t n) override
+    {
+        uint64_t v = main.below(n);
+        log.insert(log.end(), {static_cast<uint64_t>(kind), n, v});
+        return v;
+    }
+
+    bool
+    chance(sim::ChoiceKind kind, double p, bool relevant) override
+    {
+        if (isL1Draw(kind)) {
+            ++(relevant ? liveDraws : deadDraws);
+            if (!relevant)
+                return dead.chance(p) != flip;
+        }
+        bool v = main.chance(p);
+        log.insert(log.end(), {static_cast<uint64_t>(kind),
+                               std::bit_cast<uint64_t>(p), relevant, v});
+        return v;
+    }
+
+    void
+    skipChances(sim::ChoiceKind kind, double, int n) override
+    {
+        log.insert(log.end(), {static_cast<uint64_t>(kind),
+                               static_cast<uint64_t>(n)});
+    }
+
+    size_t
+    pickActor(const sim::ActorOption *, size_t n) override
+    {
+        Hash128 h;
+        machine->hashState(h);
+        states.push_back(h.digest());
+        return static_cast<size_t>(pick(sim::ChoiceKind::Schedule, n));
+    }
+};
+
+/** Whether some thread of `test` has a ld.ca: the only load that
+ * reads an L1 line. */
+bool
+hasCaLoad(const litmus::Test &test)
+{
+    for (const auto &thread : test.program.threads) {
+        for (const auto &in : thread.instrs) {
+            if (in.op == ptx::Opcode::Ld &&
+                in.cacheOp == ptx::CacheOp::Ca)
+                return true;
+        }
+    }
+    return false;
+}
+
+struct FlipTally
+{
+    int tests = 0, dead = 0;
+    uint64_t deadDraws = 0, liveDraws = 0;
+};
+
+/**
+ * Run `test` at six seeds on every chip, in the sampler's issue mode
+ * and the explorer's, each at three incantation columns; without a
+ * ld.ca, run its flipped twin too.
+ */
+void
+checkFlippedTwins(const litmus::Test &test, int max_micro_steps,
+                  FlipTally &tally)
+{
+    bool live = hasCaLoad(test);
+    ++tally.tests;
+    tally.dead += !live;
+    const int columns[] = {16, 12, 6};
+    for (const sim::ChipProfile &chip : sim::allChips()) {
+        for (uint64_t seed = 1; seed <= 6; ++seed) {
+            bool eager = seed % 2 == 0;
+            sim::MachineOptions mopts;
+            mopts.inc =
+                sim::Incantations::fromColumn(columns[seed % 3]);
+            mopts.maxMicroSteps = max_micro_steps;
+            sim::Machine m(chip, test, mopts);
+            std::string label = test.name + "@" + chip.shortName +
+                                " seed " + std::to_string(seed);
+            RecordingChoice a(m, seed, false, eager);
+            ASSERT_TRUE(m.runLight(a)) << label;
+            Digest128 outcome = m.outcomeDigest();
+            // A live L1's draws all arrive relevant, a dead one's
+            // none.
+            EXPECT_EQ(live ? a.deadDraws : a.liveDraws, 0u) << label;
+            tally.deadDraws += a.deadDraws;
+            tally.liveDraws += a.liveDraws;
+            if (live)
+                continue;
+            RecordingChoice b(m, seed, true, eager);
+            ASSERT_TRUE(m.runLight(b)) << label;
+            EXPECT_EQ(b.log, a.log) << label;
+            EXPECT_EQ(b.states, a.states) << label;
+            EXPECT_TRUE(m.outcomeDigest() == outcome) << label;
+        }
+    }
+}
+
+TEST(McDiff, DeadL1DrawsAreUnobservable)
+{
+    FlipTally tally;
+    for (const std::string &file : corpusFiles())
+        checkFlippedTwins(loadCorpus(file), 4000, tally);
+    for (const auto &named : litmus::paperlib::allTests())
+        checkFlippedTwins(named.test, 4000, tally);
+    // The 22 registry variants: each scenario unfenced and fenced,
+    // the dot product at 2..6 threads.
+    for (const auto &s : scenario::all()) {
+        bool dot = s.name == "spinlock_dot_product";
+        for (int threads = 2; threads <= (dot ? 6 : 2); ++threads) {
+            for (int fenced = 0; fenced <= 1; ++fenced) {
+                std::string spec =
+                    "scenario:" + s.name +
+                    (dot ? ",threads=" + std::to_string(threads) : "") +
+                    ",fenced=" + std::to_string(fenced);
+                std::string error;
+                auto built = scenario::buildSpec(spec, &error);
+                ASSERT_TRUE(built.has_value()) << error;
+                checkFlippedTwins(built->test, built->maxMicroSteps,
+                                  tally);
+            }
+        }
+    }
+    gen::GeneratorOptions gopts;
+    gopts.maxEdges = 4;
+    gopts.maxTests = 250;
+    for (const auto &g : gen::generate(gen::defaultPool(), gopts))
+        checkFlippedTwins(g.test, 4000, tally);
+    // The inputs cover both sides: tests with and without a ld.ca,
+    // and draws of each relevance.
+    EXPECT_GE(tally.tests, 20 + 22 + 250);
+    EXPECT_GE(tally.dead, 250);
+    EXPECT_LT(tally.dead, tally.tests);
+    EXPECT_GT(tally.deadDraws, 0u);
+    EXPECT_GT(tally.liveDraws, 0u);
 }
 
 } // namespace

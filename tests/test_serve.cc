@@ -178,17 +178,17 @@ TEST(Store, KeysSeedsAndDigestsArePinned)
     };
     const Pin pins[] = {
         {&mp_plan.jobs[0], "sim", 0x4a0f3341180a460dULL,
-         0x3920a4078817def6ULL, 0x6f1289df81f0247bULL,
-         0xd344aca74b3f2937ULL},
+         0x3920a4078817def6ULL, 0x00fa4a74b5fefee7ULL,
+         0xb71de795a15342f4ULL},
         {&mp_plan.jobs[1], "mc", 0xbfd4af97800121b8ULL,
-         0xae2bcf56dd535411ULL, 0x29ca3b6cb2bd6adeULL,
-         0x0937e4fc199d9515ULL},
+         0xae2bcf56dd535411ULL, 0x4cb1ed91a61b34d4ULL,
+         0x8fca6b0fb41fea06ULL},
         {&mp_plan.jobs[2], "ptx", 0x840c0ff03d46e63cULL,
-         0x372d31e197727164ULL, 0x3d1c03e28f8b0777ULL,
-         0x71461fbff98ee5c8ULL},
+         0x372d31e197727164ULL, 0x14a61730abe413ccULL,
+         0x598d9c8e81a0de4dULL},
         {&seqlock_plan.jobs[0], "mc", 0x64f22d818c6a73beULL,
-         0x6178b7d558a7040dULL, 0x1f89dfd85dcaadcaULL,
-         0xa645485e7f7f98fdULL},
+         0x6178b7d558a7040dULL, 0x94dba475b75d7a86ULL,
+         0x73a18d96671380ddULL},
     };
     for (const Pin &pin : pins) {
         // The planner's shared rendering and a fresh one agree.
@@ -752,6 +752,33 @@ TEST(Protocol, WrongTypesAndUnknownFieldsAreErrorsNamingTheField)
     EXPECT_FALSE(requestFromFlags("sweep", {"mp"}, {{"seed", "-1"}},
                                   &error));
     EXPECT_NE(error.find("--seed must be 0..18446744073709551615, got -1"),
+              std::string::npos)
+        << error;
+    // A number above INT64_MAX is named as sent, not as the negative
+    // it wraps to, on either path.
+    const std::string big = "18446744073709551615";
+    EXPECT_FALSE(parseRequest("{\"cmd\":\"sweep\",\"tests\":[\"mp\"],"
+                              "\"iterations\":" + big + "}",
+                              &error));
+    EXPECT_NE(error.find("iterations must be <= 9223372036854775807, got " +
+                         big),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(requestFromFlags("sweep", {"mp"}, {{"iterations", big}},
+                                  &error));
+    EXPECT_NE(error.find("--iterations must be <= 9223372036854775807, "
+                         "got " + big),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(parseRequest("{\"cmd\":\"validate\",\"tests\":[\"mp\"],"
+                              "\"column\":" + big + "}",
+                              &error));
+    EXPECT_NE(error.find("column must be 1..16, got " + big),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(intFlag({{"jobs", big}}, "jobs", 0, false, &error));
+    EXPECT_NE(error.find("--jobs must be <= 9223372036854775807, got " +
+                         big),
               std::string::npos)
         << error;
     EXPECT_FALSE(requestFromFlags("frobnicate", {}, {}, &error));
