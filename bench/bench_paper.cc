@@ -6,12 +6,25 @@
  * cell) is followed by the planner's compile notes for its chip.
  */
 
-#include "bench_util.h"
+#include <iostream>
+
 #include "paper_ledger.h"
 
 using namespace gpulitmus;
 
 namespace {
+
+void
+printHeader(const std::string &title, const std::string &what)
+{
+    std::cout << "=====================================================\n"
+              << title << "\n"
+              << what << "\n"
+              << "iterations/run: " << harness::defaultIterations()
+              << " (set GPULITMUS_ITERS to change); all counts are"
+                 " normalised to obs/100k\n"
+              << "=====================================================\n";
+}
 
 /** What the simulator (or a model) says in one cell. */
 std::string
@@ -150,7 +163,7 @@ main()
         std::cerr << "error: " << error << "\n";
         return 1;
     }
-    benchutil::printHeader("The paper's tables and figures"
+    printHeader("The paper's tables and figures"
                            " (bench/paper_ledger.h)",
                            "each row: the simulator's cells, then the"
                            " paper's");

@@ -4,12 +4,12 @@
  * figures as a claim, and the one evaluation bench_paper renders and
  * tests/test_paper_ledger.cc checks.
  *
- * A Row is one test on some targets (chips; Sec. 6 adds model ids,
- * Tab. 2 the CUDA 5.5 compiler) at some incantation columns; its
- * cells, target outermost, hold what the paper printed. A number
- * claims "observed" when > 0 and "not observed" when 0; text cells
- * name the other claims. A cell the simulator does not reproduce is
- * marked divergent, with the reason.
+ * A Row is one test on some targets (chips; Sec. 6 and Fig. 13 add
+ * model ids, Fig. 14 has only one, Tab. 2 adds the CUDA 5.5 compiler)
+ * at some incantation columns; its cells, target outermost, hold what
+ * the paper printed. A number claims "observed" when > 0 and "not
+ * observed" when 0; text cells name the other claims. A cell the
+ * simulator does not reproduce is marked divergent, with the reason.
  */
 
 #ifndef GPULITMUS_PAPER_LEDGER_H
@@ -21,9 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "eval/backend.h"
+#include "harness/campaign.h"
 #include "litmus/library.h"
+#include "model/checker.h"
 #include "opt/amd.h"
 #include "opt/optcheck.h"
 #include "opt/ptxas.h"
@@ -103,6 +104,35 @@ struct Row
     }
 };
 
+/** A test built in code, sent as its printed text (a print -> parse
+ * -> print fixed point, so its keys and seeds are the test's own). */
+inline serve::TestSpec
+inCodeTest(const litmus::Test &test)
+{
+    return {"", test.str(), ""};
+}
+
+/**
+ * A request over `tests` on `chips` (short names; empty: the
+ * command's default) at the harness base seed (harness::kBaseSeed,
+ * not the CLI's --seed default), so every cell equals harness::runJob
+ * of a default Job on the same chip, test and column.
+ */
+inline serve::Request
+request(const std::string &cmd, std::vector<serve::TestSpec> tests,
+        std::vector<std::string> chips, std::vector<int> columns,
+        uint64_t iterations)
+{
+    serve::Request req;
+    req.cmd = cmd;
+    req.tests = std::move(tests);
+    req.chips = std::move(chips);
+    req.columns = std::move(columns);
+    req.iterations = iterations;
+    req.seed = harness::kBaseSeed;
+    return req;
+}
+
 /** A test reference as the wire reads a bare string: a scenario spec
  * by its "scenario:" prefix, else a paper-library id. */
 inline serve::TestSpec
@@ -177,18 +207,25 @@ tables()
         namespace pl = litmus::paperlib;
         // Tests built in code travel as inline source.
         const serve::TestSpec mp_fenced =
-            benchutil::inCodeTest(pl::mp(ptx::Scope::Gl));
+            inCodeTest(pl::mp(ptx::Scope::Gl));
         const serve::TestSpec lb_membar_ctas =
-            benchutil::inCodeTest(pl::lbMembarCtas());
+            inCodeTest(pl::lbMembarCtas());
         // The Sec. 4.4 bug reorders volatile loads, so Tab. 2's CUDA
         // 5.5 coRR reader loads with ld.volatile.
-        const serve::TestSpec corr_volatile = benchutil::inCodeTest(
+        const serve::TestSpec corr_volatile = inCodeTest(
             litmus::TestBuilder("coRR-volatile")
                 .global("x", 0)
                 .thread("ld.volatile r1,[x]; ld.volatile r2,[x]")
                 .intraCta()
                 .exists("0:r1=1 /\\ 0:r2=0")
                 .build());
+        // Fig. 13 runs each lb+deps test as ptxas -O3 compiles it.
+        auto o3 = [](const litmus::Test &test) {
+            opt::PtxasOptions opts;
+            opts.optLevel = 3;
+            return inCodeTest(
+                opt::sassToTest(test, opt::assemble(test, opts)));
+        };
         // sb on HD7970 is reachable at every column (mc) and about
         // 1/100k in the sampler, so which columns show a 1 or a 2 is
         // sampling noise, the paper's and the simulator's alike.
@@ -278,6 +315,24 @@ tables()
               row("sl-future+fixed", ref("sl-future+fixed"), nvidia,
                   {0, 0, 0, 0, 0})},
              ""},
+            {"Fig. 13", "dependencies that survive ptxas -O3 (lb+deps)",
+             Layout::Grid, "ptxas -O3",
+             {row("lb+deps-xor", o3(pl::lbDeps(true)), {"Titan", "ptx"},
+                  {Paper(Claim::Observed, "observed"), kAllowed}),
+              row("lb+deps-and", o3(pl::lbDeps(false)), {"Titan", "ptx"},
+                  {0, kForbidden})},
+             "(a) xor r2,r1,r1 is provably zero, so -O3 removes the"
+             " address dependency and lb is observed; (b) and"
+             " r2,r1,0x80000000 survives and forbids it. `gpulitmus sass"
+             " lb+deps-xor -O3` prints the SASS.\n"},
+            // No chip column: Fig. 14 is an execution of the model.
+            {"Fig. 14", "an execution of mp with membar.cta and membar.gl"
+                        " (mp-fig14)",
+             Layout::Grid, "weak outcome",
+             {row("mp-fig14", ref("mp-fig14"), {"ptx"}, {kForbidden})},
+             "Its cycle membar.cta; rfe; membar.gl; fr is at CTA scope, so"
+             " cta-constraint forbids it; `gpulitmus check mp-fig14`"
+             " prints the execution.\n"},
             // Column encoding (reconstructed from the paper's
             // comparisons of columns 5/10/12/15/16): column-1 bits =
             // rand(1) sync(2) bank(4) stress(8).
@@ -424,27 +479,28 @@ namespace detail {
  * Plan `row` into `jobs`: its sim (and model) cells as one request
  * and, when `exact`, an explore request per column over the chips
  * whose cell there is a paper 0. A row of compiler claims only
- * (Tab. 2's compiler rows) plans nothing.
+ * (Tab. 2's compiler rows), or with no chip to run on (Fig. 14),
+ * plans nothing: checkHere answers it.
  */
 inline bool
 planRow(const Row &row, uint64_t iterations, bool exact,
         std::vector<harness::Job> *jobs, RowResult *out, std::string *error)
 {
-    if (std::all_of(row.paper.begin(), row.paper.end(),
-                    [](const Paper &p) { return p.claim == Claim::Quirk; }))
-        return true;
     std::vector<std::string> chips, models;
     for (const auto &target : row.targets)
         (sim::findChip(target) ? chips : models).push_back(target);
+    if (chips.empty() ||
+        std::all_of(row.paper.begin(), row.paper.end(),
+                    [](const Paper &p) { return p.claim == Claim::Quirk; }))
+        return true;
     auto plan = [&](const serve::Request &req, serve::Plan *p) {
         if (!serve::planJobs(req, p, error))
             return false;
         jobs->insert(jobs->end(), p->jobs.begin(), p->jobs.end());
         return true;
     };
-    serve::Request req =
-        benchutil::request(models.empty() ? "sweep" : "validate",
-                           {row.test}, chips, row.columns, iterations);
+    serve::Request req = request(models.empty() ? "sweep" : "validate",
+                                 {row.test}, chips, row.columns, iterations);
     req.column = row.columns.front();
     req.models = models;
     serve::Plan main;
@@ -458,8 +514,8 @@ planRow(const Row &row, uint64_t iterations, bool exact,
             if (row.paper[row.cell(t, c)].claim == Claim::NotObserved)
                 zeros.push_back(row.targets[t]);
         }
-        serve::Request explore = benchutil::request(
-            "explore", {row.test}, zeros, {}, iterations);
+        serve::Request explore =
+            request("explore", {row.test}, zeros, {}, iterations);
         explore.column = row.columns[c];
         explore.models = {"none"};
         serve::Plan ignored;
@@ -469,19 +525,35 @@ planRow(const Row &row, uint64_t iterations, bool exact,
     return true;
 }
 
-/** Check `row`'s quirk cells by compiling its test: an AMD chip's
- * (simulated) OpenCL compiler notes a quirk, or kCuda55's SASS fails
- * optcheck. */
+/** Check the cells of `row` that no job answers, on its test here: a
+ * quirk cell compiles it (an AMD chip's (simulated) OpenCL compiler
+ * notes a quirk, or kCuda55's SASS fails optcheck); a model cell of a
+ * row with no chip (Fig. 14) is the model's verdict on it. */
 inline bool
-checkQuirks(const Row &row, RowResult *out, std::string *error)
+checkHere(const Row &row, RowResult *out, std::string *error)
 {
+    const bool chipless =
+        std::none_of(row.targets.begin(), row.targets.end(),
+                     [](const std::string &t) { return sim::findChip(t); });
     std::optional<serve::LoadedTest> loaded;
     for (size_t i = 0; i < row.paper.size(); ++i) {
-        if (row.paper[i].claim != Claim::Quirk)
+        const Claim claim = row.paper[i].claim;
+        const bool model =
+            claim == Claim::ModelAllows || claim == Claim::ModelForbids;
+        if (claim != Claim::Quirk && !(chipless && model))
             continue;
         if (!loaded && !(loaded = serve::resolveTest(row.test, error)))
             return false;
         const std::string &target = row.targets[i / row.columns.size()];
+        if (model) {
+            auto backend = eval::modelBackendByName(target, error);
+            if (!backend)
+                return false;
+            out->cells[i].allowed = model::Checker(backend->model())
+                                        .check(loaded->test)
+                                        .conditionSatisfiable;
+            continue;
+        }
         if (target == kCuda55) {
             opt::PtxasOptions opts;
             opts.sdkVersion = "5.5";
@@ -556,7 +628,7 @@ evaluate(eval::Engine &engine, uint64_t iterations, bool exact,
             const size_t begin = jobs.size();
             if (!detail::planRow(row, iterations, exact, &jobs, &result,
                                  error) ||
-                !detail::checkQuirks(row, &result, error)) {
+                !detail::checkHere(row, &result, error)) {
                 *error = ledger[t].id + " " + row.label + ": " + *error;
                 return std::nullopt;
             }

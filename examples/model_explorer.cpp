@@ -6,8 +6,10 @@
  * execution and print the Fig. 14-style event graphs with the
  * forbidding cycles.
  *
- * Usage: model_explorer [test-name] [model-backend]
- *   test-name: coRR | mp | sb | lb | cas-sl | dlb-lb | lb+membar.ctas
+ * Usage: model_explorer [test] [model-backend]
+ *   test: a paper-library id (default mp-fig14, the execution of
+ *         Fig. 14), a .litmus path or a scenario spec, resolved as the
+ *         gpulitmus CLI resolves it; `gpulitmus list` names them
  *   model-backend: ptx | rmo | sc | tso | sc-per-loc-full | baseline
  *                  | path/to/model.cat
  */
@@ -17,47 +19,33 @@
 
 #include "axiom/enumerate.h"
 #include "eval/backend.h"
-#include "litmus/library.h"
+#include "model/checker.h"
+#include "serve/protocol.h"
 
 using namespace gpulitmus;
-
-namespace {
-
-litmus::Test
-testByName(const std::string &name)
-{
-    namespace pl = litmus::paperlib;
-    if (name == "coRR")
-        return pl::coRR();
-    if (name == "mp")
-        return pl::mp();
-    if (name == "sb")
-        return pl::sb();
-    if (name == "lb")
-        return pl::lb();
-    if (name == "cas-sl")
-        return pl::casSl(false);
-    if (name == "dlb-lb")
-        return pl::dlbLb(false);
-    if (name == "lb+membar.ctas")
-        return pl::lbMembarCtas();
-    std::cerr << "unknown test '" << name << "', using mp\n";
-    return pl::mp();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string test_name = argc > 1 ? argv[1] : "mp";
+    std::string test_name = argc > 1 ? argv[1] : "mp-fig14";
     std::string model_name = argc > 2 ? argv[2] : "ptx";
 
-    litmus::Test test = testByName(test_name);
-
-    // An unknown model name is a hard error (with the valid names
-    // listed), never a silent fallback.
+    // An unknown test or model name is a hard error (with the valid
+    // names listed), never a silent fallback.
     std::string error;
+    auto spec = serve::testSpecFor(test_name, &error);
+    auto loaded = spec ? serve::resolveTest(*spec, &error) : std::nullopt;
+    if (!loaded) {
+        std::cerr << "error: " << error << "\n";
+        return 1;
+    }
+    const litmus::Test &test = loaded->test;
+    if (!model::inModelScope(test)) {
+        std::cerr << "error: '" << test_name
+                  << "' is outside the model scope (.ca/volatile/loops,"
+                     " Sec. 5.5)\n";
+        return 1;
+    }
     auto axiom_backend = eval::modelBackendByName(model_name, &error);
     if (!axiom_backend) {
         std::cerr << "error: " << error << "\n";

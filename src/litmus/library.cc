@@ -274,6 +274,37 @@ sbFig12()
         .build();
 }
 
+Test
+lbDeps(bool xor_scheme)
+{
+    const std::string dep = xor_scheme ? "xor.b32 r2,r1,r1;"
+                                       : "and.b32 r2,r1,0x80000000;";
+    const std::string addr = "cvt.u64.u32 r3,r2; add.u64 r4,r4,r3;";
+    return TestBuilder(xor_scheme ? "lb+deps-xor" : "lb+deps-and")
+        .global("x", 0)
+        .global("y", 0)
+        .regLoc(0, "r4", "y")
+        .regLoc(1, "r4", "x")
+        .thread("ld.cg r1,[x];" + dep + addr + "st.cg [r4],1")
+        .thread("ld.cg r1,[y];" + dep + addr + "st.cg [r4],1")
+        .interCta()
+        .exists("0:r1=1 /\\ 1:r1=1")
+        .build();
+}
+
+Test
+mpFig14()
+{
+    return TestBuilder("mp-fig14")
+        .global("x", 0)
+        .global("y", 0)
+        .thread("st.cg [x],1; membar.cta; st.cg [y],1")
+        .thread("ld.cg r0,[y]; membar.gl; ld.cg r2,[x]")
+        .intraCta()
+        .exists("1:r0=1 /\\ 1:r2=0")
+        .build();
+}
+
 std::vector<NamedTest>
 allTests()
 {
@@ -307,6 +338,9 @@ allTests()
     addTest("Sec. 6", lbMembarCtas());
     addTest("Sec. 3.1.2", mpMembarGls());
     addTest("Fig. 12", sbFig12());
+    addTest("Fig. 13", lbDeps(true));
+    addTest("Fig. 13", lbDeps(false));
+    addTest("Fig. 14", mpFig14());
     return tests;
 }
 

@@ -6,7 +6,8 @@
  *
  * Naming follows the paper: coRR (Fig. 1), mp-L1 (Fig. 3),
  * coRR-L2-L1 (Fig. 4), mp-volatile (Fig. 5), dlb-mp (Fig. 7),
- * dlb-lb (Fig. 8), cas-sl (Fig. 9), sl-future (Fig. 11), and the
+ * dlb-lb (Fig. 8), cas-sl (Fig. 9), sl-future (Fig. 11),
+ * lb+deps-xor / lb+deps-and (Fig. 13), mp-fig14 (Fig. 14), and the
  * classic idioms mp / sb / lb / coRR over global memory.
  */
 
@@ -66,6 +67,15 @@ Test mpMembarGls();
 
 /** The exact sb test of Fig. 12, with x shared and y global. */
 Test sbFig12();
+
+/** Fig. 13: inter-CTA lb whose stores' addresses depend on the loads,
+ * the dependency made by (a) xor r2,r1,r1, which ptxas -O3 proves zero
+ * and removes, or (b) and r2,r1,0x80000000, which it keeps. */
+Test lbDeps(bool xor_scheme);
+
+/** Fig. 14: intra-CTA mp with membar.cta on the writer and membar.gl
+ * on the reader; the model forbids the weak outcome (cta-constraint). */
+Test mpFig14();
 
 /** A named paper test for registries and sweep drivers. */
 struct NamedTest

@@ -8,12 +8,15 @@
  *   membar.cta does not (Fig. 3's Titan row is sound!).
  * - The Sec. 6 counterexample: the operational baseline forbids
  *   inter-CTA lb+membar.ctas, the PTX model allows it.
+ * - Fig. 14: cta-constraint forbids the weak execution of intra-CTA
+ *   mp with membar.cta and membar.gl.
  * - The distilled programming-assumption tests (Figs. 7, 8, 9, 11)
  *   are allowed without fences and forbidden with them.
  */
 
 #include <gtest/gtest.h>
 
+#include "axiom/enumerate.h"
 #include "cat/models.h"
 #include "litmus/library.h"
 #include "litmus/parser.h"
@@ -101,25 +104,36 @@ TEST(PtxModel, Sec6Counterexample)
     EXPECT_FALSE(allowedBy(cat::models::baseline(), t));
 }
 
+TEST(PtxModel, Fig14WeakExecutionKilledByCtaConstraint)
+{
+    // Intra-CTA mp, membar.cta on the writer and membar.gl on the
+    // reader: the weak execution's cycle membar.cta; rfe; membar.gl; fr
+    // is at CTA scope, so cta-constraint forbids it; the other three
+    // candidates are allowed.
+    litmus::Test t = paperlib::mpFig14();
+    const cat::Model &ptx = cat::models::ptx();
+    int weak = 0;
+    for (const auto &ex : axiom::enumerateExecutions(t)) {
+        cat::ModelResult res = ptx.evaluate(ex);
+        if (!t.condition.eval(ex.finalState)) {
+            EXPECT_TRUE(res.allowed) << ex.str();
+            continue;
+        }
+        ++weak;
+        EXPECT_FALSE(res.allowed) << ex.str();
+        EXPECT_EQ(res.firstFailure(), "cta-constraint");
+    }
+    EXPECT_EQ(weak, 1);
+    Verdict v = Checker(ptx).check(t);
+    EXPECT_FALSE(v.conditionSatisfiable);
+    EXPECT_EQ(v.forbiddingCheck, "cta-constraint");
+}
+
 TEST(PtxModel, NoThinAirHolds)
 {
-    // lb with address dependencies on both sides must be forbidden.
-    litmus::Test t =
-        litmus::TestBuilder("lb+deps")
-            .global("x", 0)
-            .global("y", 0)
-            .regLoc(0, "r4", "y")
-            .regLoc(1, "r4", "x")
-            .thread("ld.cg r1,[x]; and.b32 r2,r1,0x80000000;"
-                    "cvt.u64.u32 r3,r2; add.u64 r4,r4,r3;"
-                    "st.cg [r4],1")
-            .thread("ld.cg r1,[y]; and.b32 r2,r1,0x80000000;"
-                    "cvt.u64.u32 r3,r2; add.u64 r4,r4,r3;"
-                    "st.cg [r4],1")
-            .interCta()
-            .exists("0:r1=1 /\\ 1:r1=1")
-            .build();
-    EXPECT_FALSE(allowedBy(cat::models::ptx(), t));
+    // lb with address dependencies on both sides (Fig. 13b's
+    // and-with-high-bit) must be forbidden.
+    EXPECT_FALSE(allowedBy(cat::models::ptx(), paperlib::lbDeps(false)));
 }
 
 TEST(PtxModel, DlbTestsWeakWithoutFencesForbiddenWith)

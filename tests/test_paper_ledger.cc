@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
+#include <map>
 #include <set>
 
 #include "../bench/paper_ledger.h"
@@ -192,7 +193,30 @@ TEST(PaperLedger, ModelVerdictMiscompileAndQuirkClaimsHold)
                 << where(table, row, i) << ": " << said(row.paper[i], m);
         }
     });
-    // Sec. 6's two verdicts, Tab. 2's three compiler rows, AMD
-    // mp+fences and Fig. 8's two n/a cells.
-    EXPECT_EQ(cells, 8u);
+    // Sec. 6's two verdicts, Fig. 13's two and Fig. 14's one, Tab. 2's
+    // three compiler rows, AMD mp+fences and Fig. 8's two n/a cells.
+    EXPECT_EQ(cells, 11u);
+}
+
+/**
+ * The compiler and model artifacts: Fig. 13's lb+deps tests as ptxas
+ * -O3 compiles them, where the xor dependency is gone (observed on
+ * Titan, allowed by ptx) and the and dependency stays (mc cannot reach
+ * lb, ptx forbids it), and Fig. 14's weak outcome, which ptx forbids.
+ */
+TEST(PaperLedger, Fig13And14ClaimsHold)
+{
+    std::map<std::string, ledger::Measured> cell;
+    forEachCell([&](const ledger::Table &table, const ledger::Row &row,
+                    size_t i, const ledger::Measured &m) {
+        if (table.id == "Fig. 13" || table.id == "Fig. 14")
+            cell[row.label + "@" + row.targets[i]] = m;
+    });
+    ASSERT_EQ(cell.size(), 5u);
+    EXPECT_GT(cell["lb+deps-xor@Titan"].observed.value_or(0), 0u);
+    EXPECT_EQ(cell["lb+deps-xor@ptx"].allowed, true);
+    EXPECT_EQ(cell["lb+deps-and@Titan"].observed, uint64_t{0});
+    EXPECT_EQ(cell["lb+deps-and@Titan"].reachable, false);
+    EXPECT_EQ(cell["lb+deps-and@ptx"].allowed, false);
+    EXPECT_EQ(cell["mp-fig14@ptx"].allowed, false);
 }

@@ -36,11 +36,12 @@
  *                          possibly-racy / proven-ordered per pair with
  *                          file:line diagnostics; exit 2 on proven-racy
  *   sass <test>            assemble + optcheck
- *   generate               diy-style test generation (stdout)
- *   gen --out DIR          write the generated corpus to .litmus files
- *                          (cycle name, scope tree and final condition
- *                          included)
- *   chips, models          list the chip registry, the built-in models
+ *   gen [--out DIR]        diy-style test generation (Sec. 4.1): the
+ *                          generated tests (cycle name, scope tree and
+ *                          final condition included) to stdout, or as
+ *                          .litmus files in DIR
+ *   chips, models          list the chip registry (Tabs. 1 and 4), the
+ *                          built-in models
  *   serve                  persistent validation daemon (docs/SERVE.md):
  *                          line-JSON requests over a Unix socket or
  *                          loopback TCP, answers repeated jobs from the
@@ -80,6 +81,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -92,6 +94,7 @@
 #include "analysis/race.h"
 #include "cat/models.h"
 #include "common/strutil.h"
+#include "common/table.h"
 #include "common/version.h"
 #include "eval/backend.h"
 #include "gen/generator.h"
@@ -705,26 +708,6 @@ cmdSass(const Args &args)
     return check.ok ? 0 : 2;
 }
 
-int
-cmdGenerate(const Args &args)
-{
-    gen::GeneratorOptions opts;
-    opts.maxEdges = static_cast<int>(args.getInt("max-edges", 4));
-    opts.maxTests =
-        static_cast<size_t>(args.getInt("max-tests", 20));
-    opts.steer = args.has("steer");
-    auto tests = gen::generate(gen::defaultPool(), opts);
-    for (const auto &g : tests) {
-        std::cout << "(* cycle: " << g.cycleName << " *)\n";
-        if (g.predictedRacyPairs >= 0)
-            std::cout << "(* predicted racy pairs: "
-                      << g.predictedRacyPairs << " *)\n";
-        std::cout << g.test.str() << "\n";
-    }
-    std::cerr << tests.size() << " tests generated\n";
-    return 0;
-}
-
 /** File-system-safe name for a generated cycle: spaces join with '+'
  * (diy style); anything else unusual becomes '_'. */
 std::string
@@ -743,26 +726,55 @@ cycleFileName(const std::string &cycle)
     return out;
 }
 
+/** An edge-count flag: a count that fits an int (GeneratorOptions'
+ * type); anything else is a usage error. */
+int
+edgeCount(const Args &args, const std::string &name, int fallback)
+{
+    const uint64_t v = args.getCount(name, static_cast<uint64_t>(fallback));
+    if (v > static_cast<uint64_t>(INT_MAX))
+        Args::usageError("--" + name + " must be <= " +
+                         std::to_string(INT_MAX) + ", got " +
+                         std::to_string(v));
+    return static_cast<int>(v);
+}
+
 /**
- * The generated corpus as files: every cycle the generator closes
- * becomes DIR/<cycle>.litmus — cycle name (header + comment), scope
- * tree and final condition included — ready for `sweep`, `validate`
- * and `explore`.
+ * The diy-style generator (Sec. 4.1): every cycle the generator closes
+ * becomes a litmus test — cycle name (header + comment), scope tree
+ * and final condition included. Printed to stdout, or with --out DIR
+ * written as DIR/<cycle>.litmus, ready for `sweep`, `validate` and
+ * `explore`.
  */
 int
 cmdGen(const Args &args)
 {
-    std::string out_dir = args.get("out", "generated-tests");
     gen::GeneratorOptions opts;
-    opts.minEdges = static_cast<int>(args.getInt("min-edges", 3));
-    opts.maxEdges = static_cast<int>(args.getInt("max-edges", 4));
-    opts.maxTests =
-        static_cast<size_t>(args.getInt("max-tests", 50));
+    opts.minEdges = edgeCount(args, "min-edges", 3);
+    opts.maxEdges = edgeCount(args, "max-edges", 4);
+    opts.maxTests = args.getCount("max-tests", 50);
     bool scopes = !args.has("no-scopes");
     bool deps = !args.has("no-deps");
     opts.steer = args.has("steer");
     auto tests = gen::generate(gen::defaultPool(scopes, deps), opts);
+    auto print = [](std::ostream &os, const gen::GeneratedTest &g) {
+        os << "(* cycle: " << g.cycleName << " *)\n";
+        if (g.predictedRacyPairs >= 0)
+            os << "(* predicted racy pairs: " << g.predictedRacyPairs
+               << " *)\n";
+        os << g.test.str();
+    };
 
+    if (!args.has("out")) {
+        for (const auto &g : tests) {
+            print(std::cout, g);
+            std::cout << "\n";
+        }
+        std::cerr << tests.size() << " tests generated\n";
+        return 0;
+    }
+
+    const std::string out_dir = args.get("out", "");
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     if (ec) {
@@ -770,8 +782,6 @@ cmdGen(const Args &args)
                   << "': " << ec.message() << "\n";
         return 1;
     }
-
-    size_t written = 0;
     for (const auto &g : tests) {
         std::string path =
             out_dir + "/" + cycleFileName(g.cycleName) + ".litmus";
@@ -780,15 +790,10 @@ cmdGen(const Args &args)
             std::cerr << "error: cannot write '" << path << "'\n";
             return 1;
         }
-        f << "(* cycle: " << g.cycleName << " *)\n";
-        if (g.predictedRacyPairs >= 0)
-            f << "(* predicted racy pairs: " << g.predictedRacyPairs
-              << " *)\n";
-        f << g.test.str();
-        ++written;
+        print(f, g);
         std::cout << path << "\n";
     }
-    std::cerr << written << " tests written to " << out_dir << "\n";
+    std::cerr << tests.size() << " tests written to " << out_dir << "\n";
     return 0;
 }
 
@@ -863,15 +868,20 @@ cmdList(const Args &args)
     return 0;
 }
 
+/** Tab. 1 (the chips) and Tab. 4 (their compilers and drivers) as
+ * one table of the chip registry. */
 int
 cmdChips(const Args &)
 {
+    Table table;
+    table.header({"vendor", "architecture", "chip", "short name", "year",
+                  "SDK", "driver", "options", "SMs"});
     for (const auto &c : sim::allChips()) {
-        std::cout << c.shortName << "\t" << c.vendor << " "
-                  << c.chipName << " (" << c.arch << ", " << c.year
-                  << "), SDK " << c.sdk << ", driver " << c.driver
-                  << "\n";
+        table.row({c.vendor, c.arch, c.chipName, c.shortName,
+                   std::to_string(c.year), c.sdk, c.driver, c.options,
+                   std::to_string(c.numSMs)});
     }
+    table.print(std::cout);
     return 0;
 }
 
@@ -1213,9 +1223,6 @@ commands()
             {"lint", {cmdLint, "<test...>", {{"json", ""}}}},
             {"sass", {cmdSass, "<test>",
                       {{"opt-level", "N"}, {"sdk", "V"}, {"maxwell", ""}}}},
-            {"generate", {cmdGenerate, "",
-                          {{"max-edges", "N"}, {"max-tests", "N"},
-                           {"steer", ""}}}},
             {"gen", {cmdGen, "",
                      {{"out", "DIR"}, {"min-edges", "N"}, {"max-edges", "N"},
                       {"max-tests", "N"}, {"no-scopes", ""},
@@ -1311,7 +1318,7 @@ main(int argc, char **argv)
         std::cerr
             << "usage: gpulitmus"
                " <run|sweep|check|validate|explore|list|show|lint|"
-               "sass|generate|gen|chips|models|serve|submit|status>"
+               "sass|gen|chips|models|serve|submit|status>"
                " ...\n";
         return 1;
     }
