@@ -4,8 +4,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/race.h"
 #include "common/log.h"
+#include "common/memo.h"
 #include "litmus/outcome.h"
+#include "obs/metrics.h"
 
 namespace gpulitmus::analysis {
 
@@ -370,6 +373,52 @@ enumerateSc(const litmus::Test &test, ScOptions opts)
     }
     res.states = color.size();
     return res;
+}
+
+namespace {
+
+OnceMemo<Prepass> &
+prepassCache()
+{
+    static OnceMemo<Prepass> cache(kPrepassMemoCapacity);
+    return cache;
+}
+
+} // namespace
+
+std::shared_ptr<const Prepass>
+prepass(const litmus::Test &test)
+{
+    static obs::Counter &calls = obs::counter("analysis_prepass_total");
+    static obs::Counter &hits =
+        obs::counter("analysis_prepass_memo_hits_total");
+    bool hit = false;
+    auto result = prepassCache().get(
+        test.programText(),
+        [&] {
+            Prepass p;
+            p.fullyOrdered = analyze(test).fullyOrdered;
+            if (p.fullyOrdered)
+                p.sc = enumerateSc(test);
+            return p;
+        },
+        &hit);
+    calls.add();
+    if (hit)
+        hits.add();
+    return result;
+}
+
+size_t
+prepassCacheSize()
+{
+    return prepassCache().size();
+}
+
+void
+clearPrepassCache()
+{
+    prepassCache().clear();
 }
 
 } // namespace gpulitmus::analysis

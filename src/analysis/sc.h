@@ -7,16 +7,19 @@
  * This is the reference semantics the race analyzer's "fully ordered"
  * verdict promises: if no conflicting pair can be reordered, the weak
  * machine can only produce outcomes this enumerator also reaches. The
- * explorer pre-pass (eval/backend.cc) substitutes this result for a
- * full weak-memory exploration on fully-ordered programs, and
- * tests/test_analysis.cc differentially validates the substitution.
+ * explorer pre-pass (prepass() below, run by eval::McBackend)
+ * substitutes this result for a full weak-memory exploration on
+ * fully-ordered programs, and tests/test_analysis.cc differentially
+ * validates the substitution.
  */
 
 #ifndef GPULITMUS_ANALYSIS_SC_H
 #define GPULITMUS_ANALYSIS_SC_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -54,6 +57,36 @@ struct ScResult
  */
 std::optional<ScResult> enumerateSc(const litmus::Test &test,
                                     ScOptions opts = {});
+
+/** The explorer pre-pass's answer for one program. */
+struct Prepass
+{
+    /** analyze() found no dangerous cycle. */
+    bool fullyOrdered = false;
+    /** When fully ordered and within the state budget: the SC
+     * outcome set, which is then the exact reachable set. */
+    std::optional<ScResult> sc;
+};
+
+/**
+ * The pre-pass of a test: analyze(), then enumerateSc() when the
+ * program is fully ordered. It reads only the program, so it runs
+ * once per program: a process-wide memo keyed by Test::programText
+ * answers every later cell of the same program (each chip, each
+ * renamed copy such as mp@HD6570), and a caller asking for a program
+ * being computed waits for that result (common/memo.h). Each call
+ * ticks `analysis_prepass_total`, and a memo answer
+ * `analysis_prepass_memo_hits_total`.
+ */
+std::shared_ptr<const Prepass> prepass(const litmus::Test &test);
+
+/** Bound of the pre-pass memo: reaching it clears the memo. */
+constexpr size_t kPrepassMemoCapacity = 64;
+
+/** Entries in the pre-pass memo (for tests and instrumentation). */
+size_t prepassCacheSize();
+/** Drop every memoised pre-pass. */
+void clearPrepassCache();
 
 } // namespace gpulitmus::analysis
 

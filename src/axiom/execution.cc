@@ -141,53 +141,6 @@ Execution::rmwAtomic() const
     return (rmw() & fre.seq(coe)).empty();
 }
 
-std::map<std::string, Relation>
-Execution::relationEnv() const
-{
-    std::map<std::string, Relation> env;
-    env["po"] = po;
-    env["po-loc"] = poLoc();
-    env["rf"] = rf;
-    env["rfe"] = external(rf);
-    env["rfi"] = internal(rf);
-    env["co"] = co;
-    env["coe"] = external(co);
-    env["coi"] = internal(co);
-    Relation f = fr();
-    env["fr"] = f;
-    env["fre"] = external(f);
-    env["fri"] = internal(f);
-    env["addr"] = addr;
-    env["data"] = data;
-    env["ctrl"] = ctrl;
-    env["membar.cta"] = membarCta;
-    env["membar.gl"] = membarGl;
-    env["membar.sys"] = membarSys;
-    env["cta"] = scopeCta;
-    env["gl"] = scopeGl;
-    env["sys"] = scopeSys;
-    env["rmw"] = rmw();
-    env["loc"] = sameLoc();
-    env["id"] = Relation::identity(numEvents());
-    env["ext"] = external(Relation::universal(numEvents()));
-    env["int"] = internal(Relation::universal(numEvents()))
-                     .minus(Relation::identity(numEvents()));
-    env["0"] = Relation(numEvents());
-    return env;
-}
-
-std::map<std::string, EventSet>
-Execution::setEnv() const
-{
-    std::map<std::string, EventSet> env;
-    env["R"] = reads();
-    env["W"] = writes();
-    env["F"] = fences();
-    env["M"] = reads() | writes();
-    env["_"] = all();
-    return env;
-}
-
 std::string
 Execution::str() const
 {

@@ -8,7 +8,6 @@
 #ifndef GPULITMUS_AXIOM_EXECUTION_H
 #define GPULITMUS_AXIOM_EXECUTION_H
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,8 @@ namespace gpulitmus::axiom {
 
 /**
  * One candidate execution of a litmus test. Built by the enumerator;
- * consumed by the .cat evaluator through relationEnv().
+ * the .cat evaluator (cat/cat.h) reads the stored relations in place
+ * and derives the rest under herd's names (po-loc, rfe, fr, ...).
  */
 struct Execution
 {
@@ -75,17 +75,6 @@ struct Execution
      * model omits atomics; see Sec. 2.3).
      */
     bool rmwAtomic() const;
-
-    /**
-     * The named relations and event sets handed to the .cat
-     * evaluator. Keys follow herd: po, po-loc, rf, rfe, rfi, co, coe,
-     * coi, fr, fre, fri, addr, data, ctrl, membar.cta, membar.gl,
-     * membar.sys, cta, gl, sys, rmw, loc, id, ext, int, M, R, W, F.
-     */
-    std::map<std::string, Relation> relationEnv() const;
-
-    /** Event-class sets for the evaluator's filters. */
-    std::map<std::string, EventSet> setEnv() const;
 
     /** Render events and communication edges (Fig. 14 style). */
     std::string str() const;

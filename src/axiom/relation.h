@@ -37,6 +37,13 @@ class Relation
 
     int size() const { return n_; }
 
+    /** The size() rows as masks, contiguous: bit j of row i is set
+     * iff (i, j) is in the relation. The compiled .cat evaluator
+     * reads them in place. */
+    const uint64_t *rows() const { return rows_.data(); }
+    /** A relation over n events from n row masks. */
+    static Relation fromRows(int n, const uint64_t *rows);
+
     bool get(int i, int j) const;
     void set(int i, int j, bool v = true);
 

@@ -1,14 +1,15 @@
 #include "cat/cat.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
+#include <tuple>
 
 #include "common/log.h"
 #include "common/strutil.h"
 
 namespace gpulitmus::cat {
 
-using axiom::EventSet;
 using axiom::Execution;
 using axiom::Relation;
 
@@ -437,120 +438,616 @@ class Parser
     CatError err_;
 };
 
-} // anonymous namespace
-
 // ---------------------------------------------------------------------
-// Evaluator
+// Compiled form
 // ---------------------------------------------------------------------
 
-struct Model::Impl
+/**
+ * One instruction of a compiled model. A node computes one relation
+ * of a candidate, from the execution or from earlier nodes, so the
+ * node vector is in evaluation order.
+ */
+enum class Op : uint8_t {
+    // Relations an Execution stores, read in place.
+    Po,
+    Rf,
+    Co,
+    Addr,
+    Data,
+    Ctrl,
+    MembarCta,
+    MembarGl,
+    MembarSys,
+    ScopeCta,
+    ScopeGl,
+    ScopeSys,
+    // Relations computed from the events.
+    Loc,
+    Rmw,
+    Id,
+    Universal,
+    Empty,
+    // Operators over node a (and node b).
+    External,
+    Internal,
+    Filter,
+    Plus,
+    Star,
+    Maybe,
+    Inverse,
+    Union,
+    Inter,
+    Diff,
+    Seq,
+};
+
+/** Event classes of the WW / WR / RW / RR filters. */
+enum class EventClass : uint8_t { Reads, Writes };
+
+struct Node
 {
-    std::vector<Stmt> stmts;
+    Op op = Op::Empty;
+    int a = -1;
+    int b = -1;
+    EventClass dom = EventClass::Reads; ///< Filter only
+    EventClass rng = EventClass::Reads; ///< Filter only
+};
 
-    struct Env
-    {
-        const Execution *ex = nullptr;
-        std::map<std::string, Relation> rels;
-        std::map<std::string, EventSet> sets;
-        std::map<std::string, const Stmt *> funcs;
-    };
+struct CompiledCheck
+{
+    CheckKind kind = CheckKind::Acyclic;
+    std::string name;
+    int rel = -1; ///< node of the checked relation
+    /** Nodes this check needs and no earlier check does, ascending. */
+    std::vector<int> fresh;
+};
 
-    Relation
-    eval(const ExprPtr &e, Env &env) const
+/** A model compiled to nodes: every name resolved, every call of a
+ * parameterised let inlined, equal nodes shared. */
+struct Program
+{
+    std::vector<Node> nodes;
+    std::vector<CompiledCheck> checks;
+    /** The names relation() answers, first match wins: the first
+     * parameterless let of each name, the base relations, then the
+     * checks' "as" names. */
+    std::vector<std::pair<std::string, int>> named;
+};
+
+/** The herd names of the base relations relation() answers. */
+const char *const kBaseNames[] = {
+    "po",  "po-loc", "rf",         "rfe",       "rfi",        "co",
+    "coe", "coi",    "fr",         "fre",       "fri",        "addr",
+    "data", "ctrl",  "membar.cta", "membar.gl", "membar.sys", "cta",
+    "gl",  "sys",    "rmw",        "loc",       "id",         "ext",
+    "int", "0",
+};
+
+class Compiler
+{
+  public:
+    std::optional<Program>
+    compile(const std::vector<Stmt> &stmts, CatError *error)
     {
-        switch (e->kind) {
+        for (const auto &s : stmts) {
+            if (s.kind == Stmt::Kind::Let && !s.params.empty()) {
+                funcs_[s.name] = &s;
+                continue;
+            }
+            int rel = expr(*s.expr);
+            if (rel < 0) {
+                if (error)
+                    *error = err_;
+                return std::nullopt;
+            }
+            if (s.kind == Stmt::Kind::Let) {
+                scope_.emplace_back(s.name, rel);
+                publish(s.name, rel);
+            } else {
+                prog_.checks.push_back({s.check, s.checkName, rel, {}});
+            }
+        }
+        for (const char *b : kBaseNames)
+            publish(b, base(b));
+        for (const auto &c : prog_.checks)
+            publish(c.name, c.rel);
+
+        std::vector<char> seen(prog_.nodes.size(), 0);
+        for (auto &c : prog_.checks) {
+            collect(c.rel, seen, c.fresh);
+            std::sort(c.fresh.begin(), c.fresh.end());
+        }
+        return std::move(prog_);
+    }
+
+  private:
+    /** The node for (op, a, b, classes), shared when it exists. */
+    int
+    node(Op op, int a = -1, int b = -1,
+         EventClass dom = EventClass::Reads,
+         EventClass rng = EventClass::Reads)
+    {
+        auto key = std::make_tuple(op, a, b, dom, rng);
+        auto it = interned_.find(key);
+        if (it != interned_.end())
+            return it->second;
+        int id = static_cast<int>(prog_.nodes.size());
+        prog_.nodes.push_back({op, a, b, dom, rng});
+        interned_.emplace(key, id);
+        return id;
+    }
+
+    /** The node of a base relation, or -1 when `name` is none. */
+    int
+    base(const std::string &name)
+    {
+        static const std::pair<const char *, Op> leaves[] = {
+            {"po", Op::Po},
+            {"rf", Op::Rf},
+            {"co", Op::Co},
+            {"addr", Op::Addr},
+            {"data", Op::Data},
+            {"ctrl", Op::Ctrl},
+            {"membar.cta", Op::MembarCta},
+            {"membar.gl", Op::MembarGl},
+            {"membar.sys", Op::MembarSys},
+            {"cta", Op::ScopeCta},
+            {"gl", Op::ScopeGl},
+            {"sys", Op::ScopeSys},
+            {"loc", Op::Loc},
+            {"rmw", Op::Rmw},
+            {"id", Op::Id},
+            {"0", Op::Empty},
+        };
+        for (const auto &[leaf, op] : leaves) {
+            if (name == leaf)
+                return node(op);
+        }
+        if (name == "po-loc")
+            return node(Op::Inter, base("po"), base("loc"));
+        if (name == "rfe" || name == "coe" || name == "fre")
+            return node(Op::External, base(name.substr(0, 2)));
+        if (name == "rfi" || name == "coi" || name == "fri")
+            return node(Op::Internal, base(name.substr(0, 2)));
+        if (name == "fr") {
+            // rf^-1 ; co, less the write a read reads from.
+            int rf_co = node(Op::Seq, node(Op::Inverse, base("rf")),
+                             base("co"));
+            return node(Op::Diff, rf_co, base("id"));
+        }
+        if (name == "ext")
+            return node(Op::External, node(Op::Universal));
+        if (name == "int")
+            return node(Op::Diff,
+                        node(Op::Internal, node(Op::Universal)),
+                        base("id"));
+        return -1;
+    }
+
+    /** Make `id` answer relation(name), unless a name came first. */
+    void
+    publish(const std::string &name, int id)
+    {
+        for (const auto &[known, _] : prog_.named) {
+            if (known == name)
+                return;
+        }
+        prog_.named.emplace_back(name, id);
+    }
+
+    int
+    fail(const std::string &message, int line)
+    {
+        if (err_.message.empty()) {
+            err_.message = message;
+            err_.line = line;
+        }
+        return -1;
+    }
+
+    int
+    expr(const Expr &e)
+    {
+        auto unary = [&](Op op) {
+            int a = expr(*e.lhs);
+            return a < 0 ? -1 : node(op, a);
+        };
+        auto binary = [&](Op op) {
+            int a = expr(*e.lhs);
+            int b = a < 0 ? -1 : expr(*e.rhs);
+            return b < 0 ? -1 : node(op, a, b);
+        };
+        switch (e.kind) {
           case Expr::Kind::Name: {
-            auto it = env.rels.find(e->name);
-            if (it != env.rels.end())
-                return it->second;
-            fatal("cat: undefined relation '%s' (line %d)",
-                  e->name.c_str(), e->line);
+            for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
+                if (it->first == e.name)
+                    return it->second;
+            }
+            int b = base(e.name);
+            if (b >= 0)
+                return b;
+            return fail("undefined relation '" + e.name + "'", e.line);
           }
-          case Expr::Kind::Union:
-            return eval(e->lhs, env) | eval(e->rhs, env);
-          case Expr::Kind::Inter:
-            return eval(e->lhs, env) & eval(e->rhs, env);
-          case Expr::Kind::Diff:
-            return eval(e->lhs, env).minus(eval(e->rhs, env));
-          case Expr::Kind::Seq:
-            return eval(e->lhs, env).seq(eval(e->rhs, env));
-          case Expr::Kind::Plus:
-            return eval(e->lhs, env).plus();
-          case Expr::Kind::Star:
-            return eval(e->lhs, env).star();
-          case Expr::Kind::Maybe:
-            return eval(e->lhs, env).maybe();
-          case Expr::Kind::Inverse:
-            return eval(e->lhs, env).inverse();
-          case Expr::Kind::App:
-            return apply(e, env);
+          case Expr::Kind::Union: return binary(Op::Union);
+          case Expr::Kind::Inter: return binary(Op::Inter);
+          case Expr::Kind::Diff: return binary(Op::Diff);
+          case Expr::Kind::Seq: return binary(Op::Seq);
+          case Expr::Kind::Plus: return unary(Op::Plus);
+          case Expr::Kind::Star: return unary(Op::Star);
+          case Expr::Kind::Maybe: return unary(Op::Maybe);
+          case Expr::Kind::Inverse: return unary(Op::Inverse);
+          case Expr::Kind::App: return apply(e);
         }
         panic("unreachable");
     }
 
-    Relation
-    apply(const ExprPtr &e, Env &env) const
+    /** A filter, or a parameterised let inlined here: its body sees
+     * the bindings in scope at this call, as herd's do. */
+    int
+    apply(const Expr &e)
     {
-        // Built-in event-class filters.
-        auto filter = [&](EventSet dom,
-                          EventSet rng) -> Relation {
-            if (e->args.size() != 1)
-                fatal("cat: filter '%s' takes one argument (line %d)",
-                      e->name.c_str(), e->line);
-            return eval(e->args[0], env).restrict(dom, rng);
+        static const struct
+        {
+            const char *name;
+            EventClass dom, rng;
+        } filters[] = {
+            {"WW", EventClass::Writes, EventClass::Writes},
+            {"WR", EventClass::Writes, EventClass::Reads},
+            {"RW", EventClass::Reads, EventClass::Writes},
+            {"RR", EventClass::Reads, EventClass::Reads},
         };
-        EventSet r_set = env.sets.at("R");
-        EventSet w_set = env.sets.at("W");
-        if (e->name == "WW")
-            return filter(w_set, w_set);
-        if (e->name == "WR")
-            return filter(w_set, r_set);
-        if (e->name == "RW")
-            return filter(r_set, w_set);
-        if (e->name == "RR")
-            return filter(r_set, r_set);
-
-        auto it = env.funcs.find(e->name);
-        if (it == env.funcs.end())
-            fatal("cat: undefined function '%s' (line %d)",
-                  e->name.c_str(), e->line);
+        for (const auto &f : filters) {
+            if (e.name != f.name)
+                continue;
+            if (e.args.size() != 1)
+                return fail("filter '" + e.name +
+                                "' takes one argument",
+                            e.line);
+            int a = expr(*e.args[0]);
+            return a < 0 ? -1 : node(Op::Filter, a, -1, f.dom, f.rng);
+        }
+        auto it = funcs_.find(e.name);
+        if (it == funcs_.end())
+            return fail("undefined function '" + e.name + "'", e.line);
         const Stmt *def = it->second;
-        if (def->params.size() != e->args.size())
-            fatal("cat: '%s' expects %zu arguments, got %zu (line %d)",
-                  e->name.c_str(), def->params.size(), e->args.size(),
-                  e->line);
-        // Evaluate arguments, bind, evaluate body, restore.
-        std::vector<std::pair<std::string, std::optional<Relation>>>
-            saved;
-        for (size_t i = 0; i < def->params.size(); ++i) {
-            Relation arg = eval(e->args[i], env);
-            auto old = env.rels.find(def->params[i]);
-            saved.emplace_back(def->params[i],
-                               old == env.rels.end()
-                                   ? std::nullopt
-                                   : std::optional<Relation>(
-                                         old->second));
-            env.rels[def->params[i]] = std::move(arg);
+        if (def->params.size() != e.args.size())
+            return fail(strprintf("'%s' expects %zu arguments, got %zu",
+                                  e.name.c_str(), def->params.size(),
+                                  e.args.size()),
+                        e.line);
+        if (std::find(inlining_.begin(), inlining_.end(), def) !=
+            inlining_.end())
+            return fail("recursive use of '" + e.name + "'", e.line);
+        std::vector<int> args;
+        for (const auto &arg : e.args) {
+            args.push_back(expr(*arg));
+            if (args.back() < 0)
+                return -1;
         }
-        Relation result = eval(def->expr, env);
-        for (auto &[name, old] : saved) {
-            if (old)
-                env.rels[name] = std::move(*old);
-            else
-                env.rels.erase(name);
-        }
-        return result;
+        size_t depth = scope_.size();
+        for (size_t i = 0; i < args.size(); ++i)
+            scope_.emplace_back(def->params[i], args[i]);
+        inlining_.push_back(def);
+        int body = expr(*def->expr);
+        inlining_.pop_back();
+        scope_.resize(depth);
+        return body;
     }
 
-    Env
-    baseEnv(const Execution &ex) const
+    void
+    collect(int id, std::vector<char> &seen, std::vector<int> &out)
     {
-        Env env;
-        env.ex = &ex;
-        env.rels = ex.relationEnv();
-        env.sets = ex.setEnv();
-        return env;
+        if (id < 0 || seen[static_cast<size_t>(id)])
+            return;
+        seen[static_cast<size_t>(id)] = 1;
+        const Node &n = prog_.nodes[static_cast<size_t>(id)];
+        collect(n.a, seen, out);
+        collect(n.b, seen, out);
+        out.push_back(id);
     }
+
+    Program prog_;
+    std::map<std::tuple<Op, int, int, EventClass, EventClass>, int>
+        interned_;
+    /** Parameterless lets and the parameters of the calls being
+     * inlined, innermost last. */
+    std::vector<std::pair<std::string, int>> scope_;
+    std::map<std::string, const Stmt *> funcs_;
+    std::vector<const Stmt *> inlining_;
+    CatError err_;
+};
+
+// ---------------------------------------------------------------------
+// Evaluation
+// ---------------------------------------------------------------------
+
+/** Warshall's transitive closure of n rows, in place. */
+void
+closeTransitively(uint64_t *rows, int n)
+{
+    for (int k = 0; k < n; ++k) {
+        for (int i = 0; i < n; ++i) {
+            if ((rows[i] >> k) & 1)
+                rows[i] |= rows[k];
+        }
+    }
+}
+
+/**
+ * One candidate under evaluation: a row block per node, in a
+ * per-thread workspace that grows to the largest (model, execution)
+ * the thread has seen and then never allocates again.
+ */
+class Frame
+{
+  public:
+    Frame(const Program &prog, const Execution &ex)
+        : prog_(prog), ex_(ex), n_(ex.numEvents()),
+          all_(n_ == 64 ? ~0ULL : (1ULL << n_) - 1)
+    {
+        thread_local std::vector<uint64_t> store;
+        thread_local std::vector<const uint64_t *> rows;
+        size_t need =
+            (prog.nodes.size() + 1) * static_cast<size_t>(n_);
+        if (store.size() < need)
+            store.resize(need);
+        if (rows.size() < prog.nodes.size())
+            rows.resize(prog.nodes.size());
+        store_ = store.data();
+        rows_ = rows.data();
+    }
+
+    int size() const { return n_; }
+
+    const uint64_t *rows(int id) const { return rows_[id]; }
+
+    /** Compute the nodes `ids`, in order. */
+    void
+    run(const std::vector<int> &ids)
+    {
+        for (int id : ids)
+            compute(id);
+    }
+
+    /** Compute nodes 0..last. */
+    void
+    runThrough(int last)
+    {
+        for (int id = 0; id <= last; ++id)
+            compute(id);
+    }
+
+    bool
+    holds(const CompiledCheck &c)
+    {
+        const uint64_t *r = rows_[c.rel];
+        switch (c.kind) {
+          case CheckKind::Acyclic: {
+            uint64_t *t = scratch();
+            std::copy(r, r + n_, t);
+            closeTransitively(t, n_);
+            for (int i = 0; i < n_; ++i) {
+                if ((t[i] >> i) & 1)
+                    return false;
+            }
+            return true;
+          }
+          case CheckKind::Irreflexive:
+            for (int i = 0; i < n_; ++i) {
+                if ((r[i] >> i) & 1)
+                    return false;
+            }
+            return true;
+          case CheckKind::Empty:
+            for (int i = 0; i < n_; ++i) {
+                if (r[i])
+                    return false;
+            }
+            return true;
+        }
+        panic("unreachable");
+    }
+
+  private:
+    uint64_t *
+    scratch()
+    {
+        return store_ + prog_.nodes.size() * static_cast<size_t>(n_);
+    }
+
+    const Relation &
+    stored(Op op) const
+    {
+        switch (op) {
+          case Op::Po: return ex_.po;
+          case Op::Rf: return ex_.rf;
+          case Op::Co: return ex_.co;
+          case Op::Addr: return ex_.addr;
+          case Op::Data: return ex_.data;
+          case Op::Ctrl: return ex_.ctrl;
+          case Op::MembarCta: return ex_.membarCta;
+          case Op::MembarGl: return ex_.membarGl;
+          case Op::MembarSys: return ex_.membarSys;
+          case Op::ScopeCta: return ex_.scopeCta;
+          case Op::ScopeGl: return ex_.scopeGl;
+          case Op::ScopeSys: return ex_.scopeSys;
+          default: panic("not a stored relation");
+        }
+    }
+
+    /** Events issued by the thread of event i (init writes share one
+     * pseudo-thread), as a mask. */
+    uint64_t
+    sameThread(int i)
+    {
+        if (!haveThreads_) {
+            for (int x = 0; x < n_; ++x) {
+                uint64_t m = 0;
+                for (int y = 0; y < n_; ++y) {
+                    if (ex_.events[x].tid == ex_.events[y].tid)
+                        m |= 1ULL << y;
+                }
+                threads_[x] = m;
+            }
+            haveThreads_ = true;
+        }
+        return threads_[i];
+    }
+
+    uint64_t
+    eventClass(EventClass c)
+    {
+        if (!haveClasses_) {
+            for (const auto &e : ex_.events) {
+                if (e.isRead())
+                    reads_ |= 1ULL << e.id;
+                else if (e.isWrite())
+                    writes_ |= 1ULL << e.id;
+            }
+            haveClasses_ = true;
+        }
+        return c == EventClass::Reads ? reads_ : writes_;
+    }
+
+    void
+    compute(int id)
+    {
+        const Node &nd = prog_.nodes[static_cast<size_t>(id)];
+        if (nd.op <= Op::ScopeSys) {
+            const Relation &r = stored(nd.op);
+            if (r.size() != n_)
+                panic("relation size mismatch: %d vs %d", r.size(), n_);
+            rows_[id] = r.rows();
+            return;
+        }
+        uint64_t *out = store_ + static_cast<size_t>(id) *
+                                     static_cast<size_t>(n_);
+        rows_[id] = out;
+        const uint64_t *a = nd.a >= 0 ? rows_[nd.a] : nullptr;
+        const uint64_t *b = nd.b >= 0 ? rows_[nd.b] : nullptr;
+        const int n = n_;
+        switch (nd.op) {
+          case Op::Loc:
+            std::fill(out, out + n, 0);
+            for (int x = 0; x < n; ++x) {
+                const auto &ex = ex_.events[x];
+                for (int y = x + 1; y < n; ++y) {
+                    const auto &ey = ex_.events[y];
+                    if (!ex.isFence() && !ey.isFence() &&
+                        ex.id != ey.id && ex.loc == ey.loc) {
+                        out[ex.id] |= 1ULL << ey.id;
+                        out[ey.id] |= 1ULL << ex.id;
+                    }
+                }
+            }
+            return;
+          case Op::Rmw:
+            std::fill(out, out + n, 0);
+            for (const auto &e : ex_.events) {
+                if (e.isRead() && e.rmwPartner >= 0)
+                    out[e.id] |= 1ULL << e.rmwPartner;
+            }
+            return;
+          case Op::Id:
+            for (int i = 0; i < n; ++i)
+                out[i] = 1ULL << i;
+            return;
+          case Op::Universal:
+            std::fill(out, out + n, all_);
+            return;
+          case Op::Empty:
+            std::fill(out, out + n, 0);
+            return;
+          case Op::External:
+            for (int i = 0; i < n; ++i)
+                out[i] = a[i] & ~sameThread(i);
+            return;
+          case Op::Internal:
+            for (int i = 0; i < n; ++i)
+                out[i] = a[i] & sameThread(i);
+            return;
+          case Op::Filter: {
+            uint64_t dom = eventClass(nd.dom);
+            uint64_t rng = eventClass(nd.rng);
+            for (int i = 0; i < n; ++i)
+                out[i] = ((dom >> i) & 1) ? a[i] & rng : 0;
+            return;
+          }
+          case Op::Plus:
+            std::copy(a, a + n, out);
+            closeTransitively(out, n);
+            return;
+          case Op::Star:
+            std::copy(a, a + n, out);
+            closeTransitively(out, n);
+            for (int i = 0; i < n; ++i)
+                out[i] |= 1ULL << i;
+            return;
+          case Op::Maybe:
+            for (int i = 0; i < n; ++i)
+                out[i] = a[i] | (1ULL << i);
+            return;
+          case Op::Inverse:
+            std::fill(out, out + n, 0);
+            for (int i = 0; i < n; ++i) {
+                for (uint64_t row = a[i]; row; row &= row - 1)
+                    out[__builtin_ctzll(row)] |= 1ULL << i;
+            }
+            return;
+          case Op::Union:
+            for (int i = 0; i < n; ++i)
+                out[i] = a[i] | b[i];
+            return;
+          case Op::Inter:
+            for (int i = 0; i < n; ++i)
+                out[i] = a[i] & b[i];
+            return;
+          case Op::Diff:
+            for (int i = 0; i < n; ++i)
+                out[i] = a[i] & ~b[i];
+            return;
+          case Op::Seq:
+            for (int i = 0; i < n; ++i) {
+                uint64_t acc = 0;
+                for (uint64_t row = a[i]; row; row &= row - 1)
+                    acc |= b[__builtin_ctzll(row)];
+                out[i] = acc;
+            }
+            return;
+          default:
+            panic("unreachable");
+        }
+    }
+
+    const Program &prog_;
+    const Execution &ex_;
+    const int n_;
+    const uint64_t all_;
+    uint64_t *store_ = nullptr;
+    const uint64_t **rows_ = nullptr;
+    bool haveThreads_ = false;
+    uint64_t threads_[axiom::kMaxEvents] = {};
+    bool haveClasses_ = false;
+    uint64_t reads_ = 0;
+    uint64_t writes_ = 0;
+};
+
+const char *
+kindName(CheckKind kind)
+{
+    switch (kind) {
+      case CheckKind::Acyclic: return "acyclic";
+      case CheckKind::Irreflexive: return "irreflexive";
+      case CheckKind::Empty: return "empty";
+    }
+    panic("unreachable");
+}
+
+} // anonymous namespace
+
+struct Model::Impl
+{
+    Program prog;
 };
 
 std::string
@@ -571,9 +1068,12 @@ Model::parse(const std::string &source, const std::string &name,
     auto stmts = parser.parse(error);
     if (!stmts)
         return std::nullopt;
+    auto prog = Compiler().compile(*stmts, error);
+    if (!prog)
+        return std::nullopt;
     Model m;
     auto impl = std::make_shared<Impl>();
-    impl->stmts = std::move(*stmts);
+    impl->prog = std::move(*prog);
     m.impl_ = std::move(impl);
     m.name_ = name;
     return m;
@@ -590,39 +1090,35 @@ Model::parseOrDie(const std::string &source, const std::string &name)
     return *m;
 }
 
+int
+Model::firstFailedCheck(const axiom::Execution &ex) const
+{
+    const Program &prog = impl_->prog;
+    Frame frame(prog, ex);
+    for (size_t k = 0; k < prog.checks.size(); ++k) {
+        frame.run(prog.checks[k].fresh);
+        if (!frame.holds(prog.checks[k]))
+            return static_cast<int>(k);
+    }
+    return -1;
+}
+
 ModelResult
 Model::evaluate(const axiom::Execution &ex) const
 {
-    Impl::Env env = impl_->baseEnv(ex);
+    const Program &prog = impl_->prog;
+    Frame frame(prog, ex);
     ModelResult result;
     result.allowed = true;
-    for (const auto &s : impl_->stmts) {
-        if (s.kind == Stmt::Kind::Let) {
-            if (s.params.empty())
-                env.rels[s.name] = impl_->eval(s.expr, env);
-            else
-                env.funcs[s.name] = &s;
-            continue;
-        }
-        Relation r = impl_->eval(s.expr, env);
+    for (const auto &c : prog.checks) {
+        frame.run(c.fresh);
         CheckResult cr;
-        cr.name = s.checkName;
-        switch (s.check) {
-          case CheckKind::Acyclic:
-            cr.kind = "acyclic";
-            cr.passed = r.acyclic();
-            if (!cr.passed)
-                cr.cycle = r.findCycle();
-            break;
-          case CheckKind::Irreflexive:
-            cr.kind = "irreflexive";
-            cr.passed = r.irreflexive();
-            break;
-          case CheckKind::Empty:
-            cr.kind = "empty";
-            cr.passed = r.empty();
-            break;
-        }
+        cr.name = c.name;
+        cr.kind = kindName(c.kind);
+        cr.passed = frame.holds(c);
+        if (!cr.passed && c.kind == CheckKind::Acyclic)
+            cr.cycle = Relation::fromRows(frame.size(), frame.rows(c.rel))
+                           .findCycle();
         result.allowed &= cr.passed;
         result.checks.push_back(std::move(cr));
     }
@@ -633,20 +1129,14 @@ std::optional<axiom::Relation>
 Model::relation(const std::string &name,
                 const axiom::Execution &ex) const
 {
-    Impl::Env env = impl_->baseEnv(ex);
-    for (const auto &s : impl_->stmts) {
-        if (s.kind != Stmt::Kind::Let)
+    const Program &prog = impl_->prog;
+    for (const auto &[known, id] : prog.named) {
+        if (known != name)
             continue;
-        if (s.params.empty())
-            env.rels[s.name] = impl_->eval(s.expr, env);
-        else
-            env.funcs[s.name] = &s;
-        if (s.name == name && s.params.empty())
-            return env.rels[s.name];
+        Frame frame(prog, ex);
+        frame.runThrough(id);
+        return Relation::fromRows(frame.size(), frame.rows(id));
     }
-    auto it = env.rels.find(name);
-    if (it != env.rels.end())
-        return it->second;
     return std::nullopt;
 }
 
@@ -654,10 +1144,8 @@ std::vector<std::string>
 Model::checkNames() const
 {
     std::vector<std::string> names;
-    for (const auto &s : impl_->stmts) {
-        if (s.kind == Stmt::Kind::Check)
-            names.push_back(s.checkName);
-    }
+    for (const auto &c : impl_->prog.checks)
+        names.push_back(c.name);
     return names;
 }
 

@@ -13,6 +13,17 @@
  * | & \ ; + * ? ^-1, parentheses, the event-class filters WW / WR /
  * RW / RR, and the checks acyclic / irreflexive / empty with "as"
  * names. Comments are (* ... *) or // to end of line.
+ *
+ * Parsing compiles the model once: every name resolves to a node,
+ * every call of a parameterised let is inlined where it is called
+ * (its body sees the bindings in scope there, as in herd), equal
+ * subexpressions share one node, and only the base relations the
+ * model names are computed. An undefined name, a wrong argument count
+ * or a recursive let is a parse error with its line. Evaluating a
+ * candidate then runs the nodes over fixed-width bit rows in a
+ * per-thread workspace: no map, no name lookup and no heap allocation
+ * per candidate (firstFailedCheck; evaluate() allocates only for the
+ * report it returns).
  */
 
 #ifndef GPULITMUS_CAT_CAT_H
@@ -58,7 +69,8 @@ struct CatError
 class Model
 {
   public:
-    /** Parse source text; nullopt + error on bad syntax. */
+    /** Parse and compile source text; nullopt + error on bad syntax
+     * or an unresolvable name. */
     static std::optional<Model> parse(const std::string &source,
                                       const std::string &name = "",
                                       CatError *error = nullptr);
@@ -70,10 +82,16 @@ class Model
     /** Evaluate all checks of the model on a candidate execution. */
     ModelResult evaluate(const axiom::Execution &ex) const;
 
+    /** Index (in checkNames() order) of the first check the candidate
+     * fails, or -1 when the model allows it. Stops at that check and
+     * allocates nothing: the model checker's per-candidate call. */
+    int firstFailedCheck(const axiom::Execution &ex) const;
+
     /**
-     * Evaluate a named relation (either primitive or defined by a
-     * let) in the context of an execution. Useful for inspection and
-     * tests. nullopt if undefined or parameterised.
+     * Evaluate a named relation in the context of an execution: the
+     * first parameterless let of that name, else a primitive, else
+     * the relation a check tests under that "as" name. Useful for
+     * inspection and tests. nullopt if undefined or parameterised.
      */
     std::optional<axiom::Relation>
     relation(const std::string &name, const axiom::Execution &ex) const;

@@ -15,7 +15,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "analysis/race.h"
 #include "analysis/sc.h"
 #include "cat/models.h"
 #include "common/log.h"
@@ -86,30 +85,29 @@ McBackend::evaluate(const EvalJob &job) const
     // exploration needed. The substitution is differentially
     // validated in tests/test_analysis.cc, against the exploration
     // below, over the corpus, all scenario variants and generated
-    // programs.
-    analysis::Report rep = analysis::analyze(owned->test);
-    if (rep.fullyOrdered) {
-        auto start = std::chrono::steady_clock::now();
-        if (auto sc = analysis::enumerateSc(owned->test)) {
-            mc::ExploreResult x;
-            x.testName = owned->test.name;
-            x.chipName = owned->chip.shortName;
-            x.column = owned->inc.column();
-            x.complete = sc->complete;
-            x.fairComplete = true;
-            x.finals = std::move(sc->finals);
-            x.satisfying = std::move(sc->satisfying);
-            for (const auto &[key, w] : x.finals)
-                x.paths += w;
-            x.stats.distinctStates = sc->states;
-            auto end = std::chrono::steady_clock::now();
-            x.millis =
-                std::chrono::duration<double, std::milli>(end - start)
-                    .count();
-            result.exact = std::move(x);
-            result.millis = result.exact->millis;
-            return result;
-        }
+    // programs. The pre-pass reads only the program, so it runs once
+    // per program; every other cell of it is a memo answer.
+    auto start = std::chrono::steady_clock::now();
+    auto pre = analysis::prepass(owned->test);
+    if (pre->sc) {
+        mc::ExploreResult x;
+        x.testName = owned->test.name;
+        x.chipName = owned->chip.shortName;
+        x.column = owned->inc.column();
+        x.complete = pre->sc->complete;
+        x.fairComplete = true;
+        x.finals = pre->sc->finals;
+        x.satisfying = pre->sc->satisfying;
+        for (const auto &[key, w] : x.finals)
+            x.paths += w;
+        x.stats.distinctStates = pre->sc->states;
+        auto end = std::chrono::steady_clock::now();
+        x.millis =
+            std::chrono::duration<double, std::milli>(end - start)
+                .count();
+        result.exact = std::move(x);
+        result.millis = result.exact->millis;
+        return result;
     }
 
     mc::Explorer explorer(owned->chip, owned->test,

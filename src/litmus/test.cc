@@ -61,7 +61,14 @@ Test::spaceOf(int64_t addr) const
 std::string
 Test::str() const
 {
-    std::string out = arch + " " + name + "\n";
+    std::string text = programText();
+    return text.insert(arch.size(), " " + name);
+}
+
+std::string
+Test::programText() const
+{
+    std::string out = arch + "\n";
     out += "{";
     bool first = true;
     for (const auto &l : locations) {

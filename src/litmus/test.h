@@ -83,6 +83,11 @@ struct Test
     /** Whole-test pretty printer in the Fig. 12 litmus format. */
     std::string str() const;
 
+    /** str() without the test's name: the text of its program. Keys
+     * the per-program memos (model enumeration, explorer pre-pass),
+     * so a renamed copy such as mp@HD6570 shares mp's entries. */
+    std::string programText() const;
+
     /**
      * Registers that make up the observable outcome of a run: all
      * registers mentioned in the final condition, plus all locations

@@ -1,93 +1,61 @@
 #include "model/checker.h"
 
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 
-#include "common/log.h"
+#include "common/memo.h"
+#include "obs/metrics.h"
 
 namespace gpulitmus::model {
 
 namespace {
 
 /**
- * Process-wide memo of candidate-execution enumerations, keyed by
- * test text and enumerator options. Enumeration dominates a
- * validation sweep's model-side cost; a test checked against N models
- * (or revisited across campaign cells) enumerates once. Bounded by a
- * coarse clear-at-capacity policy — sweeps visit tests with strong
- * locality (every model of one test back to back), so even a small
- * memo captures nearly all reuse.
+ * One program's candidate executions, with what every model's check
+ * reads of each: its outcome key (an index into `keys`, the distinct
+ * keys in first-seen order) and whether its final state satisfies the
+ * condition body. Both are functions of the program, so they are
+ * computed once with the enumeration, not once per model.
  */
-class EnumerationCache
+struct Candidates
 {
-  public:
-    std::shared_ptr<const std::vector<axiom::Execution>>
-    get(const litmus::Test &test, const axiom::EnumeratorOptions &opts)
-    {
-        // Keyed by the full test text plus the option values — exact,
-        // never by hash alone, so distinct tests can never collide
-        // into each other's candidate sets.
-        std::string key = keyFor(test, opts);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = map_.find(key);
-            if (it != map_.end())
-                return it->second;
-        }
-        // Enumerate outside the lock; a concurrent duplicate is
-        // wasted work, not an error.
-        auto execs =
-            std::make_shared<const std::vector<axiom::Execution>>(
-                axiom::enumerateExecutions(test, opts));
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (map_.size() >= kMaxEntries)
-            map_.clear();
-        map_.emplace(std::move(key), execs);
-        return execs;
-    }
-
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return map_.size();
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        map_.clear();
-    }
-
-  private:
-    static std::string
-    keyFor(const litmus::Test &test,
-           const axiom::EnumeratorOptions &opts)
-    {
-        return test.str() + "\n#opts " +
-               std::to_string(opts.maxStepsPerThread) + " " +
-               std::to_string(opts.maxValuesPerLoc) + " " +
-               std::to_string(opts.maxCandidates);
-    }
-
-    // Candidate sets can be large (up to maxCandidates executions);
-    // the access pattern is back-to-back per test (every model of one
-    // test, then the next test), so a small bound captures nearly all
-    // reuse even with a worker pool interleaving a few tests.
-    static constexpr size_t kMaxEntries = 64;
-    mutable std::mutex mutex_;
-    std::unordered_map<
-        std::string,
-        std::shared_ptr<const std::vector<axiom::Execution>>>
-        map_;
+    std::vector<axiom::Execution> executions;
+    std::vector<std::string> keys;
+    std::vector<uint32_t> keyOf;
+    std::vector<char> satisfies;
 };
 
-EnumerationCache &
+Candidates
+enumerate(const litmus::Test &test, const axiom::EnumeratorOptions &opts)
+{
+    Candidates c;
+    c.executions = axiom::enumerateExecutions(test, opts);
+    litmus::Histogram keyer(test);
+    std::unordered_map<std::string, uint32_t> ids;
+    for (const auto &ex : c.executions) {
+        std::string key = keyer.keyFor(ex.finalState);
+        auto [it, fresh] = ids.emplace(
+            key, static_cast<uint32_t>(c.keys.size()));
+        if (fresh)
+            c.keys.push_back(std::move(key));
+        c.keyOf.push_back(it->second);
+        c.satisfies.push_back(test.condition.eval(ex.finalState));
+    }
+    return c;
+}
+
+/**
+ * Process-wide memo of candidate enumerations, keyed by the program
+ * text (Test::programText, so a renamed copy such as mp@HD6570 shares
+ * mp's entry) and the enumerator options — exact, never by hash
+ * alone, so distinct programs never collide into each other's
+ * candidate sets. Enumeration dominates a validation sweep's model
+ * side; a program checked against N models, on N chips, enumerates
+ * once.
+ */
+OnceMemo<Candidates> &
 enumerationCache()
 {
-    static EnumerationCache cache;
+    static OnceMemo<Candidates> cache(kEnumerationMemoCapacity);
     return cache;
 }
 
@@ -132,24 +100,39 @@ Checker::Checker(const cat::Model &model, axiom::EnumeratorOptions opts)
 Verdict
 Checker::check(const litmus::Test &test) const
 {
+    static obs::Counter &checks = obs::counter("model_checks_total");
+    static obs::Counter &candidates =
+        obs::counter("model_candidates_total");
+    static obs::Counter &hits =
+        obs::counter("model_enumeration_memo_hits_total");
+
     Verdict v;
     v.testName = test.name;
     v.modelName = model_->name();
 
-    litmus::Histogram keyer(test);
-
-    auto shared = enumerationCache().get(test, opts_);
-    const std::vector<axiom::Execution> &executions = *shared;
-    v.numCandidates = executions.size();
+    std::string key = test.programText() + "\n#opts " +
+                      std::to_string(opts_.maxStepsPerThread) + " " +
+                      std::to_string(opts_.maxValuesPerLoc) + " " +
+                      std::to_string(opts_.maxCandidates);
+    bool hit = false;
+    auto shared = enumerationCache().get(
+        key, [&] { return enumerate(test, opts_); }, &hit);
+    const Candidates &c = *shared;
+    v.numCandidates = c.executions.size();
+    checks.add();
+    candidates.add(v.numCandidates);
+    if (hit)
+        hits.add();
 
     bool forall_ok = true;
-    for (auto &ex : executions) {
-        cat::ModelResult res = model_->evaluate(ex);
-        std::string key = keyer.keyFor(ex.finalState);
-        bool satisfies = test.condition.eval(ex.finalState);
-        if (res.allowed) {
+    std::vector<char> key_allowed(c.keys.size(), 0);
+    for (size_t i = 0; i < c.executions.size(); ++i) {
+        const axiom::Execution &ex = c.executions[i];
+        int failed = model_->firstFailedCheck(ex);
+        bool satisfies = c.satisfies[i];
+        if (failed < 0) {
             ++v.numAllowed;
-            v.allowedKeys.insert(key);
+            key_allowed[c.keyOf[i]] = 1;
             if (satisfies) {
                 v.conditionSatisfiable = true;
                 if (!v.witness)
@@ -159,16 +142,15 @@ Checker::check(const litmus::Test &test) const
             }
         } else if (satisfies && !v.forbiddenWitness) {
             v.forbiddenWitness = ex;
-            v.forbiddingCheck = res.firstFailure();
+            v.forbiddingCheck =
+                model_->checkNames()[static_cast<size_t>(failed)];
         }
     }
 
     // Forbidden keys: keys seen only on forbidden candidates.
-    for (auto &ex : executions) {
-        std::string key = keyer.keyFor(ex.finalState);
-        if (!v.allowedKeys.count(key))
-            v.forbiddenKeys.insert(key);
-    }
+    for (size_t k = 0; k < c.keys.size(); ++k)
+        (key_allowed[k] ? v.allowedKeys : v.forbiddenKeys)
+            .insert(c.keys[k]);
 
     switch (test.quantifier) {
       case litmus::Quantifier::Exists:

@@ -60,10 +60,14 @@ struct Verdict
  * Evaluates tests against a .cat model.
  *
  * Candidate-execution enumeration — the hot path of a validation
- * sweep — is memoised process-wide by (test text, enumerator
- * options), so checking one test against N models enumerates its
+ * sweep — is memoised process-wide by (program text without the
+ * test's name, enumerator options), so checking one program against N
+ * models, or a renamed copy of it (mp@HD6570), enumerates its
  * executions once. The memo is shared by every Checker instance and
- * is safe to hit from campaign worker threads.
+ * every engine worker; a worker asking for a program another worker
+ * is enumerating waits for that enumeration (common/memo.h). Each
+ * check ticks `model_checks_total`, `model_candidates_total` and, when
+ * the memo answered, `model_enumeration_memo_hits_total`.
  */
 class Checker
 {
@@ -82,6 +86,9 @@ class Checker
     const cat::Model *model_;
     axiom::EnumeratorOptions opts_;
 };
+
+/** Bound of the enumeration memo: reaching it clears the memo. */
+constexpr size_t kEnumerationMemoCapacity = 64;
 
 /** Entries in the process-wide enumeration memo (for tests and
  * instrumentation). */

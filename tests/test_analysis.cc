@@ -27,9 +27,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <atomic>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/race.h"
@@ -39,6 +41,7 @@
 #include "litmus/library.h"
 #include "litmus/parser.h"
 #include "mc/explorer.h"
+#include "obs/metrics.h"
 #include "scenario/registry.h"
 #include "sim/chip.h"
 
@@ -378,6 +381,120 @@ TEST(Prepass, RacyProgramsStillExplore)
     // exploration must find the relaxed outcome.
     EXPECT_GT(r.exact->stats.replays, 0u);
     EXPECT_FALSE(r.exact->satisfying.empty());
+}
+
+// ---------------------------------------------------------------------
+// The pre-pass memo: once per program.
+// ---------------------------------------------------------------------
+
+/** The memo's own tallies since construction. */
+struct PrepassTally
+{
+    obs::Counter &calls = obs::counter("analysis_prepass_total");
+    obs::Counter &hits = obs::counter("analysis_prepass_memo_hits_total");
+    uint64_t calls0 = calls.value();
+    uint64_t hits0 = hits.value();
+
+    uint64_t asked() const { return calls.value() - calls0; }
+    uint64_t computed() const { return asked() - (hits.value() - hits0); }
+};
+
+TEST(PrepassMemo, RenamedCopyGetsTheSameAnswer)
+{
+    // Each chip's cell of a program, and an AMD chip's renamed copy
+    // (mp+membar.gls@HD6570), reuse the program's one pre-pass.
+    obs::setEnabled(true);
+    analysis::clearPrepassCache();
+    PrepassTally tally;
+    harness::Job job;
+    job.backend = harness::kMcBackend;
+    job.chip = sim::chip("Titan");
+    job.test = loadCorpus("mp-membar.gl.litmus");
+    job.inc = sim::Incantations::fromColumn(16);
+    harness::Job copy = job;
+    copy.chip = sim::chip("HD6570");
+    copy.test.name = job.test.name + "@HD6570";
+
+    eval::McBackend backend;
+    eval::EvalResult a = backend.evaluate(job);
+    eval::EvalResult b = backend.evaluate(copy);
+    EXPECT_EQ(tally.asked(), 2u);
+    EXPECT_EQ(tally.computed(), 1u);
+    EXPECT_EQ(analysis::prepassCacheSize(), 1u);
+    ASSERT_TRUE(a.hasExact() && b.hasExact());
+    EXPECT_EQ(a.exact->stats.replays, 0u); // the pre-pass answered
+    EXPECT_EQ(a.exact->testName, job.test.name);
+    EXPECT_EQ(b.exact->testName, copy.test.name);
+    EXPECT_EQ(b.exact->chipName, "HD6570");
+    EXPECT_EQ(a.exact->finals, b.exact->finals);
+    EXPECT_EQ(a.exact->satisfying, b.exact->satisfying);
+    EXPECT_EQ(a.exact->paths, b.exact->paths);
+    EXPECT_EQ(a.exact->complete, b.exact->complete);
+    EXPECT_EQ(a.exact->fairComplete, b.exact->fairComplete);
+    EXPECT_EQ(a.exact->stats.distinctStates,
+              b.exact->stats.distinctStates);
+    EXPECT_EQ(analysis::prepass(job.test).get(),
+              analysis::prepass(copy.test).get());
+
+    // A racy program's answer is memoised too: no SC set, so every
+    // cell explores, but the analysis runs once.
+    litmus::Test mp = loadCorpus("mp.litmus");
+    auto racy = analysis::prepass(mp);
+    EXPECT_FALSE(racy->fullyOrdered);
+    EXPECT_FALSE(racy->sc.has_value());
+    mp.name = "mp@HD7970";
+    EXPECT_EQ(analysis::prepass(mp).get(), racy.get());
+    EXPECT_EQ(tally.computed(), 2u);
+}
+
+TEST(PrepassMemo, ConcurrentAsksForOneProgramComputeOnce)
+{
+    obs::setEnabled(true);
+    analysis::clearPrepassCache();
+    PrepassTally tally;
+    constexpr int kThreads = 8;
+    litmus::Test test = litmus::paperlib::mpMembarGls();
+    std::vector<std::shared_ptr<const analysis::Prepass>> seen(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            litmus::Test copy = test;
+            copy.name = test.name + "@" + std::to_string(t);
+            while (!go.load())
+                std::this_thread::yield();
+            seen[static_cast<size_t>(t)] = analysis::prepass(copy);
+        });
+    }
+    go = true;
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(tally.asked(), static_cast<uint64_t>(kThreads));
+    EXPECT_EQ(tally.computed(), 1u);
+    EXPECT_EQ(analysis::prepassCacheSize(), 1u);
+    ASSERT_TRUE(seen[0] && seen[0]->sc.has_value());
+    for (const auto &p : seen)
+        EXPECT_EQ(p.get(), seen[0].get());
+}
+
+TEST(PrepassMemo, StaysWithinItsCapacity)
+{
+    analysis::clearPrepassCache();
+    gen::GeneratorOptions gopts;
+    gopts.maxEdges = 4;
+    gopts.maxTests = 250;
+    std::set<std::string> programs;
+    for (const auto &g : gen::generate(gen::defaultPool(), gopts)) {
+        if (!programs.insert(g.test.programText()).second)
+            continue;
+        analysis::prepass(g.test);
+        EXPECT_LE(analysis::prepassCacheSize(),
+                  analysis::kPrepassMemoCapacity);
+        if (programs.size() > analysis::kPrepassMemoCapacity + 8)
+            break;
+    }
+    EXPECT_GT(programs.size(), analysis::kPrepassMemoCapacity);
+    analysis::clearPrepassCache();
 }
 
 // ---------------------------------------------------------------------

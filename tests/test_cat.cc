@@ -77,6 +77,35 @@ TEST(CatParse, RejectsBadSyntax)
     EXPECT_FALSE(Model::parse("let a(x = rf", "bad", &err));
 }
 
+TEST(CatParse, UnresolvableNamesAreParseErrorsWithTheirLine)
+{
+    // The model is compiled when it is parsed, so a name nothing
+    // defines is refused there, with its line, not at the first
+    // candidate evaluated.
+    struct Case
+    {
+        const char *source;
+        const char *message;
+        int line;
+    } cases[] = {
+        {"let a = rf\nacyclic (a | nosuch) as x",
+         "undefined relation 'nosuch'", 2},
+        {"let a = rf\n\nacyclic f(a)", "undefined function 'f'", 3},
+        {"let f(x) = x\nacyclic f(rf, co)",
+         "'f' expects 1 arguments, got 2", 2},
+        {"acyclic WW(rf, co)", "filter 'WW' takes one argument", 1},
+        {"let f(x) = f(x)\nacyclic f(rf)", "recursive use of 'f'", 1},
+        // A parameterised let is no relation by itself.
+        {"let f(x) = x\nacyclic f", "undefined relation 'f'", 2},
+    };
+    for (const auto &c : cases) {
+        CatError err;
+        EXPECT_FALSE(Model::parse(c.source, "bad", &err)) << c.source;
+        EXPECT_EQ(err.message, c.message) << c.source;
+        EXPECT_EQ(err.line, c.line) << c.source;
+    }
+}
+
 TEST(CatParse, CheckNamesInOrder)
 {
     const Model &ptx = models::ptx();
@@ -164,6 +193,102 @@ acyclic both as both-check
     EXPECT_EQ(*m.relation("both", ex), ex.rf | ex.co);
 }
 
+TEST(CatEval, ParameterisedLetSeesTheBindingsAtItsCall)
+{
+    // herd's scoping: a body's free names mean what they mean where
+    // the let is called, and a parameter shadows them.
+    Model m = Model::parseOrDie(R"(
+let f(x) = x | extra
+let extra = co
+let both = f(rf)
+let extra = po
+let later = f(rf)
+let g(co) = co
+let shadowed = g(rf)
+acyclic both as both-check
+)",
+                                "scoping");
+    auto ex = firstExecution(litmus::paperlib::mp());
+    EXPECT_EQ(*m.relation("both", ex), ex.rf | ex.co);
+    EXPECT_EQ(*m.relation("later", ex), ex.rf | ex.po);
+    EXPECT_EQ(*m.relation("shadowed", ex), ex.rf);
+    // relation() answers the first let of a name, as it always has.
+    EXPECT_EQ(*m.relation("extra", ex), ex.co);
+    EXPECT_FALSE(m.relation("f", ex).has_value());
+    EXPECT_FALSE(m.relation("nosuch", ex).has_value());
+}
+
+TEST(CatEval, BaseRelationsMatchTheExecution)
+{
+    Model m = Model::parseOrDie("acyclic po as po-check", "bases");
+    for (const litmus::Test &t :
+         {litmus::paperlib::mp(), litmus::paperlib::coRR(),
+          litmus::paperlib::casSl(true), litmus::paperlib::lbDeps(true)}) {
+        for (const auto &ex : axiom::enumerateExecutions(t)) {
+            int n = ex.numEvents();
+            axiom::Relation id = axiom::Relation::identity(n);
+            axiom::Relation all = axiom::Relation::universal(n);
+            std::pair<const char *, axiom::Relation> bases[] = {
+                {"po", ex.po},
+                {"po-loc", ex.poLoc()},
+                {"rf", ex.rf},
+                {"rfe", ex.external(ex.rf)},
+                {"rfi", ex.internal(ex.rf)},
+                {"co", ex.co},
+                {"coe", ex.external(ex.co)},
+                {"coi", ex.internal(ex.co)},
+                {"fr", ex.fr()},
+                {"fre", ex.external(ex.fr())},
+                {"fri", ex.internal(ex.fr())},
+                {"addr", ex.addr},
+                {"data", ex.data},
+                {"ctrl", ex.ctrl},
+                {"membar.cta", ex.membarCta},
+                {"membar.gl", ex.membarGl},
+                {"membar.sys", ex.membarSys},
+                {"cta", ex.scopeCta},
+                {"gl", ex.scopeGl},
+                {"sys", ex.scopeSys},
+                {"rmw", ex.rmw()},
+                {"loc", ex.sameLoc()},
+                {"id", id},
+                {"ext", ex.external(all)},
+                {"int", ex.internal(all).minus(id)},
+                {"0", axiom::Relation(n)},
+            };
+            for (const auto &[name, want] : bases) {
+                auto got = m.relation(name, ex);
+                ASSERT_TRUE(got.has_value()) << name;
+                EXPECT_EQ(*got, want) << t.name << " " << name;
+            }
+        }
+    }
+}
+
+TEST(CatEval, FirstFailedCheckAgreesWithEvaluate)
+{
+    for (const litmus::Test &t :
+         {litmus::paperlib::mp(), litmus::paperlib::sb(),
+          litmus::paperlib::lbMembarCtas(), litmus::paperlib::coRR(),
+          litmus::paperlib::mpFig14()}) {
+        for (const auto &ex : axiom::enumerateExecutions(t)) {
+            for (const auto &[name, model] : models::all()) {
+                ModelResult res = model->evaluate(ex);
+                int want = -1;
+                for (size_t k = 0; k < res.checks.size(); ++k) {
+                    if (!res.checks[k].passed) {
+                        want = static_cast<int>(k);
+                        break;
+                    }
+                }
+                EXPECT_EQ(model->firstFailedCheck(ex), want)
+                    << t.name << " " << name;
+                EXPECT_EQ(want < 0, res.allowed);
+            }
+        }
+    }
+}
+
 TEST(CatEval, CommentsIgnored)
 {
     Model m = Model::parseOrDie(R"(
@@ -201,6 +326,8 @@ TEST(CatEval, FailedAcyclicReportsCycle)
     EXPECT_FALSE(res.allowed);
     EXPECT_EQ(res.firstFailure(), "bad");
     EXPECT_FALSE(res.checks[0].cycle.empty());
+    // A check's "as" name names the relation it tested.
+    EXPECT_EQ(*m.relation("bad", ex), ex.po | ex.po.inverse());
 }
 
 TEST(CatEval, ScPerLocLlhAllowsCoRRShape)

@@ -16,11 +16,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cinttypes>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <thread>
+
 #include "axiom/enumerate.h"
 #include "cat/models.h"
+#include "gen/generator.h"
 #include "litmus/library.h"
 #include "litmus/parser.h"
 #include "model/checker.h"
+#include "obs/metrics.h"
+#include "scenario/registry.h"
+
+#ifndef GPULITMUS_SOURCE_DIR
+#define GPULITMUS_SOURCE_DIR "."
+#endif
 
 namespace gpulitmus::model {
 namespace {
@@ -285,6 +301,122 @@ TEST(EnumerationMemo, MemoisedVerdictsMatchFreshOnes)
     EXPECT_EQ(cold.verdict, warm.verdict);
 }
 
+/** Two verdicts agree on everything but the test's name. */
+void
+expectSameVerdict(const Verdict &a, const Verdict &b)
+{
+    EXPECT_EQ(a.modelName, b.modelName);
+    EXPECT_EQ(a.numCandidates, b.numCandidates);
+    EXPECT_EQ(a.numAllowed, b.numAllowed);
+    EXPECT_EQ(a.allowedKeys, b.allowedKeys);
+    EXPECT_EQ(a.forbiddenKeys, b.forbiddenKeys);
+    EXPECT_EQ(a.conditionSatisfiable, b.conditionSatisfiable);
+    EXPECT_EQ(a.verdict, b.verdict);
+    EXPECT_EQ(a.forbiddingCheck, b.forbiddingCheck);
+    ASSERT_EQ(a.witness.has_value(), b.witness.has_value());
+    if (a.witness) {
+        EXPECT_EQ(a.witness->str(), b.witness->str());
+    }
+    ASSERT_EQ(a.forbiddenWitness.has_value(),
+              b.forbiddenWitness.has_value());
+    if (a.forbiddenWitness) {
+        EXPECT_EQ(a.forbiddenWitness->str(), b.forbiddenWitness->str());
+    }
+}
+
+/** Enumerations the memo answered since `hits0` / checks since
+ * `checks0`: the memo's own tallies. */
+struct MemoTally
+{
+    obs::Counter &checks = obs::counter("model_checks_total");
+    obs::Counter &hits = obs::counter("model_enumeration_memo_hits_total");
+    uint64_t checks0 = checks.value();
+    uint64_t hits0 = hits.value();
+
+    uint64_t checked() const { return checks.value() - checks0; }
+    uint64_t computed() const { return checked() - (hits.value() - hits0); }
+};
+
+TEST(EnumerationMemo, RenamedCopySharesTheEnumeration)
+{
+    // AMD cells check a renamed copy (mp@HD6570) of the same program:
+    // the memo is keyed on the program, not on the test's name.
+    obs::setEnabled(true);
+    clearEnumerationCache();
+    MemoTally tally;
+    litmus::Test mp = paperlib::mp(Scope::Gl);
+    litmus::Test copy = mp;
+    copy.name = "mp@HD6570";
+    Verdict a = Checker(cat::models::ptx()).check(mp);
+    Verdict b = Checker(cat::models::ptx()).check(copy);
+    EXPECT_EQ(enumerationCacheSize(), 1u);
+    EXPECT_EQ(tally.checked(), 2u);
+    EXPECT_EQ(tally.computed(), 1u);
+    EXPECT_EQ(a.testName, mp.name);
+    EXPECT_EQ(b.testName, "mp@HD6570");
+    expectSameVerdict(a, b);
+
+    // A program that differs is a new entry.
+    litmus::Test other = copy;
+    other.condition = paperlib::mp().condition;
+    other.quantifier = litmus::Quantifier::Forall;
+    Checker(cat::models::ptx()).check(other);
+    EXPECT_EQ(enumerationCacheSize(), 2u);
+    EXPECT_EQ(tally.computed(), 2u);
+}
+
+TEST(EnumerationMemo, ConcurrentAsksForOneProgramEnumerateOnce)
+{
+    // Engine workers reach one program's cells together; the second
+    // asker waits for the first one's enumeration.
+    obs::setEnabled(true);
+    clearEnumerationCache();
+    MemoTally tally;
+    constexpr int kThreads = 8;
+    litmus::Test test = paperlib::lbMembarCtas();
+    std::vector<Verdict> seen(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            litmus::Test copy = test;
+            copy.name = test.name + "@" + std::to_string(t);
+            while (!go.load())
+                std::this_thread::yield();
+            seen[static_cast<size_t>(t)] =
+                Checker(cat::models::ptx()).check(copy);
+        });
+    }
+    go = true;
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(tally.checked(), static_cast<uint64_t>(kThreads));
+    EXPECT_EQ(tally.computed(), 1u);
+    EXPECT_EQ(enumerationCacheSize(), 1u);
+    for (const auto &v : seen)
+        expectSameVerdict(v, seen[0]);
+}
+
+TEST(EnumerationMemo, StaysWithinItsCapacity)
+{
+    clearEnumerationCache();
+    gen::GeneratorOptions gopts;
+    gopts.maxEdges = 4;
+    gopts.maxTests = 250;
+    std::set<std::string> programs;
+    for (const auto &g : gen::generate(gen::defaultPool(), gopts)) {
+        if (!inModelScope(g.test) ||
+            !programs.insert(g.test.programText()).second)
+            continue;
+        Checker(cat::models::sc()).check(g.test);
+        EXPECT_LE(enumerationCacheSize(), kEnumerationMemoCapacity);
+        if (programs.size() > kEnumerationMemoCapacity + 8)
+            break;
+    }
+    EXPECT_GT(programs.size(), kEnumerationMemoCapacity);
+    clearEnumerationCache();
+}
+
 TEST(ModelScope, CaVolatileAndLoopedTestsAreOutsideTheModelScope)
 {
     EXPECT_TRUE(inModelScope(paperlib::mp()));
@@ -307,6 +439,136 @@ exists ((1:r1=1))
 )");
     ASSERT_TRUE(spin.has_value());
     EXPECT_FALSE(inModelScope(*spin));
+}
+
+// ---- model pins -----------------------------------------------------
+
+/** Every in-scope program the pins cover, labelled: the on-disk
+ * corpus, the paper library, the registry's scenario variants and
+ * 250 generated programs. */
+std::vector<std::pair<std::string, litmus::Test>>
+pinnedPrograms()
+{
+    std::vector<std::pair<std::string, litmus::Test>> out;
+    auto add = [&](const std::string &label, const litmus::Test &t) {
+        if (inModelScope(t))
+            out.emplace_back(label, t);
+    };
+    std::vector<std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(GPULITMUS_SOURCE_DIR) + "/litmus-tests")) {
+        if (e.path().extension() == ".litmus")
+            files.push_back(e.path().string());
+    }
+    std::sort(files.begin(), files.end());
+    for (const auto &path : files) {
+        std::ifstream in(path);
+        std::stringstream text;
+        text << in.rdbuf();
+        auto t = litmus::parseTest(text.str());
+        EXPECT_TRUE(t.has_value()) << path;
+        if (t)
+            add("corpus:" + std::filesystem::path(path).filename().string(),
+                *t);
+    }
+    for (const auto &named : paperlib::allTests())
+        add("library:" + named.id, named.test);
+    for (const auto &s : scenario::all()) {
+        for (int fenced = 0; fenced <= 1; ++fenced) {
+            std::string spec = "scenario:" + s.name +
+                               ",fenced=" + std::to_string(fenced);
+            auto built = scenario::buildSpec(spec);
+            EXPECT_TRUE(built.has_value()) << spec;
+            if (built)
+                add(spec, built->test);
+        }
+    }
+    gen::GeneratorOptions gopts;
+    gopts.maxEdges = 4;
+    gopts.maxTests = 250;
+    auto generated = gen::generate(gen::defaultPool(), gopts);
+    EXPECT_EQ(generated.size(), 250u);
+    for (const auto &g : generated)
+        add("gen:" + g.cycleName, g.test);
+    return out;
+}
+
+/** FNV-1a: a digest whose value is fixed by this file alone. */
+uint64_t
+fnv1a(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(ModelPins, EveryBuiltinModelReproducesItsPinnedVerdicts)
+{
+    // Each built-in model's verdicts over every pinned program, down
+    // to the failing check (and its cycle) of every forbidden
+    // candidate, as one digest per model. The digests were taken with
+    // the tree-walking interpreter the compiled evaluator replaced;
+    // any change to a model's semantics moves them.
+    const std::map<std::string, uint64_t> pinned = {
+        {"ptx", 0xbb5c4ed80ece317cULL},
+        {"rmo", 0x7508c32c535e3dc4ULL},
+        {"sc", 0xe866996b06a18aabULL},
+        {"tso", 0x6cad1110509d3ea1ULL},
+        {"sc-per-loc-full", 0x8a9bf52604e1a4baULL},
+        {"baseline", 0x11393b5621db1350ULL},
+    };
+    auto programs = pinnedPrograms();
+    EXPECT_EQ(programs.size(), 291u);
+    for (const auto &[id, model] : cat::models::all()) {
+        std::string record;
+        for (const auto &[label, test] : programs) {
+            Verdict v = Checker(*model).check(test);
+            record += label + "|" + v.modelName + "|" +
+                      std::to_string(v.numCandidates) + "|" +
+                      std::to_string(v.numAllowed) + "|" + v.verdict +
+                      "|" + v.forbiddingCheck + "|allowed";
+            for (const auto &k : v.allowedKeys)
+                record += " " + k;
+            record += "|forbidden";
+            for (const auto &k : v.forbiddenKeys)
+                record += " " + k;
+            record += "|";
+            for (const auto &ex : axiom::enumerateExecutions(test)) {
+                cat::ModelResult res = model->evaluate(ex);
+                if (res.allowed) {
+                    record += "+";
+                    continue;
+                }
+                record += " -" + res.firstFailure();
+                for (const auto &check : res.checks) {
+                    for (int e : check.cycle)
+                        record += "," + std::to_string(e);
+                    if (check.passed || check.kind != "acyclic")
+                        continue;
+                    // The reported cycle is a cycle of the relation
+                    // the check tested.
+                    auto rel = model->relation(check.name, ex);
+                    ASSERT_TRUE(rel.has_value()) << id << " " << label;
+                    const auto &cycle = check.cycle;
+                    ASSERT_FALSE(cycle.empty()) << id << " " << label;
+                    for (size_t k = 0; k < cycle.size(); ++k)
+                        EXPECT_TRUE(rel->get(
+                            cycle[k], cycle[(k + 1) % cycle.size()]))
+                            << id << " " << label << " " << check.name;
+                }
+            }
+            record += "\n";
+        }
+        uint64_t got = fnv1a(record);
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016" PRIx64, got);
+        EXPECT_EQ(got, pinned.at(id))
+            << id << " over " << programs.size()
+            << " programs digests to " << hex;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,12 +17,14 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/sc.h"
 #include "common/json.h"
 #include "eval/backend.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
 #include "litmus/parser.h"
 #include "mc/explorer.h"
+#include "model/checker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"
@@ -469,6 +471,61 @@ TEST_F(ObsTest, ExplorationBitIdenticalWithTelemetryOnAndOff)
     EXPECT_EQ(on.paths, off.paths);
     EXPECT_EQ(on.stats.replays, off.stats.replays);
     EXPECT_EQ(on.stats.distinctStates, off.stats.distinctStates);
+}
+
+TEST_F(ObsTest, ExploreJoiningPtxBitIdenticalWithTelemetryOnAndOff)
+{
+    // An explore that joins ptx runs the pre-pass and the model check
+    // through their per-program memos (every chip, and the AMD chip's
+    // renamed copy, of one program share one entry). The memo
+    // counters tick with telemetry on; the cells are the same off.
+    serve::Request req;
+    req.cmd = "explore";
+    req.id = "x";
+    req.tests = {{"mp", "", ""},
+                 {"", pl::mpMembarGls().str(), ""},
+                 {"", pl::sb(ptx::Scope::Gl).str(), ""}};
+    req.chips = {"Titan", "GTX5", "HD6570"};
+    req.models = {"ptx"};
+    req.budget = 4096;
+    auto run = [&req]() {
+        model::clearEnumerationCache();
+        analysis::clearPrepassCache();
+        serve::Plan plan;
+        std::string error;
+        EXPECT_TRUE(serve::planJobs(req, &plan, &error)) << error;
+        std::vector<std::string> cells;
+        for (const auto &r : eval::Engine().run(plan.jobs)) {
+            std::string cell = eval::evalCellJson(r);
+            auto at = cell.find(",\"millis\":");
+            if (at != std::string::npos)
+                cell.erase(at, cell.find(',', at + 1) - at);
+            cells.push_back(cell);
+        }
+        return cells;
+    };
+    auto &reg = obs::Registry::instance();
+    obs::setEnabled(true);
+    auto on = run();
+    // Three programs: each pre-passed and enumerated once.
+    uint64_t prepass = reg.counter("analysis_prepass_total").value();
+    EXPECT_EQ(prepass, 9u);
+    EXPECT_EQ(prepass -
+                  reg.counter("analysis_prepass_memo_hits_total").value(),
+              3u);
+    uint64_t checks = reg.counter("model_checks_total").value();
+    EXPECT_EQ(checks -
+                  reg.counter("model_enumeration_memo_hits_total").value(),
+              3u);
+    EXPECT_GT(reg.counter("model_candidates_total").value(), checks);
+    reg.reset();
+    obs::setEnabled(false);
+    auto off = run();
+    obs::setEnabled(true);
+    EXPECT_EQ(reg.counter("analysis_prepass_total").value(), 0u);
+    EXPECT_EQ(reg.counter("model_checks_total").value(), 0u);
+    ASSERT_EQ(on.size(), 18u); // mc and ptx per (test, chip)
+    EXPECT_EQ(on, off);
 }
 
 TEST_F(ObsTest, ExplorerTicksIssueBranchesOnlyAtRegisterHazards)

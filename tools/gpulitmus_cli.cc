@@ -159,6 +159,19 @@ struct Args
             getInt(name, static_cast<int64_t>(fallback), true));
     }
 
+    /** getInt for a value with a range (an opt level, a port): one
+     * outside lo..hi is a usage error, never a wrapped cast. */
+    int
+    getInRange(const std::string &name, int fallback, int lo, int hi) const
+    {
+        const int64_t v = getInt(name, fallback);
+        if (v < lo || v > hi)
+            usageError("--" + name + " must be " + std::to_string(lo) +
+                       ".." + std::to_string(hi) + ", got " +
+                       std::to_string(v));
+        return static_cast<int>(v);
+    }
+
     [[noreturn]] static void
     usageError(const std::string &message)
     {
@@ -698,7 +711,7 @@ cmdSass(const Args &args)
     if (!loaded)
         return 1;
     opt::PtxasOptions opts;
-    opts.optLevel = static_cast<int>(args.getInt("opt-level", 3));
+    opts.optLevel = args.getInRange("opt-level", 3, 0, 3);
     opts.sdkVersion = args.get("sdk", "6.0");
     opts.targetMaxwell = args.has("maxwell");
     opt::SassProgram sass = opt::assemble(loaded->test, opts);
@@ -726,19 +739,6 @@ cycleFileName(const std::string &cycle)
     return out;
 }
 
-/** An edge-count flag: a count that fits an int (GeneratorOptions'
- * type); anything else is a usage error. */
-int
-edgeCount(const Args &args, const std::string &name, int fallback)
-{
-    const uint64_t v = args.getCount(name, static_cast<uint64_t>(fallback));
-    if (v > static_cast<uint64_t>(INT_MAX))
-        Args::usageError("--" + name + " must be <= " +
-                         std::to_string(INT_MAX) + ", got " +
-                         std::to_string(v));
-    return static_cast<int>(v);
-}
-
 /**
  * The diy-style generator (Sec. 4.1): every cycle the generator closes
  * becomes a litmus test — cycle name (header + comment), scope tree
@@ -750,8 +750,9 @@ int
 cmdGen(const Args &args)
 {
     gen::GeneratorOptions opts;
-    opts.minEdges = edgeCount(args, "min-edges", 3);
-    opts.maxEdges = edgeCount(args, "max-edges", 4);
+    // Edge counts fit GeneratorOptions' int.
+    opts.minEdges = args.getInRange("min-edges", 3, 0, INT_MAX);
+    opts.maxEdges = args.getInRange("max-edges", 4, 0, INT_MAX);
     opts.maxTests = args.getCount("max-tests", 50);
     bool scopes = !args.has("no-scopes");
     bool deps = !args.has("no-deps");
@@ -911,7 +912,7 @@ cmdServe(const Args &args)
 {
     serve::ServerOptions opts;
     opts.socketPath = args.get("socket", "");
-    opts.tcpPort = static_cast<int>(args.getInt("port", 0));
+    opts.tcpPort = args.getInRange("port", 0, 0, 65535);
     opts.storeDir = args.get("store", "");
     opts.threads = static_cast<int>(args.getCount("jobs", 0));
     opts.maxStoreBytes = args.getCount("max-store-bytes", 0);
@@ -962,7 +963,7 @@ connectFlag(const Args &args)
     else if (args.has("port"))
         client = serve::Client::connectTcp(
             args.get("host", "127.0.0.1"),
-            static_cast<int>(args.getInt("port", 0)), &error);
+            args.getInRange("port", 0, 0, 65535), &error);
     else
         error = "need --socket PATH or --port N";
     if (!client)
@@ -1148,9 +1149,8 @@ cmdStatus(const Args &args)
     if (args.has("watch"))
         watch = args.get("watch", "") == "true"
                     ? 2
-                    : static_cast<int>(args.getInt("watch", 2));
-    if (watch < 0)
-        watch = 0;
+                    : static_cast<int>(std::clamp<int64_t>(
+                          args.getInt("watch", 2), 0, INT_MAX));
 
     for (;;) {
         json::Value stats, metrics;
