@@ -209,25 +209,14 @@ class Interp
             regs[in.dst] = val(in.src0);
             break;
           case ptx::Opcode::Add:
-            regs[in.dst] = val(in.src0) + val(in.src1);
-            break;
           case ptx::Opcode::Sub:
-            regs[in.dst] = val(in.src0) - val(in.src1);
-            break;
           case ptx::Opcode::And:
-            regs[in.dst] = val(in.src0) & val(in.src1);
-            break;
           case ptx::Opcode::Or:
-            regs[in.dst] = val(in.src0) | val(in.src1);
-            break;
           case ptx::Opcode::Xor:
-            regs[in.dst] = val(in.src0) ^ val(in.src1);
-            break;
           case ptx::Opcode::SetpEq:
-            regs[in.dst] = val(in.src0) == val(in.src1);
-            break;
           case ptx::Opcode::SetpNe:
-            regs[in.dst] = val(in.src0) != val(in.src1);
+            regs[in.dst] =
+                ptx::aluResult(in.op, val(in.src0), val(in.src1));
             break;
           case ptx::Opcode::Ld: {
             if (int64_t *c = cell(val(in.addr)))
@@ -250,23 +239,9 @@ class Interp
                 break;
             }
             int64_t old = *c;
-            switch (in.op) {
-              case ptx::Opcode::AtomCas:
-                if (old == val(in.src0))
-                    *c = val(in.src1);
-                break;
-              case ptx::Opcode::AtomExch:
-                *c = val(in.src0);
-                break;
-              case ptx::Opcode::AtomInc:
-                *c = old + 1;
-                break;
-              case ptx::Opcode::AtomAdd:
-                *c = old + val(in.src0);
-                break;
-              default:
-                break;
-            }
+            if (auto w = ptx::atomicWrite(in.op, old, val(in.src0),
+                                          val(in.src1)))
+                *c = *w;
             if (in.dst >= 0)
                 regs[in.dst] = old;
             break;

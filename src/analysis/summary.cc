@@ -115,16 +115,7 @@ binop(const ValSet &a, const ValSet &b, ptx::Opcode op)
     ValSet r;
     for (int64_t x : a.vals) {
         for (int64_t y : b.vals) {
-            int64_t v = 0;
-            switch (op) {
-              case ptx::Opcode::Add: v = x + y; break;
-              case ptx::Opcode::Sub: v = x - y; break;
-              case ptx::Opcode::And: v = x & y; break;
-              case ptx::Opcode::Or: v = x | y; break;
-              case ptx::Opcode::Xor: v = x ^ y; break;
-              default: return ValSet::top();
-            }
-            r.insert(v);
+            r.insert(ptx::aluResult(op, x, y));
             if (r.unknown)
                 return r;
         }

@@ -241,16 +241,7 @@ class ThreadExplorer
                 TaintedVal a = eval(st, instr.srcs[0]);
                 TaintedVal b = eval(st, instr.srcs[1]);
                 TaintedVal r;
-                switch (instr.op) {
-                  case ptx::Opcode::Add: r.v = a.v + b.v; break;
-                  case ptx::Opcode::Sub: r.v = a.v - b.v; break;
-                  case ptx::Opcode::And: r.v = a.v & b.v; break;
-                  case ptx::Opcode::Or: r.v = a.v | b.v; break;
-                  case ptx::Opcode::Xor: r.v = a.v ^ b.v; break;
-                  case ptx::Opcode::SetpEq: r.v = a.v == b.v; break;
-                  case ptx::Opcode::SetpNe: r.v = a.v != b.v; break;
-                  default: panic("unreachable");
-                }
+                r.v = ptx::aluResult(instr.op, a.v, b.v);
                 r.taint = a.taint;
                 r.taint.insert(b.taint.begin(), b.taint.end());
                 st.regs[instr.dst] = std::move(r);
@@ -322,6 +313,17 @@ class ThreadExplorer
                          test_.name.c_str(), tid_);
                     return;
                 }
+                // Source operands: cmp and swap for atom.cas, the
+                // operand for atom.exch and atom.add, none for
+                // atom.inc. The written value depends on them, and on
+                // the read for atom.inc and atom.add.
+                TaintedVal src0, src1;
+                if (instr.srcs.size() > 0)
+                    src0 = eval(st, instr.srcs[0]);
+                if (instr.srcs.size() > 1)
+                    src1 = eval(st, instr.srcs[1]);
+                bool reads_old = instr.op == ptx::Opcode::AtomInc ||
+                                 instr.op == ptx::Opcode::AtomAdd;
                 for (int64_t old : candidateValues(*loc)) {
                     State next = st;
                     LocalEvent rd;
@@ -333,47 +335,18 @@ class ThreadExplorer
                     int ridx = pushEvent(next, rd, addr.taint, {},
                                          guard_taint);
 
-                    bool do_write = true;
-                    int64_t new_val = 0;
-                    std::set<int> data_deps;
-                    switch (instr.op) {
-                      case ptx::Opcode::AtomCas: {
-                        TaintedVal cmp = eval(st, instr.srcs[0]);
-                        TaintedVal swp = eval(st, instr.srcs[1]);
-                        do_write = old == cmp.v;
-                        new_val = swp.v;
-                        data_deps = swp.taint;
-                        data_deps.insert(cmp.taint.begin(),
-                                         cmp.taint.end());
-                        break;
-                      }
-                      case ptx::Opcode::AtomExch: {
-                        TaintedVal v = eval(st, instr.srcs[0]);
-                        new_val = v.v;
-                        data_deps = v.taint;
-                        break;
-                      }
-                      case ptx::Opcode::AtomInc:
-                        new_val = old + 1;
-                        data_deps = {ridx};
-                        break;
-                      case ptx::Opcode::AtomAdd: {
-                        TaintedVal v = eval(st, instr.srcs[0]);
-                        new_val = old + v.v;
-                        data_deps = v.taint;
-                        data_deps.insert(ridx);
-                        break;
-                      }
-                      default:
-                        panic("unreachable");
-                    }
-
-                    if (do_write) {
-                        recordStore(*loc, new_val);
+                    if (auto new_val = ptx::atomicWrite(
+                            instr.op, old, src0.v, src1.v)) {
+                        std::set<int> data_deps = src0.taint;
+                        data_deps.insert(src1.taint.begin(),
+                                         src1.taint.end());
+                        if (reads_old)
+                            data_deps.insert(ridx);
+                        recordStore(*loc, *new_val);
                         LocalEvent wr;
                         wr.kind = Event::Kind::Write;
                         wr.loc = *loc;
-                        wr.value = new_val;
+                        wr.value = *new_val;
                         wr.isAtomic = true;
                         wr.rmwPartner = ridx;
                         wr.instrIdx = st.pc;

@@ -32,15 +32,6 @@ Relation::universal(int n)
 }
 
 Relation
-Relation::fromPairs(int n, const std::vector<std::pair<int, int>> &ps)
-{
-    Relation r(n);
-    for (const auto &[i, j] : ps)
-        r.set(i, j);
-    return r;
-}
-
-Relation
 Relation::fromRows(int n, const uint64_t *rows)
 {
     Relation r(n);

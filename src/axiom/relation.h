@@ -32,8 +32,6 @@ class Relation
 
     static Relation identity(int n);
     static Relation universal(int n);
-    static Relation fromPairs(int n,
-                              const std::vector<std::pair<int, int>> &ps);
 
     int size() const { return n_; }
 

@@ -4,10 +4,10 @@
 
 namespace gpulitmus::cuda {
 
-std::vector<MappingEntry>
+const std::vector<MappingEntry> &
 mappingTable()
 {
-    return {
+    static const std::vector<MappingEntry> table = {
         {"atomicCAS", "atom.cas"},
         {"atomicExch", "atom.exch"},
         {"__threadfence", "membar.gl"},
@@ -20,33 +20,36 @@ mappingTable()
         {"control flow (while, if)",
          "jumps & predicated instructions"},
     };
+    return table;
 }
 
-ptx::Instruction
-translate(CudaOp op, const std::string &dst, const std::string &loc,
-          const ptx::Operand &a, const ptx::Operand &b)
+const MappingEntry &
+mappingEntry(CudaOp op)
 {
-    using namespace ptx::build;
-    ptx::Operand addr = ptx::Operand::makeSym(loc);
+    return mappingTable().at(static_cast<size_t>(op));
+}
+
+std::string
+translate(CudaOp op, const std::string &dst, const std::string &loc,
+          const std::string &a, const std::string &b)
+{
+    const std::string &ptx = mappingEntry(op).ptx;
+    std::string addr = "[" + loc + "]";
     switch (op) {
       case CudaOp::AtomicCas:
-        return atomCas(dst, addr, a, b);
+        return ptx + " " + dst + "," + addr + "," + a + "," + b;
       case CudaOp::AtomicExch:
-        return atomExch(dst, addr, a);
-      case CudaOp::AtomicAdd1:
-        return atomInc(dst, addr);
+        return ptx + " " + dst + "," + addr + "," + a;
       case CudaOp::Threadfence:
-        return membar(ptx::Scope::Gl);
       case CudaOp::ThreadfenceBlock:
-        return membar(ptx::Scope::Cta);
-      case CudaOp::GlobalStore:
-        return st(addr, a, ptx::CacheOp::Cg);
+        return ptx;
+      case CudaOp::AtomicAdd1:
       case CudaOp::GlobalLoad:
-        return ld(dst, addr, ptx::CacheOp::Cg);
-      case CudaOp::VolatileStore:
-        return stVolatile(addr, a);
       case CudaOp::VolatileLoad:
-        return ldVolatile(dst, addr);
+        return ptx + " " + dst + "," + addr;
+      case CudaOp::GlobalStore:
+      case CudaOp::VolatileStore:
+        return ptx + " " + addr + "," + a;
     }
     panic("unknown CudaOp");
 }

@@ -1,57 +1,33 @@
 #include "cuda/snippets.h"
 
 #include "cuda/mapping.h"
-#include "ptx/instruction.h"
 
 namespace gpulitmus::cuda {
-
-namespace {
-
-using ptx::Operand;
-namespace build = ptx::build;
-
-Operand
-imm(int64_t v)
-{
-    return Operand::makeImm(v);
-}
-
-Operand
-reg(const std::string &r)
-{
-    return Operand::makeReg(r);
-}
-
-} // anonymous namespace
 
 litmus::Test
 distillCasSpinLock(bool with_fences)
 {
     // Fig. 9, built through Tab. 5 from Fig. 2. T0 is inside the
     // critical section and unlocks; T1 locks and reads the data.
-    ptx::ThreadProgram t0;
-    t0.append(translate(CudaOp::GlobalStore, "", "x", imm(1)));
+    std::string t0 = translate(CudaOp::GlobalStore, "", "x", "1") + ";";
     if (with_fences)
-        t0.append(translate(CudaOp::Threadfence)); // line 5 (+)
-    t0.append(translate(CudaOp::AtomicExch, "r0", "m", imm(0)));
+        t0 += translate(CudaOp::Threadfence) + ";"; // line 5 (+)
+    t0 += translate(CudaOp::AtomicExch, "r0", "m", "0");
 
-    ptx::ThreadProgram t1;
-    t1.append(translate(CudaOp::AtomicCas, "r1", "m", imm(0),
-                        imm(1))); // line 2
     // "if (lockValue == 0)" -> predicated instructions (Tab. 5).
-    t1.append(build::setpEq("p2", reg("r1"), imm(0)));
+    std::string t1 =
+        translate(CudaOp::AtomicCas, "r1", "m", "0", "1") + ";"; // l.2
+    t1 += "setp.eq p2,r1,0;";
     if (with_fences)
-        t1.append(build::guarded(
-            "p2", false, translate(CudaOp::Threadfence))); // line 3 (+)
-    t1.append(build::guarded(
-        "p2", false, translate(CudaOp::GlobalLoad, "r3", "x")));
+        t1 += "@p2 " + translate(CudaOp::Threadfence) + ";"; // l.3 (+)
+    t1 += "@p2 " + translate(CudaOp::GlobalLoad, "r3", "x");
 
     return litmus::TestBuilder(with_fences ? "cas-sl+fences"
                                            : "cas-sl")
         .global("x", 0)
         .global("m", 1)
-        .thread(std::move(t0))
-        .thread(std::move(t1))
+        .thread(t0)
+        .thread(t1)
         .interCta()
         .exists("1:r1=0 /\\ 1:r3=0")
         .build();
@@ -63,30 +39,26 @@ distillDequeMp(bool with_fences)
     // Fig. 7: push writes the task (line 3) then bumps the volatile
     // tail (line 5); steal reads tail (line 8) and, if non-empty,
     // reads the task (line 10).
-    ptx::ThreadProgram t0;
-    t0.append(translate(CudaOp::GlobalStore, "", "d", imm(1))); // l.3
+    std::string t0 = translate(CudaOp::GlobalStore, "", "d", "1") + ";";
     if (with_fences)
-        t0.append(translate(CudaOp::Threadfence)); // l.4 (+)
-    t0.append(translate(CudaOp::VolatileLoad, "r2", "t")); // l.5
-    t0.append(build::add("r2", reg("r2"), imm(1)));
-    t0.append(translate(CudaOp::VolatileStore, "", "t", reg("r2")));
+        t0 += translate(CudaOp::Threadfence) + ";"; // l.4 (+)
+    t0 += translate(CudaOp::VolatileLoad, "r2", "t") + ";"; // l.5
+    t0 += "add r2,r2,1;";
+    t0 += translate(CudaOp::VolatileStore, "", "t", "r2");
 
-    ptx::ThreadProgram t1;
-    t1.append(translate(CudaOp::VolatileLoad, "r0", "t")); // l.8
-    t1.append(build::setpEq("p4", reg("r0"), imm(0)));
+    std::string t1 =
+        translate(CudaOp::VolatileLoad, "r0", "t") + ";"; // l.8
+    t1 += "setp.eq p4,r0,0;";
     if (with_fences)
-        t1.append(build::guarded(
-            "p4", true, translate(CudaOp::Threadfence))); // l.9 (+)
-    t1.append(build::guarded(
-        "p4", true,
-        translate(CudaOp::GlobalLoad, "r1", "d"))); // l.10
+        t1 += "@!p4 " + translate(CudaOp::Threadfence) + ";"; // l.9 (+)
+    t1 += "@!p4 " + translate(CudaOp::GlobalLoad, "r1", "d"); // l.10
 
     return litmus::TestBuilder(with_fences ? "dlb-mp+fences"
                                            : "dlb-mp")
         .global("t", 0)
         .global("d", 0)
-        .thread(std::move(t0))
-        .thread(std::move(t1))
+        .thread(t0)
+        .thread(t1)
         .interCta()
         .exists("1:r0=1 /\\ 1:r1=0")
         .build();
@@ -97,27 +69,25 @@ distillDequeLb(bool with_fences)
 {
     // Fig. 8: pop's CAS on head (line 20) then push's task write
     // (line 3) against steal's task read (line 10) then CAS (line 13).
-    ptx::ThreadProgram t0;
-    t0.append(translate(CudaOp::AtomicCas, "r0", "h", imm(0),
-                        imm(1))); // l.20
+    std::string t0 =
+        translate(CudaOp::AtomicCas, "r0", "h", "0", "1") + ";"; // l.20
     if (with_fences)
-        t0.append(translate(CudaOp::Threadfence)); // l.21 (+)
-    t0.append(build::mov("r2", imm(1)));           // l.3
-    t0.append(translate(CudaOp::GlobalStore, "", "t", reg("r2")));
+        t0 += translate(CudaOp::Threadfence) + ";"; // l.21 (+)
+    t0 += "mov r2,1;"; // l.3
+    t0 += translate(CudaOp::GlobalStore, "", "t", "r2");
 
-    ptx::ThreadProgram t1;
-    t1.append(translate(CudaOp::GlobalLoad, "r1", "t")); // l.10
+    std::string t1 =
+        translate(CudaOp::GlobalLoad, "r1", "t") + ";"; // l.10
     if (with_fences)
-        t1.append(translate(CudaOp::Threadfence)); // l.11 (+)
-    t1.append(translate(CudaOp::AtomicCas, "r3", "h", imm(0),
-                        imm(1))); // l.13
+        t1 += translate(CudaOp::Threadfence) + ";"; // l.11 (+)
+    t1 += translate(CudaOp::AtomicCas, "r3", "h", "0", "1"); // l.13
 
     return litmus::TestBuilder(with_fences ? "dlb-lb+fences"
                                            : "dlb-lb")
         .global("t", 0)
         .global("h", 0)
-        .thread(std::move(t0))
-        .thread(std::move(t1))
+        .thread(t0)
+        .thread(t1)
         .interCta()
         .exists("0:r0=1 /\\ 1:r1=1")
         .build();
@@ -128,37 +98,30 @@ distillHeYuLock(bool fixed)
 {
     // Fig. 11 from Fig. 10: can a critical section read a value the
     // *next* critical section writes?
-    ptx::ThreadProgram t0;
-    t0.append(translate(CudaOp::GlobalLoad, "r0", "x")); // l.7
+    std::string t0 =
+        translate(CudaOp::GlobalLoad, "r0", "x") + ";"; // l.7
     if (fixed) {
-        t0.append(translate(CudaOp::Threadfence)); // l.8 (+)
-        t0.append(translate(CudaOp::AtomicExch, "r1", "m",
-                            imm(0))); // l.9 (+)
+        t0 += translate(CudaOp::Threadfence) + ";";          // l.8 (+)
+        t0 += translate(CudaOp::AtomicExch, "r1", "m", "0"); // l.9 (+)
     } else {
-        t0.append(translate(CudaOp::GlobalStore, "", "m",
-                            imm(0))); // l.10 (-)
-        t0.append(translate(CudaOp::Threadfence)); // l.11 (-)
+        t0 += translate(CudaOp::GlobalStore, "", "m", "0") + ";"; // l.10 (-)
+        t0 += translate(CudaOp::Threadfence); // l.11 (-)
     }
 
-    ptx::ThreadProgram t1;
-    t1.append(translate(CudaOp::AtomicCas, "r2", "m", imm(0),
-                        imm(1))); // l.3
-    t1.append(build::setpEq("p1", reg("r2"), imm(0))); // l.4
-    t1.append(build::guarded("p1", false,
-                             build::mov("r3", imm(1)))); // l.5
+    std::string t1 =
+        translate(CudaOp::AtomicCas, "r2", "m", "0", "1") + ";"; // l.3
+    t1 += "setp.eq p1,r2,0;"; // l.4
+    t1 += "@p1 mov r3,1;";    // l.5
     if (fixed)
-        t1.append(build::guarded(
-            "p1", false, translate(CudaOp::Threadfence))); // l.6 (+)
-    t1.append(build::guarded(
-        "p1", false,
-        translate(CudaOp::GlobalStore, "", "x", imm(1)))); // l.7
+        t1 += "@p1 " + translate(CudaOp::Threadfence) + ";"; // l.6 (+)
+    t1 += "@p1 " + translate(CudaOp::GlobalStore, "", "x", "1"); // l.7
 
     return litmus::TestBuilder(fixed ? "sl-future+fixed"
                                      : "sl-future")
         .global("x", 0)
         .global("m", 1)
-        .thread(std::move(t0))
-        .thread(std::move(t1))
+        .thread(t0)
+        .thread(t1)
         .interCta()
         .exists("0:r0=1 /\\ 1:r2=0")
         .build();

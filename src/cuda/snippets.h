@@ -8,9 +8,11 @@
  *   (Fig. 7) and dlb-lb (Fig. 8);
  * - the He-Yu database spin lock (Fig. 10) -> sl-future (Fig. 11).
  *
- * Each distillation is built instruction-by-instruction with
- * cuda::translate, so the tests in litmus/library.h are reproduced
- * from the CUDA side (the test suite asserts the equivalence).
+ * Each distillation is PTX thread text for litmus::TestBuilder: every
+ * CUDA construct is written by cuda::translate from its Tab. 5 row,
+ * and the control flow as setp and guarded instructions. So the tests
+ * in litmus/library.h are reproduced from the CUDA side (the test
+ * suite asserts the equivalence).
  */
 
 #ifndef GPULITMUS_CUDA_SNIPPETS_H

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -42,18 +41,6 @@ SimBackend::evaluate(const EvalJob &job) const
 
 // ---- McBackend ------------------------------------------------------
 
-namespace {
-
-/** A forensic environment knob is set (non-empty, not "0"). */
-bool
-envSet(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v && *v && *v != '0';
-}
-
-} // namespace
-
 mc::ExploreOptions
 McBackend::optionsFor(const EvalJob &job)
 {
@@ -61,13 +48,6 @@ McBackend::optionsFor(const EvalJob &job)
     opts.machine.inc = job.inc;
     opts.machine.maxMicroSteps = job.maxMicroSteps;
     opts.maxReplays = job.iterations;
-    // Forensic knob (mc/explorer.h): GPULITMUS_MC_DEBUG_KEYS=1
-    // switches the state cache back to the PR-3 string keys (slow,
-    // collision-free; diff against a digest-keyed run to implicate a
-    // digest collision). It changes no result — determinism tests pin
-    // that — so it is deliberately excluded from job cache keys.
-    if (envSet("GPULITMUS_MC_DEBUG_KEYS"))
-        opts.debugStateKeys = true;
     return opts;
 }
 

@@ -37,10 +37,7 @@
  * re-parameterised per job), and McBackend's explorer checkpoints
  * and digest-keys its search (mc/explorer.h) — both pure wall-clock
  * machinery whose results are bit-identical to recomputation, so
- * cache identities never observe them. The GPULITMUS_MC_DEBUG_KEYS
- * environment knob (McBackend::optionsFor) switches the explorer's
- * state cache back to the PR-3 string keys for forensic
- * cross-checks.
+ * cache identities never observe them.
  */
 
 #ifndef GPULITMUS_EVAL_BACKEND_H

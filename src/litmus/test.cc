@@ -218,13 +218,6 @@ TestBuilder::thread(const std::string &ptx_text)
 }
 
 TestBuilder &
-TestBuilder::thread(ptx::ThreadProgram prog)
-{
-    test_.program.threads.push_back(std::move(prog));
-    return *this;
-}
-
-TestBuilder &
 TestBuilder::regVal(int tid, const std::string &reg, int64_t value)
 {
     test_.regInits.push_back({tid, reg, false, "", value});

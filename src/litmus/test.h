@@ -143,9 +143,6 @@ class TestBuilder
      * instructions carry no source positions (srcLine/srcCol 0). */
     TestBuilder &thread(const std::string &ptx_text);
 
-    /** Append a pre-built thread program. */
-    TestBuilder &thread(ptx::ThreadProgram prog);
-
     /** Initialise a register with a plain value. */
     TestBuilder &regVal(int tid, const std::string &reg, int64_t value);
 

@@ -122,9 +122,9 @@ struct ExploreOptions
     bool checkpoints = true;
     /** Key the state memo on the full string encodings (the PR-3
      * scheme, collision-free by construction) instead of 128-bit
-     * digests. Slow; for tests and forensic runs — compare a run in
-     * each mode: any divergence implicates a digest collision
-     * (GPULITMUS_MC_DEBUG_KEYS=1 wires it through the mc backend). */
+     * digests. Slow; the tests use it as the reference for digest
+     * collisions — any divergence between a run in each mode
+     * implicates one. */
     bool debugStateKeys = false;
 };
 

@@ -97,9 +97,10 @@ coalesceRepeatedLoads(ptx::ThreadProgram &prog,
                 break;
             if (b.op == Opcode::Ld && b.addr == a.addr &&
                 !b.hasGuard) {
-                Instruction mv = ptx::build::mov(
-                    b.dst, ptx::Operand::makeReg(a.dst));
-                prog.instrs[j] = mv;
+                prog.instrs[j] = Instruction{
+                    .op = Opcode::Mov,
+                    .dst = b.dst,
+                    .srcs = {ptx::Operand::makeReg(a.dst)}};
                 quirks.push_back(
                     "T" + std::to_string(tid) +
                     ": compiler coalesced repeated loads of one"

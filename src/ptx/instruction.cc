@@ -189,177 +189,4 @@ Instruction::str() const
     return out;
 }
 
-namespace build {
-
-Instruction
-ld(std::string dst, Operand addr, CacheOp c)
-{
-    Instruction i;
-    i.op = Opcode::Ld;
-    i.dst = std::move(dst);
-    i.addr = std::move(addr);
-    i.cacheOp = c;
-    return i;
-}
-
-Instruction
-ldVolatile(std::string dst, Operand addr)
-{
-    Instruction i = ld(std::move(dst), std::move(addr), CacheOp::None);
-    i.isVolatile = true;
-    return i;
-}
-
-Instruction
-st(Operand addr, Operand value, CacheOp c)
-{
-    Instruction i;
-    i.op = Opcode::St;
-    i.addr = std::move(addr);
-    i.srcs.push_back(std::move(value));
-    i.cacheOp = c;
-    return i;
-}
-
-Instruction
-stVolatile(Operand addr, Operand value)
-{
-    Instruction i = st(std::move(addr), std::move(value), CacheOp::None);
-    i.isVolatile = true;
-    return i;
-}
-
-Instruction
-atomCas(std::string dst, Operand addr, Operand cmp, Operand swap)
-{
-    Instruction i;
-    i.op = Opcode::AtomCas;
-    i.dst = std::move(dst);
-    i.addr = std::move(addr);
-    i.srcs.push_back(std::move(cmp));
-    i.srcs.push_back(std::move(swap));
-    i.type = DataType::B32;
-    return i;
-}
-
-Instruction
-atomExch(std::string dst, Operand addr, Operand value)
-{
-    Instruction i;
-    i.op = Opcode::AtomExch;
-    i.dst = std::move(dst);
-    i.addr = std::move(addr);
-    i.srcs.push_back(std::move(value));
-    i.type = DataType::B32;
-    return i;
-}
-
-Instruction
-atomInc(std::string dst, Operand addr)
-{
-    Instruction i;
-    i.op = Opcode::AtomInc;
-    i.dst = std::move(dst);
-    i.addr = std::move(addr);
-    i.type = DataType::U32;
-    return i;
-}
-
-Instruction
-membar(Scope s)
-{
-    Instruction i;
-    i.op = Opcode::Membar;
-    i.scope = s;
-    return i;
-}
-
-Instruction
-mov(std::string dst, Operand src)
-{
-    Instruction i;
-    i.op = Opcode::Mov;
-    i.dst = std::move(dst);
-    i.srcs.push_back(std::move(src));
-    return i;
-}
-
-namespace {
-
-Instruction
-alu(Opcode op, std::string dst, Operand a, Operand b)
-{
-    Instruction i;
-    i.op = op;
-    i.dst = std::move(dst);
-    i.srcs.push_back(std::move(a));
-    i.srcs.push_back(std::move(b));
-    return i;
-}
-
-} // anonymous namespace
-
-Instruction
-add(std::string dst, Operand a, Operand b)
-{
-    return alu(Opcode::Add, std::move(dst), std::move(a), std::move(b));
-}
-
-Instruction
-and_(std::string dst, Operand a, Operand b)
-{
-    Instruction i =
-        alu(Opcode::And, std::move(dst), std::move(a), std::move(b));
-    i.type = DataType::B32;
-    return i;
-}
-
-Instruction
-xor_(std::string dst, Operand a, Operand b)
-{
-    Instruction i =
-        alu(Opcode::Xor, std::move(dst), std::move(a), std::move(b));
-    i.type = DataType::B32;
-    return i;
-}
-
-Instruction
-cvt(std::string dst, Operand src)
-{
-    Instruction i;
-    i.op = Opcode::Cvt;
-    i.dst = std::move(dst);
-    i.srcs.push_back(std::move(src));
-    i.type = DataType::U64;
-    return i;
-}
-
-Instruction
-setpEq(std::string dst, Operand a, Operand b)
-{
-    Instruction i =
-        alu(Opcode::SetpEq, std::move(dst), std::move(a), std::move(b));
-    return i;
-}
-
-Instruction
-bra(std::string label)
-{
-    Instruction i;
-    i.op = Opcode::Bra;
-    i.target = std::move(label);
-    return i;
-}
-
-Instruction
-guarded(std::string pred, bool negated, Instruction inner)
-{
-    inner.hasGuard = true;
-    inner.guardReg = std::move(pred);
-    inner.guardNegated = negated;
-    return inner;
-}
-
-} // namespace build
-
 } // namespace gpulitmus::ptx

@@ -1,16 +1,24 @@
 /**
  * @file
  * The PTX instruction representation used across the simulator, the
- * axiomatic engine, the mock assembler and the test generator.
+ * axiomatic engine, the mock assembler and the test generator, and
+ * the one definition of what the ALU and atomic opcodes compute.
+ *
+ * Every thread is written as PTX text and read by ptx::parseThread
+ * (ptx/parser.h), whether it comes from a .litmus file or from
+ * litmus::TestBuilder; only the compiler-quirk passes of src/opt
+ * edit the parsed instructions.
  */
 
 #ifndef GPULITMUS_PTX_INSTRUCTION_H
 #define GPULITMUS_PTX_INSTRUCTION_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/log.h"
 #include "ptx/types.h"
 
 namespace gpulitmus::ptx {
@@ -67,9 +75,10 @@ struct Instruction
 
     /**
      * 1-based source position in the file the instruction was parsed
-     * from; 0 when built programmatically. Not part of the
-     * instruction's identity: operator== ignores both fields, so a
-     * built program still compares equal to its parsed round trip.
+     * from; 0 for a built-in thread (litmus::TestBuilder). Not part
+     * of the instruction's identity: operator== ignores both fields,
+     * so a built-in program compares equal to its printed and
+     * reparsed round trip.
      */
     int srcLine = 0;
     int srcCol = 0;
@@ -97,30 +106,49 @@ struct Instruction
     bool operator==(const Instruction &other) const;
 };
 
-/** Convenience constructors for the instruction forms the paper uses. */
-namespace build {
+/**
+ * The value an ALU instruction (add, sub, and, or, xor, setp.eq,
+ * setp.ne) writes to its destination, from its two source values.
+ * The one definition of these opcodes: the simulator, the candidate
+ * enumerator, the SC interpreter and the analyzer's value sets all
+ * call it.
+ */
+inline int64_t
+aluResult(Opcode op, int64_t a, int64_t b)
+{
+    switch (op) {
+      case Opcode::Add: return a + b;
+      case Opcode::Sub: return a - b;
+      case Opcode::And: return a & b;
+      case Opcode::Or: return a | b;
+      case Opcode::Xor: return a ^ b;
+      case Opcode::SetpEq: return a == b;
+      case Opcode::SetpNe: return a != b;
+      default: panic("aluResult of non-ALU opcode %d", int(op));
+    }
+}
 
-Instruction ld(std::string dst, Operand addr, CacheOp c = CacheOp::Cg);
-Instruction ldVolatile(std::string dst, Operand addr);
-Instruction st(Operand addr, Operand value, CacheOp c = CacheOp::Cg);
-Instruction stVolatile(Operand addr, Operand value);
-Instruction atomCas(std::string dst, Operand addr, Operand cmp,
-                    Operand swap);
-Instruction atomExch(std::string dst, Operand addr, Operand value);
-Instruction atomInc(std::string dst, Operand addr);
-Instruction membar(Scope s);
-Instruction mov(std::string dst, Operand src);
-Instruction add(std::string dst, Operand a, Operand b);
-Instruction and_(std::string dst, Operand a, Operand b);
-Instruction xor_(std::string dst, Operand a, Operand b);
-Instruction cvt(std::string dst, Operand src);
-Instruction setpEq(std::string dst, Operand a, Operand b);
-Instruction bra(std::string label);
-
-/** Attach a guard to an instruction ("@p" / "@!p"). */
-Instruction guarded(std::string pred, bool negated, Instruction inner);
-
-} // namespace build
+/**
+ * The value an atom.* instruction writes over the location's old
+ * value, from its source values (cmp and swap for atom.cas, the
+ * operand for atom.exch and atom.add; atom.inc reads neither), or
+ * nullopt when it writes nothing: a failed atom.cas. The one
+ * definition of the atomics, like aluResult.
+ */
+inline std::optional<int64_t>
+atomicWrite(Opcode op, int64_t old, int64_t src0, int64_t src1)
+{
+    switch (op) {
+      case Opcode::AtomCas:
+        if (old != src0)
+            return std::nullopt;
+        return src1;
+      case Opcode::AtomExch: return src0;
+      case Opcode::AtomInc: return old + 1;
+      case Opcode::AtomAdd: return old + src0;
+      default: panic("atomicWrite of non-atomic opcode %d", int(op));
+    }
+}
 
 } // namespace gpulitmus::ptx
 

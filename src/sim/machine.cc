@@ -7,6 +7,13 @@
 
 namespace gpulitmus::sim {
 
+namespace {
+
+/** Start-time skew (in micro-steps) without thread sync. */
+constexpr uint64_t kStartSkewMax = 48;
+
+} // anonymous namespace
+
 // ---------------------------------------------------------------------
 // Incantations
 // ---------------------------------------------------------------------
@@ -349,9 +356,8 @@ Machine::resetRun(P &cp)
             ts.startDelay =
                 static_cast<int>(cp.pick(ChoiceKind::StartSkew, 3));
         else
-            ts.startDelay = static_cast<int>(cp.pick(
-                ChoiceKind::StartSkew,
-                static_cast<uint64_t>(opts_.skewMax)));
+            ts.startDelay = static_cast<int>(
+                cp.pick(ChoiceKind::StartSkew, kStartSkewMax));
     }
 }
 
@@ -734,31 +740,14 @@ Machine::issueOne(int tid)
         ++ts.pc;
         return;
       case ptx::Opcode::Add:
-        ts.regs[in.dst] = val(in.src0) + val(in.src1);
-        ++ts.pc;
-        return;
       case ptx::Opcode::Sub:
-        ts.regs[in.dst] = val(in.src0) - val(in.src1);
-        ++ts.pc;
-        return;
       case ptx::Opcode::And:
-        ts.regs[in.dst] = val(in.src0) & val(in.src1);
-        ++ts.pc;
-        return;
       case ptx::Opcode::Or:
-        ts.regs[in.dst] = val(in.src0) | val(in.src1);
-        ++ts.pc;
-        return;
       case ptx::Opcode::Xor:
-        ts.regs[in.dst] = val(in.src0) ^ val(in.src1);
-        ++ts.pc;
-        return;
       case ptx::Opcode::SetpEq:
-        ts.regs[in.dst] = val(in.src0) == val(in.src1);
-        ++ts.pc;
-        return;
       case ptx::Opcode::SetpNe:
-        ts.regs[in.dst] = val(in.src0) != val(in.src1);
+        ts.regs[in.dst] =
+            ptx::aluResult(in.op, val(in.src0), val(in.src1));
         ++ts.pc;
         return;
       default:
@@ -1193,35 +1182,11 @@ Machine::perform(int tid, const WindowEntry &e, P &cp)
             old = *cell;
         }
 
-        bool wrote = false;
-        int64_t new_val = old;
-        switch (e.op) {
-          case ptx::Opcode::AtomCas:
-            if (old == e.src0) {
-                new_val = e.src1;
-                wrote = true;
-            }
-            break;
-          case ptx::Opcode::AtomExch:
-            new_val = e.src0;
-            wrote = true;
-            break;
-          case ptx::Opcode::AtomInc:
-            new_val = old + 1;
-            wrote = true;
-            break;
-          case ptx::Opcode::AtomAdd:
-            new_val = old + e.src0;
-            wrote = true;
-            break;
-          default:
-            panic("unexpected atomic opcode");
-        }
-        if (wrote) {
+        if (auto new_val = ptx::atomicWrite(e.op, old, e.src0, e.src1)) {
             if (e.shared) {
-                *cell = new_val;
+                *cell = *new_val;
             } else {
-                writeToL2(e.loc, new_val, ts.smId);
+                writeToL2(e.loc, *new_val, ts.smId);
                 ts.wroteLocs |= 1ULL << e.loc;
             }
         }

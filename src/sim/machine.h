@@ -180,8 +180,6 @@ struct MachineOptions
     /** Abort threshold for one iteration (guards imported tests with
      * unbounded loops). */
     int maxMicroSteps = 4000;
-    /** Start-time skew (in micro-steps) without thread sync. */
-    int skewMax = 48;
 };
 
 /**

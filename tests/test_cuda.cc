@@ -11,6 +11,7 @@
 #include "cuda/snippets.h"
 #include "harness/campaign.h"
 #include "litmus/library.h"
+#include "ptx/parser.h"
 #include "scenario/catalog.h"
 
 namespace gpulitmus::cuda {
@@ -40,21 +41,58 @@ TEST(Mapping, Table5Rows)
 
 TEST(Mapping, TranslateProducesTab5Opcodes)
 {
+    // Every op's text parses to the instruction its Tab. 5 row names:
+    // the row is the op's, the printed instruction starts with the
+    // row's mnemonic, and the opcode, scope, cache operator and
+    // volatility are the row's meaning.
+    using ptx::CacheOp;
     using ptx::Opcode;
-    EXPECT_EQ(translate(CudaOp::AtomicCas, "r0", "m",
-                        ptx::Operand::makeImm(0),
-                        ptx::Operand::makeImm(1))
-                  .op,
-              Opcode::AtomCas);
-    EXPECT_EQ(translate(CudaOp::Threadfence).scope, ptx::Scope::Gl);
-    EXPECT_EQ(translate(CudaOp::ThreadfenceBlock).scope,
-              ptx::Scope::Cta);
-    auto store = translate(CudaOp::GlobalStore, "", "x",
-                           ptx::Operand::makeImm(1));
-    EXPECT_EQ(store.op, Opcode::St);
-    EXPECT_EQ(store.cacheOp, ptx::CacheOp::Cg);
-    auto vload = translate(CudaOp::VolatileLoad, "r1", "t");
-    EXPECT_TRUE(vload.isVolatile);
+    using ptx::Scope;
+    struct Row
+    {
+        CudaOp op;
+        std::string cuda;
+        Opcode opcode;
+        Scope scope;
+        CacheOp cacheOp;
+        bool isVolatile;
+    };
+    const Row rows[] = {
+        {CudaOp::AtomicCas, "atomicCAS", Opcode::AtomCas, Scope::Gl,
+         CacheOp::None, false},
+        {CudaOp::AtomicExch, "atomicExch", Opcode::AtomExch, Scope::Gl,
+         CacheOp::None, false},
+        {CudaOp::Threadfence, "__threadfence", Opcode::Membar,
+         Scope::Gl, CacheOp::None, false},
+        {CudaOp::ThreadfenceBlock, "__threadfence_block",
+         Opcode::Membar, Scope::Cta, CacheOp::None, false},
+        {CudaOp::AtomicAdd1, "atomicAdd(...,1)", Opcode::AtomInc,
+         Scope::Gl, CacheOp::None, false},
+        {CudaOp::GlobalStore, "store to global int", Opcode::St,
+         Scope::Gl, CacheOp::Cg, false},
+        {CudaOp::GlobalLoad, "load from global int", Opcode::Ld,
+         Scope::Gl, CacheOp::Cg, false},
+        {CudaOp::VolatileStore, "store to volatile int", Opcode::St,
+         Scope::Gl, CacheOp::None, true},
+        {CudaOp::VolatileLoad, "load from volatile int", Opcode::Ld,
+         Scope::Gl, CacheOp::None, true},
+    };
+    // Control flow is the one row without an op.
+    EXPECT_EQ(std::size(rows) + 1, mappingTable().size());
+    for (const auto &row : rows) {
+        const MappingEntry &entry = mappingEntry(row.op);
+        EXPECT_EQ(entry.cuda, row.cuda);
+        std::string text = translate(row.op, "r0", "x", "0", "1");
+        ptx::ParseError err;
+        auto instr = ptx::parseInstruction(text, &err);
+        ASSERT_TRUE(instr.has_value()) << text << ": " << err.message;
+        EXPECT_EQ(instr->str().rfind(entry.ptx, 0), 0u)
+            << instr->str() << " does not spell " << entry.ptx;
+        EXPECT_EQ(instr->op, row.opcode) << text;
+        EXPECT_EQ(instr->scope, row.scope) << text;
+        EXPECT_EQ(instr->cacheOp, row.cacheOp) << text;
+        EXPECT_EQ(instr->isVolatile, row.isVolatile) << text;
+    }
 }
 
 /** The distilled tests must match the hand-written library versions

@@ -2,11 +2,12 @@
  * @file
  * Unit tests for the litmus layer: conditions, scope trees, the test
  * builder, the Fig. 12 format parser, histograms, and the built-in
- * paper test library.
+ * paper test library (with the CUDA distillations, its round trip).
  */
 
 #include <gtest/gtest.h>
 
+#include "cuda/snippets.h"
 #include "litmus/library.h"
 #include "litmus/outcome.h"
 #include "litmus/parser.h"
@@ -426,25 +427,42 @@ TEST(LitmusParser, LocationInconsistenciesAreValidationErrors)
 
 TEST(LitmusParser, RoundTripThroughPrinter)
 {
-    // Every paper test, and the in-code variants the benches send as
-    // inline source, is a print -> parse -> print fixed point: a
-    // planned job keys on the reparsed text, so its seed matches the
-    // original's.
+    // Every paper test, the in-code variants the benches send as
+    // inline source, and the CUDA distillations of Figs. 7-9 and 11
+    // print and reparse to an equal test: a planned job keys on the
+    // reparsed text, so its seed matches the original's, and what
+    // runs is what was built.
     std::vector<litmus::Test> tests;
     for (auto &named : paperlib::allTests())
         tests.push_back(std::move(named.test));
     tests.push_back(paperlib::mp(ptx::Scope::Gl));
     tests.push_back(paperlib::coRRL2L1(ptx::Scope::Gl));
+    for (bool variant : {false, true}) {
+        tests.push_back(cuda::distillCasSpinLock(variant));
+        tests.push_back(cuda::distillDequeMp(variant));
+        tests.push_back(cuda::distillDequeLb(variant));
+        tests.push_back(cuda::distillHeYuLock(variant));
+    }
     for (const auto &orig : tests) {
         ParseError err;
         auto reparsed = parseTest(orig.str(), &err);
         ASSERT_TRUE(reparsed.has_value()) << orig.name << ": "
                                           << err.message;
-        EXPECT_EQ(reparsed->program.numThreads(),
-                  orig.program.numThreads());
-        EXPECT_EQ(reparsed->locations.size(), orig.locations.size());
-        EXPECT_EQ(reparsed->scopeTree, orig.scopeTree);
         EXPECT_EQ(reparsed->str(), orig.str()) << orig.name;
+        EXPECT_EQ(reparsed->locations, orig.locations) << orig.name;
+        EXPECT_EQ(reparsed->regInits, orig.regInits) << orig.name;
+        ASSERT_EQ(reparsed->program.numThreads(),
+                  orig.program.numThreads());
+        for (int t = 0; t < orig.program.numThreads(); ++t) {
+            const auto &a = orig.program.threads[t];
+            const auto &b = reparsed->program.threads[t];
+            EXPECT_EQ(b.instrs, a.instrs) << orig.name << " T" << t;
+            EXPECT_EQ(b.labels, a.labels) << orig.name << " T" << t;
+        }
+        EXPECT_EQ(reparsed->scopeTree, orig.scopeTree) << orig.name;
+        EXPECT_EQ(reparsed->quantifier, orig.quantifier) << orig.name;
+        EXPECT_EQ(reparsed->condition.str(), orig.condition.str())
+            << orig.name;
     }
 }
 

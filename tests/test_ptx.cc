@@ -1,10 +1,14 @@
 /**
  * @file
  * Unit tests for the PTX IR: instruction parsing (paper shorthand and
- * full spellings), printing round-trips, and program/label handling.
+ * full spellings), printing round-trips, program/label handling, and
+ * what the ALU and atomic opcodes compute.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <set>
 
 #include "ptx/parser.h"
 
@@ -121,6 +125,60 @@ TEST(PtxParser, AluOps)
 
     Instruction x = parse1("xor.b32 r2,r1,r1");
     EXPECT_EQ(x.op, Opcode::Xor);
+}
+
+TEST(OpcodeSemantics, EveryAluAndAtomicOpcode)
+{
+    // aluResult and atomicWrite are the one definition the simulator,
+    // the candidate enumerator, the SC interpreter and the analyzer
+    // share. One row per case; every opcode not in a table must be
+    // one that computes nothing.
+    struct AluRow
+    {
+        Opcode op;
+        int64_t a, b, want;
+    };
+    const AluRow alu[] = {
+        {Opcode::Add, 6, 3, 9},     {Opcode::Sub, 6, 3, 3},
+        {Opcode::Sub, 3, 6, -3},    {Opcode::And, 6, 3, 2},
+        {Opcode::Or, 6, 3, 7},      {Opcode::Xor, 6, 3, 5},
+        {Opcode::SetpEq, 6, 3, 0},  {Opcode::SetpEq, 3, 3, 1},
+        {Opcode::SetpNe, 6, 3, 1},  {Opcode::SetpNe, 3, 3, 0},
+    };
+    struct AtomRow
+    {
+        Opcode op;
+        int64_t old, src0, src1;
+        std::optional<int64_t> want;
+    };
+    const AtomRow atom[] = {
+        {Opcode::AtomCas, 5, 5, 9, 9},             // cmp matches
+        {Opcode::AtomCas, 4, 5, 9, std::nullopt},  // fails: no write
+        {Opcode::AtomExch, 5, 7, 0, 7},
+        {Opcode::AtomInc, 5, 0, 0, 6},
+        {Opcode::AtomAdd, 5, 7, 0, 12},
+    };
+    std::set<Opcode> covered;
+    for (const auto &r : alu) {
+        EXPECT_EQ(aluResult(r.op, r.a, r.b), r.want)
+            << toString(r.op) << " " << r.a << "," << r.b;
+        covered.insert(r.op);
+    }
+    for (const auto &r : atom) {
+        EXPECT_TRUE(Instruction{.op = r.op}.isAtomic()) << toString(r.op);
+        EXPECT_EQ(atomicWrite(r.op, r.old, r.src0, r.src1), r.want)
+            << toString(r.op) << " over " << r.old;
+        covered.insert(r.op);
+    }
+    const std::set<Opcode> computeNothing = {
+        Opcode::Nop, Opcode::Ld,  Opcode::St,  Opcode::Membar,
+        Opcode::Mov, Opcode::Cvt, Opcode::Bra,
+    };
+    for (int o = 0; o <= static_cast<int>(Opcode::Bra); ++o) { // last
+        auto op = static_cast<Opcode>(o);
+        EXPECT_NE(covered.count(op), computeNothing.count(op))
+            << toString(op);
+    }
 }
 
 TEST(PtxParser, SetpAndGuards)
